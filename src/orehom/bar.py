@@ -24,9 +24,16 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import AElement, divide_by_f, twisted_commutator_subspace, vec_is_zero
+from .algebra import (
+    AElement,
+    commutator_quotient,
+    divide_by_f,
+    twisted_commutator_subspace,
+    vec_is_zero,
+)
 from .complexes import ChainComplex
 from .linalg import ColMap, subquotient
+from .small_complex import cs_twist
 
 
 def _add_term(acc, key, coeff):
@@ -97,12 +104,26 @@ def division_quotient_of_power(mono, s):
 # Bar chain level: M (x) Abar^r (x)
 # ---------------------------------------------------------------------------
 
+def _block_quotient(M, s):
+    """M/[M,K]_{alpha^s} as (free columns, per-column projection dicts)."""
+    sq = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, s))
+    rows = sq.projection.entries
+    proj = [{qi: row[c] for qi, row in enumerate(rows) if row[c]} for c in range(M.dim)]
+    return sq.free, proj
+
+
 class BarSpace:
     """Based realization of M (x) Abar^r (x) as a sum of tuple blocks.
 
-    Ambient basis: (tuple index, M basis index); the subquotient divides by
-    the twisted commutators [m, lam]_{alpha^s} blockwise, s = sum of the
-    tuple entries (the twist collected by pulling lam around the tail).
+    Ambient basis: (tuple index, M basis index).  The block of a tuple t is
+    divided only by its own twisted commutators [m, lam]_{alpha^s},
+    s = sum(t) (the twist collected by pulling lam around the tail), so the
+    quotient is computed once per distinct twist, on an M-sized block.  The
+    spanning set is block-diagonal and RREF is unique, so the free columns,
+    the projection and the order of quotient coordinates are those of one
+    elimination over the whole ambient space: a quotient coordinate is the
+    block offset plus the block-local free index.  The section is one-hot
+    at the free columns, and no ambient-sized matrix is kept.
     """
 
     def __init__(self, mono, M, r):
@@ -113,14 +134,33 @@ class BarSpace:
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.block = M.dim
         self.ambient_dim = len(self.tuples) * M.dim
-        spans = []
+        by_twist = {}
+        self.block_proj = []    # per tuple: block column -> {block quotient index: entry}
+        self.block_offset = []  # per tuple: its first quotient coordinate
+        self.free_columns = []  # per quotient coordinate: its ambient column
         for ti, t in enumerate(self.tuples):
             s = sum(t)
-            for v in twisted_commutator_subspace(M, s):
-                vec = [mono.field.zero] * self.ambient_dim
-                vec[ti * M.dim:(ti + 1) * M.dim] = v
-                spans.append(vec)
-        self.space = subquotient(mono.field, self.ambient_dim, spans)
+            if s not in by_twist:
+                by_twist[s] = _block_quotient(M, s)
+            free, proj = by_twist[s]
+            self.block_proj.append(proj)
+            self.block_offset.append(len(self.free_columns))
+            self.free_columns.extend(ti * M.dim + f for f in free)
+        self.quotient_dim = len(self.free_columns)
+
+    @property
+    def space(self):
+        """The quotient space, which is this object (``quotient_dim``, ``lift_vec``)."""
+        return self
+
+    def lift_vec(self, qvec):
+        """Dense quotient vector -> dense ambient vector through the section."""
+        if len(qvec) != self.quotient_dim:
+            raise ValueError("vector length mismatch")
+        out = [self.mono.field.zero] * self.ambient_dim
+        for idx, c in zip(self.free_columns, qvec):
+            out[idx] = c
+        return out
 
     def flat(self, t, m_idx):
         return self.tuple_index[t] * self.block + m_idx
@@ -132,12 +172,11 @@ class BarSpace:
     def project_terms(self, terms):
         """Ambient term dict -> quotient-coordinate term dict."""
         out = {}
-        proj = self.space.projection
         for idx, c in terms.items():
-            for qi in range(self.space.quotient_dim):
-                e = proj.entries[qi][idx]
-                if e:
-                    _add_term(out, qi, e * c)
+            ti, m_idx = divmod(idx, self.block)
+            off = self.block_offset[ti]
+            for qi, e in self.block_proj[ti][m_idx].items():
+                _add_term(out, off + qi, e * c)
         return out
 
     def element_degree(self, terms):
@@ -157,22 +196,34 @@ class BarSpace:
 
 
 class BarComplex:
-    """The normalized relative chain complex of A with coefficients in M."""
+    """The normalized relative chain complex of A with coefficients in M.
+
+    ``grow`` extends it level by level in place; b_r and B_r read only
+    levels up to r + 1, so cached maps stay valid.
+    """
 
     def __init__(self, mono, M, max_r, is_regular=None):
         self.mono = mono
         self.M = M
-        self.max_r = max_r
         self.is_regular = (M.dim == mono.dim) if is_regular is None else is_regular
-        self.spaces = [BarSpace(mono, M, r) for r in range(max_r + 1)]
+        self.spaces = []
         self._b = {}
         self._B = {}
+        self.grow(max_r)
+
+    @property
+    def max_r(self):
+        return len(self.spaces) - 1
+
+    def grow(self, max_r):
+        while len(self.spaces) <= max_r:
+            self.spaces.append(BarSpace(self.mono, self.M, len(self.spaces)))
 
     def space(self, r):
-        return self.spaces[r].space
+        return self.spaces[r]
 
     def dim(self, r):
-        return self.spaces[r].space.quotient_dim
+        return self.spaces[r].quotient_dim
 
     def _b_ambient_column(self, r, t, m_idx):
         """b of the pure tensor m (x) x^{t_1} (x) ... as ambient terms at r-1."""
@@ -221,16 +272,9 @@ class BarComplex:
             return got
         src = self.spaces[r]
         tgt = self.spaces[r - 1]
-        out = ColMap(self.mono.field, tgt.space.quotient_dim, src.space.quotient_dim)
-        for qj in range(src.space.quotient_dim):
-            amb = src.space.section.column(qj)
-            col = {}
-            for idx, c in enumerate(amb):
-                if not c:
-                    continue
-                t, m_idx = src.unflat(idx)
-                _add_scaled(col, self._b_ambient_column(r, t, m_idx), c)
-            out.set_col(qj, tgt.project_terms(col))
+        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free_columns):
+            out.set_col(qj, tgt.project_terms(self._b_ambient_column(r, *src.unflat(idx))))
         self._b[r] = out
         return out
 
@@ -274,16 +318,9 @@ class BarComplex:
             return got
         src = self.spaces[r]
         tgt = self.spaces[r + 1]
-        out = ColMap(self.mono.field, tgt.space.quotient_dim, src.space.quotient_dim)
-        for qj in range(src.space.quotient_dim):
-            amb = src.space.section.column(qj)
-            col = {}
-            for idx, c in enumerate(amb):
-                if not c:
-                    continue
-                t, m_idx = src.unflat(idx)
-                _add_scaled(col, self._B_ambient_column(r, t, m_idx), c)
-            out.set_col(qj, tgt.project_terms(col))
+        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free_columns):
+            out.set_col(qj, tgt.project_terms(self._B_ambient_column(r, *src.unflat(idx))))
         self._B[r] = out
         return out
 
@@ -297,18 +334,13 @@ def bar_complex(mono, M, max_r):
 # Resolution level: twisted bimodule spaces A (x) A
 # ---------------------------------------------------------------------------
 
-def resolution_twist(n, r):
-    m, odd = divmod(r, 2)
-    return m * n + (1 if odd else 0)
-
-
 class ResolutionSpace:
     """A_{alpha^j} (x) A as a based k-space: basis mu_k x^p (x) x^q."""
 
     def __init__(self, mono, r):
         self.mono = mono
         self.r = r
-        self.twist = resolution_twist(mono.n, r)
+        self.twist = cs_twist(mono.n, r)
         self.dimK = mono.base.dim
         self.n = mono.n
         self.dim = self.dimK * self.n * self.n
@@ -384,9 +416,17 @@ class ResolutionComplex:
 
     def __init__(self, mono, max_r):
         self.mono = mono
-        self.max_r = max_r
-        self.spaces = [ResolutionSpace(mono, r) for r in range(max_r + 1)]
+        self.spaces = []
         self._d = {}
+        self.grow(max_r)
+
+    @property
+    def max_r(self):
+        return len(self.spaces) - 1
+
+    def grow(self, max_r):
+        while len(self.spaces) <= max_r:
+            self.spaces.append(ResolutionSpace(self.mono, len(self.spaces)))
 
     def dim(self, r):
         return self.spaces[r].dim
@@ -494,17 +534,31 @@ class BarResSpace:
 
 
 class BarResolution:
-    """Normalized bar resolution with b', comparison maps and the homotopy."""
+    """Normalized bar resolution with b', comparison maps and the homotopy.
+
+    ``grow`` extends it, with its twisted resolution, level by level in
+    place; b'_r, phi'_r, psi'_r and omega'_r read only levels up to r, so
+    cached maps stay valid.
+    """
 
     def __init__(self, mono, max_r):
         self.mono = mono
-        self.max_r = max_r
-        self.spaces = [BarResSpace(mono, r) for r in range(max_r + 1)]
+        self.spaces = []
         self.resolution = ResolutionComplex(mono, max_r)
         self._bprime = {}
         self._phi = {}
         self._psi = {}
         self._omega = {}
+        self.grow(max_r)
+
+    @property
+    def max_r(self):
+        return len(self.spaces) - 1
+
+    def grow(self, max_r):
+        self.resolution.grow(max_r)
+        while len(self.spaces) <= max_r:
+            self.spaces.append(BarResSpace(self.mono, len(self.spaces)))
 
     def dim(self, r):
         return self.spaces[r].dim
@@ -747,22 +801,31 @@ class InducedComparison:
 
     ``cs_spaces[r]`` must be the subquotient of M by the twisted commutators
     at the twist of degree r (even r = 2m: alpha^{mn}; odd: alpha^{mn+1}).
-    All maps are returned in quotient coordinates.
+    All maps are returned in quotient coordinates.  ``grow`` extends the
+    bar complex and the C^S spaces in place, and the bar resolution grows
+    as omega needs it; cached maps stay valid.
     """
 
     def __init__(self, mono, M, bar, cs_spaces, resolution=None):
         self.mono = mono
         self.M = M
         self.bar = bar
-        self.cs_spaces = cs_spaces
+        self.cs_spaces = list(cs_spaces)
         self.barres = resolution
         self._phi = {}
         self._psi = {}
         self._omega = {}
 
+    def grow(self, max_r):
+        self.bar.grow(max_r)
+        while len(self.cs_spaces) <= max_r:
+            twist = cs_twist(self.mono.n, len(self.cs_spaces))
+            self.cs_spaces.append(commutator_quotient(self.M, twist))
+
     def _need_barres(self, levels):
-        if self.barres is None or self.barres.max_r < levels:
+        if self.barres is None:
             self.barres = BarResolution(self.mono, levels)
+        self.barres.grow(levels)
         return self.barres
 
     def _phi_ambient(self, r, m_idx):
@@ -804,14 +867,9 @@ class InducedComparison:
             return got
         src = self.cs_spaces[r]
         tgt = self.bar.spaces[r]
-        out = ColMap(self.mono.field, tgt.space.quotient_dim, src.quotient_dim)
-        for qj in range(src.quotient_dim):
-            amb = src.section.column(qj)
-            col = {}
-            for m_idx, c in enumerate(amb):
-                if c:
-                    _add_scaled(col, self._phi_ambient(r, m_idx), c)
-            out.set_col(qj, tgt.project_terms(col))
+        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, m_idx in enumerate(src.free):
+            out.set_col(qj, tgt.project_terms(self._phi_ambient(r, m_idx)))
         self._phi[r] = out
         return out
 
@@ -844,17 +902,9 @@ class InducedComparison:
             return got
         src = self.bar.spaces[r]
         tgt = self.cs_spaces[r]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.space.quotient_dim)
-        for qj in range(src.space.quotient_dim):
-            amb = src.space.section.column(qj)
-            col = [self.mono.field.zero] * self.M.dim
-            for idx, c in enumerate(amb):
-                if not c:
-                    continue
-                t, m_idx = src.unflat(idx)
-                part = self._psi_ambient(r, t, m_idx)
-                col = [a + c * b for a, b in zip(col, part)]
-            qcol = tgt.projection.apply(col)
+        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free_columns):
+            qcol = tgt.projection.apply(self._psi_ambient(r, *src.unflat(idx)))
             out.set_col(qj, {i: e for i, e in enumerate(qcol) if e})
         self._psi[r] = out
         return out
@@ -887,15 +937,8 @@ class InducedComparison:
             return got
         src = self.bar.spaces[r]
         tgt = self.bar.spaces[r + 1]
-        out = ColMap(self.mono.field, tgt.space.quotient_dim, src.space.quotient_dim)
-        for qj in range(src.space.quotient_dim):
-            amb = src.space.section.column(qj)
-            col = {}
-            for idx, c in enumerate(amb):
-                if not c:
-                    continue
-                t, m_idx = src.unflat(idx)
-                _add_scaled(col, self._omega_ambient(r, t, m_idx), c)
-            out.set_col(qj, tgt.project_terms(col))
+        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free_columns):
+            out.set_col(qj, tgt.project_terms(self._omega_ambient(r, *src.unflat(idx))))
         self._omega[r] = out
         return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import AlgebraError
@@ -49,6 +50,8 @@ def _load_spec(path, max_degree):
         try:
             doc = build_example(path)
         except AlgebraError:
+            if not os.path.exists(path):
+                raise
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
     else:
@@ -380,7 +383,7 @@ def cmd_verify(args):
                 if spt.element_degree(om.cols[idx]) > sp.element_degree({idx: field.one}):
                     degok = False
         record("deg(w'(a)) <= deg(a)", degok, f"levels <= {deg_top}, exhaustive")
-        van = vanishing_check(mono, M, 2, 3)
+        van = vanishing_check(mono, M, 2, 3, comparison=cmp_, bar=bar)
         record("psi (Bw)^j B phi = 0", all(van.values()), "j in {1,2}, r <= 3")
         mixed = build_mixed(mono, md)
         record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
@@ -459,6 +462,9 @@ def main(argv=None):
     p_e.set_defaults(func=cmd_example)
 
     args = parser.parse_args(argv)
+    if getattr(args, "max_degree", 0) < 0:
+        print(f"error: --max-degree must be >= 0, got {args.max_degree}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ComplexError, PerturbationError) as exc:

@@ -94,7 +94,8 @@ def homology(complex_, r, want_representatives=True):
             dim += 1
             if want_representatives:
                 reps.append(space.lift_vec(v))
-    assert dim == len(ker) - bdim
+    if dim != len(ker) - bdim:
+        raise ComplexError(f"degree {r}: {dim} new classes, expected {len(ker)} - {bdim}")
     return HomologyReport(r, dim, reps)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import eigen_split, vec_add, vec_is_zero, vec_sub
 from .complexes import ChainComplex, ComplexError, homology, homology_dims
-from .linalg import ColMap, EchelonSet, Matrix, kernel_basis, solve, subquotient
+from .linalg import ColMap, EchelonSet, FullSpace, Matrix, kernel_basis, solve
 from .small_complex import (
     HypothesisError,
     build_cs,
@@ -250,7 +250,7 @@ class BCTotal:
                 off += d
                 p += 1
             self.blocks.append(blocks)
-            spaces.append(subquotient(field, off, []))
+            spaces.append(FullSpace(off))
         boundaries = {}
         for N in range(1, max_N + 1):
             src_blocks = self.blocks[N]

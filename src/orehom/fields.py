@@ -69,7 +69,8 @@ def cyclotomic_polynomial(d):
         if d % e == 0:
             den = _poly_mul(den, cyclotomic_polynomial(e))
     quot, rem = _poly_divmod(num, den)
-    assert not rem, f"Phi_{d}: division of x^{d}-1 left a remainder"
+    if rem:
+        raise ValueError(f"Phi_{d}: division of x^{d}-1 left a remainder")
     return quot
 
 
@@ -269,7 +270,8 @@ class CycScalar:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert r1, "modulus is not coprime to a nonzero residue"
+        if not r1:
+            raise ValueError("modulus is not coprime to a nonzero residue")
         c = r1[0]
         inv = [a / c for a in s1]
         return CycScalar(self.field, tuple(inv + [Fraction(0)] * (self.field.degree - len(inv))))
@@ -340,8 +342,10 @@ def make_field(kind, d=1):
     if d < 1:
         raise ValueError("cyclotomic order must be >= 1")
     modulus = cyclotomic_polynomial(d)
-    assert len(modulus) - 1 == _euler_phi(d)
-    assert modulus[-1] == 1 and all(c.denominator == 1 for c in modulus)
+    if len(modulus) - 1 != _euler_phi(d):
+        raise ValueError(f"Phi_{d} has degree {len(modulus) - 1}, not phi({d})")
+    if modulus[-1] != 1 or any(c.denominator != 1 for c in modulus):
+        raise ValueError(f"Phi_{d} is not monic with integer coefficients")
     if len(modulus) == 2:
         return Field("rationals", d, tuple(modulus))
     return Field("cyclotomic", d, tuple(modulus))

@@ -224,19 +224,22 @@ class SubquotientSpace:
 
     Carries the echelonized basis of the subspace, the projection to
     quotient coordinates and the section picking the complement of the
-    pivot coordinates, so that ``projection * section = id`` and homology
-    representatives are reproducible.
+    pivot coordinates (``free``, ascending; quotient coordinate i is the
+    class of ambient coordinate ``free[i]``), so that
+    ``projection * section = id`` and homology representatives are
+    reproducible.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "_pivots")
+    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free", "_pivots")
 
-    def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, pivots):
+    def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, free, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.sub_basis = sub_basis
         self.quotient_dim = quotient_dim
         self.projection = projection
         self.section = section
+        self.free = free
         self._pivots = pivots
 
     def project_vec(self, vec):
@@ -250,6 +253,18 @@ class SubquotientSpace:
 
     def __repr__(self):
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"
+
+
+class FullSpace:
+    """k^dim with nothing divided out; quotient coordinates are ambient ones."""
+
+    __slots__ = ("ambient_dim", "quotient_dim")
+
+    def __init__(self, dim):
+        self.ambient_dim = self.quotient_dim = dim
+
+    def lift_vec(self, qvec):
+        return list(qvec)
 
 
 def subquotient(field, ambient_dim, spanning_vectors):
@@ -284,6 +299,7 @@ def subquotient(field, ambient_dim, spanning_vectors):
         field, ambient_dim, sub, qdim,
         Matrix(field, qdim, ambient_dim, proj),
         Matrix(field, ambient_dim, qdim, sec),
+        free,
         list(pivots),
     )
 

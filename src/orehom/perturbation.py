@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .bar import BarComplex, InducedComparison
 from .complexes import ChainComplex
-from .linalg import ColMap, subquotient
+from .linalg import ColMap, FullSpace
 from .small_complex import build_cs
 
 
@@ -206,7 +206,7 @@ class _TotalSide:
                 off += d
                 p += 1
             self.blocks.append(blocks)
-            spaces.append(subquotient(field, off, []))
+            spaces.append(FullSpace(off))
         for N in range(1, max_N + 1):
             tgt_off = {p: off for (p, deg, off, d) in self.blocks[N - 1]}
             cm = ColMap(field, spaces[N - 1].quotient_dim, spaces[N].quotient_dim)
@@ -307,17 +307,19 @@ def vanishing_check(mono, M=None, j_max=2, r_max=3, comparison=None, bar=None):
 
     Column-by-column evaluation through the normalized complex; the report
     maps (j, r) to a boolean.  Needs bar and C^S data up to level
-    r_max + 2 j_max + 1 and builds them when not supplied.
+    r_max + 2 j_max + 1: a supplied ``bar`` and ``comparison`` are grown to
+    that level in place (their cached maps are kept), and what is not
+    supplied is built.  ``bar`` defaults to ``comparison.bar``.
     """
     from .algebra import regular_bimodule
 
     M = M or regular_bimodule(mono)
     top = r_max + 2 * j_max + 1
-    if bar is None or bar.max_r < top:
-        bar = BarComplex(mono, M, top)
-    if comparison is None or len(comparison.cs_spaces) <= top:
-        cs = build_cs(mono, M, top)
-        comparison = InducedComparison(mono, M, bar, cs.spaces)
+    if comparison is None:
+        comparison = InducedComparison(mono, M, bar or BarComplex(mono, M, top), [])
+    bar = bar or comparison.bar
+    bar.grow(top)
+    comparison.grow(top)
     report = {}
     for r in range(0, r_max + 1):
         phi = comparison.phi(r)

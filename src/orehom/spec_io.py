@@ -139,14 +139,23 @@ EXAMPLE_NAMES = (
 )
 
 
+def _example_parameter(kind, var, arg, least):
+    """The integer parameter of the example ``kind:arg``, at least ``least``."""
+    try:
+        value = int(arg)
+    except ValueError:
+        raise AlgebraError(f"{kind}:{var} needs an integer {var}, got {arg!r}") from None
+    if value < least:
+        raise AlgebraError(f"{kind}:{var} needs {var} >= {least}")
+    return value
+
+
 def build_example(name):
     """Spec document for a named example; see EXAMPLE_NAMES for the fixed list
     (the parametrized families accept other parameters too)."""
     kind, _, arg = name.partition(":")
     if kind == "trunc":
-        n = int(arg)
-        if n < 2:
-            raise AlgebraError("trunc:n needs n >= 2")
+        n = _example_parameter(kind, "n", arg, 2)
         return {
             "name": name,
             "field": {"kind": "rationals"},
@@ -159,9 +168,7 @@ def build_example(name):
         doc["name"] = "sweedler"
         return doc
     if kind == "taft":
-        n = int(arg)
-        if n < 2:
-            raise AlgebraError("taft:n needs n >= 2")
+        n = _example_parameter(kind, "n", arg, 2)
         labels, table = cyclic_group(n)
         # character chi(g^j) = zeta_n^j, written in coefficients
         F = make_field("cyclotomic", n)
@@ -217,9 +224,7 @@ def build_example(name):
             },
         }
     if kind == "dihedral":
-        u = int(arg)
-        if u < 3:
-            raise AlgebraError("dihedral:u needs u >= 3")
+        u = _example_parameter(kind, "u", arg, 3)
         labels, table = dihedral_group(u)
         values = {lab: ("-1" if lab.endswith("h") else "1") for lab in labels}
         return {

@@ -1,8 +1,8 @@
 """Shared per-algebra context, built lazily and cached for the session.
 
 Most tests need the same parsed fixtures and (expensive) bar-side
-complexes; FixtureContext memoizes them keyed by construction window so
-the suite builds each object once.
+complexes; FixtureContext keeps one of each per fixture and grows it to
+the largest window asked for, so the suite builds each level once.
 """
 
 import pytest
@@ -18,43 +18,36 @@ class FixtureContext:
         self.parsed = parse_spec(build_example(name))
         self.mono = self.parsed.mono
         self.M = self.parsed.bimodule
-        self._cs = {}
-        self._bar = {}
-        self._barres = {}
-        self._cmp = {}
+        self._cs = None
+        self._bar = None
+        self._barres = None
+        self._cmp = None
 
     def cs(self, max_degree):
-        key = max_degree
-        for k, v in self._cs.items():
-            if k >= key:
-                return v
-        self._cs[key] = build_cs(self.mono, self.M, key)
-        return self._cs[key]
+        if self._cs is None or self._cs.max_degree < max_degree:
+            self._cs = build_cs(self.mono, self.M, max_degree)
+        return self._cs
 
     def bar(self, max_r):
-        for k, v in self._bar.items():
-            if k >= max_r:
-                return v
-        self._bar[max_r] = BarComplex(self.mono, self.M, max_r)
-        return self._bar[max_r]
+        if self._bar is None:
+            self._bar = BarComplex(self.mono, self.M, max_r)
+        self._bar.grow(max_r)
+        return self._bar
 
     def barres(self, max_r):
-        for k, v in self._barres.items():
-            if k >= max_r:
-                return v
-        self._barres[max_r] = BarResolution(self.mono, max_r)
-        return self._barres[max_r]
+        if self._barres is None:
+            self._barres = BarResolution(self.mono, max_r)
+        self._barres.grow(max_r)
+        return self._barres
 
     def comparison(self, max_r):
-        for k, v in self._cmp.items():
-            if k >= max_r:
-                return v
-        cmp_ = InducedComparison(
-            self.mono, self.M, self.bar(max_r), self.cs(max_r).spaces,
-            resolution=self.barres(max_r),
-        )
-        self._cmp[max_r] = cmp_
-        return self._cmp[max_r]
+        if self._cmp is None:
+            self._cmp = InducedComparison(
+                self.mono, self.M, self.bar(max_r), self.cs(max_r).spaces,
+                resolution=self.barres(max_r),
+            )
+        self._cmp.grow(max_r)
+        return self._cmp
 
 
 _CONTEXTS = {}

@@ -56,7 +56,7 @@ def test_criterion_2_hh_oracle_equivalence():
     for name in SHIPPED:
         ctx = get_context(name)
         cs_dims = homology_dims(ctx.cs(7), 5)
-        bar_dims = homology_dims(ctx.bar(7).chain_complex(), 5)
+        bar_dims = homology_dims(ctx.bar(7).chain_complex(7), 5)
         all_ok = all_ok and cs_dims == bar_dims
     _report(2, all_ok, "small-complex homology = normalized-complex homology, degrees 0..5")
 

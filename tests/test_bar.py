@@ -2,9 +2,20 @@ import random
 
 import pytest
 
-from orehom.bar import MonomialTensor, division_quotient_of_power, middle_tuples
+from orehom.algebra import twisted_commutator_subspace
+from orehom.bar import (
+    BarComplex,
+    BarResolution,
+    BarSpace,
+    InducedComparison,
+    MonomialTensor,
+    division_quotient_of_power,
+    middle_tuples,
+)
 from orehom.complexes import homology_dims
-from orehom.linalg import ColMap
+from orehom.linalg import ColMap, subquotient
+from orehom.small_complex import build_cs
+from orehom.spec_io import EXAMPLE_NAMES
 
 from conftest import SHIPPED, get_context
 
@@ -143,11 +154,83 @@ def test_bar_boundary_squares_to_zero():
             assert bar.b(r - 1).compose(bar.b(r)).is_zero()
 
 
+def _global_subquotient(sp):
+    """One elimination over the whole ambient space of ``sp``, block spans embedded."""
+    field = sp.mono.field
+    spans = []
+    for ti, t in enumerate(sp.tuples):
+        for v in twisted_commutator_subspace(sp.M, sum(t)):
+            vec = [field.zero] * sp.ambient_dim
+            vec[ti * sp.block:(ti + 1) * sp.block] = v
+            spans.append(vec)
+    return subquotient(field, sp.ambient_dim, spans)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_bar_space_matches_global_subquotient(name):
+    ctx = get_context(name)
+    field = ctx.mono.field
+    bar = ctx.bar(4)
+    for r in range(5):
+        sp = bar.spaces[r]
+        ref = _global_subquotient(sp)
+        assert sp.quotient_dim == ref.quotient_dim
+        assert sp.free_columns == ref.free
+        for i in range(sp.ambient_dim):
+            column = {qi: row[i] for qi, row in enumerate(ref.projection.entries) if row[i]}
+            assert sp.project_terms({i: field.one}) == column
+        qvec = [field.one if qi % 3 else field.zero for qi in range(sp.quotient_dim)]
+        assert sp.lift_vec(qvec) == ref.lift_vec(qvec)
+
+
+def _bar_side_maps(bar, cmp_, top):
+    return (
+        [bar.b(r) for r in range(1, top + 1)]
+        + [bar.connes_B(r) for r in range(top)]
+        + [cmp_.phi(r) for r in range(top + 1)]
+        + [cmp_.psi(r) for r in range(top + 1)]
+        + [cmp_.omega(r) for r in range(top)]
+    )
+
+
+@pytest.mark.parametrize("name", ("sweedler", "trunc:3", "rank1:c4", "dihedral:3"))
+def test_grown_bar_side_equals_fresh_build(name):
+    ctx = get_context(name)
+    mono, M = ctx.mono, ctx.M
+
+    def build(max_r):
+        bar = BarComplex(mono, M, max_r)
+        cs = build_cs(mono, M, max_r)
+        return bar, InducedComparison(mono, M, bar, cs.spaces, resolution=BarResolution(mono, max_r))
+
+    bar, cmp_ = build(4)
+    _bar_side_maps(bar, cmp_, 4)  # fill the caches before growing
+    cmp_.grow(7)
+    assert bar.max_r == 7 and len(cmp_.cs_spaces) == 8
+    assert _bar_side_maps(bar, cmp_, 7) == _bar_side_maps(*build(7), 7)
+
+
+def test_trunc4_level8_bar_space():
+    # 3^8 tuples times dim A = 4; K = Q and alpha = id leave nothing to divide by
+    ctx = get_context("trunc:4")
+    field = ctx.mono.field
+    sp = BarSpace(ctx.mono, ctx.M, 8)
+    assert sp.ambient_dim == sp.quotient_dim == 26244
+    rng = random.Random(8)
+    qvec = [field.zero] * sp.quotient_dim
+    for qi in rng.sample(range(sp.quotient_dim), 200):
+        qvec[qi] = field.one * rng.randrange(1, 5)
+    amb = sp.lift_vec(qvec)
+    assert sp.project_terms({i: c for i, c in enumerate(amb) if c}) == {
+        i: c for i, c in enumerate(qvec) if c
+    }
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_bar_oracle_matches_small_complex(name):
     ctx = get_context(name)
     cs_dims = homology_dims(ctx.cs(7), 5)
-    bar_dims = homology_dims(ctx.bar(7).chain_complex(), 5)
+    bar_dims = homology_dims(ctx.bar(7).chain_complex(7), 5)
     assert cs_dims == bar_dims
 
 

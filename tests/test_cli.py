@@ -121,6 +121,21 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "n >= 2" in capsys.readouterr().err
 
 
+def test_negative_max_degree_rejected(capsys):
+    code = main(["hh", "--spec", "sweedler", "--max-degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --max-degree must be >= 0, got -1"]
+
+
+def test_non_integer_example_parameter_rejected(capsys):
+    code = main(["hh", "--spec", "taft:x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["error: taft:n needs an integer n, got 'x'"]
+
+
 def test_nonmultiplicative_character_rejected(capsys, tmp_path):
     doc = build_example("sweedler")
     doc["endomorphism"]["values"]["g"] = "2"

@@ -105,12 +105,8 @@ def test_vanishing_degree_accounting():
                 v = bar.connes_B(lev + 1).apply(v)
                 lev += 2
                 if v:
-                    amb = {}
                     sp = bar.spaces[lev]
-                    for i, c in v.items():
-                        for ii, cc in enumerate(sp.space.section.column(i)):
-                            if cc:
-                                amb[ii] = cc * c
+                    amb = {sp.free_columns[i]: c for i, c in v.items()}
                     assert sp.element_degree(amb) < m * n + n
 
 
