@@ -41,7 +41,6 @@ from .cyclic import (
     transfer_D,
 )
 from .fields import CycScalar, Field, cyclotomic_polynomial, make_field
-from .kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .linalg import ColMap, Matrix, SubquotientSpace, kernel_basis, rank, rref, subquotient
 from .perturbation import DeformationRetract, build_cyclic_retract, perturb, vanishing_check
 from .small_complex import (

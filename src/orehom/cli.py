@@ -212,16 +212,10 @@ def _dihedral_displayed_parts(mono):
     pow_vecs = [list(K.unit)]
     for _ in range(1, u):
         pow_vecs.append(K.mul_vec(pow_vecs[-1], g))
-    rot_span = EchelonSet(field, K.dim)
-    for j in range(1, u):
-        diff = [a - b for a, b in zip(pow_vecs[j], pow_vecs[(u - j) % u])]
-        rot_span.add(diff)
-    rot_dim = u - rot_span.dim
+    diffs = [[a - b for a, b in zip(pow_vecs[j], pow_vecs[(u - j) % u])] for j in range(1, u)]
+    rot_dim = u - EchelonSet(field, K.dim, diffs).dim
     g2_minus_1 = [a - b for a, b in zip(K.mul_vec(g, g), K.unit)]
-    refl_span = EchelonSet(field, K.dim)
-    for j in range(u):
-        refl_span.add(K.mul_vec(pow_vecs[j], g2_minus_1))
-    refl_dim = u - refl_span.dim
+    refl_dim = u - EchelonSet(field, K.dim, [K.mul_vec(v, g2_minus_1) for v in pow_vecs]).dim
     return rot_dim, refl_dim
 
 
@@ -449,7 +443,6 @@ def main(argv=None):
     p_hc.add_argument("--decompose", action="store_true")
     p_hc.add_argument("--closed-form", action="store_true", dest="closed_form")
     p_hc.add_argument("--oracle", action="store_true")
-    p_hc.add_argument("--basis", action="store_true")
     p_hc.set_defaults(func=cmd_hc)
 
     p_v = sub.add_parser("verify", help="run the identity suites")

@@ -79,13 +79,7 @@ def homology(complex_, r, want_representatives=True):
     if kernel_only:
         reps = [space.lift_vec(v) for v in ker] if want_representatives else []
         return HomologyReport(r, len(ker), reps, kernel_only=True)
-    dnext = complex_.boundaries[r + 1]
-    seen = EchelonSet(field, n_r)
-    for col in dnext.cols:
-        dense = [field.zero] * n_r
-        for i, e in col.items():
-            dense[i] = e
-        seen.add(dense)
+    seen = EchelonSet(field, n_r, complex_.boundaries[r + 1].dense_cols())
     bdim = seen.dim
     reps = []
     dim = 0

@@ -1,18 +1,16 @@
-"""Dense exact matrices, subquotient spaces, and sparse chain maps.
+"""Exact elimination, dense matrices, subquotient spaces, and sparse chain maps.
 
-Everything is over a fixed exact field (Q or a cyclotomic field) and every
-value is immutable after construction, so all operations are pure and safe
-to call concurrently.  Matrices are dense row-major lists and intended for
-desk-scale dimensions; the chain-map assembly code uses the column-sparse
-``ColMap`` representation instead and only densifies for rank / homology
-computations.
+Every rank, kernel, span and quotient computation of the package goes
+through ``rref``, ``kernel_basis`` and ``EchelonSet`` here.  Everything is
+over a fixed exact field (Q or a cyclotomic field).  Matrices are dense
+row-major lists and intended for desk-scale dimensions; the chain-map
+assembly code uses the column-sparse ``ColMap`` representation instead and
+only densifies for rank / homology computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from . import kernels
 
 
 def pivot_score(x):
@@ -70,18 +68,27 @@ class Matrix:
     def row(self, i):
         return list(self.entries[i])
 
-    def transpose(self):
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            prod = kernels.matmul(self.entries, other.entries, self.field.zero)
-            return Matrix(self.field, self.rows, other.cols, prod)
+            # dense product, skipping zero entries (both factors are often sparse)
+            a_rows, b_rows = self.entries, other.entries
+            n, k, m = self.rows, self.cols, other.cols
+            out = [[self.field.zero] * m for _ in range(n)]
+            for i in range(n):
+                arow = a_rows[i]
+                orow = out[i]
+                for t in range(k):
+                    ait = arow[t]
+                    if not ait:
+                        continue
+                    brow = b_rows[t]
+                    for j in range(m):
+                        btj = brow[j]
+                        if btj:
+                            orow[j] = orow[j] + ait * btj
+            return Matrix(self.field, n, m, out)
         return NotImplemented
 
     def apply(self, vec):
@@ -134,10 +141,53 @@ class Matrix:
 
 
 def rref(m):
-    """Reduced row echelon form; returns (echelon Matrix, pivot column list)."""
-    work = [list(r) for r in m.entries]
-    pivots = kernels.rref_in_place(work, m.cols, pivot_score)
-    return Matrix(m.field, m.rows, m.cols, work), pivots
+    """Reduced row echelon form; returns (echelon Matrix, pivot column list).
+
+    Among the candidate pivots of a column the row whose entry has the
+    smallest ``pivot_score`` is chosen (ties go to the lowest row index),
+    which keeps denominators small and makes the reduction deterministic.
+    """
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = -1
+        best_key = None
+        for i in range(r, nrows):
+            e = rows[i][c]
+            if e:
+                key = pivot_score(e)
+                if best < 0 or key < best_key:
+                    best = i
+                    best_key = key
+        if best < 0:
+            continue
+        if best != r:
+            rows[best], rows[r] = rows[r], rows[best]
+        prow = rows[r]
+        p = prow[c]
+        if p != 1:
+            inv = 1 / p
+            for j in range(c, ncols):
+                if prow[j]:
+                    prow[j] = prow[j] * inv
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if not f:
+                continue
+            for j in range(c, ncols):
+                pj = prow[j]
+                if pj:
+                    row[j] = row[j] - f * pj
+        pivots.append(c)
+        r += 1
+    return Matrix(m.field, nrows, ncols, rows), pivots
 
 
 def rank(m):
@@ -147,7 +197,19 @@ def rank(m):
 def kernel_basis(m):
     """Basis of the null space of ``m`` (list of dense vectors)."""
     red, pivots = rref(m)
-    return kernels.kernel_from_rref(red.entries, pivots, m.cols, m.field.zero, m.field.one)
+    rows, ncols, zero, one = red.entries, m.cols, m.field.zero, m.field.one
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [zero] * ncols
+        v[f] = one
+        for r, p in enumerate(pivots):
+            e = rows[r][f]
+            if e:
+                v[p] = -e
+        basis.append(v)
+    return basis
 
 
 def solve(m, b):
@@ -165,26 +227,24 @@ def solve(m, b):
     return x
 
 
-def span_contains(echelon_rows, pivots, vec):
-    """Membership of ``vec`` in the row space given by an rref basis."""
-    v = list(vec)
-    for row, p in zip(echelon_rows, pivots):
-        c = v[p]
-        if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = v[j] - c * row[j]
-    return not any(v)
+def densify(vec_dict, n, zero):
+    """Dense length-n vector of a sparse ``{index: scalar}`` vector."""
+    out = [zero] * n
+    for i, e in vec_dict.items():
+        out[i] = e
+    return out
 
 
 class EchelonSet:
     """Incrementally maintained reduced echelon basis of a growing span."""
 
-    def __init__(self, field, ncols):
+    def __init__(self, field, ncols, vectors=()):
         self.field = field
         self.ncols = ncols
         self.rows = []
         self.pivots = []
+        for v in vectors:
+            self.add(v)
 
     def reduce(self, vec):
         v = list(vec)
@@ -214,9 +274,29 @@ class EchelonSet:
         self.pivots.append(p)
         return True
 
+    def contains(self, vec):
+        """Membership of ``vec`` in the span."""
+        return not any(self.reduce(vec))
+
+    def preimage(self, images):
+        """Basis of {v : sum_t v[t] * images[t] lies in the span}."""
+        return kernel_basis(Matrix.from_cols(self.field, [self.reduce(v) for v in images]))
+
     @property
     def dim(self):
         return len(self.rows)
+
+
+def quotient_dim(field, dim, numerator, denominator):
+    """dim span(numerator) / span(denominator) inside k^dim.
+
+    Returns None when the denominator is not inside the numerator span, so
+    that each caller can word its own refusal.
+    """
+    num = EchelonSet(field, dim, numerator)
+    if not all(num.contains(v) for v in denominator):
+        return None
+    return num.dim - EchelonSet(field, dim, denominator).dim
 
 
 class SubquotientSpace:
@@ -230,9 +310,9 @@ class SubquotientSpace:
     reproducible.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free", "_pivots")
+    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free")
 
-    def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, free, pivots):
+    def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, free):
         self.field = field
         self.ambient_dim = ambient_dim
         self.sub_basis = sub_basis
@@ -240,16 +320,9 @@ class SubquotientSpace:
         self.projection = projection
         self.section = section
         self.free = free
-        self._pivots = pivots
-
-    def project_vec(self, vec):
-        return self.projection.apply(vec)
 
     def lift_vec(self, qvec):
         return self.section.apply(qvec)
-
-    def contains_in_sub(self, vec):
-        return span_contains(self.sub_basis.entries, self._pivots, vec)
 
     def __repr__(self):
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"
@@ -300,7 +373,6 @@ def subquotient(field, ambient_dim, spanning_vectors):
         Matrix(field, qdim, ambient_dim, proj),
         Matrix(field, ambient_dim, qdim, sec),
         free,
-        list(pivots),
     )
 
 
@@ -335,6 +407,10 @@ class ColMap:
                     col[i] = e
             cols.append(col)
         return cls(m.field, m.rows, m.cols, cols)
+
+    def dense_cols(self):
+        """The columns as dense vectors of length ``nrows``, one at a time."""
+        return (densify(col, self.nrows, self.field.zero) for col in self.cols)
 
     def to_matrix(self):
         out = Matrix.zeros(self.field, self.nrows, self.ncols)

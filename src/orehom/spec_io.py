@@ -297,11 +297,20 @@ def _rank_one_case(field, values_by_index, n, xi):
     return "xi!=0, chi^n=id" if chi_n_id else "xi!=0, chi^n!=id"
 
 
+def _key(obj, key, path):
+    """``obj[key]``, or AlgebraError naming what is missing at ``path``."""
+    if not isinstance(obj, dict):
+        raise AlgebraError(f"{path} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise AlgebraError(f"{path} has no {key!r}")
+    return obj[key]
+
+
 def parse_spec(doc, max_degree=6):
     """Validate a spec document; returns ParsedSpec with all checks run."""
+    fobj = _key(doc, "field", "spec")
     name = doc.get("name", "unnamed")
-    fobj = doc["field"]
-    field = make_field(fobj["kind"], fobj.get("order", 1))
+    field = make_field(_key(fobj, "kind", "spec.field"), fobj.get("order", 1))
     summary = {"name": name, "field": repr(field)}
 
     if "rank_one" in doc:
@@ -358,10 +367,12 @@ def parse_spec(doc, max_degree=6):
             lambdas = [[field.zero] * K.dim for _ in range(n - 1)] + [lam_n]
         lambda_breve = K.basis_vector(K.basis_labels.index(g1)) if g1 in K.basis_labels else None
         bim_obj = doc.get("bimodule")
+    elif "base_algebra" not in doc:
+        raise AlgebraError("spec has neither 'base_algebra' nor 'rank_one'")
     else:
         K = _decode_base_algebra(field, doc["base_algebra"])
-        alpha = _decode_endomorphism(field, K, doc["endomorphism"])
-        ext = doc["extension"]
+        alpha = _decode_endomorphism(field, K, _key(doc, "endomorphism", "spec"))
+        ext = _key(doc, "extension", "spec")
         n = int(ext["n"])
         lambdas = [decode_kvec(field, v, K.dim) for v in ext["lambdas"]]
         lambda_breve = (

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
@@ -77,6 +79,13 @@ def test_hh_basis_flag(capsys):
     assert len(rep["representatives"][0]) == 2
 
 
+def test_hc_basis_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hc", "--spec", "sweedler", "--basis"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --basis" in capsys.readouterr().err
+
+
 def test_hc_oracle_and_closed_form(capsys):
     code, rep = run_json(
         capsys, "hc", "--spec", "rank1:c4", "--max-degree", "5", "--oracle", "--closed-form"
@@ -134,6 +143,20 @@ def test_non_integer_example_parameter_rejected(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == ["error: taft:n needs an integer n, got 'x'"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "error: spec must be a JSON object, got list"),
+    ({"name": "x"}, "error: spec has no 'field'"),
+    ({"field": {"kind": "rationals"}}, "error: spec has neither 'base_algebra' nor 'rank_one'"),
+], ids=["list", "no-field", "no-algebra"])
+def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = main(["hh", "--spec", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [message]
 
 
 def test_nonmultiplicative_character_rejected(capsys, tmp_path):

@@ -1,5 +1,6 @@
 from fractions import Fraction as Fr
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from orehom.linalg import (
     ColMap,
     EchelonSet,
     Matrix,
+    densify,
     kernel_basis,
     rank,
     rref,
@@ -140,3 +142,86 @@ def test_echelon_set_membership():
     assert not ech.add([Fr(2), Fr(2), Fr(0)])
     assert ech.add([Fr(0), Fr(0), Fr(5)])
     assert ech.dim == 2
+    assert ech.contains([Fr(3), Fr(3), Fr(1)])
+    assert not ech.contains([Fr(0), Fr(1), Fr(0)])
+
+
+# few distinct values, so that random vectors are often dependent
+sparse_entry = st.sampled_from([Fr(0), Fr(0), Fr(1), Fr(-1), Fr(1, 2)])
+fields = pytest.mark.parametrize("field", [Q, F4], ids=["Q", "Q(zeta_4)"])
+
+
+def draw_vectors(field, count, dim, data):
+    if field is Q:
+        draw = lambda: data.draw(sparse_entry)
+    else:
+        draw = lambda: F4.scalar([data.draw(sparse_entry), data.draw(sparse_entry)])
+    return [[draw() for _ in range(dim)] for _ in range(count)]
+
+
+def combine(field, coeffs, vectors, dim):
+    out = [field.zero] * dim
+    for c, v in zip(coeffs, vectors):
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+@fields
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    nvec=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_echelon_set_bulk_build_and_contains(field, dim, nvec, data):
+    vecs = draw_vectors(field, nvec, dim, data)
+    one_by_one = EchelonSet(field, dim)
+    for v in vecs:
+        one_by_one.add(v)
+    bulk = EchelonSet(field, dim, vecs)
+    assert (bulk.rows, bulk.pivots) == (one_by_one.rows, one_by_one.pivots)
+    probes = draw_vectors(field, 2, dim, data)
+    probes.append(combine(field, probes[0], vecs, dim))
+    basis_cols = Matrix.from_cols(field, vecs, dim)
+    for v in probes:
+        assert bulk.contains(v) == (solve(basis_cols, v) is not None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=5),
+    cols=st.integers(min_value=0, max_value=5),
+    data=st.data(),
+)
+def test_echelon_set_of_colmap_columns(rows, cols, data):
+    cm = ColMap(Q, rows, cols)
+    for j in range(cols):
+        cm.set_col(j, dict(enumerate(draw_vectors(Q, 1, rows, data)[0])))
+    dense = [cm.to_matrix().column(j) for j in range(cols)]
+    assert [densify(col, rows, Q.zero) for col in cm.cols] == dense
+    from_cols = EchelonSet(Q, rows, cm.dense_cols())
+    from_dense = EchelonSet(Q, rows, dense)
+    assert (from_cols.rows, from_cols.pivots) == (from_dense.rows, from_dense.pivots)
+
+
+@fields
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    nimg=st.integers(min_value=1, max_value=4),
+    nspan=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
+    images = draw_vectors(field, nimg, dim, data)
+    span_vecs = draw_vectors(field, nspan, dim, data)
+    span = EchelonSet(field, dim, span_vecs)
+    pre = span.preimage(images)
+    # reference: kernel of [images | span], cut to the image coordinates
+    ref = [v[:nimg] for v in kernel_basis(Matrix.from_cols(field, images + span_vecs, dim))]
+    pre_span = EchelonSet(field, nimg, pre)
+    assert pre_span.dim == len(pre)
+    assert pre_span.dim == EchelonSet(field, nimg, ref).dim
+    assert all(pre_span.contains(v) for v in ref)
+    for v in pre:
+        assert span.contains(combine(field, v, images, dim))
