@@ -25,7 +25,7 @@ from .algebra import (
     validate_monogenic,
     verify_lambda_breve,
 )
-from .bar import BarComplex, BarResolution, InducedComparison, bar_complex
+from .bar import BarComplex, BarResolution, InducedComparison
 from .complexes import ChainComplex, HomologyReport, homology, homology_dims
 from .cyclic import (
     BCTotal,
@@ -53,5 +53,6 @@ from .small_complex import (
     periodicity_check,
 )
 from .spec_io import EXAMPLE_NAMES, build_example, parse_spec
+from .workspace import Workspace
 
 __version__ = "0.1.0"

@@ -459,6 +459,7 @@ class BimoduleData:
         self.left_x = left_x
         self.right_k = right_k
         self.right_x = right_x
+        self._quotients = {}
         if check:
             self._check()
 
@@ -594,8 +595,11 @@ def twisted_commutator_subspace(M, j):
 
 
 def commutator_quotient(M, j):
-    """SubquotientSpace M/[M,K]_{alpha^j}."""
-    return subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, j))
+    """SubquotientSpace M/[M,K]_{alpha^j}, computed once per twist and kept on M."""
+    sq = M._quotients.get(j)
+    if sq is None:
+        sq = M._quotients[j] = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, j))
+    return sq
 
 
 def k_commutator_subspace(mono, j):

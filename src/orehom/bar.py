@@ -24,15 +24,12 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import (
-    AElement,
-    commutator_quotient,
-    divide_by_f,
-    twisted_commutator_subspace,
-    vec_is_zero,
-)
+from .algebra import AElement, commutator_quotient, divide_by_f, vec_is_zero
+# bound by name for perfbench/tracer.py, which wraps twisted_commutator_subspace
+# in every module namespace that holds it (its tests read this binding)
+from .algebra import twisted_commutator_subspace  # noqa: F401
 from .complexes import ChainComplex
-from .linalg import ColMap, subquotient
+from .linalg import ColMap
 from .small_complex import cs_twist
 
 
@@ -106,7 +103,7 @@ def division_quotient_of_power(mono, s):
 
 def _block_quotient(M, s):
     """M/[M,K]_{alpha^s} as (free columns, per-column projection dicts)."""
-    sq = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, s))
+    sq = commutator_quotient(M, s)
     rows = sq.projection.entries
     proj = [{qi: row[c] for qi, row in enumerate(rows) if row[c]} for c in range(M.dim)]
     return sq.free, proj
@@ -323,11 +320,6 @@ class BarComplex:
             out.set_col(qj, tgt.project_terms(self._B_ambient_column(r, *src.unflat(idx))))
         self._B[r] = out
         return out
-
-
-def bar_complex(mono, M, max_r):
-    """ChainComplex of the normalized relative complex (the homology oracle)."""
-    return BarComplex(mono, M, max_r).chain_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -799,34 +791,21 @@ class BarResolution:
 class InducedComparison:
     """phi/psi/omega between C^S(A,M) and the normalized chain complex.
 
-    ``cs_spaces[r]`` must be the subquotient of M by the twisted commutators
-    at the twist of degree r (even r = 2m: alpha^{mn}; odd: alpha^{mn+1}).
-    All maps are returned in quotient coordinates.  ``grow`` extends the
-    bar complex and the C^S spaces in place, and the bar resolution grows
-    as omega needs it; cached maps stay valid.
+    Reads the ``BarComplex`` ``bar``, the small complex ``cs`` and the
+    ``BarResolution`` ``barres`` in place; ``Workspace.comparison`` grows
+    all three.  All maps are returned in quotient coordinates, and cached
+    maps stay valid as the inputs grow.
     """
 
-    def __init__(self, mono, M, bar, cs_spaces, resolution=None):
+    def __init__(self, mono, M, bar, cs, barres):
         self.mono = mono
         self.M = M
         self.bar = bar
-        self.cs_spaces = list(cs_spaces)
-        self.barres = resolution
+        self.cs = cs
+        self.barres = barres
         self._phi = {}
         self._psi = {}
         self._omega = {}
-
-    def grow(self, max_r):
-        self.bar.grow(max_r)
-        while len(self.cs_spaces) <= max_r:
-            twist = cs_twist(self.mono.n, len(self.cs_spaces))
-            self.cs_spaces.append(commutator_quotient(self.M, twist))
-
-    def _need_barres(self, levels):
-        if self.barres is None:
-            self.barres = BarResolution(self.mono, levels)
-        self.barres.grow(levels)
-        return self.barres
 
     def _phi_ambient(self, r, m_idx):
         """phi_r of the pure class [m]; ambient bar terms."""
@@ -865,7 +844,7 @@ class InducedComparison:
         got = self._phi.get(r)
         if got is not None:
             return got
-        src = self.cs_spaces[r]
+        src = self.cs.spaces[r]
         tgt = self.bar.spaces[r]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
         for qj, m_idx in enumerate(src.free):
@@ -901,7 +880,7 @@ class InducedComparison:
         if got is not None:
             return got
         src = self.bar.spaces[r]
-        tgt = self.cs_spaces[r]
+        tgt = self.cs.spaces[r]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
         for qj, idx in enumerate(src.free_columns):
             qcol = tgt.projection.apply(self._psi_ambient(r, *src.unflat(idx)))
@@ -915,9 +894,8 @@ class InducedComparison:
         mono = self.mono
         M = self.M
         field = mono.field
-        barres = self._need_barres(r + 1)
-        gen = barres.omega_generator(r + 1, t)
-        sp_res = barres.spaces[r + 1]
+        gen = self.barres.omega_generator(r + 1, t)
+        sp_res = self.barres.spaces[r + 1]
         tgt = self.bar.spaces[r + 1]
         mvec = [field.zero] * M.dim
         mvec[m_idx] = field.one

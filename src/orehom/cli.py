@@ -14,7 +14,7 @@ import os
 import sys
 
 from .algebra import AlgebraError
-from .bar import BarComplex, InducedComparison, BarResolution
+from .bar import BarComplex
 from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
     MixedComplexData,
@@ -43,6 +43,7 @@ from .small_complex import (
     hh_rank_one,
 )
 from .spec_io import EXAMPLE_NAMES, build_example, parse_spec
+from .workspace import Workspace
 
 
 def _load_spec(path, max_degree):
@@ -322,10 +323,11 @@ def cmd_verify(args):
         checks.append({"check": name, "passed": bool(passed), "window": window})
 
     field = mono.field
-    cs = build_cs(mono, M, md)
+    ws = Workspace(mono, M)
+    cs = ws.cs(md)
     record("d.d = 0 on the small complex", True, f"degrees <= {md}")
-    bar = BarComplex(mono, M, md)
-    barcx = bar.chain_complex()
+    bar = ws.bar(md)
+    bar.chain_complex()
     record("b.b = 0 on the normalized complex", True, f"degrees <= {md}")
     is_regular = M.dim == mono.dim
     if is_regular:
@@ -336,13 +338,13 @@ def cmd_verify(args):
             for r in range(1, md - 1)
         )
         record("bB + Bb = 0", okbB, f"degrees <= {md - 1}")
-    barres = BarResolution(mono, md)
+    barres = ws.barres(md)
     okpsiphi = all(
         barres.psi(r).compose(barres.phi(r)) == ColMap.identity(field, barres.resolution.dim(r))
         for r in range(md + 1)
     )
     record("psi'phi' = id", okpsiphi, f"degrees <= {md}")
-    cmp_ = InducedComparison(mono, M, bar, cs.spaces, resolution=barres)
+    cmp_ = ws.comparison(md)
     okpf = all(
         cmp_.psi(r).compose(cmp_.phi(r)) == ColMap.identity(field, cs.dim(r))
         for r in range(md)
@@ -377,17 +379,15 @@ def cmd_verify(args):
                 if spt.element_degree(om.cols[idx]) > sp.element_degree({idx: field.one}):
                     degok = False
         record("deg(w'(a)) <= deg(a)", degok, f"levels <= {deg_top}, exhaustive")
-        van = vanishing_check(mono, M, 2, 3, comparison=cmp_, bar=bar)
+        van = vanishing_check(ws, 2, 3)
         record("psi (Bw)^j B phi = 0", all(van.values()), "j in {1,2}, r <= 3")
-        mixed = build_mixed(mono, md)
+        D = {r: connes_D(mono, r, cs.spaces, "generic") for r in range(md)}
+        MixedComplexData(field, cs.spaces[:md + 1], cs.boundaries, D)
         record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
-        dok = True
-        for r in range(0, md - 1):
-            if connes_D(mono, r, cs.spaces, "generic") != transfer_D(mono, M, cmp_, bar, r):
-                dok = False
+        dok = all(D[r] == transfer_D(mono, M, cmp_, bar, r) for r in range(md - 1))
         record("D = psi B phi", dok, f"degrees < {md - 1}")
         maxN = min(md, 5)
-        retract, delta, (Yside, Xside) = build_cyclic_retract(mono, M, maxN, cmp_, bar, cs)
+        retract, delta, _ = build_cyclic_retract(ws, maxN)
         rrep = retract.verify()
         record("transfer retract identities", all(rrep.values()), f"total degrees <= {maxN}")
         special = retract.is_special()

@@ -17,21 +17,35 @@ class ComplexError(ValueError):
 
 
 class ChainComplex:
-    """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}."""
+    """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}.
+
+    ``append`` adds the next degree in place and checks it as construction does.
+    """
 
     def __init__(self, field, spaces, boundaries, check=True):
         self.field = field
         self.spaces = list(spaces)
-        self.max_degree = len(self.spaces) - 1
         self.boundaries = dict(boundaries)
         if check:
             for r in range(1, self.max_degree + 1):
-                d = self.boundaries[r]
-                if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
-                    raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
-            for r in range(1, self.max_degree):
-                if not self.boundaries[r].compose(self.boundaries[r + 1]).is_zero():
-                    raise ComplexError(f"d_{r} . d_{r + 1} != 0")
+                self._check_degree(r)
+
+    @property
+    def max_degree(self):
+        return len(self.spaces) - 1
+
+    def _check_degree(self, r):
+        d = self.boundaries[r]
+        if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
+            raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
+        if r >= 2 and not self.boundaries[r - 1].compose(d).is_zero():
+            raise ComplexError(f"d_{r - 1} . d_{r} != 0")
+
+    def append(self, space, boundary):
+        """Add degree max_degree + 1 with its boundary into the current top."""
+        self.spaces.append(space)
+        self.boundaries[self.max_degree] = boundary
+        self._check_degree(self.max_degree)
 
     def dim(self, r):
         return self.spaces[r].quotient_dim

@@ -216,7 +216,7 @@ def build_mixed_components(mono, max_degree=6, collapse_report=None):
 def transfer_D(mono, M, comparison, bar, r):
     """psi_{r+1} . B_r . phi_r computed through the normalized complex."""
     phi = comparison.phi(r)
-    out = ColMap(mono.field, comparison.cs_spaces[r + 1].quotient_dim, phi.ncols)
+    out = ColMap(mono.field, comparison.cs.dim(r + 1), phi.ncols)
     B = bar.connes_B(r)
     psi = comparison.psi(r + 1)
     for qj in range(phi.ncols):
@@ -230,8 +230,10 @@ class BCTotal:
     """Total complex of the quotient double complex of a mixed complex.
 
     Tot_N = (+)_{p >= 0} X_{N-2p}; the differential sends the column-p
-    entry y to b(y) in column p and B(y) into column p-1.  Block offsets
-    are kept for the S/i/B boundary maps.
+    entry y to b(y) in column p and B(y) into column p-1, a degree missing
+    from ``mixed.B`` counting as B = 0.  The blocks (p, degree, offset,
+    dim) of each Tot_N are kept for the S/i/B boundary maps and the
+    blockwise maps of the transfer retract.
     """
 
     def __init__(self, mixed, max_N):
@@ -264,13 +266,14 @@ class BCTotal:
             total_tgt = spaces[N - 1].quotient_dim
             cm = ColMap(field, total_tgt, total_src)
             for (p, deg, off, d) in src_blocks:
+                B = mixed.B.get(deg) if p >= 1 else None
                 for jj in range(d):
                     col = {}
                     if deg >= 1:
                         for i, e in mixed.b[deg].cols[jj].items():
                             col[tgt_off[p] + i] = e
-                    if p >= 1 and deg <= mixed.max_degree - 1:
-                        for i, e in mixed.B[deg].cols[jj].items():
+                    if B is not None:
+                        for i, e in B.cols[jj].items():
                             key = tgt_off[p - 1] + i
                             cur = col.get(key)
                             cur = e if cur is None else cur + e
@@ -301,6 +304,29 @@ class BCTotal:
             if pp == p:
                 return vec[off:off + d]
         raise ValueError(f"no column {p} in total degree {N}")
+
+    def blockwise(self, maps, other, max_N, degree_shift=0, column_shift=0):
+        """Maps Tot_N -> other's Tot_{N+degree_shift}, N <= max_N, keyed by N.
+
+        The column-p entry y in X_deg goes to ``maps[deg](y)`` in column
+        p - column_shift; a degree missing from ``maps`` maps to zero.
+        """
+        out = {}
+        for N in range(max_N + 1):
+            M = N + degree_shift
+            if M < 0 or M >= len(other.blocks):
+                continue
+            tgt_off = {p: off for (p, deg, off, d) in other.blocks[M]}
+            cm = ColMap(self.mixed.field, other.dim(M), self.dim(N))
+            for (p, deg, off, d) in self.blocks[N]:
+                mp = maps.get(deg)
+                if mp is None or p - column_shift not in tgt_off:
+                    continue
+                tgt = tgt_off[p - column_shift]
+                for jj in range(d):
+                    cm.set_col(off + jj, {tgt + i: e for i, e in mp.cols[jj].items()})
+            out[N] = cm
+        return out
 
 
 def bc_total(mixed, max_N):

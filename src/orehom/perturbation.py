@@ -25,10 +25,9 @@ column blocks vanishing identically.
 
 from __future__ import annotations
 
-from .bar import BarComplex, InducedComparison
 from .complexes import ChainComplex
-from .linalg import ColMap, FullSpace
-from .small_complex import build_cs
+from .cyclic import BCTotal, MixedComplexData
+from .linalg import ColMap
 
 
 class PerturbationError(ValueError):
@@ -188,99 +187,29 @@ def verify_perturbed(pert, up_to=None):
 
 # -- the cyclic transfer retract ---------------------------------------------------
 
-class _TotalSide:
-    """Total complex of BC(X, d, 0) with block bookkeeping."""
-
-    def __init__(self, field, dims, boundaries, max_N):
-        self.field = field
-        self.blocks = []
-        spaces = []
-        bnd = {}
-        for N in range(max_N + 1):
-            blocks = []
-            off = 0
-            p = 0
-            while N - 2 * p >= 0:
-                d = dims[N - 2 * p]
-                blocks.append((p, N - 2 * p, off, d))
-                off += d
-                p += 1
-            self.blocks.append(blocks)
-            spaces.append(FullSpace(off))
-        for N in range(1, max_N + 1):
-            tgt_off = {p: off for (p, deg, off, d) in self.blocks[N - 1]}
-            cm = ColMap(field, spaces[N - 1].quotient_dim, spaces[N].quotient_dim)
-            for (p, deg, off, d) in self.blocks[N]:
-                for jj in range(d):
-                    col = {}
-                    if deg >= 1:
-                        for i, e in boundaries[deg].cols[jj].items():
-                            col[tgt_off[p] + i] = e
-                    cm.set_col(off + jj, col)
-            bnd[N] = cm
-        self.complex = ChainComplex(field, spaces, bnd, check=False)
-
-    def blockdiag(self, maps, other, max_N, degree_shift=0):
-        """Blockwise map to ``other``: column p entry X_deg -> X'_{deg+shift}."""
-        out = {}
-        for N in range(max_N + 1):
-            M = N + degree_shift
-            if M < 0 or M >= len(other.blocks):
-                continue
-            tgt_off = {p: off for (p, deg, off, d) in other.blocks[M]}
-            cm = ColMap(self.field, other.complex.dim(M), self.complex.dim(N))
-            for (p, deg, off, d) in self.blocks[N]:
-                if deg + degree_shift < 0 or p not in tgt_off:
-                    continue
-                mp = maps.get(deg)
-                if mp is None:
-                    continue
-                for jj in range(d):
-                    col = {tgt_off[p] + i: e for i, e in mp.cols[jj].items()}
-                    cm.set_col(off + jj, col)
-            out[N] = cm
-        return out
-
-    def column_shift_map(self, maps, max_N):
-        """delta: column p entry X_deg -> column p-1 entry X_{deg+1}."""
-        out = {}
-        for N in range(1, max_N + 1):
-            tgt_off = {p: off for (p, deg, off, d) in self.blocks[N - 1]}
-            cm = ColMap(self.field, self.complex.dim(N - 1), self.complex.dim(N))
-            for (p, deg, off, d) in self.blocks[N]:
-                if p == 0:
-                    continue
-                mp = maps.get(deg)
-                if mp is None:
-                    continue
-                for jj in range(d):
-                    col = {tgt_off[p - 1] + i: e for i, e in mp.cols[jj].items()}
-                    cm.set_col(off + jj, col)
-            out[N] = cm
-        return out
+def _total(field, spaces, boundaries, max_N):
+    """Tot BC(X, d, 0): the BC total complex with no cyclic operator."""
+    return BCTotal(MixedComplexData(field, spaces[:max_N + 1], boundaries, {}, check=False), max_N)
 
 
-def build_cyclic_retract(mono, M=None, max_N=5, comparison=None, bar=None, cs=None):
+def build_cyclic_retract(ws, max_N=5):
     """The (Tot BC(C^S) <- Tot BC(bar)) special retract plus the cyclic delta.
 
-    Returns (retract, delta, sides) ready for ``perturb``; needs M = A for
-    the cyclic operator.
+    Takes the complexes and comparison maps of the workspace ``ws`` (grown
+    to ``max_N``) and returns (retract, delta, (Yside, Xside)) ready for
+    ``perturb``, the sides being ``BCTotal``s; needs M = A for the cyclic
+    operator.
     """
-    from .algebra import regular_bimodule
-
-    M = M or regular_bimodule(mono)
-    field = mono.field
-    cs = cs or build_cs(mono, M, max_N)
-    bar = bar or BarComplex(mono, M, max_N)
-    comparison = comparison or InducedComparison(mono, M, bar, cs.spaces)
-    bar_dims = [bar.dim(r) for r in range(max_N + 1)]
-    cs_dims = [cs.dim(r) for r in range(max_N + 1)]
-    Xside = _TotalSide(field, bar_dims, {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
-    Yside = _TotalSide(field, cs_dims, {r: cs.boundary(r) for r in range(1, max_N + 1)}, max_N)
-    incl = Yside.blockdiag({r: comparison.phi(r) for r in range(max_N + 1)}, Xside, max_N)
-    proj = Xside.blockdiag({r: comparison.psi(r) for r in range(max_N + 1)}, Yside, max_N)
-    h = Xside.blockdiag({r: comparison.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
-    delta = Xside.column_shift_map({r: bar.connes_B(r) for r in range(max_N)}, max_N)
+    field = ws.mono.field
+    cs, bar, comparison = ws.cs(max_N), ws.bar(max_N), ws.comparison(max_N)
+    Xside = _total(field, bar.spaces, {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
+    Yside = _total(field, cs.spaces, cs.boundaries, max_N)
+    incl = Yside.blockwise({r: comparison.phi(r) for r in range(max_N + 1)}, Xside, max_N)
+    proj = Xside.blockwise({r: comparison.psi(r) for r in range(max_N + 1)}, Yside, max_N)
+    h = Xside.blockwise({r: comparison.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
+    # delta = B between columns: column p entry X_deg -> column p-1 entry X_{deg+1}
+    B = {r: bar.connes_B(r) for r in range(max_N)}
+    delta = Xside.blockwise(B, Xside, max_N, degree_shift=-1, column_shift=1)
     retract = DeformationRetract(Yside.complex, Xside.complex, incl, proj, h)
     return retract, delta, (Yside, Xside)
 
@@ -291,7 +220,7 @@ def transferred_block(pert, Yside, N, p_from, p_to):
     blocks_tgt = {p: (deg, off, d) for (p, deg, off, d) in Yside.blocks[N - 1]}
     deg_s, off_s, d_s = blocks_src[p_from]
     deg_t, off_t, d_t = blocks_tgt[p_to]
-    out = ColMap(Yside.field, d_t, d_s)
+    out = ColMap(Yside.mixed.field, d_t, d_s)
     tr = pert.transferred[N]
     for jj in range(d_s):
         col = {}
@@ -302,24 +231,16 @@ def transferred_block(pert, Yside, N, p_from, p_to):
     return out
 
 
-def vanishing_check(mono, M=None, j_max=2, r_max=3, comparison=None, bar=None):
+def vanishing_check(ws, j_max=2, r_max=3):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
-    Column-by-column evaluation through the normalized complex; the report
-    maps (j, r) to a boolean.  Needs bar and C^S data up to level
-    r_max + 2 j_max + 1: a supplied ``bar`` and ``comparison`` are grown to
-    that level in place (their cached maps are kept), and what is not
-    supplied is built.  ``bar`` defaults to ``comparison.bar``.
+    Column-by-column evaluation through the normalized complex of the
+    workspace ``ws``; the report maps (j, r) to a boolean.  Needs bar and
+    C^S data up to level r_max + 2 j_max + 1, to which the workspace grows
+    (its cached maps are kept).
     """
-    from .algebra import regular_bimodule
-
-    M = M or regular_bimodule(mono)
     top = r_max + 2 * j_max + 1
-    if comparison is None:
-        comparison = InducedComparison(mono, M, bar or BarComplex(mono, M, top), [])
-    bar = bar or comparison.bar
-    bar.grow(top)
-    comparison.grow(top)
+    bar, comparison = ws.bar(top), ws.comparison(top)
     report = {}
     for r in range(0, r_max + 1):
         phi = comparison.phi(r)

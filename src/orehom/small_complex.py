@@ -63,20 +63,34 @@ def _boundary_on_vec(mono, M, r, mvec):
     return out
 
 
+class SmallComplex(ChainComplex):
+    """The generic small complex C^S(A, M); ``grow`` appends degrees in place.
+
+    Its spaces are the quotients ``commutator_quotient`` keeps on M.
+    """
+
+    def __init__(self, mono, M, max_degree):
+        super().__init__(mono.field, [commutator_quotient(M, 0)], {})
+        self.mono = mono
+        self.M = M
+        self.grow(max_degree)
+
+    def grow(self, max_degree):
+        mono, M = self.mono, self.M
+        while self.max_degree < max_degree:
+            r = self.max_degree + 1
+            src, tgt = commutator_quotient(M, cs_twist(mono.n, r)), self.spaces[r - 1]
+            col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+            for qj in range(src.quotient_dim):
+                img = _boundary_on_vec(mono, M, r, src.section.column(qj))
+                qvec = tgt.projection.apply(img)
+                col_map.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
+            self.append(src, col_map)
+
+
 def build_cs(mono, M=None, max_degree=6):
-    """The generic small complex; total construction, d.d = 0 asserted."""
-    M = M or regular_bimodule(mono)
-    spaces = [commutator_quotient(M, cs_twist(mono.n, r)) for r in range(max_degree + 1)]
-    boundaries = {}
-    for r in range(1, max_degree + 1):
-        src, tgt = spaces[r], spaces[r - 1]
-        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj in range(src.quotient_dim):
-            img = _boundary_on_vec(mono, M, r, src.section.column(qj))
-            qvec = tgt.projection.apply(img)
-            col_map.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
-        boundaries[r] = col_map
-    return ChainComplex(mono.field, spaces, boundaries)
+    """The generic small complex; d.d = 0 asserted on every degree."""
+    return SmallComplex(mono, M or regular_bimodule(mono), max_degree)
 
 
 def collapse_required_js(n, max_degree):

@@ -251,28 +251,33 @@ class ParsedSpec:
 
 
 def _decode_base_algebra(field, obj):
-    if obj["type"] == "group":
-        return group_algebra(obj["labels"], obj["table"], field)
-    if obj["type"] == "structure_constants":
-        labels = obj["labels"]
+    path = "spec.base_algebra"
+    kind = _key(obj, "type", path)
+    if kind == "group":
+        return group_algebra(_key(obj, "labels", path), _key(obj, "table", path), field)
+    if kind == "structure_constants":
+        labels = _key(obj, "labels", path)
+        constants = _key(obj, "constants", path)
         dim = len(labels)
         sc = [
-            [decode_kvec(field, obj["constants"][i][j], dim) for j in range(dim)]
+            [decode_kvec(field, constants[i][j], dim) for j in range(dim)]
             for i in range(dim)
         ]
-        unit = decode_kvec(field, obj["unit"], dim)
+        unit = decode_kvec(field, _key(obj, "unit", path), dim)
         return BaseAlgebra(field, labels, sc, unit)
-    raise AlgebraError(f"unknown base_algebra type {obj['type']!r}")
+    raise AlgebraError(f"unknown base_algebra type {kind!r}")
 
 
 def _decode_endomorphism(field, K, obj):
-    if obj["type"] == "character":
-        chi = {lab: decode_scalar(field, v) for lab, v in obj["values"].items()}
+    path = "spec.endomorphism"
+    kind = _key(obj, "type", path)
+    if kind == "character":
+        chi = {lab: decode_scalar(field, v) for lab, v in _key(obj, "values", path).items()}
         return character_endomorphism(K, chi)
-    if obj["type"] == "matrix":
-        rows = [decode_kvec(field, r, K.dim) for r in obj["matrix"]]
+    if kind == "matrix":
+        rows = [decode_kvec(field, r, K.dim) for r in _key(obj, "matrix", path)]
         return AlgebraEndomorphism(K, Matrix.from_rows(field, rows))
-    raise AlgebraError(f"unknown endomorphism type {obj['type']!r}")
+    raise AlgebraError(f"unknown endomorphism type {kind!r}")
 
 
 def _decode_bimodule(mono, obj):
@@ -310,17 +315,22 @@ def parse_spec(doc, max_degree=6):
     """Validate a spec document; returns ParsedSpec with all checks run."""
     fobj = _key(doc, "field", "spec")
     name = doc.get("name", "unnamed")
-    field = make_field(_key(fobj, "kind", "spec.field"), fobj.get("order", 1))
+    kind = _key(fobj, "kind", "spec.field")
+    try:
+        field = make_field(kind, fobj.get("order", 1))
+    except ValueError as exc:
+        raise AlgebraError(f"spec.field: {exc}") from None
     summary = {"name": name, "field": repr(field)}
 
     if "rank_one" in doc:
         r1 = doc["rank_one"]
-        labels, table = r1["labels"], r1["table"]
+        r1_key = lambda key: _key(r1, key, "spec.rank_one")
+        labels, table = r1_key("labels"), r1_key("table")
         K = group_algebra(labels, table, field)
-        chi = {lab: decode_scalar(field, v) for lab, v in r1["character"].items()}
-        n = int(r1["n"])
-        xi = decode_scalar(field, r1["xi"])
-        g1 = r1["g1"]
+        chi = {lab: decode_scalar(field, v) for lab, v in r1_key("character").items()}
+        n = int(r1_key("n"))
+        xi = decode_scalar(field, r1_key("xi"))
+        g1 = r1_key("g1")
         if g1 not in K.basis_labels:
             raise AlgebraError(f"g1 label {g1!r} not in the group")
         g1_idx = K.basis_labels.index(g1)
@@ -373,8 +383,8 @@ def parse_spec(doc, max_degree=6):
         K = _decode_base_algebra(field, doc["base_algebra"])
         alpha = _decode_endomorphism(field, K, _key(doc, "endomorphism", "spec"))
         ext = _key(doc, "extension", "spec")
-        n = int(ext["n"])
-        lambdas = [decode_kvec(field, v, K.dim) for v in ext["lambdas"]]
+        n = int(_key(ext, "n", "spec.extension"))
+        lambdas = [decode_kvec(field, v, K.dim) for v in _key(ext, "lambdas", "spec.extension")]
         lambda_breve = (
             decode_kvec(field, doc["lambda_breve"], K.dim) if "lambda_breve" in doc else None
         )

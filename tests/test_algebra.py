@@ -19,7 +19,7 @@ from orehom.algebra import (
 )
 from orehom.fields import make_field
 from orehom.linalg import Matrix, rank
-from orehom.spec_io import cyclic_group, dihedral_group
+from orehom.spec_io import build_example, cyclic_group, dihedral_group, parse_spec
 
 from conftest import get_context
 
@@ -235,11 +235,10 @@ def test_verify_lambda_breve():
 
 def test_lambda_breve_implies_collapse():
     for name in ("sweedler", "taft:3", "rank1:c4", "rank1nc:c2xc4"):
-        ctx = get_context(name)
-        lb = ctx.parsed.lambda_breve
-        ok, _ = verify_lambda_breve(ctx.mono, lb)
+        parsed = parse_spec(build_example(name))
+        ok, _ = verify_lambda_breve(parsed.mono, parsed.lambda_breve)
         assert ok
-        assert check_collapse(ctx.mono, 3 * ctx.mono.n).holds
+        assert check_collapse(parsed.mono, 3 * parsed.mono.n).holds
 
 
 def test_eigen_split():

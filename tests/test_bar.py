@@ -5,17 +5,15 @@ import pytest
 from orehom.algebra import twisted_commutator_subspace
 from orehom.bar import (
     BarComplex,
-    BarResolution,
     BarSpace,
-    InducedComparison,
     MonomialTensor,
     division_quotient_of_power,
     middle_tuples,
 )
 from orehom.complexes import homology_dims
 from orehom.linalg import ColMap, subquotient
-from orehom.small_complex import build_cs
-from orehom.spec_io import EXAMPLE_NAMES
+from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
+from orehom.workspace import Workspace
 
 from conftest import SHIPPED, get_context
 
@@ -183,9 +181,12 @@ def test_bar_space_matches_global_subquotient(name):
         assert sp.lift_vec(qvec) == ref.lift_vec(qvec)
 
 
-def _bar_side_maps(bar, cmp_, top):
+def _workspace_maps(ws, top):
+    cs, bar, cmp_ = ws.cs(top), ws.bar(top), ws.comparison(top)
     return (
-        [bar.b(r) for r in range(1, top + 1)]
+        [(sp.quotient_dim, sp.free, sp.projection, sp.section) for sp in cs.spaces]
+        + [cs.boundary(r) for r in range(1, top + 1)]
+        + [bar.b(r) for r in range(1, top + 1)]
         + [bar.connes_B(r) for r in range(top)]
         + [cmp_.phi(r) for r in range(top + 1)]
         + [cmp_.psi(r) for r in range(top + 1)]
@@ -195,19 +196,16 @@ def _bar_side_maps(bar, cmp_, top):
 
 @pytest.mark.parametrize("name", ("sweedler", "trunc:3", "rank1:c4", "dihedral:3"))
 def test_grown_bar_side_equals_fresh_build(name):
-    ctx = get_context(name)
-    mono, M = ctx.mono, ctx.M
+    def fresh():
+        # a bimodule of its own, so that no quotient is shared with the other side
+        parsed = parse_spec(build_example(name))
+        return Workspace(parsed.mono, parsed.bimodule)
 
-    def build(max_r):
-        bar = BarComplex(mono, M, max_r)
-        cs = build_cs(mono, M, max_r)
-        return bar, InducedComparison(mono, M, bar, cs.spaces, resolution=BarResolution(mono, max_r))
-
-    bar, cmp_ = build(4)
-    _bar_side_maps(bar, cmp_, 4)  # fill the caches before growing
-    cmp_.grow(7)
-    assert bar.max_r == 7 and len(cmp_.cs_spaces) == 8
-    assert _bar_side_maps(bar, cmp_, 7) == _bar_side_maps(*build(7), 7)
+    ws = fresh()
+    _workspace_maps(ws, 4)  # fill the caches before growing
+    grown = _workspace_maps(ws, 7)
+    assert ws.bar(7).max_r == 7 and ws.cs(7).max_degree == 7
+    assert grown == _workspace_maps(fresh(), 7)
 
 
 def test_trunc4_level8_bar_space():
@@ -335,7 +333,6 @@ def test_generic_path_with_nondiagonal_alpha():
         regular_bimodule,
         validate_monogenic,
     )
-    from orehom.bar import bar_complex
     from orehom.fields import make_field
     from orehom.linalg import Matrix
     from orehom.small_complex import build_cs
@@ -354,7 +351,7 @@ def test_generic_path_with_nondiagonal_alpha():
         eigen_split(K, alpha)
     M = regular_bimodule(mono)
     cs_dims = homology_dims(build_cs(mono, M, 5), 3)
-    bar_dims = homology_dims(bar_complex(mono, M, 5), 3)
+    bar_dims = homology_dims(BarComplex(mono, M, 5).chain_complex(), 3)
     assert cs_dims == bar_dims
 
 
@@ -362,7 +359,6 @@ def test_nonregular_bimodule_coefficients():
     # M = K through the map sending x to zero (valid whenever lam_n = 0):
     # coefficients other than A exercise the general bimodule path
     from orehom.algebra import BimoduleData, regular_bimodule
-    from orehom.bar import bar_complex
     from orehom.linalg import Matrix
     from orehom.small_complex import build_cs
 
@@ -375,6 +371,6 @@ def test_nonregular_bimodule_coefficients():
     zero_x = Matrix.zeros(field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, left_k, zero_x, right_k, zero_x)
     cs_dims = homology_dims(build_cs(mono, M, 5), 3)
-    bar_dims = homology_dims(bar_complex(mono, M, 5), 3)
+    bar_dims = homology_dims(BarComplex(mono, M, 5).chain_complex(), 3)
     assert cs_dims == bar_dims
     assert cs_dims[0] == 2

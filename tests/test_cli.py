@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,7 +151,9 @@ def test_non_integer_example_parameter_rejected(capsys):
     ([1, 2], "error: spec must be a JSON object, got list"),
     ({"name": "x"}, "error: spec has no 'field'"),
     ({"field": {"kind": "rationals"}}, "error: spec has neither 'base_algebra' nor 'rank_one'"),
-], ids=["list", "no-field", "no-algebra"])
+    ({"field": {"kind": "rationals"}, "base_algebra": {}}, "error: spec.base_algebra has no 'type'"),
+    ({"field": {"kind": "reals"}, "base_algebra": {}}, "error: spec.field: unknown field kind 'reals'"),
+], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -240,3 +244,35 @@ def test_hh_dihedral4_audit_even_reflection_count(capsys):
     code, rep = run_json(capsys, "hh", "--spec", "dihedral:4", "--max-degree", "4")
     assert code == 0
     assert rep["audit"]["displayed_table"] == [5, 2, 2, 2]
+
+
+def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
+    from orehom import algebra, bar
+
+    seen = []
+    original = algebra.twisted_commutator_subspace
+
+    def counted(M, j):
+        seen.append((id(M), j))
+        return original(M, j)
+
+    for module in (algebra, bar):
+        monkeypatch.setattr(module, "twisted_commutator_subspace", counted)
+    code, _ = run(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
+    assert code == 0
+    # C^S and the bar levels up to 8 of taft:3 use the twists 0..16
+    assert len(seen) == len(set(seen)) == 17
+
+
+def test_perfbench_tracer_finds_every_target():
+    # the benchmark's per-layer metrics read 0 for a target the tracer cannot find
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

@@ -19,10 +19,7 @@ FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
 def _setup(name, max_N=5):
     ctx = get_context(name)
-    cs = ctx.cs(max_N)
-    bar = ctx.bar(max_N)
-    cmp_ = ctx.comparison(max_N)
-    retract, delta, sides = build_cyclic_retract(ctx.mono, ctx.M, max_N, cmp_, bar, cs)
+    retract, delta, sides = build_cyclic_retract(ctx, max_N)
     return ctx, retract, delta, sides
 
 
@@ -80,7 +77,7 @@ def test_transferred_homology_equals_hc(name):
 @pytest.mark.parametrize("name", ("sweedler", "trunc:3", "taft:3"))
 def test_vanishing_check(name):
     ctx = get_context(name)
-    rep = vanishing_check(ctx.mono, ctx.M, 2, 3)
+    rep = vanishing_check(ctx, 2, 3)
     assert all(rep.values())
     assert set(rep) == {(j, r) for j in (1, 2) for r in range(4)}
 
