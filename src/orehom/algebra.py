@@ -237,7 +237,10 @@ class MonogenicData:
         self.n = n
         self.lambdas = [list(v) for v in lambdas]
         self.dim = base.dim * n
-        self._alpha_pows = {0: Matrix.identity(base.field, base.dim), 1: alpha.matrix}
+        self._alpha_pows = [Matrix.identity(base.field, base.dim)]
+        self._alpha_order = None
+        self._k_commutators = {}  # twist class -> spanning vectors of [K,K]_{alpha^i}
+        self._k_commutator_ranks = {}
         self._power_cache = {}
 
     @property
@@ -245,11 +248,21 @@ class MonogenicData:
         return self.base.field
 
     def alpha_pow(self, p):
-        m = self._alpha_pows.get(p)
-        if m is None:
-            m = self.alpha.matrix * self.alpha_pow(p - 1)
-            self._alpha_pows[p] = m
-        return m
+        """alpha^p; the climb stops at the order of alpha, after which p is reduced modulo it."""
+        pows = self._alpha_pows
+        while self._alpha_order is None and len(pows) <= p:
+            m = self.alpha.matrix * pows[-1]
+            if m == pows[0]:
+                self._alpha_order = len(pows)
+            else:
+                pows.append(m)
+        return pows[p if self._alpha_order is None else p % self._alpha_order]
+
+    def twist(self, j):
+        """The least i with alpha^i = alpha^j: j modulo the order of alpha, or j when
+        no power of alpha is the identity."""
+        self.alpha_pow(j)
+        return j if self._alpha_order is None else j % self._alpha_order
 
     def alpha_apply(self, p, vec):
         return self.alpha_pow(p).apply(vec)
@@ -460,8 +473,18 @@ class BimoduleData:
         self.right_k = right_k
         self.right_x = right_x
         self._quotients = {}
+        self._regular = None
         if check:
             self._check()
+
+    @property
+    def is_regular(self):
+        """Whether M is A with its two regular actions, as the cyclic operator needs."""
+        if self._regular is None:
+            R = regular_bimodule(self.mono)
+            self._regular = self.dim == R.dim and (self.left_k, self.left_x, self.right_k, self.right_x) == (
+                R.left_k, R.left_x, R.right_k, R.right_x)
+        return self._regular
 
     def _check(self):
         mono = self.mono
@@ -574,46 +597,60 @@ def regular_bimodule(mono):
         right_k.append(Matrix.from_cols(field, [mono.a_coords(b.k_right(kv)) for b in basis]))
     left_x = Matrix.from_cols(field, [mono.a_coords(b.x_left()) for b in basis])
     right_x = Matrix.from_cols(field, [mono.a_coords(b.x_right()) for b in basis])
-    return BimoduleData(mono, dim, left_k, left_x, right_k, right_x, check=False)
+    M = BimoduleData(mono, dim, left_k, left_x, right_k, right_x, check=False)
+    M._regular = True
+    return M
 
 
 def twisted_commutator_subspace(M, j):
-    """Spanning vectors of [M,K]_{alpha^j}: m*alpha^j(lam) - lam*m."""
+    """Spanning vectors of [M,K]_{alpha^j}: m*alpha^j(lam) - lam*m over the basis
+    pairs (m_s, lam_t) in (s, t) order, read off as column s of
+    R(alpha^j(lam_t)) - L(lam_t)."""
     mono = M.mono
     K = mono.base
+    twisted = mono.alpha_pow(j)
+    diffs = [
+        (M._k_action_matrix(twisted.column(t), M.right_k) - M.left_k[t]).entries
+        for t in range(K.dim)
+    ]
     spans = []
     for s in range(M.dim):
-        mvec = [mono.field.zero] * M.dim
-        mvec[s] = mono.field.one
-        for t in range(K.dim):
-            lam = K.basis_vector(t)
-            tw = mono.alpha_apply(j, lam)
-            v = vec_sub(M.right_k_vec(tw, mvec), M.left_k_vec(lam, mvec))
+        for rows in diffs:
+            v = [row[s] for row in rows]
             if not vec_is_zero(v):
                 spans.append(v)
     return spans
 
 
 def commutator_quotient(M, j):
-    """SubquotientSpace M/[M,K]_{alpha^j}, computed once per twist and kept on M."""
-    sq = M._quotients.get(j)
+    """SubquotientSpace M/[M,K]_{alpha^j}, computed once per class of alpha^j
+    (``mono.twist``) and kept on M."""
+    i = M.mono.twist(j)
+    sq = M._quotients.get(i)
     if sq is None:
-        sq = M._quotients[j] = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, j))
+        sq = M._quotients[i] = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, i))
     return sq
 
 
 def k_commutator_subspace(mono, j):
-    """Spanning vectors of [K,K]_{alpha^j} inside K itself."""
-    K = mono.base
-    spans = []
-    for s in range(K.dim):
-        ms = K.basis_vector(s)
-        for t in range(K.dim):
-            lam = K.basis_vector(t)
-            v = vec_sub(K.mul_vec(ms, mono.alpha_apply(j, lam)), K.mul_vec(lam, ms))
-            if not vec_is_zero(v):
-                spans.append(v)
-    return spans
+    """Spanning vectors of [K,K]_{alpha^j} inside K itself.
+
+    Computed once per class of alpha^j and kept on ``mono``; the caller gets
+    its own list, which it may extend.
+    """
+    i = mono.twist(j)
+    spans = mono._k_commutators.get(i)
+    if spans is None:
+        K = mono.base
+        spans = mono._k_commutators[i] = []
+        for s in range(K.dim):
+            ms = K.basis_vector(s)
+            for t in range(K.dim):
+                lam = K.basis_vector(t)
+                v = vec_sub(K.mul_vec(ms, mono.alpha_apply(i, lam)), K.mul_vec(lam, ms))
+                if not vec_is_zero(v):
+                    spans.append(v)
+    return list(spans)
 
 
 class CollapseReport:
@@ -633,15 +670,20 @@ def check_collapse(mono, max_j):
 
     This is the condition the collapsed small complex actually needs; it is
     weaker than the existence of a suitable central element and is computed
-    rather than assumed.
+    rather than assumed.  The rank of [K,K]_{alpha^j} is computed once per
+    class of alpha^j and kept on ``mono``.
     """
     K = mono.base
+    ranks = mono._k_commutator_ranks
     entries = {}
     for j in range(1, max_j + 1):
         if j % mono.n == 0:
             continue
-        spans = k_commutator_subspace(mono, j)
-        r = rank(Matrix.from_rows(K.field, spans)) if spans else 0
+        i = mono.twist(j)
+        r = ranks.get(i)
+        if r is None:
+            spans = k_commutator_subspace(mono, i)
+            r = ranks[i] = rank(Matrix.from_rows(K.field, spans)) if spans else 0
         entries[j] = (r == K.dim, r)
     return CollapseReport(mono.n, entries)
 

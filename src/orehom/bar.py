@@ -115,7 +115,8 @@ class BarSpace:
     Ambient basis: (tuple index, M basis index).  The block of a tuple t is
     divided only by its own twisted commutators [m, lam]_{alpha^s},
     s = sum(t) (the twist collected by pulling lam around the tail), so the
-    quotient is computed once per distinct twist, on an M-sized block.  The
+    quotient is computed once per class of alpha^s (``mono.twist``), on an
+    M-sized block, and shared with C^S through ``commutator_quotient``.  The
     spanning set is block-diagonal and RREF is unique, so the free columns,
     the projection and the order of quotient coordinates are those of one
     elimination over the whole ambient space: a quotient coordinate is the
@@ -136,7 +137,7 @@ class BarSpace:
         self.block_offset = []  # per tuple: its first quotient coordinate
         self.free_columns = []  # per quotient coordinate: its ambient column
         for ti, t in enumerate(self.tuples):
-            s = sum(t)
+            s = mono.twist(sum(t))
             if s not in by_twist:
                 by_twist[s] = _block_quotient(M, s)
             free, proj = by_twist[s]
@@ -199,10 +200,9 @@ class BarComplex:
     levels up to r + 1, so cached maps stay valid.
     """
 
-    def __init__(self, mono, M, max_r, is_regular=None):
+    def __init__(self, mono, M, max_r):
         self.mono = mono
         self.M = M
-        self.is_regular = (M.dim == mono.dim) if is_regular is None else is_regular
         self.spaces = []
         self._b = {}
         self._B = {}
@@ -286,7 +286,7 @@ class BarComplex:
     def _B_ambient_column(self, r, t, m_idx):
         """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
         mono = self.mono
-        if not self.is_regular:
+        if not self.M.is_regular:
             raise ValueError("the cyclic operator needs coefficients M = A")
         tgt = self.spaces[r + 1]
         i0, kappa = divmod(m_idx, mono.base.dim)

@@ -13,13 +13,12 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, regular_bimodule
 from .bar import BarComplex
 from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
     MixedComplexData,
     bc_total,
-    build_mixed,
     build_mixed_components,
     connes_D,
     hc,
@@ -236,12 +235,21 @@ def _dihedral_audit(mono, dims, cyclic=False):
     }
 
 
+def _mixed(ws, md):
+    """The mixed complex (C^S, d, D) on the workspace's C^S, degrees <= md."""
+    cs = ws.cs(md)
+    D = {r: connes_D(ws.mono, r, cs.spaces, "generic") for r in range(md)}
+    return MixedComplexData(ws.mono.field, cs.spaces[:md + 1], cs.boundaries, D)
+
+
 def cmd_hc(args):
     parsed = _load_spec(args.spec, args.max_degree)
     mono = parsed.mono
     md = args.max_degree
-    mixed = build_mixed(mono, md)
-    dims = hc(mono, md, mixed=mixed)
+    # cyclic homology is that of A: C^S and the oracle share one M = A
+    M = parsed.bimodule if parsed.bimodule.is_regular else regular_bimodule(mono)
+    ws = Workspace(mono, M)
+    dims = hc(mono, md, mixed=_mixed(ws, md))
     report = {
         "command": "hc",
         "fixture": parsed.name,
@@ -292,8 +300,7 @@ def cmd_hc(args):
                 "--decompose needs verified collapse and diagonal alpha"
             ]
     if args.oracle:
-        M = parsed.bimodule
-        bar = BarComplex(mono, M, md)
+        bar = ws.bar(md)
         barmixed = MixedComplexData(
             mono.field,
             [bar.space(r) for r in range(md)],
@@ -329,8 +336,7 @@ def cmd_verify(args):
     bar = ws.bar(md)
     bar.chain_complex()
     record("b.b = 0 on the normalized complex", True, f"degrees <= {md}")
-    is_regular = M.dim == mono.dim
-    if is_regular:
+    if M.is_regular:
         okB = all(bar.connes_B(r + 1).compose(bar.connes_B(r)).is_zero() for r in range(md - 1))
         record("B.B = 0", okB, f"degrees <= {md - 1}")
         okbB = all(
@@ -369,7 +375,7 @@ def cmd_verify(args):
             hok2 = False
     record("bw + wb = phi psi - id", hok2, f"degrees < {md - 1}")
     # degree bound: exhaustive on basis tensors to level 3, spot checks at 4
-    if is_regular:
+    if M.is_regular:
         degok = True
         deg_top = min(4, md - 1)
         for r in range(1, deg_top + 1):
@@ -381,8 +387,7 @@ def cmd_verify(args):
         record("deg(w'(a)) <= deg(a)", degok, f"levels <= {deg_top}, exhaustive")
         van = vanishing_check(ws, 2, 3)
         record("psi (Bw)^j B phi = 0", all(van.values()), "j in {1,2}, r <= 3")
-        D = {r: connes_D(mono, r, cs.spaces, "generic") for r in range(md)}
-        MixedComplexData(field, cs.spaces[:md + 1], cs.boundaries, D)
+        D = _mixed(ws, md).B
         record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
         dok = all(D[r] == transfer_D(mono, M, cmp_, bar, r) for r in range(md - 1))
         record("D = psi B phi", dok, f"degrees < {md - 1}")

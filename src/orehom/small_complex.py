@@ -66,7 +66,9 @@ def _boundary_on_vec(mono, M, r, mvec):
 class SmallComplex(ChainComplex):
     """The generic small complex C^S(A, M); ``grow`` appends degrees in place.
 
-    Its spaces are the quotients ``commutator_quotient`` keeps on M.
+    Its spaces are the quotients ``commutator_quotient`` keeps on M, one per
+    class of alpha^j, so degrees whose twists agree modulo the order of
+    alpha share one space object.
     """
 
     def __init__(self, mono, M, max_degree):

@@ -66,22 +66,35 @@ def encode_scalar(field, s):
     return [str(c) for c in field.coefficients(s)]
 
 
-def decode_scalar(field, obj):
-    if isinstance(obj, (str, int)):
-        return field.from_fraction(Fraction(obj))
-    if isinstance(obj, list):
-        return field.scalar([Fraction(c) for c in obj])
-    raise AlgebraError(f"cannot decode scalar {obj!r}")
+def decode_scalar(field, obj, path="scalar"):
+    """An exact scalar of ``field``, or AlgebraError naming ``path``."""
+    try:
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
+            return field.from_fraction(Fraction(obj))
+        if isinstance(obj, list) and all(isinstance(c, (str, int)) for c in obj):
+            return field.scalar([Fraction(c) for c in obj])
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise AlgebraError(f"{path}: cannot decode scalar {obj!r}")
 
 
 def encode_kvec(field, vec):
     return [encode_scalar(field, c) for c in vec]
 
 
-def decode_kvec(field, obj, dim):
+def decode_kvec(field, obj, dim, path="vector"):
+    if not isinstance(obj, list):
+        raise AlgebraError(f"{path} must be a list of {dim} scalars, got {type(obj).__name__}")
     if len(obj) != dim:
-        raise AlgebraError(f"coefficient vector of length {len(obj)}, expected {dim}")
-    return [decode_scalar(field, c) for c in obj]
+        raise AlgebraError(f"{path}: coefficient vector of length {len(obj)}, expected {dim}")
+    return [decode_scalar(field, c, f"{path}[{i}]") for i, c in enumerate(obj)]
+
+
+def _decode_matrix(field, obj, dim, path):
+    """A dim x dim matrix from its list of rows."""
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise AlgebraError(f"{path} must be a list of {dim} rows")
+    return Matrix.from_rows(field, [decode_kvec(field, r, dim, f"{path}[{i}]") for i, r in enumerate(obj)])
 
 
 # -- group table builders -----------------------------------------------------
@@ -254,45 +267,60 @@ def _decode_base_algebra(field, obj):
     path = "spec.base_algebra"
     kind = _key(obj, "type", path)
     if kind == "group":
-        return group_algebra(_key(obj, "labels", path), _key(obj, "table", path), field)
+        return group_algebra(_labels(obj, path), _table(obj, path), field)
     if kind == "structure_constants":
-        labels = _key(obj, "labels", path)
-        constants = _key(obj, "constants", path)
+        labels = _labels(obj, path)
+        constants = _key(obj, "constants", path, list)
         dim = len(labels)
+        if len(constants) != dim or not all(isinstance(row, list) and len(row) == dim for row in constants):
+            raise AlgebraError(f"{path}.constants must be a {dim} x {dim} array of vectors")
         sc = [
-            [decode_kvec(field, constants[i][j], dim) for j in range(dim)]
+            [decode_kvec(field, constants[i][j], dim, f"{path}.constants[{i}][{j}]") for j in range(dim)]
             for i in range(dim)
         ]
-        unit = decode_kvec(field, _key(obj, "unit", path), dim)
+        unit = decode_kvec(field, _key(obj, "unit", path), dim, f"{path}.unit")
         return BaseAlgebra(field, labels, sc, unit)
     raise AlgebraError(f"unknown base_algebra type {kind!r}")
+
+
+def _decode_character(field, obj, key, path):
+    values = _key(obj, key, path, dict)
+    return {lab: decode_scalar(field, v, f"{path}.{key}.{lab}") for lab, v in values.items()}
 
 
 def _decode_endomorphism(field, K, obj):
     path = "spec.endomorphism"
     kind = _key(obj, "type", path)
     if kind == "character":
-        chi = {lab: decode_scalar(field, v) for lab, v in _key(obj, "values", path).items()}
-        return character_endomorphism(K, chi)
+        return character_endomorphism(K, _decode_character(field, obj, "values", path))
     if kind == "matrix":
-        rows = [decode_kvec(field, r, K.dim) for r in _key(obj, "matrix", path)]
-        return AlgebraEndomorphism(K, Matrix.from_rows(field, rows))
+        return AlgebraEndomorphism(K, _decode_matrix(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix"))
     raise AlgebraError(f"unknown endomorphism type {kind!r}")
 
 
 def _decode_bimodule(mono, obj):
-    if obj is None or obj.get("type", "regular") == "regular":
+    path = "spec.bimodule"
+    kind = "regular" if obj is None else _object(obj, path).get("type", "regular")
+    if kind == "regular":
         return regular_bimodule(mono)
-    if obj["type"] == "matrices":
+    if kind == "matrices":
         field = mono.field
-        dim = obj["dim"]
-        dec = lambda m: Matrix.from_rows(field, [decode_kvec(field, r, dim) for r in m])
+        dim = _int_key(obj, "dim", path)
+        if dim < 1:
+            raise AlgebraError(f"{path}.dim must be >= 1, got {dim}")
+
+        def matrices(key):
+            ms = _key(obj, key, path, list)
+            if len(ms) != mono.base.dim:
+                raise AlgebraError(f"{path}.{key} needs {mono.base.dim} matrices, one per K-basis element")
+            return [_decode_matrix(field, m, dim, f"{path}.{key}[{t}]") for t, m in enumerate(ms)]
+
         return BimoduleData(
             mono, dim,
-            [dec(m) for m in obj["left_k"]], dec(obj["left_x"]),
-            [dec(m) for m in obj["right_k"]], dec(obj["right_x"]),
+            matrices("left_k"), _decode_matrix(field, _key(obj, "left_x", path), dim, f"{path}.left_x"),
+            matrices("right_k"), _decode_matrix(field, _key(obj, "right_x", path), dim, f"{path}.right_x"),
         )
-    raise AlgebraError(f"unknown bimodule type {obj['type']!r}")
+    raise AlgebraError(f"unknown bimodule type {kind!r}")
 
 
 def _rank_one_case(field, values_by_index, n, xi):
@@ -302,35 +330,72 @@ def _rank_one_case(field, values_by_index, n, xi):
     return "xi!=0, chi^n=id" if chi_n_id else "xi!=0, chi^n!=id"
 
 
-def _key(obj, key, path):
-    """``obj[key]``, or AlgebraError naming what is missing at ``path``."""
+def _object(obj, path):
     if not isinstance(obj, dict):
         raise AlgebraError(f"{path} must be a JSON object, got {type(obj).__name__}")
-    if key not in obj:
+    return obj
+
+
+_JSON_TYPE_NAMES = {dict: "JSON object", list: "list"}
+
+
+def _key(obj, key, path, kind=None):
+    """``obj[key]``, or AlgebraError naming what is missing or mistyped at ``path``."""
+    if key not in _object(obj, path):
         raise AlgebraError(f"{path} has no {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise AlgebraError(f"{path}.{key} must be a {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _int_key(obj, key, path):
+    """``obj[key]`` as an integer (a JSON number or a decimal string)."""
+    value = _key(obj, key, path)
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise AlgebraError(f"{path}.{key} must be an integer, got {value!r}")
+
+
+def _labels(obj, path):
+    labels = _key(obj, "labels", path, list)
+    if not all(isinstance(lab, str) for lab in labels):
+        raise AlgebraError(f"{path}.labels must be a list of strings")
+    return labels
+
+
+def _table(obj, path):
+    table = _key(obj, "table", path, list)
+    if not all(isinstance(row, list) and all(isinstance(lab, str) for lab in row) for row in table):
+        raise AlgebraError(f"{path}.table must be a list of rows of labels")
+    return table
 
 
 def parse_spec(doc, max_degree=6):
     """Validate a spec document; returns ParsedSpec with all checks run."""
     fobj = _key(doc, "field", "spec")
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise AlgebraError(f"spec.name must be a string, got {type(name).__name__}")
     kind = _key(fobj, "kind", "spec.field")
+    order = _int_key(fobj, "order", "spec.field") if "order" in fobj else 1
     try:
-        field = make_field(kind, fobj.get("order", 1))
+        field = make_field(kind, order)
     except ValueError as exc:
         raise AlgebraError(f"spec.field: {exc}") from None
     summary = {"name": name, "field": repr(field)}
 
     if "rank_one" in doc:
-        r1 = doc["rank_one"]
-        r1_key = lambda key: _key(r1, key, "spec.rank_one")
-        labels, table = r1_key("labels"), r1_key("table")
+        r1, path = doc["rank_one"], "spec.rank_one"
+        labels, table = _labels(r1, path), _table(r1, path)
         K = group_algebra(labels, table, field)
-        chi = {lab: decode_scalar(field, v) for lab, v in r1_key("character").items()}
-        n = int(r1_key("n"))
-        xi = decode_scalar(field, r1_key("xi"))
-        g1 = r1_key("g1")
+        chi = _decode_character(field, r1, "character", path)
+        n = _int_key(r1, "n", path)
+        xi = decode_scalar(field, _key(r1, "xi", path), f"{path}.xi")
+        g1 = _key(r1, "g1", path)
         if g1 not in K.basis_labels:
             raise AlgebraError(f"g1 label {g1!r} not in the group")
         g1_idx = K.basis_labels.index(g1)
@@ -383,10 +448,14 @@ def parse_spec(doc, max_degree=6):
         K = _decode_base_algebra(field, doc["base_algebra"])
         alpha = _decode_endomorphism(field, K, _key(doc, "endomorphism", "spec"))
         ext = _key(doc, "extension", "spec")
-        n = int(_key(ext, "n", "spec.extension"))
-        lambdas = [decode_kvec(field, v, K.dim) for v in _key(ext, "lambdas", "spec.extension")]
+        n = _int_key(ext, "n", "spec.extension")
+        lambdas = [
+            decode_kvec(field, v, K.dim, f"spec.extension.lambdas[{i}]")
+            for i, v in enumerate(_key(ext, "lambdas", "spec.extension", list))
+        ]
         lambda_breve = (
-            decode_kvec(field, doc["lambda_breve"], K.dim) if "lambda_breve" in doc else None
+            decode_kvec(field, doc["lambda_breve"], K.dim, "spec.lambda_breve")
+            if "lambda_breve" in doc else None
         )
         bim_obj = doc.get("bimodule")
 

@@ -5,7 +5,7 @@ small complex C^S, the normalized complex, the bar resolution and the
 comparison maps between the two complexes.  Each is built on first use
 and grown in place to the largest level asked for, with its cached maps
 kept; every quotient M/[M,K]_{alpha^j} they read is the one
-``commutator_quotient`` keeps on M.
+``commutator_quotient`` keeps on M, one per class of alpha^j.
 """
 
 from __future__ import annotations

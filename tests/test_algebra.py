@@ -7,6 +7,7 @@ from orehom.algebra import (
     AlgebraError,
     check_collapse,
     character_endomorphism,
+    commutator_quotient,
     divide_by_f,
     eigen_split,
     group_algebra,
@@ -15,11 +16,15 @@ from orehom.algebra import (
     twisted_commutator_subspace,
     validate_monogenic,
     vec_is_zero,
+    vec_sub,
     verify_lambda_breve,
 )
+from orehom.bar import BarComplex
+from orehom.complexes import homology_dims
 from orehom.fields import make_field
 from orehom.linalg import Matrix, rank
-from orehom.spec_io import build_example, cyclic_group, dihedral_group, parse_spec
+from orehom.small_complex import build_cs
+from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
 from conftest import get_context
 
@@ -267,14 +272,15 @@ def test_eigen_split_rejects_non_diagonal():
         eigen_split(K, alpha)
 
 
+def _alpha_order(mono):
+    """The least p >= 1 with alpha^p = id, read off ``mono.twist``."""
+    return next(p for p in range(1, 64) if mono.twist(p) == 0)
+
+
 def test_commutator_alpha_period_compatibility():
     for name in ("sweedler", "taft:3", "rank1nc:c2xc4"):
         mono = get_context(name).mono
-        # order of alpha as a matrix
-        v = 1
-        ident = Matrix.identity(mono.field, mono.base.dim)
-        while mono.alpha_pow(v) != ident:
-            v += 1
+        v = _alpha_order(mono)
         M = regular_bimodule(mono)
         for j in (0, 1, 2):
             a = twisted_commutator_subspace(M, j)
@@ -282,6 +288,62 @@ def test_commutator_alpha_period_compatibility():
             ra = rank(Matrix.from_rows(mono.field, a)) if a else 0
             rb = rank(Matrix.from_rows(mono.field, b)) if b else 0
             assert ra == rb
+
+
+def _one_hot_commutators(M, j):
+    """[M,K]_{alpha^j} spanning vectors by applying the actions to one-hot
+    vectors, with alpha^j multiplied out afresh (the reference for
+    ``twisted_commutator_subspace``)."""
+    mono = M.mono
+    K = mono.base
+    field = mono.field
+    power = Matrix.identity(field, K.dim)
+    for _ in range(j):
+        power = mono.alpha.matrix * power
+    spans = []
+    for s in range(M.dim):
+        mvec = [field.zero] * M.dim
+        mvec[s] = field.one
+        for t in range(K.dim):
+            lam = K.basis_vector(t)
+            v = vec_sub(M.right_k_vec(power.apply(lam), mvec), M.left_k_vec(lam, mvec))
+            if not vec_is_zero(v):
+                spans.append(v)
+    return spans
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_column_commutators_match_one_hot_reference(name):
+    mono, M = get_context(name).mono, get_context(name).M
+    order = _alpha_order(mono)
+    for j in range(2 * order + 1):
+        assert mono.twist(j) == j % order
+        assert twisted_commutator_subspace(M, j) == _one_hot_commutators(M, j)
+        assert commutator_quotient(M, j) is commutator_quotient(M, j + order)
+
+
+def test_alpha_of_infinite_order_keeps_every_twist():
+    # K = Q[e]/(e^2) with alpha(e) = 2e: no power of alpha is the identity
+    doc = {
+        "name": "dual-numbers",
+        "field": {"kind": "rationals"},
+        "base_algebra": {
+            "type": "structure_constants",
+            "labels": ["1", "e"],
+            "constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+            "unit": ["1", "0"],
+        },
+        "endomorphism": {"type": "matrix", "matrix": [["1", "0"], ["0", "2"]]},
+        "extension": {"n": 2, "lambdas": [["0", "0"], ["0", "0"]]},
+    }
+    parsed = parse_spec(doc, max_degree=5)
+    mono, M = parsed.mono, parsed.bimodule
+    assert [mono.twist(j) for j in range(12)] == list(range(12))
+    for j in range(6):
+        assert twisted_commutator_subspace(M, j) == _one_hot_commutators(M, j)
+    assert len({id(commutator_quotient(M, j)) for j in range(6)}) == 6
+    cs_dims = homology_dims(build_cs(mono, M, 6), 5)
+    assert cs_dims == homology_dims(BarComplex(mono, M, 6).chain_complex(), 5)
 
 
 def test_lambda_n_compatibility():

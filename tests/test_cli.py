@@ -1,8 +1,11 @@
+import copy
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
@@ -153,7 +156,16 @@ def test_non_integer_example_parameter_rejected(capsys):
     ({"field": {"kind": "rationals"}}, "error: spec has neither 'base_algebra' nor 'rank_one'"),
     ({"field": {"kind": "rationals"}, "base_algebra": {}}, "error: spec.base_algebra has no 'type'"),
     ({"field": {"kind": "reals"}, "base_algebra": {}}, "error: spec.field: unknown field kind 'reals'"),
-], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind"])
+    (dict(build_example("sweedler"), field={"kind": "cyclotomic", "order": "x"}),
+     "error: spec.field.order must be an integer, got 'x'"),
+    (dict(build_example("sweedler"), extension={"n": "two", "lambdas": []}),
+     "error: spec.extension.n must be an integer, got 'two'"),
+    (dict(build_example("sweedler"), bimodule={"type": "matrices"}),
+     "error: spec.bimodule has no 'dim'"),
+    (dict(build_example("sweedler"), extension={"n": 2, "lambdas": [["a", "0"], ["0", "0"]]}),
+     "error: spec.extension.lambdas[0][0]: cannot decode scalar 'a'"),
+], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
+        "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -161,6 +173,56 @@ def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [message]
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) of a JSON document, the root included."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+_OTHER_TYPES = (None, True, 0, -1, 2.5, "x", [], {}, ["x"], {"x": "1"})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped example with one node mutated: a key dropped, a value
+    replaced by one of another type, or a list truncated."""
+    doc = build_example(draw(st.sampled_from(EXAMPLE_NAMES)))
+    path, value = draw(st.sampled_from(list(_nodes(doc))))
+    ops = ["swap"]
+    if isinstance(value, dict) and value:
+        ops.append("drop")
+    if isinstance(value, list) and value:
+        ops.append("truncate")
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        gone = draw(st.sampled_from(sorted(value)))
+        new = {k: v for k, v in value.items() if k != gone}
+    elif op == "truncate":
+        new = value[:draw(st.integers(0, len(value) - 1))]
+    else:
+        new = copy.deepcopy(draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)])))
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_documents())
+def test_mutated_spec_exits_without_traceback(capsys, tmp_path, doc):
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc))
+    code = main(["hh", "--spec", str(p), "--max-degree", "2"])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert code == 0 or err.startswith("error: ")
 
 
 def test_nonmultiplicative_character_rejected(capsys, tmp_path):
@@ -260,8 +322,45 @@ def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "twisted_commutator_subspace", counted)
     code, _ = run(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
     assert code == 0
-    # C^S and the bar levels up to 8 of taft:3 use the twists 0..16
-    assert len(seen) == len(set(seen)) == 17
+    # C^S and the bar levels up to 8 of taft:3 use the twists 0..16, which
+    # fall into the 3 classes of alpha^j (alpha has order 3)
+    assert len(seen) == len(set(seen)) == 3
+
+
+@pytest.mark.parametrize("copies", [1, 2], ids=["M=K", "M=K+K"])
+def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
+    # cyclic homology is that of A: with coefficients M = K or K + K (x acting
+    # as 0; K + K has the dimension of A) in the spec, C^S and the oracle
+    # still both read M = A
+    doc = build_example("sweedler")
+    K = parse_spec(doc).mono.base
+    F = K.field
+    dim = copies * K.dim
+
+    def blocks(m):
+        rows = [[encode_scalar(F, F.zero)] * dim for _ in range(dim)]
+        for c in range(copies):
+            for i, row in enumerate(m.entries):
+                for j, e in enumerate(row):
+                    rows[c * K.dim + i][c * K.dim + j] = encode_scalar(F, e)
+        return rows
+
+    zero = [["0"] * dim for _ in range(dim)]
+    doc["bimodule"] = {
+        "type": "matrices",
+        "dim": dim,
+        "left_k": [blocks(K.left_mult_matrix(K.basis_vector(t))) for t in range(K.dim)],
+        "left_x": zero,
+        "right_k": [blocks(K.right_mult_matrix(K.basis_vector(t))) for t in range(K.dim)],
+        "right_x": zero,
+    }
+    p = tmp_path / "coefficients.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "hc", "--spec", str(p), "--max-degree", "5", "--oracle")
+    assert code == 0
+    assert [c["agrees"] for c in rep["comparisons"]] == [True]
+    _, regular = run_json(capsys, "hc", "--spec", "sweedler", "--max-degree", "5", "--oracle")
+    assert rep["modes"] == regular["modes"]
 
 
 def test_perfbench_tracer_finds_every_target():
