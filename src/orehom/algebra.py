@@ -13,7 +13,7 @@ coefficient conditions, so downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import Matrix, rank, subquotient
+from .linalg import ColMap, Matrix, add_term, densify, rank, subquotient
 
 
 class AlgebraError(ValueError):
@@ -67,6 +67,16 @@ class BaseAlgebra:
 
     def _check_associative(self):
         dim = self.dim
+        table = self.group_table
+        if table is not None:
+            # basis elements multiply to basis elements: compare indices
+            for i in range(dim):
+                for j in range(dim):
+                    ij = table[i][j]
+                    for t in range(dim):
+                        if table[ij][t] != table[i][table[j][t]]:
+                            self._associativity_fails(i, j, t)
+            return
         for i in range(dim):
             ei = _kvec(self.field, dim, [(i, self.field.one)])
             for j in range(dim):
@@ -77,10 +87,11 @@ class BaseAlgebra:
                     left = self.mul_vec(ij, et)
                     right = self.mul_vec(ei, self.mul_vec(ej, et))
                     if left != right:
-                        raise AlgebraError(
-                            "associativity fails on triple "
-                            f"({self.basis_labels[i]!r}, {self.basis_labels[j]!r}, {self.basis_labels[t]!r})"
-                        )
+                        self._associativity_fails(i, j, t)
+
+    def _associativity_fails(self, i, j, t):
+        labels = self.basis_labels
+        raise AlgebraError(f"associativity fails on triple ({labels[i]!r}, {labels[j]!r}, {labels[t]!r})")
 
     def mul_vec(self, u, v):
         out = [self.field.zero] * self.dim
@@ -229,7 +240,12 @@ def character_endomorphism(K, chi):
 
 
 class MonogenicData:
-    """Validated data (K, alpha, n, lam_1..lam_n) defining A = K[x,alpha]/(f)."""
+    """Validated data (K, alpha, n, lam_1..lam_n) defining A = K[x,alpha]/(f).
+
+    Products in A read a multiplication table of the flat basis monomials
+    e_(p,kappa) = kappa x^p (coordinate p*dim K + kappa), built on first use
+    from the reduced powers x^e; ``divide_by_f`` runs once per power.
+    """
 
     def __init__(self, base, alpha, n, lambdas):
         self.base = base
@@ -239,9 +255,14 @@ class MonogenicData:
         self.dim = base.dim * n
         self._alpha_pows = [Matrix.identity(base.field, base.dim)]
         self._alpha_order = None
+        self._alpha_cols = {}  # twist class -> sparse columns of alpha^i, None for the identity
         self._k_commutators = {}  # twist class -> spanning vectors of [K,K]_{alpha^i}
         self._k_commutator_ranks = {}
-        self._power_cache = {}
+        self._k_quotients = {}  # (twist class, component indices) -> K-sized SubquotientSpace
+        self._power_cache = {}  # e -> (quotient list, remainder AElement) of x^e by f
+        self._quotient_cache = {}  # e -> quotient of x^e by f as an AElement
+        self._mul_table = None
+        self._x_overflow = {}  # twist class -> see ``x_overflow``
 
     @property
     def field(self):
@@ -264,8 +285,26 @@ class MonogenicData:
         self.alpha_pow(j)
         return j if self._alpha_order is None else j % self._alpha_order
 
+    def alpha_columns(self, p):
+        """alpha^p as sparse columns ``{row: scalar}``, kept once per class of
+        alpha^p; None when alpha^p is the identity."""
+        i = self.twist(p)
+        if i not in self._alpha_cols:
+            m = self.alpha_pow(i)
+            self._alpha_cols[i] = None if m == self._alpha_pows[0] else ColMap.from_matrix(m).cols
+        return self._alpha_cols[i]
+
     def alpha_apply(self, p, vec):
-        return self.alpha_pow(p).apply(vec)
+        """alpha^p of a dense K-vector, as a new list."""
+        cols = self.alpha_columns(p)
+        if cols is None:
+            return list(vec)
+        out = [self.field.zero] * self.base.dim
+        for j, c in enumerate(vec):
+            if c:
+                for i, e in cols[j].items():
+                    out[i] = out[i] + c * e
+        return out
 
     def f_coefficient(self, i):
         """lam_i as a K-vector (lam_0 = 1)."""
@@ -288,15 +327,103 @@ class MonogenicData:
         coeffs[power] = list(kvec)
         return AElement(self, coeffs)
 
+    def _divide_x_power(self, e):
+        got = self._power_cache.get(e)
+        if got is None:
+            poly = [[self.field.zero] * self.base.dim for _ in range(e)] + [list(self.base.unit)]
+            quot, rem = divide_by_f(self, poly)
+            got = self._power_cache[e] = (quot, AElement(self, rem))
+        return got
+
     def x_power_reduced(self, e):
         """x^e as an AElement (reduced modulo f); cached."""
-        a = self._power_cache.get(e)
-        if a is None:
-            poly = [[self.field.zero] * self.base.dim for _ in range(e)] + [list(self.base.unit)]
-            _, rem = divide_by_f(self, poly)
-            a = AElement(self, rem)
-            self._power_cache[e] = a
-        return a
+        return self._divide_x_power(e)[1]
+
+    def x_power_quotient(self, e):
+        """The quotient of x^e by f as an AElement (degree e-n < n assumed); cached."""
+        got = self._quotient_cache.get(e)
+        if got is None:
+            quot = self._divide_x_power(e)[0]
+            if len(quot) > self.n:
+                raise ValueError(f"quotient of x^{e} does not fit in normal form")
+            pad = [[self.field.zero] * self.base.dim for _ in range(self.n - len(quot))]
+            got = self._quotient_cache[e] = AElement(self, [list(v) for v in quot] + pad)
+        return got
+
+    def mul_table(self):
+        """``table[i][j]``: the normal form of e_i * e_j as a ``{coordinate: scalar}``
+        dict, for the flat basis monomials e_(p,kappa) = kappa x^p.
+
+        e_(p,kappa) * e_(q,mu) = (kappa alpha^p(mu)) x^(p+q), and left
+        multiplication by an element of K commutes with the reduction modulo
+        f, so each entry is a K-multiple of the reduced power x^(p+q).
+        """
+        table = self._mul_table
+        if table is None:
+            K = self.base
+            d = K.dim
+            reduced = [self.x_power_reduced(e).coeffs for e in range(2 * self.n - 1)]
+            table = []
+            for p in range(self.n):
+                twisted = [self.alpha_apply(p, K.basis_vector(mu)) for mu in range(d)]
+                for kappa in range(d):
+                    front = K.basis_vector(kappa)
+                    heads = [K.mul_vec(front, a) for a in twisted]
+                    row = []
+                    for q in range(self.n):
+                        for w in heads:
+                            entry = {}
+                            for t, rem in enumerate(reduced[p + q]):
+                                if vec_is_zero(rem):
+                                    continue
+                                for k, c in enumerate(K.mul_vec(w, rem)):
+                                    if c:
+                                        entry[t * d + k] = c
+                            row.append(entry)
+                    table.append(row)
+            self._mul_table = table
+        return table
+
+    def multiply(self, u, v):
+        """The product of two elements of A given by their nonzero (coordinate,
+        scalar) items, as a ``{coordinate: scalar}`` dict read off the table."""
+        table = self.mul_table()
+        out = {}
+        for i, c in u:
+            row = table[i]
+            for j, e in v:
+                ce = c * e
+                for k, f in row[j].items():
+                    add_term(out, k, ce * f)
+        return out
+
+    def x_items(self):
+        """x = 1 x^1 as (coordinate, scalar) items."""
+        d = self.base.dim
+        return [(d + kappa, c) for kappa, c in enumerate(self.base.unit) if c]
+
+    def x_overflow(self, s):
+        """Right multiplication of the right factor x^(n-1) by x in A_{alpha^s} (x) A.
+
+        With x^n = sum_t c_t x^t in A, the twist moves each c_t to the front:
+        e_j (x) x^(n-1) goes to sum_t e_j alpha^s(c_t) (x) x^t.  Entry j holds
+        these terms keyed by t*dim A + front coordinate; kept once per class
+        of alpha^s.
+        """
+        i = self.twist(s)
+        got = self._x_overflow.get(i)
+        if got is None:
+            top = self.x_power_reduced(self.n).coeffs
+            pulled = [(t, [(mu, c) for mu, c in enumerate(self.alpha_apply(i, kv)) if c])
+                      for t, kv in enumerate(top) if not vec_is_zero(kv)]
+            got = self._x_overflow[i] = []
+            for j in range(self.dim):
+                terms = {}
+                for t, items in pulled:
+                    for k, c in self.multiply([(j, self.field.one)], items).items():
+                        terms[t * self.dim + k] = c
+                got.append(terms)
+        return got
 
     def index(self, power, kappa):
         """Flat coordinate of the basis monomial basis_kappa * x^power."""
@@ -311,6 +438,10 @@ class MonogenicData:
     def a_from_coords(self, coords):
         d = self.base.dim
         return AElement(self, [list(coords[j * d:(j + 1) * d]) for j in range(self.n)])
+
+    def a_from_terms(self, terms):
+        """AElement of a ``{coordinate: scalar}`` dict."""
+        return self.a_from_coords(densify(terms, self.dim, self.field.zero))
 
 
 class AElement:
@@ -334,46 +465,32 @@ class AElement:
     def scale(self, c):
         return AElement(self.mono, [vec_scale(c, v) for v in self.coeffs])
 
+    def items(self):
+        """The nonzero (flat coordinate, scalar) pairs of this element."""
+        d = self.mono.base.dim
+        return [(p * d + kappa, c) for p, v in enumerate(self.coeffs) for kappa, c in enumerate(v) if c]
+
     def __mul__(self, other):
-        """Product in A: twisted polynomial product reduced modulo f."""
+        """Product in A, read off the multiplication table."""
         mono = self.mono
-        K = mono.base
-        deg = 2 * mono.n - 1
-        poly = [[K.field.zero] * K.dim for _ in range(deg)]
-        for i, u in enumerate(self.coeffs):
-            if vec_is_zero(u):
-                continue
-            for j, v in enumerate(other.coeffs):
-                if vec_is_zero(v):
-                    continue
-                term = K.mul_vec(u, mono.alpha_apply(i, v))
-                poly[i + j] = vec_add(poly[i + j], term)
-        _, rem = divide_by_f(mono, poly)
-        return AElement(mono, rem)
+        return mono.a_from_terms(mono.multiply(self.items(), other.items()))
 
     def k_left(self, kvec):
         K = self.mono.base
         return AElement(self.mono, [K.mul_vec(kvec, v) for v in self.coeffs])
 
     def k_right(self, kvec):
-        K = self.mono.base
-        return AElement(
-            self.mono,
-            [K.mul_vec(v, self.mono.alpha_apply(j, kvec)) for j, v in enumerate(self.coeffs)],
-        )
+        mono = self.mono
+        # kvec sits at x^0, so its coordinates are its K-coordinates
+        return mono.a_from_terms(mono.multiply(self.items(), [(mu, c) for mu, c in enumerate(kvec) if c]))
 
     def x_left(self):
         mono = self.mono
-        poly = [[mono.field.zero] * mono.base.dim]
-        poly += [mono.alpha_apply(1, v) for v in self.coeffs]
-        _, rem = divide_by_f(mono, poly)
-        return AElement(mono, rem)
+        return mono.a_from_terms(mono.multiply(mono.x_items(), self.items()))
 
     def x_right(self):
         mono = self.mono
-        poly = [[mono.field.zero] * mono.base.dim] + [list(v) for v in self.coeffs]
-        _, rem = divide_by_f(mono, poly)
-        return AElement(mono, rem)
+        return mono.a_from_terms(mono.multiply(self.items(), mono.x_items()))
 
     def is_zero(self):
         return all(vec_is_zero(v) for v in self.coeffs)
@@ -474,6 +591,7 @@ class BimoduleData:
         self.right_x = right_x
         self._quotients = {}
         self._regular = None
+        self._action_cols = None
         if check:
             self._check()
 
@@ -532,49 +650,92 @@ class BimoduleData:
                 out = out + gens[t].scale(c)
         return out
 
-    def left_k_vec(self, kvec, mvec):
-        out = [self.mono.field.zero] * self.dim
+    def _columns(self):
+        """Sparse columns of L(lam_t), R(lam_t), L(x)^p and R(x)^p for p < n,
+        built once from the action matrices."""
+        if self._action_cols is None:
+            ident = Matrix.identity(self.mono.field, self.dim)
+            pows = {"left": [ident], "right": [ident]}
+            for _ in range(1, self.mono.n):
+                pows["left"].append(self.left_x * pows["left"][-1])
+                pows["right"].append(self.right_x * pows["right"][-1])
+            self._action_cols = {
+                side: ([ColMap.from_matrix(m).cols for m in k_mats], [ColMap.from_matrix(m).cols for m in pows[side]])
+                for side, k_mats in (("left", self.left_k), ("right", self.right_k))
+            }
+        return self._action_cols
+
+    def k_terms(self, side, kvec, terms):
+        """The ``side`` ("left" or "right") action of the K-vector ``kvec`` on a
+        ``{basis index: scalar}`` dict."""
+        k_cols = self._columns()[side][0]
+        out = {}
         for t, c in enumerate(kvec):
             if c:
-                col = self.left_k[t].apply(mvec)
-                out = vec_add(out, vec_scale(c, col))
+                _act(out, k_cols[t], terms, c)
         return out
+
+    def x_terms(self, side, p, terms):
+        """The ``side`` action of x^p on a ``{basis index: scalar}`` dict."""
+        x_cols = self._columns()[side][1]
+        top = len(x_cols) - 1
+        while p > top:
+            terms = _act({}, x_cols[top], terms)
+            p -= top
+        return _act({}, x_cols[p], terms) if p else dict(terms)
+
+    def a_terms(self, side, a, terms):
+        """The ``side`` action of a = sum_j c_j x^j in A: on the left
+        sum_j L(c_j) L(x)^j, on the right sum_j R(x)^j R(c_j)."""
+        out = {}
+        for j, kv in enumerate(a.coeffs):
+            if vec_is_zero(kv):
+                continue
+            if side == "left":
+                part = self.k_terms(side, kv, self.x_terms(side, j, terms))
+            else:
+                part = self.x_terms(side, j, self.k_terms(side, kv, terms))
+            for i, c in part.items():
+                add_term(out, i, c)
+        return out
+
+    def _dense(self, terms):
+        return densify(terms, self.dim, self.mono.field.zero)
+
+    def left_k_vec(self, kvec, mvec):
+        return self._dense(self.k_terms("left", kvec, _sparse(mvec)))
 
     def right_k_vec(self, kvec, mvec):
-        out = [self.mono.field.zero] * self.dim
-        for t, c in enumerate(kvec):
-            if c:
-                col = self.right_k[t].apply(mvec)
-                out = vec_add(out, vec_scale(c, col))
-        return out
+        return self._dense(self.k_terms("right", kvec, _sparse(mvec)))
 
     def left_x_pow(self, p, mvec):
-        for _ in range(p):
-            mvec = self.left_x.apply(mvec)
-        return mvec
+        return self._dense(self.x_terms("left", p, _sparse(mvec)))
 
     def right_x_pow(self, p, mvec):
-        for _ in range(p):
-            mvec = self.right_x.apply(mvec)
-        return mvec
+        return self._dense(self.x_terms("right", p, _sparse(mvec)))
 
     def left_a_vec(self, a, mvec):
         """Action of a in A on the left: a = sum_j c_j x^j acts by sum L(c_j) L(x)^j."""
-        out = [self.mono.field.zero] * self.dim
-        for j, kv in enumerate(a.coeffs):
-            if vec_is_zero(kv):
-                continue
-            out = vec_add(out, self.left_k_vec(kv, self.left_x_pow(j, mvec)))
-        return out
+        return self._dense(self.a_terms("left", a, _sparse(mvec)))
 
     def right_a_vec(self, a, mvec):
         """Right action by a = sum_j c_j x^j: m.(c_j x^j) = (m.c_j).x^j."""
-        out = [self.mono.field.zero] * self.dim
-        for j, kv in enumerate(a.coeffs):
-            if vec_is_zero(kv):
-                continue
-            out = vec_add(out, self.right_x_pow(j, self.right_k_vec(kv, mvec)))
-        return out
+        return self._dense(self.a_terms("right", a, _sparse(mvec)))
+
+
+def _sparse(vec):
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def _act(acc, cols, terms, scale=None):
+    """Add the image of ``terms`` under the map with sparse columns ``cols``
+    (times ``scale``) into ``acc``; returns ``acc``."""
+    for j, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        for i, e in cols[j].items():
+            add_term(acc, i, e * c)
+    return acc
 
 
 def _power(m, p, ident):
@@ -585,18 +746,21 @@ def _power(m, p, ident):
 
 
 def regular_bimodule(mono):
-    """The default coefficients M = A with both regular actions."""
-    K = mono.base
-    field = K.field
+    """The default coefficients M = A with both regular actions, read off the
+    multiplication table."""
+    field = mono.field
     dim = mono.dim
-    left_k, right_k = [], []
-    basis = [mono.a_from_coords([field.zero] * i + [field.one] + [field.zero] * (dim - i - 1)) for i in range(dim)]
-    for t in range(K.dim):
-        kv = K.basis_vector(t)
-        left_k.append(Matrix.from_cols(field, [mono.a_coords(b.k_left(kv)) for b in basis]))
-        right_k.append(Matrix.from_cols(field, [mono.a_coords(b.k_right(kv)) for b in basis]))
-    left_x = Matrix.from_cols(field, [mono.a_coords(b.x_left()) for b in basis])
-    right_x = Matrix.from_cols(field, [mono.a_coords(b.x_right()) for b in basis])
+    table = mono.mul_table()
+
+    def matrix(columns):
+        return ColMap(field, dim, dim, list(columns)).to_matrix()
+
+    x = mono.x_items()
+    # lam_t sits at x^0, so its coordinate is t
+    left_k = [matrix(table[t][j] for j in range(dim)) for t in range(mono.base.dim)]
+    right_k = [matrix(table[j][t] for j in range(dim)) for t in range(mono.base.dim)]
+    left_x = matrix(mono.multiply(x, [(j, field.one)]) for j in range(dim))
+    right_x = matrix(mono.multiply([(j, field.one)], x) for j in range(dim))
     M = BimoduleData(mono, dim, left_k, left_x, right_k, right_x, check=False)
     M._regular = True
     return M

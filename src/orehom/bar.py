@@ -24,31 +24,20 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import AElement, commutator_quotient, divide_by_f, vec_is_zero
+from .algebra import commutator_quotient, vec_is_zero
 # bound by name for perfbench/tracer.py, which wraps twisted_commutator_subspace
 # in every module namespace that holds it (its tests read this binding)
 from .algebra import twisted_commutator_subspace  # noqa: F401
 from .complexes import ChainComplex
-from .linalg import ColMap
+from .linalg import ColMap, add_term
 from .small_complex import cs_twist
-
-
-def _add_term(acc, key, coeff):
-    if not coeff:
-        return
-    cur = acc.get(key)
-    cur = coeff if cur is None else cur + coeff
-    if cur:
-        acc[key] = cur
-    elif key in acc:
-        del acc[key]
 
 
 def _add_scaled(acc, terms, coeff):
     if not coeff:
         return
     for key, c in terms.items():
-        _add_term(acc, key, coeff * c)
+        add_term(acc, key, coeff * c)
 
 
 def _negated(terms):
@@ -81,33 +70,9 @@ class MonomialTensor:
 NEG_INF = float("-inf")
 
 
-def division_quotient_of_power(mono, s):
-    """The quotient of x^s by f as an AElement (degree s-n < n assumed)."""
-    field = mono.field
-    K = mono.base
-    if s < mono.n:
-        return mono.zero_a()
-    poly = [[field.zero] * K.dim for _ in range(s)] + [list(K.unit)]
-    quot, _ = divide_by_f(mono, poly)
-    if len(quot) > mono.n:
-        raise ValueError(f"quotient of x^{s} does not fit in normal form")
-    coeffs = [list(v) for v in quot]
-    while len(coeffs) < mono.n:
-        coeffs.append([field.zero] * K.dim)
-    return AElement(mono, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Bar chain level: M (x) Abar^r (x)
 # ---------------------------------------------------------------------------
-
-def _block_quotient(M, s):
-    """M/[M,K]_{alpha^s} as (free columns, per-column projection dicts)."""
-    sq = commutator_quotient(M, s)
-    rows = sq.projection.entries
-    proj = [{qi: row[c] for qi, row in enumerate(rows) if row[c]} for c in range(M.dim)]
-    return sq.free, proj
-
 
 class BarSpace:
     """Based realization of M (x) Abar^r (x) as a sum of tuple blocks.
@@ -132,18 +97,14 @@ class BarSpace:
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.block = M.dim
         self.ambient_dim = len(self.tuples) * M.dim
-        by_twist = {}
         self.block_proj = []    # per tuple: block column -> {block quotient index: entry}
         self.block_offset = []  # per tuple: its first quotient coordinate
         self.free_columns = []  # per quotient coordinate: its ambient column
         for ti, t in enumerate(self.tuples):
-            s = mono.twist(sum(t))
-            if s not in by_twist:
-                by_twist[s] = _block_quotient(M, s)
-            free, proj = by_twist[s]
-            self.block_proj.append(proj)
+            sq = commutator_quotient(M, sum(t))
+            self.block_proj.append(sq.projection_columns())
             self.block_offset.append(len(self.free_columns))
-            self.free_columns.extend(ti * M.dim + f for f in free)
+            self.free_columns.extend(ti * M.dim + f for f in sq.free)
         self.quotient_dim = len(self.free_columns)
 
     @property
@@ -174,7 +135,7 @@ class BarSpace:
             ti, m_idx = divmod(idx, self.block)
             off = self.block_offset[ti]
             for qi, e in self.block_proj[ti][m_idx].items():
-                _add_term(out, off + qi, e * c)
+                add_term(out, off + qi, e * c)
         return out
 
     def element_degree(self, terms):
@@ -227,16 +188,12 @@ class BarComplex:
         mono = self.mono
         M = self.M
         tgt = self.spaces[r - 1]
-        field = mono.field
-        mvec = [field.zero] * M.dim
-        mvec[m_idx] = field.one
+        m = {m_idx: mono.field.one}
         acc = {}
         # face 0: multiply m by x^{i_1} on the right
-        m1 = M.right_x_pow(t[0], mvec)
-        rest = t[1:]
-        for i, c in enumerate(m1):
-            if c:
-                _add_term(acc, tgt.flat(rest, i), c)
+        base = tgt.flat(t[1:], 0)
+        for i, c in M.x_terms("right", t[0], m).items():
+            add_term(acc, base + i, c)
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(0, r - 1):
             s = t[j] + t[j + 1]
@@ -247,19 +204,14 @@ class BarComplex:
                 kv = xred.coeffs[tpow]
                 if vec_is_zero(kv):
                     continue
-                pushed = mono.alpha_apply(pre, kv)
-                newt = t[:j] + (tpow,) + t[j + 2:]
-                mv = M.right_k_vec(pushed, mvec)
-                for i, c in enumerate(mv):
-                    if c:
-                        _add_term(acc, tgt.flat(newt, i), -c if negative else c)
+                base = tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0)
+                for i, c in M.k_terms("right", mono.alpha_apply(pre, kv), m).items():
+                    add_term(acc, base + i, -c if negative else c)
         # face r: wrap x^{i_r} around to the left of m
         negative = r % 2 == 1
-        mw = M.left_x_pow(t[-1], mvec)
-        lead = t[:-1]
-        for i, c in enumerate(mw):
-            if c:
-                _add_term(acc, tgt.flat(lead, i), -c if negative else c)
+        base = tgt.flat(t[:-1], 0)
+        for i, c in M.x_terms("left", t[-1], m).items():
+            add_term(acc, base + i, -c if negative else c)
         return acc
 
     def b(self, r):
@@ -293,20 +245,19 @@ class BarComplex:
         acc = {}
         if i0 == 0:
             return acc
-        kv = mono.base.basis_vector(kappa)
         for i in range(0, r + 1):
             negative = (i * r) % 2 == 1
             if i == 0:
                 newt = (i0,) + t
-                pushed = kv
+                cols = None
             else:
                 tail = t[i - 1:]
                 newt = tail + (i0,) + t[:i - 1]
-                pushed = mono.alpha_apply(sum(tail), kv)
-            for kp, c in enumerate(pushed):
-                if c:
-                    idx = tgt.flat(newt, mono.index(0, kp))
-                    _add_term(acc, idx, -c if negative else c)
+                cols = mono.alpha_columns(sum(tail))
+            pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
+            base = tgt.flat(newt, 0)
+            for kp, c in pushed.items():
+                add_term(acc, base + mono.index(0, kp), -c if negative else c)
         return acc
 
     def connes_B(self, r):
@@ -326,7 +277,46 @@ class BarComplex:
 # Resolution level: twisted bimodule spaces A (x) A
 # ---------------------------------------------------------------------------
 
-class ResolutionSpace:
+class _TensorBlocks:
+    """Shared arithmetic of A_{alpha^s} (x) [middle] (x) A spaces.
+
+    A flat index is ``block * n * dim A + q * dim A + j``: j is the flat
+    coordinate of the left factor e_j = mu_k x^p, q the right factor x^q,
+    and the block fixes the middle, whose x-degree s twists the right
+    factor's coefficients on their way to the front.  Subclasses set
+    ``mono`` and ``overflow`` (per block, ``mono.x_overflow(s)``).
+    """
+
+    def left_mul_monomial(self, j, terms):
+        """Multiply the left factor by the basis monomial e_j of A."""
+        dim_a = self.mono.dim
+        row = self.mono.mul_table()[j]
+        out = {}
+        for idx, c in terms.items():
+            front = idx % dim_a
+            base = idx - front
+            for k, e in row[front].items():
+                add_term(out, base + k, c * e)
+        return out
+
+    def right_mul_x(self, terms):
+        """Multiply the right factor by x; reductions pass through the twist."""
+        dim_a = self.mono.dim
+        block = self.mono.n * dim_a
+        top = block - dim_a
+        out = {}
+        for idx, c in terms.items():
+            b, rest = divmod(idx, block)
+            if rest < top:
+                add_term(out, idx + dim_a, c)
+                continue
+            base = b * block
+            for k, e in self.overflow[b][rest - top].items():
+                add_term(out, base + k, c * e)
+        return out
+
+
+class ResolutionSpace(_TensorBlocks):
     """A_{alpha^j} (x) A as a based k-space: basis mu_k x^p (x) x^q."""
 
     def __init__(self, mono, r):
@@ -336,6 +326,7 @@ class ResolutionSpace:
         self.dimK = mono.base.dim
         self.n = mono.n
         self.dim = self.dimK * self.n * self.n
+        self.overflow = [mono.x_overflow(self.twist)]
 
     def flat(self, kappa, p, q):
         return (q * self.n + p) * self.dimK + kappa
@@ -345,61 +336,20 @@ class ResolutionSpace:
         q, p = divmod(rest, self.n)
         return kappa, p, q
 
-    def left_mul_a(self, a, terms):
-        """Multiply the left factor by a in A."""
-        mono = self.mono
-        out = {}
-        for idx, c in terms.items():
-            kappa, p, q = self.unflat(idx)
-            front = a * mono.a_from_kvec(mono.base.basis_vector(kappa), p)
-            for pp, kv in enumerate(front.coeffs):
-                for kp, e in enumerate(kv):
-                    if e:
-                        _add_term(out, self.flat(kp, pp, q), c * e)
-        return out
-
-    def right_mul_x(self, terms):
-        """Multiply the right factor by x; reductions pass through the twist."""
-        mono = self.mono
-        out = {}
-        for idx, c in terms.items():
-            kappa, p, q = self.unflat(idx)
-            if q + 1 < self.n:
-                _add_term(out, self.flat(kappa, p, q + 1), c)
-                continue
-            xred = mono.x_power_reduced(q + 1)
-            front = mono.a_from_kvec(mono.base.basis_vector(kappa), p)
-            for t in range(self.n):
-                kv = xred.coeffs[t]
-                if vec_is_zero(kv):
-                    continue
-                fa = front.k_right(mono.alpha_apply(self.twist, kv))
-                for pp, fkv in enumerate(fa.coeffs):
-                    for kp, e in enumerate(fkv):
-                        if e:
-                            _add_term(out, self.flat(kp, pp, t), c * e)
-        return out
-
     def generated_map(self, gen_terms, target):
         """Extend target-valued generator terms to a bimodule-map ColMap.
 
         ``gen_terms`` is the image of 1 (x) 1 inside ``target``; the column
-        for mu_k x^p (x) x^q is mu_k x^p . gen . x^q.
+        for e_j (x) x^q is e_j . gen . x^q, and for q > 0 it is the column
+        of e_j (x) x^(q-1), one index of dim A back, times x.
         """
         mono = self.mono
         out = ColMap(mono.field, target.dim, self.dim)
-        cache = {}
         for idx in range(self.dim):
-            kappa, p, q = self.unflat(idx)
-            left = cache.get((kappa, p))
-            if left is None:
-                a = mono.a_from_kvec(mono.base.basis_vector(kappa), p)
-                left = target.left_mul_a(a, gen_terms)
-                cache[(kappa, p)] = left
-            terms = left
-            for _ in range(q):
-                terms = target.right_mul_x(terms)
-            out.set_col(idx, terms)
+            if idx < mono.dim:
+                out.set_col(idx, target.left_mul_monomial(idx, gen_terms))
+            else:
+                out.set_col(idx, target.right_mul_x(out.cols[idx - mono.dim]))
         return out
 
 
@@ -432,8 +382,8 @@ class ResolutionComplex:
             # x (x) 1 - 1 (x) x
             for kappa, c in enumerate(mono.base.unit):
                 if c:
-                    _add_term(gen, tgt.flat(kappa, 1, 0), c)
-                    _add_term(gen, tgt.flat(kappa, 0, 1), -c)
+                    add_term(gen, tgt.flat(kappa, 1, 0), c)
+                    add_term(gen, tgt.flat(kappa, 0, 1), -c)
         else:
             # sum_i lam_{n-i} sum_l x^l (x) x^{i-l-1}
             for i in range(1, mono.n + 1):
@@ -443,7 +393,7 @@ class ResolutionComplex:
                 for ell in range(i):
                     for kappa, c in enumerate(lam):
                         if c:
-                            _add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
+                            add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
         return gen
 
     def d(self, r):
@@ -459,7 +409,7 @@ class ResolutionComplex:
 # Bar resolution level: A (x) Abar^r (x) A
 # ---------------------------------------------------------------------------
 
-class BarResSpace:
+class BarResSpace(_TensorBlocks):
     """Based k-space A (x) Abar^r (x) A; keys (kappa, i0, mid tuple, q)."""
 
     def __init__(self, mono, r):
@@ -471,49 +421,20 @@ class BarResSpace:
         self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
         self.block = self.dimK * self.n * self.n
         self.dim = len(self.tuples) * self.block
+        self.overflow = [mono.x_overflow(sum(t)) for t in self.tuples]
+
+    def offset(self, t, q):
+        """Flat index of e_0 (x) x^t (x) x^q; add the left factor's coordinate."""
+        return self.tuple_index[t] * self.block + q * self.mono.dim
 
     def flat(self, kappa, i0, t, q):
-        return self.tuple_index[t] * self.block + (q * self.n + i0) * self.dimK + kappa
+        return self.offset(t, q) + self.mono.index(i0, kappa)
 
     def unflat(self, idx):
         ti, rest = divmod(idx, self.block)
         qi0, kappa = divmod(rest, self.dimK)
         q, i0 = divmod(qi0, self.n)
         return kappa, i0, self.tuples[ti], q
-
-    def left_mul_a(self, a, terms):
-        mono = self.mono
-        out = {}
-        for idx, c in terms.items():
-            kappa, i0, t, q = self.unflat(idx)
-            front = a * mono.a_from_kvec(mono.base.basis_vector(kappa), i0)
-            for pp, kv in enumerate(front.coeffs):
-                for kp, e in enumerate(kv):
-                    if e:
-                        _add_term(out, self.flat(kp, pp, t, q), c * e)
-        return out
-
-    def right_mul_x(self, terms):
-        mono = self.mono
-        out = {}
-        for idx, c in terms.items():
-            kappa, i0, t, q = self.unflat(idx)
-            if q + 1 < self.n:
-                _add_term(out, self.flat(kappa, i0, t, q + 1), c)
-                continue
-            xred = mono.x_power_reduced(q + 1)
-            shift = sum(t)
-            front = mono.a_from_kvec(mono.base.basis_vector(kappa), i0)
-            for tp in range(self.n):
-                kv = xred.coeffs[tp]
-                if vec_is_zero(kv):
-                    continue
-                fa = front.k_right(mono.alpha_apply(shift, kv))
-                for pp, fkv in enumerate(fa.coeffs):
-                    for kp, e in enumerate(fkv):
-                        if e:
-                            _add_term(out, self.flat(kp, pp, t, tp), c * e)
-        return out
 
     def element_degree(self, terms):
         deg = NEG_INF
@@ -538,6 +459,7 @@ class BarResolution:
         self.spaces = []
         self.resolution = ResolutionComplex(mono, max_r)
         self._bprime = {}
+        self._faces = {}
         self._phi = {}
         self._psi = {}
         self._omega = {}
@@ -557,40 +479,54 @@ class BarResolution:
 
     # -- b' --------------------------------------------------------------------
 
-    def _bprime_column(self, r, kappa, i0, t, q):
+    def _face_terms(self, j, s, pre):
+        """The front and middle-slot parts of e_j (x) x^s in A (x) Abar.
+
+        pre None: e_j x^s, all of it in the front, as {front coordinate:
+        scalar}.  Otherwise x^s = sum_tp c_tp x^tp in A splits into the
+        middle slot x^tp (tp >= 1; the K-valued part vanishes in Abar) and
+        c_tp, pulled to the front through alpha^pre: {tp: {front coordinate:
+        scalar}}.  Cached per (j, s, class of alpha^pre).
+        """
         mono = self.mono
+        key = (j, s, None if pre is None else mono.twist(pre))
+        got = self._faces.get(key)
+        if got is None:
+            front = [(j, mono.field.one)]
+            xred = mono.x_power_reduced(s)
+            if pre is None:
+                got = mono.multiply(front, xred.items())
+            else:
+                got = {}
+                for tp in range(1, mono.n):
+                    pushed = [(mu, c) for mu, c in enumerate(mono.alpha_apply(pre, xred.coeffs[tp])) if c]
+                    if pushed:
+                        got[tp] = mono.multiply(front, pushed)
+            self._faces[key] = got
+        return got
+
+    def _bprime_column(self, r, j, t, q):
+        """b' of e_j (x) x^{t_1} (x) .. (x) x^q as terms at level r-1."""
         tgt = self.spaces[r - 1]
-        field = mono.field
+        one = self.mono.field.one
         col = {}
         # face 0: front times x^{i_1}
-        front = mono.a_from_kvec(mono.base.basis_vector(kappa), i0) * mono.x_power_reduced(t[0])
-        for pp, kv in enumerate(front.coeffs):
-            for kp, e in enumerate(kv):
-                if e:
-                    _add_term(col, tgt.flat(kp, pp, t[1:], q), e)
+        base = tgt.offset(t[1:], q)
+        for k, e in self._face_terms(j, t[0], None).items():
+            add_term(col, base + k, e)
         # middle faces
-        for j in range(0, r - 1):
-            s = t[j] + t[j + 1]
-            xred = mono.x_power_reduced(s)
-            pre = sum(t[:j])
-            negative = (j + 1) % 2 == 1
-            base_front = mono.a_from_kvec(mono.base.basis_vector(kappa), i0)
-            for tp in range(1, mono.n):
-                kv = xred.coeffs[tp]
-                if vec_is_zero(kv):
-                    continue
-                fa = base_front.k_right(mono.alpha_apply(pre, kv))
-                newt = t[:j] + (tp,) + t[j + 2:]
-                for pp, fkv in enumerate(fa.coeffs):
-                    for kp, e in enumerate(fkv):
-                        if e:
-                            _add_term(col, tgt.flat(kp, pp, newt, q), -e if negative else e)
+        for i in range(0, r - 1):
+            negative = (i + 1) % 2 == 1
+            for tp, terms in self._face_terms(j, t[i] + t[i + 1], sum(t[:i])).items():
+                base = tgt.offset(t[:i] + (tp,) + t[i + 2:], q)
+                for k, e in terms.items():
+                    add_term(col, base + k, -e if negative else e)
         # last face: right factor times x^{i_r}
         negative = r % 2 == 1
-        base = {tgt.flat(kappa, i0, t[:-1], q): field.one}
+        terms = {tgt.offset(t[:-1], q) + j: one}
         for _ in range(t[-1]):
-            base = tgt.right_mul_x(base)
-        _add_scaled(col, base, -field.one if negative else field.one)
+            terms = tgt.right_mul_x(terms)
+        _add_scaled(col, terms, -one if negative else one)
         return col
 
     def bprime(self, r):
@@ -598,10 +534,12 @@ class BarResolution:
         if got is not None:
             return got
         src = self.spaces[r]
+        dim_a = self.mono.dim
         out = ColMap(self.mono.field, self.spaces[r - 1].dim, src.dim)
         for idx in range(src.dim):
-            kappa, i0, t, q = src.unflat(idx)
-            out.set_col(idx, self._bprime_column(r, kappa, i0, t, q))
+            ti, rest = divmod(idx, src.block)
+            q, j = divmod(rest, dim_a)
+            out.set_col(idx, self._bprime_column(r, j, src.tuples[ti], q))
         self._bprime[r] = out
         return out
 
@@ -635,10 +573,9 @@ class BarResolution:
                     mid += (1, ell[j])
                 if odd:
                     mid += (1,)
-                for pp, kv in enumerate(front.coeffs):
-                    for kp, c in enumerate(kv):
-                        if c:
-                            _add_term(acc, sp.flat(kp, pp, mid, 0), c)
+                base = sp.offset(mid, 0)
+                for k, c in front.items():
+                    add_term(acc, base + k, c)
         return acc
 
     def phi(self, r):
@@ -653,29 +590,22 @@ class BarResolution:
     def _psi_tuple(self, r, t):
         """psi'_r(1 (x) x^{i_1} (x) .. (x) 1) as terms in the resolution space."""
         mono = self.mono
-        rsp = self.resolution.spaces[r]
         m, odd = divmod(r, 2)
         prod = mono.one_a()
         for j in range(m):
             s = t[2 * j] + t[2 * j + 1]
-            quot = division_quotient_of_power(mono, s)
-            prod = prod * quot
+            prod = prod * mono.x_power_quotient(s)
             if prod.is_zero():
                 return {}
-        acc = {}
         if not odd:
-            for pp, kv in enumerate(prod.coeffs):
-                for kp, c in enumerate(kv):
-                    if c:
-                        _add_term(acc, rsp.flat(kp, pp, 0), c)
-            return acc
+            return dict(prod.items())
+        acc = {}
         i_last = t[-1]
         for ell in range(i_last):
-            left = prod * mono.x_power_reduced(ell)
-            for pp, kv in enumerate(left.coeffs):
-                for kp, c in enumerate(kv):
-                    if c:
-                        _add_term(acc, rsp.flat(kp, pp, i_last - ell - 1), c)
+            # e_k (x) x^q sits at q * dim A + k
+            base = (i_last - ell - 1) * mono.dim
+            for k, c in (prod * mono.x_power_reduced(ell)).items():
+                add_term(acc, base + k, c)
         return acc
 
     def psi(self, r):
@@ -687,17 +617,14 @@ class BarResolution:
         rsp = self.resolution.spaces[r]
         bsp = self.spaces[r]
         out = ColMap(mono.field, rsp.dim, bsp.dim)
-        cache = {}
         for idx in range(bsp.dim):
-            kappa, i0, t, q = bsp.unflat(idx)
-            base = cache.get(t)
-            if base is None:
-                base = self._psi_tuple(r, t)
-                cache[t] = base
-            terms = rsp.left_mul_a(mono.a_from_kvec(mono.base.basis_vector(kappa), i0), base)
-            for _ in range(q):
-                terms = rsp.right_mul_x(terms)
-            out.set_col(idx, terms)
+            ti, rest = divmod(idx, bsp.block)
+            if rest == 0:
+                base = self._psi_tuple(r, bsp.tuples[ti])
+            if rest >= mono.dim:
+                out.set_col(idx, rsp.right_mul_x(out.cols[idx - mono.dim]))
+            else:
+                out.set_col(idx, rsp.left_mul_monomial(rest, base))
         self._psi[r] = out
         return out
 
@@ -723,7 +650,7 @@ class BarResolution:
             kappa, i0, t, q = src.unflat(idx)
             if q == 0:
                 continue
-            _add_term(out, tgt.flat(kappa, i0, t + (q,), 0), c)
+            add_term(out, tgt.flat(kappa, i0, t + (q,), 0), c)
         return out
 
     def omega(self, r):
@@ -761,7 +688,7 @@ class BarResolution:
             gen = {}
             for kappa, c in enumerate(mono.base.unit):
                 if c:
-                    _add_term(gen, src.flat(kappa, 0, t, 0), c)
+                    add_term(gen, src.flat(kappa, 0, t, 0), c)
             D = {}
             for idx, c in gen.items():
                 _add_scaled(D, phi_psi.cols[idx], c)
@@ -775,11 +702,11 @@ class BarResolution:
                 val = _negated(val)
             genvals[t] = val
         for idx in range(src.dim):
-            kappa, i0, t, q = src.unflat(idx)
-            col = tgt.left_mul_a(mono.a_from_kvec(mono.base.basis_vector(kappa), i0), genvals[t])
-            for _ in range(q):
-                col = tgt.right_mul_x(col)
-            out.set_col(idx, col)
+            ti, rest = divmod(idx, src.block)
+            if rest >= mono.dim:
+                out.set_col(idx, tgt.right_mul_x(out.cols[idx - mono.dim]))
+            else:
+                out.set_col(idx, tgt.left_mul_monomial(rest, genvals[src.tuples[ti]]))
         self._omega[r] = out
         return out
 
@@ -806,6 +733,7 @@ class InducedComparison:
         self._phi = {}
         self._psi = {}
         self._omega = {}
+        self._wrapped = {}
 
     def _phi_ambient(self, r, m_idx):
         """phi_r of the pure class [m]; ambient bar terms."""
@@ -814,9 +742,7 @@ class InducedComparison:
         sp = self.bar.spaces[r]
         n = mono.n
         m, odd = divmod(r, 2)
-        field = mono.field
-        mvec = [field.zero] * M.dim
-        mvec[m_idx] = field.one
+        m_terms = {m_idx: mono.field.one}
         acc = {}
         for ivec in iproduct(range(1, n + 1), repeat=m):
             if any(i == 1 for i in ivec):
@@ -828,16 +754,15 @@ class InducedComparison:
                 continue
             for ell in iproduct(*[range(1, i) for i in ivec]):
                 e = sum(i - l for i, l in zip(ivec, ell)) - m
-                xe = mono.x_power_reduced(e)
-                mv = M.left_k_vec(lam, M.right_a_vec(xe, mvec))
+                mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power_reduced(e), m_terms))
                 mid = ()
                 for j in range(m - 1, -1, -1):
                     mid += (1, ell[j])
                 if odd:
                     mid += (1,)
-                for i, c in enumerate(mv):
-                    if c:
-                        _add_term(acc, sp.flat(mid, i), c)
+                base = sp.flat(mid, 0)
+                for i, c in mv.items():
+                    add_term(acc, base + i, c)
         return acc
 
     def phi(self, r):
@@ -852,60 +777,67 @@ class InducedComparison:
         self._phi[r] = out
         return out
 
-    def _psi_ambient(self, r, t, m_idx):
-        """psi_r of the pure tensor [m (x) x^{t_1} ..]; dense M-vector."""
-        mono = self.mono
+    def _psi_ambient(self, r, t, m_idx, prod):
+        """psi_r of the pure tensor [m (x) x^{t_1} ..] as M-terms; ``prod`` is
+        the product of the division quotients of x^{t_1 + t_2}, x^{t_3 + t_4}, .."""
         M = self.M
-        field = mono.field
-        m, odd = divmod(r, 2)
-        mvec = [field.zero] * M.dim
-        mvec[m_idx] = field.one
-        prod = mono.one_a()
-        for j in range(m):
-            prod = prod * division_quotient_of_power(mono, t[2 * j] + t[2 * j + 1])
-            if prod.is_zero():
-                return [field.zero] * M.dim
-        base = M.right_a_vec(prod, mvec)
-        if not odd:
+        base = M.a_terms("right", prod, {m_idx: self.mono.field.one})
+        if r % 2 == 0:
             return base
-        out = [field.zero] * M.dim
+        out = {}
         i_last = t[-1]
         for ell in range(i_last):
-            term = M.left_x_pow(i_last - ell - 1, M.right_x_pow(ell, base))
-            out = [a + b for a, b in zip(out, term)]
+            for i, c in M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items():
+                add_term(out, i, c)
         return out
 
     def psi(self, r):
         got = self._psi.get(r)
         if got is not None:
             return got
+        mono = self.mono
         src = self.bar.spaces[r]
         tgt = self.cs.spaces[r]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+        prods = {}
         for qj, idx in enumerate(src.free_columns):
-            qcol = tgt.projection.apply(self._psi_ambient(r, *src.unflat(idx)))
-            out.set_col(qj, {i: e for i, e in enumerate(qcol) if e})
+            t, m_idx = src.unflat(idx)
+            prod = prods.get(t)
+            if prod is None:
+                prod = prods[t] = mono.one_a()
+                for j in range(r // 2):
+                    prod = prods[t] = prod * mono.x_power_quotient(t[2 * j] + t[2 * j + 1])
+            if not prod.is_zero():
+                out.set_col(qj, tgt.project_terms(self._psi_ambient(r, t, m_idx, prod)))
         self._psi[r] = out
         return out
 
-    def _omega_ambient(self, r, t, m_idx):
+    def _wrap(self, m_idx, j, q):
+        """m (x)_{A^e} (e_j (x) .. (x) x^q) = x^q m e_j for m the basis vector
+        m_idx, as M-terms; cached."""
+        key = (m_idx, j, q)
+        got = self._wrapped.get(key)
+        if got is None:
+            M = self.M
+            i0, kappa = divmod(j, self.mono.base.dim)
+            m = M.k_terms("right", self.mono.base.basis_vector(kappa), {m_idx: self.mono.field.one})
+            got = self._wrapped[key] = M.x_terms("left", q, M.x_terms("right", i0, m))
+        return got
+
+    def _omega_ambient(self, gen, m_idx):
         """omega_{r+1} of a pure tensor via the resolution homotopy and the
-        wrap-around m (x)_{A^e} -: terms at bar level r+1."""
-        mono = self.mono
-        M = self.M
-        field = mono.field
-        gen = self.barres.omega_generator(r + 1, t)
-        sp_res = self.barres.spaces[r + 1]
-        tgt = self.bar.spaces[r + 1]
-        mvec = [field.zero] * M.dim
-        mvec[m_idx] = field.one
+        wrap-around m (x)_{A^e} -: terms at bar level r+1, from the generator
+        value ``gen`` = omega'_{r+1}(1 (x) x^t (x) 1)."""
+        dim_a = self.mono.dim
+        tgt_block = self.M.dim
         acc = {}
         for idx, c in gen.items():
-            kappa, i0, mid, q = sp_res.unflat(idx)
-            mv = M.left_x_pow(q, M.right_x_pow(i0, M.right_k_vec(mono.base.basis_vector(kappa), mvec)))
-            for i, e in enumerate(mv):
-                if e:
-                    _add_term(acc, tgt.flat(mid, i), c * e)
+            ti, rest = divmod(idx, self.mono.n * dim_a)
+            q, j = divmod(rest, dim_a)
+            # the middle tuple of the resolution's block ti is that of the bar's block ti
+            base = ti * tgt_block
+            for i, e in self._wrap(m_idx, j, q).items():
+                add_term(acc, base + i, c * e)
         return acc
 
     def omega(self, r):
@@ -916,7 +848,12 @@ class InducedComparison:
         src = self.bar.spaces[r]
         tgt = self.bar.spaces[r + 1]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
+        gens = {}
         for qj, idx in enumerate(src.free_columns):
-            out.set_col(qj, tgt.project_terms(self._omega_ambient(r, *src.unflat(idx))))
+            t, m_idx = src.unflat(idx)
+            gen = gens.get(t)
+            if gen is None:
+                gen = gens[t] = self.barres.omega_generator(r + 1, t)
+            out.set_col(qj, tgt.project_terms(self._omega_ambient(gen, m_idx)))
         self._omega[r] = out
         return out

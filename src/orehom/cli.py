@@ -14,7 +14,6 @@ import os
 import sys
 
 from .algebra import AlgebraError, regular_bimodule
-from .bar import BarComplex
 from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
     MixedComplexData,
@@ -36,7 +35,6 @@ from .perturbation import (
 )
 from .small_complex import (
     HypothesisError,
-    build_cs,
     hh_closed_form,
     hh_dims_eigen,
     hh_rank_one,
@@ -105,9 +103,9 @@ def _element_string(mono, coords):
 def cmd_hh(args):
     parsed = _load_spec(args.spec, args.max_degree)
     mono = parsed.mono
-    M = parsed.bimodule
     md = args.max_degree
-    cs = build_cs(mono, M, md)
+    ws = Workspace(mono, parsed.bimodule)
+    cs = ws.cs(md)
     dims = homology_dims(cs, md - 1)
     report = {
         "command": "hh",
@@ -175,8 +173,7 @@ def cmd_hh(args):
                 "--closed-form: no closed form has its hypothesis verified"
             ]
     if args.oracle:
-        bar = BarComplex(mono, M, md)
-        bar_dims = homology_dims(bar.chain_complex(), md - 1)
+        bar_dims = homology_dims(ws.bar(md).chain_complex(), md - 1)
         report["modes"]["oracle"] = bar_dims
         report["comparisons"].append(
             {"against": "normalized-complex oracle", "agrees": bar_dims == dims}

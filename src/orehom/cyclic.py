@@ -79,11 +79,10 @@ class MixedComplexData:
 def connes_D_generic(mono, r, cs_spaces):
     """Matrix of D_r on the generic small complex for M = A.
 
-    Overlined sums are division quotients by f; classes [lam x^j] are the
-    ambient monomial basis of A.
+    Overlined sums are division quotients by f, read off the cached
+    quotients of the powers of x (the quotient is left K-linear); classes
+    [lam x^j] are the ambient monomial basis of A.
     """
-    from .algebra import divide_by_f
-
     K = mono.base
     field = mono.field
     n = mono.n
@@ -115,20 +114,15 @@ def connes_D_generic(mono, r, cs_spaces):
                     seg = vec_add(total[lo:lo + K.dim], s)
                     total = total[:lo] + seg + total[lo + K.dim:]
                 for u in range(m):
-                    poly = [[field.zero] * K.dim for _ in range(j + n)]
                     for i in range(1, n + 1):
                         lam_ni = mono.f_coefficient(n - i)
-                        if vec_is_zero(lam_ni):
+                        if vec_is_zero(lam_ni) or j + i - 1 < n:
                             continue
                         ssum = [field.zero] * K.dim
                         for l in range(i):
                             ssum = vec_add(ssum, mono.alpha_apply(n * u + l, lam))
-                        poly[j + i - 1] = vec_add(poly[j + i - 1], K.mul_vec(lam_ni, ssum))
-                    quot, _ = divide_by_f(mono, poly)
-                    for jj, kv in enumerate(quot):
-                        lo = jj * K.dim
-                        seg = vec_add(total[lo:lo + K.dim], kv)
-                        total = total[:lo] + seg + total[lo + K.dim:]
+                        quot = mono.x_power_quotient(j + i - 1).k_left(K.mul_vec(lam_ni, ssum))
+                        total = vec_add(total, mono.a_coords(quot))
         qvec = tgt.projection.apply(total)
         out.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
     return out

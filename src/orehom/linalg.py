@@ -227,6 +227,18 @@ def solve(m, b):
     return x
 
 
+def add_term(acc, key, coeff):
+    """acc[key] += coeff in a sparse ``{key: scalar}`` vector, dropping zeros."""
+    if not coeff:
+        return
+    cur = acc.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur:
+        acc[key] = cur
+    elif key in acc:
+        del acc[key]
+
+
 def densify(vec_dict, n, zero):
     """Dense length-n vector of a sparse ``{index: scalar}`` vector."""
     out = [zero] * n
@@ -310,7 +322,7 @@ class SubquotientSpace:
     reproducible.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free")
+    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free", "_proj_cols")
 
     def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, free):
         self.field = field
@@ -320,9 +332,26 @@ class SubquotientSpace:
         self.projection = projection
         self.section = section
         self.free = free
+        self._proj_cols = None
 
     def lift_vec(self, qvec):
         return self.section.apply(qvec)
+
+    def projection_columns(self):
+        """The projection as sparse columns: ambient coordinate -> ``{quotient
+        coordinate: scalar}``; built once."""
+        if self._proj_cols is None:
+            self._proj_cols = ColMap.from_matrix(self.projection).cols
+        return self._proj_cols
+
+    def project_terms(self, terms):
+        """Ambient ``{coordinate: scalar}`` dict -> quotient-coordinate dict."""
+        cols = self.projection_columns()
+        out = {}
+        for c, v in terms.items():
+            for qi, e in cols[c].items():
+                add_term(out, qi, e * v)
+        return out
 
     def __repr__(self):
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"

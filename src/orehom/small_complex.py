@@ -120,8 +120,8 @@ def ensure_collapse(mono, max_degree, report=None):
 
 
 def k_quotient(mono, j):
-    """SubquotientSpace K/[K,K]_{alpha^j}."""
-    return subquotient(mono.field, mono.base.dim, k_commutator_subspace(mono, j))
+    """SubquotientSpace K/[K,K]_{alpha^j}, once per class of alpha^j."""
+    return component_quotient(mono, j, range(mono.base.dim))
 
 
 def build_cs_collapsed(mono, max_degree=6, collapse_report=None):
@@ -180,10 +180,14 @@ def component_mult_rows(mono, idxs, kvec):
 
 
 def component_quotient(mono, j, idxs):
-    idx_set = set(idxs)
-    return subquotient(
-        mono.field, len(idxs), component_commutator_span(mono, j, idxs, idx_set)
-    )
+    """K^w/[K,K]^w_{alpha^j} on the basis indices ``idxs``, computed once per
+    class of alpha^j (``mono.twist``) and kept on ``mono``."""
+    key = (mono.twist(j), tuple(idxs))
+    sq = mono._k_quotients.get(key)
+    if sq is None:
+        spans = component_commutator_span(mono, key[0], key[1], set(idxs))
+        sq = mono._k_quotients[key] = subquotient(mono.field, len(key[1]), spans)
+    return sq
 
 
 def decompose(mono, max_degree=6, collapse_report=None):

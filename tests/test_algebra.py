@@ -2,9 +2,13 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orehom.algebra import (
+    AElement,
     AlgebraError,
+    BaseAlgebra,
     check_collapse,
     character_endomorphism,
     commutator_quotient,
@@ -15,6 +19,7 @@ from orehom.algebra import (
     regular_bimodule,
     twisted_commutator_subspace,
     validate_monogenic,
+    vec_add,
     vec_is_zero,
     vec_sub,
     verify_lambda_breve,
@@ -322,8 +327,8 @@ def test_column_commutators_match_one_hot_reference(name):
         assert commutator_quotient(M, j) is commutator_quotient(M, j + order)
 
 
-def test_alpha_of_infinite_order_keeps_every_twist():
-    # K = Q[e]/(e^2) with alpha(e) = 2e: no power of alpha is the identity
+def _dual_numbers():
+    """K = Q[e]/(e^2) with alpha(e) = 2e: no power of alpha is the identity."""
     doc = {
         "name": "dual-numbers",
         "field": {"kind": "rationals"},
@@ -336,7 +341,11 @@ def test_alpha_of_infinite_order_keeps_every_twist():
         "endomorphism": {"type": "matrix", "matrix": [["1", "0"], ["0", "2"]]},
         "extension": {"n": 2, "lambdas": [["0", "0"], ["0", "0"]]},
     }
-    parsed = parse_spec(doc, max_degree=5)
+    return parse_spec(doc, max_degree=5)
+
+
+def test_alpha_of_infinite_order_keeps_every_twist():
+    parsed = _dual_numbers()
     mono, M = parsed.mono, parsed.bimodule
     assert [mono.twist(j) for j in range(12)] == list(range(12))
     for j in range(6):
@@ -374,3 +383,166 @@ def test_regular_bimodule_validates():
     mono = get_context("rank1:c4").mono
     M = regular_bimodule(mono)
     M._check()  # associativity, unitality, commuting actions, f-relations
+
+
+# -- the multiplication table and the sparse columns against the dense path ----
+
+_DUAL = []
+
+
+def _table_context(name):
+    """(mono, M) of a shipped fixture, of taft:4 (Q(zeta_4), n = 4) or of the
+    dual numbers with alpha of infinite order."""
+    if name == "dual-numbers":
+        if not _DUAL:
+            parsed = _dual_numbers()
+            _DUAL.append((parsed.mono, parsed.bimodule))
+        return _DUAL[0]
+    ctx = get_context(name)
+    return ctx.mono, ctx.M
+
+
+TABLE_FIXTURES = EXAMPLE_NAMES + ("taft:4", "dual-numbers")
+
+
+def _dense_alpha(mono, p, vec):
+    return mono.alpha_pow(p).apply(vec)
+
+
+def _division_product(a, b):
+    """a * b by the twisted polynomial product reduced modulo f: the slow exact
+    reference for the table."""
+    mono = a.mono
+    K = mono.base
+    poly = [[mono.field.zero] * K.dim for _ in range(2 * mono.n - 1)]
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            poly[i + j] = vec_add(poly[i + j], K.mul_vec(u, _dense_alpha(mono, i, v)))
+    return AElement(mono, divide_by_f(mono, poly)[1])
+
+
+def _draw_scalar(data, field):
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree))
+    return field.scalar(coeffs)
+
+
+def _draw_element(data, mono):
+    coords = [
+        _draw_scalar(data, mono.field) if data.draw(st.booleans()) else mono.field.zero
+        for _ in range(mono.dim)
+    ]
+    return mono.a_from_coords(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_product_matches_twisted_division(data):
+    mono, _ = _table_context(data.draw(st.sampled_from(TABLE_FIXTURES)))
+    a, b = _draw_element(data, mono), _draw_element(data, mono)
+    assert a * b == _division_product(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_k_right_and_x_actions_match_twisted_division(data):
+    mono, _ = _table_context(data.draw(st.sampled_from(TABLE_FIXTURES)))
+    K = mono.base
+    a = _draw_element(data, mono)
+    kvec = [_draw_scalar(data, mono.field) for _ in range(K.dim)]
+    twisted = [K.mul_vec(v, _dense_alpha(mono, j, kvec)) for j, v in enumerate(a.coeffs)]
+    assert a.k_right(kvec) == AElement(mono, twisted)
+    zero = [mono.field.zero] * K.dim
+    shifted = [zero] + [_dense_alpha(mono, 1, v) for v in a.coeffs]
+    assert a.x_left() == AElement(mono, divide_by_f(mono, shifted)[1])
+    assert a.x_right() == AElement(mono, divide_by_f(mono, [zero] + a.coeffs)[1])
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_table_matches_twisted_division_on_basis_pairs(name):
+    mono, _ = _table_context(name)
+    one = mono.field.one
+    basis = [mono.a_from_terms({i: one}) for i in range(mono.dim)]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            assert mono.a_from_terms(mono.mul_table()[i][j]) == _division_product(a, b)
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_sparse_alpha_columns_match_dense_powers(name):
+    mono, _ = _table_context(name)
+    K = mono.base
+    for p in range(2 * mono.n + 3):
+        for kappa in range(K.dim):
+            e = K.basis_vector(kappa)
+            assert mono.alpha_apply(p, e) == _dense_alpha(mono, p, e)
+        assert (mono.alpha_columns(p) is None) == (mono.alpha_pow(p) == Matrix.identity(mono.field, K.dim))
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_sparse_action_columns_match_dense_matrices(name):
+    mono, M = _table_context(name)
+    K = mono.base
+    field = mono.field
+    rng = random.Random(7)
+    a = mono.a_from_coords([field.from_int(rng.randint(-2, 2)) for _ in range(mono.dim)])
+    k_mats = [(M._k_action_matrix(kv, M.left_k), M._k_action_matrix(kv, M.right_k)) for kv in a.coeffs]
+
+    def dense_pow(m, p, v):
+        for _ in range(p):
+            v = m.apply(v)
+        return v
+
+    for s in range(M.dim):
+        mvec = [field.zero] * M.dim
+        mvec[s] = field.one
+        for t in range(K.dim):
+            lam = K.basis_vector(t)
+            assert M.left_k_vec(lam, mvec) == M.left_k[t].apply(mvec)
+            assert M.right_k_vec(lam, mvec) == M.right_k[t].apply(mvec)
+        lv, rv = mvec, mvec
+        for p in range(2 * mono.n + 1):
+            assert M.left_x_pow(p, mvec) == lv
+            assert M.right_x_pow(p, mvec) == rv
+            lv, rv = M.left_x.apply(lv), M.right_x.apply(rv)
+        left, right = [field.zero] * M.dim, [field.zero] * M.dim
+        for j, (kmat_l, kmat_r) in enumerate(k_mats):
+            left = vec_add(left, kmat_l.apply(dense_pow(M.left_x, j, mvec)))
+            right = vec_add(right, dense_pow(M.right_x, j, kmat_r.apply(mvec)))
+        assert M.left_a_vec(a, mvec) == left
+        assert M.right_a_vec(a, mvec) == right
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_regular_bimodule_matches_division_products(name):
+    mono, _ = _table_context(name)
+    M = regular_bimodule(mono)
+    one = mono.field.one
+    x = mono.a_from_terms(dict(mono.x_items()))
+    for j in range(mono.dim):
+        e = mono.a_from_terms({j: one})
+        assert M.left_x.column(j) == mono.a_coords(_division_product(x, e))
+        assert M.right_x.column(j) == mono.a_coords(_division_product(e, x))
+        for t in range(mono.base.dim):
+            lam = mono.a_from_kvec(mono.base.basis_vector(t))
+            assert M.left_k[t].column(j) == mono.a_coords(_division_product(lam, e))
+            assert M.right_k[t].column(j) == mono.a_coords(_division_product(e, lam))
+
+
+def test_group_table_associativity_names_the_dense_checks_triple():
+    # a Latin square with two-sided identity e (a loop of order 5) in which
+    # (a a) b = b but a (a b) = a c = d
+    labels = ["e", "a", "b", "c", "d"]
+    rows = [
+        ["e", "a", "b", "c", "d"],
+        ["a", "e", "c", "d", "b"],
+        ["b", "d", "e", "a", "c"],
+        ["c", "b", "d", "e", "a"],
+        ["d", "c", "a", "b", "e"],
+    ]
+    with pytest.raises(AlgebraError, match="associativity fails on triple") as by_table:
+        group_algebra(labels, rows, Q)
+    index = {lab: i for i, lab in enumerate(labels)}
+    sc = [[[Q.one if index[lab] == k else Q.zero for k in range(5)] for lab in row] for row in rows]
+    with pytest.raises(AlgebraError) as by_vectors:
+        BaseAlgebra(Q, labels, sc, [Q.one] + [Q.zero] * 4)
+    assert str(by_table.value) == str(by_vectors.value)

@@ -7,7 +7,6 @@ from orehom.bar import (
     BarComplex,
     BarSpace,
     MonomialTensor,
-    division_quotient_of_power,
     middle_tuples,
 )
 from orehom.complexes import homology_dims
@@ -292,8 +291,9 @@ def test_induced_homotopy_identity():
 
 def test_division_quotient_of_power():
     mono = get_context("sweedler").mono
-    assert division_quotient_of_power(mono, 1).is_zero()
-    assert division_quotient_of_power(mono, 2) == mono.one_a()
+    assert mono.x_power_quotient(1).is_zero()
+    assert mono.x_power_quotient(2) == mono.one_a()
+    assert mono.x_power_quotient(2) is mono.x_power_quotient(2)
 
 
 def test_monomial_tensor_degree():

@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,27 @@ def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
     # C^S and the bar levels up to 8 of taft:3 use the twists 0..16, which
     # fall into the 3 classes of alpha^j (alpha has order 3)
     assert len(seen) == len(set(seen)) == 3
+
+
+def test_verify_divides_by_f_at_most_once_per_table_entry(capsys, monkeypatch):
+    from orehom import algebra
+
+    calls = []
+    original = algebra.divide_by_f
+
+    def counted(mono, poly):
+        calls.append(len(poly))
+        return original(mono, poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orehom") and hasattr(module, "divide_by_f"):
+            monkeypatch.setattr(module, "divide_by_f", counted)
+    code, _ = run(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
+    assert code == 0
+    # products in A read the multiplication table, whose dim(A)^2 entries
+    # bound the twisted divisions, plus the reduced powers of x
+    mono = parse_spec(build_example("taft:3")).mono
+    assert len(calls) <= mono.dim ** 2 + 2 * mono.n
 
 
 @pytest.mark.parametrize("copies", [1, 2], ids=["M=K", "M=K+K"])
