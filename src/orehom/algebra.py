@@ -13,7 +13,7 @@ coefficient conditions, so downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import ColMap, Matrix, add_term, densify, rank, subquotient
+from .linalg import ColMap, EchelonSet, add_term, densify, sparse, subquotient
 
 
 class AlgebraError(ValueError):
@@ -108,22 +108,18 @@ class BaseAlgebra:
                         out[t] = out[t] + c * s
         return out
 
-    def left_mult_matrix(self, u):
-        cols = []
-        for j in range(self.dim):
-            ej = _kvec(self.field, self.dim, [(j, self.field.one)])
-            cols.append(self.mul_vec(u, ej))
-        return Matrix.from_cols(self.field, cols)
+    def left_mult_map(self, u):
+        """Left multiplication by u as a ColMap."""
+        return ColMap(self.field, self.dim, self.dim,
+                      [sparse(self.mul_vec(u, self.basis_vector(j))) for j in range(self.dim)])
 
-    def right_mult_matrix(self, u):
-        cols = []
-        for j in range(self.dim):
-            ej = _kvec(self.field, self.dim, [(j, self.field.one)])
-            cols.append(self.mul_vec(ej, u))
-        return Matrix.from_cols(self.field, cols)
+    def right_mult_map(self, u):
+        """Right multiplication by u as a ColMap."""
+        return ColMap(self.field, self.dim, self.dim,
+                      [sparse(self.mul_vec(self.basis_vector(j), u)) for j in range(self.dim)])
 
     def is_invertible(self, u):
-        return rank(self.left_mult_matrix(u)) == self.dim
+        return EchelonSet(self.field, self.dim, self.left_mult_map(u).dense_cols()).dim == self.dim
 
     def basis_vector(self, i):
         return _kvec(self.field, self.dim, [(i, self.field.one)])
@@ -177,35 +173,36 @@ def group_algebra(labels, multiplication_table, field):
 
 
 class AlgebraEndomorphism:
-    """Unital k-algebra endomorphism of K, given by its matrix on the basis."""
+    """Unital k-algebra endomorphism of K, given by its ColMap on the basis."""
 
-    def __init__(self, base, matrix, check=True):
+    def __init__(self, base, map_, check=True):
         self.base = base
-        self.matrix = matrix
+        self.map = map_
         if check:
             self._check()
 
     def _check(self):
         K = self.base
-        if self.matrix.apply(K.unit) != K.unit:
+        unit = sparse(K.unit)
+        if self.map.apply(unit) != unit:
             raise AlgebraError("endomorphism does not fix the unit")
+        # alpha(e_i e_j) = alpha(e_i) alpha(e_j): alpha o L(e_i) = L(alpha(e_i)) o alpha on e_j
         for i in range(K.dim):
-            ai = self.matrix.column(i)
+            after = self.map.compose(K.left_mult_map(K.basis_vector(i)))
+            before = K.left_mult_map(densify(self.map.cols[i], K.dim, K.field.zero)).compose(self.map)
             for j in range(K.dim):
-                aj = self.matrix.column(j)
-                prod = K.mul_vec(K.basis_vector(i), K.basis_vector(j))
-                if self.matrix.apply(prod) != K.mul_vec(ai, aj):
+                if after.cols[j] != before.cols[j]:
                     raise AlgebraError(
                         "endomorphism is not multiplicative on "
                         f"({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                     )
 
-    def apply(self, vec):
-        return self.matrix.apply(vec)
+    def diagonal(self):
+        """The diagonal entries of the map."""
+        return [col.get(i, self.base.field.zero) for i, col in enumerate(self.map.cols)]
 
     def is_diagonal(self):
-        m = self.matrix
-        return all(not m.entries[i][j] for i in range(m.rows) for j in range(m.cols) if i != j)
+        return all(set(col) <= {j} for j, col in enumerate(self.map.cols))
 
 
 def character_endomorphism(K, chi):
@@ -231,9 +228,9 @@ def character_endomorphism(K, chi):
                 raise AlgebraError(
                     f"character is not multiplicative on pair ({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                 )
-    m = Matrix.zeros(K.field, K.dim, K.dim)
-    for i in range(K.dim):
-        m.entries[i][i] = values[i]
+    m = ColMap(K.field, K.dim, K.dim)
+    for i, v in enumerate(values):
+        m.set_col(i, {i: v})
     endo = AlgebraEndomorphism(K, m, check=False)
     endo._check()
     return endo
@@ -253,9 +250,8 @@ class MonogenicData:
         self.n = n
         self.lambdas = [list(v) for v in lambdas]
         self.dim = base.dim * n
-        self._alpha_pows = [Matrix.identity(base.field, base.dim)]
+        self._alpha_pows = [ColMap.identity(base.field, base.dim)]
         self._alpha_order = None
-        self._alpha_cols = {}  # twist class -> sparse columns of alpha^i, None for the identity
         self._k_commutators = {}  # twist class -> spanning vectors of [K,K]_{alpha^i}
         self._k_commutator_ranks = {}
         self._k_quotients = {}  # (twist class, component indices) -> K-sized SubquotientSpace
@@ -269,10 +265,11 @@ class MonogenicData:
         return self.base.field
 
     def alpha_pow(self, p):
-        """alpha^p; the climb stops at the order of alpha, after which p is reduced modulo it."""
+        """alpha^p as a ColMap; the climb stops at the order of alpha, after which
+        p is reduced modulo it."""
         pows = self._alpha_pows
         while self._alpha_order is None and len(pows) <= p:
-            m = self.alpha.matrix * pows[-1]
+            m = self.alpha.map.compose(pows[-1])
             if m == pows[0]:
                 self._alpha_order = len(pows)
             else:
@@ -287,12 +284,9 @@ class MonogenicData:
 
     def alpha_columns(self, p):
         """alpha^p as sparse columns ``{row: scalar}``, kept once per class of
-        alpha^p; None when alpha^p is the identity."""
+        alpha^p; None when alpha^p is the identity (its class is that of alpha^0)."""
         i = self.twist(p)
-        if i not in self._alpha_cols:
-            m = self.alpha_pow(i)
-            self._alpha_cols[i] = None if m == self._alpha_pows[0] else ColMap.from_matrix(m).cols
-        return self._alpha_cols[i]
+        return None if i == 0 else self.alpha_pow(i).cols
 
     def alpha_apply(self, p, vec):
         """alpha^p of a dense K-vector, as a new list."""
@@ -554,7 +548,7 @@ def validate_monogenic(K, alpha, n, lambdas):
     violations = []
     data = MonogenicData(K, alpha, n, lambdas)
     for i, lam in enumerate(data.lambdas, start=1):
-        if alpha.apply(lam) != lam:
+        if data.alpha_apply(1, lam) != lam:
             violations.append(f"alpha(lam_{i}) != lam_{i}")
         for t in range(K.dim):
             mu = K.basis_vector(t)
@@ -575,11 +569,11 @@ def a_multiply(a, b):
 
 
 class BimoduleData:
-    """A-bimodule via explicit action matrices.
+    """A-bimodule via explicit action maps, each a ColMap on the basis of M.
 
     ``left_k[t]`` / ``right_k[t]`` act by the t-th K-basis element,
     ``left_x`` / ``right_x`` by x.  The right actions are anti-multiplicative
-    as matrices: m.(ab) = R(b) R(a) m.
+    as maps: m.(ab) = R(b) R(a) m.
     """
 
     def __init__(self, mono, dim, left_k, left_x, right_k, right_x, check=True):
@@ -591,7 +585,7 @@ class BimoduleData:
         self.right_x = right_x
         self._quotients = {}
         self._regular = None
-        self._action_cols = None
+        self._x_pows = {}
         if check:
             self._check()
 
@@ -607,82 +601,73 @@ class BimoduleData:
     def _check(self):
         mono = self.mono
         K = mono.base
-        field = K.field
-        ident = Matrix.identity(field, self.dim)
-        lu = self._k_action_matrix(K.unit, self.left_k)
-        ru = self._k_action_matrix(K.unit, self.right_k)
-        if lu != ident or ru != ident:
+        ident = ColMap.identity(mono.field, self.dim)
+        if self.k_map("left", K.unit) != ident or self.k_map("right", K.unit) != ident:
             raise AlgebraError("bimodule actions are not unital")
         for s in range(K.dim):
             for t in range(K.dim):
                 prod = K.mul_vec(K.basis_vector(s), K.basis_vector(t))
-                if self.left_k[s] * self.left_k[t] != self._k_action_matrix(prod, self.left_k):
+                if self.left_k[s].compose(self.left_k[t]) != self.k_map("left", prod):
                     raise AlgebraError("left K-action is not multiplicative")
-                if self.right_k[t] * self.right_k[s] != self._k_action_matrix(prod, self.right_k):
+                if self.right_k[t].compose(self.right_k[s]) != self.k_map("right", prod):
                     raise AlgebraError("right K-action is not anti-multiplicative")
         # left/right actions commute
         lgens = self.left_k + [self.left_x]
         rgens = self.right_k + [self.right_x]
         for lg in lgens:
             for rg in rgens:
-                if lg * rg != rg * lg:
+                if lg.compose(rg) != rg.compose(lg):
                     raise AlgebraError("left and right actions do not commute")
         # Ore relation and the defining polynomial on both sides
         for t in range(K.dim):
             av = mono.alpha_apply(1, K.basis_vector(t))
-            if self.left_x * self.left_k[t] != self._k_action_matrix(av, self.left_k) * self.left_x:
+            if self.left_x.compose(self.left_k[t]) != self.k_map("left", av).compose(self.left_x):
                 raise AlgebraError("left action violates x*lam = alpha(lam)*x")
-            if self.right_k[t] * self.right_x != self.right_x * self._k_action_matrix(av, self.right_k):
+            if self.right_k[t].compose(self.right_x) != self.right_x.compose(self.k_map("right", av)):
                 raise AlgebraError("right action violates x*lam = alpha(lam)*x")
         lf = _power(self.left_x, mono.n, ident)
         rf = _power(self.right_x, mono.n, ident)
         for i in range(1, mono.n + 1):
             lam = mono.f_coefficient(i)
-            lf = lf + self._k_action_matrix(lam, self.left_k) * _power(self.left_x, mono.n - i, ident)
-            rf = rf + _power(self.right_x, mono.n - i, ident) * self._k_action_matrix(lam, self.right_k)
+            lf = lf.add(self.k_map("left", lam).compose(_power(self.left_x, mono.n - i, ident)))
+            rf = rf.add(_power(self.right_x, mono.n - i, ident).compose(self.k_map("right", lam)))
         if not lf.is_zero() or not rf.is_zero():
             raise AlgebraError("actions do not annihilate the defining polynomial f")
 
-    def _k_action_matrix(self, kvec, gens):
-        out = Matrix.zeros(self.mono.field, self.dim, self.dim)
-        for t, c in enumerate(kvec):
-            if c:
-                out = out + gens[t].scale(c)
-        return out
-
-    def _columns(self):
-        """Sparse columns of L(lam_t), R(lam_t), L(x)^p and R(x)^p for p < n,
-        built once from the action matrices."""
-        if self._action_cols is None:
-            ident = Matrix.identity(self.mono.field, self.dim)
-            pows = {"left": [ident], "right": [ident]}
-            for _ in range(1, self.mono.n):
-                pows["left"].append(self.left_x * pows["left"][-1])
-                pows["right"].append(self.right_x * pows["right"][-1])
-            self._action_cols = {
-                side: ([ColMap.from_matrix(m).cols for m in k_mats], [ColMap.from_matrix(m).cols for m in pows[side]])
-                for side, k_mats in (("left", self.left_k), ("right", self.right_k))
-            }
-        return self._action_cols
+    def k_map(self, side, kvec):
+        """The ``side`` action of the K-vector ``kvec`` as a ColMap."""
+        one = self.mono.field.one
+        return ColMap(self.mono.field, self.dim, self.dim,
+                      [self.k_terms(side, kvec, {j: one}) for j in range(self.dim)])
 
     def k_terms(self, side, kvec, terms):
         """The ``side`` ("left" or "right") action of the K-vector ``kvec`` on a
         ``{basis index: scalar}`` dict."""
-        k_cols = self._columns()[side][0]
+        gens = self.left_k if side == "left" else self.right_k
         out = {}
         for t, c in enumerate(kvec):
             if c:
-                _act(out, k_cols[t], terms, c)
+                _act(out, gens[t].cols, terms, c)
         return out
+
+    def _x_powers(self, side):
+        """L(x)^p or R(x)^p for p < n as ColMaps, built once."""
+        pows = self._x_pows.get(side)
+        if pows is None:
+            x = self.left_x if side == "left" else self.right_x
+            pows = self._x_pows[side] = [ColMap.identity(self.mono.field, self.dim)]
+            for _ in range(1, self.mono.n):
+                pows.append(x.compose(pows[-1]))
+        return pows
 
     def x_terms(self, side, p, terms):
         """The ``side`` action of x^p on a ``{basis index: scalar}`` dict."""
-        x_cols = self._columns()[side][1]
-        top = len(x_cols) - 1
+        pows = self._x_powers(side)
+        top = len(pows) - 1
         while p > top:
-            terms = _act({}, x_cols[top], terms)
+            terms = _act({}, pows[top].cols, terms)
             p -= top
-        return _act({}, x_cols[p], terms) if p else dict(terms)
+        return _act({}, pows[p].cols, terms) if p else dict(terms)
 
     def a_terms(self, side, a, terms):
         """The ``side`` action of a = sum_j c_j x^j in A: on the left
@@ -699,33 +684,6 @@ class BimoduleData:
                 add_term(out, i, c)
         return out
 
-    def _dense(self, terms):
-        return densify(terms, self.dim, self.mono.field.zero)
-
-    def left_k_vec(self, kvec, mvec):
-        return self._dense(self.k_terms("left", kvec, _sparse(mvec)))
-
-    def right_k_vec(self, kvec, mvec):
-        return self._dense(self.k_terms("right", kvec, _sparse(mvec)))
-
-    def left_x_pow(self, p, mvec):
-        return self._dense(self.x_terms("left", p, _sparse(mvec)))
-
-    def right_x_pow(self, p, mvec):
-        return self._dense(self.x_terms("right", p, _sparse(mvec)))
-
-    def left_a_vec(self, a, mvec):
-        """Action of a in A on the left: a = sum_j c_j x^j acts by sum L(c_j) L(x)^j."""
-        return self._dense(self.a_terms("left", a, _sparse(mvec)))
-
-    def right_a_vec(self, a, mvec):
-        """Right action by a = sum_j c_j x^j: m.(c_j x^j) = (m.c_j).x^j."""
-        return self._dense(self.a_terms("right", a, _sparse(mvec)))
-
-
-def _sparse(vec):
-    return {i: c for i, c in enumerate(vec) if c}
-
 
 def _act(acc, cols, terms, scale=None):
     """Add the image of ``terms`` under the map with sparse columns ``cols``
@@ -741,7 +699,7 @@ def _act(acc, cols, terms, scale=None):
 def _power(m, p, ident):
     out = ident
     for _ in range(p):
-        out = m * out
+        out = m.compose(out)
     return out
 
 
@@ -752,15 +710,15 @@ def regular_bimodule(mono):
     dim = mono.dim
     table = mono.mul_table()
 
-    def matrix(columns):
-        return ColMap(field, dim, dim, list(columns)).to_matrix()
+    def action(columns):
+        return ColMap(field, dim, dim, [dict(col) for col in columns])
 
     x = mono.x_items()
     # lam_t sits at x^0, so its coordinate is t
-    left_k = [matrix(table[t][j] for j in range(dim)) for t in range(mono.base.dim)]
-    right_k = [matrix(table[j][t] for j in range(dim)) for t in range(mono.base.dim)]
-    left_x = matrix(mono.multiply(x, [(j, field.one)]) for j in range(dim))
-    right_x = matrix(mono.multiply([(j, field.one)], x) for j in range(dim))
+    left_k = [action(table[t][j] for j in range(dim)) for t in range(mono.base.dim)]
+    right_k = [action(table[j][t] for j in range(dim)) for t in range(mono.base.dim)]
+    left_x = action(mono.multiply(x, [(j, field.one)]) for j in range(dim))
+    right_x = action(mono.multiply([(j, field.one)], x) for j in range(dim))
     M = BimoduleData(mono, dim, left_k, left_x, right_k, right_x, check=False)
     M._regular = True
     return M
@@ -772,17 +730,16 @@ def twisted_commutator_subspace(M, j):
     R(alpha^j(lam_t)) - L(lam_t)."""
     mono = M.mono
     K = mono.base
-    twisted = mono.alpha_pow(j)
-    diffs = [
-        (M._k_action_matrix(twisted.column(t), M.right_k) - M.left_k[t]).entries
-        for t in range(K.dim)
-    ]
+    field = mono.field
+    twisted = [mono.alpha_apply(j, K.basis_vector(t)) for t in range(K.dim)]
     spans = []
     for s in range(M.dim):
-        for rows in diffs:
-            v = [row[s] for row in rows]
-            if not vec_is_zero(v):
-                spans.append(v)
+        for t in range(K.dim):
+            v = M.k_terms("right", twisted[t], {s: field.one})
+            for i, c in M.left_k[t].cols[s].items():
+                add_term(v, i, -c)
+            if v:
+                spans.append(densify(v, M.dim, field.zero))
     return spans
 
 
@@ -847,7 +804,7 @@ def check_collapse(mono, max_j):
         r = ranks.get(i)
         if r is None:
             spans = k_commutator_subspace(mono, i)
-            r = ranks[i] = rank(Matrix.from_rows(K.field, spans)) if spans else 0
+            r = ranks[i] = EchelonSet(K.field, K.dim, spans).dim
         entries[j] = (r == K.dim, r)
     return CollapseReport(mono.n, entries)
 
@@ -937,7 +894,7 @@ def eigen_split(K, alpha):
     """
     if not alpha.is_diagonal():
         raise AlgebraError("decomposition unavailable, generic path required")
-    values = [alpha.matrix.entries[i][i] for i in range(K.dim)]
+    values = alpha.diagonal()
     comps = []
     for i, w in enumerate(values):
         for val, idxs in comps:

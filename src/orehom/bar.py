@@ -29,7 +29,7 @@ from .algebra import commutator_quotient, vec_is_zero
 # in every module namespace that holds it (its tests read this binding)
 from .algebra import twisted_commutator_subspace  # noqa: F401
 from .complexes import ChainComplex
-from .linalg import ColMap, add_term
+from .linalg import ColMap, SubquotientSpace, add_term
 from .small_complex import cs_twist
 
 
@@ -85,12 +85,14 @@ class BarSpace:
     spanning set is block-diagonal and RREF is unique, so the free columns,
     the projection and the order of quotient coordinates are those of one
     elimination over the whole ambient space: a quotient coordinate is the
-    block offset plus the block-local free index.  The section is one-hot
-    at the free columns, and no ambient-sized matrix is kept.
+    block offset plus the block-local free index.  Each block keeps the
+    sparse projection columns of its quotient, and lifting puts quotient
+    coordinates at the free columns, as for a ``SubquotientSpace``.
     """
 
     def __init__(self, mono, M, r):
         self.mono = mono
+        self.field = mono.field
         self.M = M
         self.r = r
         self.tuples = middle_tuples(mono.n, r)
@@ -99,27 +101,20 @@ class BarSpace:
         self.ambient_dim = len(self.tuples) * M.dim
         self.block_proj = []    # per tuple: block column -> {block quotient index: entry}
         self.block_offset = []  # per tuple: its first quotient coordinate
-        self.free_columns = []  # per quotient coordinate: its ambient column
+        self.free = []          # per quotient coordinate: its ambient column
         for ti, t in enumerate(self.tuples):
             sq = commutator_quotient(M, sum(t))
-            self.block_proj.append(sq.projection_columns())
-            self.block_offset.append(len(self.free_columns))
-            self.free_columns.extend(ti * M.dim + f for f in sq.free)
-        self.quotient_dim = len(self.free_columns)
+            self.block_proj.append(sq.proj_cols)
+            self.block_offset.append(len(self.free))
+            self.free.extend(ti * M.dim + f for f in sq.free)
+        self.quotient_dim = len(self.free)
 
     @property
     def space(self):
         """The quotient space, which is this object (``quotient_dim``, ``lift_vec``)."""
         return self
 
-    def lift_vec(self, qvec):
-        """Dense quotient vector -> dense ambient vector through the section."""
-        if len(qvec) != self.quotient_dim:
-            raise ValueError("vector length mismatch")
-        out = [self.mono.field.zero] * self.ambient_dim
-        for idx, c in zip(self.free_columns, qvec):
-            out[idx] = c
-        return out
+    lift_vec = SubquotientSpace.lift_vec
 
     def flat(self, t, m_idx):
         return self.tuple_index[t] * self.block + m_idx
@@ -222,7 +217,7 @@ class BarComplex:
         src = self.spaces[r]
         tgt = self.spaces[r - 1]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free_columns):
+        for qj, idx in enumerate(src.free):
             out.set_col(qj, tgt.project_terms(self._b_ambient_column(r, *src.unflat(idx))))
         self._b[r] = out
         return out
@@ -267,7 +262,7 @@ class BarComplex:
         src = self.spaces[r]
         tgt = self.spaces[r + 1]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free_columns):
+        for qj, idx in enumerate(src.free):
             out.set_col(qj, tgt.project_terms(self._B_ambient_column(r, *src.unflat(idx))))
         self._B[r] = out
         return out
@@ -800,7 +795,7 @@ class InducedComparison:
         tgt = self.cs.spaces[r]
         out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
         prods = {}
-        for qj, idx in enumerate(src.free_columns):
+        for qj, idx in enumerate(src.free):
             t, m_idx = src.unflat(idx)
             prod = prods.get(t)
             if prod is None:
@@ -849,7 +844,7 @@ class InducedComparison:
         tgt = self.bar.spaces[r + 1]
         out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
         gens = {}
-        for qj, idx in enumerate(src.free_columns):
+        for qj, idx in enumerate(src.free):
             t, m_idx = src.unflat(idx)
             gen = gens.get(t)
             if gen is None:

@@ -139,7 +139,7 @@ def cmd_hh(args):
     if args.closed_form:
         added = False
         try:
-            if mono.alpha.matrix == _identity(mono):
+            if mono.alpha_columns(1) is None:
                 cf = hh_closed_form(mono, "alpha_identity", md - 1)
                 report["modes"]["closed_form_alpha_identity"] = cf
                 report["comparisons"].append(
@@ -182,12 +182,6 @@ def cmd_hh(args):
         report["audit"] = _dihedral_audit(mono, dims)
     print(_render(report, args.json))
     return 0
-
-
-def _identity(mono):
-    from .linalg import Matrix
-
-    return Matrix.identity(mono.field, mono.base.dim)
 
 
 def _dihedral_displayed_parts(mono):

@@ -4,7 +4,8 @@ A ChainComplex stores one SubquotientSpace per degree 0..max_degree and
 column-sparse boundary maps d_r: C_r -> C_{r-1} in quotient coordinates.
 ``d . d = 0`` is asserted at construction.  Homology is computed by exact
 rank/kernel arithmetic; representatives are cycles lifted to ambient
-coordinates through the section, so they are reproducible.
+coordinates by putting their quotient coordinates at the free columns of
+the space, so they are reproducible.
 """
 
 from __future__ import annotations

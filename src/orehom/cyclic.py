@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import eigen_split, vec_add, vec_is_zero, vec_sub
 from .complexes import ChainComplex, ComplexError, homology, homology_dims
-from .linalg import ColMap, EchelonSet, FullSpace, Matrix, densify, quotient_dim, solve
+from .linalg import ColMap, EchelonSet, densify, quotient_dim, solve, sparse, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -77,7 +77,7 @@ class MixedComplexData:
 # -- the Connes operator on C^S ------------------------------------------------
 
 def connes_D_generic(mono, r, cs_spaces):
-    """Matrix of D_r on the generic small complex for M = A.
+    """D_r on the generic small complex for M = A.
 
     Overlined sums are division quotients by f, read off the cached
     quotients of the powers of x (the quotient is left K-linear); classes
@@ -90,41 +90,33 @@ def connes_D_generic(mono, r, cs_spaces):
     tgt = cs_spaces[r + 1]
     out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
-    for qj in range(src.quotient_dim):
-        amb = src.section.column(qj)
+    for qj, idx in enumerate(src.free):
         total = [field.zero] * mono.dim
-        for idx, c in enumerate(amb):
-            if not c:
-                continue
-            j, kappa = divmod(idx, K.dim)
-            lam = [c * e for e in K.basis_vector(kappa)]
-            if odd:
-                if j == n - 1:
-                    w = [field.zero] * K.dim
-                    for u in range(m + 1):
-                        w = vec_add(w, mono.alpha_apply(n * u, lam))
-                    val = vec_sub(w, mono.alpha_apply(1, w))
-                    total = vec_add(total[:K.dim], val) + total[K.dim:]
-            else:
-                if j >= 1:
-                    s = [field.zero] * K.dim
-                    for h in range(j):
-                        s = vec_add(s, mono.alpha_apply(m * n + h, lam))
-                    lo = (j - 1) * K.dim
-                    seg = vec_add(total[lo:lo + K.dim], s)
-                    total = total[:lo] + seg + total[lo + K.dim:]
-                for u in range(m):
-                    for i in range(1, n + 1):
-                        lam_ni = mono.f_coefficient(n - i)
-                        if vec_is_zero(lam_ni) or j + i - 1 < n:
-                            continue
-                        ssum = [field.zero] * K.dim
-                        for l in range(i):
-                            ssum = vec_add(ssum, mono.alpha_apply(n * u + l, lam))
-                        quot = mono.x_power_quotient(j + i - 1).k_left(K.mul_vec(lam_ni, ssum))
-                        total = vec_add(total, mono.a_coords(quot))
-        qvec = tgt.projection.apply(total)
-        out.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
+        j, kappa = divmod(idx, K.dim)
+        lam = K.basis_vector(kappa)
+        if odd:
+            if j == n - 1:
+                w = [field.zero] * K.dim
+                for u in range(m + 1):
+                    w = vec_add(w, mono.alpha_apply(n * u, lam))
+                total[:K.dim] = vec_sub(w, mono.alpha_apply(1, w))
+        else:
+            if j >= 1:
+                s = [field.zero] * K.dim
+                for h in range(j):
+                    s = vec_add(s, mono.alpha_apply(m * n + h, lam))
+                total[(j - 1) * K.dim:j * K.dim] = s
+            for u in range(m):
+                for i in range(1, n + 1):
+                    lam_ni = mono.f_coefficient(n - i)
+                    if vec_is_zero(lam_ni) or j + i - 1 < n:
+                        continue
+                    ssum = [field.zero] * K.dim
+                    for l in range(i):
+                        ssum = vec_add(ssum, mono.alpha_apply(n * u + l, lam))
+                    quot = mono.x_power_quotient(j + i - 1).k_left(K.mul_vec(lam_ni, ssum))
+                    total = vec_add(total, mono.a_coords(quot))
+        out.set_col(qj, tgt.project_terms(sparse(total)))
     return out
 
 
@@ -139,14 +131,12 @@ def connes_D_collapsed(mono, r, cs_spaces):
     m, odd = divmod(r, 2)
     if not odd:
         return out
-    for qj in range(src.quotient_dim):
-        lam = src.section.column(qj)
+    for qj, idx in enumerate(src.free):
+        lam = K.basis_vector(idx)
         w = [field.zero] * K.dim
         for u in range(m + 1):
             w = vec_add(w, mono.alpha_apply(mono.n * u, lam))
-        val = vec_sub(w, mono.alpha_apply(1, w))
-        qvec = tgt.projection.apply(val)
-        out.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
+        out.set_col(qj, tgt.project_terms(sparse(vec_sub(w, mono.alpha_apply(1, w)))))
     return out
 
 
@@ -163,10 +153,8 @@ def connes_D_component(mono, r, cs_spaces, w, idxs):
     scalar = (field.one - w) * sum((w ** (mono.n * u) for u in range(m + 1)), field.zero)
     if not scalar:
         return out
-    for qj in range(src.quotient_dim):
-        lam = src.section.column(qj)
-        qvec = tgt.projection.apply([scalar * c for c in lam])
-        out.set_col(qj, {i: e for i, e in enumerate(qvec) if e})
+    for qj, idx in enumerate(src.free):
+        out.set_col(qj, tgt.project_terms({idx: scalar}))
     return out
 
 
@@ -250,7 +238,7 @@ class BCTotal:
                 off += d
                 p += 1
             self.blocks.append(blocks)
-            spaces.append(FullSpace(off))
+            spaces.append(subquotient(field, off, []))
         boundaries = {}
         for N in range(1, max_N + 1):
             src_blocks = self.blocks[N]
@@ -509,6 +497,11 @@ def _top_ambiguity(tot, m):
     return EchelonSet(tot.mixed.field, tot.mixed.dim(N), (tot.block(N, 0, v) for v in cols))
 
 
+def _project(space, vec):
+    """Dense ambient vector -> dense quotient vector of ``space``."""
+    return densify(space.project_terms(sparse(vec)), space.quotient_dim, space.field.zero)
+
+
 def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, scalar=None):
     """Lift a quotient class, optionally K-multiply and scale, reproject."""
     K = mono.base
@@ -525,7 +518,7 @@ def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, sca
         local = [full[i] for i in idxs]
     if scalar is not None:
         local = [scalar * c for c in local]
-    return spaces[r_to].projection.apply(local)
+    return _project(spaces[r_to], local)
 
 
 def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
@@ -597,13 +590,12 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
                 v = [field.zero] * d0
                 v[t] = field.one
                 aug_cols.append(tot.inject(N, m, v))
-            aug = Matrix.from_cols(field, aug_cols)
             inv_mfact = field.from_fraction(Fraction(1, factorial(m)))
             lam_pow = _power_vec(mono, lam_n, m)
             for rep in hh_even.representatives:
-                qrep = mixed.spaces[2 * m].projection.apply(rep)
+                qrep = _project(mixed.spaces[2 * m], rep)
                 rhs = tot.inject(N, 0, qrep)
-                sol = solve(aug, rhs)
+                sol = solve(field, aug_cols, rhs)
                 if sol is None:
                     ok_b = False
                     continue
@@ -623,7 +615,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             bd = EchelonSet(field, mixed.dim(2 * m + 1), cx.boundary(2 * m + 2).dense_cols())
             for rep in hc_even.representatives:
                 z0 = tot.block(2 * m, 0, rep)
-                img = mixed.B[2 * m].apply({i: c for i, c in enumerate(z0) if c})
+                img = mixed.B[2 * m].apply(sparse(z0))
                 if not bd.contains(densify(img, mixed.dim(2 * m + 1), field.zero)):
                     ok_c = False
             entries.append({
@@ -667,7 +659,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             rank_tau = 0
             tau_classes = EchelonSet(field, mixed.dim(2 * m + 1))
             for rep in hh_odd.representatives:
-                qrep = mixed.spaces[2 * m + 1].projection.apply(rep)
+                qrep = _project(mixed.spaces[2 * m + 1], rep)
                 if tot_bd.add(tot.inject(2 * m + 1, 0, qrep)):
                     rank_i += 1
                 if tau_classes.add(T_lo.reduce(qrep)):
@@ -684,7 +676,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             bd2 = EchelonSet(field, mixed.dim(2 * m + 2), cx.boundary(2 * m + 3).dense_cols())
             for rep in hc_odd.representatives:
                 z0 = tot.block(2 * m + 1, 0, rep)
-                img = mixed.B[2 * m + 1].apply({i: c for i, c in enumerate(z0) if c})
+                img = mixed.B[2 * m + 1].apply(sparse(z0))
                 dense = densify(img, mixed.dim(2 * m + 2), field.zero)
                 expect = _component_scale_mult(
                     mono, idxs, mixed.spaces, 2 * m + 1, 2 * m + 2, z0, scalar=scalar_f

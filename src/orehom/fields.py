@@ -236,8 +236,15 @@ class CycScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        deg = self.field.degree
         a, b = self.coeffs, o.coeffs
+        # a rational factor (no coefficient past the first) only scales the other
+        if not any(b[1:]):
+            c = b[0]
+            return CycScalar(self.field, tuple(c * x for x in a))
+        if not any(a[1:]):
+            c = a[0]
+            return CycScalar(self.field, tuple(c * x for x in b))
+        deg = self.field.degree
         prod = [Fraction(0)] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if not ai:

@@ -1,11 +1,13 @@
-"""Exact elimination, dense matrices, subquotient spaces, and sparse chain maps.
+"""Exact elimination, subquotient spaces, and sparse linear maps.
 
 Every rank, kernel, span and quotient computation of the package goes
 through ``rref``, ``kernel_basis`` and ``EchelonSet`` here.  Everything is
-over a fixed exact field (Q or a cyclotomic field).  Matrices are dense
-row-major lists and intended for desk-scale dimensions; the chain-map
-assembly code uses the column-sparse ``ColMap`` representation instead and
-only densifies for rank / homology computations.
+over a fixed exact field (Q or a cyclotomic field).  Every linear map of the
+package (boundaries, comparison maps, alpha, the bimodule actions) is a
+column-sparse ``ColMap``, and a quotient space keeps its projection as sparse
+columns too.  The dense row-major ``Matrix`` is only the input of
+elimination: ``ColMap.to_matrix`` and ``Matrix.from_rows``/``from_cols``
+build one for ``rref``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ def pivot_score(x):
 
 
 class Matrix:
-    """Dense matrix over an exact field; entries in row-major order."""
+    """Dense matrix over an exact field, entries in row-major order: the input
+    of ``rref`` and of the elimination built on it."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -45,11 +48,6 @@ class Matrix:
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_rows(cls, field, row_list):
         rows = len(row_list)
         cols = len(row_list[0]) if rows else 0
@@ -62,37 +60,9 @@ class Matrix:
         nrows = len(col_list[0])
         return cls(field, nrows, len(col_list), [[c[i] for c in col_list] for i in range(nrows)])
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            # dense product, skipping zero entries (both factors are often sparse)
-            a_rows, b_rows = self.entries, other.entries
-            n, k, m = self.rows, self.cols, other.cols
-            out = [[self.field.zero] * m for _ in range(n)]
-            for i in range(n):
-                arow = a_rows[i]
-                orow = out[i]
-                for t in range(k):
-                    ait = arow[t]
-                    if not ait:
-                        continue
-                    brow = b_rows[t]
-                    for j in range(m):
-                        btj = brow[j]
-                        if btj:
-                            orow[j] = orow[j] + ait * btj
-            return Matrix(self.field, n, m, out)
-        return NotImplemented
-
     def apply(self, vec):
-        """Matrix times a dense vector."""
+        """Matrix times a dense vector.  The package has no caller; the
+        benchmark's tracer (``perfbench/tracer.py``) names this method."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         z = self.field.zero
@@ -104,37 +74,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return out
-
-    def scale(self, c):
-        return Matrix(self.field, self.rows, self.cols, [[c * e for e in row] for row in self.entries])
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + other.scale(-self.field.one)
-
-    def __neg__(self):
-        return self.scale(-self.field.one)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
@@ -212,18 +151,15 @@ def kernel_basis(m):
     return basis
 
 
-def solve(m, b):
-    """One solution of ``m x = b``, or None if inconsistent."""
-    aug = Matrix(
-        m.field, m.rows, m.cols + 1,
-        [list(row) + [bv] for row, bv in zip(m.entries, b)],
-    )
-    red, pivots = rref(aug)
-    if m.cols in pivots:
+def solve(field, columns, b):
+    """One x with sum_j x[j] * columns[j] = b, or None if there is none."""
+    n = len(columns)
+    red, pivots = rref(Matrix.from_cols(field, list(columns) + [b]))
+    if n in pivots:
         return None
-    x = [m.field.zero] * m.cols
+    x = [field.zero] * n
     for r, p in enumerate(pivots):
-        x[p] = red.entries[r][m.cols]
+        x[p] = red.entries[r][n]
     return x
 
 
@@ -245,6 +181,11 @@ def densify(vec_dict, n, zero):
     for i, e in vec_dict.items():
         out[i] = e
     return out
+
+
+def sparse(vec):
+    """Sparse ``{index: scalar}`` vector of a dense one (the inverse of ``densify``)."""
+    return {i: c for i, c in enumerate(vec) if c}
 
 
 class EchelonSet:
@@ -312,41 +253,38 @@ def quotient_dim(field, dim, numerator, denominator):
 
 
 class SubquotientSpace:
-    """Quotient of a based k-space by a computed subspace.
+    """Quotient of k^ambient_dim by the span of computed vectors.
 
-    Carries the echelonized basis of the subspace, the projection to
-    quotient coordinates and the section picking the complement of the
-    pivot coordinates (``free``, ascending; quotient coordinate i is the
-    class of ambient coordinate ``free[i]``), so that
-    ``projection * section = id`` and homology representatives are
-    reproducible.
+    Quotient coordinate i is the class of ambient coordinate ``free[i]``;
+    ``free`` lists, ascending, the columns that are not pivots of the reduced
+    echelon basis of the span.  ``proj_cols[c]`` is the class of e_c as a
+    sparse ``{quotient coordinate: scalar}`` dict: ``{i: 1}`` for c = free[i],
+    minus the free entries of the echelon row for a pivot column c.  Lifting
+    puts quotient coordinates back at the free columns, so projecting a lift
+    is the identity and homology representatives are reproducible.
     """
 
-    __slots__ = ("field", "ambient_dim", "sub_basis", "quotient_dim", "projection", "section", "free", "_proj_cols")
+    __slots__ = ("field", "ambient_dim", "quotient_dim", "free", "proj_cols")
 
-    def __init__(self, field, ambient_dim, sub_basis, quotient_dim, projection, section, free):
+    def __init__(self, field, ambient_dim, free, proj_cols):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.sub_basis = sub_basis
-        self.quotient_dim = quotient_dim
-        self.projection = projection
-        self.section = section
+        self.quotient_dim = len(free)
         self.free = free
-        self._proj_cols = None
+        self.proj_cols = proj_cols
 
     def lift_vec(self, qvec):
-        return self.section.apply(qvec)
-
-    def projection_columns(self):
-        """The projection as sparse columns: ambient coordinate -> ``{quotient
-        coordinate: scalar}``; built once."""
-        if self._proj_cols is None:
-            self._proj_cols = ColMap.from_matrix(self.projection).cols
-        return self._proj_cols
+        """Dense quotient vector -> dense ambient vector, zero off the free columns."""
+        if len(qvec) != self.quotient_dim:
+            raise ValueError("vector length mismatch")
+        out = [self.field.zero] * self.ambient_dim
+        for idx, c in zip(self.free, qvec):
+            out[idx] = c
+        return out
 
     def project_terms(self, terms):
         """Ambient ``{coordinate: scalar}`` dict -> quotient-coordinate dict."""
-        cols = self.projection_columns()
+        cols = self.proj_cols
         out = {}
         for c, v in terms.items():
             for qi, e in cols[c].items():
@@ -357,60 +295,31 @@ class SubquotientSpace:
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"
 
 
-class FullSpace:
-    """k^dim with nothing divided out; quotient coordinates are ambient ones."""
-
-    __slots__ = ("ambient_dim", "quotient_dim")
-
-    def __init__(self, dim):
-        self.ambient_dim = self.quotient_dim = dim
-
-    def lift_vec(self, qvec):
-        return list(qvec)
-
-
 def subquotient(field, ambient_dim, spanning_vectors):
     """Subquotient of k^ambient_dim by the span of the given vectors."""
     for v in spanning_vectors:
         if len(v) != ambient_dim:
             raise ValueError("spanning vector of wrong length")
+    rows, pivots = [], []
     if spanning_vectors:
-        m = Matrix.from_rows(field, spanning_vectors)
-        red, pivots = rref(m)
-        basis_rows = [red.entries[r] for r in range(len(pivots))]
-    else:
-        red, pivots, basis_rows = None, [], []
+        red, pivots = rref(Matrix.from_rows(field, spanning_vectors))
+        rows = red.entries
     pivot_set = set(pivots)
     free = [c for c in range(ambient_dim) if c not in pivot_set]
-    qdim = len(free)
-    z, o = field.zero, field.one
-    # projection: class of e_c in quotient coordinates indexed by free cols
-    proj = [[z] * ambient_dim for _ in range(qdim)]
+    proj_cols = [None] * ambient_dim
     for qi, f in enumerate(free):
-        proj[qi][f] = o
-    for r, p in enumerate(pivots):
-        row = basis_rows[r]
-        for qi, f in enumerate(free):
-            if row[f]:
-                proj[qi][p] = -row[f]
-    sec = [[z] * qdim for _ in range(ambient_dim)]
-    for qi, f in enumerate(free):
-        sec[f][qi] = o
-    sub = Matrix.from_rows(field, basis_rows) if basis_rows else Matrix.zeros(field, 0, ambient_dim)
-    return SubquotientSpace(
-        field, ambient_dim, sub, qdim,
-        Matrix(field, qdim, ambient_dim, proj),
-        Matrix(field, ambient_dim, qdim, sec),
-        free,
-    )
+        proj_cols[f] = {qi: field.one}
+    for row, p in zip(rows, pivots):
+        proj_cols[p] = {qi: -row[f] for qi, f in enumerate(free) if row[f]}
+    return SubquotientSpace(field, ambient_dim, free, proj_cols)
 
 
 class ColMap:
     """Column-sparse linear map between based spaces.
 
     ``cols[j]`` maps the j-th domain basis vector to a dict
-    ``{row_index: scalar}``.  This is the working representation for chain
-    maps and boundaries; densify only for rank / homology computations.
+    ``{row_index: scalar}`` holding no zero scalar.  Densify only for
+    elimination.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -424,18 +333,6 @@ class ColMap:
     @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
-
-    @classmethod
-    def from_matrix(cls, m):
-        cols = []
-        for j in range(m.cols):
-            col = {}
-            for i in range(m.rows):
-                e = m.entries[i][j]
-                if e:
-                    col[i] = e
-            cols.append(col)
-        return cls(m.field, m.rows, m.cols, cols)
 
     def dense_cols(self):
         """The columns as dense vectors of length ``nrows``, one at a time."""

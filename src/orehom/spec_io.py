@@ -55,7 +55,7 @@ from .algebra import (
     verify_lambda_breve,
 )
 from .fields import make_field
-from .linalg import Matrix
+from .linalg import ColMap
 
 
 # -- scalar / vector codecs ---------------------------------------------------
@@ -90,11 +90,12 @@ def decode_kvec(field, obj, dim, path="vector"):
     return [decode_scalar(field, c, f"{path}[{i}]") for i, c in enumerate(obj)]
 
 
-def _decode_matrix(field, obj, dim, path):
-    """A dim x dim matrix from its list of rows."""
+def _decode_map(field, obj, dim, path):
+    """The ColMap of a dim x dim matrix given as its list of rows."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise AlgebraError(f"{path} must be a list of {dim} rows")
-    return Matrix.from_rows(field, [decode_kvec(field, r, dim, f"{path}[{i}]") for i, r in enumerate(obj)])
+    rows = [decode_kvec(field, r, dim, f"{path}[{i}]") for i, r in enumerate(obj)]
+    return ColMap(field, dim, dim, [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(dim)])
 
 
 # -- group table builders -----------------------------------------------------
@@ -294,7 +295,7 @@ def _decode_endomorphism(field, K, obj):
     if kind == "character":
         return character_endomorphism(K, _decode_character(field, obj, "values", path))
     if kind == "matrix":
-        return AlgebraEndomorphism(K, _decode_matrix(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix"))
+        return AlgebraEndomorphism(K, _decode_map(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix"))
     raise AlgebraError(f"unknown endomorphism type {kind!r}")
 
 
@@ -313,12 +314,12 @@ def _decode_bimodule(mono, obj):
             ms = _key(obj, key, path, list)
             if len(ms) != mono.base.dim:
                 raise AlgebraError(f"{path}.{key} needs {mono.base.dim} matrices, one per K-basis element")
-            return [_decode_matrix(field, m, dim, f"{path}.{key}[{t}]") for t, m in enumerate(ms)]
+            return [_decode_map(field, m, dim, f"{path}.{key}[{t}]") for t, m in enumerate(ms)]
 
         return BimoduleData(
             mono, dim,
-            matrices("left_k"), _decode_matrix(field, _key(obj, "left_x", path), dim, f"{path}.left_x"),
-            matrices("right_k"), _decode_matrix(field, _key(obj, "right_x", path), dim, f"{path}.right_x"),
+            matrices("left_k"), _decode_map(field, _key(obj, "left_x", path), dim, f"{path}.left_x"),
+            matrices("right_k"), _decode_map(field, _key(obj, "right_x", path), dim, f"{path}.right_x"),
         )
     raise AlgebraError(f"unknown bimodule type {kind!r}")
 
@@ -404,7 +405,7 @@ def parse_spec(doc, max_degree=6):
             if gt[g1_idx][j] != gt[j][g1_idx]:
                 raise AlgebraError(f"g1 = {g1!r} is not central (witness {labels[j]!r})")
         alpha = character_endomorphism(K, chi)
-        values = [alpha.matrix.entries[i][i] for i in range(K.dim)]
+        values = alpha.diagonal()
         w = values[g1_idx]
         for j in range(1, n):
             if w ** j == field.one:

@@ -21,13 +21,12 @@ from orehom.algebra import (
     validate_monogenic,
     vec_add,
     vec_is_zero,
-    vec_sub,
     verify_lambda_breve,
 )
 from orehom.bar import BarComplex
 from orehom.complexes import homology_dims
 from orehom.fields import make_field
-from orehom.linalg import Matrix, rank
+from orehom.linalg import ColMap, Matrix, densify, rank, sparse
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
@@ -68,9 +67,7 @@ def test_group_algebra_bad_rows_rejected():
 def test_character_c2():
     K = group_algebra(["e", "g"], [["e", "g"], ["g", "e"]], Q)
     alpha = character_endomorphism(K, {"e": 1, "g": -1})
-    m = alpha.matrix
-    assert m.entries[0][0] == 1 and m.entries[1][1] == -1
-    assert not m.entries[0][1] and not m.entries[1][0]
+    assert alpha.map.cols == [{0: 1}, {1: -1}]
 
 
 def test_character_dihedral_reflections():
@@ -80,7 +77,7 @@ def test_character_dihedral_reflections():
     alpha = character_endomorphism(K, chi)
     for i, lab in enumerate(labels):
         expect = Fr(-1) if lab.endswith("h") else Fr(1)
-        assert alpha.matrix.entries[i][i] == expect
+        assert alpha.map.cols[i] == {i: expect}
 
 
 def test_character_not_multiplicative_rejected():
@@ -267,12 +264,8 @@ def test_eigen_split_rejects_non_diagonal():
     labels, table = cyclic_group(3)
     F3 = make_field("cyclotomic", 3)
     K = group_algebra(labels, table, F3)
-    # the cyclic shift g -> g^2 -> e is an algebra map but not diagonal
-    m = Matrix.zeros(F3, 3, 3)
-    m.entries[0][0] = F3.one
-    m.entries[2][1] = F3.one
-    m.entries[1][2] = F3.one
-    alpha = AlgebraEndomorphism(K, m)
+    # the swap g <-> g^2 is an algebra map but not diagonal
+    alpha = AlgebraEndomorphism(K, ColMap(F3, 3, 3, [{0: F3.one}, {2: F3.one}, {1: F3.one}]))
     with pytest.raises(AlgebraError, match="generic path"):
         eigen_split(K, alpha)
 
@@ -296,22 +289,22 @@ def test_commutator_alpha_period_compatibility():
 
 
 def _one_hot_commutators(M, j):
-    """[M,K]_{alpha^j} spanning vectors by applying the actions to one-hot
-    vectors, with alpha^j multiplied out afresh (the reference for
-    ``twisted_commutator_subspace``)."""
+    """[M,K]_{alpha^j} spanning vectors for M = A, m_s alpha^j(lam_t) - lam_t m_s
+    by twisted division products, with alpha^j composed afresh (the reference
+    for ``twisted_commutator_subspace``)."""
     mono = M.mono
     K = mono.base
     field = mono.field
-    power = Matrix.identity(field, K.dim)
+    power = ColMap.identity(field, K.dim)
     for _ in range(j):
-        power = mono.alpha.matrix * power
+        power = mono.alpha.map.compose(power)
     spans = []
     for s in range(M.dim):
-        mvec = [field.zero] * M.dim
-        mvec[s] = field.one
+        m = mono.a_from_terms({s: field.one})
         for t in range(K.dim):
-            lam = K.basis_vector(t)
-            v = vec_sub(M.right_k_vec(power.apply(lam), mvec), M.left_k_vec(lam, mvec))
+            lam = mono.a_from_kvec(K.basis_vector(t))
+            twisted = mono.a_from_kvec(densify(power.cols[t], K.dim, field.zero))
+            v = mono.a_coords(_division_product(m, twisted) - _division_product(lam, m))
             if not vec_is_zero(v):
                 spans.append(v)
     return spans
@@ -406,7 +399,11 @@ TABLE_FIXTURES = EXAMPLE_NAMES + ("taft:4", "dual-numbers")
 
 
 def _dense_alpha(mono, p, vec):
-    return mono.alpha_pow(p).apply(vec)
+    """alpha^p of a dense K-vector by p applications of alpha's map."""
+    out = sparse(vec)
+    for _ in range(p):
+        out = mono.alpha.map.apply(out)
+    return densify(out, mono.base.dim, mono.field.zero)
 
 
 def _division_product(a, b):
@@ -471,45 +468,43 @@ def test_table_matches_twisted_division_on_basis_pairs(name):
 def test_sparse_alpha_columns_match_dense_powers(name):
     mono, _ = _table_context(name)
     K = mono.base
+    ident = ColMap.identity(mono.field, K.dim)
+    power = ident
     for p in range(2 * mono.n + 3):
         for kappa in range(K.dim):
             e = K.basis_vector(kappa)
             assert mono.alpha_apply(p, e) == _dense_alpha(mono, p, e)
-        assert (mono.alpha_columns(p) is None) == (mono.alpha_pow(p) == Matrix.identity(mono.field, K.dim))
+        assert (mono.alpha_columns(p) is None) == (power == ident)
+        power = mono.alpha.map.compose(power)
 
 
 @pytest.mark.parametrize("name", TABLE_FIXTURES)
 def test_sparse_action_columns_match_dense_matrices(name):
+    # M = A: each action is a product in A, computed by twisted division
     mono, M = _table_context(name)
     K = mono.base
     field = mono.field
     rng = random.Random(7)
     a = mono.a_from_coords([field.from_int(rng.randint(-2, 2)) for _ in range(mono.dim)])
-    k_mats = [(M._k_action_matrix(kv, M.left_k), M._k_action_matrix(kv, M.right_k)) for kv in a.coeffs]
+    x = mono.a_from_terms(dict(mono.x_items()))
 
-    def dense_pow(m, p, v):
-        for _ in range(p):
-            v = m.apply(v)
-        return v
+    def terms(elem):
+        return sparse(mono.a_coords(elem))
 
     for s in range(M.dim):
-        mvec = [field.zero] * M.dim
-        mvec[s] = field.one
+        one_hot = {s: field.one}
+        m = mono.a_from_terms(one_hot)
         for t in range(K.dim):
             lam = K.basis_vector(t)
-            assert M.left_k_vec(lam, mvec) == M.left_k[t].apply(mvec)
-            assert M.right_k_vec(lam, mvec) == M.right_k[t].apply(mvec)
-        lv, rv = mvec, mvec
+            assert M.k_terms("left", lam, one_hot) == terms(_division_product(mono.a_from_kvec(lam), m))
+            assert M.k_terms("right", lam, one_hot) == terms(_division_product(m, mono.a_from_kvec(lam)))
+        lv, rv = m, m
         for p in range(2 * mono.n + 1):
-            assert M.left_x_pow(p, mvec) == lv
-            assert M.right_x_pow(p, mvec) == rv
-            lv, rv = M.left_x.apply(lv), M.right_x.apply(rv)
-        left, right = [field.zero] * M.dim, [field.zero] * M.dim
-        for j, (kmat_l, kmat_r) in enumerate(k_mats):
-            left = vec_add(left, kmat_l.apply(dense_pow(M.left_x, j, mvec)))
-            right = vec_add(right, dense_pow(M.right_x, j, kmat_r.apply(mvec)))
-        assert M.left_a_vec(a, mvec) == left
-        assert M.right_a_vec(a, mvec) == right
+            assert M.x_terms("left", p, one_hot) == terms(lv)
+            assert M.x_terms("right", p, one_hot) == terms(rv)
+            lv, rv = _division_product(x, lv), _division_product(rv, x)
+        assert M.a_terms("left", a, one_hot) == terms(_division_product(a, m))
+        assert M.a_terms("right", a, one_hot) == terms(_division_product(m, a))
 
 
 @pytest.mark.parametrize("name", TABLE_FIXTURES)
@@ -520,12 +515,12 @@ def test_regular_bimodule_matches_division_products(name):
     x = mono.a_from_terms(dict(mono.x_items()))
     for j in range(mono.dim):
         e = mono.a_from_terms({j: one})
-        assert M.left_x.column(j) == mono.a_coords(_division_product(x, e))
-        assert M.right_x.column(j) == mono.a_coords(_division_product(e, x))
+        assert M.left_x.cols[j] == sparse(mono.a_coords(_division_product(x, e)))
+        assert M.right_x.cols[j] == sparse(mono.a_coords(_division_product(e, x)))
         for t in range(mono.base.dim):
             lam = mono.a_from_kvec(mono.base.basis_vector(t))
-            assert M.left_k[t].column(j) == mono.a_coords(_division_product(lam, e))
-            assert M.right_k[t].column(j) == mono.a_coords(_division_product(e, lam))
+            assert M.left_k[t].cols[j] == sparse(mono.a_coords(_division_product(lam, e)))
+            assert M.right_k[t].cols[j] == sparse(mono.a_coords(_division_product(e, lam)))
 
 
 def test_group_table_associativity_names_the_dense_checks_triple():

@@ -362,8 +362,8 @@ def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
     def blocks(m):
         rows = [[encode_scalar(F, F.zero)] * dim for _ in range(dim)]
         for c in range(copies):
-            for i, row in enumerate(m.entries):
-                for j, e in enumerate(row):
+            for j, col in enumerate(m.cols):
+                for i, e in col.items():
                     rows[c * K.dim + i][c * K.dim + j] = encode_scalar(F, e)
         return rows
 
@@ -371,9 +371,9 @@ def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
     doc["bimodule"] = {
         "type": "matrices",
         "dim": dim,
-        "left_k": [blocks(K.left_mult_matrix(K.basis_vector(t))) for t in range(K.dim)],
+        "left_k": [blocks(K.left_mult_map(K.basis_vector(t))) for t in range(K.dim)],
         "left_x": zero,
-        "right_k": [blocks(K.right_mult_matrix(K.basis_vector(t))) for t in range(K.dim)],
+        "right_k": [blocks(K.right_mult_map(K.basis_vector(t))) for t in range(K.dim)],
         "right_x": zero,
     }
     p = tmp_path / "coefficients.json"

@@ -43,11 +43,11 @@ def test_connes_D_sweedler_odd():
     ctx = get_context("sweedler")
     mono = ctx.mono
     mixed = build_mixed(mono, 4, mode="collapsed")
-    D1 = mixed.B[1].to_matrix()
+    D1 = list(mixed.B[1].dense_cols())
     # D_1([g] x) = [2g]; D_1([1] x) = [1 - alpha(1)] = 0
-    col_g = D1.column(1)
+    col_g = D1[1]
     assert col_g == [mono.field.zero, mono.field.from_int(2)]
-    assert D1.column(0) == [mono.field.zero, mono.field.zero]
+    assert D1[0] == [mono.field.zero, mono.field.zero]
 
 
 def test_connes_D_truncated_generic():
@@ -56,9 +56,9 @@ def test_connes_D_truncated_generic():
     cs = ctx.cs(6)
     F = mono.field
     for m in (0, 1, 2):
-        D = connes_D(mono, 2 * m, cs.spaces, "generic").to_matrix()
+        D = list(connes_D(mono, 2 * m, cs.spaces, "generic").dense_cols())
         for j in range(3):
-            col = D.column(j)  # class [x^j]
+            col = D[j]  # class [x^j]
             expect = [F.zero] * 3
             if j >= 1:
                 expect[j - 1] = F.from_int(j + m * mono.n)

@@ -114,3 +114,26 @@ def test_bad_field_inputs():
         make_field("cyclotomic", 0)
     with pytest.raises(ValueError):
         make_field("reals")
+
+
+def _reduced_product(F, a, b):
+    """a * b as coefficient lists: the plain polynomial product, divided by Phi_d."""
+    _, rem = poly_divmod(poly_mul(a, b), list(F.modulus))
+    return (rem + [Fraction(0)] * F.degree)[:F.degree]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([3, 4, 8]),
+    q=st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    coeffs=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=4, max_size=4),
+    rational_left=st.booleans(),
+)
+def test_product_with_a_rational_factor(d, q, coeffs, rational_left):
+    F = make_field("cyclotomic", d)
+    r = [q] + [Fraction(0)] * (F.degree - 1)
+    c = coeffs[:F.degree]
+    a, b = (r, c) if rational_left else (c, r)
+    prod = F.scalar(a) * F.scalar(b)
+    assert list(prod.coeffs) == _reduced_product(F, a, b)
+    assert all(isinstance(x, Fraction) for x in prod.coeffs)

@@ -103,7 +103,7 @@ def test_vanishing_degree_accounting():
                 lev += 2
                 if v:
                     sp = bar.spaces[lev]
-                    amb = {sp.free_columns[i]: c for i, c in v.items()}
+                    amb = {sp.free[i]: c for i, c in v.items()}
                     assert sp.element_degree(amb) < m * n + n
 
 

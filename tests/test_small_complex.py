@@ -1,7 +1,7 @@
 import pytest
 
 from orehom.complexes import homology, homology_dims
-from orehom.linalg import rank
+from orehom.linalg import rank, sparse
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
@@ -69,9 +69,9 @@ def test_homology_representatives_are_cycles(name):
         rep = homology(cs, r)
         assert rep.dimension == len(rep.representatives)
         for v in rep.representatives:
-            q = cs.spaces[r].projection.apply(v)
+            q = cs.spaces[r].project_terms(sparse(v))
             if r >= 1:
-                img = cs.boundary(r).apply({i: c for i, c in enumerate(q) if c})
+                img = cs.boundary(r).apply(q)
                 assert not img
 
 
@@ -102,20 +102,20 @@ def test_collapsed_boundaries_sweedler():
     # d_odd = 0 because lam_2 = 0
     assert col.boundary(1).is_zero() and col.boundary(3).is_zero()
     # d_even([1]) = 2x, d_even([g]) = 0
-    d2 = col.boundary(2).to_matrix()
-    assert d2.column(0) == [mono.field.from_int(2), mono.field.zero]
-    assert d2.column(1) == [mono.field.zero, mono.field.zero]
+    d2 = list(col.boundary(2).dense_cols())
+    assert d2[0] == [mono.field.from_int(2), mono.field.zero]
+    assert d2[1] == [mono.field.zero, mono.field.zero]
 
 
 def test_collapsed_boundaries_taft3():
     mono = get_context("taft:3").mono
     F = mono.field
     col = build_cs_collapsed(mono, 4)
-    d2 = col.boundary(2).to_matrix()
+    d2 = list(col.boundary(2).dense_cols())
     # the norm 1 + z^a + z^{2a} vanishes except on the trivial character row
-    assert d2.column(0) == [F.from_int(3), F.zero, F.zero]
-    assert d2.column(1) == [F.zero] * 3
-    assert d2.column(2) == [F.zero] * 3
+    assert d2[0] == [F.from_int(3), F.zero, F.zero]
+    assert d2[1] == [F.zero] * 3
+    assert d2[2] == [F.zero] * 3
 
 
 def test_collapsed_boundary_rank1_odd():
@@ -123,8 +123,7 @@ def test_collapsed_boundary_rank1_odd():
     F = mono.field
     col = build_cs_collapsed(mono, 4)
     # d_1([g] x) = [2 g^3 - 2 g]
-    d1 = col.boundary(1).to_matrix()
-    qcol = d1.column(1)
+    qcol = list(col.boundary(1).dense_cols())[1]
     amb = col.spaces[0].lift_vec(qcol)
     # ambient coordinates over (e, g, g2, g3); [K,K]_{alpha^0} = 0 so the
     # quotient is all of K
