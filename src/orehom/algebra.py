@@ -43,9 +43,11 @@ def vec_is_zero(u):
 class BaseAlgebra:
     """Finite-dimensional associative unital k-algebra via structure constants.
 
-    ``structure_constants[i][j]`` is the coordinate vector of basis_i*basis_j.
-    ``group_table`` is set when the algebra is a group algebra (index Cayley
-    table); several constructions (characters, quotient rewrites) need it.
+    ``structure_constants[i][j]`` is the coordinate vector of basis_i*basis_j;
+    products read it as sparse ``(t, s)`` terms, built once, so a product of
+    group elements touches one basis element.  ``group_table`` is set when
+    the algebra is a group algebra (index Cayley table); several
+    constructions (characters, quotient rewrites) need it.
     """
 
     def __init__(self, field, basis_labels, structure_constants, unit, group_table=None, check=True):
@@ -53,6 +55,11 @@ class BaseAlgebra:
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
         self.structure_constants = structure_constants
+        # (t, s) with s = None for s = 1, the only constant of a group algebra
+        self._product_terms = [
+            [[(t, None if c == 1 else c) for t, c in enumerate(vec) if c] for vec in row]
+            for row in structure_constants
+        ]
         self.unit = list(unit)
         self.group_table = group_table
         if check:
@@ -95,17 +102,16 @@ class BaseAlgebra:
 
     def mul_vec(self, u, v):
         out = [self.field.zero] * self.dim
-        sc = self.structure_constants
+        terms = self._product_terms
+        v_terms = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            row = terms[i]
+            for j, b in v_terms:
                 c = a * b
-                for t, s in enumerate(sc[i][j]):
-                    if s:
-                        out[t] = out[t] + c * s
+                for t, s in row[j]:
+                    out[t] = out[t] + (c if s is None else c * s)
         return out
 
     def left_mult_map(self, u):

@@ -2,15 +2,17 @@
 
 A ChainComplex stores one SubquotientSpace per degree 0..max_degree and
 column-sparse boundary maps d_r: C_r -> C_{r-1} in quotient coordinates.
-``d . d = 0`` is asserted at construction.  Homology is computed by exact
-rank/kernel arithmetic; representatives are cycles lifted to ambient
+``d . d = 0`` is checked at construction.  Homology dimensions come from
+ranks alone, dim H_r = n_r - rank d_r - rank d_{r+1}, each rank taken once
+by ``sparse_rank`` on the boundary's columns.  Only ``homology`` with
+representatives runs a kernel: its cycles are lifted to ambient
 coordinates by putting their quotient coordinates at the free columns of
 the space, so they are reproducible.
 """
 
 from __future__ import annotations
 
-from .linalg import EchelonSet, kernel_basis
+from .linalg import EchelonSet, kernel_basis, sparse_rank
 
 
 class ComplexError(ValueError):
@@ -109,7 +111,25 @@ def homology(complex_, r, want_representatives=True):
 
 
 def homology_dims(complex_, up_to=None):
-    """Dimensions in degrees 0..up_to (default max_degree - 1)."""
+    """Dimensions in degrees 0..up_to (default max_degree - 1).
+
+    dim H_r = n_r - rank d_r - rank d_{r+1}, with d_0 = 0 and, at the top
+    degree, no incoming boundary (the kernel dimension, as ``homology``
+    reports it).  A negative value means the boundaries do not compose to
+    zero and raises ``ComplexError`` naming the degree.
+    """
+    top = complex_.max_degree
     if up_to is None:
-        up_to = complex_.max_degree - 1
-    return [homology(complex_, r, want_representatives=False).dimension for r in range(up_to + 1)]
+        up_to = top - 1
+    if up_to > top:
+        raise ComplexError(f"degree {up_to} out of range 0..{top}")
+    ranks = [sparse_rank(complex_.boundaries[r].cols) if 1 <= r <= top else 0 for r in range(up_to + 2)]
+    dims = []
+    for r in range(up_to + 1):
+        h = complex_.dim(r) - ranks[r] - ranks[r + 1]
+        if h < 0:
+            raise ComplexError(
+                f"degree {r}: dim {complex_.dim(r)} - rank d_{r} {ranks[r]} - rank d_{r + 1} {ranks[r + 1]} < 0"
+            )
+        dims.append(h)
+    return dims

@@ -554,14 +554,14 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
         label = f"w={w!r}"
         is_one = w == field.one
         root = (w ** n == field.one) and not is_one
+        hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))
         if not root:
             for m in range(max_m + 1):
                 lo = EchelonSet(field, mixed.dim(0), _corner_kernel(tot, m))
                 W_hi = _corner_kernel(tot, m + 1)
                 hi = EchelonSet(field, mixed.dim(0), W_hi)
                 same = all(lo.contains(v) for v in W_hi) and lo.dim == hi.dim
-                hc_lo = homology(tot.complex, 2 * m, want_representatives=False).dimension
-                hc_hi = homology(tot.complex, 2 * m + 2, want_representatives=False).dimension
+                hc_lo, hc_hi = hc_dims[2 * m], hc_dims[2 * m + 2]
                 onto = (mixed.dim(0) - lo.dim == hc_lo) and (mixed.dim(0) - hi.dim == hc_hi)
                 entries.append({
                     "item": "1", "component": label, "m": m,
@@ -573,7 +573,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             # -- a: canonical surjection on even degrees
             lo = EchelonSet(field, mixed.dim(0), _corner_kernel(tot, m))
             contained = all(lo.contains(v) for v in _corner_kernel(tot, m + 1))
-            hc_lo = homology(tot.complex, 2 * m, want_representatives=False).dimension
+            hc_lo = hc_dims[2 * m]
             onto = mixed.dim(0) - lo.dim == hc_lo
             entries.append({
                 "item": "a", "component": label, "m": m, "passed": contained and onto,

@@ -1,7 +1,9 @@
 """Exact elimination, subquotient spaces, and sparse linear maps.
 
-Every rank, kernel, span and quotient computation of the package goes
-through ``rref``, ``kernel_basis`` and ``EchelonSet`` here.  Everything is
+The rank of a boundary, and so every homology dimension, comes from
+``sparse_rank``, which eliminates on sparse columns block by block, and so
+does ``rank``.  Kernels, spans and quotients go through ``rref``,
+``kernel_basis`` and ``EchelonSet``, which work on dense rows.  Everything is
 over a fixed exact field (Q or a cyclotomic field).  Every linear map of the
 package (boundaries, comparison maps, alpha, the bimodule actions) is a
 column-sparse ``ColMap``, and a quotient space keeps its projection as sparse
@@ -12,6 +14,7 @@ build one for ``rref``.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -129,8 +132,96 @@ def rref(m):
     return Matrix(m.field, nrows, ncols, rows), pivots
 
 
+def _is_unit(x):
+    """x == 1 or x == -1, without lifting 1 into the field."""
+    if isinstance(x, Fraction):
+        return x.denominator == 1 and abs(x.numerator) == 1
+    c = x.coeffs
+    return c[0].denominator == 1 and abs(c[0].numerator) == 1 and not any(c[1:])
+
+
+def sparse_rank(columns):
+    """Rank of the matrix whose columns are the sparse ``{row: scalar}`` dicts.
+
+    The columns are split into the connected components of the row-column
+    graph (a union-find over shared rows), and each block is eliminated on
+    its own in Markowitz order: the shortest live column gives the pivot, in
+    the sparsest of its rows with a +-1 entry if it has one, and the pivot
+    row is then cleared out of the other columns of the block.  The rank is
+    the number of pivots.  The input dicts are not modified.
+    """
+    cols = [col for col in columns if col]
+    parent = {}
+
+    def find(r):
+        while True:
+            p = parent.get(r, r)
+            if p == r:
+                return r
+            g = parent.get(p, p)
+            parent[r] = g
+            r = g
+
+    for col in cols:
+        rows = iter(col)
+        root = find(next(rows))
+        for r in rows:
+            other = find(r)
+            if other != root:
+                parent[other] = root
+    blocks = {}
+    for col in cols:
+        blocks.setdefault(find(next(iter(col))), []).append(col)
+    return sum(_block_rank(block) for block in blocks.values())
+
+
+def _block_rank(block):
+    cols = [dict(col) for col in block]
+    where = {}  # row -> indices of the live columns holding it
+    for j, col in enumerate(cols):
+        for r in col:
+            where.setdefault(r, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols)]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        n, j = heapq.heappop(heap)
+        col = cols[j]
+        if col is None or len(col) != n or not n:
+            continue
+        pr = min(col, key=lambda r: (not _is_unit(col[r]), len(where[r])))
+        cols[j] = None
+        rank += 1
+        for r in col:
+            where[r].discard(j)
+        p = col.pop(pr)
+        if p != 1:
+            inv = 1 / p
+            col = {r: v * inv for r, v in col.items()}
+        for k in where.pop(pr):
+            ck = cols[k]
+            a = ck.pop(pr)
+            for r, v in col.items():
+                t = a * v
+                cur = ck.get(r)
+                if cur is None:
+                    ck[r] = -t
+                    where[r].add(k)
+                else:
+                    cur = cur - t
+                    if cur:
+                        ck[r] = cur
+                    else:
+                        del ck[r]
+                        where[r].discard(k)
+            heapq.heappush(heap, (len(ck), k))
+    return rank
+
+
 def rank(m):
-    return len(rref(m)[1])
+    """Rank of a dense Matrix: ``sparse_rank`` of its columns."""
+    rows = m.entries
+    return sparse_rank({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m.cols))
 
 
 def kernel_basis(m):

@@ -53,6 +53,29 @@ def test_group_algebra_d6_associative():
     assert K.mul_vec(h, g) == K.mul_vec(g2, h)
 
 
+def _dense_mul_vec(K, u, v):
+    """u * v by the triple loop over the dense structure constants."""
+    out = [K.field.zero] * K.dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                for t, s in enumerate(K.structure_constants[i][j]):
+                    out[t] = out[t] + a * b * s
+    return out
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_mul_vec_matches_dense_structure_constants(name):
+    K = get_context(name).mono.base
+    field = K.field
+    basis = [K.basis_vector(i) for i in range(K.dim)]
+    mixed = [field.from_int(i % 3 - 1) + field.root() ** i for i in range(K.dim)]
+    vecs = basis + [mixed, [field.from_int(2) * c for c in reversed(mixed)]]
+    for u in vecs:
+        for v in vecs:
+            assert K.mul_vec(u, v) == _dense_mul_vec(K, u, v)
+
+
 def test_group_algebra_bad_rows_rejected():
     with pytest.raises(AlgebraError, match="repeats"):
         group_algebra(["e", "g"], [["e", "e"], ["g", "e"]], Q)

@@ -92,6 +92,16 @@ def test_hc_basis_is_a_usage_error(capsys):
     assert "unrecognized arguments: --basis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, md, dims", [("taft:4", 6, [4, 3, 3, 3, 3, 3]), ("trunc:5", 5, [5, 4, 4, 4, 4])]
+)
+def test_hh_oracle_beyond_the_shipped_sizes(capsys, spec, md, dims):
+    code, rep = run_json(capsys, "hh", "--spec", spec, "--max-degree", str(md), "--oracle")
+    assert code == 0
+    assert rep["modes"] == {"generic": dims, "oracle": dims}
+    assert [c["agrees"] for c in rep["comparisons"]] == [True]
+
+
 def test_hc_oracle_and_closed_form(capsys):
     code, rep = run_json(
         capsys, "hc", "--spec", "rank1:c4", "--max-degree", "5", "--oracle", "--closed-form"

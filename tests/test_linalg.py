@@ -15,6 +15,7 @@ from orehom.linalg import (
     rref,
     solve,
     sparse,
+    sparse_rank,
     subquotient,
 )
 
@@ -238,3 +239,35 @@ def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
     assert all(pre_span.contains(v) for v in ref)
     for v in pre:
         assert span.contains(combine(field, v, images, dim))
+
+
+@fields
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6)),
+        max_size=3,
+    ),
+    zero_blocks=st.lists(st.booleans(), min_size=3, max_size=3),
+    empty_cols=st.integers(min_value=0, max_value=2),
+    data=st.data(),
+)
+def test_sparse_rank_matches_rref(field, shapes, zero_blocks, empty_cols, data):
+    # block-diagonal with some all-zero blocks and empty columns, then rows
+    # and columns permuted
+    nrows = sum(r for r, _ in shapes)
+    cols = [{} for _ in range(empty_cols)]
+    offset = 0
+    for (r, c), zero in zip(shapes, zero_blocks):
+        for v in draw_vectors(field, c, r, data):
+            cols.append({} if zero else {offset + i: e for i, e in enumerate(v) if e})
+        offset += r
+    row_perm = data.draw(st.permutations(range(nrows)))
+    cols = data.draw(st.permutations(cols))
+    cols = [{row_perm[i]: e for i, e in col.items()} for col in cols]
+    m = Matrix.from_cols(field, [densify(col, nrows, field.zero) for col in cols], nrows)
+    expected = len(rref(m)[1])
+    before = [dict(col) for col in cols]
+    assert sparse_rank(cols) == expected
+    assert cols == before
+    assert rank(m) == expected
