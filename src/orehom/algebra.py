@@ -13,7 +13,7 @@ coefficient conditions, so downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import ColMap, EchelonSet, add_term, densify, sparse, subquotient
+from .linalg import ColMap, add_term, densify, sparse, sparse_rank, subquotient
 
 
 class AlgebraError(ValueError):
@@ -125,7 +125,7 @@ class BaseAlgebra:
                       [sparse(self.mul_vec(self.basis_vector(j), u)) for j in range(self.dim)])
 
     def is_invertible(self, u):
-        return EchelonSet(self.field, self.dim, self.left_mult_map(u).dense_cols()).dim == self.dim
+        return sparse_rank(self.left_mult_map(u).cols) == self.dim
 
     def basis_vector(self, i):
         return _kvec(self.field, self.dim, [(i, self.field.one)])
@@ -810,7 +810,7 @@ def check_collapse(mono, max_j):
         r = ranks.get(i)
         if r is None:
             spans = k_commutator_subspace(mono, i)
-            r = ranks[i] = EchelonSet(K.field, K.dim, spans).dim
+            r = ranks[i] = sparse_rank(map(sparse, spans))
         entries[j] = (r == K.dim, r)
     return CollapseReport(mono.n, entries)
 

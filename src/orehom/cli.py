@@ -25,7 +25,7 @@ from .cyclic import (
     hc_rank_one,
     transfer_D,
 )
-from .linalg import ColMap
+from .linalg import ColMap, sparse, sparse_rank
 from .perturbation import (
     PerturbationError,
     build_cyclic_retract,
@@ -188,13 +188,10 @@ def _dihedral_displayed_parts(mono):
     """Exact dimensions of the two displayed reflection-group quotients.
 
     Rotation part: k[<g>] modulo the span of g^j - g^(u-j); reflection
-    part: k[<g>]h modulo k[<g>](g^2 - 1)h.  Both computed by echelonizing
-    the displayed spans inside the group algebra.
+    part: k[<g>]h modulo k[<g>](g^2 - 1)h.  Both subtract the rank of the
+    displayed span inside the group algebra.
     """
-    from .linalg import EchelonSet
-
     K = mono.base
-    field = mono.field
     labels = K.basis_labels
     rot_idx = [i for i, l in enumerate(labels) if not l.endswith("h")]
     u = len(rot_idx)
@@ -204,9 +201,9 @@ def _dihedral_displayed_parts(mono):
     for _ in range(1, u):
         pow_vecs.append(K.mul_vec(pow_vecs[-1], g))
     diffs = [[a - b for a, b in zip(pow_vecs[j], pow_vecs[(u - j) % u])] for j in range(1, u)]
-    rot_dim = u - EchelonSet(field, K.dim, diffs).dim
+    rot_dim = u - sparse_rank(map(sparse, diffs))
     g2_minus_1 = [a - b for a, b in zip(K.mul_vec(g, g), K.unit)]
-    refl_dim = u - EchelonSet(field, K.dim, [K.mul_vec(v, g2_minus_1) for v in pow_vecs]).dim
+    refl_dim = u - sparse_rank(sparse(K.mul_vec(v, g2_minus_1)) for v in pow_vecs)
     return rot_dim, refl_dim
 
 

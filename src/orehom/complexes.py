@@ -96,7 +96,7 @@ def homology(complex_, r, want_representatives=True):
     if kernel_only:
         reps = [space.lift_vec(v) for v in ker] if want_representatives else []
         return HomologyReport(r, len(ker), reps, kernel_only=True)
-    seen = EchelonSet(field, n_r, complex_.boundaries[r + 1].dense_cols())
+    seen = EchelonSet(field, complex_.boundaries[r + 1].dense_cols())
     bdim = seen.dim
     reps = []
     dim = 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import eigen_split, vec_add, vec_is_zero, vec_sub
 from .complexes import ChainComplex, ComplexError, homology, homology_dims
-from .linalg import ColMap, EchelonSet, densify, quotient_dim, solve, sparse, subquotient
+from .linalg import ColMap, EchelonSet, densify, quotient_dim, solve, sparse, sparse_rank, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -365,7 +365,7 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
                 if not is_one:
                     kvec = _power_vec(mono, lam_n, m + 1) if w_n_is_one else lam_n
                     span = span + component_mult_rows(mono, idxs, kvec)
-                val = d - EchelonSet(field, d, span).dim
+                val = d - sparse_rank(map(sparse, span))
                 dims_p.append(val)
                 dims_d.append(val)
             else:
@@ -399,9 +399,9 @@ def _odd_numerator_dim(mono, idxs, idx_set, cond_vec, denominator, strict=True):
     """
     field = mono.field
     d = len(idxs)
-    comm = EchelonSet(field, d, component_commutator_span(mono, 0, idxs, idx_set))
+    comm = EchelonSet(field, component_commutator_span(mono, 0, idxs, idx_set))
     num = comm.preimage(component_mult_rows(mono, idxs, cond_vec))
-    qdim = quotient_dim(field, d, num, denominator)
+    qdim = quotient_dim(field, num, denominator)
     if qdim is None and strict:
         raise HypothesisError("denominator not inside the numerator space")
     return qdim
@@ -429,7 +429,7 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
     proof = [0] * (max_degree + 1)
     displayed = [0] * (max_degree + 1)
     full_comm = k_commutator_subspace(mono, 0)
-    k_mod_comm = K.dim - EchelonSet(field, K.dim, full_comm).dim
+    k_mod_comm = K.dim - sparse_rank(map(sparse, full_comm))
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
         if not odd:
@@ -444,7 +444,7 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
                     if w != one:
                         kvec = _power_vec(mono, lam_n, m + 1) if w ** n == one else lam_n
                         span = span + component_mult_rows(mono, idxs, kvec)
-                    total += d - EchelonSet(field, d, span).dim
+                    total += d - sparse_rank(map(sparse, span))
                 proof[r] = displayed[r] = total
         else:
             tp = td = 0
@@ -454,7 +454,7 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
                 idx_set = set(idxs)
                 if case == "xi=0":
                     den = component_commutator_span(mono, (m + 1) * n, idxs, idx_set)
-                    val = len(idxs) - EchelonSet(field, len(idxs), den).dim
+                    val = len(idxs) - sparse_rank(map(sparse, den))
                     tp += val
                     td += val
                 else:
@@ -477,11 +477,10 @@ def _corner_kernel(tot, m):
     """W_m: X_0 classes whose corner inclusion into Tot_{2m} is a boundary."""
     field = tot.mixed.field
     N = 2 * m
-    dim_tot = tot.dim(N)
     d0 = tot.mixed.dim(0)
     if N + 1 > tot.max_N:
         raise HypothesisError("total window too small for the corner kernel")
-    bd = EchelonSet(field, dim_tot, tot.complex.boundary(N + 1).dense_cols())
+    bd = EchelonSet(field, tot.complex.boundary(N + 1).dense_cols())
     images = []
     for t in range(d0):
         v = [field.zero] * d0
@@ -494,7 +493,7 @@ def _top_ambiguity(tot, m):
     """T_m: column-0 components of boundaries into Tot_{2m+1}."""
     N = 2 * m + 1
     cols = tot.complex.boundary(N + 1).dense_cols()
-    return EchelonSet(tot.mixed.field, tot.mixed.dim(N), (tot.block(N, 0, v) for v in cols))
+    return EchelonSet(tot.mixed.field, (tot.block(N, 0, v) for v in cols))
 
 
 def _project(space, vec):
@@ -557,9 +556,9 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
         hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))
         if not root:
             for m in range(max_m + 1):
-                lo = EchelonSet(field, mixed.dim(0), _corner_kernel(tot, m))
+                lo = EchelonSet(field, _corner_kernel(tot, m))
                 W_hi = _corner_kernel(tot, m + 1)
-                hi = EchelonSet(field, mixed.dim(0), W_hi)
+                hi = EchelonSet(field, W_hi)
                 same = all(lo.contains(v) for v in W_hi) and lo.dim == hi.dim
                 hc_lo, hc_hi = hc_dims[2 * m], hc_dims[2 * m + 2]
                 onto = (mixed.dim(0) - lo.dim == hc_lo) and (mixed.dim(0) - hi.dim == hc_hi)
@@ -571,7 +570,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             continue
         for m in range(max_m + 1):
             # -- a: canonical surjection on even degrees
-            lo = EchelonSet(field, mixed.dim(0), _corner_kernel(tot, m))
+            lo = EchelonSet(field, _corner_kernel(tot, m))
             contained = all(lo.contains(v) for v in _corner_kernel(tot, m + 1))
             hc_lo = hc_dims[2 * m]
             onto = mixed.dim(0) - lo.dim == hc_lo
@@ -612,7 +611,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             # -- c: connecting map on even cyclic classes vanishes
             ok_c = True
             hc_even = homology(tot.complex, 2 * m)
-            bd = EchelonSet(field, mixed.dim(2 * m + 1), cx.boundary(2 * m + 2).dense_cols())
+            bd = EchelonSet(field, cx.boundary(2 * m + 2).dense_cols())
             for rep in hc_even.representatives:
                 z0 = tot.block(2 * m, 0, rep)
                 img = mixed.B[2 * m].apply(sparse(z0))
@@ -645,7 +644,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             # top entry).
             ok_e = True
             hc_odd = homology(tot.complex, 2 * m + 1)
-            taus = EchelonSet(field, mixed.dim(2 * m + 1))
+            taus = EchelonSet(field)
             seen = 0
             for rep in hc_odd.representatives:
                 z0 = tot.block(2 * m + 1, 0, rep)
@@ -654,10 +653,10 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             if seen != hc_odd.dimension:
                 ok_e = False
             hh_odd = homology(cx, 2 * m + 1)
-            tot_bd = EchelonSet(field, tot.dim(2 * m + 1), tot.complex.boundary(2 * m + 2).dense_cols())
+            tot_bd = EchelonSet(field, tot.complex.boundary(2 * m + 2).dense_cols())
             rank_i = 0
             rank_tau = 0
-            tau_classes = EchelonSet(field, mixed.dim(2 * m + 1))
+            tau_classes = EchelonSet(field)
             for rep in hh_odd.representatives:
                 qrep = _project(mixed.spaces[2 * m + 1], rep)
                 if tot_bd.add(tot.inject(2 * m + 1, 0, qrep)):
@@ -673,7 +672,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             # -- f: connecting map on odd cyclic classes
             ok_f = True
             scalar_f = field.from_int(m + 1) * (field.one - w)
-            bd2 = EchelonSet(field, mixed.dim(2 * m + 2), cx.boundary(2 * m + 3).dense_cols())
+            bd2 = EchelonSet(field, cx.boundary(2 * m + 3).dense_cols())
             for rep in hc_odd.representatives:
                 z0 = tot.block(2 * m + 1, 0, rep)
                 img = mixed.B[2 * m + 1].apply(sparse(z0))

@@ -1,11 +1,12 @@
 """Exact elimination, subquotient spaces, and sparse linear maps.
 
-The rank of a boundary, and so every homology dimension, comes from
-``sparse_rank``, which eliminates on sparse columns block by block, and so
-does ``rank``.  Kernels, spans and quotients go through ``rref``,
-``kernel_basis`` and ``EchelonSet``, which work on dense rows.  Everything is
-over a fixed exact field (Q or a cyclotomic field).  Every linear map of the
-package (boundaries, comparison maps, alpha, the bimodule actions) is a
+Elimination has one job per routine.  Every rank, and so every homology
+dimension, comes from ``sparse_rank``, which eliminates on sparse columns
+block by block.  Every reduced echelon basis of a span comes from
+``EchelonSet``, which grows one vector at a time: ``rref``, ``kernel_basis``,
+``solve``, membership, preimages and ``subquotient`` all read it.  Everything
+is over a fixed exact field (Q or a cyclotomic field).  Every linear map of
+the package (boundaries, comparison maps, alpha, the bimodule actions) is a
 column-sparse ``ColMap``, and a quotient space keeps its projection as sparse
 columns too.  The dense row-major ``Matrix`` is only the input of
 elimination: ``ColMap.to_matrix`` and ``Matrix.from_rows``/``from_cols``
@@ -16,19 +17,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-
-
-def pivot_score(x):
-    """Orderable pivot-quality key: prefer integral, small entries."""
-    if isinstance(x, Fraction):
-        return (
-            0 if x.denominator == 1 else 1,
-            x.denominator.bit_length() + abs(x.numerator).bit_length(),
-        )
-    # cyclotomic residue: aggregate over coefficients
-    integral = all(c.denominator == 1 for c in x.coeffs)
-    size = sum(c.denominator.bit_length() + abs(c.numerator).bit_length() for c in x.coeffs)
-    return (0 if integral else 1, size)
 
 
 class Matrix:
@@ -85,51 +73,15 @@ class Matrix:
 def rref(m):
     """Reduced row echelon form; returns (echelon Matrix, pivot column list).
 
-    Among the candidate pivots of a column the row whose entry has the
-    smallest ``pivot_score`` is chosen (ties go to the lowest row index),
-    which keeps denominators small and makes the reduction deterministic.
+    The nonzero rows are those of ``EchelonSet`` of the rows of ``m``, in
+    pivot order, and zero rows pad the result to the shape of ``m``.  The
+    reduced row echelon form of a row space is unique, so the result does not
+    depend on how the elimination is carried out.
     """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = -1
-        best_key = None
-        for i in range(r, nrows):
-            e = rows[i][c]
-            if e:
-                key = pivot_score(e)
-                if best < 0 or key < best_key:
-                    best = i
-                    best_key = key
-        if best < 0:
-            continue
-        if best != r:
-            rows[best], rows[r] = rows[r], rows[best]
-        prow = rows[r]
-        p = prow[c]
-        if p != 1:
-            inv = 1 / p
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            for j in range(c, ncols):
-                pj = prow[j]
-                if pj:
-                    row[j] = row[j] - f * pj
-        pivots.append(c)
-        r += 1
-    return Matrix(m.field, nrows, ncols, rows), pivots
+    ech = EchelonSet(m.field, m.entries)
+    order = sorted(range(ech.dim), key=ech.pivots.__getitem__)
+    rows = [ech.rows[i] for i in order] + [[m.field.zero] * m.cols for _ in range(m.rows - ech.dim)]
+    return Matrix(m.field, m.rows, m.cols, rows), [ech.pivots[i] for i in order]
 
 
 def _is_unit(x):
@@ -280,11 +232,15 @@ def sparse(vec):
 
 
 class EchelonSet:
-    """Incrementally maintained reduced echelon basis of a growing span."""
+    """Incrementally maintained reduced echelon basis of a growing span.
 
-    def __init__(self, field, ncols, vectors=()):
+    Row i has a leading 1 at column ``pivots[i]`` and is the only row with a
+    nonzero there.  Rows stay in the order they entered the span; ``rref``
+    sorts them by pivot.
+    """
+
+    def __init__(self, field, vectors=()):
         self.field = field
-        self.ncols = ncols
         self.rows = []
         self.pivots = []
         for v in vectors:
@@ -295,7 +251,7 @@ class EchelonSet:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                for j in range(len(v)):
+                for j in range(p, len(v)):
                     if row[j]:
                         v[j] = v[j] - c * row[j]
         return v
@@ -311,7 +267,7 @@ class EchelonSet:
         for row in self.rows:
             c = row[p]
             if c:
-                for j in range(len(v)):
+                for j in range(p, len(v)):
                     if v[j]:
                         row[j] = row[j] - c * v[j]
         self.rows.append(v)
@@ -331,16 +287,16 @@ class EchelonSet:
         return len(self.rows)
 
 
-def quotient_dim(field, dim, numerator, denominator):
-    """dim span(numerator) / span(denominator) inside k^dim.
+def quotient_dim(field, numerator, denominator):
+    """dim span(numerator) / span(denominator).
 
     Returns None when the denominator is not inside the numerator span, so
     that each caller can word its own refusal.
     """
-    num = EchelonSet(field, dim, numerator)
+    num = EchelonSet(field, numerator)
     if not all(num.contains(v) for v in denominator):
         return None
-    return num.dim - EchelonSet(field, dim, denominator).dim
+    return num.dim - sparse_rank(map(sparse, denominator))
 
 
 class SubquotientSpace:
@@ -391,16 +347,13 @@ def subquotient(field, ambient_dim, spanning_vectors):
     for v in spanning_vectors:
         if len(v) != ambient_dim:
             raise ValueError("spanning vector of wrong length")
-    rows, pivots = [], []
-    if spanning_vectors:
-        red, pivots = rref(Matrix.from_rows(field, spanning_vectors))
-        rows = red.entries
-    pivot_set = set(pivots)
+    ech = EchelonSet(field, spanning_vectors)
+    pivot_set = set(ech.pivots)
     free = [c for c in range(ambient_dim) if c not in pivot_set]
     proj_cols = [None] * ambient_dim
     for qi, f in enumerate(free):
         proj_cols[f] = {qi: field.one}
-    for row, p in zip(rows, pivots):
+    for row, p in zip(ech.rows, ech.pivots):
         proj_cols[p] = {qi: -row[f] for qi, f in enumerate(free) if row[f]}
     return SubquotientSpace(field, ambient_dim, free, proj_cols)
 

@@ -33,7 +33,7 @@ from .algebra import (
     vec_sub,
 )
 from .complexes import ChainComplex, homology_dims
-from .linalg import ColMap, EchelonSet, add_term, densify, quotient_dim, sparse, subquotient
+from .linalg import ColMap, EchelonSet, add_term, densify, quotient_dim, sparse, sparse_rank, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -260,15 +260,15 @@ def hh_dims_collapsed(mono, max_degree, collapse_report=None):
         m, odd = divmod(r, 2)
         if r == 0:
             den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(K.dim - EchelonSet(field, K.dim, den).dim)
+            dims.append(K.dim - sparse_rank(map(sparse, den)))
         elif odd:
-            num = EchelonSet(field, K.dim, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
+            num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
             den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, K.dim, num, den)))
+            dims.append(_well_formed(quotient_dim(field, num, den)))
         else:
-            num = EchelonSet(field, K.dim, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
+            num = EchelonSet(field, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
             den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, K.dim, num, den)))
+            dims.append(_well_formed(quotient_dim(field, num, den)))
     return dims
 
 
@@ -299,14 +299,14 @@ def hh_dims_eigen(mono, max_degree, collapse_report=None):
             m, odd = divmod(r, 2)
             if r == 0:
                 span = kkw(0) if is_one else kkw(0) + lam_mult
-                dims.append(d - EchelonSet(field, d, span).dim)
+                dims.append(d - sparse_rank(map(sparse, span)))
             elif is_one or not w_n_is_one:
                 dims.append(0)
             elif odd:
-                num = EchelonSet(field, d, kkw(m * n)).preimage(lam_mult)
-                dims.append(_well_formed(quotient_dim(field, d, num, kkw((m + 1) * n))))
+                num = EchelonSet(field, kkw(m * n)).preimage(lam_mult)
+                dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
             else:
-                dims.append(_well_formed(quotient_dim(field, d, local_basis, kkw(m * n) + lam_mult)))
+                dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
         percomp.append((w, dims))
         totals = [a + b for a, b in zip(totals, dims)]
     return totals, percomp
@@ -338,14 +338,14 @@ def hh_dims_alpha_identity(mono, max_degree):
             if w:
                 commutators.append(densify(w, dimA, field.zero))
     fprime_mult = [densify(M.a_terms("left", fprime, {v: field.one}), dimA, field.zero) for v in range(dimA)]
-    comm = EchelonSet(field, dimA, commutators)
+    comm = EchelonSet(field, commutators)
     dims = [dimA - comm.dim]
     colon = comm.preimage(fprime_mult)
     for r in range(1, max_degree + 1):
         if r % 2 == 1:
-            dims.append(dimA - EchelonSet(field, dimA, commutators + fprime_mult).dim)
+            dims.append(dimA - sparse_rank(map(sparse, commutators + fprime_mult)))
         else:
-            dims.append(_well_formed(quotient_dim(field, dimA, colon, commutators)))
+            dims.append(_well_formed(quotient_dim(field, colon, commutators)))
     return dims
 
 
@@ -403,7 +403,7 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
     if case == "xi!=0, chi^n!=id":
         case = "xi=0"
     full_comm = k_commutator_subspace(mono, 0)
-    k_mod_comm = K.dim - EchelonSet(field, K.dim, full_comm).dim
+    k_mod_comm = K.dim - sparse_rank(map(sparse, full_comm))
     dims = []
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
@@ -418,7 +418,7 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
                     span = component_commutator_span(mono, 0, idxs, idx_set)
                     if w != one:
                         span = span + component_mult_rows(mono, idxs, lam_n)
-                    total += d - EchelonSet(field, d, span).dim
+                    total += d - sparse_rank(map(sparse, span))
                 dims.append(total)
             continue
         m_eff = m if odd else m - 1
@@ -430,14 +430,14 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
             d = len(idxs)
             if case == "xi=0":
                 den = component_commutator_span(mono, (m_eff + 1) * n, idxs, idx_set)
-                total += d - EchelonSet(field, d, den).dim
+                total += d - sparse_rank(map(sparse, den))
             elif odd:
                 den = component_commutator_span(mono, 0, idxs, idx_set)
-                num = EchelonSet(field, d, den).preimage(component_mult_rows(mono, idxs, lam_n))
-                total += _well_formed(quotient_dim(field, d, num, den))
+                num = EchelonSet(field, den).preimage(component_mult_rows(mono, idxs, lam_n))
+                total += _well_formed(quotient_dim(field, num, den))
             else:
                 span = component_commutator_span(mono, 0, idxs, idx_set)
                 span = span + component_mult_rows(mono, idxs, lam_n)
-                total += d - EchelonSet(field, d, span).dim
+                total += d - sparse_rank(map(sparse, span))
         dims.append(total)
     return dims

@@ -380,7 +380,7 @@ def test_lambda_n_compatibility():
         K = mono.base
         lam_n = mono.f_coefficient(mono.n)
         for m in range(4):
-            ech = EchelonSet(mono.field, K.dim)
+            ech = EchelonSet(mono.field)
             for vv in k_commutator_subspace(mono, m * mono.n):
                 ech.add(vv)
             for t in range(K.dim):

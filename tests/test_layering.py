@@ -1,5 +1,6 @@
-"""Layering guard: every map of the package is a sparse ``ColMap``, and the
-dense ``Matrix`` is only the input of elimination inside ``linalg.py``."""
+"""Layering guard: every map of the package is a sparse ``ColMap``, the
+dense ``Matrix`` is only the input of elimination inside ``linalg.py``, every
+rank is a ``sparse_rank``, and every import is used."""
 
 import ast
 from pathlib import Path
@@ -46,5 +47,41 @@ def test_parallel_dense_mechanisms_are_gone():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add((path.name, node.name))
     gone = {("linalg.py", "FullSpace"), ("linalg.py", "from_matrix"), ("algebra.py", "_columns"),
-            ("algebra.py", "_k_action_matrix"), ("cli.py", "_identity")}
+            ("algebra.py", "_k_action_matrix"), ("cli.py", "_identity"), ("linalg.py", "pivot_score")}
     assert defined & gone == set()
+
+
+def test_no_rank_is_read_off_an_echelon_set():
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "dim"
+        and isinstance(node.value, ast.Call) and "EchelonSet" in _names(node.value.func)
+    ]
+    assert reads == []
+
+
+def test_echelon_set_takes_no_width():
+    cls = next(node for node in ast.walk(_tree(ROOT / "src" / "orehom" / "linalg.py"))
+               if isinstance(node, ast.ClassDef) and node.name == "EchelonSet")
+    assert "ncols" not in set(_names(cls)) | {a.arg for a in ast.walk(cls) if isinstance(a, ast.arg)}
+
+
+def test_every_import_is_used():
+    # a line marked ``# noqa: F401`` keeps a name bound for perfbench/tracer.py
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []

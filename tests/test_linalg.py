@@ -73,7 +73,7 @@ def test_subquotient_examples():
 def assert_subquotient_invariants(field, sq, spans):
     """project . lift = id, the spanning vectors project to zero, and
     e_c - lift(project(e_c)) lies in their span for every ambient c."""
-    span = EchelonSet(field, sq.ambient_dim, spans)
+    span = EchelonSet(field, spans)
     assert sq.quotient_dim == sq.ambient_dim - span.dim
     for i in range(sq.quotient_dim):
         e_i = densify({i: field.one}, sq.quotient_dim, field.zero)
@@ -139,7 +139,7 @@ def test_colmap_roundtrip_and_compose():
 
 
 def test_echelon_set_membership():
-    ech = EchelonSet(Q, 3)
+    ech = EchelonSet(Q)
     assert ech.add([Fr(1), Fr(1), Fr(0)])
     assert not ech.add([Fr(2), Fr(2), Fr(0)])
     assert ech.add([Fr(0), Fr(0), Fr(5)])
@@ -168,6 +168,39 @@ def combine(field, coeffs, vectors, dim):
     return out
 
 
+def draw_matrix(field, data):
+    """Rows of few distinct values, with zero rows and repeated rows mixed in;
+    either dimension may be 0."""
+    ncols = data.draw(st.integers(min_value=0, max_value=5))
+    pool = draw_vectors(field, data.draw(st.integers(min_value=0, max_value=4)), ncols, data)
+    pool.append([field.zero] * ncols)
+    picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=6))
+    return Matrix(field, len(picks), ncols, [list(pool[i]) for i in picks])
+
+
+@fields
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rref_is_the_reduced_row_echelon_form(field, data):
+    m = draw_matrix(field, data)
+    before = [list(row) for row in m.entries]
+    red, pivots = rref(m)
+    rows = red.entries
+    assert m.entries == before
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for r, p in enumerate(pivots):
+        assert rows[r][p] == field.one
+        assert all(not rows[i][p] for i in range(m.rows) if i != r)
+        assert not any(rows[r][:p])
+    assert not any(any(row) for row in rows[len(pivots):])
+    # an RREF row space holds v exactly when v is its combination with the
+    # coefficients read at the pivots
+    for v in m.entries:
+        assert combine(field, [v[p] for p in pivots], rows, m.cols) == v
+    assert len(pivots) == sparse_rank(map(sparse, m.entries))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     field=st.sampled_from([Q, F4]),
@@ -189,10 +222,10 @@ def test_subquotient_projection_section_random(field, ambient, nspan, data):
 )
 def test_echelon_set_bulk_build_and_contains(field, dim, nvec, data):
     vecs = draw_vectors(field, nvec, dim, data)
-    one_by_one = EchelonSet(field, dim)
+    one_by_one = EchelonSet(field)
     for v in vecs:
         one_by_one.add(v)
-    bulk = EchelonSet(field, dim, vecs)
+    bulk = EchelonSet(field, vecs)
     assert (bulk.rows, bulk.pivots) == (one_by_one.rows, one_by_one.pivots)
     probes = draw_vectors(field, 2, dim, data)
     probes.append(combine(field, probes[0], vecs, dim))
@@ -213,8 +246,8 @@ def test_echelon_set_of_colmap_columns(rows, cols, data):
     m = cm.to_matrix()
     dense = [[row[j] for row in m.entries] for j in range(cols)]
     assert [densify(col, rows, Q.zero) for col in cm.cols] == dense
-    from_cols = EchelonSet(Q, rows, cm.dense_cols())
-    from_dense = EchelonSet(Q, rows, dense)
+    from_cols = EchelonSet(Q, cm.dense_cols())
+    from_dense = EchelonSet(Q, dense)
     assert (from_cols.rows, from_cols.pivots) == (from_dense.rows, from_dense.pivots)
 
 
@@ -229,13 +262,13 @@ def test_echelon_set_of_colmap_columns(rows, cols, data):
 def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
     images = draw_vectors(field, nimg, dim, data)
     span_vecs = draw_vectors(field, nspan, dim, data)
-    span = EchelonSet(field, dim, span_vecs)
+    span = EchelonSet(field, span_vecs)
     pre = span.preimage(images)
     # reference: kernel of [images | span], cut to the image coordinates
     ref = [v[:nimg] for v in kernel_basis(Matrix.from_cols(field, images + span_vecs, dim))]
-    pre_span = EchelonSet(field, nimg, pre)
+    pre_span = EchelonSet(field, pre)
     assert pre_span.dim == len(pre)
-    assert pre_span.dim == EchelonSet(field, nimg, ref).dim
+    assert pre_span.dim == EchelonSet(field, ref).dim
     assert all(pre_span.contains(v) for v in ref)
     for v in pre:
         assert span.contains(combine(field, v, images, dim))
