@@ -162,6 +162,7 @@ class BarComplex:
         self.spaces = []
         self._b = {}
         self._B = {}
+        self._merged = {}  # (s, class of alpha^pre) -> see ``_merged_slot``
         self.grow(max_r)
 
     @property
@@ -178,6 +179,22 @@ class BarComplex:
     def dim(self, r):
         return self.spaces[r].quotient_dim
 
+    def _merged_slot(self, s, pre):
+        """The nonzero terms c_tpow x^tpow (tpow >= 1) of x^s in A as pairs
+        (tpow, alpha^pre(c_tpow)): c_tpow is pulled onto the coefficient
+        through x^pre.  Kept once per (s, class of alpha^pre)."""
+        mono = self.mono
+        key = (s, mono.twist(pre))
+        got = self._merged.get(key)
+        if got is None:
+            xred = mono.x_power_reduced(s)
+            got = self._merged[key] = [
+                (tpow, mono.alpha_apply(pre, xred.coeffs[tpow]))
+                for tpow in range(1, mono.n)
+                if not vec_is_zero(xred.coeffs[tpow])
+            ]
+        return got
+
     def _b_ambient_column(self, r, t, m_idx):
         """b of the pure tensor m (x) x^{t_1} (x) ... as ambient terms at r-1."""
         mono = self.mono
@@ -191,16 +208,10 @@ class BarComplex:
             add_term(acc, base + i, c)
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(0, r - 1):
-            s = t[j] + t[j + 1]
-            xred = mono.x_power_reduced(s)
-            pre = sum(t[:j])
             negative = (j + 1) % 2 == 1
-            for tpow in range(1, mono.n):
-                kv = xred.coeffs[tpow]
-                if vec_is_zero(kv):
-                    continue
+            for tpow, kv in self._merged_slot(t[j] + t[j + 1], sum(t[:j])):
                 base = tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0)
-                for i, c in M.k_terms("right", mono.alpha_apply(pre, kv), m).items():
+                for i, c in M.k_terms("right", kv, m).items():
                     add_term(acc, base + i, -c if negative else c)
         # face r: wrap x^{i_r} around to the left of m
         negative = r % 2 == 1

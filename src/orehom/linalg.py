@@ -16,7 +16,8 @@ build one for ``rref``.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+
+from .fields import is_unit, reciprocal
 
 
 class Matrix:
@@ -84,14 +85,6 @@ def rref(m):
     return Matrix(m.field, m.rows, m.cols, rows), [ech.pivots[i] for i in order]
 
 
-def _is_unit(x):
-    """x == 1 or x == -1, without lifting 1 into the field."""
-    if isinstance(x, Fraction):
-        return x.denominator == 1 and abs(x.numerator) == 1
-    c = x.coeffs
-    return c[0].denominator == 1 and abs(c[0].numerator) == 1 and not any(c[1:])
-
-
 def sparse_rank(columns):
     """Rank of the matrix whose columns are the sparse ``{row: scalar}`` dicts.
 
@@ -141,14 +134,14 @@ def _block_rank(block):
         col = cols[j]
         if col is None or len(col) != n or not n:
             continue
-        pr = min(col, key=lambda r: (not _is_unit(col[r]), len(where[r])))
+        pr = min(col, key=lambda r: (not is_unit(col[r]), len(where[r])))
         cols[j] = None
         rank += 1
         for r in col:
             where[r].discard(j)
         p = col.pop(pr)
         if p != 1:
-            inv = 1 / p
+            inv = reciprocal(p)
             col = {r: v * inv for r, v in col.items()}
         for k in where.pop(pr):
             ck = cols[k]
@@ -262,7 +255,7 @@ class EchelonSet:
         p = next((j for j, c in enumerate(v) if c), None)
         if p is None:
             return False
-        inv = 1 / v[p]
+        inv = reciprocal(v[p])
         v = [c * inv for c in v]
         for row in self.rows:
             c = row[p]

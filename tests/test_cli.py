@@ -93,7 +93,8 @@ def test_hc_basis_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, md, dims", [("taft:4", 6, [4, 3, 3, 3, 3, 3]), ("trunc:5", 5, [5, 4, 4, 4, 4])]
+    "spec, md, dims",
+    [("taft:4", 6, [4, 3, 3, 3, 3, 3]), ("trunc:5", 5, [5, 4, 4, 4, 4]), ("taft:5", 5, [5, 4, 4, 4, 4])],
 )
 def test_hh_oracle_beyond_the_shipped_sizes(capsys, spec, md, dims):
     code, rep = run_json(capsys, "hh", "--spec", spec, "--max-degree", str(md), "--oracle")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -137,3 +138,93 @@ def test_product_with_a_rational_factor(d, q, coeffs, rational_left):
     prod = F.scalar(a) * F.scalar(b)
     assert list(prod.coeffs) == _reduced_product(F, a, b)
     assert all(isinstance(x, Fraction) for x in prod.coeffs)
+
+
+def test_rational_scalars_are_ints_when_integral():
+    Q = make_field("rationals")
+    assert type(Q.zero) is int and type(Q.one) is int
+    assert type(Q.from_fraction(Fraction(6, 3))) is int
+    assert type(Q.scalar(["4/2"])) is int
+    assert Q.scalar(["1/2"]) == Fraction(1, 2)
+    assert make_field("cyclotomic", 2).root() == -1
+    assert Q.coefficients(3) == [Fraction(3)]
+
+
+def assert_canonical(x):
+    """num / den in lowest terms with den > 0, ints throughout, zero as (0, ..., 0) / 1."""
+    assert type(x.den) is int and all(type(a) is int for a in x.num)
+    assert len(x.num) == x.field.degree
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def ref_add(a, b):
+    return [u + v for u, v in zip(a, b)]
+
+
+def ref_scale(q, a):
+    return [q * u for u in a]
+
+
+def ref_const(F, q):
+    return [Fraction(q)] + [Fraction(0)] * (F.degree - 1)
+
+
+reference_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+rational_operand = st.one_of(st.integers(-9, 9), reference_coeff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([3, 4, 5, 8]), data=st.data())
+def test_cyclotomic_scalars_match_a_fraction_reference(d, data):
+    """Every operation agrees with tuple-of-Fraction arithmetic modulo Phi_d
+    and returns the canonical integer form."""
+    F = make_field("cyclotomic", d)
+    coeffs = st.lists(reference_coeff, min_size=F.degree, max_size=F.degree)
+    a = data.draw(coeffs)
+    b = data.draw(st.one_of(st.just(list(a)), coeffs))
+    q = data.draw(rational_operand)
+    x, y = F.scalar(a), F.scalar(b)
+    neg_a = ref_scale(-1, a)
+    cases = {
+        "x": (x, a),
+        "x + y": (x + y, ref_add(a, b)),
+        "x - y": (x - y, ref_add(a, ref_scale(-1, b))),
+        "x * y": (x * y, _reduced_product(F, a, b)),
+        "-x": (-x, neg_a),
+        "x + q": (x + q, ref_add(a, ref_const(F, q))),
+        "q + x": (q + x, ref_add(a, ref_const(F, q))),
+        "x - q": (x - q, ref_add(a, ref_const(F, -q))),
+        "q - x": (q - x, ref_add(neg_a, ref_const(F, q))),
+        "x * q": (x * q, ref_scale(q, a)),
+        "q * x": (q * x, ref_scale(q, a)),
+        "x ** 3": (x ** 3, _reduced_product(F, _reduced_product(F, a, a), a)),
+    }
+    if q:
+        cases["x / q"] = (x / q, ref_scale(1 / Fraction(q), a))
+    for name, (got, want) in cases.items():
+        assert_canonical(got)
+        assert list(got.coeffs) == want, name
+        assert all(isinstance(c, Fraction) for c in got.coeffs)
+    one = ref_const(F, 1)
+    if y:
+        inv = y.inverse()
+        assert_canonical(inv)
+        assert _reduced_product(F, b, list(inv.coeffs)) == one
+        quo = x / y
+        assert_canonical(quo)
+        assert _reduced_product(F, list(quo.coeffs), b) == a
+        rquo = q / y
+        assert_canonical(rquo)
+        assert _reduced_product(F, list(rquo.coeffs), b) == ref_const(F, q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    # equality is equality of coefficients, and equal scalars hash equally
+    assert (x == y) == (a == b)
+    assert (x != y) == (a != b)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x == q) == (a == ref_const(F, q))
+    assert bool(x) == any(a)

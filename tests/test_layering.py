@@ -1,9 +1,17 @@
 """Layering guard: every map of the package is a sparse ``ColMap``, the
 dense ``Matrix`` is only the input of elimination inside ``linalg.py``, every
-rank is a ``sparse_rank``, and every import is used."""
+rank is a ``sparse_rank``, every import is used, and no code outside
+``fields.py`` divides (``int / int`` is a float)."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orehom.fields import make_field, reciprocal
+from orehom.linalg import EchelonSet, sparse, sparse_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orehom").glob("*.py"))
@@ -85,3 +93,37 @@ def test_every_import_is_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert unused == []
+
+
+def test_only_fields_divides():
+    divisions = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "fields.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []
+
+
+def _exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=5),
+       x=st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=9)))
+def test_rational_elimination_stays_exact(rows, x):
+    """Over Q, elimination on int entries gives ints and Fractions, never a
+    float, and the same numbers as Fraction arithmetic."""
+    Q = make_field("rationals")
+    if x:
+        inv = reciprocal(x)
+        assert type(inv) in (int, Fraction) and inv == 1 / Fraction(x)
+        assert (type(inv) is int) == (inv.denominator == 1)
+    ech = EchelonSet(Q, rows)
+    ref = EchelonSet(Q, [[Fraction(c) for c in row] for row in rows])
+    assert all(_exact(row) for row in ech.rows)
+    assert ech.rows == ref.rows and ech.pivots == ref.pivots
+    cols = [sparse(col) for col in zip(*rows)]
+    assert sparse_rank(cols) == ech.dim == len(ref.rows)
