@@ -41,7 +41,7 @@ from .cyclic import (
     transfer_D,
 )
 from .fields import CycScalar, Field, cyclotomic_polynomial, make_field
-from .linalg import ColMap, Matrix, SubquotientSpace, kernel_basis, rank, rref, sparse_rank, subquotient
+from .linalg import ColMap, Matrix, SubquotientSpace, kernel_basis, rref, sparse_rank, subquotient
 from .perturbation import DeformationRetract, build_cyclic_retract, perturb, vanishing_check
 from .small_complex import (
     HypothesisError,

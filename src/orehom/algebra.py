@@ -13,7 +13,7 @@ coefficient conditions, so downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import ColMap, add_term, densify, sparse, sparse_rank, subquotient
+from .linalg import ColMap, add_term, sparse, sparse_rank, sub_terms, subquotient
 
 
 class AlgebraError(ValueError):
@@ -195,7 +195,7 @@ class AlgebraEndomorphism:
         # alpha(e_i e_j) = alpha(e_i) alpha(e_j): alpha o L(e_i) = L(alpha(e_i)) o alpha on e_j
         for i in range(K.dim):
             after = self.map.compose(K.left_mult_map(K.basis_vector(i)))
-            before = K.left_mult_map(densify(self.map.cols[i], K.dim, K.field.zero)).compose(self.map)
+            before = K.left_mult_map(_kvec(K.field, K.dim, self.map.cols[i].items())).compose(self.map)
             for j in range(K.dim):
                 if after.cols[j] != before.cols[j]:
                     raise AlgebraError(
@@ -441,7 +441,7 @@ class MonogenicData:
 
     def a_from_terms(self, terms):
         """AElement of a ``{coordinate: scalar}`` dict."""
-        return self.a_from_coords(densify(terms, self.dim, self.field.zero))
+        return self.a_from_coords(_kvec(self.field, self.dim, terms.items()))
 
 
 class AElement:
@@ -731,8 +731,8 @@ def regular_bimodule(mono):
 
 
 def twisted_commutator_subspace(M, j):
-    """Spanning vectors of [M,K]_{alpha^j}: m*alpha^j(lam) - lam*m over the basis
-    pairs (m_s, lam_t) in (s, t) order, read off as column s of
+    """Spanning term dicts of [M,K]_{alpha^j}: m*alpha^j(lam) - lam*m over the
+    basis pairs (m_s, lam_t) in (s, t) order, read off as column s of
     R(alpha^j(lam_t)) - L(lam_t)."""
     mono = M.mono
     K = mono.base
@@ -741,11 +741,9 @@ def twisted_commutator_subspace(M, j):
     spans = []
     for s in range(M.dim):
         for t in range(K.dim):
-            v = M.k_terms("right", twisted[t], {s: field.one})
-            for i, c in M.left_k[t].cols[s].items():
-                add_term(v, i, -c)
+            v = sub_terms(M.k_terms("right", twisted[t], {s: field.one}), M.left_k[t].cols[s])
             if v:
-                spans.append(densify(v, M.dim, field.zero))
+                spans.append(v)
     return spans
 
 
@@ -760,7 +758,7 @@ def commutator_quotient(M, j):
 
 
 def k_commutator_subspace(mono, j):
-    """Spanning vectors of [K,K]_{alpha^j} inside K itself.
+    """Spanning term dicts of [K,K]_{alpha^j} inside K itself.
 
     Computed once per class of alpha^j and kept on ``mono``; the caller gets
     its own list, which it may extend.
@@ -774,8 +772,8 @@ def k_commutator_subspace(mono, j):
             ms = K.basis_vector(s)
             for t in range(K.dim):
                 lam = K.basis_vector(t)
-                v = vec_sub(K.mul_vec(ms, mono.alpha_apply(i, lam)), K.mul_vec(lam, ms))
-                if not vec_is_zero(v):
+                v = sparse(vec_sub(K.mul_vec(ms, mono.alpha_apply(i, lam)), K.mul_vec(lam, ms)))
+                if v:
                     spans.append(v)
     return list(spans)
 
@@ -810,7 +808,7 @@ def check_collapse(mono, max_j):
         r = ranks.get(i)
         if r is None:
             spans = k_commutator_subspace(mono, i)
-            r = ranks[i] = sparse_rank(map(sparse, spans))
+            r = ranks[i] = sparse_rank(spans)
         entries[j] = (r == K.dim, r)
     return CollapseReport(mono.n, entries)
 

@@ -29,7 +29,7 @@ from .algebra import commutator_quotient, vec_is_zero
 # in every module namespace that holds it (its tests read this binding)
 from .algebra import twisted_commutator_subspace  # noqa: F401
 from .complexes import ChainComplex
-from .linalg import ColMap, SubquotientSpace, add_term
+from .linalg import ColMap, SubquotientSpace, add_term, sub_terms
 from .small_complex import cs_twist
 
 
@@ -532,7 +532,8 @@ class BarResolution:
         terms = {tgt.offset(t[:-1], q) + j: one}
         for _ in range(t[-1]):
             terms = tgt.right_mul_x(terms)
-        _add_scaled(col, terms, -one if negative else one)
+        for k, e in terms.items():
+            add_term(col, k, -e if negative else e)
         return col
 
     def bprime(self, r):
@@ -688,7 +689,6 @@ class BarResolution:
         omega_prev = self.omega(rr)
         bprev = self.bprime(rr)
         negative = (rr + 1) % 2 == 1
-        one = mono.field.one
         genvals = {}
         for t in src.tuples:
             gen = {}
@@ -698,11 +698,11 @@ class BarResolution:
             D = {}
             for idx, c in gen.items():
                 _add_scaled(D, phi_psi.cols[idx], c)
-            _add_scaled(D, gen, -one)
+            sub_terms(D, gen)
             bg = {}
             for idx, c in gen.items():
                 _add_scaled(bg, bprev.cols[idx], c)
-            _add_scaled(D, omega_prev.apply(bg), -one)
+            sub_terms(D, omega_prev.apply(bg))
             val = self._shift(rr, D)
             if negative:
                 val = _negated(val)

@@ -96,8 +96,8 @@ def _fmt(v):
     return str(v)
 
 
-def _element_string(mono, coords):
-    return repr(mono.a_from_coords(coords))
+def _element_string(mono, terms):
+    return repr(mono.a_from_terms(terms))
 
 
 def cmd_hh(args):

@@ -5,8 +5,8 @@ column-sparse boundary maps d_r: C_r -> C_{r-1} in quotient coordinates.
 ``d . d = 0`` is checked at construction.  Homology dimensions come from
 ranks alone, dim H_r = n_r - rank d_r - rank d_{r+1}, each rank taken once
 by ``sparse_rank`` on the boundary's columns.  Only ``homology`` with
-representatives runs a kernel: its cycles are lifted to ambient
-coordinates by putting their quotient coordinates at the free columns of
+representatives runs a kernel: its cycles are lifted to sparse ambient
+term dicts by putting their quotient coordinates at the free columns of
 the space, so they are reproducible.
 """
 
@@ -61,7 +61,7 @@ class ChainComplex:
 
 
 class HomologyReport:
-    """Homology in one degree: dimension plus ambient-coordinate cycles."""
+    """Homology in one degree: dimension plus cycles as sparse ambient term dicts."""
 
     def __init__(self, degree, dimension, representatives, kernel_only=False):
         self.degree = degree
@@ -83,20 +83,16 @@ def homology(complex_, r, want_representatives=True):
     if r < 0 or r > complex_.max_degree:
         raise ComplexError(f"degree {r} out of range 0..{complex_.max_degree}")
     field = complex_.field
-    n_r = complex_.dim(r)
     if r == 0:
-        ker = [
-            [field.one if i == j else field.zero for i in range(n_r)]
-            for j in range(n_r)
-        ]
+        ker = [{j: field.one} for j in range(complex_.dim(r))]
     else:
-        ker = kernel_basis(complex_.boundaries[r].to_matrix())
+        ker = kernel_basis(field, complex_.boundaries[r].cols)
     kernel_only = r == complex_.max_degree
     space = complex_.spaces[r]
     if kernel_only:
         reps = [space.lift_vec(v) for v in ker] if want_representatives else []
         return HomologyReport(r, len(ker), reps, kernel_only=True)
-    seen = EchelonSet(field, complex_.boundaries[r + 1].dense_cols())
+    seen = EchelonSet(field, complex_.boundaries[r + 1].cols)
     bdim = seen.dim
     reps = []
     dim = 0

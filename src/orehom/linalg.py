@@ -1,16 +1,17 @@
 """Exact elimination, subquotient spaces, and sparse linear maps.
 
-Elimination has one job per routine.  Every rank, and so every homology
-dimension, comes from ``sparse_rank``, which eliminates on sparse columns
-block by block.  Every reduced echelon basis of a span comes from
-``EchelonSet``, which grows one vector at a time: ``rref``, ``kernel_basis``,
-``solve``, membership, preimages and ``subquotient`` all read it.  Everything
-is over a fixed exact field (Q or a cyclotomic field).  Every linear map of
-the package (boundaries, comparison maps, alpha, the bimodule actions) is a
+Every vector elimination reads is a sparse ``{index: scalar}`` dict holding
+no zero scalar, and elimination has one job per routine.  Every rank, and so
+every homology dimension, comes from ``sparse_rank``, which eliminates on
+sparse columns block by block.  Every reduced echelon basis of a span comes
+from ``EchelonSet``, which keeps its rows as sparse dicts and grows one
+vector at a time: membership, preimages, ``kernel_basis``, ``solve``,
+``quotient_dim`` and ``subquotient`` all read it.  Everything is over a fixed
+exact field (Q or a cyclotomic field).  Every linear map of the package
+(boundaries, comparison maps, alpha, the bimodule actions) is a
 column-sparse ``ColMap``, and a quotient space keeps its projection as sparse
-columns too.  The dense row-major ``Matrix`` is only the input of
-elimination: ``ColMap.to_matrix`` and ``Matrix.from_rows``/``from_cols``
-build one for ``rref``.
+columns too.  The dense ``Matrix`` and ``rref`` are a thin wrapper over
+``EchelonSet`` that the package does not call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .fields import is_unit, reciprocal
 
 class Matrix:
     """Dense matrix over an exact field, entries in row-major order: the input
-    of ``rref`` and of the elimination built on it."""
+    of ``rref``.  The package has no caller; the benchmark's tracer
+    (``perfbench/tracer.py``) names ``rref`` and ``Matrix.apply``."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -34,27 +36,8 @@ class Matrix:
         self.cols = cols
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_rows(cls, field, row_list):
-        rows = len(row_list)
-        cols = len(row_list[0]) if rows else 0
-        return cls(field, rows, cols, [list(r) for r in row_list])
-
-    @classmethod
-    def from_cols(cls, field, col_list, nrows=None):
-        if not col_list:
-            return cls.zeros(field, nrows or 0, 0)
-        nrows = len(col_list[0])
-        return cls(field, nrows, len(col_list), [[c[i] for c in col_list] for i in range(nrows)])
-
     def apply(self, vec):
-        """Matrix times a dense vector.  The package has no caller; the
-        benchmark's tracer (``perfbench/tracer.py``) names this method."""
+        """Matrix times a dense vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         z = self.field.zero
@@ -75,14 +58,14 @@ def rref(m):
     """Reduced row echelon form; returns (echelon Matrix, pivot column list).
 
     The nonzero rows are those of ``EchelonSet`` of the rows of ``m``, in
-    pivot order, and zero rows pad the result to the shape of ``m``.  The
-    reduced row echelon form of a row space is unique, so the result does not
-    depend on how the elimination is carried out.
+    pivot order, and zero rows pad the result to the shape of ``m``.
     """
-    ech = EchelonSet(m.field, m.entries)
-    order = sorted(range(ech.dim), key=ech.pivots.__getitem__)
-    rows = [ech.rows[i] for i in order] + [[m.field.zero] * m.cols for _ in range(m.rows - ech.dim)]
-    return Matrix(m.field, m.rows, m.cols, rows), [ech.pivots[i] for i in order]
+    ech = EchelonSet(m.field, map(sparse, m.entries))
+    z = m.field.zero
+    pivots = sorted(ech.row_at)
+    rows = [[ech.row_at[p].get(j, z) for j in range(m.cols)] for p in pivots]
+    rows += [[z] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(m.field, m.rows, m.cols, rows), pivots
 
 
 def sparse_rank(columns):
@@ -163,40 +146,50 @@ def _block_rank(block):
     return rank
 
 
-def rank(m):
-    """Rank of a dense Matrix: ``sparse_rank`` of its columns."""
-    rows = m.entries
-    return sparse_rank({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m.cols))
+def _subtract(acc, c, vec):
+    """acc -= c * vec on sparse vectors, dropping the zeros it makes."""
+    for j, e in vec.items():
+        t = c * e
+        cur = acc.get(j)
+        if cur is None:
+            acc[j] = -t
+        else:
+            cur = cur - t
+            if cur:
+                acc[j] = cur
+            else:
+                del acc[j]
 
 
-def kernel_basis(m):
-    """Basis of the null space of ``m`` (list of dense vectors)."""
-    red, pivots = rref(m)
-    rows, ncols, zero, one = red.entries, m.cols, m.field.zero, m.field.one
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            e = rows[r][f]
-            if e:
-                v[p] = -e
-        basis.append(v)
-    return basis
+def _row_echelon(field, columns):
+    """``EchelonSet`` of the rows of the matrix with these sparse columns."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, e in col.items():
+            rows.setdefault(i, {})[j] = e
+    return EchelonSet(field, (rows[i] for i in sorted(rows)))
+
+
+def kernel_basis(field, columns):
+    """Basis of the null space of the matrix with these sparse ``{row: scalar}``
+    columns: one sparse vector per free column, in ascending order, with a 1
+    there and minus the echelon entries at the pivots."""
+    row_at = _row_echelon(field, columns).row_at
+    basis = {f: {f: field.one} for f in range(len(columns)) if f not in row_at}
+    for p, row in row_at.items():
+        for f, e in row.items():
+            if f != p:
+                basis[f][p] = -e
+    return list(basis.values())
 
 
 def solve(field, columns, b):
-    """One x with sum_j x[j] * columns[j] = b, or None if there is none."""
+    """One sparse x with sum_j x[j] * columns[j] = b, or None if there is none."""
     n = len(columns)
-    red, pivots = rref(Matrix.from_cols(field, list(columns) + [b]))
-    if n in pivots:
+    row_at = _row_echelon(field, list(columns) + [b]).row_at
+    if n in row_at:
         return None
-    x = [field.zero] * n
-    for r, p in enumerate(pivots):
-        x[p] = red.entries[r][n]
-    return x
+    return {p: row[n] for p, row in row_at.items() if n in row}
 
 
 def add_term(acc, key, coeff):
@@ -211,77 +204,76 @@ def add_term(acc, key, coeff):
         del acc[key]
 
 
-def densify(vec_dict, n, zero):
-    """Dense length-n vector of a sparse ``{index: scalar}`` vector."""
-    out = [zero] * n
-    for i, e in vec_dict.items():
-        out[i] = e
-    return out
+def sub_terms(acc, terms):
+    """acc -= terms in sparse vectors, dropping zeros; returns ``acc``."""
+    for key, c in terms.items():
+        add_term(acc, key, -c)
+    return acc
 
 
 def sparse(vec):
-    """Sparse ``{index: scalar}`` vector of a dense one (the inverse of ``densify``)."""
+    """Sparse ``{index: scalar}`` vector of a dense one."""
     return {i: c for i, c in enumerate(vec) if c}
 
 
 class EchelonSet:
-    """Incrementally maintained reduced echelon basis of a growing span.
+    """Incrementally maintained reduced echelon basis of a growing span of
+    sparse ``{column: scalar}`` vectors.
 
-    Row i has a leading 1 at column ``pivots[i]`` and is the only row with a
-    nonzero there.  Rows stay in the order they entered the span; ``rref``
-    sorts them by pivot.
+    ``row_at[p]`` is the sparse row whose leftmost nonzero is a 1 at column
+    p, and no other row is nonzero at p: the rows of the reduced row echelon
+    form of the span, which is unique.  Rows stay in the order they entered
+    the span.
     """
 
     def __init__(self, field, vectors=()):
         self.field = field
-        self.rows = []
-        self.pivots = []
+        self.row_at = {}
         for v in vectors:
             self.add(v)
 
     def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-        return v
+        """``vec`` minus the rows at its pivot entries: empty exactly when
+        ``vec`` lies in the span.  The input is not modified."""
+        out = {j: c for j, c in vec.items() if c}
+        row_at = self.row_at
+        # a row is zero at every other pivot, so these entries stay put
+        for p in [p for p in out if p in row_at]:
+            _subtract(out, out[p], row_at[p])
+        return out
 
     def add(self, vec):
         """Add ``vec`` to the span; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        p = next((j for j, c in enumerate(v) if c), None)
-        if p is None:
+        if not v:
             return False
-        inv = reciprocal(v[p])
-        v = [c * inv for c in v]
-        for row in self.rows:
-            c = row[p]
-            if c:
-                for j in range(p, len(v)):
-                    if v[j]:
-                        row[j] = row[j] - c * v[j]
-        self.rows.append(v)
-        self.pivots.append(p)
+        p = min(v)
+        c = v[p]
+        if c != 1:
+            inv = reciprocal(c)
+            v = {j: e * inv for j, e in v.items()}
+        for row in self.row_at.values():
+            a = row.get(p)
+            if a is not None:
+                _subtract(row, a, v)
+        self.row_at[p] = v
         return True
 
     def contains(self, vec):
         """Membership of ``vec`` in the span."""
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def preimage(self, images):
-        """Basis of {v : sum_t v[t] * images[t] lies in the span}."""
-        return kernel_basis(Matrix.from_cols(self.field, [self.reduce(v) for v in images]))
+        """Basis of {v : sum_t v[t] * images[t] lies in the span}, as sparse vectors."""
+        return kernel_basis(self.field, [self.reduce(v) for v in images])
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.row_at)
 
 
 def quotient_dim(field, numerator, denominator):
-    """dim span(numerator) / span(denominator).
+    """dim span(numerator) / span(denominator), both lists of sparse vectors.
 
     Returns None when the denominator is not inside the numerator span, so
     that each caller can word its own refusal.
@@ -289,7 +281,7 @@ def quotient_dim(field, numerator, denominator):
     num = EchelonSet(field, numerator)
     if not all(num.contains(v) for v in denominator):
         return None
-    return num.dim - sparse_rank(map(sparse, denominator))
+    return num.dim - sparse_rank(denominator)
 
 
 class SubquotientSpace:
@@ -314,13 +306,11 @@ class SubquotientSpace:
         self.proj_cols = proj_cols
 
     def lift_vec(self, qvec):
-        """Dense quotient vector -> dense ambient vector, zero off the free columns."""
-        if len(qvec) != self.quotient_dim:
-            raise ValueError("vector length mismatch")
-        out = [self.field.zero] * self.ambient_dim
-        for idx, c in zip(self.free, qvec):
-            out[idx] = c
-        return out
+        """Sparse quotient vector -> sparse ambient vector on the free columns."""
+        if qvec and (min(qvec) < 0 or max(qvec) >= self.quotient_dim):
+            raise ValueError("quotient coordinate out of range")
+        free = self.free
+        return {free[i]: c for i, c in qvec.items()}
 
     def project_terms(self, terms):
         """Ambient ``{coordinate: scalar}`` dict -> quotient-coordinate dict."""
@@ -336,18 +326,18 @@ class SubquotientSpace:
 
 
 def subquotient(field, ambient_dim, spanning_vectors):
-    """Subquotient of k^ambient_dim by the span of the given vectors."""
+    """Subquotient of k^ambient_dim by the span of the given sparse vectors."""
     for v in spanning_vectors:
-        if len(v) != ambient_dim:
-            raise ValueError("spanning vector of wrong length")
-    ech = EchelonSet(field, spanning_vectors)
-    pivot_set = set(ech.pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
+        if v and (min(v) < 0 or max(v) >= ambient_dim):
+            raise ValueError(f"spanning vector has a coordinate outside 0..{ambient_dim - 1}")
+    row_at = EchelonSet(field, spanning_vectors).row_at
+    free = [c for c in range(ambient_dim) if c not in row_at]
+    qindex = {f: qi for qi, f in enumerate(free)}
     proj_cols = [None] * ambient_dim
     for qi, f in enumerate(free):
         proj_cols[f] = {qi: field.one}
-    for row, p in zip(ech.rows, ech.pivots):
-        proj_cols[p] = {qi: -row[f] for qi, f in enumerate(free) if row[f]}
+    for p, row in row_at.items():
+        proj_cols[p] = {qindex[f]: -e for f, e in sorted(row.items()) if f != p}
     return SubquotientSpace(field, ambient_dim, free, proj_cols)
 
 
@@ -355,8 +345,8 @@ class ColMap:
     """Column-sparse linear map between based spaces.
 
     ``cols[j]`` maps the j-th domain basis vector to a dict
-    ``{row_index: scalar}`` holding no zero scalar.  Densify only for
-    elimination.
+    ``{row_index: scalar}`` holding no zero scalar.  Elimination reads the
+    columns as they are.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -370,17 +360,6 @@ class ColMap:
     @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
-
-    def dense_cols(self):
-        """The columns as dense vectors of length ``nrows``, one at a time."""
-        return (densify(col, self.nrows, self.field.zero) for col in self.cols)
-
-    def to_matrix(self):
-        out = Matrix.zeros(self.field, self.nrows, self.ncols)
-        for j, col in enumerate(self.cols):
-            for i, e in col.items():
-                out.entries[i][j] = e
-        return out
 
     def set_col(self, j, vec_dict):
         self.cols[j] = {i: e for i, e in vec_dict.items() if e}

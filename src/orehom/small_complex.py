@@ -33,7 +33,7 @@ from .algebra import (
     vec_sub,
 )
 from .complexes import ChainComplex, homology_dims
-from .linalg import ColMap, EchelonSet, add_term, densify, quotient_dim, sparse, sparse_rank, subquotient
+from .linalg import ColMap, EchelonSet, add_term, quotient_dim, sparse, sparse_rank, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -51,10 +51,7 @@ def cs_twist(n, r):
 def _boundary_terms(mono, M, r, terms):
     """The boundary formula applied to an M-term dict at degree r."""
     if r % 2 == 1:
-        out = M.x_terms("right", 1, terms)
-        for i, c in M.x_terms("left", 1, terms).items():
-            add_term(out, i, -c)
-        return out
+        return sub_terms(M.x_terms("right", 1, terms), M.x_terms("left", 1, terms))
     out = {}
     for i in range(1, mono.n + 1):
         lam = mono.f_coefficient(mono.n - i)
@@ -159,23 +156,20 @@ def build_cs_collapsed(mono, max_degree=6, collapse_report=None):
 
 # -- eigencomponent decomposition ---------------------------------------------
 
-def component_commutator_span(mono, j, idxs, idx_set):
-    """Spanning vectors of [K,K]^w_{alpha^j} in component coordinates."""
-    spans = []
-    for v in k_commutator_subspace(mono, j):
-        support = [i for i, c in enumerate(v) if c]
-        if support and all(i in idx_set for i in support):
-            spans.append([v[i] for i in idxs])
-    return spans
+def component_commutator_span(mono, j, idxs):
+    """Spanning term dicts of [K,K]^w_{alpha^j} in component coordinates."""
+    local = {i: ii for ii, i in enumerate(idxs)}
+    return [{local[i]: c for i, c in v.items()}
+            for v in k_commutator_subspace(mono, j) if v.keys() <= local.keys()]
 
 
 def component_mult_rows(mono, idxs, kvec):
-    """Rows of K^w * kvec in component coordinates."""
+    """Term dicts of K^w * kvec in component coordinates."""
     K = mono.base
     rows = []
     for i in idxs:
         full = K.mul_vec(K.basis_vector(i), kvec)
-        rows.append([full[t] for t in idxs])
+        rows.append(sparse(full[t] for t in idxs))
     return rows
 
 
@@ -185,7 +179,7 @@ def component_quotient(mono, j, idxs):
     key = (mono.twist(j), tuple(idxs))
     sq = mono._k_quotients.get(key)
     if sq is None:
-        spans = component_commutator_span(mono, key[0], key[1], set(idxs))
+        spans = component_commutator_span(mono, key[0], key[1])
         sq = mono._k_quotients[key] = subquotient(mono.field, len(key[1]), spans)
     return sq
 
@@ -239,12 +233,12 @@ def _norm_map(mono, lam):
     out = [mono.field.zero] * mono.base.dim
     for ell in range(mono.n):
         out = vec_add(out, mono.alpha_apply(ell, lam))
-    return out
+    return sparse(out)
 
 
 def _alpha_minus_id_lamn(mono, lam):
     K = mono.base
-    return K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), mono.f_coefficient(mono.n))
+    return sparse(K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), mono.f_coefficient(mono.n)))
 
 
 def hh_dims_collapsed(mono, max_degree, collapse_report=None):
@@ -260,7 +254,7 @@ def hh_dims_collapsed(mono, max_degree, collapse_report=None):
         m, odd = divmod(r, 2)
         if r == 0:
             den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(K.dim - sparse_rank(map(sparse, den)))
+            dims.append(K.dim - sparse_rank(den))
         elif odd:
             num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
             den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
@@ -283,14 +277,9 @@ def hh_dims_eigen(mono, max_degree, collapse_report=None):
     totals = [0] * (max_degree + 1)
     percomp = []
     for w, idxs in comps:
-        idx_set = set(idxs)
         d = len(idxs)
-        local_basis = []
-        for i in idxs:
-            v = [field.zero] * d
-            v[idxs.index(i)] = one
-            local_basis.append(v)
-        kkw = lambda j: component_commutator_span(mono, j, idxs, idx_set)
+        local_basis = [{i: one} for i in range(d)]
+        kkw = lambda j: component_commutator_span(mono, j, idxs)
         lam_mult = component_mult_rows(mono, idxs, lam_n)
         dims = []
         is_one = w == one
@@ -299,7 +288,7 @@ def hh_dims_eigen(mono, max_degree, collapse_report=None):
             m, odd = divmod(r, 2)
             if r == 0:
                 span = kkw(0) if is_one else kkw(0) + lam_mult
-                dims.append(d - sparse_rank(map(sparse, span)))
+                dims.append(d - sparse_rank(span))
             elif is_one or not w_n_is_one:
                 dims.append(0)
             elif odd:
@@ -332,18 +321,16 @@ def hh_dims_alpha_identity(mono, max_degree):
     for u in range(dimA):
         a = mono.a_from_terms({u: field.one})
         for v in range(dimA):
-            w = M.a_terms("left", a, {v: field.one})
-            for i, c in M.a_terms("right", a, {v: field.one}).items():
-                add_term(w, i, -c)
+            w = sub_terms(M.a_terms("left", a, {v: field.one}), M.a_terms("right", a, {v: field.one}))
             if w:
-                commutators.append(densify(w, dimA, field.zero))
-    fprime_mult = [densify(M.a_terms("left", fprime, {v: field.one}), dimA, field.zero) for v in range(dimA)]
+                commutators.append(w)
+    fprime_mult = [M.a_terms("left", fprime, {v: field.one}) for v in range(dimA)]
     comm = EchelonSet(field, commutators)
     dims = [dimA - comm.dim]
     colon = comm.preimage(fprime_mult)
     for r in range(1, max_degree + 1):
         if r % 2 == 1:
-            dims.append(dimA - sparse_rank(map(sparse, commutators + fprime_mult)))
+            dims.append(dimA - sparse_rank(commutators + fprime_mult))
         else:
             dims.append(_well_formed(quotient_dim(field, colon, commutators)))
     return dims
@@ -402,8 +389,7 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
         raise HypothesisError(f"unknown rank-one case {case!r}")
     if case == "xi!=0, chi^n!=id":
         case = "xi=0"
-    full_comm = k_commutator_subspace(mono, 0)
-    k_mod_comm = K.dim - sparse_rank(map(sparse, full_comm))
+    k_mod_comm = K.dim - sparse_rank(k_commutator_subspace(mono, 0))
     dims = []
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
@@ -413,12 +399,10 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
             else:
                 total = 0
                 for w, idxs in comps:
-                    idx_set = set(idxs)
-                    d = len(idxs)
-                    span = component_commutator_span(mono, 0, idxs, idx_set)
+                    span = component_commutator_span(mono, 0, idxs)
                     if w != one:
                         span = span + component_mult_rows(mono, idxs, lam_n)
-                    total += d - sparse_rank(map(sparse, span))
+                    total += len(idxs) - sparse_rank(span)
                 dims.append(total)
             continue
         m_eff = m if odd else m - 1
@@ -426,18 +410,17 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
         for w, idxs in comps:
             if w == one or w ** n != one:
                 continue
-            idx_set = set(idxs)
             d = len(idxs)
             if case == "xi=0":
-                den = component_commutator_span(mono, (m_eff + 1) * n, idxs, idx_set)
-                total += d - sparse_rank(map(sparse, den))
+                den = component_commutator_span(mono, (m_eff + 1) * n, idxs)
+                total += d - sparse_rank(den)
             elif odd:
-                den = component_commutator_span(mono, 0, idxs, idx_set)
+                den = component_commutator_span(mono, 0, idxs)
                 num = EchelonSet(field, den).preimage(component_mult_rows(mono, idxs, lam_n))
                 total += _well_formed(quotient_dim(field, num, den))
             else:
-                span = component_commutator_span(mono, 0, idxs, idx_set)
+                span = component_commutator_span(mono, 0, idxs)
                 span = span + component_mult_rows(mono, idxs, lam_n)
-                total += d - sparse_rank(map(sparse, span))
+                total += d - sparse_rank(span)
         dims.append(total)
     return dims

@@ -26,7 +26,7 @@ from orehom.algebra import (
 from orehom.bar import BarComplex
 from orehom.complexes import homology_dims
 from orehom.fields import make_field
-from orehom.linalg import ColMap, Matrix, densify, rank, sparse
+from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
@@ -238,7 +238,7 @@ def test_twisted_commutators_rational_trivial():
 def test_twisted_commutators_sweedler():
     sw = get_context("sweedler").mono
     spans = k_commutator_subspace(sw, 1)
-    assert rank(Matrix.from_rows(Q, spans)) == 2  # all of K
+    assert sparse_rank(spans) == 2  # all of K
     assert k_commutator_subspace(sw, 2) == []
 
 
@@ -306,9 +306,7 @@ def test_commutator_alpha_period_compatibility():
         for j in (0, 1, 2):
             a = twisted_commutator_subspace(M, j)
             b = twisted_commutator_subspace(M, j + v)
-            ra = rank(Matrix.from_rows(mono.field, a)) if a else 0
-            rb = rank(Matrix.from_rows(mono.field, b)) if b else 0
-            assert ra == rb
+            assert sparse_rank(a) == sparse_rank(b)
 
 
 def _one_hot_commutators(M, j):
@@ -326,9 +324,9 @@ def _one_hot_commutators(M, j):
         m = mono.a_from_terms({s: field.one})
         for t in range(K.dim):
             lam = mono.a_from_kvec(K.basis_vector(t))
-            twisted = mono.a_from_kvec(densify(power.cols[t], K.dim, field.zero))
-            v = mono.a_coords(_division_product(m, twisted) - _division_product(lam, m))
-            if not vec_is_zero(v):
+            twisted = mono.a_from_kvec([power.cols[t].get(i, field.zero) for i in range(K.dim)])
+            v = sparse(mono.a_coords(_division_product(m, twisted) - _division_product(lam, m)))
+            if v:
                 spans.append(v)
     return spans
 
@@ -373,8 +371,6 @@ def test_alpha_of_infinite_order_keeps_every_twist():
 
 def test_lambda_n_compatibility():
     # lam*lam_n - alpha^n(lam)*lam_n lies in [K,K]_{alpha^{mn}} for m <= 3
-    from orehom.linalg import EchelonSet
-
     for name in ("sweedler", "taft:3", "rank1:c4", "rank1nc:c2xc4", "dihedral:3"):
         mono = get_context(name).mono
         K = mono.base
@@ -392,7 +388,7 @@ def test_lambda_n_compatibility():
                         K.mul_vec(mono.alpha_apply(mono.n, lam), lam_n),
                     )
                 ]
-                assert not any(ech.reduce(val))
+                assert ech.contains(sparse(val))
 
 
 def test_regular_bimodule_validates():
@@ -426,7 +422,7 @@ def _dense_alpha(mono, p, vec):
     out = sparse(vec)
     for _ in range(p):
         out = mono.alpha.map.apply(out)
-    return densify(out, mono.base.dim, mono.field.zero)
+    return [out.get(i, mono.field.zero) for i in range(mono.base.dim)]
 
 
 def _division_product(a, b):

@@ -1,7 +1,8 @@
-"""Layering guard: every map of the package is a sparse ``ColMap``, the
-dense ``Matrix`` is only the input of elimination inside ``linalg.py``, every
-rank is a ``sparse_rank``, every import is used, and no code outside
-``fields.py`` divides (``int / int`` is a float)."""
+"""Layering guard: every map of the package is a sparse ``ColMap``,
+elimination reads sparse term dicts with no dense bridge, the dense
+``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
+``sparse_rank``, every import is used, and no code outside ``fields.py``
+divides (``int / int`` is a float)."""
 
 import ast
 from fractions import Fraction
@@ -36,6 +37,47 @@ def _names(tree):
 def test_only_elimination_names_the_dense_matrix():
     naming = {p.name for p in SOURCES if "Matrix" in set(_names(_tree(p)))}
     assert naming == {"linalg.py", "__init__.py"}
+
+
+def _called(node):
+    """The name a Call node calls, bare or as an attribute, else None."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_dense_bridges_are_gone():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name in ("dense_cols", "to_matrix") or (path.name == "linalg.py" and node.name == "rank")
+            ):
+                found.append(f"{path.name}:{node.lineno}: def {node.name}")
+            elif isinstance(node, ast.Call) and _called(node) in ("dense_cols", "to_matrix", "rank"):
+                found.append(f"{path.name}:{node.lineno}: call {_called(node)}")
+            elif isinstance(node, ast.alias) and node.name == "rank":
+                found.append(f"{path.name}:{node.lineno}: import rank")
+    assert found == []
+
+
+def test_densify_stays_in_the_algebra_builders():
+    naming = {p.name for p in SOURCES if "densify" in set(_names(_tree(p)))}
+    assert naming <= {"algebra.py"}
+
+
+def test_dense_matrix_and_rref_have_no_caller_outside_linalg():
+    calls = [
+        f"{path.name}:{node.lineno}: {_called(node)}"
+        for path in SOURCES
+        if path.name != "linalg.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _called(node) in ("Matrix", "rref")
+    ]
+    assert calls == []
 
 
 def test_no_dense_projection_or_section_is_read():
@@ -121,9 +163,9 @@ def test_rational_elimination_stays_exact(rows, x):
         inv = reciprocal(x)
         assert type(inv) in (int, Fraction) and inv == 1 / Fraction(x)
         assert (type(inv) is int) == (inv.denominator == 1)
-    ech = EchelonSet(Q, rows)
-    ref = EchelonSet(Q, [[Fraction(c) for c in row] for row in rows])
-    assert all(_exact(row) for row in ech.rows)
-    assert ech.rows == ref.rows and ech.pivots == ref.pivots
+    ech = EchelonSet(Q, map(sparse, rows))
+    ref = EchelonSet(Q, [sparse(Fraction(c) for c in row) for row in rows])
+    assert all(_exact(row.values()) for row in ech.row_at.values())
+    assert ech.row_at == ref.row_at
     cols = [sparse(col) for col in zip(*rows)]
-    assert sparse_rank(cols) == ech.dim == len(ref.rows)
+    assert sparse_rank(cols) == ech.dim == ref.dim

@@ -1,7 +1,7 @@
 import pytest
 
 from orehom.complexes import homology, homology_dims
-from orehom.linalg import rank, sparse
+from orehom.linalg import sparse_rank
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
@@ -39,7 +39,7 @@ def test_trunc_spaces_and_boundaries():
         if r % 2 == 1:
             assert m.is_zero()
         else:
-            assert rank(m.to_matrix()) == 1
+            assert sparse_rank(m.cols) == 1
 
 
 def test_sweedler_space_dims():
@@ -69,7 +69,7 @@ def test_homology_representatives_are_cycles(name):
         rep = homology(cs, r)
         assert rep.dimension == len(rep.representatives)
         for v in rep.representatives:
-            q = cs.spaces[r].project_terms(sparse(v))
+            q = cs.spaces[r].project_terms(v)
             if r >= 1:
                 img = cs.boundary(r).apply(q)
                 assert not img
@@ -102,20 +102,18 @@ def test_collapsed_boundaries_sweedler():
     # d_odd = 0 because lam_2 = 0
     assert col.boundary(1).is_zero() and col.boundary(3).is_zero()
     # d_even([1]) = 2x, d_even([g]) = 0
-    d2 = list(col.boundary(2).dense_cols())
-    assert d2[0] == [mono.field.from_int(2), mono.field.zero]
-    assert d2[1] == [mono.field.zero, mono.field.zero]
+    d2 = col.boundary(2).cols
+    assert d2[0] == {0: mono.field.from_int(2)}
+    assert d2[1] == {}
 
 
 def test_collapsed_boundaries_taft3():
     mono = get_context("taft:3").mono
     F = mono.field
     col = build_cs_collapsed(mono, 4)
-    d2 = list(col.boundary(2).dense_cols())
+    d2 = col.boundary(2).cols
     # the norm 1 + z^a + z^{2a} vanishes except on the trivial character row
-    assert d2[0] == [F.from_int(3), F.zero, F.zero]
-    assert d2[1] == [F.zero] * 3
-    assert d2[2] == [F.zero] * 3
+    assert d2 == [{0: F.from_int(3)}, {}, {}]
 
 
 def test_collapsed_boundary_rank1_odd():
@@ -123,11 +121,10 @@ def test_collapsed_boundary_rank1_odd():
     F = mono.field
     col = build_cs_collapsed(mono, 4)
     # d_1([g] x) = [2 g^3 - 2 g]
-    qcol = list(col.boundary(1).dense_cols())[1]
-    amb = col.spaces[0].lift_vec(qcol)
+    amb = col.spaces[0].lift_vec(col.boundary(1).cols[1])
     # ambient coordinates over (e, g, g2, g3); [K,K]_{alpha^0} = 0 so the
     # quotient is all of K
-    assert amb == [F.zero, F.from_int(-2), F.zero, F.from_int(2)]
+    assert amb == {1: F.from_int(-2), 3: F.from_int(2)}
 
 
 def test_decompose_sums_to_collapsed():
