@@ -17,11 +17,17 @@ Tensors are kept in the normal form inherited from the left K-basis
 {1, x, .., x^(n-1)}: coefficients are pushed to the leftmost factor through
 the twist x^i * lam = alpha^i(lam) x^i, and K-valued entries of a middle
 (Abar) slot vanish.  Elements are dicts mapping flat basis indices to
-scalars; chain maps are column-sparse ColMaps.
+scalars.  Every map is a ``ColMap.lazy`` over one column function, kept per
+level: a column is built the first time something reads it, so applying a
+map to a vector builds only the columns in its support, and a whole-map
+reader builds every column through the same function.  The bimodule maps
+of the resolutions come from ``_TensorBlocks.generated_map``, one
+generator value per middle block.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import product as iproduct
 
 from .algebra import commutator_quotient, vec_is_zero
@@ -33,15 +39,51 @@ from .linalg import ColMap, SubquotientSpace, add_term, sub_terms
 from .small_complex import cs_twist
 
 
-def _add_scaled(acc, terms, coeff):
-    if not coeff:
-        return
-    for key, c in terms.items():
-        add_term(acc, key, coeff * c)
+def _add_at(acc, base, items, negative=False):
+    """acc += items shifted by ``base`` (negated if asked), dropping zeros."""
+    for i, c in items:
+        add_term(acc, base + i, -c if negative else c)
 
 
-def _negated(terms):
-    return {k: -v for k, v in terms.items()}
+def _memo(build):
+    """Method decorator: ``build(self, *args)`` runs once per object and
+    arguments; later calls return the kept value."""
+    name = build.__name__
+
+    @wraps(build)
+    def get(self, *args):
+        kept = self.__dict__.setdefault("_kept", {})
+        got = kept.get((name, args))
+        if got is None:
+            got = kept[name, args] = build(self, *args)
+        return got
+
+    return get
+
+
+def _quotient_map(src, tgt, ambient):
+    """The lazy map of quotient spaces whose column qj projects
+    ``ambient(src.free[qj])``, the image of that ambient basis vector."""
+    return ColMap.lazy(tgt.field, tgt.quotient_dim, src.quotient_dim,
+                       lambda qj: tgt.project_terms(ambient(src.free[qj])))
+
+
+def _phi_terms(mono, r):
+    """The terms of the comparison map phi_r on a generator, as triples
+    (lam, e, mid): lam x^e in the front slot and the exponents ``mid`` of
+    the middle slots, from the expansion of f in every second slot."""
+    n = mono.n
+    m, odd = divmod(r, 2)
+    # an i of 1 gives an empty l-range 1 <= l < i
+    for ivec in iproduct(range(2, n + 1), repeat=m):
+        lam = list(mono.base.unit)
+        for i in ivec:
+            lam = mono.base.mul_vec(lam, mono.f_coefficient(n - i))
+        if vec_is_zero(lam):
+            continue
+        for ell in iproduct(*[range(1, i) for i in ivec]):
+            mid = sum(((1, l) for l in reversed(ell)), ()) + (1,) * odd
+            yield lam, sum(ivec) - sum(ell) - m, mid
 
 
 def middle_tuples(n, r):
@@ -153,15 +195,13 @@ class BarComplex:
     """The normalized relative chain complex of A with coefficients in M.
 
     ``grow`` extends it level by level in place; b_r and B_r read only
-    levels up to r + 1, so cached maps stay valid.
+    levels up to r + 1, so kept maps stay valid.
     """
 
     def __init__(self, mono, M, max_r):
         self.mono = mono
         self.M = M
         self.spaces = []
-        self._b = {}
-        self._B = {}
         self._merged = {}  # (s, class of alpha^pre) -> see ``_merged_slot``
         self.grow(max_r)
 
@@ -195,43 +235,29 @@ class BarComplex:
             ]
         return got
 
-    def _b_ambient_column(self, r, t, m_idx):
-        """b of the pure tensor m (x) x^{t_1} (x) ... as ambient terms at r-1."""
-        mono = self.mono
+    def _b_ambient_column(self, r, idx):
+        """b of the pure tensor m (x) x^{t_1} (x) ... at ambient index ``idx``
+        as ambient terms at r-1."""
         M = self.M
         tgt = self.spaces[r - 1]
-        m = {m_idx: mono.field.one}
+        t, m_idx = self.spaces[r].unflat(idx)
+        m = {m_idx: self.mono.field.one}
         acc = {}
         # face 0: multiply m by x^{i_1} on the right
-        base = tgt.flat(t[1:], 0)
-        for i, c in M.x_terms("right", t[0], m).items():
-            add_term(acc, base + i, c)
+        _add_at(acc, tgt.flat(t[1:], 0), M.x_terms("right", t[0], m).items())
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(0, r - 1):
-            negative = (j + 1) % 2 == 1
             for tpow, kv in self._merged_slot(t[j] + t[j + 1], sum(t[:j])):
-                base = tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0)
-                for i, c in M.k_terms("right", kv, m).items():
-                    add_term(acc, base + i, -c if negative else c)
+                _add_at(acc, tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0),
+                        M.k_terms("right", kv, m).items(), (j + 1) % 2 == 1)
         # face r: wrap x^{i_r} around to the left of m
-        negative = r % 2 == 1
-        base = tgt.flat(t[:-1], 0)
-        for i, c in M.x_terms("left", t[-1], m).items():
-            add_term(acc, base + i, -c if negative else c)
+        _add_at(acc, tgt.flat(t[:-1], 0), M.x_terms("left", t[-1], m).items(), r % 2 == 1)
         return acc
 
+    @_memo
     def b(self, r):
         """Boundary b_r in quotient coordinates."""
-        got = self._b.get(r)
-        if got is not None:
-            return got
-        src = self.spaces[r]
-        tgt = self.spaces[r - 1]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free):
-            out.set_col(qj, tgt.project_terms(self._b_ambient_column(r, *src.unflat(idx))))
-        self._b[r] = out
-        return out
+        return _quotient_map(self.spaces[r], self.spaces[r - 1], lambda idx: self._b_ambient_column(r, idx))
 
     def chain_complex(self, max_r=None):
         max_r = self.max_r if max_r is None else max_r
@@ -241,18 +267,16 @@ class BarComplex:
             {r: self.b(r) for r in range(1, max_r + 1)},
         )
 
-    def _B_ambient_column(self, r, t, m_idx):
+    def _B_ambient_column(self, r, idx):
         """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
         mono = self.mono
-        if not self.M.is_regular:
-            raise ValueError("the cyclic operator needs coefficients M = A")
         tgt = self.spaces[r + 1]
+        t, m_idx = self.spaces[r].unflat(idx)
         i0, kappa = divmod(m_idx, mono.base.dim)
         acc = {}
         if i0 == 0:
             return acc
         for i in range(0, r + 1):
-            negative = (i * r) % 2 == 1
             if i == 0:
                 newt = (i0,) + t
                 cols = None
@@ -261,22 +285,14 @@ class BarComplex:
                 newt = tail + (i0,) + t[:i - 1]
                 cols = mono.alpha_columns(sum(tail))
             pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
-            base = tgt.flat(newt, 0)
-            for kp, c in pushed.items():
-                add_term(acc, base + mono.index(0, kp), -c if negative else c)
+            _add_at(acc, tgt.flat(newt, 0), pushed.items(), (i * r) % 2 == 1)
         return acc
 
+    @_memo
     def connes_B(self, r):
-        got = self._B.get(r)
-        if got is not None:
-            return got
-        src = self.spaces[r]
-        tgt = self.spaces[r + 1]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free):
-            out.set_col(qj, tgt.project_terms(self._B_ambient_column(r, *src.unflat(idx))))
-        self._B[r] = out
-        return out
+        if not self.M.is_regular:
+            raise ValueError("the cyclic operator needs coefficients M = A")
+        return _quotient_map(self.spaces[r], self.spaces[r + 1], lambda idx: self._B_ambient_column(r, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +306,7 @@ class _TensorBlocks:
     coordinate of the left factor e_j = mu_k x^p, q the right factor x^q,
     and the block fixes the middle, whose x-degree s twists the right
     factor's coefficients on their way to the front.  Subclasses set
-    ``mono`` and ``overflow`` (per block, ``mono.x_overflow(s)``).
+    ``mono``, ``dim`` and ``overflow`` (per block, ``mono.x_overflow(s)``).
     """
 
     def left_mul_monomial(self, j, terms):
@@ -321,6 +337,30 @@ class _TensorBlocks:
                 add_term(out, base + k, c * e)
         return out
 
+    def generated_map(self, generator, target):
+        """The bimodule map from this space to ``target`` whose value on the
+        generator 1 (x) [middle of block b] (x) 1 is the term dict
+        ``generator(b)``, read once per block.
+
+        The column of e_j (x) [middle] (x) x^q is e_j . gen . x^q; for q > 0
+        it is the column one index of dim A back, times x.
+        """
+        dim_a = self.mono.dim
+        block = self.mono.n * dim_a
+        gens = {}
+
+        def column(idx):
+            b, rest = divmod(idx, block)
+            if rest >= dim_a:
+                return target.right_mul_x(out.cols[idx - dim_a])
+            gen = gens.get(b)
+            if gen is None:
+                gen = gens[b] = generator(b)
+            return target.left_mul_monomial(rest, gen)
+
+        out = ColMap.lazy(self.mono.field, target.dim, self.dim, column)
+        return out
+
 
 class ResolutionSpace(_TensorBlocks):
     """A_{alpha^j} (x) A as a based k-space: basis mu_k x^p (x) x^q."""
@@ -342,22 +382,6 @@ class ResolutionSpace(_TensorBlocks):
         q, p = divmod(rest, self.n)
         return kappa, p, q
 
-    def generated_map(self, gen_terms, target):
-        """Extend target-valued generator terms to a bimodule-map ColMap.
-
-        ``gen_terms`` is the image of 1 (x) 1 inside ``target``; the column
-        for e_j (x) x^q is e_j . gen . x^q, and for q > 0 it is the column
-        of e_j (x) x^(q-1), one index of dim A back, times x.
-        """
-        mono = self.mono
-        out = ColMap(mono.field, target.dim, self.dim)
-        for idx in range(self.dim):
-            if idx < mono.dim:
-                out.set_col(idx, target.left_mul_monomial(idx, gen_terms))
-            else:
-                out.set_col(idx, target.right_mul_x(out.cols[idx - mono.dim]))
-        return out
-
 
 class ResolutionComplex:
     """The twisted two-periodic resolution with its boundaries d'."""
@@ -365,7 +389,6 @@ class ResolutionComplex:
     def __init__(self, mono, max_r):
         self.mono = mono
         self.spaces = []
-        self._d = {}
         self.grow(max_r)
 
     @property
@@ -402,13 +425,9 @@ class ResolutionComplex:
                             add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
         return gen
 
+    @_memo
     def d(self, r):
-        got = self._d.get(r)
-        if got is not None:
-            return got
-        out = self.spaces[r].generated_map(self.d_generator(r), self.spaces[r - 1])
-        self._d[r] = out
-        return out
+        return self.spaces[r].generated_map(lambda b: self.d_generator(r), self.spaces[r - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +476,14 @@ class BarResolution:
 
     ``grow`` extends it, with its twisted resolution, level by level in
     place; b'_r, phi'_r, psi'_r and omega'_r read only levels up to r, so
-    cached maps stay valid.
+    kept maps stay valid.
     """
 
     def __init__(self, mono, max_r):
         self.mono = mono
         self.spaces = []
         self.resolution = ResolutionComplex(mono, max_r)
-        self._bprime = {}
         self._faces = {}
-        self._phi = {}
-        self._psi = {}
-        self._omega = {}
         self.grow(max_r)
 
     @property
@@ -511,44 +526,32 @@ class BarResolution:
             self._faces[key] = got
         return got
 
-    def _bprime_column(self, r, j, t, q):
-        """b' of e_j (x) x^{t_1} (x) .. (x) x^q as terms at level r-1."""
+    def _bprime_column(self, r, idx):
+        """b' of e_j (x) x^{t_1} (x) .. (x) x^q at flat index ``idx`` as terms
+        at level r-1."""
+        src = self.spaces[r]
         tgt = self.spaces[r - 1]
-        one = self.mono.field.one
+        ti, rest = divmod(idx, src.block)
+        q, j = divmod(rest, self.mono.dim)
+        t = src.tuples[ti]
         col = {}
         # face 0: front times x^{i_1}
-        base = tgt.offset(t[1:], q)
-        for k, e in self._face_terms(j, t[0], None).items():
-            add_term(col, base + k, e)
+        _add_at(col, tgt.offset(t[1:], q), self._face_terms(j, t[0], None).items())
         # middle faces
         for i in range(0, r - 1):
-            negative = (i + 1) % 2 == 1
             for tp, terms in self._face_terms(j, t[i] + t[i + 1], sum(t[:i])).items():
-                base = tgt.offset(t[:i] + (tp,) + t[i + 2:], q)
-                for k, e in terms.items():
-                    add_term(col, base + k, -e if negative else e)
+                _add_at(col, tgt.offset(t[:i] + (tp,) + t[i + 2:], q), terms.items(), (i + 1) % 2 == 1)
         # last face: right factor times x^{i_r}
-        negative = r % 2 == 1
-        terms = {tgt.offset(t[:-1], q) + j: one}
+        terms = {tgt.offset(t[:-1], q) + j: self.mono.field.one}
         for _ in range(t[-1]):
             terms = tgt.right_mul_x(terms)
-        for k, e in terms.items():
-            add_term(col, k, -e if negative else e)
+        _add_at(col, 0, terms.items(), r % 2 == 1)
         return col
 
+    @_memo
     def bprime(self, r):
-        got = self._bprime.get(r)
-        if got is not None:
-            return got
-        src = self.spaces[r]
-        dim_a = self.mono.dim
-        out = ColMap(self.mono.field, self.spaces[r - 1].dim, src.dim)
-        for idx in range(src.dim):
-            ti, rest = divmod(idx, src.block)
-            q, j = divmod(rest, dim_a)
-            out.set_col(idx, self._bprime_column(r, j, src.tuples[ti], q))
-        self._bprime[r] = out
-        return out
+        return ColMap.lazy(self.mono.field, self.spaces[r - 1].dim, self.spaces[r].dim,
+                           lambda idx: self._bprime_column(r, idx))
 
     # -- comparison maps ----------------------------------------------------------
 
@@ -556,97 +559,48 @@ class BarResolution:
         """phi'_r(1 (x) 1) as a term dict at level r."""
         mono = self.mono
         sp = self.spaces[r]
-        n = mono.n
-        m, odd = divmod(r, 2)
         acc = {}
-        if r == 0:
-            for kappa, c in enumerate(mono.base.unit):
-                if c:
-                    acc[sp.flat(kappa, 0, (), 0)] = c
-            return acc
-        for ivec in iproduct(range(1, n + 1), repeat=m):
-            if any(i == 1 for i in ivec):
-                continue  # the inner l-range 1 <= l < i is empty
-            lam = list(mono.base.unit)
-            for i in ivec:
-                lam = mono.base.mul_vec(lam, mono.f_coefficient(n - i))
-            if vec_is_zero(lam):
-                continue
-            for ell in iproduct(*[range(1, i) for i in ivec]):
-                e = sum(i - l for i, l in zip(ivec, ell)) - m
-                front = mono.a_from_kvec(lam, 0) * mono.x_power_reduced(e)
-                mid = ()
-                for j in range(m - 1, -1, -1):
-                    mid += (1, ell[j])
-                if odd:
-                    mid += (1,)
-                base = sp.offset(mid, 0)
-                for k, c in front.items():
-                    add_term(acc, base + k, c)
+        for lam, e, mid in _phi_terms(mono, r):
+            _add_at(acc, sp.offset(mid, 0), (mono.a_from_kvec(lam, 0) * mono.x_power_reduced(e)).items())
         return acc
 
+    @_memo
     def phi(self, r):
         """phi'_r: twisted resolution -> bar resolution."""
-        got = self._phi.get(r)
-        if got is not None:
-            return got
-        out = self.resolution.spaces[r].generated_map(self._phi_generator(r), self.spaces[r])
-        self._phi[r] = out
-        return out
+        return self.resolution.spaces[r].generated_map(lambda b: self._phi_generator(r), self.spaces[r])
+
+    @_memo
+    def _quotient_product(self, sums):
+        """The product, left to right, of the quotients of x^s by f over s in ``sums``."""
+        if not sums:
+            return self.mono.one_a()
+        return self._quotient_product(sums[:-1]) * self.mono.x_power_quotient(sums[-1])
+
+    def psi_product(self, t):
+        """The product of the quotients of x^(t_1 + t_2), x^(t_3 + t_4), .. by f:
+        the coefficient psi' and psi give the middle tuple t."""
+        return self._quotient_product(tuple(t[i] + t[i + 1] for i in range(0, len(t) - 1, 2)))
 
     def _psi_tuple(self, r, t):
         """psi'_r(1 (x) x^{i_1} (x) .. (x) 1) as terms in the resolution space."""
         mono = self.mono
-        m, odd = divmod(r, 2)
-        prod = mono.one_a()
-        for j in range(m):
-            s = t[2 * j] + t[2 * j + 1]
-            prod = prod * mono.x_power_quotient(s)
-            if prod.is_zero():
-                return {}
-        if not odd:
+        prod = self.psi_product(t)
+        if r % 2 == 0:
             return dict(prod.items())
         acc = {}
         i_last = t[-1]
         for ell in range(i_last):
             # e_k (x) x^q sits at q * dim A + k
-            base = (i_last - ell - 1) * mono.dim
-            for k, c in (prod * mono.x_power_reduced(ell)).items():
-                add_term(acc, base + k, c)
+            _add_at(acc, (i_last - ell - 1) * mono.dim, (prod * mono.x_power_reduced(ell)).items())
         return acc
 
+    @_memo
     def psi(self, r):
         """psi'_r: bar resolution -> twisted resolution."""
-        got = self._psi.get(r)
-        if got is not None:
-            return got
-        mono = self.mono
-        rsp = self.resolution.spaces[r]
         bsp = self.spaces[r]
-        out = ColMap(mono.field, rsp.dim, bsp.dim)
-        for idx in range(bsp.dim):
-            ti, rest = divmod(idx, bsp.block)
-            if rest == 0:
-                base = self._psi_tuple(r, bsp.tuples[ti])
-            if rest >= mono.dim:
-                out.set_col(idx, rsp.right_mul_x(out.cols[idx - mono.dim]))
-            else:
-                out.set_col(idx, rsp.left_mul_monomial(rest, base))
-        self._psi[r] = out
-        return out
+        return bsp.generated_map(lambda b: self._psi_tuple(r, bsp.tuples[b]), self.resolution.spaces[r])
 
     # -- homotopy -------------------------------------------------------------------
-
-    def omega_generator(self, r, t):
-        """omega'_r(1 (x) x^{t_1} (x) .. (x) 1) as a term dict at level r."""
-        mono = self.mono
-        om = self.omega(r)
-        src = self.spaces[r - 1]
-        acc = {}
-        for kappa, c in enumerate(mono.base.unit):
-            if c:
-                _add_scaled(acc, om.cols[src.flat(kappa, 0, t, 0)], c)
-        return acc
 
     def _shift(self, r, terms):
         """(..) (x) 1: move the right A-factor into an Abar slot, append 1."""
@@ -660,61 +614,42 @@ class BarResolution:
             add_term(out, tgt.flat(kappa, i0, t + (q,), 0), c)
         return out
 
-    def omega(self, r):
-        """omega'_r: level r-1 -> level r homotopy (omega'_1 = 0).
+    @_memo
+    def omega_generator(self, r, t):
+        """omega'_r(1 (x) x^{t_1} (x) .. (x) 1) as a term dict at level r.
 
-        Recursion on elements with 1 in the last slot, extended by right
-        A-linearity; coefficients of the output never gain x-degree, which
-        is the content of the degree bound this module verifies.
+        Relative comparison-theorem construction: on the bimodule generators
+        1 (x) x^t (x) 1 of level r - 1 set
+            omega'_r = s . (phi'psi' - id - omega'_{r-1} b')
+        with the signed right shift s(y) = (-1)^r (y (x) 1), which contracts
+        b' above degree 0 (omega'_1 = 0).  It reads omega'_{r-1} only on the
+        support of b' of the generator.
         """
-        got = self._omega.get(r)
-        if got is not None:
-            return got
-        mono = self.mono
-        src = self.spaces[r - 1]
-        tgt = self.spaces[r]
-        out = ColMap(mono.field, tgt.dim, src.dim)
         if r == 1:
-            self._omega[1] = out
-            return out
-        rr = r - 1  # build omega'_{rr+1} out of level-rr data
-        # Relative comparison-theorem construction: on the bimodule
-        # generators 1 (x) x^t (x) 1 set
-        #     omega' = s . (phi'psi' - id - omega'_prev b')
-        # with the signed right shift s(y) = (-1)^(deg+1) (y (x) 1), which
-        # contracts b' above degree 0; then extend as a bimodule map.  The
-        # bimodule extension is what makes the coefficient-level transfer
-        # via m (x)_{A^e} - legitimate.
-        phi_psi = self.phi(rr).compose(self.psi(rr))
-        omega_prev = self.omega(rr)
-        bprev = self.bprime(rr)
-        negative = (rr + 1) % 2 == 1
-        genvals = {}
-        for t in src.tuples:
-            gen = {}
-            for kappa, c in enumerate(mono.base.unit):
-                if c:
-                    add_term(gen, src.flat(kappa, 0, t, 0), c)
-            D = {}
-            for idx, c in gen.items():
-                _add_scaled(D, phi_psi.cols[idx], c)
-            sub_terms(D, gen)
-            bg = {}
-            for idx, c in gen.items():
-                _add_scaled(bg, bprev.cols[idx], c)
-            sub_terms(D, omega_prev.apply(bg))
-            val = self._shift(rr, D)
-            if negative:
-                val = _negated(val)
-            genvals[t] = val
-        for idx in range(src.dim):
-            ti, rest = divmod(idx, src.block)
-            if rest >= mono.dim:
-                out.set_col(idx, tgt.right_mul_x(out.cols[idx - mono.dim]))
-            else:
-                out.set_col(idx, tgt.left_mul_monomial(rest, genvals[src.tuples[ti]]))
-        self._omega[r] = out
-        return out
+            return {}
+        rr = r - 1
+        src = self.spaces[rr]
+        gen = {}
+        for kappa, c in enumerate(self.mono.base.unit):
+            if c:
+                add_term(gen, src.flat(kappa, 0, t, 0), c)
+        D = sub_terms(self.phi(rr).apply(self.psi(rr).apply(gen)), gen)
+        sub_terms(D, self.omega(rr).apply(self.bprime(rr).apply(gen)))
+        val = self._shift(rr, D)
+        return {k: -v for k, v in val.items()} if r % 2 == 1 else val
+
+    @_memo
+    def omega(self, r):
+        """omega'_r: level r-1 -> level r homotopy, the bimodule extension of
+        its generator values.
+
+        Coefficients of the output never gain x-degree, which is the content
+        of the degree bound this module verifies; the bimodule extension is
+        what makes the coefficient-level transfer via m (x)_{A^e} -
+        legitimate.
+        """
+        src = self.spaces[r - 1]
+        return src.generated_map(lambda b: self.omega_generator(r, src.tuples[b]), self.spaces[r])
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +661,7 @@ class InducedComparison:
 
     Reads the ``BarComplex`` ``bar``, the small complex ``cs`` and the
     ``BarResolution`` ``barres`` in place; ``Workspace.comparison`` grows
-    all three.  All maps are returned in quotient coordinates, and cached
+    all three.  All maps are returned in quotient coordinates, and kept
     maps stay valid as the inputs grow.
     """
 
@@ -736,109 +671,60 @@ class InducedComparison:
         self.bar = bar
         self.cs = cs
         self.barres = barres
-        self._phi = {}
-        self._psi = {}
-        self._omega = {}
-        self._wrapped = {}
 
     def _phi_ambient(self, r, m_idx):
         """phi_r of the pure class [m]; ambient bar terms."""
         mono = self.mono
         M = self.M
         sp = self.bar.spaces[r]
-        n = mono.n
-        m, odd = divmod(r, 2)
         m_terms = {m_idx: mono.field.one}
         acc = {}
-        for ivec in iproduct(range(1, n + 1), repeat=m):
-            if any(i == 1 for i in ivec):
-                continue
-            lam = list(mono.base.unit)
-            for i in ivec:
-                lam = mono.base.mul_vec(lam, mono.f_coefficient(n - i))
-            if vec_is_zero(lam):
-                continue
-            for ell in iproduct(*[range(1, i) for i in ivec]):
-                e = sum(i - l for i, l in zip(ivec, ell)) - m
-                mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power_reduced(e), m_terms))
-                mid = ()
-                for j in range(m - 1, -1, -1):
-                    mid += (1, ell[j])
-                if odd:
-                    mid += (1,)
-                base = sp.flat(mid, 0)
-                for i, c in mv.items():
-                    add_term(acc, base + i, c)
+        for lam, e, mid in _phi_terms(mono, r):
+            mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power_reduced(e), m_terms))
+            _add_at(acc, sp.flat(mid, 0), mv.items())
         return acc
 
+    @_memo
     def phi(self, r):
-        got = self._phi.get(r)
-        if got is not None:
-            return got
-        src = self.cs.spaces[r]
-        tgt = self.bar.spaces[r]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, m_idx in enumerate(src.free):
-            out.set_col(qj, tgt.project_terms(self._phi_ambient(r, m_idx)))
-        self._phi[r] = out
-        return out
+        return _quotient_map(self.cs.spaces[r], self.bar.spaces[r], lambda m_idx: self._phi_ambient(r, m_idx))
 
-    def _psi_ambient(self, r, t, m_idx, prod):
-        """psi_r of the pure tensor [m (x) x^{t_1} ..] as M-terms; ``prod`` is
-        the product of the division quotients of x^{t_1 + t_2}, x^{t_3 + t_4}, .."""
+    def _psi_ambient(self, r, idx):
+        """psi_r of the pure tensor [m (x) x^{t_1} ..] at ambient index
+        ``idx`` as M-terms."""
         M = self.M
-        base = M.a_terms("right", prod, {m_idx: self.mono.field.one})
+        t, m_idx = self.bar.spaces[r].unflat(idx)
+        base = M.a_terms("right", self.barres.psi_product(t), {m_idx: self.mono.field.one})
         if r % 2 == 0:
             return base
         out = {}
         i_last = t[-1]
         for ell in range(i_last):
-            for i, c in M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items():
-                add_term(out, i, c)
+            _add_at(out, 0, M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items())
         return out
 
+    @_memo
     def psi(self, r):
-        got = self._psi.get(r)
-        if got is not None:
-            return got
-        mono = self.mono
-        src = self.bar.spaces[r]
-        tgt = self.cs.spaces[r]
-        out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-        prods = {}
-        for qj, idx in enumerate(src.free):
-            t, m_idx = src.unflat(idx)
-            prod = prods.get(t)
-            if prod is None:
-                prod = prods[t] = mono.one_a()
-                for j in range(r // 2):
-                    prod = prods[t] = prod * mono.x_power_quotient(t[2 * j] + t[2 * j + 1])
-            if not prod.is_zero():
-                out.set_col(qj, tgt.project_terms(self._psi_ambient(r, t, m_idx, prod)))
-        self._psi[r] = out
-        return out
+        return _quotient_map(self.bar.spaces[r], self.cs.spaces[r], lambda idx: self._psi_ambient(r, idx))
 
+    @_memo
     def _wrap(self, m_idx, j, q):
         """m (x)_{A^e} (e_j (x) .. (x) x^q) = x^q m e_j for m the basis vector
-        m_idx, as M-terms; cached."""
-        key = (m_idx, j, q)
-        got = self._wrapped.get(key)
-        if got is None:
-            M = self.M
-            i0, kappa = divmod(j, self.mono.base.dim)
-            m = M.k_terms("right", self.mono.base.basis_vector(kappa), {m_idx: self.mono.field.one})
-            got = self._wrapped[key] = M.x_terms("left", q, M.x_terms("right", i0, m))
-        return got
+        m_idx, as M-terms."""
+        M = self.M
+        i0, kappa = divmod(j, self.mono.base.dim)
+        m = M.k_terms("right", self.mono.base.basis_vector(kappa), {m_idx: self.mono.field.one})
+        return M.x_terms("left", q, M.x_terms("right", i0, m))
 
-    def _omega_ambient(self, gen, m_idx):
-        """omega_{r+1} of a pure tensor via the resolution homotopy and the
-        wrap-around m (x)_{A^e} -: terms at bar level r+1, from the generator
-        value ``gen`` = omega'_{r+1}(1 (x) x^t (x) 1)."""
+    def _omega_ambient(self, r, idx):
+        """omega_{r+1} of the pure tensor at ambient index ``idx`` via the
+        resolution homotopy and the wrap-around m (x)_{A^e} -: terms at bar
+        level r+1, from the generator value omega'_{r+1}(1 (x) x^t (x) 1)."""
         dim_a = self.mono.dim
         tgt_block = self.M.dim
+        t, m_idx = self.bar.spaces[r].unflat(idx)
         acc = {}
-        for idx, c in gen.items():
-            ti, rest = divmod(idx, self.mono.n * dim_a)
+        for gidx, c in self.barres.omega_generator(r + 1, t).items():
+            ti, rest = divmod(gidx, self.mono.n * dim_a)
             q, j = divmod(rest, dim_a)
             # the middle tuple of the resolution's block ti is that of the bar's block ti
             base = ti * tgt_block
@@ -846,20 +732,7 @@ class InducedComparison:
                 add_term(acc, base + i, c * e)
         return acc
 
+    @_memo
     def omega(self, r):
         """omega_{r+1}: bar level r -> bar level r+1 (key r)."""
-        got = self._omega.get(r)
-        if got is not None:
-            return got
-        src = self.bar.spaces[r]
-        tgt = self.bar.spaces[r + 1]
-        out = ColMap(self.mono.field, tgt.quotient_dim, src.quotient_dim)
-        gens = {}
-        for qj, idx in enumerate(src.free):
-            t, m_idx = src.unflat(idx)
-            gen = gens.get(t)
-            if gen is None:
-                gen = gens[t] = self.barres.omega_generator(r + 1, t)
-            out.set_col(qj, tgt.project_terms(self._omega_ambient(gen, m_idx)))
-        self._omega[r] = out
-        return out
+        return _quotient_map(self.bar.spaces[r], self.bar.spaces[r + 1], lambda idx: self._omega_ambient(r, idx))

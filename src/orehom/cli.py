@@ -373,11 +373,13 @@ def cmd_verify(args):
                 if spt.element_degree(om.cols[idx]) > sp.element_degree({idx: field.one}):
                     degok = False
         record("deg(w'(a)) <= deg(a)", degok, f"levels <= {deg_top}, exhaustive")
-        van = vanishing_check(ws, 2, 3)
-        record("psi (Bw)^j B phi = 0", all(van.values()), "j in {1,2}, r <= 3")
+        j_max, r_max = 2, 3
+        van = vanishing_check(ws, j_max, r_max)
+        window = ",".join(str(j) for j in range(1, j_max + 1))
+        record("psi (Bw)^j B phi = 0", all(van.values()), f"j in {{{window}}}, r <= {r_max}")
         D = _mixed(ws, md).B
         record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
-        dok = all(D[r] == transfer_D(mono, M, cmp_, bar, r) for r in range(md - 1))
+        dok = all(D[r] == transfer_D(cmp_, bar, r) for r in range(md - 1))
         record("D = psi B phi", dok, f"degrees < {md - 1}")
         maxN = min(md, 5)
         retract, delta, _ = build_cyclic_retract(ws, maxN)

@@ -195,15 +195,9 @@ def build_mixed_components(mono, max_degree=6, collapse_report=None):
     return out
 
 
-def transfer_D(mono, M, comparison, bar, r):
+def transfer_D(comparison, bar, r):
     """psi_{r+1} . B_r . phi_r computed through the normalized complex."""
-    phi = comparison.phi(r)
-    out = ColMap(mono.field, comparison.cs.dim(r + 1), phi.ncols)
-    B = bar.connes_B(r)
-    psi = comparison.psi(r + 1)
-    for qj in range(phi.ncols):
-        out.set_col(qj, psi.apply(B.apply(phi.cols[qj])))
-    return out
+    return comparison.psi(r + 1).compose(bar.connes_B(r).compose(comparison.phi(r)))
 
 
 # -- BC total complex ------------------------------------------------------------

@@ -9,7 +9,8 @@ vector at a time: membership, preimages, ``kernel_basis``, ``solve``,
 ``quotient_dim`` and ``subquotient`` all read it.  Everything is over a fixed
 exact field (Q or a cyclotomic field).  Every linear map of the package
 (boundaries, comparison maps, alpha, the bimodule actions) is a
-column-sparse ``ColMap``, and a quotient space keeps its projection as sparse
+column-sparse ``ColMap``, which may build each column on first read from a
+column function, and a quotient space keeps its projection as sparse
 columns too.  The dense ``Matrix`` and ``rref`` are a thin wrapper over
 ``EchelonSet`` that the package does not call.
 """
@@ -341,12 +342,44 @@ def subquotient(field, ambient_dim, spanning_vectors):
     return SubquotientSpace(field, ambient_dim, free, proj_cols)
 
 
+class _Columns:
+    """The columns of a ``ColMap`` made from a column function: column j is
+    ``column(j)`` without its zero scalars, built the first time it is read
+    and kept.  Indexing, iteration and ``len`` read like a list of columns."""
+
+    __slots__ = ("_built", "_column")
+
+    def __init__(self, ncols, column):
+        self._built = [None] * ncols
+        self._column = column
+
+    def __getitem__(self, j):
+        col = self._built[j]
+        if col is None:
+            col = self._built[j] = {i: e for i, e in self._column(j).items() if e}
+        return col
+
+    def __len__(self):
+        return len(self._built)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._built)))
+
+    @property
+    def built(self):
+        return sum(col is not None for col in self._built)
+
+
 class ColMap:
     """Column-sparse linear map between based spaces.
 
     ``cols[j]`` maps the j-th domain basis vector to a dict
-    ``{row_index: scalar}`` holding no zero scalar.  Elimination reads the
-    columns as they are.
+    ``{row_index: scalar}`` holding no zero scalar.  A map made by ``lazy``
+    builds each column from its column function the first time it is read,
+    so ``apply`` builds only the columns in the support of its argument, and
+    a whole-map reader (``compose``, ``==``, elimination) builds every
+    column through the same function.  Elimination reads the columns as they
+    are.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -360,6 +393,11 @@ class ColMap:
     @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
+
+    @classmethod
+    def lazy(cls, field, nrows, ncols, column):
+        """The map whose column j is the term dict ``column(j)``, built on demand."""
+        return cls(field, nrows, ncols, _Columns(ncols, column))
 
     def set_col(self, j, vec_dict):
         self.cols[j] = {i: e for i, e in vec_dict.items() if e}

@@ -118,7 +118,7 @@ def perturb(retract, delta, nilpotency_bound=None):
             steps += 1
             if steps > bound:
                 raise PerturbationError(f"delta*h not nilpotent within {bound} steps at degree {r}")
-            term = delta[r].compose(retract.h[r - 1].compose(term)) if r - 1 >= 0 else term
+            term = delta[r].compose(retract.h[r - 1].compose(term))
             acc = acc.add(term)
         Delta[r] = acc
     d1 = {}
@@ -234,27 +234,21 @@ def transferred_block(pert, Yside, N, p_from, p_to):
 def vanishing_check(ws, j_max=2, r_max=3):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
-    Column-by-column evaluation through the normalized complex of the
-    workspace ``ws``; the report maps (j, r) to a boolean.  Needs bar and
-    C^S data up to level r_max + 2 j_max + 1, to which the workspace grows
-    (its cached maps are kept).
+    Evaluated through the normalized complex of the workspace ``ws`` as
+    compositions, the chain for j extending the one for j - 1; each
+    composition builds only the columns of the higher maps that the images
+    of the phi columns reach.  The report maps (j, r) to a boolean.  Needs
+    bar and C^S data up to level r_max + 2 j_max + 1, to which the workspace
+    grows (its kept maps stay valid).
     """
     top = r_max + 2 * j_max + 1
     bar, comparison = ws.bar(top), ws.comparison(top)
     report = {}
     for r in range(0, r_max + 1):
-        phi = comparison.phi(r)
+        chain = bar.connes_B(r).compose(comparison.phi(r))
+        lev = r + 1
         for j in range(1, j_max + 1):
-            ok = True
-            for qj in range(phi.ncols):
-                v = bar.connes_B(r).apply(phi.cols[qj])
-                lev = r + 1
-                for _ in range(j):
-                    v = comparison.omega(lev).apply(v)
-                    v = bar.connes_B(lev + 1).apply(v)
-                    lev += 2
-                v = comparison.psi(lev).apply(v)
-                if v:
-                    ok = False
-            report[(j, r)] = ok
+            chain = bar.connes_B(lev + 1).compose(comparison.omega(lev).compose(chain))
+            lev += 2
+            report[(j, r)] = comparison.psi(lev).compose(chain).is_zero()
     return report

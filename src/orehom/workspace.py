@@ -3,9 +3,11 @@
 A ``Workspace`` holds, for A = K[x, alpha]/(f) and one bimodule M, the
 small complex C^S, the normalized complex, the bar resolution and the
 comparison maps between the two complexes.  Each is built on first use
-and grown in place to the largest level asked for, with its cached maps
-kept; every quotient M/[M,K]_{alpha^j} they read is the one
-``commutator_quotient`` keeps on M, one per class of alpha^j.
+and grown in place to the largest level asked for, with its maps kept; a
+bar-side map builds each column the first time it is read, so growing to
+a level builds its spaces and no map columns.  Every quotient
+M/[M,K]_{alpha^j} they read is the one ``commutator_quotient`` keeps on M,
+one per class of alpha^j.
 """
 
 from __future__ import annotations

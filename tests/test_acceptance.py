@@ -116,7 +116,7 @@ def test_criterion_5_connes_transfer():
         cmp_ = ctx.comparison(7)
         for r in range(6):
             direct = connes_D(ctx.mono, r, cs.spaces, "generic")
-            if direct != transfer_D(ctx.mono, ctx.M, cmp_, bar, r):
+            if direct != transfer_D(cmp_, bar, r):
                 all_ok = False
     _report(5, all_ok, "closed-formula D equals psi.B.phi, degrees 0..5")
 

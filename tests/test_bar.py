@@ -198,7 +198,8 @@ def test_grown_bar_side_equals_fresh_build(name):
         return Workspace(parsed.mono, parsed.bimodule)
 
     ws = fresh()
-    _workspace_maps(ws, 4)  # fill the caches before growing
+    # build every column of the level-4 maps before growing
+    [list(m.cols) for m in _workspace_maps(ws, 4) if isinstance(m, ColMap)]
     grown = _workspace_maps(ws, 7)
     assert ws.bar(7).max_r == 7 and ws.cs(7).max_degree == 7
     assert grown == _workspace_maps(fresh(), 7)
@@ -361,3 +362,30 @@ def test_nonregular_bimodule_coefficients():
     bar_dims = homology_dims(BarComplex(mono, M, 5).chain_complex(), 3)
     assert cs_dims == bar_dims
     assert cs_dims[0] == 2
+
+
+def _bar_side_maps(ws, top):
+    """Every bar-side map of a workspace up to level ``top``, ascending."""
+    bar, barres, cmp_ = ws.bar(top), ws.barres(top), ws.comparison(top)
+    maps = []
+    for r in range(top + 1):
+        maps += [("phi'", r, barres.phi(r)), ("psi'", r, barres.psi(r)), ("phi", r, cmp_.phi(r)),
+                 ("psi", r, cmp_.psi(r))]
+        if r >= 1:
+            maps += [("b", r, bar.b(r)), ("d'", r, barres.resolution.d(r)), ("b'", r, barres.bprime(r)),
+                     ("omega'", r, barres.omega(r))]
+        if r < top:
+            maps += [("B", r, bar.connes_B(r)), ("omega", r, cmp_.omega(r))]
+    return maps
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_columns_read_in_any_order_agree(name):
+    # the right_mul_x recursion, the generator memo and the omega' recursion
+    # give the same columns whichever column is read first
+    parsed = parse_spec(build_example(name))
+    backward = _bar_side_maps(Workspace(parsed.mono, parsed.bimodule), 6)
+    got = {(label, r): [m.cols[j] for j in reversed(range(m.ncols))][::-1] for label, r, m in reversed(backward)}
+    forward = _bar_side_maps(Workspace(parsed.mono, parsed.bimodule), 6)
+    for label, r, m in forward:
+        assert [m.cols[j] for j in range(m.ncols)] == got[label, r], (label, r)

@@ -137,6 +137,14 @@ def test_verify_passes_on_fixtures(capsys):
         assert "psi (Bw)^j B phi = 0" in names
 
 
+def test_verify_beyond_the_shipped_sizes(capsys):
+    code, rep = run_json(capsys, "verify", "--spec", "taft:4", "--max-degree", "6")
+    assert code == 0
+    assert rep["all_passed"] is True
+    window = {c["check"]: c["window"] for c in rep["checks"]}["psi (Bw)^j B phi = 0"]
+    assert window == "j in {1,2}, r <= 3"
+
+
 def test_validation_error_exit_code(capsys, tmp_path):
     doc = build_example("sweedler")
     doc["extension"]["n"] = 1

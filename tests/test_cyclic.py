@@ -74,7 +74,7 @@ def test_transfer_matches_closed_formula():
         cmp_ = ctx.comparison(6)
         for r in range(5):
             direct = connes_D(ctx.mono, r, cs.spaces, "generic")
-            assert direct == transfer_D(ctx.mono, ctx.M, cmp_, bar, r)
+            assert direct == transfer_D(cmp_, bar, r)
 
 
 def test_bc_total_shapes_and_square_zero():

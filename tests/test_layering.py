@@ -1,4 +1,5 @@
-"""Layering guard: every map of the package is a sparse ``ColMap``,
+"""Layering guard: every map of the package is a sparse ``ColMap``, every
+map of ``bar.py`` is built column by column on demand,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, every import is used, and no code outside ``fields.py``
@@ -99,6 +100,18 @@ def test_parallel_dense_mechanisms_are_gone():
     gone = {("linalg.py", "FullSpace"), ("linalg.py", "from_matrix"), ("algebra.py", "_columns"),
             ("algebra.py", "_k_action_matrix"), ("cli.py", "_identity"), ("linalg.py", "pivot_score")}
     assert defined & gone == set()
+
+
+def test_bar_maps_are_built_column_by_column():
+    # a bar-side map comes from ``ColMap.lazy`` (or ``generated_map``, which
+    # calls it); an empty ``ColMap(..)`` filled by ``set_col`` would build
+    # every column whether it is read or not
+    eager = [
+        f"bar.py:{node.lineno}: {_called(node)}"
+        for node in ast.walk(_tree(ROOT / "src" / "orehom" / "bar.py"))
+        if isinstance(node, ast.Call) and _called(node) in ("ColMap", "set_col")
+    ]
+    assert eager == []
 
 
 def test_no_rank_is_read_off_an_echelon_set():

@@ -11,6 +11,8 @@ from orehom.perturbation import (
     vanishing_check,
     verify_perturbed,
 )
+from orehom.spec_io import build_example, parse_spec
+from orehom.workspace import Workspace
 
 from conftest import get_context
 
@@ -119,3 +121,14 @@ def test_invalid_perturbation_rejected():
         bad[r] = cm
     with pytest.raises(PerturbationError):
         perturb(retract, bad)
+
+
+@pytest.mark.parametrize("name", ["taft:3", "taft:4"])
+def test_vanishing_check_builds_only_the_columns_it_reads(name):
+    parsed = parse_spec(build_example(name))
+    ws = Workspace(parsed.mono, parsed.bimodule)
+    assert all(vanishing_check(ws, 2, 3).values())
+    bar, cmp_ = ws.bar(8), ws.comparison(8)
+    # the maps into levels 7 and 8 and psi at level 8
+    for m in (cmp_.omega(6), bar.connes_B(7), cmp_.psi(8)):
+        assert m.cols.built < m.ncols / 10, m
