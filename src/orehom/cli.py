@@ -43,6 +43,21 @@ from .spec_io import EXAMPLE_NAMES, build_example, parse_spec
 from .workspace import Workspace
 
 
+def _read_spec(path):
+    """The JSON document of a spec file.  A path that cannot be read as UTF-8
+    JSON text (missing, a directory, unreadable, other bytes, not JSON) is a
+    bad spec, and the error names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise AlgebraError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise AlgebraError(f"cannot read spec {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise AlgebraError(f"cannot read spec {path}: not JSON ({exc})") from exc
+
+
 def _load_spec(path, max_degree):
     if path in EXAMPLE_NAMES or ":" in path and not path.endswith(".json"):
         try:
@@ -50,11 +65,9 @@ def _load_spec(path, max_degree):
         except AlgebraError:
             if not os.path.exists(path):
                 raise
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = _read_spec(path)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_spec(path)
     return parse_spec(doc, max_degree=max_degree)
 
 
@@ -459,7 +472,7 @@ def main(argv=None):
         # a complex axiom or transfer identity failed while building
         print(f"identity failure: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraError, HypothesisError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (AlgebraError, HypothesisError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -641,7 +641,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
             })
             # -- f: connecting map on odd cyclic classes
             ok_f = True
-            scalar_f = field.from_int(m + 1) * (field.one - w)
+            scalar_f = (m + 1) * (field.one - w)
             bd2 = EchelonSet(field, cx.boundary(2 * m + 3).cols)
             for rep in hc_odd.representatives:
                 z0 = tot.block(2 * m + 1, 0, rep)

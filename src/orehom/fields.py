@@ -1,11 +1,16 @@
 """Exact ground fields: the rationals and the cyclotomic fields Q(zeta_d).
 
-A rational scalar is a Python ``int`` when it is integral and a
-``fractions.Fraction`` only when it is not, because ``int`` arithmetic runs
-in C while every ``Fraction`` operation is Python code with a gcd.  A
-cyclotomic scalar is a residue polynomial in zeta_d modulo the d-th
-cyclotomic polynomial Phi_d, stored as phi(d) = deg(Phi_d) integer
-numerators over one positive denominator, in lowest terms.  No floating
+A scalar whose value is rational is a Python ``int`` when it is integral
+and a ``fractions.Fraction`` only when it is not, in every field, because
+``int`` arithmetic runs in C while every ``Fraction`` operation is Python
+code with a gcd.  Most entries of the matrices over Q(zeta_d) are 0, +-1
+or small integers, so they never leave C.  Only an irrational scalar of
+Q(zeta_d) is a ``CycScalar``: a residue polynomial in zeta_d modulo the
+d-th cyclotomic polynomial Phi_d, stored as phi(d) = deg(Phi_d) integer
+numerators over one positive denominator, in lowest terms, with a nonzero
+coefficient past the first.  Every arithmetic result keeps this form
+(``_scalar`` builds each one that could leave it), so each value has one
+representation and equality, hashing and dict lookup agree across them.  No floating
 point and no complex embeddings are used anywhere: every computation
 downstream of this module is exact, and the roots of unity needed by
 character twists are elements of these fields.
@@ -15,7 +20,8 @@ rationals.  Generic code never needs to know which representation it is
 handling: all of them support ``+ - * ** ==`` and truthiness ("nonzero"),
 which is all the linear algebra requires.  Division is the one exception,
 because ``int / int`` is a float: code outside this module takes ``1 / x``
-as ``reciprocal(x)``.
+as ``reciprocal(x)``.  A ``CycScalar`` inverse is computed once per field
+and value.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ def _rational(q):
 
 def reciprocal(x):
     """1 / x for a nonzero scalar, exactly: a rational is an ``int`` whenever
-    it is integral, and a cyclotomic scalar divides itself."""
+    it is integral, and a cyclotomic scalar inverts itself."""
     kind = type(x)
     if kind is int:
         return x if x == 1 or x == -1 else Fraction(1, x)
@@ -113,18 +119,18 @@ def reciprocal(x):
         if n == 1 or n == -1:
             return n * d
         return Fraction(d, n)
-    return 1 / x
+    return x.inverse()
 
 
 def is_unit(x):
-    """x == 1 or x == -1, without lifting 1 into the field."""
+    """x == 1 or x == -1, without lifting 1 into the field.  A ``CycScalar``
+    is irrational, so it is never a unit of this kind."""
     kind = type(x)
     if kind is int:
         return x == 1 or x == -1
     if kind is Fraction:
         return x.denominator == 1 and abs(x.numerator) == 1
-    num = x.num
-    return x.den == 1 and abs(num[0]) == 1 and not any(num[1:])
+    return False
 
 
 class Field:
@@ -146,9 +152,9 @@ class Field:
         if kind == "cyclotomic":
             self._reduction = self._power_reduction_table()
             self._tail = (0,) * (self.degree - 1)
-            self._zeros = (0,) + self._tail
-            self.zero = CycScalar(self, self._zeros)
-            self.one = CycScalar(self, (1,) + self._tail)
+            # CycScalar.inverse per (num, den): elimination inverts the
+            # same few pivots over and over
+            self._inverses = {}
 
     def _power_reduction_table(self):
         # x^(degree + t) mod Phi_d for t = 0 .. degree - 2, used by mul, as
@@ -169,22 +175,14 @@ class Field:
     # -- scalar constructors -------------------------------------------------
 
     def from_fraction(self, q):
-        if type(q) is not int:
-            q = _rational(Fraction(q))
-        if self.kind == "rationals":
-            return q
-        if type(q) is int:
-            return CycScalar(self, (q,) + self._tail)
-        return CycScalar(self, (q.numerator,) + self._tail, q.denominator)
-
-    def from_int(self, m):
-        return self.from_fraction(m)
+        """The rational q as a scalar of any field: an ``int`` when integral."""
+        return q if type(q) is int else _rational(Fraction(q))
 
     def _cyclotomic(self, coeffs):
-        """The cyclotomic scalar with at most ``degree`` Fraction coefficients."""
+        """The scalar with at most ``degree`` Fraction coefficients."""
         den = lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
-        return CycScalar(self, tuple(num) + (0,) * (self.degree - len(num)), den)
+        return _scalar(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def scalar(self, coefficients):
         """Scalar from a coefficient list (length 1 for the rationals)."""
@@ -213,10 +211,12 @@ class Field:
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def coefficients(self, scalar):
-        """Coefficient list of a scalar (inverse of ``scalar``)."""
-        if self.kind == "rationals":
-            return [Fraction(scalar)]
-        return list(self.coerce(scalar).coeffs)
+        """Coefficient list of a scalar (inverse of ``scalar``): ``degree``
+        Fractions, a rational padded with zeros."""
+        scalar = self.coerce(scalar)
+        if isinstance(scalar, CycScalar):
+            return list(scalar.coeffs)
+        return [Fraction(scalar)] + [Fraction(0)] * (self.degree - 1)
 
     def __repr__(self):
         if self.kind == "rationals":
@@ -235,30 +235,39 @@ class Field:
         return hash((self.kind, self.order, self.modulus))
 
 
-def _reduced(field, num, den):
-    """The CycScalar num / den (den > 0) in lowest terms."""
-    g = gcd(den, *num)
-    if g != 1:
-        num = tuple([a // g for a in num])
-        den //= g
+def _scalar(field, num, den=1):
+    """The scalar sum_i num[i] * zeta^i / den (ints, den > 0) in canonical
+    form: its rational value when no coefficient past the first is nonzero,
+    else a CycScalar in lowest terms.  Every arithmetic result that may be
+    rational or not in lowest terms is built here."""
+    if num[1:] == field._tail:
+        return num[0] if den == 1 else _rational(Fraction(num[0], den))
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([a // g for a in num])
+            den //= g
     return CycScalar(field, num, den)
 
 
 def _combine(field, op, a, da, b, db):
     """a / da op b / db for op ``add`` or ``sub`` on numerator tuples."""
     if da == db:
-        num = tuple(map(op, a, b))
-        return CycScalar(field, num) if da == 1 else _reduced(field, num, da)
-    return _reduced(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
+        return _scalar(field, tuple(map(op, a, b)), da)
+    return _scalar(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
 
 
 class CycScalar:
-    """Element of Q(zeta_d): sum_i num[i] * zeta_d^i / den.
+    """An irrational element of Q(zeta_d): sum_i num[i] * zeta_d^i / den.
 
-    ``num`` is a tuple of phi(d) ints and ``den`` a positive int with
-    gcd(den, *num) == 1, so zero is (0, ..., 0) / 1 and two scalars are
-    equal exactly when their numerators and denominators are.  ``coeffs``
-    is the same scalar as a read-only tuple of Fractions.
+    ``num`` is a tuple of phi(d) ints with a nonzero entry past the first
+    and ``den`` a positive int with gcd(den, *num) == 1, so two scalars are
+    equal exactly when their numerators and denominators are, and a
+    CycScalar never equals a rational.  ``coeffs`` is the same scalar as a
+    read-only tuple of Fractions.  A result that may be rational or not in
+    lowest terms is built by ``_scalar``; negation, adding an int and
+    ``root`` keep the form and build one directly.  ``_lift`` builds a
+    rational one that lives only inside an operation.
     """
 
     __slots__ = ("field", "num", "den")
@@ -274,20 +283,23 @@ class CycScalar:
         return tuple(Fraction(a, den) for a in self.num)
 
     def _lift(self, other):
+        """``other`` as a CycScalar of this field (a temporary one for an
+        int or Fraction), or None."""
         if isinstance(other, CycScalar):
             return other if other.field is self.field or other.field == self.field else None
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
+            return CycScalar(self.field, (other.numerator,) + self.field._tail, other.denominator)
         return None
 
     def _scaled(self, c, d):
         """self * c / d for ints c and d > 0."""
-        den = self.den * d
-        num = tuple([c * a for a in self.num])
-        return CycScalar(self.field, num) if den == 1 else _reduced(self.field, num, den)
+        if not c:
+            return 0
+        return _scalar(self.field, tuple([c * a for a in self.num]), self.den * d)
 
     def __add__(self, other):
         if type(other) is int:
+            # the tail is untouched, so the result stays irrational and reduced
             num, den = self.num, self.den
             return CycScalar(self.field, (num[0] + other * den,) + num[1:], den)
         o = self._lift(other)
@@ -321,13 +333,11 @@ class CycScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        # a rational factor (no coefficient past the first) only scales the other
-        if not any(b[1:]):
-            return self._scaled(b[0], o.den)
-        if not any(a[1:]):
-            return o._scaled(a[0], self.den)
         field = self.field
+        a, b = self.num, o.num
+        # a rational factor (a lifted int or Fraction) only scales self
+        if b[1:] == field._tail:
+            return self._scaled(b[0], o.den)
         deg = field.degree
         prod = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
@@ -339,23 +349,24 @@ class CycScalar:
             if c:
                 for i, r in row:
                     out[i] += c * r
-        den = self.den * o.den
-        return CycScalar(field, tuple(out)) if den == 1 else _reduced(field, tuple(out), den)
+        return _scalar(field, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        field = self.field
-        num, den = self.num, self.den
-        if not any(num[1:]):
-            c = num[0]
-            return CycScalar(field, (den if c > 0 else -den,) + field._tail, abs(c))
+        """Multiplicative inverse, computed once per field and value."""
+        inverses = self.field._inverses
+        key = (self.num, self.den)
+        inv = inverses.get(key)
+        if inv is None:
+            inv = inverses[key] = self._euclid_inverse()
+        return inv
+
+    def _euclid_inverse(self):
         # Invariant: r_i = s_i * num (mod Phi); Phi irreducible over Q,
         # so the gcd is a nonzero constant, and 1/self = den * s / r.
-        r0, r1 = [Fraction(c) for c in field.modulus], _poly_trim([Fraction(a) for a in num])
+        field = self.field
+        r0, r1 = [Fraction(c) for c in field.modulus], _poly_trim([Fraction(a) for a in self.num])
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
@@ -363,20 +374,21 @@ class CycScalar:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if not r1:
             raise ValueError("modulus is not coprime to a nonzero residue")
-        scale = den / r1[0]
+        scale = self.den / r1[0]
         return field._cyclotomic([a * scale for a in s1])
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * reciprocal(other)
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return other * self.inverse()
+        return NotImplemented
 
     def __pow__(self, exponent):
         if exponent < 0:
@@ -392,9 +404,13 @@ class CycScalar:
         return result
 
     def __bool__(self):
-        return self.num != self.field._zeros
+        # irrational, so never zero (zero is the int 0); the method stays so
+        # that perfbench/tracer.py can count zero tests
+        return True
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return False
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -415,7 +431,7 @@ class CycScalar:
                 terms.append(f"{c}*z{d}")
             else:
                 terms.append(f"{c}*z{d}^{i}")
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(terms)
 
 
 def make_field(kind, d=1):

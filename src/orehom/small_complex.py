@@ -313,10 +313,10 @@ def hh_dims_alpha_identity(mono, max_degree):
     # f' = n x^{n-1} + sum_{i=1}^{n-1} (n-i) lam_i x^{n-i-1}
     fprime = mono.zero_a()
     coeffs = fprime.coeffs
-    coeffs[n - 1] = [field.from_int(n) * c for c in K.unit]
+    coeffs[n - 1] = [n * c for c in K.unit]
     for i in range(1, n):
         lam = mono.f_coefficient(i)
-        coeffs[n - i - 1] = vec_add(coeffs[n - i - 1], [field.from_int(n - i) * c for c in lam])
+        coeffs[n - i - 1] = vec_add(coeffs[n - i - 1], [(n - i) * c for c in lam])
     commutators = []
     for u in range(dimA):
         a = mono.a_from_terms({u: field.one})

@@ -69,8 +69,8 @@ def test_mul_vec_matches_dense_structure_constants(name):
     K = get_context(name).mono.base
     field = K.field
     basis = [K.basis_vector(i) for i in range(K.dim)]
-    mixed = [field.from_int(i % 3 - 1) + field.root() ** i for i in range(K.dim)]
-    vecs = basis + [mixed, [field.from_int(2) * c for c in reversed(mixed)]]
+    mixed = [field.from_fraction(i % 3 - 1) + field.root() ** i for i in range(K.dim)]
+    vecs = basis + [mixed, [field.from_fraction(2) * c for c in reversed(mixed)]]
     for u in vecs:
         for v in vecs:
             assert K.mul_vec(u, v) == _dense_mul_vec(K, u, v)
@@ -122,7 +122,7 @@ def test_validate_monogenic_sweedler():
 def test_validate_monogenic_rejects_unfixed_coefficient():
     K = group_algebra(["e", "g"], [["e", "g"], ["g", "e"]], Q)
     alpha = character_endomorphism(K, {"e": 1, "g": -1})
-    lam2 = [Q.zero, Q.from_int(-1)]  # f = x^2 - g, alpha(-g) = g != -g
+    lam2 = [Q.zero, Q.from_fraction(-1)]  # f = x^2 - g, alpha(-g) = g != -g
     with pytest.raises(AlgebraError, match="alpha"):
         validate_monogenic(K, alpha, 2, [[Q.zero, Q.zero], lam2])
 
@@ -158,7 +158,7 @@ def test_divide_by_f_twisted_rank1():
     quot, rem = divide_by_f(mono, [zero, zero, zero, one])  # x^3
     assert quot == [zero, one]
     # remainder (g^2 - 1) x
-    g2_minus_1 = [Q.from_int(-1), Q.zero, Q.one, Q.zero]
+    g2_minus_1 = [Q.from_fraction(-1), Q.zero, Q.one, Q.zero]
     assert rem == [zero, g2_minus_1]
 
 
@@ -171,7 +171,7 @@ def test_divide_reconstruction_random():
         for _ in range(10):
             deg = rng.randint(0, 2 * mono.n)
             poly = [
-                [field.from_int(rng.randint(-3, 3)) for _ in range(K.dim)]
+                [field.from_fraction(rng.randint(-3, 3)) for _ in range(K.dim)]
                 for _ in range(deg + 1)
             ]
             quot, rem = divide_by_f(mono, poly)
@@ -206,7 +206,7 @@ def test_a_multiply_examples():
     r1 = get_context("rank1:c4").mono
     xx = r1.a_from_kvec(r1.base.unit, 1)
     prod = xx * xx
-    assert prod.coeffs[0] == [Q.from_int(-1), Q.zero, Q.one, Q.zero]
+    assert prod.coeffs[0] == [Q.from_fraction(-1), Q.zero, Q.one, Q.zero]
     assert vec_is_zero(prod.coeffs[1])
 
 
@@ -275,7 +275,7 @@ def test_eigen_split():
     sw = get_context("sweedler")
     comps = eigen_split(sw.mono.base, sw.mono.alpha)
     assert comps[0][0] == Q.one and comps[0][1] == [0]
-    assert comps[1][0] == Q.from_int(-1) and comps[1][1] == [1]
+    assert comps[1][0] == Q.from_fraction(-1) and comps[1][1] == [1]
     tr = get_context("trunc:3")
     comps = eigen_split(tr.mono.base, tr.mono.alpha)
     assert len(comps) == 1 and comps[0][1] == [0]
@@ -504,7 +504,7 @@ def test_sparse_action_columns_match_dense_matrices(name):
     K = mono.base
     field = mono.field
     rng = random.Random(7)
-    a = mono.a_from_coords([field.from_int(rng.randint(-2, 2)) for _ in range(mono.dim)])
+    a = mono.a_from_coords([field.from_fraction(rng.randint(-2, 2)) for _ in range(mono.dim)])
     x = mono.a_from_terms(dict(mono.x_items()))
 
     def terms(elem):

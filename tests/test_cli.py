@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orehom import cli
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
@@ -193,6 +194,34 @@ def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("directory", "Is a directory"),
+    ("missing", "No such file or directory"),
+    ("non-utf8", "not UTF-8 text (invalid start byte at byte 0)"),
+    ("unreadable", "Permission denied"),
+    ("not-json", "not JSON (Expecting value: line 1 column 7 (char 6))"),
+])
+def test_unreadable_spec_path_rejected(capsys, monkeypatch, tmp_path, kind, reason):
+    p = tmp_path / "spec.json"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "non-utf8":
+        p.write_bytes(b"\xff\xfe")
+    elif kind == "not-json":
+        p.write_text('{"a": ')
+    elif kind == "unreadable":
+        # file modes do not bind a superuser, so the denial is simulated
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+        p.write_text("{}")
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+    code = main(["hh", "--spec", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot read spec {p}: {reason}"]
 
 
 def _nodes(obj, path=()):

@@ -45,7 +45,7 @@ def test_connes_D_sweedler_odd():
     mixed = build_mixed(mono, 4, mode="collapsed")
     D1 = mixed.B[1].cols
     # D_1([g] x) = [2g]; D_1([1] x) = [1 - alpha(1)] = 0
-    assert D1[1] == {1: mono.field.from_int(2)}
+    assert D1[1] == {1: mono.field.from_fraction(2)}
     assert D1[0] == {}
 
 
@@ -58,7 +58,7 @@ def test_connes_D_truncated_generic():
         D = connes_D(mono, 2 * m, cs.spaces, "generic").cols
         for j in range(3):
             # class [x^j]
-            assert D[j] == ({j - 1: F.from_int(j + m * mono.n)} if j >= 1 else {})
+            assert D[j] == ({j - 1: F.from_fraction(j + m * mono.n)} if j >= 1 else {})
 
 
 def test_mixed_identities_all_fixtures():

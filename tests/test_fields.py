@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orehom.fields import cyclotomic_polynomial, make_field
+from orehom.fields import CycScalar, cyclotomic_polynomial, make_field, reciprocal
 
 
 def poly_mul(p, q):
@@ -88,7 +88,7 @@ def test_field_division_roundtrip(a, b):
     y = F.scalar(b)
     if x:
         assert (x * y) / x == y
-        assert x * x.inverse() == F.one
+        assert x * reciprocal(x) == F.one
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,8 +136,8 @@ def test_product_with_a_rational_factor(d, q, coeffs, rational_left):
     c = coeffs[:F.degree]
     a, b = (r, c) if rational_left else (c, r)
     prod = F.scalar(a) * F.scalar(b)
-    assert list(prod.coeffs) == _reduced_product(F, a, b)
-    assert all(isinstance(x, Fraction) for x in prod.coeffs)
+    assert F.coefficients(prod) == _reduced_product(F, a, b)
+    assert all(isinstance(x, Fraction) for x in F.coefficients(prod))
 
 
 def test_rational_scalars_are_ints_when_integral():
@@ -151,12 +151,16 @@ def test_rational_scalars_are_ints_when_integral():
 
 
 def assert_canonical(x):
-    """num / den in lowest terms with den > 0, ints throughout, zero as (0, ..., 0) / 1."""
+    """A rational value is an int or a Fraction; a CycScalar is num / den in
+    lowest terms with den > 0, ints throughout, and a nonzero coefficient
+    past the first."""
+    if type(x) is not CycScalar:
+        assert type(x) in (int, Fraction)
+        return
     assert type(x.den) is int and all(type(a) is int for a in x.num)
     assert len(x.num) == x.field.degree
     assert x.den > 0 and gcd(x.den, *x.num) == 1
-    if not any(x.num):
-        assert x.den == 1
+    assert any(x.num[1:])
 
 
 def ref_add(a, b):
@@ -169,6 +173,12 @@ def ref_scale(q, a):
 
 def ref_const(F, q):
     return [Fraction(q)] + [Fraction(0)] * (F.degree - 1)
+
+
+def _div(u, v):
+    """u / v for scalars; an int over an int is a float in Python, so a
+    rational quotient goes through ``reciprocal`` as it does in the package."""
+    return u / v if isinstance(u, CycScalar) or isinstance(v, CycScalar) else u * reciprocal(v)
 
 
 reference_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -202,25 +212,25 @@ def test_cyclotomic_scalars_match_a_fraction_reference(d, data):
         "x ** 3": (x ** 3, _reduced_product(F, _reduced_product(F, a, a), a)),
     }
     if q:
-        cases["x / q"] = (x / q, ref_scale(1 / Fraction(q), a))
+        cases["x / q"] = (_div(x, q), ref_scale(1 / Fraction(q), a))
     for name, (got, want) in cases.items():
         assert_canonical(got)
-        assert list(got.coeffs) == want, name
-        assert all(isinstance(c, Fraction) for c in got.coeffs)
+        assert F.coefficients(got) == want, name
+        assert all(isinstance(c, Fraction) for c in F.coefficients(got))
     one = ref_const(F, 1)
     if y:
-        inv = y.inverse()
+        inv = reciprocal(y)
         assert_canonical(inv)
-        assert _reduced_product(F, b, list(inv.coeffs)) == one
-        quo = x / y
+        assert _reduced_product(F, b, F.coefficients(inv)) == one
+        quo = _div(x, y)
         assert_canonical(quo)
-        assert _reduced_product(F, list(quo.coeffs), b) == a
-        rquo = q / y
+        assert _reduced_product(F, F.coefficients(quo), b) == a
+        rquo = _div(q, y)
         assert_canonical(rquo)
-        assert _reduced_product(F, list(rquo.coeffs), b) == ref_const(F, q)
+        assert _reduced_product(F, F.coefficients(rquo), b) == ref_const(F, q)
     else:
         with pytest.raises(ZeroDivisionError):
-            y.inverse()
+            reciprocal(y)
     # equality is equality of coefficients, and equal scalars hash equally
     assert (x == y) == (a == b)
     assert (x != y) == (a != b)
@@ -228,3 +238,100 @@ def test_cyclotomic_scalars_match_a_fraction_reference(d, data):
         assert hash(x) == hash(y)
     assert (x == q) == (a == ref_const(F, q))
     assert bool(x) == any(a)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_rational_values_of_a_cyclotomic_field_are_ints_and_fractions(d):
+    F = make_field("cyclotomic", d)
+    assert type(F.zero) is int and type(F.one) is int
+    assert type(F.from_fraction(Fraction(6, 3))) is int
+    assert type(F.scalar(["4/2"])) is int
+    assert type(F.scalar(["1/2", 0])) is Fraction
+    assert type(F.coerce(Fraction(3, 1))) is int
+    assert type(F.root()) is CycScalar
+    assert F.coefficients(2) == [Fraction(2)] + [Fraction(0)] * (F.degree - 1)
+
+
+def test_irrational_operands_with_a_rational_result():
+    F4, F3, F8 = (make_field("cyclotomic", d) for d in (4, 3, 8))
+    z4, z3, z8 = F4.root(), F3.root(), F8.root()
+    results = {
+        "zeta_4 * zeta_4": (z4 * z4, -1),
+        "zeta_3 + zeta_3^2": (z3 + z3 * z3, -1),
+        "zeta_8^4": (z8 ** 4, -1),
+        "zeta_8 * zeta_8^7": (z8 * z8 ** 7, 1),
+        "(1 + zeta_4) + (2 - zeta_4)": ((1 + z4) + (2 - z4), 3),
+        "(1/2 + zeta_4/3) - zeta_4/3": (F4.scalar(["1/2", "1/3"]) - F4.scalar([0, "1/3"]), Fraction(1, 2)),
+        "2 zeta_4 / zeta_4": ((2 * z4) / z4, 2),
+        "zeta_4 * 0": (z4 * 0, 0),
+        "0 * zeta_4": (0 * z4, 0),
+        "zeta_4 * Fraction(0)": (z4 * Fraction(0), 0),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert type(got) is type(want), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([3, 4, 5, 8]), data=st.data())
+def test_difference_with_itself_is_the_int_zero(d, data):
+    F = make_field("cyclotomic", d)
+    x = F.scalar(data.draw(st.lists(reference_coeff, min_size=F.degree, max_size=F.degree)))
+    if type(x) is not CycScalar:
+        x = x + F.root()
+    assert type(x - x) is int and x - x == 0
+    assert type(x + (-x)) is int and x + (-x) == 0
+
+
+def test_dict_lookups_across_representations():
+    F = make_field("cyclotomic", 4)
+    z = F.root()
+    table = {F.scalar(["2", "0"]): "two", F.scalar(["1/2"]): "half", z: "zeta"}
+    assert table[2] == "two"
+    assert table[Fraction(1, 2)] == "half"
+    assert table[-2 * z * z] == "two"
+    assert table[F.scalar([0, 1])] == "zeta"
+    assert 3 not in table and z * z not in table
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_cached_inverse_equals_a_fresh_one(d):
+    F = make_field("cyclotomic", d)
+    for coeffs in (["1/2", 3], [0, 1], ["-2", "1/3", "5"][:F.degree], [1, 1, 0, -1][:F.degree]):
+        x = F.scalar(coeffs)
+        inv = x.inverse()
+        assert F.scalar(coeffs).inverse() is inv
+        fresh = make_field("cyclotomic", d).scalar(coeffs).inverse()
+        assert F.coefficients(inv) == fresh.field.coefficients(fresh)
+        assert x * inv == 1 and type(x * inv) is int
+        assert reciprocal(x) is inv
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+               "inverse", "__truediv__", "__rtruediv__", "__pow__")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--spec", "taft:3", "--max-degree", "4", "--oracle", "--closed-form", "--basis"],
+    ["hc", "--spec", "rank1nc:c2xc4", "--max-degree", "3", "--oracle", "--closed-form"],
+    ["verify", "--spec", "taft:3", "--max-degree", "3"],
+])
+def test_no_rational_cyclotomic_scalar_survives_on_the_fixtures(monkeypatch, capsys, argv):
+    from orehom.cli import main
+
+    seen = []
+
+    def checked(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            if type(out) is CycScalar:
+                assert_canonical(out)
+                seen.append(1)
+            return out
+        return wrapper
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(CycScalar, name, checked(CycScalar.__dict__[name]))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen

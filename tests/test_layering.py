@@ -3,7 +3,7 @@ map of ``bar.py`` is built column by column on demand,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, every import is used, and no code outside ``fields.py``
-divides (``int / int`` is a float)."""
+divides (``int / int`` is a float) or looks inside a ``CycScalar``."""
 
 import ast
 from fractions import Fraction
@@ -159,6 +159,21 @@ def test_only_fields_divides():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert divisions == []
+
+
+def test_only_fields_sees_inside_a_cyclotomic_scalar():
+    # the canonical form (a rational value is an int or a Fraction, a
+    # CycScalar is irrational and in lowest terms) has one owner
+    found = []
+    for path in SOURCES:
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "CycScalar":
+                found.append(f"{path.name}:{node.lineno}: CycScalar")
+    assert found == []
 
 
 def _exact(values):

@@ -103,7 +103,7 @@ def test_collapsed_boundaries_sweedler():
     assert col.boundary(1).is_zero() and col.boundary(3).is_zero()
     # d_even([1]) = 2x, d_even([g]) = 0
     d2 = col.boundary(2).cols
-    assert d2[0] == {0: mono.field.from_int(2)}
+    assert d2[0] == {0: mono.field.from_fraction(2)}
     assert d2[1] == {}
 
 
@@ -113,7 +113,7 @@ def test_collapsed_boundaries_taft3():
     col = build_cs_collapsed(mono, 4)
     d2 = col.boundary(2).cols
     # the norm 1 + z^a + z^{2a} vanishes except on the trivial character row
-    assert d2 == [{0: F.from_int(3)}, {}, {}]
+    assert d2 == [{0: F.from_fraction(3)}, {}, {}]
 
 
 def test_collapsed_boundary_rank1_odd():
@@ -124,7 +124,7 @@ def test_collapsed_boundary_rank1_odd():
     amb = col.spaces[0].lift_vec(col.boundary(1).cols[1])
     # ambient coordinates over (e, g, g2, g3); [K,K]_{alpha^0} = 0 so the
     # quotient is all of K
-    assert amb == {1: F.from_int(-2), 3: F.from_int(2)}
+    assert amb == {1: F.from_fraction(-2), 3: F.from_fraction(2)}
 
 
 def test_decompose_sums_to_collapsed():

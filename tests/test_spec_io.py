@@ -41,7 +41,7 @@ def test_bimodule_validation_rejects_broken_action():
     mono = ctx.mono
     M = regular_bimodule(mono)
     # doubling the action of g breaks L(g)L(g) = L(g^2) = id
-    bad_left_k = [M.left_k[0], M.left_k[1].scale(mono.field.from_int(2))]
+    bad_left_k = [M.left_k[0], M.left_k[1].scale(mono.field.from_fraction(2))]
     with pytest.raises(AlgebraError):
         BimoduleData(mono, M.dim, bad_left_k, M.left_x, M.right_k, M.right_x)
 
