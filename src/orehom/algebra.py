@@ -6,9 +6,15 @@ coefficients must satisfy alpha(lam_i) = lam_i and lam_i*lam =
 alpha^i(lam)*lam_i.  Elements of A are kept in the normal form
 sum_j c_j x^j with c_j in K and j < n (the powers of x are a left K-basis).
 
+The structure of A is read off sparse products in K and the normal form of
+x^n: the regular bimodule and the twisted commutators [K,K]_{alpha^j} cost
+the structure constants, and the dim(A) x dim(A) product table is built
+only when the bar resolution or a product of two AElements reads it.
+
 Everything here is validated eagerly: group tables are checked for
-associativity, characters for multiplicativity, extension data for the
-coefficient conditions, so downstream homology code can assume the axioms.
+associativity, characters pairwise for multiplicativity (which proves the
+twist an endomorphism), extension data for the coefficient conditions, so
+downstream homology code can assume the axioms.
 """
 
 from __future__ import annotations
@@ -114,6 +120,19 @@ class BaseAlgebra:
                     out[t] = out[t] + (c if s is None else c * s)
         return out
 
+    def product(self, u, v):
+        """u * v for K-elements given as ``{index: scalar}`` dicts, read off the
+        sparse structure constants; a dict in ascending index order."""
+        terms = self._product_terms
+        out = {}
+        for i, a in u.items():
+            row = terms[i]
+            for j, b in v.items():
+                c = a * b
+                for t, s in row[j]:
+                    add_term(out, t, c if s is None else c * s)
+        return out if len(out) < 2 else dict(sorted(out.items()))
+
     def left_mult_map(self, u):
         """Left multiplication by u as a ColMap."""
         return ColMap(self.field, self.dim, self.dim,
@@ -188,10 +207,8 @@ class AlgebraEndomorphism:
             self._check()
 
     def _check(self):
+        self._check_unit()
         K = self.base
-        unit = sparse(K.unit)
-        if self.map.apply(unit) != unit:
-            raise AlgebraError("endomorphism does not fix the unit")
         # alpha(e_i e_j) = alpha(e_i) alpha(e_j): alpha o L(e_i) = L(alpha(e_i)) o alpha on e_j
         for i in range(K.dim):
             after = self.map.compose(K.left_mult_map(K.basis_vector(i)))
@@ -202,6 +219,11 @@ class AlgebraEndomorphism:
                         "endomorphism is not multiplicative on "
                         f"({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                     )
+
+    def _check_unit(self):
+        unit = sparse(self.base.unit)
+        if self.map.apply(unit) != unit:
+            raise AlgebraError("endomorphism does not fix the unit")
 
     def diagonal(self):
         """The diagonal entries of the map."""
@@ -215,7 +237,8 @@ def character_endomorphism(K, chi):
     """Endomorphism g -> chi(g) g of a group algebra from character values.
 
     ``chi`` maps each basis label (or index) to a scalar; multiplicativity
-    chi(gh) = chi(g)chi(h) is verified against the group table.
+    chi(gh) = chi(g)chi(h) is verified against the group table, which proves
+    the map multiplicative on the basis, so only the unit is left to check.
     """
     if K.group_table is None:
         raise AlgebraError("character twists need a group algebra")
@@ -238,16 +261,20 @@ def character_endomorphism(K, chi):
     for i, v in enumerate(values):
         m.set_col(i, {i: v})
     endo = AlgebraEndomorphism(K, m, check=False)
-    endo._check()
+    endo._check_unit()
     return endo
 
 
 class MonogenicData:
     """Validated data (K, alpha, n, lam_1..lam_n) defining A = K[x,alpha]/(f).
 
-    Products in A read a multiplication table of the flat basis monomials
-    e_(p,kappa) = kappa x^p (coordinate p*dim K + kappa), built on first use
-    from the reduced powers x^e; ``divide_by_f`` runs once per power.
+    The flat basis monomials are e_(p,kappa) = kappa x^p (coordinate
+    p*dim K + kappa).  ``k_times_x_power`` gives the normal form of w x^e
+    from sparse products in K and the reduced power x^e, and the regular
+    bimodule reads it alone.  Products of two elements of A read a
+    multiplication table, built from the same products only when the bar
+    resolution or an AElement product first asks for it; ``divide_by_f``
+    runs once per power.
     """
 
     def __init__(self, base, alpha, n, lambdas):
@@ -262,6 +289,7 @@ class MonogenicData:
         self._k_commutator_ranks = {}
         self._k_quotients = {}  # (twist class, component indices) -> K-sized SubquotientSpace
         self._power_cache = {}  # e -> (quotient list, remainder AElement) of x^e by f
+        self._power_terms = {}  # e -> [(t, {index: scalar})]: x^e reduced, nonzero parts
         self._quotient_cache = {}  # e -> quotient of x^e by f as an AElement
         self._mul_table = None
         self._x_overflow = {}  # twist class -> see ``x_overflow``
@@ -293,6 +321,11 @@ class MonogenicData:
         alpha^p; None when alpha^p is the identity (its class is that of alpha^0)."""
         i = self.twist(p)
         return None if i == 0 else self.alpha_pow(i).cols
+
+    def alpha_terms(self, p, mu):
+        """alpha^p of the basis element mu of K as a ``{index: scalar}`` dict."""
+        cols = self.alpha_columns(p)
+        return {mu: self.field.one} if cols is None else cols[mu]
 
     def alpha_apply(self, p, vec):
         """alpha^p of a dense K-vector, as a new list."""
@@ -350,37 +383,47 @@ class MonogenicData:
             got = self._quotient_cache[e] = AElement(self, [list(v) for v in quot] + pad)
         return got
 
+    def k_times_x_power(self, w, e):
+        """The normal form of w x^e, for w in K given as a ``{index: scalar}``
+        dict, as a ``{coordinate: scalar}`` dict in ascending order.
+
+        Left multiplication by K commutes with the reduction modulo f, so with
+        x^e = sum_t c_t x^t in A this is sum_t (w c_t) x^t.
+        """
+        d = self.base.dim
+        if e < self.n:
+            base = e * d
+            return {base + k: w[k] for k in sorted(w)}
+        powers = self._power_terms.get(e)
+        if powers is None:
+            powers = self._power_terms[e] = [
+                (t, sparse(kv)) for t, kv in enumerate(self.x_power_reduced(e).coeffs) if not vec_is_zero(kv)]
+        product = self.base.product
+        out = {}
+        for t, c in powers:
+            base = t * d
+            for k, v in product(w, c).items():
+                out[base + k] = v
+        return out
+
     def mul_table(self):
         """``table[i][j]``: the normal form of e_i * e_j as a ``{coordinate: scalar}``
         dict, for the flat basis monomials e_(p,kappa) = kappa x^p.
 
-        e_(p,kappa) * e_(q,mu) = (kappa alpha^p(mu)) x^(p+q), and left
-        multiplication by an element of K commutes with the reduction modulo
-        f, so each entry is a K-multiple of the reduced power x^(p+q).
+        e_(p,kappa) * e_(q,mu) = (kappa alpha^p(mu)) x^(p+q), a sparse product
+        in K times a reduced power of x.
         """
         table = self._mul_table
         if table is None:
-            K = self.base
-            d = K.dim
-            reduced = [self.x_power_reduced(e).coeffs for e in range(2 * self.n - 1)]
+            d = self.base.dim
+            one = self.field.one
+            product = self.base.product
             table = []
             for p in range(self.n):
-                twisted = [self.alpha_apply(p, K.basis_vector(mu)) for mu in range(d)]
+                twisted = [self.alpha_terms(p, mu) for mu in range(d)]
                 for kappa in range(d):
-                    front = K.basis_vector(kappa)
-                    heads = [K.mul_vec(front, a) for a in twisted]
-                    row = []
-                    for q in range(self.n):
-                        for w in heads:
-                            entry = {}
-                            for t, rem in enumerate(reduced[p + q]):
-                                if vec_is_zero(rem):
-                                    continue
-                                for k, c in enumerate(K.mul_vec(w, rem)):
-                                    if c:
-                                        entry[t * d + k] = c
-                            row.append(entry)
-                    table.append(row)
+                    heads = [product({kappa: one}, a) for a in twisted]
+                    table.append([self.k_times_x_power(w, p + q) for q in range(self.n) for w in heads])
             self._mul_table = table
         return table
 
@@ -710,22 +753,35 @@ def _power(m, p, ident):
 
 
 def regular_bimodule(mono):
-    """The default coefficients M = A with both regular actions, read off the
-    multiplication table."""
+    """The default coefficients M = A with both regular actions, built column
+    by column from products in K and the normal form of x^n (no product
+    table): on kappa x^p, lam_t acts by (lam_t kappa) x^p on the left and by
+    kappa alpha^p(lam_t) x^p on the right, and x by alpha(kappa) x^(p+1) on
+    the left and by kappa x^(p+1) on the right."""
     field = mono.field
     dim = mono.dim
-    table = mono.mul_table()
+    d = mono.base.dim
+    one = field.one
+    product = mono.base.product
+    normal = mono.k_times_x_power
+    left_k = [[] for _ in range(d)]
+    right_k = [[] for _ in range(d)]
+    left_x, right_x = [], []
+    for p in range(mono.n):
+        twisted = [mono.alpha_terms(p, t) for t in range(d)]
+        for kappa in range(d):
+            front = {kappa: one}
+            for t in range(d):
+                left_k[t].append(normal(product({t: one}, front), p))
+                right_k[t].append(normal(product(front, twisted[t]), p))
+            left_x.append(normal(mono.alpha_terms(1, kappa), p + 1))
+            right_x.append(normal(front, p + 1))
 
     def action(columns):
-        return ColMap(field, dim, dim, [dict(col) for col in columns])
+        return ColMap(field, dim, dim, columns)
 
-    x = mono.x_items()
-    # lam_t sits at x^0, so its coordinate is t
-    left_k = [action(table[t][j] for j in range(dim)) for t in range(mono.base.dim)]
-    right_k = [action(table[j][t] for j in range(dim)) for t in range(mono.base.dim)]
-    left_x = action(mono.multiply(x, [(j, field.one)]) for j in range(dim))
-    right_x = action(mono.multiply([(j, field.one)], x) for j in range(dim))
-    M = BimoduleData(mono, dim, left_k, left_x, right_k, right_x, check=False)
+    M = BimoduleData(mono, dim, [action(c) for c in left_k], action(left_x),
+                     [action(c) for c in right_k], action(right_x), check=False)
     M._regular = True
     return M
 
@@ -767,14 +823,16 @@ def k_commutator_subspace(mono, j):
     spans = mono._k_commutators.get(i)
     if spans is None:
         K = mono.base
+        one = mono.field.one
+        twisted = [mono.alpha_terms(i, t) for t in range(K.dim)]
         spans = mono._k_commutators[i] = []
         for s in range(K.dim):
-            ms = K.basis_vector(s)
+            es = {s: one}
             for t in range(K.dim):
-                lam = K.basis_vector(t)
-                v = sparse(vec_sub(K.mul_vec(ms, mono.alpha_apply(i, lam)), K.mul_vec(lam, ms)))
+                # e_s alpha^i(e_t) - e_t e_s, in ascending index order
+                v = sub_terms(K.product(es, twisted[t]), K.product({t: one}, es))
                 if v:
-                    spans.append(v)
+                    spans.append(dict(sorted(v.items())))
     return list(spans)
 
 

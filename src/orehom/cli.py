@@ -419,8 +419,12 @@ def cmd_example(args):
     doc = build_example(args.name)
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return 0
@@ -472,7 +476,7 @@ def main(argv=None):
         # a complex axiom or transfer identity failed while building
         print(f"identity failure: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraError, HypothesisError, FileNotFoundError) as exc:
+    except (AlgebraError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

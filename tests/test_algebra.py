@@ -30,7 +30,7 @@ from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
-from conftest import get_context
+from conftest import get_context, rank_one_doc
 
 Q = make_field("rationals")
 
@@ -105,8 +105,17 @@ def test_character_dihedral_reflections():
 
 def test_character_not_multiplicative_rejected():
     K = group_algebra(["e", "g"], [["e", "g"], ["g", "e"]], Q)
-    with pytest.raises(AlgebraError, match="multiplicative"):
+    with pytest.raises(AlgebraError, match=r"character is not multiplicative on pair \('g', 'g'\)"):
         character_endomorphism(K, {"e": 1, "g": 2})
+
+
+def test_zero_character_does_not_fix_the_unit():
+    # chi = 0 passes the pairwise test chi(gh) = chi(g)chi(h); the unit check
+    # is what rejects it
+    labels, table = dihedral_group(3)
+    K = group_algebra(labels, table, Q)
+    with pytest.raises(AlgebraError, match="endomorphism does not fix the unit"):
+        character_endomorphism(K, {lab: 0 for lab in labels})
 
 
 def sweedler_mono():
@@ -399,17 +408,20 @@ def test_regular_bimodule_validates():
 
 # -- the multiplication table and the sparse columns against the dense path ----
 
-_DUAL = []
+_PARSED = {}
+
+# xi = 0, and xi != 0 with chi^n != id (rewritten over G/<g1^n> with f = x^n)
+RANK_ONE = {"rank-one(6,1,2,3,0)": (6, 1, 2, 3, 0), "rank-one(8,1,2,4,1)": (8, 1, 2, 4, 1)}
 
 
 def _table_context(name):
-    """(mono, M) of a shipped fixture, of taft:4 (Q(zeta_4), n = 4) or of the
-    dual numbers with alpha of infinite order."""
-    if name == "dual-numbers":
-        if not _DUAL:
-            parsed = _dual_numbers()
-            _DUAL.append((parsed.mono, parsed.bimodule))
-        return _DUAL[0]
+    """(mono, M) of a shipped fixture, of taft:4 (Q(zeta_4), n = 4), of the
+    dual numbers with alpha of infinite order or of a ``RANK_ONE`` document."""
+    if name == "dual-numbers" or name in RANK_ONE:
+        if name not in _PARSED:
+            parsed = _dual_numbers() if name == "dual-numbers" else parse_spec(rank_one_doc(*RANK_ONE[name]))
+            _PARSED[name] = (parsed.mono, parsed.bimodule)
+        return _PARSED[name]
     ctx = get_context(name)
     return ctx.mono, ctx.M
 
@@ -473,7 +485,7 @@ def test_table_k_right_and_x_actions_match_twisted_division(data):
     assert a.x_right() == AElement(mono, divide_by_f(mono, [zero] + a.coeffs)[1])
 
 
-@pytest.mark.parametrize("name", TABLE_FIXTURES)
+@pytest.mark.parametrize("name", TABLE_FIXTURES + tuple(RANK_ONE))
 def test_table_matches_twisted_division_on_basis_pairs(name):
     mono, _ = _table_context(name)
     one = mono.field.one
@@ -526,7 +538,7 @@ def test_sparse_action_columns_match_dense_matrices(name):
         assert M.a_terms("right", a, one_hot) == terms(_division_product(m, a))
 
 
-@pytest.mark.parametrize("name", TABLE_FIXTURES)
+@pytest.mark.parametrize("name", TABLE_FIXTURES + tuple(RANK_ONE))
 def test_regular_bimodule_matches_division_products(name):
     mono, _ = _table_context(name)
     M = regular_bimodule(mono)
@@ -540,6 +552,24 @@ def test_regular_bimodule_matches_division_products(name):
             lam = mono.a_from_kvec(mono.base.basis_vector(t))
             assert M.left_k[t].cols[j] == sparse(mono.a_coords(_division_product(lam, e)))
             assert M.right_k[t].cols[j] == sparse(mono.a_coords(_division_product(e, lam)))
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES + tuple(RANK_ONE))
+def test_regular_actions_equal_the_table_actions_item_for_item(name):
+    # the item order of each column fixes the elimination order, on which
+    # the report digests depend, so it is compared too: ascending rows
+    mono, _ = _table_context(name)
+    M = regular_bimodule(mono)
+    table = mono.mul_table()
+    assert all(list(entry) == sorted(entry) for row in table for entry in row)
+    x = mono.x_items()
+    one = mono.field.one
+    for j in range(mono.dim):
+        for t in range(mono.base.dim):
+            assert list(M.left_k[t].cols[j].items()) == list(table[t][j].items())
+            assert list(M.right_k[t].cols[j].items()) == list(table[j][t].items())
+        assert list(M.left_x.cols[j].items()) == list(mono.multiply(x, [(j, one)]).items())
+        assert list(M.right_x.cols[j].items()) == list(mono.multiply([(j, one)], x).items())
 
 
 def test_group_table_associativity_names_the_dense_checks_triple():

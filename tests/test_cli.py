@@ -13,6 +13,8 @@ from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
 
+from conftest import rank_one_doc
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -39,6 +41,19 @@ def test_example_unknown_name(capsys):
     code = main(["example", "nosuch:99"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("directory", "Is a directory"),
+    ("missing-parent", "No such file or directory"),
+])
+def test_example_unwritable_out_path_rejected(capsys, tmp_path, kind, reason):
+    out = tmp_path if kind == "directory" else tmp_path / "absent" / "spec.json"
+    code = main(["example", "taft:3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot write {out}: {reason}"]
 
 
 def test_example_sweedler_equals_taft2(capsys):
@@ -395,6 +410,41 @@ def test_verify_divides_by_f_at_most_once_per_table_entry(capsys, monkeypatch):
     # bound the twisted divisions, plus the reduced powers of x
     mono = parse_spec(build_example("taft:3")).mono
     assert len(calls) <= mono.dim ** 2 + 2 * mono.n
+
+
+def _count_table_builds(monkeypatch):
+    """A list that gets the algebra of each build of A's product table."""
+    from orehom import algebra
+
+    builds = []
+    original = algebra.MonogenicData.mul_table
+
+    def counted(mono):
+        if mono._mul_table is None:
+            builds.append(mono)
+        return original(mono)
+
+    monkeypatch.setattr(algebra.MonogenicData, "mul_table", counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_hh_and_hc_build_no_product_table(capsys, monkeypatch, name):
+    # the regular bimodule and the spec checks cost the structure constants;
+    # only the bar resolution of ``verify`` reads the dim(A)^2 table
+    builds = _count_table_builds(monkeypatch)
+    for argv in (["hh", "--closed-form", "--decompose", "--basis"], ["hc", "--closed-form", "--decompose"],
+                 ["hh", "--oracle", "--max-degree", "4"], ["hc", "--oracle", "--max-degree", "4"]):
+        code, _ = run(capsys, *argv, "--spec", name)
+        assert code == 0, argv
+        assert builds == [], argv
+
+
+def test_parse_spec_of_a_large_rank_one_document_builds_no_table(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    mono = parse_spec(rank_one_doc(12, 1, 1, 12, 1)).mono
+    assert mono.dim == 144
+    assert builds == [] and mono._mul_table is None
 
 
 @pytest.mark.parametrize("copies", [1, 2], ids=["M=K", "M=K+K"])

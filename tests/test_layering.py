@@ -2,8 +2,9 @@
 map of ``bar.py`` is built column by column on demand,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
-``sparse_rank``, every import is used, and no code outside ``fields.py``
-divides (``int / int`` is a float) or looks inside a ``CycScalar``."""
+``sparse_rank``, the structure of A is read off sparse products in K,
+every import is used, and no code outside ``fields.py`` divides
+(``int / int`` is a float) or looks inside a ``CycScalar``."""
 
 import ast
 from fractions import Fraction
@@ -112,6 +113,23 @@ def test_bar_maps_are_built_column_by_column():
         if isinstance(node, ast.Call) and _called(node) in ("ColMap", "set_col")
     ]
     assert eager == []
+
+
+def test_structure_of_a_costs_the_structure_constants():
+    # the regular bimodule, the character twist and [K,K]_{alpha^j} read
+    # sparse products in K: no dim(A)^2 product table, no dense K-product and
+    # no dense re-check of a character, whose pairwise test chi(gh) =
+    # chi(g)chi(h) already proves it multiplicative
+    guarded = {"regular_bimodule", "character_endomorphism", "k_commutator_subspace"}
+    banned = {"mul_table", "multiply", "mul_vec", "left_mult_map", "_check"}
+    seen, calls = set(), []
+    for node in ast.walk(_tree(ROOT / "src" / "orehom" / "algebra.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in guarded:
+            seen.add(node.name)
+            calls += [f"{node.name}:{call.lineno}: {_called(call)}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and _called(call) in banned]
+    assert seen == guarded
+    assert calls == []
 
 
 def test_no_rank_is_read_off_an_echelon_set():
