@@ -134,14 +134,16 @@ class BaseAlgebra:
         return out if len(out) < 2 else dict(sorted(out.items()))
 
     def left_mult_map(self, u):
-        """Left multiplication by u as a ColMap."""
-        return ColMap(self.field, self.dim, self.dim,
-                      [sparse(self.mul_vec(u, self.basis_vector(j))) for j in range(self.dim)])
+        """Left multiplication by the dense K-vector u as a ColMap; column j is
+        the sparse product u e_j."""
+        u, one = sparse(u), self.field.one
+        return ColMap(self.field, self.dim, self.dim, [self.product(u, {j: one}) for j in range(self.dim)])
 
     def right_mult_map(self, u):
-        """Right multiplication by u as a ColMap."""
-        return ColMap(self.field, self.dim, self.dim,
-                      [sparse(self.mul_vec(self.basis_vector(j), u)) for j in range(self.dim)])
+        """Right multiplication by the dense K-vector u as a ColMap; column j is
+        the sparse product e_j u."""
+        u, one = sparse(u), self.field.one
+        return ColMap(self.field, self.dim, self.dim, [self.product({j: one}, u) for j in range(self.dim)])
 
     def is_invertible(self, u):
         return sparse_rank(self.left_mult_map(u).cols) == self.dim
@@ -312,9 +314,13 @@ class MonogenicData:
 
     def twist(self, j):
         """The least i with alpha^i = alpha^j: j modulo the order of alpha, or j when
-        no power of alpha is the identity."""
-        self.alpha_pow(j)
-        return j if self._alpha_order is None else j % self._alpha_order
+        no power of alpha is the identity.  Once the order is known this is
+        one modulo; before, the climb of ``alpha_pow`` looks for it."""
+        if self._alpha_order is None:
+            self.alpha_pow(j)
+            if self._alpha_order is None:
+                return j
+        return j % self._alpha_order
 
     def alpha_columns(self, p):
         """alpha^p as sparse columns ``{row: scalar}``, kept once per class of

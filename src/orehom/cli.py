@@ -1,6 +1,14 @@
 """Command line interface: hh | hc | verify | example.
 
-Exit codes: 0 success, 1 validation failure (bad spec), 2 identity-suite
+One table, ``_COMMANDS``, gives each command its handler, positionals and
+long options, parsed by ``getopt.gnu_getopt``: ``--name value`` and
+``--name=value``, any unique prefix (``--max 3``), options before or after
+the positionals; ``-h``/``--help`` prints help built from the table and
+exits 0.  No parser is built at import.
+
+Exit codes: 0 success, 1 bad spec (validation failure, a negative
+``--max-degree``), 2 usage error (a ``usage:`` line and an ``orehom:
+error: ...`` line naming the argument on stderr) or identity-suite
 failure.  Reports are deterministic; ``--json`` switches the output to a
 single machine-readable object.  Spec files are UTF-8 JSON with exact
 scalars only (see spec_io for the schema).
@@ -8,10 +16,11 @@ scalars only (see spec_io for the schema).
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import os
 import sys
+import types
 
 from .algebra import AlgebraError, regular_bimodule
 from .complexes import ComplexError, homology, homology_dims
@@ -430,43 +439,134 @@ def cmd_example(args):
     return 0
 
 
+_COMMON = (
+    ("spec=", "spec file path or example name (required)"),
+    ("max-degree=", "degrees 0 .. MAX_DEGREE - 1 (default 6)"),
+    ("json", "print one JSON object"),
+)
+_COMPARE = (
+    ("decompose", "per-eigenvalue breakdown"),
+    ("closed-form", "compare with the closed forms whose hypotheses hold"),
+    ("oracle", "compare with the normalized-complex oracle"),
+)
+
+# name -> (handler, summary, positionals as (name, help), long options as
+# (getopt spelling, help)); "spec=" takes a value, "json" is a flag
+_COMMANDS = {
+    "hh": (cmd_hh, "Hochschild homology dimensions", (),
+           _COMMON + _COMPARE + (("basis", "homology representatives"),)),
+    "hc": (cmd_hc, "cyclic homology dimensions", (), _COMMON + _COMPARE),
+    "verify": (cmd_verify, "run the identity suites", (), _COMMON),
+    "example": (cmd_example, "emit a named example spec",
+                (("name", f"one of {', '.join(EXAMPLE_NAMES)} (families accept other parameters)"),),
+                (("out=", "write the spec to this file, not to stdout"),)),
+}
+# integer options and their defaults; other value options default to None,
+# flags to False
+_INTS = {"max_degree": 6}
+_REQUIRED = ("spec",)
+
+
+def _attr(option):
+    return option.rstrip("=").replace("-", "_")
+
+
+def _spelled(option):
+    """``--spec SPEC`` for a value option, ``--json`` for a flag."""
+    name = option.rstrip("=")
+    return f"--{name} {_attr(option).upper()}" if option.endswith("=") else f"--{name}"
+
+
+def _usage(cmd):
+    if cmd is None:
+        return f"usage: orehom [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    _, _, positionals, options = _COMMANDS[cmd]
+    words = ["usage: orehom", cmd, "[-h]"]
+    for option, _ in options:
+        word = _spelled(option)
+        words.append(word if _attr(option) in _REQUIRED else f"[{word}]")
+    words += [name for name, _ in positionals]
+    return " ".join(words) + "\n"
+
+
+def _help(cmd):
+    if cmd is None:
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+        head = "Exact Hochschild and cyclic homology of monogenic Ore quotients\n\ncommands:\n"
+    else:
+        _, summary, positionals, options = _COMMANDS[cmd]
+        rows = [*positionals, ("-h, --help", "show this help and exit")]
+        rows += [(_spelled(option), text) for option, text in options]
+        head = f"{summary}\n\n"
+    width = max(len(name) for name, _ in rows) + 2
+    return _usage(cmd) + "\n" + head + "".join(f"  {name:<{width}}{text}\n" for name, text in rows)
+
+
+def _usage_error(cmd, message):
+    sys.stderr.write(f"{_usage(cmd)}orehom: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _getopt(cmd, argv, shortopts, longopts, posix=False):
+    """getopt's parse of argv; its error becomes a usage error that names the
+    argument as argparse did."""
+    try:
+        return (getopt.getopt if posix else getopt.gnu_getopt)(argv, shortopts, longopts)
+    except getopt.GetoptError as exc:
+        opt = exc.opt
+        if opt + "=" in longopts:
+            _usage_error(cmd, f"argument --{opt}: expected one argument")
+        if any(o.startswith(opt) for o in longopts):
+            _usage_error(cmd, exc.msg)
+        token = next((a for a in argv if a.partition("=")[0] == "--" + opt), "-" + opt)
+        _usage_error(cmd, f"unrecognized arguments: {token}")
+
+
+def parse_args(argv):
+    """The command line as a namespace: ``cmd``, ``func`` and one attribute per
+    option of the command.  ``-h`` prints help and a usage error exits 2."""
+    opts, rest = _getopt(None, argv, "h", ["help"], posix=True)
+    if opts:
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if not rest:
+        _usage_error(None, "the following arguments are required: cmd")
+    cmd = rest[0]
+    if cmd not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, f"argument cmd: invalid choice: {cmd!r} (choose from {choices})")
+    func, _, positionals, options = _COMMANDS[cmd]
+    longopts = ["help"] + [option for option, _ in options]
+    opts, rest = _getopt(cmd, rest[1:], "h", longopts)
+    args = types.SimpleNamespace(cmd=cmd, func=func)
+    for option, _ in options:
+        name = _attr(option)
+        setattr(args, name, _INTS.get(name) if option.endswith("=") else False)
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            sys.stdout.write(_help(cmd))
+            raise SystemExit(0)
+        name = _attr(opt[2:])
+        if name in _INTS:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(cmd, f"argument {opt}: invalid int value: {value!r}")
+        setattr(args, name, value if opt[2:] + "=" in longopts else True)
+    # a required option still None; commands without it have no attribute
+    missing = [f"--{name}" for name in _REQUIRED if getattr(args, name, "") is None]
+    missing += [name for name, _ in positionals[len(rest):]]
+    if missing:
+        _usage_error(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if len(rest) > len(positionals):
+        _usage_error(cmd, f"unrecognized arguments: {' '.join(rest[len(positionals):])}")
+    for (name, _), value in zip(positionals, rest):
+        setattr(args, name, value)
+    return args
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="orehom",
-        description="Exact Hochschild and cyclic homology of monogenic Ore quotients",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--spec", required=True, help="spec file path or example name")
-        p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
-        p.add_argument("--json", action="store_true")
-
-    p_hh = sub.add_parser("hh", help="Hochschild homology dimensions")
-    common(p_hh)
-    p_hh.add_argument("--decompose", action="store_true")
-    p_hh.add_argument("--closed-form", action="store_true", dest="closed_form")
-    p_hh.add_argument("--oracle", action="store_true")
-    p_hh.add_argument("--basis", action="store_true")
-    p_hh.set_defaults(func=cmd_hh)
-
-    p_hc = sub.add_parser("hc", help="cyclic homology dimensions")
-    common(p_hc)
-    p_hc.add_argument("--decompose", action="store_true")
-    p_hc.add_argument("--closed-form", action="store_true", dest="closed_form")
-    p_hc.add_argument("--oracle", action="store_true")
-    p_hc.set_defaults(func=cmd_hc)
-
-    p_v = sub.add_parser("verify", help="run the identity suites")
-    common(p_v)
-    p_v.set_defaults(func=cmd_verify)
-
-    p_e = sub.add_parser("example", help="emit a named example spec")
-    p_e.add_argument("name", help=f"one of {', '.join(EXAMPLE_NAMES)} (families accept other parameters)")
-    p_e.add_argument("--out", default=None)
-    p_e.set_defaults(func=cmd_example)
-
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if getattr(args, "max_degree", 0) < 0:
         print(f"error: --max-degree must be >= 0, got {args.max_degree}", file=sys.stderr)
         return 1

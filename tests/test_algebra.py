@@ -429,6 +429,23 @@ def _table_context(name):
 TABLE_FIXTURES = EXAMPLE_NAMES + ("taft:4", "dual-numbers")
 
 
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + tuple(RANK_ONE) + ("dual-numbers",))
+def test_multiplication_maps_are_the_dense_products(name):
+    # each column is read off the sparse products and must equal the dense
+    # product item for item, in the same (ascending) order
+    mono, _ = _table_context(name)
+    K, F = mono.base, mono.field
+    spread = [F.from_fraction(Fr(j + 1, 2)) for j in range(K.dim)]
+    us = [K.basis_vector(i) for i in range(K.dim)] + [
+        list(K.unit), spread, [a - b for a, b in zip(spread, mono.alpha_apply(1, spread))]]
+    for u in us:
+        left, right = K.left_mult_map(u), K.right_mult_map(u)
+        for j in range(K.dim):
+            e = K.basis_vector(j)
+            assert list(left.cols[j].items()) == list(sparse(K.mul_vec(u, e)).items())
+            assert list(right.cols[j].items()) == list(sparse(K.mul_vec(e, u)).items())
+
+
 def _dense_alpha(mono, p, vec):
     """alpha^p of a dense K-vector by p applications of alpha's map."""
     out = sparse(vec)

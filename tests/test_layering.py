@@ -3,7 +3,8 @@ map of ``bar.py`` is built column by column on demand,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, the structure of A is read off sparse products in K,
-every import is used, and no code outside ``fields.py`` divides
+every import is used, no module builds an argparse or optparse parser,
+and no code outside ``fields.py`` divides
 (``int / int`` is a float) or looks inside a ``CycScalar``."""
 
 import ast
@@ -130,6 +131,20 @@ def test_structure_of_a_costs_the_structure_constants():
                       if isinstance(call, ast.Call) and _called(call) in banned]
     assert seen == guarded
     assert calls == []
+
+
+def test_no_module_imports_argparse_or_optparse():
+    # the command line is one getopt table in cli.py; an argparse or optparse
+    # parser costs milliseconds of every command, most of it importing locale
+    banned = ("argparse", "optparse")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] in banned for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in banned)
+    ]
+    assert found == []
 
 
 def test_no_rank_is_read_off_an_echelon_set():
