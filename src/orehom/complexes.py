@@ -8,6 +8,11 @@ by ``sparse_rank`` on the boundary's columns.  Only ``homology`` with
 representatives runs a kernel: its cycles are lifted to sparse ambient
 term dicts by putting their quotient coordinates at the free columns of
 the space, so they are reproducible.
+
+One map object may sit at several degrees (C^S shares d_r with d_{r + 2v}),
+so the d.d check composes each distinct (d_{r-1}, d_r) pair once,
+``homology_dims`` ranks each distinct d_r once, and ``homology`` eliminates
+once per distinct (space, d_r, d_{r+1}, top-degree flag) of the complex.
 """
 
 from __future__ import annotations
@@ -17,6 +22,14 @@ from .linalg import EchelonSet, kernel_basis, sparse_rank
 
 class ComplexError(ValueError):
     pass
+
+
+def composes_to_zero(seen, a, b):
+    """a . b == 0, composed once per distinct (a, b) object pair kept in ``seen``."""
+    key = (id(a), id(b))
+    if key not in seen and a.compose(b).is_zero():
+        seen.add(key)
+    return key in seen
 
 
 class ChainComplex:
@@ -29,6 +42,8 @@ class ChainComplex:
         self.field = field
         self.spaces = list(spaces)
         self.boundaries = dict(boundaries)
+        self._zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
+        self._homology = {}  # ids of (space, d_r, d_{r+1}), top flag -> (dim, lifted cycles or None)
         if check:
             for r in range(1, self.max_degree + 1):
                 self._check_degree(r)
@@ -41,7 +56,7 @@ class ChainComplex:
         d = self.boundaries[r]
         if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
             raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
-        if r >= 2 and not self.boundaries[r - 1].compose(d).is_zero():
+        if r >= 2 and not composes_to_zero(self._zero_pairs, self.boundaries[r - 1], d):
             raise ComplexError(f"d_{r - 1} . d_{r} != 0")
 
     def append(self, space, boundary):
@@ -82,28 +97,24 @@ def homology(complex_, r, want_representatives=True):
     """
     if r < 0 or r > complex_.max_degree:
         raise ComplexError(f"degree {r} out of range 0..{complex_.max_degree}")
-    field = complex_.field
-    if r == 0:
-        ker = [{j: field.one} for j in range(complex_.dim(r))]
-    else:
-        ker = kernel_basis(field, complex_.boundaries[r].cols)
     kernel_only = r == complex_.max_degree
-    space = complex_.spaces[r]
-    if kernel_only:
-        reps = [space.lift_vec(v) for v in ker] if want_representatives else []
-        return HomologyReport(r, len(ker), reps, kernel_only=True)
-    seen = EchelonSet(field, complex_.boundaries[r + 1].cols)
-    bdim = seen.dim
-    reps = []
-    dim = 0
-    for v in ker:
-        if seen.add(v):
-            dim += 1
-            if want_representatives:
-                reps.append(space.lift_vec(v))
-    if dim != len(ker) - bdim:
-        raise ComplexError(f"degree {r}: {dim} new classes, expected {len(ker)} - {bdim}")
-    return HomologyReport(r, dim, reps)
+    space, d_out = complex_.spaces[r], complex_.boundaries[r] if r else None
+    d_in = None if kernel_only else complex_.boundaries[r + 1]
+    key = (id(space), id(d_out), id(d_in), kernel_only)
+    hit = complex_._homology.get(key)
+    if hit is None or (want_representatives and hit[1] is None):
+        field = complex_.field
+        ker = [{j: field.one} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(field, d_out.cols)
+        new = ker
+        if d_in is not None:
+            seen = EchelonSet(field, d_in.cols)
+            bdim = seen.dim
+            new = [v for v in ker if seen.add(v)]
+            if len(new) != len(ker) - bdim:
+                raise ComplexError(f"degree {r}: {len(new)} new classes, expected {len(ker)} - {bdim}")
+        hit = complex_._homology[key] = (len(new), [space.lift_vec(v) for v in new] if want_representatives else None)
+    reps = [dict(v) for v in hit[1]] if want_representatives else []
+    return HomologyReport(r, hit[0], reps, kernel_only=kernel_only)
 
 
 def homology_dims(complex_, up_to=None):
@@ -119,7 +130,11 @@ def homology_dims(complex_, up_to=None):
         up_to = top - 1
     if up_to > top:
         raise ComplexError(f"degree {up_to} out of range 0..{top}")
-    ranks = [sparse_rank(complex_.boundaries[r].cols) if 1 <= r <= top else 0 for r in range(up_to + 2)]
+    rank_of = {}  # one sparse_rank per distinct boundary object
+    for r in range(1, min(up_to + 1, top) + 1):
+        if id(complex_.boundaries[r]) not in rank_of:
+            rank_of[id(complex_.boundaries[r])] = sparse_rank(complex_.boundaries[r].cols)
+    ranks = [rank_of[id(complex_.boundaries[r])] if 1 <= r <= top else 0 for r in range(up_to + 2)]
     dims = []
     for r in range(up_to + 1):
         h = complex_.dim(r) - ranks[r] - ranks[r + 1]

@@ -18,6 +18,13 @@ eigencomponents with scalar boundaries.  The closed-form evaluators at the
 bottom compute the displayed homology quotients directly by echelonizing
 numerator and denominator spans; they are cross-checked against the
 homology of the built complexes in the tests.
+
+The boundaries read r through its parity alone and each space is kept once
+per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
+(parity, source, target): with v the order of alpha^n, C^S repeats with
+period 2v.  The hh closed forms evaluate once per key (r == 0, parity,
+classes of alpha^{mn} and alpha^{(m+1)n}).  Nothing is shared when alpha
+has infinite order.
 """
 
 from __future__ import annotations
@@ -63,29 +70,48 @@ def _boundary_terms(mono, M, r, terms):
     return out
 
 
+def _periodic_boundaries(field, spaces, lo, image, shared):
+    """{r: d_r} for lo <= r < len(spaces), one ColMap per key (parity of r,
+    source space, target space), kept in ``shared``.  Column qj of d_r is
+    ``image(r, idx)`` at the qj-th free index of the source, read at the
+    first degree of each key: it must read r through its parity alone.
+    """
+    out = {}
+    for r in range(lo, len(spaces)):
+        key = (r % 2, spaces[r], spaces[r - 1])
+        if key not in shared:
+            d = shared[key] = ColMap(field, spaces[r - 1].quotient_dim, spaces[r].quotient_dim)
+            for qj, idx in enumerate(spaces[r].free):
+                d.set_col(qj, spaces[r - 1].project_terms(image(r, idx)))
+        out[r] = shared[key]
+    return out
+
+
 class SmallComplex(ChainComplex):
     """The generic small complex C^S(A, M); ``grow`` appends degrees in place.
 
     Its spaces are the quotients ``commutator_quotient`` keeps on M, one per
-    class of alpha^j, so degrees whose twists agree modulo the order of
-    alpha share one space object.
+    class of alpha^j, and its boundaries are shared per key (parity, source,
+    target) by ``_periodic_boundaries``: d_r is d_{r + 2v}, v the order of
+    alpha^n, and no two degrees share a map when alpha has infinite order.
     """
 
     def __init__(self, mono, M, max_degree):
         super().__init__(mono.field, [commutator_quotient(M, 0)], {})
         self.mono = mono
         self.M = M
+        self._shared = {}
         self.grow(max_degree)
 
+    def _image(self, r, idx):
+        return _boundary_terms(self.mono, self.M, r, {idx: self.mono.field.one})
+
     def grow(self, max_degree):
-        mono, M = self.mono, self.M
-        while self.max_degree < max_degree:
-            r = self.max_degree + 1
-            src, tgt = commutator_quotient(M, cs_twist(mono.n, r)), self.spaces[r - 1]
-            col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-            for qj, idx in enumerate(src.free):
-                col_map.set_col(qj, tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})))
-            self.append(src, col_map)
+        lo = self.max_degree + 1
+        spaces = self.spaces + [commutator_quotient(self.M, cs_twist(self.mono.n, r))
+                                for r in range(lo, max_degree + 1)]
+        for r, d in _periodic_boundaries(self.field, spaces, lo, self._image, self._shared).items():
+            self.append(spaces[r], d)
 
 
 def build_cs(mono, M=None, max_degree=6):
@@ -129,29 +155,12 @@ def build_cs_collapsed(mono, max_degree=6, collapse_report=None):
     A/[A,K] as [lam x^{n-1}]); even classes are [lam] with lam in K.
     """
     ensure_collapse(mono, max_degree, collapse_report)
-    K = mono.base
-    n = mono.n
-    spaces = []
-    for r in range(max_degree + 1):
-        m, odd = divmod(r, 2)
-        j = (m + 1) * n if odd else m * n
-        spaces.append(k_quotient(mono, j))
-    lam_n = mono.f_coefficient(n)
-    boundaries = {}
-    for r in range(1, max_degree + 1):
-        src, tgt = spaces[r], spaces[r - 1]
-        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free):
-            lam = K.basis_vector(idx)
-            if r % 2 == 1:
-                img = K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), lam_n)
-            else:
-                img = [mono.field.zero] * K.dim
-                for ell in range(n):
-                    img = vec_add(img, mono.alpha_apply(ell, lam))
-            col_map.set_col(qj, tgt.project_terms(sparse(img)))
-        boundaries[r] = col_map
-    return ChainComplex(mono.field, spaces, boundaries)
+    spaces = [k_quotient(mono, (r + 1) // 2 * mono.n) for r in range(max_degree + 1)]
+    def image(r, idx):
+        lam = mono.base.basis_vector(idx)
+        return _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam)
+
+    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, 1, image, {}))
 
 
 # -- eigencomponent decomposition ---------------------------------------------
@@ -191,32 +200,18 @@ def decompose(mono, max_degree=6, collapse_report=None):
     (sum_{l<n} w^l)[lam] x^{n-1}.
     """
     ensure_collapse(mono, max_degree, collapse_report)
-    comps = eigen_split(mono.base, mono.alpha)
-    K = mono.base
-    n = mono.n
-    lam_n = mono.f_coefficient(n)
+    K, field = mono.base, mono.field
+    lam_n = mono.f_coefficient(mono.n)
     out = []
-    for w, idxs in comps:
-        spaces = []
-        for r in range(max_degree + 1):
-            m, odd = divmod(r, 2)
-            j = (m + 1) * n if odd else m * n
-            spaces.append(component_quotient(mono, j, idxs))
-        nmult = sum((w ** l for l in range(n)), mono.field.zero)
-        boundaries = {}
-        for r in range(1, max_degree + 1):
-            src, tgt = spaces[r], spaces[r - 1]
-            col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-            for qj, ii in enumerate(src.free):
-                lam = K.basis_vector(idxs[ii])
-                if r % 2 == 1:
-                    img_full = K.mul_vec(lam, lam_n)
-                    img_full = [(w - mono.field.one) * c for c in img_full]
-                else:
-                    img_full = [nmult * c for c in lam]
-                col_map.set_col(qj, tgt.project_terms(sparse(img_full[i] for i in idxs)))
-            boundaries[r] = col_map
-        out.append((w, idxs, ChainComplex(mono.field, spaces, boundaries)))
+    for w, idxs in eigen_split(K, mono.alpha):
+        spaces = [component_quotient(mono, (r + 1) // 2 * mono.n, idxs) for r in range(max_degree + 1)]
+        nmult = sum((w ** l for l in range(mono.n)), field.zero)
+        def image(r, ii):
+            lam = K.basis_vector(idxs[ii])
+            img, scale = (K.mul_vec(lam, lam_n), w - field.one) if r % 2 else (lam, nmult)
+            return sparse(scale * img[i] for i in idxs)
+
+        out.append((w, idxs, ChainComplex(field, spaces, _periodic_boundaries(field, spaces, 1, image, {}))))
     return out
 
 
@@ -241,6 +236,20 @@ def _alpha_minus_id_lamn(mono, lam):
     return sparse(K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), mono.f_coefficient(mono.n)))
 
 
+def _per_key(mono, max_degree, dim_at):
+    """[dim_at(r) for r <= max_degree], evaluated once per key (r == 0, parity,
+    class of alpha^{mn}, class of alpha^{(m+1)n}), r = 2m + parity."""
+    seen = {}
+    dims = []
+    for r in range(max_degree + 1):
+        m, odd = divmod(r, 2)
+        key = (r == 0, odd, mono.twist(m * mono.n), mono.twist((m + 1) * mono.n))
+        if key not in seen:
+            seen[key] = dim_at(r)
+        dims.append(seen[key])
+    return dims
+
+
 def hh_dims_collapsed(mono, max_degree, collapse_report=None):
     """Homology dimensions from the collapsed-complex closed form."""
     ensure_collapse(mono, max_degree, collapse_report)
@@ -249,21 +258,19 @@ def hh_dims_collapsed(mono, max_degree, collapse_report=None):
     n = mono.n
     basis = [K.basis_vector(t) for t in range(K.dim)]
     kk = lambda j: k_commutator_subspace(mono, j)
-    dims = []
-    for r in range(max_degree + 1):
+    def dim_at(r):
         m, odd = divmod(r, 2)
         if r == 0:
-            den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(K.dim - sparse_rank(den))
-        elif odd:
+            return K.dim - sparse_rank(kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis])
+        if odd:
             num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
             den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, num, den)))
         else:
             num = EchelonSet(field, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
             den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, num, den)))
-    return dims
+        return _well_formed(quotient_dim(field, num, den))
+
+    return _per_key(mono, max_degree, dim_at)
 
 
 def hh_dims_eigen(mono, max_degree, collapse_report=None):
@@ -281,21 +288,20 @@ def hh_dims_eigen(mono, max_degree, collapse_report=None):
         local_basis = [{i: one} for i in range(d)]
         kkw = lambda j: component_commutator_span(mono, j, idxs)
         lam_mult = component_mult_rows(mono, idxs, lam_n)
-        dims = []
         is_one = w == one
         w_n_is_one = w ** n == one
-        for r in range(max_degree + 1):
+        def dim_at(r):
             m, odd = divmod(r, 2)
             if r == 0:
-                span = kkw(0) if is_one else kkw(0) + lam_mult
-                dims.append(d - sparse_rank(span))
-            elif is_one or not w_n_is_one:
-                dims.append(0)
-            elif odd:
+                return d - sparse_rank(kkw(0) if is_one else kkw(0) + lam_mult)
+            if is_one or not w_n_is_one:
+                return 0
+            if odd:
                 num = EchelonSet(field, kkw(m * n)).preimage(lam_mult)
-                dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
-            else:
-                dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
+                return _well_formed(quotient_dim(field, num, kkw((m + 1) * n)))
+            return _well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult))
+
+        dims = _per_key(mono, max_degree, dim_at)
         percomp.append((w, dims))
         totals = [a + b for a, b in zip(totals, dims)]
     return totals, percomp
@@ -352,7 +358,11 @@ def hh_closed_form(mono, case, max_degree, collapse_report=None):
 
 
 def periodicity_check(mono, v, max_m, M=None):
-    """HH dims repeat with period v in m once alpha^n has order v."""
+    """C^S, and so its HH dims, repeat with period v in m once alpha^n has order v.
+
+    C^S shares d_r with d_{r + 2v} by construction, so each d_r is also built
+    afresh from ``_boundary_terms`` at degree r and compared with it.
+    """
     if mono.alpha_columns(mono.n * v) is not None:
         raise HypothesisError(f"alpha^(n*v) != id for v = {v}")
     for j in range(1, v):
@@ -360,6 +370,10 @@ def periodicity_check(mono, v, max_m, M=None):
             raise HypothesisError(f"alpha^n has order dividing {j} < {v}")
     top = 2 * (max_m + v) + 2
     cs = build_cs(mono, M, top + 1)
+    for r in range(1, top + 2):
+        fresh = _periodic_boundaries(cs.field, cs.spaces[r - 1:r + 1], 1, lambda _, idx: cs._image(r, idx), {})
+        if fresh[1] != cs.boundary(r):
+            return False
     dims = homology_dims(cs, top)
     for m in range(max_m + 1):
         if dims[2 * m + 1] != dims[2 * (m + v) + 1]:
@@ -389,22 +403,18 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
         raise HypothesisError(f"unknown rank-one case {case!r}")
     if case == "xi!=0, chi^n!=id":
         case = "xi=0"
-    k_mod_comm = K.dim - sparse_rank(k_commutator_subspace(mono, 0))
-    dims = []
-    for r in range(max_degree + 1):
+    def dim_at(r):
         m, odd = divmod(r, 2)
         if r == 0:
             if case == "xi=0":
-                dims.append(k_mod_comm)
-            else:
-                total = 0
-                for w, idxs in comps:
-                    span = component_commutator_span(mono, 0, idxs)
-                    if w != one:
-                        span = span + component_mult_rows(mono, idxs, lam_n)
-                    total += len(idxs) - sparse_rank(span)
-                dims.append(total)
-            continue
+                return K.dim - sparse_rank(k_commutator_subspace(mono, 0))
+            total = 0
+            for w, idxs in comps:
+                span = component_commutator_span(mono, 0, idxs)
+                if w != one:
+                    span = span + component_mult_rows(mono, idxs, lam_n)
+                total += len(idxs) - sparse_rank(span)
+            return total
         m_eff = m if odd else m - 1
         total = 0
         for w, idxs in comps:
@@ -422,5 +432,6 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
                 span = component_commutator_span(mono, 0, idxs)
                 span = span + component_mult_rows(mono, idxs, lam_n)
                 total += d - sparse_rank(span)
-        dims.append(total)
-    return dims
+        return total
+
+    return _per_key(mono, max_degree, dim_at)

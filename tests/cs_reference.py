@@ -1,0 +1,193 @@
+"""The small complex and the hh closed forms built degree by degree, kept
+apart from the package: the reference its period-shared builders are tested
+against.
+
+Every degree gets its own boundary map and every closed form evaluates every
+degree, as ``orehom.small_complex`` did before it shared them per twist class.
+"""
+
+from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace, vec_add, vec_sub
+from orehom.complexes import ChainComplex
+from orehom.linalg import ColMap, EchelonSet, quotient_dim, sparse, sparse_rank
+from orehom.small_complex import (
+    HypothesisError,
+    _alpha_minus_id_lamn,
+    _boundary_terms,
+    _norm_map,
+    _well_formed,
+    component_commutator_span,
+    component_mult_rows,
+    component_quotient,
+    cs_twist,
+    ensure_collapse,
+    k_quotient,
+)
+
+
+def build_cs(mono, M, max_degree):
+    """The generic C^S(A, M), one fresh boundary per degree."""
+    cx = ChainComplex(mono.field, [commutator_quotient(M, 0)], {})
+    for r in range(1, max_degree + 1):
+        src, tgt = commutator_quotient(M, cs_twist(mono.n, r)), cx.spaces[r - 1]
+        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free):
+            col_map.set_col(qj, tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})))
+        cx.append(src, col_map)
+    return cx
+
+
+def build_cs_collapsed(mono, max_degree):
+    ensure_collapse(mono, max_degree)
+    K = mono.base
+    n = mono.n
+    spaces = []
+    for r in range(max_degree + 1):
+        m, odd = divmod(r, 2)
+        j = (m + 1) * n if odd else m * n
+        spaces.append(k_quotient(mono, j))
+    lam_n = mono.f_coefficient(n)
+    boundaries = {}
+    for r in range(1, max_degree + 1):
+        src, tgt = spaces[r], spaces[r - 1]
+        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+        for qj, idx in enumerate(src.free):
+            lam = K.basis_vector(idx)
+            if r % 2 == 1:
+                img = K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), lam_n)
+            else:
+                img = [mono.field.zero] * K.dim
+                for ell in range(n):
+                    img = vec_add(img, mono.alpha_apply(ell, lam))
+            col_map.set_col(qj, tgt.project_terms(sparse(img)))
+        boundaries[r] = col_map
+    return ChainComplex(mono.field, spaces, boundaries)
+
+
+def decompose(mono, max_degree):
+    ensure_collapse(mono, max_degree)
+    K = mono.base
+    n = mono.n
+    lam_n = mono.f_coefficient(n)
+    out = []
+    for w, idxs in eigen_split(mono.base, mono.alpha):
+        spaces = []
+        for r in range(max_degree + 1):
+            m, odd = divmod(r, 2)
+            j = (m + 1) * n if odd else m * n
+            spaces.append(component_quotient(mono, j, idxs))
+        nmult = sum((w ** l for l in range(n)), mono.field.zero)
+        boundaries = {}
+        for r in range(1, max_degree + 1):
+            src, tgt = spaces[r], spaces[r - 1]
+            col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+            for qj, ii in enumerate(src.free):
+                lam = K.basis_vector(idxs[ii])
+                if r % 2 == 1:
+                    img_full = [(w - mono.field.one) * c for c in K.mul_vec(lam, lam_n)]
+                else:
+                    img_full = [nmult * c for c in lam]
+                col_map.set_col(qj, tgt.project_terms(sparse(img_full[i] for i in idxs)))
+            boundaries[r] = col_map
+        out.append((w, idxs, ChainComplex(mono.field, spaces, boundaries)))
+    return out
+
+
+def hh_dims_collapsed(mono, max_degree):
+    ensure_collapse(mono, max_degree)
+    K = mono.base
+    field = mono.field
+    n = mono.n
+    basis = [K.basis_vector(t) for t in range(K.dim)]
+    kk = lambda j: k_commutator_subspace(mono, j)
+    dims = []
+    for r in range(max_degree + 1):
+        m, odd = divmod(r, 2)
+        if r == 0:
+            den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
+            dims.append(K.dim - sparse_rank(den))
+        elif odd:
+            num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
+            den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
+            dims.append(_well_formed(quotient_dim(field, num, den)))
+        else:
+            num = EchelonSet(field, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
+            den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
+            dims.append(_well_formed(quotient_dim(field, num, den)))
+    return dims
+
+
+def hh_dims_eigen(mono, max_degree):
+    ensure_collapse(mono, max_degree)
+    field = mono.field
+    n = mono.n
+    one = field.one
+    lam_n = mono.f_coefficient(n)
+    totals = [0] * (max_degree + 1)
+    percomp = []
+    for w, idxs in eigen_split(mono.base, mono.alpha):
+        d = len(idxs)
+        local_basis = [{i: one} for i in range(d)]
+        kkw = lambda j: component_commutator_span(mono, j, idxs)
+        lam_mult = component_mult_rows(mono, idxs, lam_n)
+        dims = []
+        for r in range(max_degree + 1):
+            m, odd = divmod(r, 2)
+            if r == 0:
+                span = kkw(0) if w == one else kkw(0) + lam_mult
+                dims.append(d - sparse_rank(span))
+            elif w == one or w ** n != one:
+                dims.append(0)
+            elif odd:
+                num = EchelonSet(field, kkw(m * n)).preimage(lam_mult)
+                dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
+            else:
+                dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
+        percomp.append((w, dims))
+        totals = [a + b for a, b in zip(totals, dims)]
+    return totals, percomp
+
+
+def hh_rank_one(mono, case, max_degree):
+    ensure_collapse(mono, max_degree)
+    comps = eigen_split(mono.base, mono.alpha)
+    K = mono.base
+    field = mono.field
+    n = mono.n
+    one = field.one
+    lam_n = mono.f_coefficient(n)
+    if case not in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id"):
+        raise HypothesisError(f"unknown rank-one case {case!r}")
+    if case == "xi!=0, chi^n!=id":
+        case = "xi=0"
+    dims = []
+    for r in range(max_degree + 1):
+        m, odd = divmod(r, 2)
+        if r == 0:
+            if case == "xi=0":
+                dims.append(K.dim - sparse_rank(k_commutator_subspace(mono, 0)))
+            else:
+                total = 0
+                for w, idxs in comps:
+                    span = component_commutator_span(mono, 0, idxs)
+                    if w != one:
+                        span = span + component_mult_rows(mono, idxs, lam_n)
+                    total += len(idxs) - sparse_rank(span)
+                dims.append(total)
+            continue
+        m_eff = m if odd else m - 1
+        total = 0
+        for w, idxs in comps:
+            if w == one or w ** n != one:
+                continue
+            d = len(idxs)
+            if case == "xi=0":
+                total += d - sparse_rank(component_commutator_span(mono, (m_eff + 1) * n, idxs))
+            elif odd:
+                den = component_commutator_span(mono, 0, idxs)
+                num = EchelonSet(field, den).preimage(component_mult_rows(mono, idxs, lam_n))
+                total += _well_formed(quotient_dim(field, num, den))
+            else:
+                span = component_commutator_span(mono, 0, idxs) + component_mult_rows(mono, idxs, lam_n)
+                total += d - sparse_rank(span)
+        dims.append(total)
+    return dims

@@ -131,6 +131,18 @@ def test_hc_oracle_and_closed_form(capsys):
     assert all(c["agrees"] for c in rep["comparisons"])
 
 
+@pytest.mark.parametrize("spec, comparisons", [("rank1nc:c2xc4", (4, 2)), ("taft:3", (3, 1))])
+def test_long_windows_agree_in_every_comparison(capsys, spec, comparisons):
+    # C^S repeats with period 2v, so a long window adds degrees, not maps
+    for argv, count in zip((["hh", "--closed-form", "--decompose", "--basis", "--max-degree", "48"],
+                            ["hc", "--closed-form", "--max-degree", "24"]), comparisons):
+        code, rep = run_json(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert code == 0 and "refusals" not in rep
+        assert [c["agrees"] for c in rep["comparisons"]] == [True] * count
+        assert len(rep["modes"]["generic"]) == int(argv[-1])
+    assert len(rep["modes"]["closed_form_proof_reading"]) == 24
+
+
 def test_hc_taft3(capsys):
     code, rep = run_json(capsys, "hc", "--spec", "taft:3", "--max-degree", "3")
     assert code == 0

@@ -1,0 +1,153 @@
+"""The small complex shared per twist class against the degree-by-degree
+reference of ``cs_reference.py``, to degree 12.
+
+C^S repeats with period 2v, v the order of alpha^n: its boundaries, their
+d.d checks, ranks and homology, and the hh closed forms are computed once
+per key and shared by every degree with that key.  Each shared result must
+equal the one the reference computes afresh at that degree.
+"""
+
+import pytest
+
+import cs_reference as ref
+from orehom import complexes, small_complex
+from orehom.algebra import AlgebraError
+from orehom.complexes import homology, homology_dims
+from orehom.small_complex import (
+    HypothesisError,
+    build_cs,
+    build_cs_collapsed,
+    decompose,
+    hh_dims_collapsed,
+    hh_dims_eigen,
+    hh_rank_one,
+    periodicity_check,
+)
+from orehom.spec_io import EXAMPLE_NAMES
+
+from test_algebra import RANK_ONE, _table_context
+
+DEGREE = 12
+FIXTURES = EXAMPLE_NAMES + ("taft:4",) + tuple(RANK_ONE) + ("dual-numbers",)
+RANK_ONE_CASES = ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id")
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return "ok", f(*args)
+    except (AlgebraError, HypothesisError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_complex(shared, fresh):
+    assert shared.spaces == fresh.spaces
+    for r in range(1, shared.max_degree + 1):
+        d, e = shared.boundary(r), fresh.boundary(r)
+        assert (d.nrows, d.ncols) == (e.nrows, e.ncols)
+        assert d.cols == e.cols, f"d_{r}"
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_generic_complex_matches_the_reference(name):
+    mono, M = _table_context(name)
+    cs, fresh = build_cs(mono, M, DEGREE), ref.build_cs(mono, M, DEGREE)
+    _same_complex(cs, fresh)
+    assert homology_dims(cs, DEGREE - 1) == homology_dims(fresh, DEGREE - 1)
+    assert homology_dims(cs, DEGREE) == homology_dims(fresh, DEGREE)
+    for r in range(DEGREE + 1):
+        for reps in (False, True):
+            h, g = homology(cs, r, reps), homology(fresh, r, reps)
+            assert (h.degree, h.dimension, h.kernel_only) == (g.degree, g.dimension, g.kernel_only)
+            assert (h.degree, h.kernel_only) == (r, r == DEGREE)
+            assert h.representatives == g.representatives
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_collapsed_and_component_complexes_match_the_reference(name):
+    mono, _ = _table_context(name)
+    for build, build_ref in ((build_cs_collapsed, ref.build_cs_collapsed), (decompose, ref.decompose)):
+        shared, fresh = _outcome(build, mono, DEGREE), _outcome(build_ref, mono, DEGREE)
+        if shared[0] != "ok":
+            assert shared == fresh
+            continue
+        assert fresh[0] == "ok"
+        if build is build_cs_collapsed:
+            shared, fresh = ("ok", [(None, None, shared[1])]), ("ok", [(None, None, fresh[1])])
+        assert [c[:2] for c in shared[1]] == [c[:2] for c in fresh[1]]
+        for (_, _, c), (_, _, e) in zip(shared[1], fresh[1]):
+            _same_complex(c, e)
+            assert homology_dims(c, DEGREE - 1) == homology_dims(e, DEGREE - 1)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_hh_closed_forms_match_the_reference(name):
+    mono, _ = _table_context(name)
+    assert _outcome(hh_dims_collapsed, mono, DEGREE) == _outcome(ref.hh_dims_collapsed, mono, DEGREE)
+    assert _outcome(hh_dims_eigen, mono, DEGREE) == _outcome(ref.hh_dims_eigen, mono, DEGREE)
+    for case in RANK_ONE_CASES:
+        assert _outcome(hh_rank_one, mono, case, DEGREE) == _outcome(ref.hh_rank_one, mono, case, DEGREE)
+
+
+@pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])
+def test_boundaries_repeat_with_period_2v(name, v):
+    mono, M = _table_context(name)
+    for cx in (build_cs(mono, M, DEGREE), build_cs_collapsed(mono, DEGREE)):
+        for r in range(1, DEGREE + 1 - 2 * v):
+            assert cx.boundary(r) is cx.boundary(r + 2 * v)
+        assert len({id(cx.boundary(r)) for r in range(1, DEGREE + 1)}) == 2 * v
+    for _, _, comp in decompose(mono, DEGREE):
+        assert comp.boundary(1) is comp.boundary(1 + 2 * v)
+
+
+def test_alpha_of_infinite_order_shares_no_map():
+    mono, M = _table_context("dual-numbers")
+    cs = build_cs(mono, M, DEGREE)
+    assert len({id(cs.boundary(r)) for r in range(1, DEGREE + 1)}) == DEGREE
+    assert len(cs._zero_pairs) == DEGREE - 1
+
+
+def test_work_is_done_once_per_distinct_object(monkeypatch):
+    # taft:3 has v = 1: d_1 and d_2 are the only two maps of C^S
+    mono, M = _table_context("taft:3")
+    cs = build_cs(mono, M, DEGREE)
+    assert len(cs._zero_pairs) == 2
+    counts = {"kernel_basis": 0, "sparse_rank": 0}
+
+    def counting(name):
+        real = getattr(complexes, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(complexes, name, counting(name))
+    dims = homology_dims(cs, DEGREE - 1)
+    assert counts["sparse_rank"] == 2
+    reports = [homology(cs, r) for r in range(DEGREE + 1)]
+    # one kernel per distinct (space, d_r, d_{r+1}, top flag) with a d_r:
+    # odd r, even r below the top, and the top degree
+    assert counts["kernel_basis"] == 3
+    assert [h.dimension for h in reports[:DEGREE]] == dims
+    assert [h.degree for h in reports] == list(range(DEGREE + 1))
+    assert reports[3].representatives == reports[5].representatives
+    assert reports[3].representatives is not reports[5].representatives
+    reports[3].representatives.clear()
+    assert homology(cs, 3).representatives == reports[5].representatives != []
+
+
+def test_periodicity_check_builds_every_degree_afresh(monkeypatch):
+    mono, M = _table_context("taft:3")
+    assert periodicity_check(mono, 1, 2, M)
+    real = small_complex._boundary_terms
+
+    def reads_m(mono, M, r, terms):
+        # the boundary scaled by m + 1: d.d = 0 still holds, but d_r is no
+        # longer d_{r + 2v}
+        scale = mono.field.from_fraction(r // 2 + 1)
+        return {k: c * scale for k, c in real(mono, M, r, terms).items()}
+
+    monkeypatch.setattr(small_complex, "_boundary_terms", reads_m)
+    assert not periodicity_check(mono, 1, 2, M)

@@ -4,7 +4,8 @@ elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, the structure of A is read off sparse products in K,
 every import is used, no module builds an argparse or optparse parser,
-and no code outside ``fields.py`` divides
+``set_col`` edits only a ColMap built in the same function (a small-complex
+boundary is shared across degrees), and no code outside ``fields.py`` divides
 (``int / int`` is a float) or looks inside a ``CycScalar``."""
 
 import ast
@@ -114,6 +115,39 @@ def test_bar_maps_are_built_column_by_column():
         if isinstance(node, ast.Call) and _called(node) in ("ColMap", "set_col")
     ]
     assert eager == []
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, not descending into nested functions."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_set_col_edits_only_a_map_built_in_the_same_function():
+    # a boundary of the small complex is one ColMap shared by every degree
+    # with the same key, so an edit in place would change other degrees too
+    found, edits = [], 0
+    for path in SOURCES:
+        tree = _tree(path)
+        edits += sum(isinstance(node, ast.Call) and _called(node) == "set_col" for node in ast.walk(tree))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            built = {target.id for node in _own_nodes(func) if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Call) and _called(node.value) == "ColMap"
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in _own_nodes(func):
+                if isinstance(node, ast.Call) and _called(node) == "set_col":
+                    owner = node.func.value
+                    ok = isinstance(owner, ast.Name) and owner.id in built
+                    found.append(None if ok else f"{path.name}:{node.lineno}: {ast.unparse(owner)}.set_col")
+    # every call sits in some function, and each one edits its own new map
+    assert len(found) == edits
+    assert [f for f in found if f] == []
 
 
 def test_structure_of_a_costs_the_structure_constants():
