@@ -23,6 +23,14 @@ map to a vector builds only the columns in its support, and a whole-map
 reader builds every column through the same function.  The bimodule maps
 of the resolutions come from ``_TensorBlocks.generated_map``, one
 generator value per middle block.
+
+Each face of b and B is a fixed operator on M followed by the projection
+onto the quotient of its target block, and both depend on small keys, not
+on the tuple: the operator (x^p on the right or left, a merged middle slot,
+alpha^s on the front coefficient) and the twist class of the target block.
+``BarComplex`` keeps every such projected operator once per key, and each
+source block's list of faces (target offset, operator, sign) once per
+block, so a column is a signed sum of kept columns.
 """
 
 from __future__ import annotations
@@ -165,6 +173,10 @@ class BarSpace:
         ti, m_idx = divmod(idx, self.block)
         return self.tuples[ti], m_idx
 
+    def offset(self, t):
+        """The first quotient coordinate of the block of tuple t."""
+        return self.block_offset[self.tuple_index[t]]
+
     def project_terms(self, terms):
         """Ambient term dict -> quotient-coordinate term dict."""
         out = {}
@@ -203,6 +215,7 @@ class BarComplex:
         self.M = M
         self.spaces = []
         self._merged = {}  # (s, class of alpha^pre) -> see ``_merged_slot``
+        self._faces = {}  # (operator key, target twist class) -> see ``_face``
         self.grow(max_r)
 
     @property
@@ -235,29 +248,64 @@ class BarComplex:
             ]
         return got
 
-    def _b_ambient_column(self, r, idx):
-        """b of the pure tensor m (x) x^{t_1} (x) ... at ambient index ``idx``
-        as ambient terms at r-1."""
-        M = self.M
-        tgt = self.spaces[r - 1]
-        t, m_idx = self.spaces[r].unflat(idx)
-        m = {m_idx: self.mono.field.one}
-        acc = {}
+    def _face(self, key, tsum, act, size=None):
+        """The face operator ``act`` (basis index -> ambient terms of one
+        block) projected into a target block whose tuple sums to ``tsum``:
+        a list over k < size (default dim M) of P(act(k)) in block-local
+        quotient coordinates.  Kept per (key, class of alpha^tsum)."""
+        cls = self.mono.twist(tsum)
+        got = self._faces.get((key, cls))
+        if got is None:
+            sq = commutator_quotient(self.M, cls)
+            got = self._faces[key, cls] = [sq.project_terms(act(k)) for k in range(size or self.M.dim)]
+        return got
+
+    def _face_map(self, r, rt, faces_of, split):
+        """The lazy map from level r to level rt whose column at ambient
+        (tuple t, m) is the signed sum of the projected faces of its block:
+        ``split(m)`` is (block key, local index k), ``faces_of(t, key)`` lists
+        (target block offset, projected operator, negated), built on the
+        first read from that block, and each face adds its operator at k."""
+        src = self.spaces[r]
+        kept = {}
+
+        def column(qj):
+            ti, m = divmod(src.free[qj], src.block)
+            key, k = split(m)
+            faces = kept.get((ti, key))
+            if faces is None:
+                faces = kept[ti, key] = faces_of(src.tuples[ti], key)
+            acc = {}
+            for off, op, neg in faces:
+                for i, c in op[k].items():
+                    add_term(acc, off + i, -c if neg else c)
+            return acc
+
+        return ColMap.lazy(self.mono.field, self.dim(rt), src.quotient_dim, column)
+
+    def _b_faces(self, r, t):
+        """The faces of b_r on m (x) x^{t_1} (x) ..., in the order 0..r."""
+        M, mono, tgt, total = self.M, self.mono, self.spaces[r - 1], sum(t)
+        one = mono.field.one
         # face 0: multiply m by x^{i_1} on the right
-        _add_at(acc, tgt.flat(t[1:], 0), M.x_terms("right", t[0], m).items())
+        faces = [(tgt.offset(t[1:]), self._face(("xr", t[0]), total - t[0],
+                                                 lambda m: M.x_terms("right", t[0], {m: one})), False)]
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
-        for j in range(0, r - 1):
-            for tpow, kv in self._merged_slot(t[j] + t[j + 1], sum(t[:j])):
-                _add_at(acc, tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0),
-                        M.k_terms("right", kv, m).items(), (j + 1) % 2 == 1)
+        for j in range(r - 1):
+            s, pre = t[j] + t[j + 1], sum(t[:j])
+            for tpow, kv in self._merged_slot(s, pre):
+                op = self._face(("kr", s, mono.twist(pre), tpow), total - s + tpow,
+                                lambda m: M.k_terms("right", kv, {m: one}))
+                faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, j % 2 == 0))
         # face r: wrap x^{i_r} around to the left of m
-        _add_at(acc, tgt.flat(t[:-1], 0), M.x_terms("left", t[-1], m).items(), r % 2 == 1)
-        return acc
+        faces.append((tgt.offset(t[:-1]), self._face(("xl", t[-1]), total - t[-1],
+                                                      lambda m: M.x_terms("left", t[-1], {m: one})), r % 2 == 1))
+        return faces
 
     @_memo
     def b(self, r):
         """Boundary b_r in quotient coordinates."""
-        return _quotient_map(self.spaces[r], self.spaces[r - 1], lambda idx: self._b_ambient_column(r, idx))
+        return self._face_map(r, r - 1, lambda t, _: self._b_faces(r, t), lambda m: (None, m))
 
     def chain_complex(self, max_r=None):
         max_r = self.max_r if max_r is None else max_r
@@ -267,32 +315,27 @@ class BarComplex:
             {r: self.b(r) for r in range(1, max_r + 1)},
         )
 
-    def _B_ambient_column(self, r, idx):
-        """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
-        mono = self.mono
-        tgt = self.spaces[r + 1]
-        t, m_idx = self.spaces[r].unflat(idx)
-        i0, kappa = divmod(m_idx, mono.base.dim)
-        acc = {}
-        if i0 == 0:
-            return acc
-        for i in range(0, r + 1):
-            if i == 0:
-                newt = (i0,) + t
-                cols = None
-            else:
-                tail = t[i - 1:]
-                newt = tail + (i0,) + t[:i - 1]
-                cols = mono.alpha_columns(sum(tail))
-            pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
-            _add_at(acc, tgt.flat(newt, 0), pushed.items(), (i * r) % 2 == 1)
-        return acc
+    def _B_faces(self, r, t, i0):
+        """The faces of the cyclic operator on kappa x^{i0} (x) x^{t_1} ..:
+        front K-parts die (i0 = 0); otherwise x^{i0} enters the tuple at each
+        cyclic position and kappa is pulled through the tail it crosses."""
+        if not i0:
+            return []
+        mono, tgt = self.mono, self.spaces[r + 1]
+        faces = []
+        for i in range(r + 1):
+            tail, head = (t[i - 1:], t[:i - 1]) if i else ((), t)
+            s = sum(tail)
+            op = self._face(("a", mono.twist(s)), sum(t) + i0, lambda k: mono.alpha_terms(s, k), mono.base.dim)
+            faces.append((tgt.offset(tail + (i0,) + head), op, i * r % 2 == 1))
+        return faces
 
     @_memo
     def connes_B(self, r):
         if not self.M.is_regular:
             raise ValueError("the cyclic operator needs coefficients M = A")
-        return _quotient_map(self.spaces[r], self.spaces[r + 1], lambda idx: self._B_ambient_column(r, idx))
+        return self._face_map(r, r + 1, lambda t, i0: self._B_faces(r, t, i0),
+                              lambda m: divmod(m, self.mono.base.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def cmd_hh(args):
     collapse_ok = parsed.summary["collapse"]["holds"]
     if args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
-            totals, percomp = hh_dims_eigen(mono, md - 1)
+            totals, percomp = hh_dims_eigen(mono, md - 1, parsed.collapse)
             report["modes"]["per_component"] = [
                 {"eigenvalue": str(w), "dims": d} for w, d in percomp
             ]
@@ -169,20 +169,20 @@ def cmd_hh(args):
                 )
                 added = True
             elif collapse_ok:
-                cf = hh_closed_form(mono, "collapsed", md - 1)
+                cf = hh_closed_form(mono, "collapsed", md - 1, parsed.collapse)
                 report["modes"]["closed_form_collapsed"] = cf
                 report["comparisons"].append(
                     {"against": "closed form (collapse)", "agrees": cf == dims}
                 )
                 if parsed.summary["diagonalizable"]:
-                    cf2 = hh_closed_form(mono, "eigen", md - 1)
+                    cf2 = hh_closed_form(mono, "eigen", md - 1, parsed.collapse)
                     report["modes"]["closed_form_eigen"] = cf2
                     report["comparisons"].append(
                         {"against": "closed form (eigencomponents)", "agrees": cf2 == dims}
                     )
                 case = parsed.summary.get("rank_one_case")
                 if case and parsed.summary["diagonalizable"]:
-                    cf3 = hh_rank_one(mono, case, md - 1)
+                    cf3 = hh_rank_one(mono, case, md - 1, parsed.collapse)
                     report["modes"]["closed_form_rank_one"] = cf3
                     report["comparisons"].append(
                         {"against": f"rank-one closed form ({case})", "agrees": cf3 == dims}
@@ -272,7 +272,7 @@ def cmd_hc(args):
     collapse_ok = parsed.summary["collapse"]["holds"]
     if args.closed_form:
         if collapse_ok and parsed.summary["diagonalizable"]:
-            cf = hc_closed_form(mono, md - 1)
+            cf = hc_closed_form(mono, md - 1, parsed.collapse)
             report["modes"]["closed_form_proof_reading"] = cf["proof_reading"]
             report["modes"]["closed_form_displayed_reading"] = cf["displayed_reading"]
             report["exponent_note"] = (
@@ -287,7 +287,7 @@ def cmd_hc(args):
             )
             case = parsed.summary.get("rank_one_case")
             if case:
-                r1 = hc_rank_one(mono, case, md - 1)
+                r1 = hc_rank_one(mono, case, md - 1, parsed.collapse)
                 report["modes"]["closed_form_rank_one"] = r1["proof_reading"]
                 report["comparisons"].append(
                     {"against": f"rank-one closed form ({case})",
@@ -299,7 +299,7 @@ def cmd_hc(args):
         if collapse_ok and parsed.summary["diagonalizable"]:
             out = []
             total = None
-            for w, idxs, cmixed in build_mixed_components(mono, md):
+            for w, idxs, cmixed in build_mixed_components(mono, md, parsed.collapse):
                 cdims = homology_dims(bc_total(cmixed, md), md - 1)
                 out.append({"eigenvalue": str(w), "dims": cdims})
                 total = cdims if total is None else [a + b for a, b in zip(total, cdims)]

@@ -420,18 +420,15 @@ class ColMap:
         """self o other (apply ``other`` first)."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        out = ColMap(self.field, self.nrows, other.ncols)
-        for j, col in enumerate(other.cols):
-            out.cols[j] = self.apply(col)
-        return out
+        return ColMap(self.field, self.nrows, other.ncols, [self.apply(col) for col in other.cols])
 
     def add(self, other, sign=1):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in sum")
-        out = ColMap(self.field, self.nrows, self.ncols)
-        for j in range(self.ncols):
-            col = dict(self.cols[j])
-            for i, e in other.cols[j].items():
+        cols = []
+        for mine, theirs in zip(self.cols, other.cols):
+            col = dict(mine)
+            for i, e in theirs.items():
                 term = e if sign == 1 else -e
                 acc = col.get(i)
                 acc = term if acc is None else acc + term
@@ -439,23 +436,16 @@ class ColMap:
                     col[i] = acc
                 elif i in col:
                     del col[i]
-            out.cols[j] = col
-        return out
+            cols.append(col)
+        return ColMap(self.field, self.nrows, self.ncols, cols)
 
     def sub(self, other):
         return self.add(other, sign=-1)
 
     def scale(self, c):
-        out = ColMap(self.field, self.nrows, self.ncols)
-        if c:
-            for j in range(self.ncols):
-                col = {}
-                for i, e in self.cols[j].items():
-                    v = c * e
-                    if v:
-                        col[i] = v
-                out.cols[j] = col
-        return out
+        # over a field c * e is nonzero whenever c and e are
+        cols = [{i: c * e for i, e in col.items() if e} for col in self.cols] if c else None
+        return ColMap(self.field, self.nrows, self.ncols, cols)
 
     def is_zero(self):
         return all(not col for col in self.cols)

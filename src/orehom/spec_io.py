@@ -254,14 +254,16 @@ def build_example(name):
 # -- parsing ------------------------------------------------------------------
 
 class ParsedSpec:
-    """Validated objects plus the hypothesis-check summary."""
+    """Validated objects plus the hypothesis-check summary and the
+    ``CollapseReport`` it was read from, for the closed forms to reuse."""
 
-    def __init__(self, name, mono, bimodule, lambda_breve, summary):
+    def __init__(self, name, mono, bimodule, lambda_breve, summary, collapse):
         self.name = name
         self.mono = mono
         self.bimodule = bimodule
         self.lambda_breve = lambda_breve
         self.summary = summary
+        self.collapse = collapse
 
 
 def _decode_base_algebra(field, obj):
@@ -479,4 +481,4 @@ def parse_spec(doc, max_degree=6):
         summary["eigenvalues"] = [encode_scalar(field, w) for w, _ in comps]
     except AlgebraError:
         summary["diagonalizable"] = False
-    return ParsedSpec(name, mono, bimodule, lambda_breve, summary)
+    return ParsedSpec(name, mono, bimodule, lambda_breve, summary, collapse)

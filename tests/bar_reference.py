@@ -1,0 +1,83 @@
+"""The boundary b and the cyclic operator B of the normalized complex built
+one basis tensor at a time, kept apart from the package: the slow reference
+its projected face operators are tested against.
+
+A column applies every face to the one basis tensor as ambient terms of the
+target level, through the bimodule actions of M, and then projects the sum
+to quotient coordinates with ``BarSpace.project_terms``, as
+``orehom.bar.BarComplex`` did before it kept projected face operators per
+twist class.
+"""
+
+from orehom.algebra import vec_is_zero
+from orehom.linalg import ColMap, add_term
+
+
+def _add_at(acc, base, items, negative=False):
+    for i, c in items:
+        add_term(acc, base + i, -c if negative else c)
+
+
+def _merged_slot(mono, s, pre):
+    """The nonzero terms c x^tpow (tpow >= 1) of x^s in A as pairs
+    (tpow, alpha^pre(c))."""
+    xred = mono.x_power_reduced(s)
+    return [(tpow, mono.alpha_apply(pre, xred.coeffs[tpow]))
+            for tpow in range(1, mono.n) if not vec_is_zero(xred.coeffs[tpow])]
+
+
+def b_ambient_column(bar, r, idx):
+    """b of the pure tensor m (x) x^{t_1} (x) ... at ambient index ``idx``
+    as ambient terms at r-1."""
+    M = bar.M
+    tgt = bar.spaces[r - 1]
+    t, m_idx = bar.spaces[r].unflat(idx)
+    m = {m_idx: bar.mono.field.one}
+    acc = {}
+    # face 0: multiply m by x^{i_1} on the right
+    _add_at(acc, tgt.flat(t[1:], 0), M.x_terms("right", t[0], m).items())
+    # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
+    for j in range(0, r - 1):
+        for tpow, kv in _merged_slot(bar.mono, t[j] + t[j + 1], sum(t[:j])):
+            _add_at(acc, tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0),
+                    M.k_terms("right", kv, m).items(), (j + 1) % 2 == 1)
+    # face r: wrap x^{i_r} around to the left of m
+    _add_at(acc, tgt.flat(t[:-1], 0), M.x_terms("left", t[-1], m).items(), r % 2 == 1)
+    return acc
+
+
+def B_ambient_column(bar, r, idx):
+    """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
+    mono = bar.mono
+    tgt = bar.spaces[r + 1]
+    t, m_idx = bar.spaces[r].unflat(idx)
+    i0, kappa = divmod(m_idx, mono.base.dim)
+    acc = {}
+    if i0 == 0:
+        return acc
+    for i in range(0, r + 1):
+        if i == 0:
+            newt = (i0,) + t
+            cols = None
+        else:
+            tail = t[i - 1:]
+            newt = tail + (i0,) + t[:i - 1]
+            cols = mono.alpha_columns(sum(tail))
+        pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
+        _add_at(acc, tgt.flat(newt, 0), pushed.items(), (i * r) % 2 == 1)
+    return acc
+
+
+def _projected(src, tgt, ambient):
+    return ColMap.lazy(tgt.field, tgt.quotient_dim, src.quotient_dim,
+                       lambda qj: tgt.project_terms(ambient(src.free[qj])))
+
+
+def b(bar, r):
+    """b_r in quotient coordinates, each column projected from its ambient terms."""
+    return _projected(bar.spaces[r], bar.spaces[r - 1], lambda idx: b_ambient_column(bar, r, idx))
+
+
+def connes_B(bar, r):
+    """B_r in quotient coordinates, each column projected from its ambient terms."""
+    return _projected(bar.spaces[r], bar.spaces[r + 1], lambda idx: B_ambient_column(bar, r, idx))

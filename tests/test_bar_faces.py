@@ -1,0 +1,87 @@
+"""The boundary b and the cyclic operator B built from projected face
+operators against the one-tensor-at-a-time reference of ``bar_reference.py``.
+
+``BarComplex`` keeps each face operator projected into a target block once
+per (operator, twist class of the target block) and each source block's
+list of faces once per block.  Every column must equal the reference column
+whichever order the columns are read in.
+"""
+
+import pytest
+
+import bar_reference as ref
+from orehom.algebra import BimoduleData
+from orehom.bar import BarComplex
+from orehom.linalg import ColMap
+from orehom.perturbation import vanishing_check
+from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
+from orehom.workspace import Workspace
+
+from test_algebra import RANK_ONE, _table_context
+
+TOP = 6
+# the dual numbers have alpha of infinite order: every twist is its own class
+FIXTURES = EXAMPLE_NAMES + ("taft:4",) + tuple(RANK_ONE) + ("dual-numbers",)
+
+
+def _maps(bar, regular=True):
+    """(name, r, map) for b_1..b_TOP and, for M = A, B_0..B_TOP."""
+    maps = [("b", r, bar.b(r)) for r in range(1, TOP + 1)]
+    if regular:
+        maps += [("B", r, bar.connes_B(r)) for r in range(TOP + 1)]
+    return maps
+
+
+def _reference(bar, name, r):
+    return (ref.b if name == "b" else ref.connes_B)(bar, r)
+
+
+def _check_against_reference(mono, M, regular=True):
+    forward, backward = BarComplex(mono, M, TOP + 1), BarComplex(mono, M, TOP + 1)
+    for name, r, m in _maps(forward, regular):
+        expected = _reference(forward, name, r)
+        assert (m.nrows, m.ncols) == (expected.nrows, expected.ncols), (name, r)
+        assert list(m.cols) == list(expected.cols), (name, r)
+    # the other complex reads its maps top down and each map's columns last to first
+    for name, r, m in reversed(_maps(backward, regular)):
+        expected = _reference(backward, name, r)
+        for j in reversed(range(m.ncols)):
+            assert m.cols[j] == expected.cols[j], (name, r, j)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_b_and_B_match_the_reference(name):
+    mono, M = _table_context(name)
+    _check_against_reference(mono, M)
+
+
+def test_b_matches_the_reference_on_nonregular_coefficients():
+    # M = K with x acting by zero, as in test_bar.py
+    mono, _ = _table_context("sweedler")
+    K = mono.base
+    zero_x = ColMap(mono.field, K.dim, K.dim)
+    M = BimoduleData(mono, K.dim, [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x,
+                     [K.right_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x)
+    _check_against_reference(mono, M, regular=False)
+    with pytest.raises(ValueError):
+        BarComplex(mono, M, 2).connes_B(1)
+
+
+def test_face_lists_are_built_once_per_block_read(monkeypatch):
+    # the vanishing check reads few columns of B_7 on taft:4; a source
+    # block's faces are listed on its first read and kept for the others
+    listed = []
+    original = BarComplex._B_faces
+
+    def counted(self, r, t, i0):
+        listed.append((r, t, i0))
+        return original(self, r, t, i0)
+
+    monkeypatch.setattr(BarComplex, "_B_faces", counted)
+    parsed = parse_spec(build_example("taft:4"))
+    ws = Workspace(parsed.mono, parsed.bimodule)
+    assert all(vanishing_check(ws, 2, 3).values())
+    B7 = ws.bar(8).connes_B(7)
+    assert B7.cols.built < B7.ncols / 10, B7
+    assert len(listed) == len(set(listed))
+    assert 0 < len([key for key in listed if key[0] == 7]) <= B7.cols.built

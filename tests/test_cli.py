@@ -424,6 +424,27 @@ def test_verify_divides_by_f_at_most_once_per_table_entry(capsys, monkeypatch):
     assert len(calls) <= mono.dim ** 2 + 2 * mono.n
 
 
+@pytest.mark.parametrize("argv", [["hh", "--closed-form", "--decompose"], ["hc", "--closed-form", "--decompose"]])
+@pytest.mark.parametrize("name", ["rank1nc:c2xc4", "taft:3"])
+def test_closed_forms_reuse_the_collapse_report_of_parse_spec(capsys, monkeypatch, name, argv):
+    from orehom import algebra
+
+    calls = []
+    original = algebra.check_collapse
+
+    def counted(mono, max_j):
+        calls.append(max_j)
+        return original(mono, max_j)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("orehom") and hasattr(module, "check_collapse"):
+            monkeypatch.setattr(module, "check_collapse", counted)
+    code, rep = run_json(capsys, *argv, "--spec", name, "--max-degree", "12")
+    assert code == 0
+    assert rep["comparisons"] and all(c["agrees"] for c in rep["comparisons"])
+    assert len(calls) == 1
+
+
 def _count_table_builds(monkeypatch):
     """A list that gets the algebra of each build of A's product table."""
     from orehom import algebra

@@ -1,5 +1,6 @@
 """Layering guard: every map of the package is a sparse ``ColMap``, every
-map of ``bar.py`` is built column by column on demand,
+map of ``bar.py`` is built column by column on demand, b and B have no
+second, one-tensor-at-a-time column builder,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, the structure of A is read off sparse products in K,
@@ -115,6 +116,18 @@ def test_bar_maps_are_built_column_by_column():
         if isinstance(node, ast.Call) and _called(node) in ("ColMap", "set_col")
     ]
     assert eager == []
+
+
+def test_bar_columns_have_one_code_path():
+    # b and B read projected face operators; the one-tensor-at-a-time
+    # ambient columns live on only as the reference in tests/bar_reference.py
+    defined = [
+        f"{path.name}:{node.lineno}: def {node.name}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_b_ambient_column", "_B_ambient_column")
+    ]
+    assert defined == []
 
 
 def _own_nodes(func):
