@@ -39,9 +39,6 @@ def vec_add(u, v):
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
-def vec_scale(c, u):
-    return [c * a for a in u]
-
 def vec_is_zero(u):
     return all(not a for a in u)
 
@@ -510,9 +507,6 @@ class AElement:
 
     def __neg__(self):
         return AElement(self.mono, [[-c for c in v] for v in self.coeffs])
-
-    def scale(self, c):
-        return AElement(self.mono, [vec_scale(c, v) for v in self.coeffs])
 
     def items(self):
         """The nonzero (flat coordinate, scalar) pairs of this element."""

@@ -21,8 +21,13 @@ scalars.  Every map is a ``ColMap.lazy`` over one column function, kept per
 level: a column is built the first time something reads it, so applying a
 map to a vector builds only the columns in its support, and a whole-map
 reader builds every column through the same function.  The bimodule maps
-of the resolutions come from ``_TensorBlocks.generated_map``, one
-generator value per middle block.
+of the resolutions, d', b', phi', psi' and omega', come from
+``_TensorBlocks.generated_map``, one generator value per middle block.
+
+A merged middle slot x^(t_i + t_(i+1)) = sum_tp c_tp x^tp leaves c_tp on the
+front coefficient, in b' as in b.  It needs no twist on the way past the
+slots before it: c_tp is a polynomial in the lam_i, and alpha fixes the
+lam_i (``validate_monogenic``), so alpha^pre(c_tp) = c_tp.
 
 Each face of b and B is a fixed operator on M followed by the projection
 onto the quotient of its target block, and both depend on small keys, not
@@ -214,7 +219,7 @@ class BarComplex:
         self.mono = mono
         self.M = M
         self.spaces = []
-        self._merged = {}  # (s, class of alpha^pre) -> see ``_merged_slot``
+        self._merged = {}  # s -> see ``_merged_slot``
         self._faces = {}  # (operator key, target twist class) -> see ``_face``
         self.grow(max_r)
 
@@ -232,20 +237,16 @@ class BarComplex:
     def dim(self, r):
         return self.spaces[r].quotient_dim
 
-    def _merged_slot(self, s, pre):
+    def _merged_slot(self, s):
         """The nonzero terms c_tpow x^tpow (tpow >= 1) of x^s in A as pairs
-        (tpow, alpha^pre(c_tpow)): c_tpow is pulled onto the coefficient
-        through x^pre.  Kept once per (s, class of alpha^pre)."""
-        mono = self.mono
-        key = (s, mono.twist(pre))
-        got = self._merged.get(key)
+        (tpow, c_tpow), kept once per s.  c_tpow is pulled onto the
+        coefficient untwisted: it is a polynomial in the lam_i, which alpha
+        fixes."""
+        got = self._merged.get(s)
         if got is None:
-            xred = mono.x_power_reduced(s)
-            got = self._merged[key] = [
-                (tpow, mono.alpha_apply(pre, xred.coeffs[tpow]))
-                for tpow in range(1, mono.n)
-                if not vec_is_zero(xred.coeffs[tpow])
-            ]
+            xred = self.mono.x_power_reduced(s)
+            got = self._merged[s] = [(tpow, xred.coeffs[tpow]) for tpow in range(1, self.mono.n)
+                                     if not vec_is_zero(xred.coeffs[tpow])]
         return got
 
     def _face(self, key, tsum, act, size=None):
@@ -292,10 +293,9 @@ class BarComplex:
                                                  lambda m: M.x_terms("right", t[0], {m: one})), False)]
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(r - 1):
-            s, pre = t[j] + t[j + 1], sum(t[:j])
-            for tpow, kv in self._merged_slot(s, pre):
-                op = self._face(("kr", s, mono.twist(pre), tpow), total - s + tpow,
-                                lambda m: M.k_terms("right", kv, {m: one}))
+            s = t[j] + t[j + 1]
+            for tpow, kv in self._merged_slot(s):
+                op = self._face(("kr", s, tpow), total - s + tpow, lambda m: M.k_terms("right", kv, {m: one}))
                 faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, j % 2 == 0))
         # face r: wrap x^{i_r} around to the left of m
         faces.append((tgt.offset(t[:-1]), self._face(("xl", t[-1]), total - t[-1],
@@ -526,7 +526,6 @@ class BarResolution:
         self.mono = mono
         self.spaces = []
         self.resolution = ResolutionComplex(mono, max_r)
-        self._faces = {}
         self.grow(max_r)
 
     @property
@@ -543,58 +542,34 @@ class BarResolution:
 
     # -- b' --------------------------------------------------------------------
 
-    def _face_terms(self, j, s, pre):
-        """The front and middle-slot parts of e_j (x) x^s in A (x) Abar.
+    def _bprime_generator(self, r, t):
+        """b'_r(1 (x) x^{t_1} (x) .. (x) x^{t_r} (x) 1) as a term dict at level r-1.
 
-        pre None: e_j x^s, all of it in the front, as {front coordinate:
-        scalar}.  Otherwise x^s = sum_tp c_tp x^tp in A splits into the
-        middle slot x^tp (tp >= 1; the K-valued part vanishes in Abar) and
-        c_tp, pulled to the front through alpha^pre: {tp: {front coordinate:
-        scalar}}.  Cached per (j, s, class of alpha^pre).
+        Face 0 puts x^{t_1} in the front and the last face puts x^{t_r} in
+        the right factor (t_r < n, so nothing overflows).  The middle face i
+        merges x^{t_i + t_{i+1}} = sum_tp c_tp x^tp in A: the part with tp = 0
+        is K-valued and vanishes in Abar, and each other c_tp moves to the
+        front untwisted, since it is a polynomial in the lam_i, which alpha
+        fixes.
         """
-        mono = self.mono
-        key = (j, s, None if pre is None else mono.twist(pre))
-        got = self._faces.get(key)
-        if got is None:
-            front = [(j, mono.field.one)]
-            xred = mono.x_power_reduced(s)
-            if pre is None:
-                got = mono.multiply(front, xred.items())
-            else:
-                got = {}
-                for tp in range(1, mono.n):
-                    pushed = [(mu, c) for mu, c in enumerate(mono.alpha_apply(pre, xred.coeffs[tp])) if c]
-                    if pushed:
-                        got[tp] = mono.multiply(front, pushed)
-            self._faces[key] = got
-        return got
-
-    def _bprime_column(self, r, idx):
-        """b' of e_j (x) x^{t_1} (x) .. (x) x^q at flat index ``idx`` as terms
-        at level r-1."""
-        src = self.spaces[r]
-        tgt = self.spaces[r - 1]
-        ti, rest = divmod(idx, src.block)
-        q, j = divmod(rest, self.mono.dim)
-        t = src.tuples[ti]
-        col = {}
-        # face 0: front times x^{i_1}
-        _add_at(col, tgt.offset(t[1:], q), self._face_terms(j, t[0], None).items())
-        # middle faces
-        for i in range(0, r - 1):
-            for tp, terms in self._face_terms(j, t[i] + t[i + 1], sum(t[:i])).items():
-                _add_at(col, tgt.offset(t[:i] + (tp,) + t[i + 2:], q), terms.items(), (i + 1) % 2 == 1)
-        # last face: right factor times x^{i_r}
-        terms = {tgt.offset(t[:-1], q) + j: self.mono.field.one}
-        for _ in range(t[-1]):
-            terms = tgt.right_mul_x(terms)
-        _add_at(col, 0, terms.items(), r % 2 == 1)
-        return col
+        mono, tgt = self.mono, self.spaces[r - 1]
+        d = mono.base.dim
+        unit = {kappa: c for kappa, c in enumerate(mono.base.unit) if c}
+        gen = {}
+        _add_at(gen, tgt.offset(t[1:], 0) + t[0] * d, unit.items())
+        for i in range(r - 1):
+            for coord, c in mono.k_times_x_power(unit, t[i] + t[i + 1]).items():
+                tp, k = divmod(coord, d)
+                if tp:
+                    add_term(gen, tgt.offset(t[:i] + (tp,) + t[i + 2:], 0) + k, -c if i % 2 == 0 else c)
+        _add_at(gen, tgt.offset(t[:-1], t[-1]), unit.items(), r % 2 == 1)
+        return gen
 
     @_memo
     def bprime(self, r):
-        return ColMap.lazy(self.mono.field, self.spaces[r - 1].dim, self.spaces[r].dim,
-                           lambda idx: self._bprime_column(r, idx))
+        """b'_r: level r -> level r-1, the bimodule extension of its generator values."""
+        src = self.spaces[r]
+        return src.generated_map(lambda b: self._bprime_generator(r, src.tuples[b]), self.spaces[r - 1])
 
     # -- comparison maps ----------------------------------------------------------
 

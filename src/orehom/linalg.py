@@ -442,11 +442,6 @@ class ColMap:
     def sub(self, other):
         return self.add(other, sign=-1)
 
-    def scale(self, c):
-        # over a field c * e is nonzero whenever c and e are
-        cols = [{i: c * e for i, e in col.items() if e} for col in self.cols] if c else None
-        return ColMap(self.field, self.nrows, self.ncols, cols)
-
     def is_zero(self):
         return all(not col for col in self.cols)
 

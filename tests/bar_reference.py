@@ -1,12 +1,16 @@
-"""The boundary b and the cyclic operator B of the normalized complex built
-one basis tensor at a time, kept apart from the package: the slow reference
-its projected face operators are tested against.
+"""The boundary b and the cyclic operator B of the normalized complex, and
+b' of the bar resolution, built one basis tensor at a time, kept apart from
+the package: the slow references its projected face operators and its
+generator values are tested against.
 
-A column applies every face to the one basis tensor as ambient terms of the
-target level, through the bimodule actions of M, and then projects the sum
-to quotient coordinates with ``BarSpace.project_terms``, as
+A column of b or B applies every face to the one basis tensor as ambient
+terms of the target level, through the bimodule actions of M, and then
+projects the sum to quotient coordinates with ``BarSpace.project_terms``, as
 ``orehom.bar.BarComplex`` did before it kept projected face operators per
-twist class.
+twist class.  A column of b' applies every face to e_j (x) x^{t_1} (x) .. (x)
+x^q, and pulls each merged coefficient to the front through alpha^pre, as
+``orehom.bar.BarResolution`` did before it extended b' from its values on
+the free generators.
 """
 
 from orehom.algebra import vec_is_zero
@@ -81,3 +85,60 @@ def b(bar, r):
 def connes_B(bar, r):
     """B_r in quotient coordinates, each column projected from its ambient terms."""
     return _projected(bar.spaces[r], bar.spaces[r + 1], lambda idx: B_ambient_column(bar, r, idx))
+
+
+def _face_terms(barres, kept, j, s, pre):
+    """The front and middle-slot parts of e_j (x) x^s in A (x) Abar.
+
+    pre None: e_j x^s, all of it in the front, as {front coordinate:
+    scalar}.  Otherwise x^s = sum_tp c_tp x^tp in A splits into the middle
+    slot x^tp (tp >= 1; the K-valued part vanishes in Abar) and c_tp, pulled
+    to the front through alpha^pre: {tp: {front coordinate: scalar}}.  Kept
+    in ``kept`` per (j, s, class of alpha^pre).
+    """
+    mono = barres.mono
+    key = (j, s, None if pre is None else mono.twist(pre))
+    got = kept.get(key)
+    if got is None:
+        front = [(j, mono.field.one)]
+        xred = mono.x_power_reduced(s)
+        if pre is None:
+            got = mono.multiply(front, xred.items())
+        else:
+            got = {}
+            for tp in range(1, mono.n):
+                pushed = [(mu, c) for mu, c in enumerate(mono.alpha_apply(pre, xred.coeffs[tp])) if c]
+                if pushed:
+                    got[tp] = mono.multiply(front, pushed)
+        kept[key] = got
+    return got
+
+
+def bprime_column(barres, kept, r, idx):
+    """b' of e_j (x) x^{t_1} (x) .. (x) x^{t_r} (x) x^q at flat index ``idx``
+    as terms at level r-1."""
+    src = barres.spaces[r]
+    tgt = barres.spaces[r - 1]
+    ti, rest = divmod(idx, src.block)
+    q, j = divmod(rest, barres.mono.dim)
+    t = src.tuples[ti]
+    col = {}
+    # face 0: front times x^{i_1}
+    _add_at(col, tgt.offset(t[1:], q), _face_terms(barres, kept, j, t[0], None).items())
+    # middle faces
+    for i in range(0, r - 1):
+        for tp, terms in _face_terms(barres, kept, j, t[i] + t[i + 1], sum(t[:i])).items():
+            _add_at(col, tgt.offset(t[:i] + (tp,) + t[i + 2:], q), terms.items(), (i + 1) % 2 == 1)
+    # last face: right factor times x^{i_r}
+    terms = {tgt.offset(t[:-1], q) + j: barres.mono.field.one}
+    for _ in range(t[-1]):
+        terms = tgt.right_mul_x(terms)
+    _add_at(col, 0, terms.items(), r % 2 == 1)
+    return col
+
+
+def bprime(barres, r):
+    """b'_r with every column built face by face from its basis tensor."""
+    kept = {}
+    return ColMap.lazy(barres.mono.field, barres.spaces[r - 1].dim, barres.spaces[r].dim,
+                       lambda idx: bprime_column(barres, kept, r, idx))

@@ -1,17 +1,21 @@
 """The boundary b and the cyclic operator B built from projected face
-operators against the one-tensor-at-a-time reference of ``bar_reference.py``.
+operators, and b' of the bar resolution built from its generator values,
+against the one-tensor-at-a-time references of ``bar_reference.py``.
 
 ``BarComplex`` keeps each face operator projected into a target block once
 per (operator, twist class of the target block) and each source block's
-list of faces once per block.  Every column must equal the reference column
-whichever order the columns are read in.
+list of faces once per block.  ``BarResolution.bprime`` is the bimodule
+extension of b' on the free generators 1 (x) x^t (x) 1.  Every column must
+equal the reference column whichever order the columns are read in.  Both
+move the coefficients of a merged middle slot to the front untwisted, which
+the reference does not: alpha fixes them.
 """
 
 import pytest
 
 import bar_reference as ref
 from orehom.algebra import BimoduleData
-from orehom.bar import BarComplex
+from orehom.bar import BarComplex, BarResolution
 from orehom.linalg import ColMap
 from orehom.perturbation import vanishing_check
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
@@ -85,3 +89,42 @@ def test_face_lists_are_built_once_per_block_read(monkeypatch):
     assert B7.cols.built < B7.ncols / 10, B7
     assert len(listed) == len(set(listed))
     assert 0 < len([key for key in listed if key[0] == 7]) <= B7.cols.built
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_bprime_matches_the_reference(name):
+    mono, _ = _table_context(name)
+    forward, backward = BarResolution(mono, TOP), BarResolution(mono, TOP)
+    expected = {r: ref.bprime(forward, r) for r in range(1, TOP + 1)}
+    for r in range(1, TOP + 1):
+        m = forward.bprime(r)
+        assert (m.nrows, m.ncols) == (expected[r].nrows, expected[r].ncols), r
+        assert list(m.cols) == list(expected[r].cols), r
+    # the other resolution reads its maps top down and each map's columns last to first
+    for r in reversed(range(1, TOP + 1)):
+        m = backward.bprime(r)
+        for j in reversed(range(m.ncols)):
+            assert m.cols[j] == expected[r].cols[j], (r, j)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_alpha_fixes_the_coefficients_of_reduced_powers_of_x(name):
+    # b and b' move each coefficient c_tp of a merged slot x^s (s <= 2n - 2)
+    # to the front untwisted; p < 16 meets every class of alpha^p of the
+    # fixtures whose alpha has finite order (at most 8)
+    mono, _ = _table_context(name)
+    for p in range(16):
+        for s in range(2 * mono.n - 1):
+            for tp, c in enumerate(mono.x_power_reduced(s).coeffs):
+                assert mono.alpha_apply(p, c) == c, (p, s, tp)
+
+
+def test_merged_slots_keep_one_operator_per_power_and_target_class():
+    # on taft:4 the merged slots x^2 and x^3 each meet the four twist classes
+    # of a target block, with no further class of alpha^pre: 8 operators
+    mono, M = _table_context("taft:4")
+    bar = BarComplex(mono, M, 5)
+    for r in range(1, 6):
+        list(bar.b(r).cols)
+    kept = sorted((key, cls) for key, cls in bar._faces if key[0] == "kr")
+    assert kept == [(("kr", s, s), cls) for s in (2, 3) for cls in range(4)]

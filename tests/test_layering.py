@@ -1,6 +1,6 @@
 """Layering guard: every map of the package is a sparse ``ColMap``, every
-map of ``bar.py`` is built column by column on demand, b and B have no
-second, one-tensor-at-a-time column builder,
+map of ``bar.py`` is built column by column on demand, b, B and b' have no
+second, one-tensor-at-a-time column builder, b' is a generated bimodule map,
 elimination reads sparse term dicts with no dense bridge, the dense
 ``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
 ``sparse_rank``, the structure of A is read off sparse products in K,
@@ -119,15 +119,28 @@ def test_bar_maps_are_built_column_by_column():
 
 
 def test_bar_columns_have_one_code_path():
-    # b and B read projected face operators; the one-tensor-at-a-time
-    # ambient columns live on only as the reference in tests/bar_reference.py
+    # b and B read projected face operators and b' is built from its
+    # generator values; the one-tensor-at-a-time columns live on only as the
+    # references in tests/bar_reference.py
+    gone = ("_b_ambient_column", "_B_ambient_column", "_bprime_column", "_face_terms")
     defined = [
         f"{path.name}:{node.lineno}: def {node.name}"
         for path in SOURCES
         for node in ast.walk(_tree(path))
-        if isinstance(node, ast.FunctionDef) and node.name in ("_b_ambient_column", "_B_ambient_column")
+        if isinstance(node, ast.FunctionDef) and node.name in gone
     ]
     assert defined == []
+
+
+def test_bprime_is_a_generated_map():
+    # b' is the bimodule extension of its values on the free generators, as
+    # d', phi', psi' and omega' are
+    tree = _tree(ROOT / "src" / "orehom" / "bar.py")
+    cls = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "BarResolution")
+    bprime = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "bprime")
+    returned = [node.value for node in ast.walk(bprime) if isinstance(node, ast.Return)]
+    assert len(returned) == 1
+    assert isinstance(returned[0], ast.Call) and _called(returned[0]) == "generated_map"
 
 
 def _own_nodes(func):

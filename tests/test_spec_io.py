@@ -5,6 +5,7 @@ import pytest
 from orehom.algebra import AlgebraError, BimoduleData, regular_bimodule
 from orehom.bar import BarComplex
 from orehom.complexes import ComplexError, homology, homology_dims
+from orehom.linalg import ColMap
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, encode_kvec, parse_spec
 
@@ -41,7 +42,9 @@ def test_bimodule_validation_rejects_broken_action():
     mono = ctx.mono
     M = regular_bimodule(mono)
     # doubling the action of g breaks L(g)L(g) = L(g^2) = id
-    bad_left_k = [M.left_k[0], M.left_k[1].scale(mono.field.from_fraction(2))]
+    two, g = mono.field.from_fraction(2), M.left_k[1]
+    doubled = ColMap(mono.field, g.nrows, g.ncols, [{i: two * e for i, e in col.items()} for col in g.cols])
+    bad_left_k = [M.left_k[0], doubled]
     with pytest.raises(AlgebraError):
         BimoduleData(mono, M.dim, bad_left_k, M.left_x, M.right_k, M.right_x)
 
