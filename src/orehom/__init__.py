@@ -14,7 +14,6 @@ from .algebra import (
     BaseAlgebra,
     BimoduleData,
     MonogenicData,
-    a_multiply,
     character_endomorphism,
     check_collapse,
     divide_by_f,

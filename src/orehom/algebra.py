@@ -6,10 +6,14 @@ coefficients must satisfy alpha(lam_i) = lam_i and lam_i*lam =
 alpha^i(lam)*lam_i.  Elements of A are kept in the normal form
 sum_j c_j x^j with c_j in K and j < n (the powers of x are a left K-basis).
 
-The structure of A is read off sparse products in K and the normal form of
-x^n: the regular bimodule and the twisted commutators [K,K]_{alpha^j} cost
-the structure constants, and the dim(A) x dim(A) product table is built
-only when the bar resolution or a product of two AElements reads it.
+Every element of K and of A is a sparse ``{index: scalar}`` dict holding no
+zero scalar, in ascending index order, as ``linalg`` keeps its vectors: an
+element of K is keyed by the basis of K, and an element of A by the flat
+coordinate p*dim K + kappa of the monomial kappa x^p.  The structure of A is
+read off sparse products in K and the reduced powers of x: the regular
+bimodule and the twisted commutators [K,K]_{alpha^j} cost the structure
+constants, and the dim(A) x dim(A) product table is built only when the bar
+resolution reads it.
 
 Everything here is validated eagerly: group tables are checked for
 associativity, characters pairwise for multiplicativity (which proves the
@@ -19,34 +23,17 @@ downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import ColMap, add_term, sparse, sparse_rank, sub_terms, subquotient
+from .linalg import ColMap, add_term, add_terms, sparse_rank, sub_terms, subquotient
 
 
 class AlgebraError(ValueError):
     """Invalid algebraic input; the message names a witness."""
 
 
-def _kvec(field, dim, items=()):
-    v = [field.zero] * dim
-    for i, c in items:
-        v[i] = c
-    return v
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-def vec_is_zero(u):
-    return all(not a for a in u)
-
-
 class BaseAlgebra:
     """Finite-dimensional associative unital k-algebra via structure constants.
 
-    ``structure_constants[i][j]`` is the coordinate vector of basis_i*basis_j;
+    ``structure_constants[i][j]`` is basis_i*basis_j as a sparse dict;
     products read it as sparse ``(t, s)`` terms, built once, so a product of
     group elements touches one basis element.  ``group_table`` is set when
     the algebra is a group algebra (index Cayley table); several
@@ -60,10 +47,10 @@ class BaseAlgebra:
         self.structure_constants = structure_constants
         # (t, s) with s = None for s = 1, the only constant of a group algebra
         self._product_terms = [
-            [[(t, None if c == 1 else c) for t, c in enumerate(vec) if c] for vec in row]
+            [[(t, None if c == 1 else c) for t, c in sorted(vec.items())] for vec in row]
             for row in structure_constants
         ]
-        self.unit = list(unit)
+        self.unit = unit
         self.group_table = group_table
         if check:
             self._check_unital()
@@ -71,8 +58,8 @@ class BaseAlgebra:
 
     def _check_unital(self):
         for i in range(self.dim):
-            e = _kvec(self.field, self.dim, [(i, self.field.one)])
-            if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
+            e = self.basis_vector(i)
+            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise AlgebraError(f"unit fails on basis element {self.basis_labels[i]!r}")
 
     def _check_associative(self):
@@ -87,35 +74,17 @@ class BaseAlgebra:
                         if table[ij][t] != table[i][table[j][t]]:
                             self._associativity_fails(i, j, t)
             return
-        for i in range(dim):
-            ei = _kvec(self.field, dim, [(i, self.field.one)])
-            for j in range(dim):
-                ej = _kvec(self.field, dim, [(j, self.field.one)])
-                ij = self.mul_vec(ei, ej)
-                for t in range(dim):
-                    et = _kvec(self.field, dim, [(t, self.field.one)])
-                    left = self.mul_vec(ij, et)
-                    right = self.mul_vec(ei, self.mul_vec(ej, et))
-                    if left != right:
+        basis = [self.basis_vector(i) for i in range(dim)]
+        for i, ei in enumerate(basis):
+            for j, ej in enumerate(basis):
+                ij = self.product(ei, ej)
+                for t, et in enumerate(basis):
+                    if self.product(ij, et) != self.product(ei, self.product(ej, et)):
                         self._associativity_fails(i, j, t)
 
     def _associativity_fails(self, i, j, t):
         labels = self.basis_labels
         raise AlgebraError(f"associativity fails on triple ({labels[i]!r}, {labels[j]!r}, {labels[t]!r})")
-
-    def mul_vec(self, u, v):
-        out = [self.field.zero] * self.dim
-        terms = self._product_terms
-        v_terms = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = terms[i]
-            for j, b in v_terms:
-                c = a * b
-                for t, s in row[j]:
-                    out[t] = out[t] + (c if s is None else c * s)
-        return out
 
     def product(self, u, v):
         """u * v for K-elements given as ``{index: scalar}`` dicts, read off the
@@ -131,22 +100,22 @@ class BaseAlgebra:
         return out if len(out) < 2 else dict(sorted(out.items()))
 
     def left_mult_map(self, u):
-        """Left multiplication by the dense K-vector u as a ColMap; column j is
-        the sparse product u e_j."""
-        u, one = sparse(u), self.field.one
+        """Left multiplication by the K-element u as a ColMap; column j is the
+        sparse product u e_j."""
+        one = self.field.one
         return ColMap(self.field, self.dim, self.dim, [self.product(u, {j: one}) for j in range(self.dim)])
 
     def right_mult_map(self, u):
-        """Right multiplication by the dense K-vector u as a ColMap; column j is
-        the sparse product e_j u."""
-        u, one = sparse(u), self.field.one
+        """Right multiplication by the K-element u as a ColMap; column j is the
+        sparse product e_j u."""
+        one = self.field.one
         return ColMap(self.field, self.dim, self.dim, [self.product({j: one}, u) for j in range(self.dim)])
 
     def is_invertible(self, u):
         return sparse_rank(self.left_mult_map(u).cols) == self.dim
 
     def basis_vector(self, i):
-        return _kvec(self.field, self.dim, [(i, self.field.one)])
+        return {i: self.field.one}
 
     def __repr__(self):
         return f"BaseAlgebra(dim {self.dim} over {self.field})"
@@ -181,19 +150,8 @@ def group_algebra(labels, multiplication_table, field):
     for j in range(dim):
         if len({table[i][j] for i in range(dim)}) != dim:
             raise AlgebraError(f"column of {labels[j]!r} repeats an element")
-    identity = None
-    for e in range(dim):
-        if all(table[e][j] == j and table[j][e] == j for j in range(dim)):
-            identity = e
-            break
-    if identity is None:
-        raise AlgebraError("table has no two-sided identity element")
-    sc = [
-        [_kvec(field, dim, [(table[i][j], field.one)]) for j in range(dim)]
-        for i in range(dim)
-    ]
-    unit = _kvec(field, dim, [(identity, field.one)])
-    return BaseAlgebra(field, labels, sc, unit, group_table=table)
+    sc = [[{t: field.one} for t in row] for row in table]
+    return BaseAlgebra(field, labels, sc, {group_identity(table): field.one}, group_table=table)
 
 
 class AlgebraEndomorphism:
@@ -211,7 +169,7 @@ class AlgebraEndomorphism:
         # alpha(e_i e_j) = alpha(e_i) alpha(e_j): alpha o L(e_i) = L(alpha(e_i)) o alpha on e_j
         for i in range(K.dim):
             after = self.map.compose(K.left_mult_map(K.basis_vector(i)))
-            before = K.left_mult_map(_kvec(K.field, K.dim, self.map.cols[i].items())).compose(self.map)
+            before = K.left_mult_map(self.map.cols[i]).compose(self.map)
             for j in range(K.dim):
                 if after.cols[j] != before.cols[j]:
                     raise AlgebraError(
@@ -220,7 +178,7 @@ class AlgebraEndomorphism:
                     )
 
     def _check_unit(self):
-        unit = sparse(self.base.unit)
+        unit = self.base.unit
         if self.map.apply(unit) != unit:
             raise AlgebraError("endomorphism does not fix the unit")
 
@@ -272,24 +230,21 @@ class MonogenicData:
     from sparse products in K and the reduced power x^e, and the regular
     bimodule reads it alone.  Products of two elements of A read a
     multiplication table, built from the same products only when the bar
-    resolution or an AElement product first asks for it; ``divide_by_f``
-    runs once per power.
+    resolution first asks for it; ``divide_by_f`` runs once per power.
     """
 
     def __init__(self, base, alpha, n, lambdas):
         self.base = base
         self.alpha = alpha
         self.n = n
-        self.lambdas = [list(v) for v in lambdas]
+        self.lambdas = [dict(v) for v in lambdas]
         self.dim = base.dim * n
         self._alpha_pows = [ColMap.identity(base.field, base.dim)]
         self._alpha_order = None
         self._k_commutators = {}  # twist class -> spanning vectors of [K,K]_{alpha^i}
         self._k_commutator_ranks = {}
         self._k_quotients = {}  # (twist class, component indices) -> K-sized SubquotientSpace
-        self._power_cache = {}  # e -> (quotient list, remainder AElement) of x^e by f
-        self._power_terms = {}  # e -> [(t, {index: scalar})]: x^e reduced, nonzero parts
-        self._quotient_cache = {}  # e -> quotient of x^e by f as an AElement
+        self._divisions = {}  # e -> (quotient, remainder) of x^e by f, see ``divide_by_f``
         self._mul_table = None
         self._x_overflow = {}  # twist class -> see ``x_overflow``
 
@@ -330,61 +285,59 @@ class MonogenicData:
         cols = self.alpha_columns(p)
         return {mu: self.field.one} if cols is None else cols[mu]
 
-    def alpha_apply(self, p, vec):
-        """alpha^p of a dense K-vector, as a new list."""
+    def alpha_image(self, p, w):
+        """alpha^p of the K-element w."""
         cols = self.alpha_columns(p)
-        if cols is None:
-            return list(vec)
-        out = [self.field.zero] * self.base.dim
-        for j, c in enumerate(vec):
-            if c:
-                for i, e in cols[j].items():
-                    out[i] = out[i] + c * e
-        return out
+        return dict(w) if cols is None else dict(sorted(_act({}, cols, w).items()))
+
+    def alpha_sum(self, w, powers):
+        """sum of alpha^p(w) over p in ``powers``, as a K-element."""
+        out = {}
+        for p in powers:
+            add_terms(out, self.alpha_image(p, w))
+        return dict(sorted(out.items()))
 
     def f_coefficient(self, i):
-        """lam_i as a K-vector (lam_0 = 1)."""
-        if i == 0:
-            return list(self.base.unit)
-        return list(self.lambdas[i - 1])
+        """lam_i as a K-element (lam_0 = 1); the caller must not modify it."""
+        return self.base.unit if i == 0 else self.lambdas[i - 1]
 
     # -- normal form arithmetic in A -----------------------------------------
 
-    def zero_a(self):
-        return AElement(self, [[self.field.zero] * self.base.dim for _ in range(self.n)])
-
-    def one_a(self):
-        coeffs = [[self.field.zero] * self.base.dim for _ in range(self.n)]
-        coeffs[0] = list(self.base.unit)
-        return AElement(self, coeffs)
-
-    def a_from_kvec(self, kvec, power=0):
-        coeffs = [[self.field.zero] * self.base.dim for _ in range(self.n)]
-        coeffs[power] = list(kvec)
-        return AElement(self, coeffs)
-
-    def _divide_x_power(self, e):
-        got = self._power_cache.get(e)
+    def _division(self, e):
+        got = self._divisions.get(e)
         if got is None:
-            poly = [[self.field.zero] * self.base.dim for _ in range(e)] + [list(self.base.unit)]
-            quot, rem = divide_by_f(self, poly)
-            got = self._power_cache[e] = (quot, AElement(self, rem))
+            got = self._divisions[e] = divide_by_f(self, e)
         return got
 
     def x_power_reduced(self, e):
-        """x^e as an AElement (reduced modulo f); cached."""
-        return self._divide_x_power(e)[1]
+        """x^e reduced modulo f as its nonzero parts [(t, c_t)], t ascending:
+        x^e = sum_t c_t x^t in A; cached."""
+        return self._division(e)[1]
 
     def x_power_quotient(self, e):
-        """The quotient of x^e by f as an AElement (degree e-n < n assumed); cached."""
-        got = self._quotient_cache.get(e)
-        if got is None:
-            quot = self._divide_x_power(e)[0]
-            if len(quot) > self.n:
-                raise ValueError(f"quotient of x^{e} does not fit in normal form")
-            pad = [[self.field.zero] * self.base.dim for _ in range(self.n - len(quot))]
-            got = self._quotient_cache[e] = AElement(self, [list(v) for v in quot] + pad)
-        return got
+        """The quotient of x^e by f as nonzero parts [(t, q_t)] (degree e-n < n
+        assumed); cached."""
+        quot = self._division(e)[0]
+        if quot and quot[-1][0] >= self.n:
+            raise ValueError(f"quotient of x^{e} does not fit in normal form")
+        return quot
+
+    def flat(self, parts):
+        """The element sum_t c_t x^t (t < n) of A, given by its nonzero parts
+        [(t, c_t)], as a ``{coordinate: scalar}`` dict in ascending order."""
+        d = self.base.dim
+        return {t * d + k: v for t, c in parts for k, v in c.items()}
+
+    def x_power(self, e):
+        """x^e reduced modulo f as a ``{coordinate: scalar}`` dict."""
+        return self.flat(self.x_power_reduced(e))
+
+    def k_times(self, w, parts):
+        """The normal form of w * sum_t c_t x^t (t < n) for w in K and the parts
+        [(t, c_t)], as a ``{coordinate: scalar}`` dict in ascending order:
+        left multiplication by K does not move the powers of x."""
+        product = self.base.product
+        return self.flat((t, product(w, c)) for t, c in parts)
 
     def k_times_x_power(self, w, e):
         """The normal form of w x^e, for w in K given as a ``{index: scalar}``
@@ -393,21 +346,10 @@ class MonogenicData:
         Left multiplication by K commutes with the reduction modulo f, so with
         x^e = sum_t c_t x^t in A this is sum_t (w c_t) x^t.
         """
-        d = self.base.dim
         if e < self.n:
-            base = e * d
+            base = e * self.base.dim
             return {base + k: w[k] for k in sorted(w)}
-        powers = self._power_terms.get(e)
-        if powers is None:
-            powers = self._power_terms[e] = [
-                (t, sparse(kv)) for t, kv in enumerate(self.x_power_reduced(e).coeffs) if not vec_is_zero(kv)]
-        product = self.base.product
-        out = {}
-        for t, c in powers:
-            base = t * d
-            for k, v in product(w, c).items():
-                out[base + k] = v
-        return out
+        return self.k_times(w, self.x_power_reduced(e))
 
     def mul_table(self):
         """``table[i][j]``: the normal form of e_i * e_j as a ``{coordinate: scalar}``
@@ -431,22 +373,17 @@ class MonogenicData:
         return table
 
     def multiply(self, u, v):
-        """The product of two elements of A given by their nonzero (coordinate,
-        scalar) items, as a ``{coordinate: scalar}`` dict read off the table."""
+        """The product of two elements of A, read off the table, in ascending
+        coordinate order."""
         table = self.mul_table()
         out = {}
-        for i, c in u:
+        for i, c in u.items():
             row = table[i]
-            for j, e in v:
+            for j, e in v.items():
                 ce = c * e
                 for k, f in row[j].items():
                     add_term(out, k, ce * f)
-        return out
-
-    def x_items(self):
-        """x = 1 x^1 as (coordinate, scalar) items."""
-        d = self.base.dim
-        return [(d + kappa, c) for kappa, c in enumerate(self.base.unit) if c]
+        return dict(sorted(out.items()))
 
     def x_overflow(self, s):
         """Right multiplication of the right factor x^(n-1) by x in A_{alpha^s} (x) A.
@@ -459,15 +396,14 @@ class MonogenicData:
         i = self.twist(s)
         got = self._x_overflow.get(i)
         if got is None:
-            top = self.x_power_reduced(self.n).coeffs
-            pulled = [(t, [(mu, c) for mu, c in enumerate(self.alpha_apply(i, kv)) if c])
-                      for t, kv in enumerate(top) if not vec_is_zero(kv)]
+            pulled = [(t, self.alpha_image(i, c)) for t, c in self.x_power_reduced(self.n)]
             got = self._x_overflow[i] = []
             for j in range(self.dim):
                 terms = {}
-                for t, items in pulled:
-                    for k, c in self.multiply([(j, self.field.one)], items).items():
-                        terms[t * self.dim + k] = c
+                for t, c in pulled:
+                    # c sits at x^0, so its coordinates in A are its K-coordinates
+                    for k, v in self.multiply({j: self.field.one}, c).items():
+                        terms[t * self.dim + k] = v
                 got.append(terms)
         return got
 
@@ -475,113 +411,29 @@ class MonogenicData:
         """Flat coordinate of the basis monomial basis_kappa * x^power."""
         return power * self.base.dim + kappa
 
-    def a_coords(self, a):
-        out = []
-        for v in a.coeffs:
-            out.extend(v)
-        return out
 
-    def a_from_coords(self, coords):
-        d = self.base.dim
-        return AElement(self, [list(coords[j * d:(j + 1) * d]) for j in range(self.n)])
+def divide_by_f(mono, e):
+    """x^e = quotient*f + remainder in B = K[x,alpha], from the division of
+    x^(e-1) (``mono`` keeps each one).
 
-    def a_from_terms(self, terms):
-        """AElement of a ``{coordinate: scalar}`` dict."""
-        return self.a_from_coords(_kvec(self.field, self.dim, terms.items()))
-
-
-class AElement:
-    """Element of A in normal form: list of n K-coordinate vectors."""
-
-    __slots__ = ("mono", "coeffs")
-
-    def __init__(self, mono, coeffs):
-        self.mono = mono
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        return AElement(self.mono, [vec_add(u, v) for u, v in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return AElement(self.mono, [vec_sub(u, v) for u, v in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return AElement(self.mono, [[-c for c in v] for v in self.coeffs])
-
-    def items(self):
-        """The nonzero (flat coordinate, scalar) pairs of this element."""
-        d = self.mono.base.dim
-        return [(p * d + kappa, c) for p, v in enumerate(self.coeffs) for kappa, c in enumerate(v) if c]
-
-    def __mul__(self, other):
-        """Product in A, read off the multiplication table."""
-        mono = self.mono
-        return mono.a_from_terms(mono.multiply(self.items(), other.items()))
-
-    def k_left(self, kvec):
-        K = self.mono.base
-        return AElement(self.mono, [K.mul_vec(kvec, v) for v in self.coeffs])
-
-    def k_right(self, kvec):
-        mono = self.mono
-        # kvec sits at x^0, so its coordinates are its K-coordinates
-        return mono.a_from_terms(mono.multiply(self.items(), [(mu, c) for mu, c in enumerate(kvec) if c]))
-
-    def x_left(self):
-        mono = self.mono
-        return mono.a_from_terms(mono.multiply(mono.x_items(), self.items()))
-
-    def x_right(self):
-        mono = self.mono
-        return mono.a_from_terms(mono.multiply(self.items(), mono.x_items()))
-
-    def is_zero(self):
-        return all(vec_is_zero(v) for v in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, AElement) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        mono = self.mono
-        terms = []
-        for j, v in enumerate(self.coeffs):
-            for kappa, c in enumerate(v):
-                if c:
-                    lab = mono.base.basis_labels[kappa]
-                    terms.append(f"({c})*{lab}" + ("" if j == 0 else f"*x^{j}"))
-        return " + ".join(terms) if terms else "0"
-
-
-def divide_by_f(mono, poly):
-    """Twisted division P = quotient*f + remainder in B = K[x,alpha].
-
-    ``poly`` lists K-coordinate vectors for x^0, x^1, ...; the quotient and
-    remainder use the same convention (coefficients on the left).  Uses the
-    relation x*lam = alpha(lam)*x, so (q x^e)(lam_i x^(n-i)) contributes
-    q*alpha^e(lam_i) at degree e+n-i.
+    Both are lists [(t, c_t)] of nonzero parts, t ascending, with the
+    coefficients on the left.  With x^(e-1) = q f + r, x^e = (x q) f + x r, and
+    x (c x^t) = alpha(c) x^(t+1); the part alpha(r_(n-1)) x^n of x r is
+    alpha(r_(n-1)) f minus sum_i alpha(r_(n-1)) lam_i x^(n-i).
     """
-    K = mono.base
     n = mono.n
-    work = [list(v) for v in poly]
-    while work and vec_is_zero(work[-1]):
-        work.pop()
-    deg = len(work) - 1
-    if deg < n:
-        rem = work + [[K.field.zero] * K.dim for _ in range(n - len(work))]
-        return [], rem
-    quot = [[K.field.zero] * K.dim for _ in range(deg - n + 1)]
-    for d in range(deg, n - 1, -1):
-        c = work[d]
-        if vec_is_zero(c):
-            continue
-        e = d - n
-        quot[e] = list(c)
-        for i in range(0, n + 1):
-            lam = mono.f_coefficient(i)
-            term = K.mul_vec(c, mono.alpha_apply(e, lam))
-            work[e + n - i] = vec_sub(work[e + n - i], term)
-    rem = work[:n] + [[K.field.zero] * K.dim for _ in range(n - min(len(work), n))]
-    return quot, rem
+    if e < n:
+        return [], [(e, mono.base.unit)]
+    quot, rem = mono._division(e - 1)
+    shifted = {t + 1: mono.alpha_image(1, c) for t, c in rem}
+    quot = [(t + 1, mono.alpha_image(1, c)) for t, c in quot]
+    top = shifted.pop(n, None)
+    if top:
+        quot.insert(0, (0, top))
+        for i, lam in enumerate(mono.lambdas, start=1):
+            sub_terms(shifted.setdefault(n - i, {}), mono.base.product(top, lam))
+    rem = [(t, dict(sorted(shifted[t].items()))) for t in sorted(shifted) if shifted[t]]
+    return [(t, c) for t, c in quot if c], rem
 
 
 def validate_monogenic(K, alpha, n, lambdas):
@@ -597,13 +449,10 @@ def validate_monogenic(K, alpha, n, lambdas):
     violations = []
     data = MonogenicData(K, alpha, n, lambdas)
     for i, lam in enumerate(data.lambdas, start=1):
-        if data.alpha_apply(1, lam) != lam:
+        if data.alpha_image(1, lam) != lam:
             violations.append(f"alpha(lam_{i}) != lam_{i}")
         for t in range(K.dim):
-            mu = K.basis_vector(t)
-            lhs = K.mul_vec(lam, mu)
-            rhs = K.mul_vec(data.alpha_apply(i, mu), lam)
-            if lhs != rhs:
+            if K.product(lam, K.basis_vector(t)) != K.product(data.alpha_terms(i, t), lam):
                 violations.append(
                     f"lam_{i}*lam != alpha^{i}(lam)*lam_{i} for lam = {K.basis_labels[t]!r}"
                 )
@@ -611,10 +460,6 @@ def validate_monogenic(K, alpha, n, lambdas):
     if violations:
         raise AlgebraError("; ".join(violations))
     return data
-
-
-def a_multiply(a, b):
-    return a * b
 
 
 class BimoduleData:
@@ -655,7 +500,7 @@ class BimoduleData:
             raise AlgebraError("bimodule actions are not unital")
         for s in range(K.dim):
             for t in range(K.dim):
-                prod = K.mul_vec(K.basis_vector(s), K.basis_vector(t))
+                prod = K.product(K.basis_vector(s), K.basis_vector(t))
                 if self.left_k[s].compose(self.left_k[t]) != self.k_map("left", prod):
                     raise AlgebraError("left K-action is not multiplicative")
                 if self.right_k[t].compose(self.right_k[s]) != self.k_map("right", prod):
@@ -669,7 +514,7 @@ class BimoduleData:
                     raise AlgebraError("left and right actions do not commute")
         # Ore relation and the defining polynomial on both sides
         for t in range(K.dim):
-            av = mono.alpha_apply(1, K.basis_vector(t))
+            av = mono.alpha_terms(1, t)
             if self.left_x.compose(self.left_k[t]) != self.k_map("left", av).compose(self.left_x):
                 raise AlgebraError("left action violates x*lam = alpha(lam)*x")
             if self.right_k[t].compose(self.right_x) != self.right_x.compose(self.k_map("right", av)):
@@ -683,20 +528,19 @@ class BimoduleData:
         if not lf.is_zero() or not rf.is_zero():
             raise AlgebraError("actions do not annihilate the defining polynomial f")
 
-    def k_map(self, side, kvec):
-        """The ``side`` action of the K-vector ``kvec`` as a ColMap."""
+    def k_map(self, side, w):
+        """The ``side`` action of the K-element ``w`` as a ColMap."""
         one = self.mono.field.one
         return ColMap(self.mono.field, self.dim, self.dim,
-                      [self.k_terms(side, kvec, {j: one}) for j in range(self.dim)])
+                      [self.k_terms(side, w, {j: one}) for j in range(self.dim)])
 
-    def k_terms(self, side, kvec, terms):
-        """The ``side`` ("left" or "right") action of the K-vector ``kvec`` on a
+    def k_terms(self, side, w, terms):
+        """The ``side`` ("left" or "right") action of the K-element ``w`` on a
         ``{basis index: scalar}`` dict."""
         gens = self.left_k if side == "left" else self.right_k
         out = {}
-        for t, c in enumerate(kvec):
-            if c:
-                _act(out, gens[t].cols, terms, c)
+        for t, c in w.items():
+            _act(out, gens[t].cols, terms, c)
         return out
 
     def _x_powers(self, side):
@@ -719,12 +563,15 @@ class BimoduleData:
         return _act({}, pows[p].cols, terms) if p else dict(terms)
 
     def a_terms(self, side, a, terms):
-        """The ``side`` action of a = sum_j c_j x^j in A: on the left
-        sum_j L(c_j) L(x)^j, on the right sum_j R(x)^j R(c_j)."""
+        """The ``side`` action of a = sum_j c_j x^j in A, given by its flat
+        coordinates: on the left sum_j L(c_j) L(x)^j, on the right
+        sum_j R(x)^j R(c_j)."""
+        parts = {}
+        for coord, c in a.items():
+            j, kappa = divmod(coord, self.mono.base.dim)
+            parts.setdefault(j, {})[kappa] = c
         out = {}
-        for j, kv in enumerate(a.coeffs):
-            if vec_is_zero(kv):
-                continue
+        for j, kv in sorted(parts.items()):
             if side == "left":
                 part = self.k_terms(side, kv, self.x_terms(side, j, terms))
             else:
@@ -793,7 +640,7 @@ def twisted_commutator_subspace(M, j):
     mono = M.mono
     K = mono.base
     field = mono.field
-    twisted = [mono.alpha_apply(j, K.basis_vector(t)) for t in range(K.dim)]
+    twisted = [mono.alpha_terms(j, t) for t in range(K.dim)]
     spans = []
     for s in range(M.dim):
         for t in range(K.dim):
@@ -880,15 +727,14 @@ def verify_lambda_breve(mono, candidate):
     Returns (ok, reason).
     """
     K = mono.base
-    lam = list(candidate)
     for t in range(K.dim):
         mu = K.basis_vector(t)
-        if K.mul_vec(lam, mu) != K.mul_vec(mu, lam):
+        if K.product(candidate, mu) != K.product(mu, candidate):
             return False, f"not central: fails to commute with {K.basis_labels[t]!r}"
-    if mono.alpha_apply(mono.n, lam) != lam:
+    if mono.alpha_image(mono.n, candidate) != candidate:
         return False, f"not fixed by alpha^{mono.n}"
     for i in range(1, mono.n):
-        diff = vec_sub(lam, mono.alpha_apply(i, lam))
+        diff = sub_terms(dict(candidate), mono.alpha_image(i, candidate))
         if not K.is_invertible(diff):
             return False, f"candidate - alpha^{i}(candidate) is not invertible"
     return True, "ok"
@@ -898,7 +744,7 @@ def group_identity(table):
     for e in range(len(table)):
         if all(table[e][j] == j and table[j][e] == j for j in range(len(table))):
             return e
-    raise AlgebraError("table has no identity")
+    raise AlgebraError("table has no two-sided identity element")
 
 
 def subgroup_generated(table, generators):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import wraps
 from itertools import product as iproduct
 
-from .algebra import commutator_quotient, vec_is_zero
+from .algebra import commutator_quotient
 # bound by name for perfbench/tracer.py, which wraps twisted_commutator_subspace
 # in every module namespace that holds it (its tests read this binding)
 from .algebra import twisted_commutator_subspace  # noqa: F401
@@ -89,10 +89,10 @@ def _phi_terms(mono, r):
     m, odd = divmod(r, 2)
     # an i of 1 gives an empty l-range 1 <= l < i
     for ivec in iproduct(range(2, n + 1), repeat=m):
-        lam = list(mono.base.unit)
+        lam = mono.base.unit
         for i in ivec:
-            lam = mono.base.mul_vec(lam, mono.f_coefficient(n - i))
-        if vec_is_zero(lam):
+            lam = mono.base.product(lam, mono.f_coefficient(n - i))
+        if not lam:
             continue
         for ell in iproduct(*[range(1, i) for i in ivec]):
             mid = sum(((1, l) for l in reversed(ell)), ()) + (1,) * odd
@@ -244,9 +244,7 @@ class BarComplex:
         fixes."""
         got = self._merged.get(s)
         if got is None:
-            xred = self.mono.x_power_reduced(s)
-            got = self._merged[s] = [(tpow, xred.coeffs[tpow]) for tpow in range(1, self.mono.n)
-                                     if not vec_is_zero(xred.coeffs[tpow])]
+            got = self._merged[s] = [(tpow, c) for tpow, c in self.mono.x_power_reduced(s) if tpow]
         return got
 
     def _face(self, key, tsum, act, size=None):
@@ -452,20 +450,15 @@ class ResolutionComplex:
         gen = {}
         if r % 2 == 1:
             # x (x) 1 - 1 (x) x
-            for kappa, c in enumerate(mono.base.unit):
-                if c:
-                    add_term(gen, tgt.flat(kappa, 1, 0), c)
-                    add_term(gen, tgt.flat(kappa, 0, 1), -c)
+            for kappa, c in mono.base.unit.items():
+                add_term(gen, tgt.flat(kappa, 1, 0), c)
+                add_term(gen, tgt.flat(kappa, 0, 1), -c)
         else:
             # sum_i lam_{n-i} sum_l x^l (x) x^{i-l-1}
             for i in range(1, mono.n + 1):
-                lam = mono.f_coefficient(mono.n - i)
-                if vec_is_zero(lam):
-                    continue
                 for ell in range(i):
-                    for kappa, c in enumerate(lam):
-                        if c:
-                            add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
+                    for kappa, c in mono.f_coefficient(mono.n - i).items():
+                        add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
         return gen
 
     @_memo
@@ -554,11 +547,11 @@ class BarResolution:
         """
         mono, tgt = self.mono, self.spaces[r - 1]
         d = mono.base.dim
-        unit = {kappa: c for kappa, c in enumerate(mono.base.unit) if c}
+        unit = mono.base.unit
         gen = {}
         _add_at(gen, tgt.offset(t[1:], 0) + t[0] * d, unit.items())
         for i in range(r - 1):
-            for coord, c in mono.k_times_x_power(unit, t[i] + t[i + 1]).items():
+            for coord, c in mono.x_power(t[i] + t[i + 1]).items():
                 tp, k = divmod(coord, d)
                 if tp:
                     add_term(gen, tgt.offset(t[:i] + (tp,) + t[i + 2:], 0) + k, -c if i % 2 == 0 else c)
@@ -579,7 +572,7 @@ class BarResolution:
         sp = self.spaces[r]
         acc = {}
         for lam, e, mid in _phi_terms(mono, r):
-            _add_at(acc, sp.offset(mid, 0), (mono.a_from_kvec(lam, 0) * mono.x_power_reduced(e)).items())
+            _add_at(acc, sp.offset(mid, 0), mono.k_times_x_power(lam, e).items())
         return acc
 
     @_memo
@@ -590,9 +583,10 @@ class BarResolution:
     @_memo
     def _quotient_product(self, sums):
         """The product, left to right, of the quotients of x^s by f over s in ``sums``."""
+        mono = self.mono
         if not sums:
-            return self.mono.one_a()
-        return self._quotient_product(sums[:-1]) * self.mono.x_power_quotient(sums[-1])
+            return mono.x_power(0)
+        return mono.multiply(self._quotient_product(sums[:-1]), mono.flat(mono.x_power_quotient(sums[-1])))
 
     def psi_product(self, t):
         """The product of the quotients of x^(t_1 + t_2), x^(t_3 + t_4), .. by f:
@@ -604,12 +598,12 @@ class BarResolution:
         mono = self.mono
         prod = self.psi_product(t)
         if r % 2 == 0:
-            return dict(prod.items())
+            return dict(prod)
         acc = {}
         i_last = t[-1]
         for ell in range(i_last):
             # e_k (x) x^q sits at q * dim A + k
-            _add_at(acc, (i_last - ell - 1) * mono.dim, (prod * mono.x_power_reduced(ell)).items())
+            _add_at(acc, (i_last - ell - 1) * mono.dim, mono.multiply(prod, mono.x_power(ell)).items())
         return acc
 
     @_memo
@@ -648,9 +642,8 @@ class BarResolution:
         rr = r - 1
         src = self.spaces[rr]
         gen = {}
-        for kappa, c in enumerate(self.mono.base.unit):
-            if c:
-                add_term(gen, src.flat(kappa, 0, t, 0), c)
+        for kappa, c in self.mono.base.unit.items():
+            add_term(gen, src.flat(kappa, 0, t, 0), c)
         D = sub_terms(self.phi(rr).apply(self.psi(rr).apply(gen)), gen)
         sub_terms(D, self.omega(rr).apply(self.bprime(rr).apply(gen)))
         val = self._shift(rr, D)
@@ -698,7 +691,7 @@ class InducedComparison:
         m_terms = {m_idx: mono.field.one}
         acc = {}
         for lam, e, mid in _phi_terms(mono, r):
-            mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power_reduced(e), m_terms))
+            mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power(e), m_terms))
             _add_at(acc, sp.flat(mid, 0), mv.items())
         return acc
 

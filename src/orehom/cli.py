@@ -34,7 +34,7 @@ from .cyclic import (
     hc_rank_one,
     transfer_D,
 )
-from .linalg import ColMap, sparse, sparse_rank
+from .linalg import ColMap, sparse_rank, sub_terms
 from .perturbation import (
     PerturbationError,
     build_cyclic_retract,
@@ -118,8 +118,19 @@ def _fmt(v):
     return str(v)
 
 
-def _element_string(mono, terms):
-    return repr(mono.a_from_terms(terms))
+def _element_string(mono, M, terms):
+    """An element of M, given by its coordinates, as a sum of (c)*label: the
+    label of flat coordinate j*dim K + kappa is kappa*x^j when M is A with its
+    regular actions, and that of coordinate i is m_i otherwise."""
+    parts = []
+    for coord in sorted(terms):
+        if M.is_regular:
+            j, kappa = divmod(coord, mono.base.dim)
+            label = mono.base.basis_labels[kappa] + ("" if j == 0 else f"*x^{j}")
+        else:
+            label = f"m_{coord}"
+        parts.append(f"({terms[coord]})*{label}")
+    return " + ".join(parts) if parts else "0"
 
 
 def cmd_hh(args):
@@ -142,7 +153,7 @@ def cmd_hh(args):
         reps = []
         for r in range(md):
             h = homology(cs, r)
-            reps.append([_element_string(mono, v) for v in h.representatives])
+            reps.append([_element_string(mono, parsed.bimodule, v) for v in h.representatives])
         report["representatives"] = reps
     collapse_ok = parsed.summary["collapse"]["holds"]
     if args.decompose:
@@ -219,13 +230,12 @@ def _dihedral_displayed_parts(mono):
     u = len(rot_idx)
     g = K.basis_vector(labels.index("g"))
     # powers of g in rotation coordinates
-    pow_vecs = [list(K.unit)]
+    pow_vecs = [K.unit]
     for _ in range(1, u):
-        pow_vecs.append(K.mul_vec(pow_vecs[-1], g))
-    diffs = [[a - b for a, b in zip(pow_vecs[j], pow_vecs[(u - j) % u])] for j in range(1, u)]
-    rot_dim = u - sparse_rank(map(sparse, diffs))
-    g2_minus_1 = [a - b for a, b in zip(K.mul_vec(g, g), K.unit)]
-    refl_dim = u - sparse_rank(sparse(K.mul_vec(v, g2_minus_1)) for v in pow_vecs)
+        pow_vecs.append(K.product(pow_vecs[-1], g))
+    rot_dim = u - sparse_rank(sub_terms(dict(pow_vecs[j]), pow_vecs[(u - j) % u]) for j in range(1, u))
+    g2_minus_1 = sub_terms(K.product(g, g), K.unit)
+    refl_dim = u - sparse_rank(K.product(v, g2_minus_1) for v in pow_vecs)
     return rot_dim, refl_dim
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import eigen_split, vec_add, vec_is_zero, vec_sub
+from .algebra import eigen_split
 from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
-from .linalg import ColMap, EchelonSet, quotient_dim, solve, sparse, sparse_rank, sub_terms, subquotient
+from .linalg import ColMap, EchelonSet, add_terms, quotient_dim, solve, sparse_rank, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -85,59 +85,46 @@ def connes_D_generic(mono, r, cs_spaces):
     [lam x^j] are the ambient monomial basis of A.
     """
     K = mono.base
-    field = mono.field
     n = mono.n
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
-    out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
+    out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
     for qj, idx in enumerate(src.free):
-        total = [field.zero] * mono.dim
+        total = {}
         j, kappa = divmod(idx, K.dim)
         lam = K.basis_vector(kappa)
         if odd:
             if j == n - 1:
-                w = [field.zero] * K.dim
-                for u in range(m + 1):
-                    w = vec_add(w, mono.alpha_apply(n * u, lam))
-                total[:K.dim] = vec_sub(w, mono.alpha_apply(1, w))
+                w = mono.alpha_sum(lam, range(0, (m + 1) * n, n))
+                total = sub_terms(w, mono.alpha_image(1, w))
         else:
             if j >= 1:
-                s = [field.zero] * K.dim
-                for h in range(j):
-                    s = vec_add(s, mono.alpha_apply(m * n + h, lam))
-                total[(j - 1) * K.dim:j * K.dim] = s
+                s = mono.alpha_sum(lam, range(m * n, m * n + j))
+                total = {(j - 1) * K.dim + k: c for k, c in s.items()}
             for u in range(m):
                 for i in range(1, n + 1):
                     lam_ni = mono.f_coefficient(n - i)
-                    if vec_is_zero(lam_ni) or j + i - 1 < n:
+                    if not lam_ni or j + i - 1 < n:
                         continue
-                    ssum = [field.zero] * K.dim
-                    for l in range(i):
-                        ssum = vec_add(ssum, mono.alpha_apply(n * u + l, lam))
-                    quot = mono.x_power_quotient(j + i - 1).k_left(K.mul_vec(lam_ni, ssum))
-                    total = vec_add(total, mono.a_coords(quot))
-        out.set_col(qj, tgt.project_terms(sparse(total)))
+                    ssum = mono.alpha_sum(lam, range(n * u, n * u + i))
+                    add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
+        out.set_col(qj, tgt.project_terms(dict(sorted(total.items()))))
     return out
 
 
 def connes_D_collapsed(mono, r, cs_spaces):
     """D on the collapsed complex: zero in even degrees, the alpha-norm
     difference in odd degrees."""
-    K = mono.base
-    field = mono.field
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
-    out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
+    out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
     if not odd:
         return out
     for qj, idx in enumerate(src.free):
-        lam = K.basis_vector(idx)
-        w = [field.zero] * K.dim
-        for u in range(m + 1):
-            w = vec_add(w, mono.alpha_apply(mono.n * u, lam))
-        out.set_col(qj, tgt.project_terms(sparse(vec_sub(w, mono.alpha_apply(1, w)))))
+        w = mono.alpha_sum(mono.base.basis_vector(idx), range(0, (m + 1) * mono.n, mono.n))
+        out.set_col(qj, tgt.project_terms(dict(sorted(sub_terms(w, mono.alpha_image(1, w)).items()))))
     return out
 
 
@@ -321,9 +308,9 @@ def hc(mono, max_degree=6, mixed=None):
 # -- closed forms -----------------------------------------------------------------
 
 def _power_vec(mono, kvec, power):
-    out = list(mono.base.unit)
+    out = mono.base.unit
     for _ in range(power):
-        out = mono.base.mul_vec(out, kvec)
+        out = mono.base.product(out, kvec)
     return out
 
 
@@ -482,17 +469,12 @@ def _top_ambiguity(tot, m):
 
 def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, scalar=None):
     """Lift a sparse quotient class, optionally K-multiply and scale, reproject."""
-    K = mono.base
-    field = mono.field
     local = spaces[r_from].lift_vec(qvec)
     if kvec is not None:
-        full = [field.zero] * K.dim
-        for ii, c in local.items():
-            full[idxs[ii]] = c
-        full = K.mul_vec(full, kvec)
-        if any(c for t, c in enumerate(full) if t not in idxs):
+        full = mono.base.product({idxs[ii]: c for ii, c in local.items()}, kvec)
+        if not full.keys() <= set(idxs):
             raise HypothesisError("component multiplication left the eigencomponent")
-        local = sparse(full[i] for i in idxs)
+        local = {ii: full[i] for ii, i in enumerate(idxs) if i in full}
     if scalar is not None:
         local = {k: scalar * c for k, c in local.items()}
     return spaces[r_to].project_terms(local)

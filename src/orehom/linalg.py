@@ -205,6 +205,13 @@ def add_term(acc, key, coeff):
         del acc[key]
 
 
+def add_terms(acc, terms):
+    """acc += terms in sparse vectors, dropping zeros; returns ``acc``."""
+    for key, c in terms.items():
+        add_term(acc, key, c)
+    return acc
+
+
 def sub_terms(acc, terms):
     """acc -= terms in sparse vectors, dropping zeros; returns ``acc``."""
     for key, c in terms.items():

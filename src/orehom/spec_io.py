@@ -55,7 +55,7 @@ from .algebra import (
     verify_lambda_breve,
 )
 from .fields import make_field
-from .linalg import ColMap
+from .linalg import ColMap, sparse, sub_terms
 
 
 # -- scalar / vector codecs ---------------------------------------------------
@@ -83,11 +83,12 @@ def encode_kvec(field, vec):
 
 
 def decode_kvec(field, obj, dim, path="vector"):
+    """A dense list of ``dim`` scalars as a sparse ``{index: scalar}`` dict."""
     if not isinstance(obj, list):
         raise AlgebraError(f"{path} must be a list of {dim} scalars, got {type(obj).__name__}")
     if len(obj) != dim:
         raise AlgebraError(f"{path}: coefficient vector of length {len(obj)}, expected {dim}")
-    return [decode_scalar(field, c, f"{path}[{i}]") for i, c in enumerate(obj)]
+    return sparse([decode_scalar(field, c, f"{path}[{i}]") for i, c in enumerate(obj)])
 
 
 def _decode_map(field, obj, dim, path):
@@ -95,7 +96,7 @@ def _decode_map(field, obj, dim, path):
     if not isinstance(obj, list) or len(obj) != dim:
         raise AlgebraError(f"{path} must be a list of {dim} rows")
     rows = [decode_kvec(field, r, dim, f"{path}[{i}]") for i, r in enumerate(obj)]
-    return ColMap(field, dim, dim, [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(dim)])
+    return ColMap(field, dim, dim, [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(dim)])
 
 
 # -- group table builders -----------------------------------------------------
@@ -435,14 +436,14 @@ def parse_spec(doc, max_degree=6):
                 if qchi[qlabels[coset_of[i]]] != chi[lab]:
                     raise AlgebraError("character does not descend to the quotient group")
             alpha = character_endomorphism(K, qchi)
-            lambdas = [[field.zero] * K.dim for _ in range(n)]
+            lambdas = [{} for _ in range(n)]
         else:
             # f = x^n - xi*(g1^n - 1)
             g1n_vec = K.basis_vector(g1_idx)
             for _ in range(n - 1):
-                g1n_vec = K.mul_vec(g1n_vec, K.basis_vector(g1_idx))
-            lam_n = [xi * (u - g) for u, g in zip(K.unit, g1n_vec)]
-            lambdas = [[field.zero] * K.dim for _ in range(n - 1)] + [lam_n]
+                g1n_vec = K.product(g1n_vec, K.basis_vector(g1_idx))
+            lam_n = {k: xi * c for k, c in sorted(sub_terms(dict(K.unit), g1n_vec).items())} if xi else {}
+            lambdas = [{} for _ in range(n - 1)] + [lam_n]
         lambda_breve = K.basis_vector(K.basis_labels.index(g1)) if g1 in K.basis_labels else None
         bim_obj = doc.get("bimodule")
     elif "base_algebra" not in doc:

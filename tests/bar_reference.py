@@ -10,10 +10,13 @@ projects the sum to quotient coordinates with ``BarSpace.project_terms``, as
 twist class.  A column of b' applies every face to e_j (x) x^{t_1} (x) .. (x)
 x^q, and pulls each merged coefficient to the front through alpha^pre, as
 ``orehom.bar.BarResolution`` did before it extended b' from its values on
-the free generators.
+the free generators.  The reduced powers of x and the powers of alpha come
+from the dense long division and matrix powers of ``dense_reference``.
 """
 
-from orehom.algebra import vec_is_zero
+from functools import lru_cache
+
+import dense_reference as dref
 from orehom.linalg import ColMap, add_term
 
 
@@ -22,12 +25,23 @@ def _add_at(acc, base, items, negative=False):
         add_term(acc, base + i, -c if negative else c)
 
 
+def _is_zero(vec):
+    return not any(vec)
+
+
+@lru_cache(maxsize=None)
+def _reduced_power(mono, s):
+    """x^s in A as n dense K-vectors, by long division."""
+    return dref.twisted_division(mono, dref.x_power(mono, s))[1]
+
+
+@lru_cache(maxsize=None)
 def _merged_slot(mono, s, pre):
     """The nonzero terms c x^tpow (tpow >= 1) of x^s in A as pairs
-    (tpow, alpha^pre(c))."""
-    xred = mono.x_power_reduced(s)
-    return [(tpow, mono.alpha_apply(pre, xred.coeffs[tpow]))
-            for tpow in range(1, mono.n) if not vec_is_zero(xred.coeffs[tpow])]
+    (tpow, alpha^pre(c)), alpha^pre(c) a sparse dict."""
+    xred = _reduced_power(mono, s)
+    return [(tpow, dref.sparse(dref.alpha_power(mono, pre, xred[tpow])))
+            for tpow in range(1, mono.n) if not _is_zero(xred[tpow])]
 
 
 def b_ambient_column(bar, r, idx):
@@ -100,16 +114,12 @@ def _face_terms(barres, kept, j, s, pre):
     key = (j, s, None if pre is None else mono.twist(pre))
     got = kept.get(key)
     if got is None:
-        front = [(j, mono.field.one)]
-        xred = mono.x_power_reduced(s)
+        front = {j: mono.field.one}
         if pre is None:
-            got = mono.multiply(front, xred.items())
+            got = mono.multiply(front, dref.a_terms(_reduced_power(mono, s)))
         else:
-            got = {}
-            for tp in range(1, mono.n):
-                pushed = [(mu, c) for mu, c in enumerate(mono.alpha_apply(pre, xred.coeffs[tp])) if c]
-                if pushed:
-                    got[tp] = mono.multiply(front, pushed)
+            # alpha^pre(c) sits at x^0, so its coordinates are its K-coordinates
+            got = {tp: mono.multiply(front, c) for tp, c in _merged_slot(mono, s, pre)}
         kept[key] = got
     return got
 

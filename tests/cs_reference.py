@@ -4,11 +4,13 @@ against.
 
 Every degree gets its own boundary map and every closed form evaluates every
 degree, as ``orehom.small_complex`` did before it shared them per twist class.
+The collapsed boundaries are computed densely, with ``dense_reference``.
 """
 
-from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace, vec_add, vec_sub
+import dense_reference as dref
+from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace
 from orehom.complexes import ChainComplex
-from orehom.linalg import ColMap, EchelonSet, quotient_dim, sparse, sparse_rank
+from orehom.linalg import ColMap, EchelonSet, quotient_dim, sparse_rank
 from orehom.small_complex import (
     HypothesisError,
     _alpha_minus_id_lamn,
@@ -45,20 +47,21 @@ def build_cs_collapsed(mono, max_degree):
         m, odd = divmod(r, 2)
         j = (m + 1) * n if odd else m * n
         spaces.append(k_quotient(mono, j))
-    lam_n = mono.f_coefficient(n)
+    lam_n = dref.f_coefficient(mono, n)
     boundaries = {}
     for r in range(1, max_degree + 1):
         src, tgt = spaces[r], spaces[r - 1]
         col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
         for qj, idx in enumerate(src.free):
-            lam = K.basis_vector(idx)
+            lam = dref.dense(K.basis_vector(idx), K.dim, mono.field.zero)
             if r % 2 == 1:
-                img = K.mul_vec(vec_sub(mono.alpha_apply(1, lam), lam), lam_n)
+                diff = [a - b for a, b in zip(dref.alpha_power(mono, 1, lam), lam)]
+                img = dref.k_product(K, diff, lam_n)
             else:
                 img = [mono.field.zero] * K.dim
                 for ell in range(n):
-                    img = vec_add(img, mono.alpha_apply(ell, lam))
-            col_map.set_col(qj, tgt.project_terms(sparse(img)))
+                    img = [a + b for a, b in zip(img, dref.alpha_power(mono, ell, lam))]
+            col_map.set_col(qj, tgt.project_terms(dref.sparse(img)))
         boundaries[r] = col_map
     return ChainComplex(mono.field, spaces, boundaries)
 
@@ -67,7 +70,7 @@ def decompose(mono, max_degree):
     ensure_collapse(mono, max_degree)
     K = mono.base
     n = mono.n
-    lam_n = mono.f_coefficient(n)
+    lam_n = dref.f_coefficient(mono, n)
     out = []
     for w, idxs in eigen_split(mono.base, mono.alpha):
         spaces = []
@@ -81,12 +84,12 @@ def decompose(mono, max_degree):
             src, tgt = spaces[r], spaces[r - 1]
             col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
             for qj, ii in enumerate(src.free):
-                lam = K.basis_vector(idxs[ii])
+                lam = dref.dense(K.basis_vector(idxs[ii]), K.dim, mono.field.zero)
                 if r % 2 == 1:
-                    img_full = [(w - mono.field.one) * c for c in K.mul_vec(lam, lam_n)]
+                    img_full = [(w - mono.field.one) * c for c in dref.k_product(K, lam, lam_n)]
                 else:
                     img_full = [nmult * c for c in lam]
-                col_map.set_col(qj, tgt.project_terms(sparse(img_full[i] for i in idxs)))
+                col_map.set_col(qj, tgt.project_terms(dref.sparse([img_full[i] for i in idxs])))
             boundaries[r] = col_map
         out.append((w, idxs, ChainComplex(mono.field, spaces, boundaries)))
     return out

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from orehom import cli
 from orehom.cli import main
-from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
+from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_kvec, encode_scalar, parse_spec
 from orehom.fields import make_field
 
 from conftest import rank_one_doc
+from test_spec_io import _regular_action_rows
 
 
 def run(capsys, *argv):
@@ -99,6 +100,54 @@ def test_hh_basis_flag(capsys):
     assert code == 0
     assert len(rep["representatives"]) == 3
     assert len(rep["representatives"][0]) == 2
+
+
+def _sweedler_with_bimodule(tmp_path, copies):
+    """A spec file of sweedler whose M is the direct sum of ``copies`` copies of
+    A with its regular actions, written out as explicit matrices."""
+    mono = parse_spec(build_example("sweedler")).mono
+    field, dim = mono.field, mono.dim
+    acts = _regular_action_rows(mono)
+
+    def block_diagonal(rows):
+        return [[field.zero] * (dim * b) + list(row) + [field.zero] * (dim * (copies - b - 1))
+                for b in range(copies) for row in rows]
+
+    def encoded(rows):
+        return [encode_kvec(field, row) for row in block_diagonal(rows)]
+
+    doc = build_example("sweedler")
+    doc["bimodule"] = {
+        "type": "matrices",
+        "dim": copies * dim,
+        "left_k": [encoded(m) for m in acts["left_k"]],
+        "left_x": encoded(acts["left_x"]),
+        "right_k": [encoded(m) for m in acts["right_k"]],
+        "right_x": encoded(acts["right_x"]),
+    }
+    path = tmp_path / f"sweedler_{copies}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_hh_basis_labels_the_coordinates_of_m(capsys, tmp_path):
+    _, regular = run_json(capsys, "hh", "--spec", "sweedler", "--max-degree", "3", "--basis")
+    # A written out as explicit matrices is still the regular bimodule: its
+    # representatives read as elements of A
+    code, same = run_json(capsys, "hh", "--spec", _sweedler_with_bimodule(tmp_path, 1),
+                          "--max-degree", "3", "--basis")
+    assert code == 0
+    assert same["representatives"] == regular["representatives"]
+    # M = A + A has twice the coordinates of A, labelled m_0 .. m_7
+    code, double = run_json(capsys, "hh", "--spec", _sweedler_with_bimodule(tmp_path, 2),
+                            "--max-degree", "3", "--basis")
+    assert code == 0
+    assert double["modes"]["generic"] == [2 * h for h in regular["modes"]["generic"]]
+    assert [len(reps) for reps in double["representatives"]] == double["modes"]["generic"]
+    labels = {f"m_{i}" for i in range(8)}
+    assert all({term.rsplit("*", 1)[1] for term in rep.split(" + ")} <= labels
+               for reps in double["representatives"] for rep in reps)
+    assert any(double["representatives"])
 
 
 def test_hc_basis_is_a_usage_error(capsys):
@@ -212,8 +261,20 @@ def test_non_integer_example_parameter_rejected(capsys):
      "error: spec.bimodule has no 'dim'"),
     (dict(build_example("sweedler"), extension={"n": 2, "lambdas": [["a", "0"], ["0", "0"]]}),
      "error: spec.extension.lambdas[0][0]: cannot decode scalar 'a'"),
+    (dict(build_example("sweedler"), extension={"n": 2, "lambdas": [["0", "0"], ["0"]]}),
+     "error: spec.extension.lambdas[1]: coefficient vector of length 1, expected 2"),
+    ({"field": {"kind": "rationals"},
+      "base_algebra": {"type": "structure_constants", "labels": ["1", "e"],
+                       "constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]], "unit": ["1"]}},
+     "error: spec.base_algebra.unit: coefficient vector of length 1, expected 2"),
+    # a Latin square whose every element squares to itself but none is an identity
+    ({"field": {"kind": "rationals"},
+      "base_algebra": {"type": "group", "labels": ["a", "b", "c"],
+                       "table": [["a", "c", "b"], ["c", "b", "a"], ["b", "a", "c"]]}},
+     "error: table has no two-sided identity element"),
 ], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
-        "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda"])
+        "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
+        "short-lambda", "short-unit", "group-without-identity"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -406,22 +467,22 @@ def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
 def test_verify_divides_by_f_at_most_once_per_table_entry(capsys, monkeypatch):
     from orehom import algebra
 
+    mono = parse_spec(build_example("taft:3")).mono
     calls = []
     original = algebra.divide_by_f
 
-    def counted(mono, poly):
-        calls.append(len(poly))
-        return original(mono, poly)
+    def counted(mono, e):
+        calls.append(e)
+        return original(mono, e)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("orehom") and hasattr(module, "divide_by_f"):
             monkeypatch.setattr(module, "divide_by_f", counted)
     code, _ = run(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
     assert code == 0
-    # products in A read the multiplication table, whose dim(A)^2 entries
-    # bound the twisted divisions, plus the reduced powers of x
-    mono = parse_spec(build_example("taft:3")).mono
-    assert len(calls) <= mono.dim ** 2 + 2 * mono.n
+    # each power of x is divided once, from the division of the power before
+    # it; products in A read the table, whose entries need x^e for e < 2n - 1
+    assert len(calls) == len(set(calls)) <= mono.dim ** 2 + 2 * mono.n
 
 
 @pytest.mark.parametrize("argv", [["hh", "--closed-form", "--decompose"], ["hc", "--closed-form", "--decompose"]])

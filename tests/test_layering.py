@@ -2,12 +2,14 @@
 map of ``bar.py`` is built column by column on demand, b, B and b' have no
 second, one-tensor-at-a-time column builder, b' is a generated bimodule map,
 elimination reads sparse term dicts with no dense bridge, the dense
-``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every rank is a
-``sparse_rank``, the structure of A is read off sparse products in K,
-every import is used, no module builds an argparse or optparse parser,
-``set_col`` edits only a ColMap built in the same function (a small-complex
-boundary is shared across degrees), and no code outside ``fields.py`` divides
-(``int / int`` is a float) or looks inside a ``CycScalar``."""
+``Matrix`` and ``rref`` have no caller outside ``linalg.py``, every element of
+K and of A is a sparse dict (the dense vector helpers and ``AElement`` are
+gone), every rank is a ``sparse_rank``, the structure of A is read off
+sparse products in K, every import is used, no module builds an argparse
+or optparse parser, ``set_col`` edits only a ColMap built in the same
+function (a small-complex boundary is shared across degrees), and no code
+outside ``fields.py`` divides (``int / int`` is a float) or looks inside a
+``CycScalar``."""
 
 import ast
 from fractions import Fraction
@@ -74,6 +76,23 @@ def test_densify_stays_in_the_algebra_builders():
     assert naming <= {"algebra.py"}
 
 
+def _defined(names):
+    """``path:line: name`` of every function, class or assigned name in
+    ``names`` defined anywhere under src/."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in defined if name in names]
+    return found
+
+
 def test_dense_matrix_and_rref_have_no_caller_outside_linalg():
     calls = [
         f"{path.name}:{node.lineno}: {_called(node)}"
@@ -83,6 +102,14 @@ def test_dense_matrix_and_rref_have_no_caller_outside_linalg():
         if isinstance(node, ast.Call) and _called(node) in ("Matrix", "rref")
     ]
     assert calls == []
+
+
+def test_elements_of_k_and_a_have_one_sparse_layout():
+    # every element of K and of A is a sparse dict: the dense K-vectors, their
+    # helpers and the dense element of A are not defined under src/
+    gone = {"AElement", "a_multiply", "mul_vec", "_kvec", "vec_add", "vec_sub", "vec_is_zero",
+            "alpha_apply", "zero_a", "one_a", "a_from_kvec", "a_from_coords", "a_from_terms", "a_coords"}
+    assert _defined(gone) == []
 
 
 def test_no_dense_projection_or_section_is_read():
@@ -178,11 +205,11 @@ def test_set_col_edits_only_a_map_built_in_the_same_function():
 
 def test_structure_of_a_costs_the_structure_constants():
     # the regular bimodule, the character twist and [K,K]_{alpha^j} read
-    # sparse products in K: no dim(A)^2 product table, no dense K-product and
-    # no dense re-check of a character, whose pairwise test chi(gh) =
-    # chi(g)chi(h) already proves it multiplicative
+    # sparse products in K: no dim(A)^2 product table, nothing that reads it,
+    # and no re-check of a character through multiplication maps, whose
+    # pairwise test chi(gh) = chi(g)chi(h) already proves it multiplicative
     guarded = {"regular_bimodule", "character_endomorphism", "k_commutator_subspace"}
-    banned = {"mul_table", "multiply", "mul_vec", "left_mult_map", "_check"}
+    banned = {"mul_table", "multiply", "x_overflow", "left_mult_map", "_check"}
     seen, calls = set(), []
     for node in ast.walk(_tree(ROOT / "src" / "orehom" / "algebra.py")):
         if isinstance(node, ast.FunctionDef) and node.name in guarded:

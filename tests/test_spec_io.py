@@ -61,12 +61,12 @@ def _regular_action_rows(mono):
                 out[i][j] = e
         return out
 
-    x = mono.x_items()
+    x = mono.k_times_x_power(mono.base.unit, 1)
     return {
         "left_k": [rows(table[t][j] for j in range(dim)) for t in range(mono.base.dim)],
-        "left_x": rows(mono.multiply(x, [(j, field.one)]) for j in range(dim)),
+        "left_x": rows(mono.multiply(x, {j: field.one}) for j in range(dim)),
         "right_k": [rows(table[j][t] for j in range(dim)) for t in range(mono.base.dim)],
-        "right_x": rows(mono.multiply([(j, field.one)], x) for j in range(dim)),
+        "right_x": rows(mono.multiply({j: field.one}, x) for j in range(dim)),
     }
 
 
