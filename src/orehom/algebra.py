@@ -23,7 +23,7 @@ downstream homology code can assume the axioms.
 
 from __future__ import annotations
 
-from .linalg import ColMap, add_term, add_terms, sparse_rank, sub_terms, subquotient
+from .linalg import ColMap, add_term, add_terms, relation_holds, sparse_rank, sub_terms, subquotient
 
 
 class AlgebraError(ValueError):
@@ -166,12 +166,11 @@ class AlgebraEndomorphism:
     def _check(self):
         self._check_unit()
         K = self.base
-        # alpha(e_i e_j) = alpha(e_i) alpha(e_j): alpha o L(e_i) = L(alpha(e_i)) o alpha on e_j
+        # alpha(e_i e_j) = alpha(e_i) alpha(e_j)
         for i in range(K.dim):
-            after = self.map.compose(K.left_mult_map(K.basis_vector(i)))
-            before = K.left_mult_map(self.map.cols[i]).compose(self.map)
             for j in range(K.dim):
-                if after.cols[j] != before.cols[j]:
+                if self.map.apply(K.product(K.basis_vector(i), K.basis_vector(j))) != K.product(
+                        self.map.cols[i], self.map.cols[j]):
                     raise AlgebraError(
                         "endomorphism is not multiplicative on "
                         f"({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
@@ -493,46 +492,45 @@ class BimoduleData:
         return self._regular
 
     def _check(self):
-        mono = self.mono
-        K = mono.base
-        ident = ColMap.identity(mono.field, self.dim)
-        if self.k_map("left", K.unit) != ident or self.k_map("right", K.unit) != ident:
+        mono, K, n = self.mono, self.mono.base, self.mono.n
+        lk, lx, rk, rx = self.left_k, self.left_x, self.right_k, self.right_x
+
+        def holds(*terms):
+            return relation_holds(self.dim, list(terms))
+
+        def acts(gens, w, c=1, after=(), before=()):
+            """c * after o (sum_t w_t gens[t]) o before, one chain per term of w."""
+            return [(c * e, [*after, gens[t], *before]) for t, e in w.items()]
+
+        if not holds(*acts(lk, K.unit), (-1, [])) or not holds(*acts(rk, K.unit), (-1, [])):
             raise AlgebraError("bimodule actions are not unital")
         for s in range(K.dim):
             for t in range(K.dim):
                 prod = K.product(K.basis_vector(s), K.basis_vector(t))
-                if self.left_k[s].compose(self.left_k[t]) != self.k_map("left", prod):
+                if not holds((1, [lk[s], lk[t]]), *acts(lk, prod, -1)):
                     raise AlgebraError("left K-action is not multiplicative")
-                if self.right_k[t].compose(self.right_k[s]) != self.k_map("right", prod):
+                if not holds((1, [rk[t], rk[s]]), *acts(rk, prod, -1)):
                     raise AlgebraError("right K-action is not anti-multiplicative")
         # left/right actions commute
-        lgens = self.left_k + [self.left_x]
-        rgens = self.right_k + [self.right_x]
-        for lg in lgens:
-            for rg in rgens:
-                if lg.compose(rg) != rg.compose(lg):
+        for lg in lk + [lx]:
+            for rg in rk + [rx]:
+                if not holds((1, [lg, rg]), (-1, [rg, lg])):
                     raise AlgebraError("left and right actions do not commute")
         # Ore relation and the defining polynomial on both sides
         for t in range(K.dim):
             av = mono.alpha_terms(1, t)
-            if self.left_x.compose(self.left_k[t]) != self.k_map("left", av).compose(self.left_x):
+            if not holds((1, [lx, lk[t]]), *acts(lk, av, -1, before=[lx])):
                 raise AlgebraError("left action violates x*lam = alpha(lam)*x")
-            if self.right_k[t].compose(self.right_x) != self.right_x.compose(self.k_map("right", av)):
+            if not holds((1, [rk[t], rx]), *acts(rk, av, -1, after=[rx])):
                 raise AlgebraError("right action violates x*lam = alpha(lam)*x")
-        lf = _power(self.left_x, mono.n, ident)
-        rf = _power(self.right_x, mono.n, ident)
-        for i in range(1, mono.n + 1):
-            lam = mono.f_coefficient(i)
-            lf = lf.add(self.k_map("left", lam).compose(_power(self.left_x, mono.n - i, ident)))
-            rf = rf.add(_power(self.right_x, mono.n - i, ident).compose(self.k_map("right", lam)))
-        if not lf.is_zero() or not rf.is_zero():
+        # f = x^n + sum_i lam_i x^(n-i), through the kept powers x^p, p < n
+        lp, rp = self._x_powers("left"), self._x_powers("right")
+        lf, rf = [(1, [lx, lp[n - 1]])], [(1, [rp[n - 1], rx])]
+        for i in range(1, n + 1):
+            lf += acts(lk, mono.f_coefficient(i), before=[lp[n - i]])
+            rf += acts(rk, mono.f_coefficient(i), after=[rp[n - i]])
+        if not holds(*lf) or not holds(*rf):
             raise AlgebraError("actions do not annihilate the defining polynomial f")
-
-    def k_map(self, side, w):
-        """The ``side`` action of the K-element ``w`` as a ColMap."""
-        one = self.mono.field.one
-        return ColMap(self.mono.field, self.dim, self.dim,
-                      [self.k_terms(side, w, {j: one}) for j in range(self.dim)])
 
     def k_terms(self, side, w, terms):
         """The ``side`` ("left" or "right") action of the K-element ``w`` on a
@@ -590,13 +588,6 @@ def _act(acc, cols, terms, scale=None):
         for i, e in cols[j].items():
             add_term(acc, i, e * c)
     return acc
-
-
-def _power(m, p, ident):
-    out = ident
-    for _ in range(p):
-        out = m.compose(out)
-    return out
 
 
 def regular_bimodule(mono):

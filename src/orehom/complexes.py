@@ -10,14 +10,15 @@ term dicts by putting their quotient coordinates at the free columns of
 the space, so they are reproducible.
 
 One map object may sit at several degrees (C^S shares d_r with d_{r + 2v}),
-so the d.d check composes each distinct (d_{r-1}, d_r) pair once,
+so the d.d check tests each distinct (d_{r-1}, d_r) pair once, column by
+column,
 ``homology_dims`` ranks each distinct d_r once, and ``homology`` eliminates
 once per distinct (space, d_r, d_{r+1}, top-degree flag) of the complex.
 """
 
 from __future__ import annotations
 
-from .linalg import EchelonSet, kernel_basis, sparse_rank
+from .linalg import EchelonSet, kernel_basis, relation_holds, sparse_rank
 
 
 class ComplexError(ValueError):
@@ -25,9 +26,9 @@ class ComplexError(ValueError):
 
 
 def composes_to_zero(seen, a, b):
-    """a . b == 0, composed once per distinct (a, b) object pair kept in ``seen``."""
+    """a . b == 0, tested once per distinct (a, b) object pair kept in ``seen``."""
     key = (id(a), id(b))
-    if key not in seen and a.compose(b).is_zero():
+    if key not in seen and relation_holds(b.ncols, [(1, [a, b])]):
         seen.add(key)
     return key in seen
 

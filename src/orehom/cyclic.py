@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .algebra import eigen_split
 from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
-from .linalg import ColMap, EchelonSet, add_terms, quotient_dim, solve, sparse_rank, sub_terms, subquotient
+from .linalg import (ColMap, EchelonSet, add_terms, quotient_dim, relation_holds, solve, sparse_rank, sub_terms,
+                     subquotient)
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -56,16 +57,16 @@ class MixedComplexData:
             self._check()
 
     def _check(self):
-        zero_pairs = set()  # b.b is composed once per distinct (b_r, b_{r+1}) pair
+        b, B = self.b, self.B
+        zero_pairs = set()  # b.b is tested once per distinct (b_r, b_{r+1}) pair
         for r in range(1, self.max_degree):
-            if not composes_to_zero(zero_pairs, self.b[r], self.b[r + 1]):
+            if not composes_to_zero(zero_pairs, b[r], b[r + 1]):
                 raise ComplexError(f"b.b != 0 at degree {r + 1}")
         for r in range(0, self.max_degree - 1):
-            if not self.B[r + 1].compose(self.B[r]).is_zero():
+            if not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
                 raise ComplexError(f"B.B != 0 at degree {r}")
         for r in range(1, self.max_degree):
-            anti = self.b[r + 1].compose(self.B[r]).add(self.B[r - 1].compose(self.b[r]))
-            if not anti.is_zero():
+            if not relation_holds(B[r].ncols, [(1, [b[r + 1], B[r]]), (1, [B[r - 1], b[r]])]):
                 raise ComplexError(f"bB + Bb != 0 at degree {r}")
 
     def dim(self, r):
@@ -232,19 +233,10 @@ class BCTotal:
             for (p, deg, off, d) in src_blocks:
                 B = mixed.B.get(deg) if p >= 1 else None
                 for jj in range(d):
-                    col = {}
-                    if deg >= 1:
-                        for i, e in mixed.b[deg].cols[jj].items():
-                            col[tgt_off[p] + i] = e
+                    # b lands in column p and B in column p - 1: their rows never meet
+                    col = {tgt_off[p] + i: e for i, e in mixed.b[deg].cols[jj].items()} if deg >= 1 else {}
                     if B is not None:
-                        for i, e in B.cols[jj].items():
-                            key = tgt_off[p - 1] + i
-                            cur = col.get(key)
-                            cur = e if cur is None else cur + e
-                            if cur:
-                                col[key] = cur
-                            elif key in col:
-                                del col[key]
+                        col.update((tgt_off[p - 1] + i, e) for i, e in B.cols[jj].items())
                     cm.set_col(off + jj, col)
             boundaries[N] = cm
         self.complex = ChainComplex(field, spaces, boundaries)

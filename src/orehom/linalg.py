@@ -11,8 +11,11 @@ exact field (Q or a cyclotomic field).  Every linear map of the package
 (boundaries, comparison maps, alpha, the bimodule actions) is a
 column-sparse ``ColMap``, which may build each column on first read from a
 column function, and a quotient space keeps its projection as sparse
-columns too.  The dense ``Matrix`` and ``rref`` are a thin wrapper over
-``EchelonSet`` that the package does not call.
+columns too.  Every identity between maps is a relation tested one basis
+vector at a time by ``relation_holds``, which keeps no composed map;
+``chain_sum`` keeps such a sum of chains as a lazy map.  The dense
+``Matrix`` and ``rref`` are a thin wrapper over ``EchelonSet`` that the
+package does not call.
 """
 
 from __future__ import annotations
@@ -352,29 +355,98 @@ def subquotient(field, ambient_dim, spanning_vectors):
 class _Columns:
     """The columns of a ``ColMap`` made from a column function: column j is
     ``column(j)`` without its zero scalars, built the first time it is read
-    and kept.  Indexing, iteration and ``len`` read like a list of columns."""
+    and kept in a dict of the built columns.  Indexing, iteration and ``len``
+    read like a list of ``ncols`` columns."""
 
-    __slots__ = ("_built", "_column")
+    __slots__ = ("ncols", "_built", "_column")
 
     def __init__(self, ncols, column):
-        self._built = [None] * ncols
+        self.ncols = ncols
+        self._built = {}
         self._column = column
 
     def __getitem__(self, j):
-        col = self._built[j]
+        col = self._built.get(j)
         if col is None:
+            if not 0 <= j < self.ncols:
+                raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
             col = self._built[j] = {i: e for i, e in self._column(j).items() if e}
         return col
 
     def __len__(self):
-        return len(self._built)
+        return self.ncols
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._built)))
+        return map(self.__getitem__, range(self.ncols))
 
     @property
     def built(self):
-        return sum(col is not None for col in self._built)
+        return len(self._built)
+
+
+def _relation(ncols, terms):
+    """(row count, column function) of the sum of chains; see ``relation_holds``."""
+    steps = []
+    widths = set()
+    for c, chain in terms:
+        width = ncols
+        for m in reversed(chain):
+            if m.ncols != width:
+                raise ValueError("shape mismatch in composition")
+            width = m.nrows
+        widths.add(width)
+        if c:
+            steps.append((c, chain[-1].cols if chain else None, [m.apply for m in chain[-2::-1]]))
+    if len(widths) > 1:
+        raise ValueError("shape mismatch in sum")
+
+    def column(j):
+        acc = {}
+        for c, last, rest in steps:
+            if last is None:
+                vec = {j: c}
+            else:
+                # the last map of the chain reads its column j; the rest apply to it
+                vec = last[j]
+                for apply in rest:
+                    if not vec:
+                        break
+                    vec = apply(vec)
+                if vec and c != 1:
+                    vec = {i: -e for i, e in vec.items()} if c == -1 else {i: c * e for i, e in vec.items()}
+            if not acc:
+                acc = dict(vec)
+                continue
+            for i, e in vec.items():
+                cur = acc.get(i)
+                cur = e if cur is None else cur + e
+                if cur:
+                    acc[i] = cur
+                else:
+                    del acc[i]
+        return acc
+
+    return widths.pop(), column
+
+
+def relation_holds(ncols, terms):
+    """Whether ``sum_k c_k f_k1 o f_k2 o ... = 0`` on a domain of ``ncols``.
+
+    ``terms`` lists ``(c_k, [f_k1, f_k2, ...])``, each chain applied right
+    to left, the empty chain being the identity.  Each basis vector e_j is
+    pushed through every chain by ``apply``, from column j of its last map;
+    no composed map is kept, and the first nonzero column answers False.
+    Maps that do not compose, or chains of different row counts, raise
+    ``ValueError``.
+    """
+    _, column = _relation(ncols, terms)
+    return not any(map(column, range(ncols)))
+
+
+def chain_sum(field, ncols, terms):
+    """The sum of chains of ``relation_holds`` kept as a lazy ``ColMap``."""
+    nrows, column = _relation(ncols, terms)
+    return ColMap.lazy(field, nrows, ncols, column)
 
 
 class ColMap:
@@ -383,10 +455,11 @@ class ColMap:
     ``cols[j]`` maps the j-th domain basis vector to a dict
     ``{row_index: scalar}`` holding no zero scalar.  A map made by ``lazy``
     builds each column from its column function the first time it is read,
-    so ``apply`` builds only the columns in the support of its argument, and
-    a whole-map reader (``compose``, ``==``, elimination) builds every
-    column through the same function.  Elimination reads the columns as they
-    are.
+    so ``apply`` builds only the columns in the support of its argument.
+    Identities between maps, ``==`` among them, are relations read column by
+    column (``relation_holds``); ``compose`` builds a whole product, for the
+    maps that are kept (the powers of alpha and of x, and the transferred
+    D).  Elimination reads the columns as they are.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -424,39 +497,20 @@ class ColMap:
         return out
 
     def compose(self, other):
-        """self o other (apply ``other`` first)."""
+        """self o other (apply ``other`` first), kept as a whole map."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
         return ColMap(self.field, self.nrows, other.ncols, [self.apply(col) for col in other.cols])
-
-    def add(self, other, sign=1):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in sum")
-        cols = []
-        for mine, theirs in zip(self.cols, other.cols):
-            col = dict(mine)
-            for i, e in theirs.items():
-                term = e if sign == 1 else -e
-                acc = col.get(i)
-                acc = term if acc is None else acc + term
-                if acc:
-                    col[i] = acc
-                elif i in col:
-                    del col[i]
-            cols.append(col)
-        return ColMap(self.field, self.nrows, self.ncols, cols)
-
-    def sub(self, other):
-        return self.add(other, sign=-1)
 
     def is_zero(self):
         return all(not col for col in self.cols)
 
     def __eq__(self, other):
+        """Same shape, and the relation self - other = 0 holds."""
         return (
             isinstance(other, ColMap)
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.sub(other).is_zero()
+            and relation_holds(self.ncols, [(1, [self]), (-1, [other])])
         )
 
     def __repr__(self):

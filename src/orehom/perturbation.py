@@ -3,17 +3,17 @@
 A deformation retract here is (Y, d_Y) <-- p -- (X, d_X) -- i --> with
 p i = id and a homotopy h: X_* -> X_{*+1} satisfying
 
-    i p - id = d h + h d            (matrix identity, verified),
+    i p - id = d h + h d,
 
-special when additionally h h = p h = h i = 0.  Given a degree -1
-perturbation delta with (d + delta)^2 = 0 and delta*h locally nilpotent,
-the transferred data
+special when additionally h h = p h = h i = 0, each identity checked as a
+relation (``linalg.relation_holds``).  Given a degree -1 perturbation delta
+with (d + delta)^2 = 0 and delta*h locally nilpotent, the transferred data
 
     d1 = d_Y + p D i,  i1 = i + h D i,  p1 = p + p D h,  h1 = h + h D h,
     D  = sum_j (delta h)^j delta,
 
-is again a deformation retract onto (X, d + delta), special if the input
-was; all of that is re-verified on construction.
+kept as sums of chains, is again a deformation retract onto (X, d + delta),
+special if the input was; ``verify_perturbed`` runs the retract checks on it.
 
 The use this package makes of it: X is the total complex of the double
 complex of (bar, b, 0), Y the one of (C^S, d, 0), i/p/h the blockwise
@@ -27,11 +27,18 @@ from __future__ import annotations
 
 from .complexes import ChainComplex
 from .cyclic import BCTotal, MixedComplexData
-from .linalg import ColMap
+from .linalg import ColMap, add_terms, chain_sum, relation_holds
 
 
 class PerturbationError(ValueError):
     pass
+
+
+def homotopy_terms(d, h, i, p, r):
+    """The relation d h + h d - i p + id = 0 in degree r, for maps given by
+    degree (``d(r)``: X_r -> X_{r-1}); h_{-1} = 0 leaves out h d at r = 0."""
+    terms = [(1, [d(r + 1), h(r)]), (-1, [i(r), p(r)]), (1, [])]
+    return terms + [(1, [h(r - 1), d(r)])] if r else terms
 
 
 class DeformationRetract:
@@ -46,50 +53,41 @@ class DeformationRetract:
         self.max_degree = min(Y.max_degree, X.max_degree)
 
     def verify(self, up_to=None):
-        """Retract identities as matrix identities; returns a report dict."""
+        """Retract identities in degrees <= up_to; returns a report dict."""
         top = self.max_degree if up_to is None else up_to
-        field = self.Y.field
-        report = {}
-        report["pi=id"] = all(
-            self.proj[r].compose(self.incl[r]) == ColMap.identity(field, self.Y.dim(r))
-            for r in range(top + 1)
-        )
-        report["i chain"] = all(
-            self.X.boundary(r).compose(self.incl[r]) == self.incl[r - 1].compose(self.Y.boundary(r))
-            for r in range(1, top + 1)
-        )
-        report["p chain"] = all(
-            self.Y.boundary(r).compose(self.proj[r]) == self.proj[r - 1].compose(self.X.boundary(r))
-            for r in range(1, top + 1)
-        )
-        hom = True
-        for r in range(0, top):
-            lhs = self.X.boundary(r + 1).compose(self.h[r])
-            if r >= 1:
-                lhs = lhs.add(self.h[r - 1].compose(self.X.boundary(r)))
-            rhs = self.incl[r].compose(self.proj[r]).sub(ColMap.identity(field, self.X.dim(r)))
-            if lhs != rhs:
-                hom = False
-        report["homotopy"] = hom
-        return report
+        X, Y, i, p, h = self.X, self.Y, self.incl, self.proj, self.h
+        dX, dY = X.boundary, Y.boundary
+        return {
+            "pi=id": all(relation_holds(Y.dim(r), [(1, [p[r], i[r]]), (-1, [])]) for r in range(top + 1)),
+            "i chain": all(relation_holds(Y.dim(r), [(1, [dX(r), i[r]]), (-1, [i[r - 1], dY(r)])])
+                           for r in range(1, top + 1)),
+            "p chain": all(relation_holds(X.dim(r), [(1, [dY(r), p[r]]), (-1, [p[r - 1], dX(r)])])
+                           for r in range(1, top + 1)),
+            "homotopy": all(relation_holds(X.dim(r), homotopy_terms(dX, h.get, i.get, p.get, r)) for r in range(top)),
+        }
+
+    def special(self, up_to=None):
+        """The side conditions h h = p h = h i = 0 below up_to; a report dict."""
+        top = (self.max_degree if up_to is None else up_to) - 1
+        X, Y, h = self.X, self.Y, self.h
+        return {
+            "h h = 0": all(relation_holds(X.dim(r), [(1, [h[r + 1], h[r]])]) for r in range(top)),
+            "p h = 0": all(relation_holds(X.dim(r), [(1, [self.proj[r + 1], h[r]])]) for r in range(top + 1)),
+            "h i = 0": all(relation_holds(Y.dim(r), [(1, [h[r], self.incl[r]])]) for r in range(top + 1)),
+        }
 
     def is_special(self, up_to=None):
-        top = (self.max_degree if up_to is None else up_to) - 1
-        hh = all(self.h[r + 1].compose(self.h[r]).is_zero() for r in range(top))
-        ph = all(self.proj[r + 1].compose(self.h[r]).is_zero() for r in range(top + 1))
-        hi = all(self.h[r].compose(self.incl[r]).is_zero() for r in range(top + 1))
-        return hh and ph and hi
+        return all(self.special(up_to).values())
 
 
-class PerturbedRetract:
-    def __init__(self, retract, delta, Y1, incl1, proj1, h1, transferred):
-        self.base = retract
-        self.delta = delta
-        self.Y1 = Y1  # ChainComplex (Y, d_Y + pDi)
-        self.incl1 = incl1
-        self.proj1 = proj1
-        self.h1 = h1
-        self.transferred = transferred  # the pDi part alone
+class PerturbedRetract(DeformationRetract):
+    """(Y, d_Y + pDi) <- (X, d + delta) with i1, p1 and h1; ``base`` is the
+    retract it was transferred from and ``transferred`` the pDi part alone."""
+
+    def __init__(self, base, delta, transferred, *retract):
+        super().__init__(*retract)
+        self.base, self.delta, self.transferred = base, delta, transferred
+        self.Y1, self.incl1, self.proj1, self.h1 = self.Y, self.incl, self.proj, self.h
 
 
 def perturb(retract, delta, nilpotency_bound=None):
@@ -99,90 +97,57 @@ def perturb(retract, delta, nilpotency_bound=None):
     (id - delta h)^{-1} must terminate within ``nilpotency_bound`` steps on
     each degree (default: the degree window).
     """
-    X, Y = retract.X, retract.Y
+    X, Y, incl, proj, h = retract.X, retract.Y, retract.incl, retract.proj, retract.h
     field = Y.field
     top = retract.max_degree
     bound = nilpotency_bound or (top + 2)
-    # (d + delta)^2 = 0
+    dX = {r: chain_sum(field, X.dim(r), [(1, [X.boundary(r)]), (1, [delta[r]])]) for r in range(1, top + 1)}
     for r in range(2, top + 1):
-        dd = X.boundary(r - 1).add(delta[r - 1]).compose(X.boundary(r).add(delta[r]))
-        if not dd.is_zero():
+        if not relation_holds(X.dim(r), [(1, [dX[r - 1], dX[r]])]):
             raise PerturbationError(f"(d + delta)^2 != 0 at degree {r}")
-    # Delta_r = sum_j (delta h)^j delta
+    # Delta_r = sum_j (delta h)^j delta, one geometric series per column: a
+    # column is nonzero after k steps exactly when the whole term is
     Delta = {}
     for r in range(1, top + 1):
-        term = delta[r]
-        acc = term
-        steps = 0
-        while not term.is_zero():
-            steps += 1
-            if steps > bound:
-                raise PerturbationError(f"delta*h not nilpotent within {bound} steps at degree {r}")
-            term = delta[r].compose(retract.h[r - 1].compose(term))
-            acc = acc.add(term)
-        Delta[r] = acc
-    d1 = {}
-    incl1 = {}
-    proj1 = {}
-    h1 = {}
-    transferred = {}
-    for r in range(0, top + 1):
-        if r >= 1:
-            transferred[r] = retract.proj[r - 1].compose(Delta[r].compose(retract.incl[r]))
-            d1[r] = Y.boundary(r).add(transferred[r])
-            incl1[r] = retract.incl[r].add(retract.h[r - 1].compose(Delta[r].compose(retract.incl[r])))
-        else:
-            incl1[r] = retract.incl[r]
-        if r < top:
-            proj1[r] = retract.proj[r].add(retract.proj[r].compose(Delta[r + 1].compose(retract.h[r])))
-            h1[r] = retract.h[r].add(retract.h[r].compose(Delta[r + 1].compose(retract.h[r])))
-    Y1 = ChainComplex(field, Y.spaces, d1, check=False)
+        cols = []
+        for j in range(X.dim(r)):
+            term = delta[r].cols[j]
+            acc = dict(term)
+            steps = 0
+            while term:
+                steps += 1
+                if steps > bound:
+                    raise PerturbationError(f"delta*h not nilpotent within {bound} steps at degree {r}")
+                term = delta[r].apply(h[r - 1].apply(term))
+                add_terms(acc, term)
+            cols.append(acc)
+        Delta[r] = ColMap(field, X.dim(r - 1), X.dim(r), cols)
+    transferred = {r: chain_sum(field, Y.dim(r), [(1, [proj[r - 1], Delta[r], incl[r]])]) for r in Delta}
+    d1 = {r: chain_sum(field, Y.dim(r), [(1, [Y.boundary(r)]), (1, [transferred[r]])]) for r in Delta}
+    incl1 = {r: chain_sum(field, Y.dim(r), [(1, [incl[r]]), (1, [h[r - 1], Delta[r], incl[r]])]) for r in Delta}
+    incl1[0] = incl[0]
+    proj1 = {r: chain_sum(field, X.dim(r), [(1, [proj[r]]), (1, [proj[r], Delta[r + 1], h[r]])]) for r in range(top)}
+    h1 = {r: chain_sum(field, X.dim(r), [(1, [h[r]]), (1, [h[r], Delta[r + 1], h[r]])]) for r in range(top)}
     for r in range(2, top + 1):
-        if not d1[r - 1].compose(d1[r]).is_zero():
+        if not relation_holds(Y.dim(r), [(1, [d1[r - 1], d1[r]])]):
             raise PerturbationError(f"perturbed differential does not square to zero at {r}")
-    return PerturbedRetract(retract, delta, Y1, incl1, proj1, h1, transferred)
+    return PerturbedRetract(retract, delta, transferred, ChainComplex(field, Y.spaces, d1, check=False),
+                            ChainComplex(field, X.spaces, dX, check=False), incl1, proj1, h1)
+
+
+# the retract checks under the names of the perturbed maps
+_PERTURBED_NAMES = {"pi=id": "p1 i1 = id", "i chain": "i1 chain", "p chain": "p1 chain", "homotopy": "homotopy",
+                    "h h = 0": "h1 h1 = 0", "p h = 0": "p1 h1 = 0", "h i = 0": "h1 i1 = 0"}
 
 
 def verify_perturbed(pert, up_to=None):
-    """The homotopy-equivalence (and special) identities for the output."""
-    retract = pert.base
-    X, Y = retract.X, retract.Y
-    field = Y.field
-    top = (retract.max_degree if up_to is None else up_to)
-    dX = {r: X.boundary(r).add(pert.delta[r]) for r in range(1, retract.max_degree + 1)}
-    report = {}
-    report["p1 i1 = id"] = all(
-        pert.proj1[r].compose(pert.incl1[r]) == ColMap.identity(field, Y.dim(r))
-        for r in range(top)
-    )
-    report["i1 chain"] = all(
-        dX[r].compose(pert.incl1[r]) == pert.incl1[r - 1].compose(pert.Y1.boundary(r))
-        for r in range(1, top)
-    )
-    report["p1 chain"] = all(
-        pert.Y1.boundary(r).compose(pert.proj1[r]) == pert.proj1[r - 1].compose(dX[r])
-        for r in range(1, top)
-    )
-    hom = True
-    for r in range(0, top - 1):
-        lhs = dX[r + 1].compose(pert.h1[r])
-        if r >= 1:
-            lhs = lhs.add(pert.h1[r - 1].compose(dX[r]))
-        rhs = pert.incl1[r].compose(pert.proj1[r]).sub(ColMap.identity(field, X.dim(r)))
-        if lhs != rhs:
-            hom = False
-    report["homotopy"] = hom
-    if retract.is_special(up_to=top):
-        report["h1 h1 = 0"] = all(
-            pert.h1[r + 1].compose(pert.h1[r]).is_zero() for r in range(top - 2)
-        )
-        report["p1 h1 = 0"] = all(
-            pert.proj1[r + 1].compose(pert.h1[r]).is_zero() for r in range(top - 1)
-        )
-        report["h1 i1 = 0"] = all(
-            pert.h1[r].compose(pert.incl1[r]).is_zero() for r in range(top - 1)
-        )
-    return report
+    """The homotopy-equivalence (and special) identities for the output, in
+    the degrees where every map they read is defined: below ``up_to``."""
+    top = (pert.base.max_degree if up_to is None else up_to) - 1
+    report = pert.verify(up_to=top)
+    if pert.base.is_special(up_to=top + 1):
+        report.update(pert.special(up_to=top))
+    return {_PERTURBED_NAMES[key]: ok for key, ok in report.items()}
 
 
 # -- the cyclic transfer retract ---------------------------------------------------
@@ -216,39 +181,36 @@ def build_cyclic_retract(ws, max_N=5):
 
 def transferred_block(pert, Yside, N, p_from, p_to):
     """Extract the (column p_to <- column p_from) block of the transferred map."""
-    blocks_src = {p: (deg, off, d) for (p, deg, off, d) in Yside.blocks[N]}
-    blocks_tgt = {p: (deg, off, d) for (p, deg, off, d) in Yside.blocks[N - 1]}
-    deg_s, off_s, d_s = blocks_src[p_from]
-    deg_t, off_t, d_t = blocks_tgt[p_to]
-    out = ColMap(Yside.mixed.field, d_t, d_s)
-    tr = pert.transferred[N]
-    for jj in range(d_s):
-        col = {}
-        for i, e in tr.cols[off_s + jj].items():
-            if off_t <= i < off_t + d_t:
-                col[i - off_t] = e
-        out.set_col(jj, col)
-    return out
+    off, d = Yside._column(N, p_from)
+    cols = [Yside.block(N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
+    return ColMap(Yside.mixed.field, Yside._column(N - 1, p_to)[1], d, cols)
 
 
 def vanishing_check(ws, j_max=2, r_max=3):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
-    Evaluated through the normalized complex of the workspace ``ws`` as
-    compositions, the chain for j extending the one for j - 1; each
-    composition builds only the columns of the higher maps that the images
-    of the phi columns reach.  The report maps (j, r) to a boolean.  Needs
-    bar and C^S data up to level r_max + 2 j_max + 1, to which the workspace
-    grows (its kept maps stay valid).
+    Evaluated through the normalized complex of the workspace ``ws``: each
+    column of phi is pushed through B, then omega and B j times, and psi
+    tests it, so only the columns of the higher maps that the images of the
+    phi columns reach are built, and no composed map is kept.  The report
+    maps (j, r) to a boolean.  Needs bar and C^S data up to level
+    r_max + 2 j_max + 1, to which the workspace grows (its kept maps stay
+    valid).
     """
     top = r_max + 2 * j_max + 1
     bar, comparison = ws.bar(top), ws.comparison(top)
     report = {}
     for r in range(0, r_max + 1):
-        chain = bar.connes_B(r).compose(comparison.phi(r))
-        lev = r + 1
-        for j in range(1, j_max + 1):
-            chain = bar.connes_B(lev + 1).compose(comparison.omega(lev).compose(chain))
-            lev += 2
-            report[(j, r)] = comparison.psi(lev).compose(chain).is_zero()
+        phi, B = comparison.phi(r), bar.connes_B(r)
+        # (omega, B, psi) of step j, starting from level r + 2j - 1
+        steps = [(comparison.omega(lev), bar.connes_B(lev + 1), comparison.psi(lev + 2))
+                 for lev in range(r + 1, r + 2 * j_max, 2)]
+        ok = [True] * j_max
+        for c in range(phi.ncols):
+            vec = B.apply(phi.cols[c])
+            for j, (omega, B_next, psi) in enumerate(steps):
+                vec = B_next.apply(omega.apply(vec))
+                if psi.apply(vec):
+                    ok[j] = False
+        report.update(((j + 1, r), holds) for j, holds in enumerate(ok))
     return report

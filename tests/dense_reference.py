@@ -79,6 +79,12 @@ def solve(field, columns, b):
     return x
 
 
+def mat_mul(a, b, ncols):
+    """The product a b of dense matrices given as lists of rows, b having
+    ``ncols`` columns (a has as many columns as b has rows)."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), 0) for j in range(ncols)] for row in a]
+
+
 def reduce(red, pivots, vec):
     """``vec`` minus its combination of the RREF rows at their pivots."""
     out = list(vec)

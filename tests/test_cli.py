@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orehom import cli
+from orehom import bar, cli
+from orehom.linalg import ColMap
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_kvec, encode_scalar, parse_spec
 from orehom.fields import make_field
@@ -589,3 +590,83 @@ def test_perfbench_tracer_finds_every_target():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("hh", "--max-degree", "0", "--oracle"), "--oracle: the oracle window 0..-1 has no degree"),
+    (("hc", "--max-degree", "0", "--oracle"), "--oracle: the oracle window 0..-2 has no degree"),
+    (("hc", "--max-degree", "1", "--oracle"), "--oracle: the oracle window 0..-1 has no degree"),
+])
+def test_oracle_over_an_empty_window_is_refused(capsys, argv, refusal):
+    # no degree to compare: a refusal, not an agreement over nothing
+    code, rep = run_json(capsys, argv[0], "--spec", "taft:3", *argv[1:])
+    assert code == 0
+    assert rep["refusals"] == [refusal]
+    assert "oracle" not in rep["modes"]
+    assert not any("oracle" in c["against"] for c in rep["comparisons"])
+
+
+@pytest.mark.parametrize("md, left_out", [
+    (1, {"d.d = 0 on the small complex", "b.b = 0 on the normalized complex", "B.B = 0", "bB + Bb = 0",
+         "b'w' + w'b' = phi'psi' - id", "bw + wb = phi psi - id", "deg(w'(a)) <= deg(a)",
+         "DD = 0 and dD + Dd = 0 on C^S", "D = psi B phi"}),
+    (2, {"bB + Bb = 0", "b'w' + w'b' = phi'psi' - id"}),
+])
+def test_verify_leaves_out_checks_with_no_degree_to_test(capsys, md, left_out):
+    code, rep = run_json(capsys, "verify", "--spec", "taft:3", "--max-degree", str(md))
+    _, full = run_json(capsys, "verify", "--spec", "taft:3", "--max-degree", "3")
+    assert code == 0 and rep["all_passed"] is True
+    names = [c["check"] for c in rep["checks"]]
+    assert names == [c["check"] for c in full["checks"] if c["check"] not in left_out]
+
+
+def _corrupt_last_column(m, extra):
+    """The map m with the term dict ``extra`` added to its last column."""
+    def column(j):
+        col = dict(m.cols[j])
+        if j == m.ncols - 1:
+            for i, e in extra.items():
+                col[i] = col.get(i, 0) + e
+        return col
+    return ColMap.lazy(m.field, m.nrows, m.ncols, column)
+
+
+def _checks(rep):
+    return {c["check"]: c["passed"] for c in rep["checks"]}
+
+
+def test_verify_fails_on_a_corrupted_last_column_of_omega_prime(capsys, monkeypatch):
+    # the checker reads every column: a wrong last column of omega'(2) fails
+    # b'w' + w'b' = phi'psi' - id
+    original = bar.BarResolution.omega
+    corrupted = {}
+
+    def omega(self, r):
+        if r != 2:
+            return original(self, r)
+        if id(self) not in corrupted:
+            corrupted[id(self)] = _corrupt_last_column(original(self, r), {0: 1})
+        return corrupted[id(self)]
+
+    monkeypatch.setattr(bar.BarResolution, "omega", omega)
+    code, rep = run_json(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
+    assert code == 2
+    assert _checks(rep)["b'w' + w'b' = phi'psi' - id"] is False
+    assert rep["all_passed"] is False
+
+
+def test_verify_fails_on_a_corrupted_perturbed_inclusion(capsys, monkeypatch):
+    # i1_1 with its column 0 added to its last column: p1 i1 = id fails there
+    original = cli.perturb
+
+    def perturb(retract, delta):
+        pert = original(retract, delta)
+        pert.incl1[1] = _corrupt_last_column(pert.incl1[1], pert.incl1[1].cols[0])
+        return pert
+
+    monkeypatch.setattr(cli, "perturb", perturb)
+    code, rep = run_json(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
+    assert code == 2
+    checks = _checks(rep)
+    assert checks["perturbed retract identities"] is False
+    assert checks["transfer retract identities"] is True

@@ -6,10 +6,11 @@ elimination reads sparse term dicts with no dense bridge, the dense
 K and of A is a sparse dict (the dense vector helpers and ``AElement`` are
 gone), every rank is a ``sparse_rank``, the structure of A is read off
 sparse products in K, every import is used, no module builds an argparse
-or optparse parser, ``set_col`` edits only a ColMap built in the same
-function (a small-complex boundary is shared across degrees), and no code
-outside ``fields.py`` divides (``int / int`` is a float) or looks inside a
-``CycScalar``."""
+or optparse parser, ``ColMap`` has no whole-map sum and the identity checks
+of ``cli.py`` and ``perturbation.py`` compose no map, ``set_col`` edits only
+a ColMap built in the same function (a small-complex boundary is shared
+across degrees), and no code outside ``fields.py`` divides (``int / int`` is
+a float) or looks inside a ``CycScalar``."""
 
 import ast
 from fractions import Fraction
@@ -110,6 +111,25 @@ def test_elements_of_k_and_a_have_one_sparse_layout():
     gone = {"AElement", "a_multiply", "mul_vec", "_kvec", "vec_add", "vec_sub", "vec_is_zero",
             "alpha_apply", "zero_a", "one_a", "a_from_kvec", "a_from_coords", "a_from_terms", "a_coords"}
     assert _defined(gone) == []
+
+
+def test_identities_are_relations_not_composed_maps():
+    # every identity between maps is checked column by column by
+    # ``relation_holds``: ColMap has no whole-map sum, and the identity
+    # checks of cli.py and perturbation.py compose no map
+    tree = _tree(ROOT / "src" / "orehom" / "linalg.py")
+    colmap = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "ColMap")
+    methods = {node.name for node in colmap.body if isinstance(node, ast.FunctionDef)}
+    assert methods & {"add", "sub"} == set()
+    assert {"compose", "__eq__"} <= methods  # kept maps, and perfbench/tracer.py targets both
+    composed = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("cli.py", "perturbation.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "compose"
+    ]
+    assert composed == []
 
 
 def test_no_dense_projection_or_section_is_read():

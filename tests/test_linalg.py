@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,7 +11,9 @@ from orehom.linalg import (
     ColMap,
     EchelonSet,
     Matrix,
+    chain_sum,
     kernel_basis,
+    relation_holds,
     rref,
     solve,
     sparse,
@@ -343,3 +346,90 @@ def test_sparse_rank_matches_rref(field, shapes, zero_blocks, empty_cols, data):
     before = [dict(col) for col in cols]
     assert sparse_rank(cols) == expected
     assert cols == before
+
+
+@fields
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relation_checker_matches_the_dense_sum_of_products(field, data):
+    """Up to three chains of 0-3 maps between spaces of dimension 0-3, with
+    coefficients +-1 and 1/2: ``relation_holds`` and ``chain_sum`` agree with
+    the dense sum of products, and a last term cancelling that sum makes the
+    relation hold."""
+    dim = lambda: data.draw(st.integers(min_value=0, max_value=3))
+    n, m = dim(), dim()
+    total = [[field.zero] * n for _ in range(m)]
+    terms = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        length = data.draw(st.integers(min_value=0 if m == n else 1, max_value=3))
+        dims = [n] + [dim() for _ in range(length - 1)] + [m] if length else [n]
+        chain = []
+        product = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+        for k in range(length):
+            rows = draw_vectors(field, dims[k + 1], dims[k], data)
+            chain.insert(0, ColMap(field, dims[k + 1], dims[k], columns_of(rows, dims[k])))
+            product = ref.mat_mul(rows, product, n)
+        c = data.draw(st.sampled_from([1, -1, Fr(1, 2)]))
+        terms.append((c, chain))
+        total = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(total, product)]
+    assert relation_holds(n, terms) == (not any(any(row) for row in total))
+    summed = chain_sum(field, n, terms)
+    assert (summed.nrows, summed.ncols) == (m, n)
+    assert [ref.dense(col, m, field.zero) for col in summed.cols] == ref.transpose(total, n)
+    assert relation_holds(n, terms + [(-1, [ColMap(field, m, n, columns_of(total, n))])])
+
+
+def test_relation_checker_refuses_maps_that_do_not_compose():
+    a, b = ColMap(Q, 2, 3), ColMap(Q, 3, 2)
+    assert relation_holds(2, [(1, [a, b])]) and relation_holds(3, [(1, [b, a]), (-1, [b, a])])
+    for ncols, terms in [
+        (3, [(1, [a, a])]),  # a's rows are not a's domain
+        (2, [(1, [a])]),  # the domain is not a's
+        (3, [(1, [a]), (-1, [])]),  # 2 rows against the 3 of the identity
+        (2, [(1, [a, b]), (1, [b])]),
+    ]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relation_holds(ncols, terms)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            chain_sum(Q, ncols, terms)
+    # == compares shapes before reading columns
+    assert ColMap(Q, 2, 3) != ColMap(Q, 2, 2)
+
+
+def test_relation_checker_stops_at_the_first_nonzero_column():
+    read = []
+
+    def column(j):
+        read.append(j)
+        return {0: Fr(1)} if j in (2, 4) else {}
+
+    m = ColMap.lazy(Q, 1, 6, column)
+    assert not relation_holds(6, [(1, [m])])
+    assert read == [0, 1, 2]
+    assert relation_holds(6, [(1, [m]), (-1, [m])])
+
+
+def test_a_lazy_map_keeps_only_the_columns_it_built():
+    read = []
+
+    def column(j):
+        read.append(j)
+        return {0: Fr(j), 1: Fr(0)}
+
+    tracemalloc.start()
+    try:
+        m = ColMap.lazy(Q, 2, 10 ** 7, column)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10 ** 4  # no storage per column
+    assert (len(m.cols), m.cols.built, read) == (10 ** 7, 0, [])
+    assert m.cols[123456] == {0: Fr(123456)}
+    assert m.cols[123456] == {0: Fr(123456)}
+    assert (m.cols.built, read) == (1, [123456])
+    assert m.apply({5: Fr(2), 123456: Fr(1)}) == {0: Fr(10 + 123456)}
+    assert (m.cols.built, read) == (2, [123456, 5])
+    for j in (-1, 10 ** 7):
+        with pytest.raises(IndexError):
+            m.cols[j]
+    assert m.cols.built == 2
