@@ -105,12 +105,6 @@ class BaseAlgebra:
         one = self.field.one
         return ColMap(self.field, self.dim, self.dim, [self.product(u, {j: one}) for j in range(self.dim)])
 
-    def right_mult_map(self, u):
-        """Right multiplication by the K-element u as a ColMap; column j is the
-        sparse product e_j u."""
-        one = self.field.one
-        return ColMap(self.field, self.dim, self.dim, [self.product({j: one}, u) for j in range(self.dim)])
-
     def is_invertible(self, u):
         return sparse_rank(self.left_mult_map(u).cols) == self.dim
 

@@ -7,11 +7,11 @@ the positionals; ``-h``/``--help`` prints help built from the table and
 exits 0.  No parser is built at import.
 
 Exit codes: 0 success, 1 bad spec (validation failure, a negative
-``--max-degree``), 2 usage error (a ``usage:`` line and an ``orehom:
-error: ...`` line naming the argument on stderr) or identity-suite
-failure.  Reports are deterministic; ``--json`` switches the output to a
-single machine-readable object.  Spec files are UTF-8 JSON with exact
-scalars only (see spec_io for the schema).
+``--max-degree``) or out of memory, 2 usage error (a ``usage:`` line and an
+``orehom: error: ...`` line naming the argument on stderr) or
+identity-suite failure.  Reports are deterministic; ``--json`` switches the
+output to a single machine-readable object.  Spec files are UTF-8 JSON with
+exact scalars only (see spec_io for the schema).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .cyclic import (
     hc_closed_form,
     hc_rank_one,
 )
-from .linalg import relation_holds, sparse_rank, sub_terms
+from .linalg import anticommutator_terms, relation_holds, sparse_rank, sub_terms
 from .perturbation import (
     PerturbationError,
     build_cyclic_retract,
@@ -156,7 +156,9 @@ def cmd_hh(args):
             reps.append([_element_string(mono, parsed.bimodule, v) for v in h.representatives])
         report["representatives"] = reps
     collapse_ok = parsed.summary["collapse"]["holds"]
-    if args.decompose:
+    if args.decompose and not md:
+        report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
+    elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
             totals, percomp = hh_dims_eigen(mono, md - 1, parsed.collapse)
             report["modes"]["per_component"] = [
@@ -166,10 +168,10 @@ def cmd_hh(args):
                 {"against": "component sum", "agrees": totals == dims}
             )
         else:
-            report["refusals"] = report.get("refusals", []) + [
-                "--decompose needs verified collapse and diagonal alpha"
-            ]
-    if args.closed_form:
+            report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
+    if args.closed_form and not md:
+        report.setdefault("refusals", []).append("--closed-form: the window 0..-1 has no degree")
+    elif args.closed_form:
         added = False
         try:
             if mono.alpha_columns(1) is None:
@@ -200,13 +202,11 @@ def cmd_hh(args):
                     )
                 added = True
         except HypothesisError as exc:
-            report["refusals"] = report.get("refusals", []) + [str(exc)]
+            report.setdefault("refusals", []).append(str(exc))
         if not added:
-            report["refusals"] = report.get("refusals", []) + [
-                "--closed-form: no closed form has its hypothesis verified"
-            ]
+            report.setdefault("refusals", []).append("--closed-form: no closed form has its hypothesis verified")
     if args.oracle and not md:
-        report["refusals"] = report.get("refusals", []) + ["--oracle: the oracle window 0..-1 has no degree"]
+        report.setdefault("refusals", []).append("--oracle: the oracle window 0..-1 has no degree")
     elif args.oracle:
         bar_dims = homology_dims(ws.bar(md).chain_complex(), md - 1)
         report["modes"]["oracle"] = bar_dims
@@ -282,7 +282,9 @@ def cmd_hc(args):
         "comparisons": [],
     }
     collapse_ok = parsed.summary["collapse"]["holds"]
-    if args.closed_form:
+    if args.closed_form and not md:
+        report.setdefault("refusals", []).append("--closed-form: the window 0..-1 has no degree")
+    elif args.closed_form:
         if collapse_ok and parsed.summary["diagonalizable"]:
             cf = hc_closed_form(mono, md - 1, parsed.collapse)
             report["modes"]["closed_form_proof_reading"] = cf["proof_reading"]
@@ -306,8 +308,10 @@ def cmd_hc(args):
                      "agrees": r1["proof_reading"][:md] == dims[:len(r1["proof_reading"])]}
                 )
         else:
-            report["refusals"] = ["--closed-form needs verified collapse and diagonal alpha"]
-    if args.decompose:
+            report.setdefault("refusals", []).append("--closed-form needs verified collapse and diagonal alpha")
+    if args.decompose and not md:
+        report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
+    elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
             out = []
             total = None
@@ -318,11 +322,9 @@ def cmd_hc(args):
             report["modes"]["per_component"] = out
             report["comparisons"].append({"against": "component sum", "agrees": total == dims})
         else:
-            report["refusals"] = report.get("refusals", []) + [
-                "--decompose needs verified collapse and diagonal alpha"
-            ]
+            report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
     if args.oracle and md < 2:
-        report["refusals"] = report.get("refusals", []) + [f"--oracle: the oracle window 0..{md - 2} has no degree"]
+        report.setdefault("refusals", []).append(f"--oracle: the oracle window 0..{md - 2} has no degree")
     elif args.oracle:
         bar = ws.bar(md)
         barmixed = MixedComplexData(
@@ -370,8 +372,8 @@ def cmd_verify(args):
     if M.is_regular:
         check("B.B = 0", range(md - 1), f"degrees <= {md - 1}",
               lambda r: relation_holds(bar.dim(r), [(1, [B(r + 1), B(r)])]))
-        check("bB + Bb = 0", range(1, md - 1), f"degrees <= {md - 1}",
-              lambda r: relation_holds(bar.dim(r), [(1, [b(r + 1), B(r)]), (1, [B(r - 1), b(r)])]))
+        check("bB + Bb = 0", range(md - 1), f"degrees <= {md - 1}",
+              lambda r: relation_holds(bar.dim(r), anticommutator_terms(b, B, r)))
     barres = ws.barres(md)
     check("psi'phi' = id", range(md + 1), f"degrees <= {md}",
           lambda r: relation_holds(barres.resolution.dim(r), [(1, [barres.psi(r), barres.phi(r)]), (-1, [])]))
@@ -580,6 +582,10 @@ def main(argv=None):
         return 2
     except (AlgebraError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the window asked for does not fit: one line, no traceback
+        spec = getattr(args, "spec", None) or args.name
+        print(f"error: {args.cmd} {spec}: out of memory", file=sys.stderr)
         return 1
 
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .algebra import eigen_split
 from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
-from .linalg import (ColMap, EchelonSet, add_terms, quotient_dim, relation_holds, solve, sparse_rank, sub_terms,
-                     subquotient)
+from .linalg import (ColMap, EchelonSet, add_terms, anticommutator_terms, quotient_dim, relation_holds, solve,
+                     sparse_rank, sub_terms, subquotient)
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -65,8 +65,8 @@ class MixedComplexData:
         for r in range(0, self.max_degree - 1):
             if not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
                 raise ComplexError(f"B.B != 0 at degree {r}")
-        for r in range(1, self.max_degree):
-            if not relation_holds(B[r].ncols, [(1, [b[r + 1], B[r]]), (1, [B[r - 1], b[r]])]):
+        for r in range(self.max_degree):
+            if not relation_holds(B[r].ncols, anticommutator_terms(b.__getitem__, B.__getitem__, r)):
                 raise ComplexError(f"bB + Bb != 0 at degree {r}")
 
     def dim(self, r):

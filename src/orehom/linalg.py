@@ -3,19 +3,20 @@
 Every vector elimination reads is a sparse ``{index: scalar}`` dict holding
 no zero scalar, and elimination has one job per routine.  Every rank, and so
 every homology dimension, comes from ``sparse_rank``, which eliminates on
-sparse columns block by block.  Every reduced echelon basis of a span comes
-from ``EchelonSet``, which keeps its rows as sparse dicts and grows one
-vector at a time: membership, preimages, ``kernel_basis``, ``solve``,
-``quotient_dim`` and ``subquotient`` all read it.  Everything is over a fixed
-exact field (Q or a cyclotomic field).  Every linear map of the package
-(boundaries, comparison maps, alpha, the bimodule actions) is a
-column-sparse ``ColMap``, which may build each column on first read from a
-column function, and a quotient space keeps its projection as sparse
-columns too.  Every identity between maps is a relation tested one basis
-vector at a time by ``relation_holds``, which keeps no composed map;
-``chain_sum`` keeps such a sum of chains as a lazy map.  The dense
-``Matrix`` and ``rref`` are a thin wrapper over ``EchelonSet`` that the
-package does not call.
+sparse columns block by block, counts a block of one column or one row as
+rank 1 and inverts no pivot that scales nothing.  Every reduced echelon
+basis of a span comes from ``EchelonSet``, which keeps its rows as sparse
+dicts and grows one vector at a time: membership, preimages,
+``kernel_basis``, ``solve``, ``quotient_dim`` and ``subquotient`` all read
+it.  Everything is over a fixed exact field (Q or a cyclotomic field).
+Every linear map of the package (boundaries, comparison maps, alpha, the
+bimodule actions) is a column-sparse ``ColMap``, which may build each column
+on first read from a column function, and a quotient space keeps its
+projection as sparse columns too.  Every identity between maps is a relation
+tested one basis vector at a time by ``relation_holds``, which keeps no
+composed map; ``chain_sum`` keeps such a sum of chains as a lazy map.  The
+dense ``Matrix`` and ``rref`` are a thin wrapper over ``EchelonSet`` that
+the package does not call.
 """
 
 from __future__ import annotations
@@ -76,11 +77,15 @@ def sparse_rank(columns):
     """Rank of the matrix whose columns are the sparse ``{row: scalar}`` dicts.
 
     The columns are split into the connected components of the row-column
-    graph (a union-find over shared rows), and each block is eliminated on
-    its own in Markowitz order: the shortest live column gives the pivot, in
-    the sparsest of its rows with a +-1 entry if it has one, and the pivot
-    row is then cleared out of the other columns of the block.  The rank is
-    the number of pivots.  The input dicts are not modified.
+    graph (a union-find over shared rows).  A block of one column, or of one
+    row (every column one entry), has rank 1 and is counted as it is.  Other
+    blocks are eliminated in Markowitz order: the shortest live column gives
+    the pivot, in the sparsest of its rows with a +-1 entry if it has one (a
+    one-entry column has only its row).  A pivot row that no other live
+    column holds is counted and left; otherwise each column holding it loses
+    ``a / p`` times the pivot column, which is never rescaled, or only the
+    pivot row if the pivot column has no other entry.  The rank is the
+    number of pivots.  The input dicts are not modified.
     """
     cols = [col for col in columns if col]
     parent = {}
@@ -104,7 +109,7 @@ def sparse_rank(columns):
     blocks = {}
     for col in cols:
         blocks.setdefault(find(next(iter(col))), []).append(col)
-    return sum(_block_rank(block) for block in blocks.values())
+    return sum(1 if len(block) == 1 or max(map(len, block)) == 1 else _block_rank(block) for block in blocks.values())
 
 
 def _block_rank(block):
@@ -121,18 +126,19 @@ def _block_rank(block):
         col = cols[j]
         if col is None or len(col) != n or not n:
             continue
-        pr = min(col, key=lambda r: (not is_unit(col[r]), len(where[r])))
+        pr = next(iter(col)) if n == 1 else min(col, key=lambda r: (not is_unit(col[r]), len(where[r])))
         cols[j] = None
         rank += 1
         for r in col:
             where[r].discard(j)
+        targets = where.pop(pr)
+        if not targets:
+            continue
         p = col.pop(pr)
-        if p != 1:
-            inv = reciprocal(p)
-            col = {r: v * inv for r, v in col.items()}
-        for k in where.pop(pr):
+        inv = None if p == 1 or not col else reciprocal(p)  # a lone pivot entry needs no scaling
+        for k in targets:
             ck = cols[k]
-            a = ck.pop(pr)
+            a = ck.pop(pr) if inv is None else ck.pop(pr) * inv
             for r, v in col.items():
                 t = a * v
                 cur = ck.get(r)
@@ -443,6 +449,14 @@ def relation_holds(ncols, terms):
     return not any(map(column, range(ncols)))
 
 
+def anticommutator_terms(d, h, r):
+    """The chains of d h + h d in degree r, for maps given by degree
+    (``d(r)``: X_r -> X_{r-1}, ``h(r)``: X_r -> X_{r+1}); h_{-1} = 0 leaves
+    out h d at r = 0."""
+    terms = [(1, [d(r + 1), h(r)])]
+    return terms + [(1, [h(r - 1), d(r)])] if r else terms
+
+
 def chain_sum(field, ncols, terms):
     """The sum of chains of ``relation_holds`` kept as a lazy ``ColMap``."""
     nrows, column = _relation(ncols, terms)
@@ -501,9 +515,6 @@ class ColMap:
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
         return ColMap(self.field, self.nrows, other.ncols, [self.apply(col) for col in other.cols])
-
-    def is_zero(self):
-        return all(not col for col in self.cols)
 
     def __eq__(self, other):
         """Same shape, and the relation self - other = 0 holds."""

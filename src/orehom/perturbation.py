@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .complexes import ChainComplex
 from .cyclic import BCTotal, MixedComplexData
-from .linalg import ColMap, add_terms, chain_sum, relation_holds
+from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
 
 
 class PerturbationError(ValueError):
@@ -37,8 +37,7 @@ class PerturbationError(ValueError):
 def homotopy_terms(d, h, i, p, r):
     """The relation d h + h d - i p + id = 0 in degree r, for maps given by
     degree (``d(r)``: X_r -> X_{r-1}); h_{-1} = 0 leaves out h d at r = 0."""
-    terms = [(1, [d(r + 1), h(r)]), (-1, [i(r), p(r)]), (1, [])]
-    return terms + [(1, [h(r - 1), d(r)])] if r else terms
+    return anticommutator_terms(d, h, r) + [(-1, [i(r), p(r)]), (1, [])]
 
 
 class DeformationRetract:
@@ -177,13 +176,6 @@ def build_cyclic_retract(ws, max_N=5):
     delta = Xside.blockwise(B, Xside, max_N, degree_shift=-1, column_shift=1)
     retract = DeformationRetract(Yside.complex, Xside.complex, incl, proj, h)
     return retract, delta, (Yside, Xside)
-
-
-def transferred_block(pert, Yside, N, p_from, p_to):
-    """Extract the (column p_to <- column p_from) block of the transferred map."""
-    off, d = Yside._column(N, p_from)
-    cols = [Yside.block(N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
-    return ColMap(Yside.mixed.field, Yside._column(N - 1, p_to)[1], d, cols)
 
 
 def vanishing_check(ws, j_max=2, r_max=3):

@@ -78,10 +78,6 @@ def decode_scalar(field, obj, path="scalar"):
     raise AlgebraError(f"{path}: cannot decode scalar {obj!r}")
 
 
-def encode_kvec(field, vec):
-    return [encode_scalar(field, c) for c in vec]
-
-
 def decode_kvec(field, obj, dim, path="vector"):
     """A dense list of ``dim`` scalars as a sparse ``{index: scalar}`` dict."""
     if not isinstance(obj, list):

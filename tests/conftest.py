@@ -5,6 +5,7 @@ builds each level of each complex once.
 """
 
 from orehom.fields import make_field
+from orehom.linalg import ColMap
 from orehom.spec_io import build_example, cyclic_group, encode_scalar, parse_spec
 from orehom.workspace import Workspace
 
@@ -17,6 +18,23 @@ def get_context(name):
         parsed = parse_spec(build_example(name))
         ws = _WORKSPACES[name] = Workspace(parsed.mono, parsed.bimodule)
     return ws
+
+
+def encode_kvec(field, vec):
+    """A dense list of scalars as a spec document writes it."""
+    return [encode_scalar(field, c) for c in vec]
+
+
+def right_mult_map(K, u):
+    """Right multiplication by the K-element u as a ColMap; column j is the
+    sparse product e_j u."""
+    one = K.field.one
+    return ColMap(K.field, K.dim, K.dim, [K.product({j: one}, u) for j in range(K.dim)])
+
+
+def is_zero(m):
+    """Whether every column of the map m is zero."""
+    return not any(m.cols)
 
 
 SHIPPED = ("trunc:3", "sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4")

@@ -28,7 +28,7 @@ from orehom.linalg import ColMap, EchelonSet, sparse_rank, sub_terms
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
-from conftest import get_context, rank_one_doc
+from conftest import get_context, rank_one_doc, right_mult_map
 
 Q = make_field("rationals")
 
@@ -458,7 +458,7 @@ def test_multiplication_maps_are_the_dense_products(name):
     us = [ref.dense(K.basis_vector(i), K.dim, F.zero) for i in range(K.dim)] + [
         ref.dense(K.unit, K.dim, F.zero), spread, [a - b for a, b in zip(spread, ref.alpha_power(mono, 1, spread))]]
     for u in us:
-        left, right = K.left_mult_map(ref.sparse(u)), K.right_mult_map(ref.sparse(u))
+        left, right = K.left_mult_map(ref.sparse(u)), right_mult_map(K, ref.sparse(u))
         for j in range(K.dim):
             e = ref.dense(K.basis_vector(j), K.dim, F.zero)
             assert list(left.cols[j].items()) == list(ref.sparse(ref.k_product(K, u, e)).items())

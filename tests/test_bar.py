@@ -14,7 +14,7 @@ from orehom.linalg import ColMap, relation_holds, subquotient
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 from orehom.workspace import Workspace
 
-from conftest import SHIPPED, get_context
+from conftest import SHIPPED, get_context, is_zero, right_mult_map
 
 FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
@@ -47,14 +47,14 @@ def test_resolution_squares_to_zero():
     for name in FIXTURES:
         res = get_context(name).barres(5).resolution
         for r in range(2, 6):
-            assert res.d(r - 1).compose(res.d(r)).is_zero()
+            assert is_zero(res.d(r - 1).compose(res.d(r)))
 
 
 def test_bar_resolution_squares_to_zero():
     for name in FIXTURES:
         br = get_context(name).barres(5)
         for r in range(2, 6):
-            assert br.bprime(r - 1).compose(br.bprime(r)).is_zero()
+            assert is_zero(br.bprime(r - 1).compose(br.bprime(r)))
 
 
 def test_psi_phi_prime_identity():
@@ -95,7 +95,7 @@ def test_comparison_chain_maps():
 
 def test_omega_prime_base_case_zero():
     br = get_context("sweedler").barres(3)
-    assert br.omega(1).is_zero()
+    assert is_zero(br.omega(1))
 
 
 def test_omega_prime_homotopy_identity():
@@ -147,7 +147,7 @@ def test_bar_boundary_squares_to_zero():
     for name in FIXTURES:
         bar = get_context(name).bar(5)
         for r in range(2, 6):
-            assert bar.b(r - 1).compose(bar.b(r)).is_zero()
+            assert is_zero(bar.b(r - 1).compose(bar.b(r)))
 
 
 def _global_subquotient(sp):
@@ -352,7 +352,7 @@ def test_nonregular_bimodule_coefficients():
     K = mono.base
     field = mono.field
     left_k = [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)]
-    right_k = [K.right_mult_map(K.basis_vector(t)) for t in range(K.dim)]
+    right_k = [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)]
     zero_x = ColMap(field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, left_k, zero_x, right_k, zero_x)
     cs_dims = homology_dims(build_cs(mono, M, 5), 3)

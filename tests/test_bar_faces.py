@@ -21,6 +21,7 @@ from orehom.perturbation import vanishing_check
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 from orehom.workspace import Workspace
 
+from conftest import right_mult_map
 from test_algebra import RANK_ONE, _table_context
 
 TOP = 6
@@ -66,7 +67,7 @@ def test_b_matches_the_reference_on_nonregular_coefficients():
     K = mono.base
     zero_x = ColMap(mono.field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x,
-                     [K.right_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x)
+                     [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)], zero_x)
     _check_against_reference(mono, M, regular=False)
     with pytest.raises(ValueError):
         BarComplex(mono, M, 2).connes_B(1)

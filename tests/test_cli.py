@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from orehom import bar, cli
 from orehom.linalg import ColMap
 from orehom.cli import main
-from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_kvec, encode_scalar, parse_spec
+from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
 
-from conftest import rank_one_doc
+from conftest import encode_kvec, rank_one_doc, right_mult_map
 from test_spec_io import _regular_action_rows
 
 
@@ -566,7 +566,7 @@ def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
         "dim": dim,
         "left_k": [blocks(K.left_mult_map(K.basis_vector(t))) for t in range(K.dim)],
         "left_x": zero,
-        "right_k": [blocks(K.right_mult_map(K.basis_vector(t))) for t in range(K.dim)],
+        "right_k": [blocks(right_mult_map(K, K.basis_vector(t))) for t in range(K.dim)],
         "right_x": zero,
     }
     p = tmp_path / "coefficients.json"
@@ -606,11 +606,46 @@ def test_oracle_over_an_empty_window_is_refused(capsys, argv, refusal):
     assert not any("oracle" in c["against"] for c in rep["comparisons"])
 
 
+@pytest.mark.parametrize("spec, argv, against", [
+    ("rank1:c4", ("hh", "--closed-form"), {"closed form (collapse)", "closed form (eigencomponents)",
+                                          "rank-one closed form (xi!=0, chi^n=id)"}),
+    ("trunc:2", ("hh", "--closed-form"), {"closed form (alpha = id)"}),
+    ("taft:3", ("hh", "--decompose"), {"component sum"}),
+    ("rank1:c4", ("hc", "--closed-form"), {"closed form (cycle-condition reading)",
+                                          "rank-one closed form (xi!=0, chi^n=id)"}),
+    ("taft:3", ("hc", "--decompose"), {"component sum"}),
+])
+def test_comparisons_over_an_empty_window_are_refused(capsys, spec, argv, against):
+    # degree 1 makes each comparison; degree 0 has nothing to compare, so it
+    # is refused, not reported as an agreement over empty lists
+    cmd, flag = argv
+    _, rep = run_json(capsys, cmd, "--spec", spec, "--max-degree", "1", flag)
+    assert {c["against"] for c in rep["comparisons"]} == against
+    assert all(c["agrees"] for c in rep["comparisons"])
+    code, rep = run_json(capsys, cmd, "--spec", spec, "--max-degree", "0", flag)
+    assert code == 0
+    assert rep["refusals"] == [f"{flag}: the window 0..-1 has no degree"]
+    assert rep["comparisons"] == [] and rep["modes"] == {"generic": []}
+
+
+@pytest.mark.parametrize("cmd", ["hh", "hc", "verify"])
+def test_memory_error_is_one_error_line_and_exit_1(capsys, monkeypatch, cmd):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "Workspace", exhausted)
+    code = main([cmd, "--spec", "taft:3", "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {cmd} taft:3: out of memory"]
+
+
 @pytest.mark.parametrize("md, left_out", [
     (1, {"d.d = 0 on the small complex", "b.b = 0 on the normalized complex", "B.B = 0", "bB + Bb = 0",
          "b'w' + w'b' = phi'psi' - id", "bw + wb = phi psi - id", "deg(w'(a)) <= deg(a)",
          "DD = 0 and dD + Dd = 0 on C^S", "D = psi B phi"}),
-    (2, {"bB + Bb = 0", "b'w' + w'b' = phi'psi' - id"}),
+    (2, {"b'w' + w'b' = phi'psi' - id"}),
 ])
 def test_verify_leaves_out_checks_with_no_degree_to_test(capsys, md, left_out):
     code, rep = run_json(capsys, "verify", "--spec", "taft:3", "--max-degree", str(md))

@@ -16,7 +16,7 @@ from orehom.cyclic import (
 )
 from orehom.small_complex import HypothesisError
 
-from conftest import COLLAPSING, SHIPPED, get_context
+from conftest import COLLAPSING, SHIPPED, get_context, is_zero
 
 # Cyclic homology tables, frozen from the normalized-complex BC oracle.
 HC_TABLE = {
@@ -36,7 +36,7 @@ def test_connes_D_collapsed_even_zero():
         ctx = get_context(name)
         mixed = build_mixed(ctx.mono, 6, mode="collapsed")
         for r in range(0, 6, 2):
-            assert mixed.B[r].is_zero()
+            assert is_zero(mixed.B[r])
 
 
 def test_connes_D_sweedler_odd():
@@ -85,7 +85,7 @@ def test_bc_total_shapes_and_square_zero():
     assert tot.dim(1) == mixed.dim(1)
     assert tot.dim(2) == mixed.dim(2) + mixed.dim(0)
     for N in range(2, 6):
-        assert tot.complex.boundary(N - 1).compose(tot.complex.boundary(N)).is_zero()
+        assert is_zero(tot.complex.boundary(N - 1).compose(tot.complex.boundary(N)))
 
 
 @pytest.mark.parametrize("name", sorted(HC_TABLE))
@@ -210,3 +210,18 @@ def test_mixed_identity_violation_raises_complex_error():
     bad_B[1] = corrupted
     with pytest.raises(ComplexError):
         MixedComplexData(mono.field, mixed.spaces, mixed.b, bad_B)
+
+
+def test_mixed_identity_is_checked_in_degree_zero():
+    # k <-> k with b_1 = B_0 = id: bb and BB have no degree to test, and
+    # bB + Bb in degree 0 is b_1 B_0 alone (B_{-1} = 0), which is not 0
+    from orehom.complexes import ComplexError
+    from orehom.fields import make_field
+    from orehom.linalg import ColMap, subquotient
+
+    Q = make_field("rationals")
+    one = ColMap.identity(Q, 1)
+    spaces = [subquotient(Q, 1, []) for _ in range(2)]
+    with pytest.raises(ComplexError, match="bB \\+ Bb != 0 at degree 0"):
+        MixedComplexData(Q, spaces, {1: one}, {0: one})
+    MixedComplexData(Q, spaces, {1: one}, {0: ColMap(Q, 1, 1)})

@@ -113,6 +113,12 @@ def test_elements_of_k_and_a_have_one_sparse_layout():
     assert _defined(gone) == []
 
 
+def test_definitions_read_only_by_tests_live_in_the_tests():
+    # right_mult_map, is_zero and encode_kvec are in tests/conftest.py,
+    # transferred_block in tests/test_perturbation.py
+    assert _defined({"right_mult_map", "is_zero", "transferred_block", "encode_kvec"}) == []
+
+
 def test_identities_are_relations_not_composed_maps():
     # every identity between maps is checked column by column by
     # ``relation_holds``: ColMap has no whole-map sum, and the identity

@@ -348,6 +348,56 @@ def test_sparse_rank_matches_rref(field, shapes, zero_blocks, empty_cols, data):
     assert cols == before
 
 
+def pivot_values(field):
+    """+-1 and non-units such as 2, 1/3 and 1 + zeta, as the field stores them."""
+    values = [[1], [-1], [2], [Fr(1, 3)], [Fr(-3, 2)]]
+    if field is F4:
+        values += [[1, 1], [0, 1], [Fr(1, 3), -2]]
+    return st.sampled_from([field.scalar(v) for v in values])
+
+
+@fields
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_rank_fast_paths_match_the_dense_reference(field, data):
+    """Columns of at most 3 entries over up to 10 rows: many one-column
+    blocks, one-entry columns and rows held by one column only, with non-unit
+    pivots, and scaled copies of drawn columns so that eliminations cancel."""
+    nrows = data.draw(st.integers(min_value=1, max_value=10))
+    entry = pivot_values(field)
+    supports = st.sets(st.integers(min_value=0, max_value=nrows - 1), max_size=3)
+    cols = [{r: data.draw(entry) for r in sorted(data.draw(supports))}
+            for _ in range(data.draw(st.integers(min_value=0, max_value=8)))]
+    if cols:
+        for col in data.draw(st.lists(st.sampled_from(cols), max_size=3)):
+            c = data.draw(entry)
+            cols.append({r: c * e for r, e in col.items()})
+    cols = data.draw(st.permutations(cols))
+    dense_cols = [ref.dense(col, nrows, field.zero) for col in cols]
+    expected = len(ref.rref(field, ref.transpose(dense_cols, nrows), len(cols))[1])
+    before = [dict(col) for col in cols]
+    assert sparse_rank(cols) == expected
+    assert cols == before
+
+
+def test_blocks_of_one_column_or_one_row_are_counted_without_elimination(monkeypatch):
+    # blocks {0}, {1}, {2, 3} (one column), {7} (one row, two columns) and
+    # {4, 5, 6} (two columns and three rows): only the last is eliminated
+    from orehom import linalg
+
+    sizes = []
+    block_rank = linalg._block_rank
+
+    def counted(block):
+        sizes.append(len(block))
+        return block_rank(block)
+
+    monkeypatch.setattr(linalg, "_block_rank", counted)
+    cols = [{0: 2}, {7: 3}, {1: Fr(1, 3)}, {2: 1, 3: 5}, {}, {4: 1, 5: 1}, {7: Fr(1, 2)}, {5: 2, 6: 2}]
+    assert sparse_rank(cols) == 6
+    assert sizes == [2]
+
+
 @fields
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())

@@ -7,9 +7,9 @@ from orehom.bar import BarComplex
 from orehom.complexes import ComplexError, homology, homology_dims
 from orehom.linalg import ColMap
 from orehom.small_complex import build_cs
-from orehom.spec_io import build_example, encode_kvec, parse_spec
+from orehom.spec_io import build_example, parse_spec
 
-from conftest import get_context
+from conftest import encode_kvec, get_context
 
 
 def _matrix_json(field, m):
