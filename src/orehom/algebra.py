@@ -19,15 +19,58 @@ Everything here is validated eagerly: group tables are checked for
 associativity, characters pairwise for multiplicativity (which proves the
 twist an endomorphism), extension data for the coefficient conditions, so
 downstream homology code can assume the axioms.
+
+Every value computed once and read again is kept on the object it belongs
+to, in one ``_kept`` store: ``memo`` keeps the value of a method (or of a
+function whose first argument is the owner) per arguments, and ``kept``
+keeps a value under a key that is computed before the build, such as a twist
+class.  The reduced powers of x, the product table, the regular bimodule,
+[K,K]_{alpha^j} and the tuple table of each bar level are kept this way on
+the algebra, M/[M,K]_{alpha^j} on the bimodule, and the maps and face
+operators of the bar complexes on the complex; nothing writes another
+object's store but through these two functions.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .linalg import ColMap, add_term, add_terms, relation_holds, sparse_rank, sub_terms, subquotient
 
 
 class AlgebraError(ValueError):
     """Invalid algebraic input; the message names a witness."""
+
+
+def kept(owner, key, build):
+    """The value kept on ``owner`` under ``key``, made by ``build()`` on the
+    first call.  A key is, or starts with, the function that keeps the value."""
+    try:
+        return owner._kept[key]
+    except AttributeError:
+        owner._kept = {}
+    except KeyError:
+        pass
+    got = owner._kept[key] = build()
+    return got
+
+
+def memo(build):
+    """Decorator: ``build(owner, *args)`` runs once per owner and arguments,
+    and later calls return the kept value.  The values of ``build`` sit in
+    one dict kept on the owner under the function itself, so a hit is two
+    dict lookups and builds no key."""
+
+    @wraps(build)
+    def get(owner, *args):
+        try:
+            return owner._kept[build][args]
+        except (AttributeError, KeyError):
+            table = kept(owner, build, dict)
+        got = table[args] = build(owner, *args)
+        return got
+
+    return get
 
 
 class BaseAlgebra:
@@ -224,6 +267,7 @@ class MonogenicData:
     bimodule reads it alone.  Products of two elements of A read a
     multiplication table, built from the same products only when the bar
     resolution first asks for it; ``divide_by_f`` runs once per power.
+    Each of these is kept on the algebra (``memo``, ``kept``).
     """
 
     def __init__(self, base, alpha, n, lambdas):
@@ -234,12 +278,6 @@ class MonogenicData:
         self.dim = base.dim * n
         self._alpha_pows = [ColMap.identity(base.field, base.dim)]
         self._alpha_order = None
-        self._k_commutators = {}  # twist class -> spanning vectors of [K,K]_{alpha^i}
-        self._k_commutator_ranks = {}
-        self._k_quotients = {}  # (twist class, component indices) -> K-sized SubquotientSpace
-        self._divisions = {}  # e -> (quotient, remainder) of x^e by f, see ``divide_by_f``
-        self._mul_table = None
-        self._x_overflow = {}  # twist class -> see ``x_overflow``
 
     @property
     def field(self):
@@ -296,11 +334,9 @@ class MonogenicData:
 
     # -- normal form arithmetic in A -----------------------------------------
 
+    @memo
     def _division(self, e):
-        got = self._divisions.get(e)
-        if got is None:
-            got = self._divisions[e] = divide_by_f(self, e)
-        return got
+        return divide_by_f(self, e)
 
     def x_power_reduced(self, e):
         """x^e reduced modulo f as its nonzero parts [(t, c_t)], t ascending:
@@ -344,6 +380,7 @@ class MonogenicData:
             return {base + k: w[k] for k in sorted(w)}
         return self.k_times(w, self.x_power_reduced(e))
 
+    @memo
     def mul_table(self):
         """``table[i][j]``: the normal form of e_i * e_j as a ``{coordinate: scalar}``
         dict, for the flat basis monomials e_(p,kappa) = kappa x^p.
@@ -351,18 +388,15 @@ class MonogenicData:
         e_(p,kappa) * e_(q,mu) = (kappa alpha^p(mu)) x^(p+q), a sparse product
         in K times a reduced power of x.
         """
-        table = self._mul_table
-        if table is None:
-            d = self.base.dim
-            one = self.field.one
-            product = self.base.product
-            table = []
-            for p in range(self.n):
-                twisted = [self.alpha_terms(p, mu) for mu in range(d)]
-                for kappa in range(d):
-                    heads = [product({kappa: one}, a) for a in twisted]
-                    table.append([self.k_times_x_power(w, p + q) for q in range(self.n) for w in heads])
-            self._mul_table = table
+        d = self.base.dim
+        one = self.field.one
+        product = self.base.product
+        table = []
+        for p in range(self.n):
+            twisted = [self.alpha_terms(p, mu) for mu in range(d)]
+            for kappa in range(d):
+                heads = [product({kappa: one}, a) for a in twisted]
+                table.append([self.k_times_x_power(w, p + q) for q in range(self.n) for w in heads])
         return table
 
     def multiply(self, u, v):
@@ -387,18 +421,20 @@ class MonogenicData:
         of alpha^s.
         """
         i = self.twist(s)
-        got = self._x_overflow.get(i)
-        if got is None:
+
+        def build():
             pulled = [(t, self.alpha_image(i, c)) for t, c in self.x_power_reduced(self.n)]
-            got = self._x_overflow[i] = []
+            out = []
             for j in range(self.dim):
                 terms = {}
                 for t, c in pulled:
                     # c sits at x^0, so its coordinates in A are its K-coordinates
                     for k, v in self.multiply({j: self.field.one}, c).items():
                         terms[t * self.dim + k] = v
-                got.append(terms)
-        return got
+                out.append(terms)
+            return out
+
+        return kept(self, (MonogenicData.x_overflow, i), build)
 
     def index(self, power, kappa):
         """Flat coordinate of the basis monomial basis_kappa * x^power."""
@@ -470,20 +506,17 @@ class BimoduleData:
         self.left_x = left_x
         self.right_k = right_k
         self.right_x = right_x
-        self._quotients = {}
-        self._regular = None
-        self._x_pows = {}
         if check:
             self._check()
 
     @property
+    @memo
     def is_regular(self):
-        """Whether M is A with its two regular actions, as the cyclic operator needs."""
-        if self._regular is None:
-            R = regular_bimodule(self.mono)
-            self._regular = self.dim == R.dim and (self.left_k, self.left_x, self.right_k, self.right_x) == (
-                R.left_k, R.left_x, R.right_k, R.right_x)
-        return self._regular
+        """Whether M is A with its two regular actions, as the cyclic operator
+        needs; free for the regular bimodule, which the algebra keeps."""
+        R = regular_bimodule(self.mono)
+        return self is R or self.dim == R.dim and (self.left_k, self.left_x, self.right_k, self.right_x) == (
+            R.left_k, R.left_x, R.right_k, R.right_x)
 
     def _check(self):
         mono, K, n = self.mono, self.mono.base, self.mono.n
@@ -535,14 +568,13 @@ class BimoduleData:
             _act(out, gens[t].cols, terms, c)
         return out
 
+    @memo
     def _x_powers(self, side):
         """L(x)^p or R(x)^p for p < n as ColMaps, built once."""
-        pows = self._x_pows.get(side)
-        if pows is None:
-            x = self.left_x if side == "left" else self.right_x
-            pows = self._x_pows[side] = [ColMap.identity(self.mono.field, self.dim)]
-            for _ in range(1, self.mono.n):
-                pows.append(x.compose(pows[-1]))
+        x = self.left_x if side == "left" else self.right_x
+        pows = [ColMap.identity(self.mono.field, self.dim)]
+        for _ in range(1, self.mono.n):
+            pows.append(x.compose(pows[-1]))
         return pows
 
     def x_terms(self, side, p, terms):
@@ -584,12 +616,13 @@ def _act(acc, cols, terms, scale=None):
     return acc
 
 
+@memo
 def regular_bimodule(mono):
     """The default coefficients M = A with both regular actions, built column
     by column from products in K and the normal form of x^n (no product
     table): on kappa x^p, lam_t acts by (lam_t kappa) x^p on the left and by
     kappa alpha^p(lam_t) x^p on the right, and x by alpha(kappa) x^(p+1) on
-    the left and by kappa x^(p+1) on the right."""
+    the left and by kappa x^(p+1) on the right.  Kept once per algebra."""
     field = mono.field
     dim = mono.dim
     d = mono.base.dim
@@ -612,10 +645,8 @@ def regular_bimodule(mono):
     def action(columns):
         return ColMap(field, dim, dim, columns)
 
-    M = BimoduleData(mono, dim, [action(c) for c in left_k], action(left_x),
-                     [action(c) for c in right_k], action(right_x), check=False)
-    M._regular = True
-    return M
+    return BimoduleData(mono, dim, [action(c) for c in left_k], action(left_x),
+                        [action(c) for c in right_k], action(right_x), check=False)
 
 
 def twisted_commutator_subspace(M, j):
@@ -639,10 +670,8 @@ def commutator_quotient(M, j):
     """SubquotientSpace M/[M,K]_{alpha^j}, computed once per class of alpha^j
     (``mono.twist``) and kept on M."""
     i = M.mono.twist(j)
-    sq = M._quotients.get(i)
-    if sq is None:
-        sq = M._quotients[i] = subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, i))
-    return sq
+    return kept(M, (commutator_quotient, i),
+                lambda: subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, i)))
 
 
 def k_commutator_subspace(mono, j):
@@ -652,12 +681,12 @@ def k_commutator_subspace(mono, j):
     its own list, which it may extend.
     """
     i = mono.twist(j)
-    spans = mono._k_commutators.get(i)
-    if spans is None:
+
+    def build():
         K = mono.base
         one = mono.field.one
         twisted = [mono.alpha_terms(i, t) for t in range(K.dim)]
-        spans = mono._k_commutators[i] = []
+        spans = []
         for s in range(K.dim):
             es = {s: one}
             for t in range(K.dim):
@@ -665,7 +694,9 @@ def k_commutator_subspace(mono, j):
                 v = sub_terms(K.product(es, twisted[t]), K.product({t: one}, es))
                 if v:
                     spans.append(dict(sorted(v.items())))
-    return list(spans)
+        return spans
+
+    return list(kept(mono, (k_commutator_subspace, i), build))
 
 
 class CollapseReport:
@@ -688,18 +719,13 @@ def check_collapse(mono, max_j):
     rather than assumed.  The rank of [K,K]_{alpha^j} is computed once per
     class of alpha^j and kept on ``mono``.
     """
-    K = mono.base
-    ranks = mono._k_commutator_ranks
     entries = {}
     for j in range(1, max_j + 1):
         if j % mono.n == 0:
             continue
         i = mono.twist(j)
-        r = ranks.get(i)
-        if r is None:
-            spans = k_commutator_subspace(mono, i)
-            r = ranks[i] = sparse_rank(spans)
-        entries[j] = (r == K.dim, r)
+        r = kept(mono, (check_collapse, i), lambda: sparse_rank(k_commutator_subspace(mono, i)))
+        entries[j] = (r == mono.base.dim, r)
     return CollapseReport(mono.n, entries)
 
 

@@ -36,14 +36,18 @@ alpha^s on the front coefficient) and the twist class of the target block.
 ``BarComplex`` keeps every such projected operator once per key, and each
 source block's list of faces (target offset, operator, sign) once per
 block, so a column is a signed sum of kept columns.
+
+Every kept value is kept the way ``algebra`` keeps its own: a map per level
+through ``memo``, a face operator per (key, twist class) through ``kept``,
+and the tuples of a level, with the index of each, once per algebra and
+level, so that the bar complex and the bar resolution read one table.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from itertools import product as iproduct
 
-from .algebra import commutator_quotient
+from .algebra import commutator_quotient, kept, memo
 # bound by name for perfbench/tracer.py, which wraps twisted_commutator_subspace
 # in every module namespace that holds it (its tests read this binding)
 from .algebra import twisted_commutator_subspace  # noqa: F401
@@ -56,22 +60,6 @@ def _add_at(acc, base, items, negative=False):
     """acc += items shifted by ``base`` (negated if asked), dropping zeros."""
     for i, c in items:
         add_term(acc, base + i, -c if negative else c)
-
-
-def _memo(build):
-    """Method decorator: ``build(self, *args)`` runs once per object and
-    arguments; later calls return the kept value."""
-    name = build.__name__
-
-    @wraps(build)
-    def get(self, *args):
-        kept = self.__dict__.setdefault("_kept", {})
-        got = kept.get((name, args))
-        if got is None:
-            got = kept[name, args] = build(self, *args)
-        return got
-
-    return get
 
 
 def _quotient_map(src, tgt, ambient):
@@ -104,22 +92,13 @@ def middle_tuples(n, r):
     return list(iproduct(range(1, n), repeat=r))
 
 
-class MonomialTensor:
-    """One monomial tensor lam x^{i_0} (x) x^{i_1} (x) ...; its degree is the
-    exponent sum."""
-
-    __slots__ = ("coefficient", "exponents")
-
-    def __init__(self, coefficient, exponents):
-        self.coefficient = coefficient
-        self.exponents = tuple(exponents)
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
-
-    def __repr__(self):
-        return f"MonomialTensor({self.coefficient!r}, {self.exponents})"
+@memo
+def level_tuples(mono, r):
+    """The middle tuples of level r and the index of each, kept once per
+    algebra and level: ``BarSpace`` and ``BarResSpace`` read one table, so a
+    block index names the same tuple on both sides."""
+    tuples = middle_tuples(mono.n, r)
+    return tuples, {t: i for i, t in enumerate(tuples)}
 
 
 NEG_INF = float("-inf")
@@ -150,8 +129,7 @@ class BarSpace:
         self.field = mono.field
         self.M = M
         self.r = r
-        self.tuples = middle_tuples(mono.n, r)
-        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
+        self.tuples, self.tuple_index = level_tuples(mono, r)
         self.block = M.dim
         self.ambient_dim = len(self.tuples) * M.dim
         self.block_proj = []    # per tuple: block column -> {block quotient index: entry}
@@ -219,8 +197,6 @@ class BarComplex:
         self.mono = mono
         self.M = M
         self.spaces = []
-        self._merged = {}  # s -> see ``_merged_slot``
-        self._faces = {}  # (operator key, target twist class) -> see ``_face``
         self.grow(max_r)
 
     @property
@@ -237,15 +213,13 @@ class BarComplex:
     def dim(self, r):
         return self.spaces[r].quotient_dim
 
+    @memo
     def _merged_slot(self, s):
         """The nonzero terms c_tpow x^tpow (tpow >= 1) of x^s in A as pairs
         (tpow, c_tpow), kept once per s.  c_tpow is pulled onto the
         coefficient untwisted: it is a polynomial in the lam_i, which alpha
         fixes."""
-        got = self._merged.get(s)
-        if got is None:
-            got = self._merged[s] = [(tpow, c) for tpow, c in self.mono.x_power_reduced(s) if tpow]
-        return got
+        return [(tpow, c) for tpow, c in self.mono.x_power_reduced(s) if tpow]
 
     def _face(self, key, tsum, act, size=None):
         """The face operator ``act`` (basis index -> ambient terms of one
@@ -253,11 +227,12 @@ class BarComplex:
         a list over k < size (default dim M) of P(act(k)) in block-local
         quotient coordinates.  Kept per (key, class of alpha^tsum)."""
         cls = self.mono.twist(tsum)
-        got = self._faces.get((key, cls))
-        if got is None:
+
+        def build():
             sq = commutator_quotient(self.M, cls)
-            got = self._faces[key, cls] = [sq.project_terms(act(k)) for k in range(size or self.M.dim)]
-        return got
+            return [sq.project_terms(act(k)) for k in range(size or self.M.dim)]
+
+        return kept(self, (BarComplex._face, key, cls), build)
 
     def _face_map(self, r, rt, faces_of, split):
         """The lazy map from level r to level rt whose column at ambient
@@ -266,14 +241,14 @@ class BarComplex:
         (target block offset, projected operator, negated), built on the
         first read from that block, and each face adds its operator at k."""
         src = self.spaces[r]
-        kept = {}
+        block_faces = {}
 
         def column(qj):
             ti, m = divmod(src.free[qj], src.block)
             key, k = split(m)
-            faces = kept.get((ti, key))
+            faces = block_faces.get((ti, key))
             if faces is None:
-                faces = kept[ti, key] = faces_of(src.tuples[ti], key)
+                faces = block_faces[ti, key] = faces_of(src.tuples[ti], key)
             acc = {}
             for off, op, neg in faces:
                 for i, c in op[k].items():
@@ -300,7 +275,7 @@ class BarComplex:
                                                       lambda m: M.x_terms("left", t[-1], {m: one})), r % 2 == 1))
         return faces
 
-    @_memo
+    @memo
     def b(self, r):
         """Boundary b_r in quotient coordinates."""
         return self._face_map(r, r - 1, lambda t, _: self._b_faces(r, t), lambda m: (None, m))
@@ -328,7 +303,7 @@ class BarComplex:
             faces.append((tgt.offset(tail + (i0,) + head), op, i * r % 2 == 1))
         return faces
 
-    @_memo
+    @memo
     def connes_B(self, r):
         if not self.M.is_regular:
             raise ValueError("the cyclic operator needs coefficients M = A")
@@ -461,7 +436,7 @@ class ResolutionComplex:
                         add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
         return gen
 
-    @_memo
+    @memo
     def d(self, r):
         return self.spaces[r].generated_map(lambda b: self.d_generator(r), self.spaces[r - 1])
 
@@ -478,8 +453,7 @@ class BarResSpace(_TensorBlocks):
         self.r = r
         self.n = mono.n
         self.dimK = mono.base.dim
-        self.tuples = middle_tuples(mono.n, r)
-        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
+        self.tuples, self.tuple_index = level_tuples(mono, r)
         self.block = self.dimK * self.n * self.n
         self.dim = len(self.tuples) * self.block
         self.overflow = [mono.x_overflow(sum(t)) for t in self.tuples]
@@ -558,7 +532,7 @@ class BarResolution:
         _add_at(gen, tgt.offset(t[:-1], t[-1]), unit.items(), r % 2 == 1)
         return gen
 
-    @_memo
+    @memo
     def bprime(self, r):
         """b'_r: level r -> level r-1, the bimodule extension of its generator values."""
         src = self.spaces[r]
@@ -575,12 +549,12 @@ class BarResolution:
             _add_at(acc, sp.offset(mid, 0), mono.k_times_x_power(lam, e).items())
         return acc
 
-    @_memo
+    @memo
     def phi(self, r):
         """phi'_r: twisted resolution -> bar resolution."""
         return self.resolution.spaces[r].generated_map(lambda b: self._phi_generator(r), self.spaces[r])
 
-    @_memo
+    @memo
     def _quotient_product(self, sums):
         """The product, left to right, of the quotients of x^s by f over s in ``sums``."""
         mono = self.mono
@@ -606,7 +580,7 @@ class BarResolution:
             _add_at(acc, (i_last - ell - 1) * mono.dim, mono.multiply(prod, mono.x_power(ell)).items())
         return acc
 
-    @_memo
+    @memo
     def psi(self, r):
         """psi'_r: bar resolution -> twisted resolution."""
         bsp = self.spaces[r]
@@ -626,7 +600,7 @@ class BarResolution:
             add_term(out, tgt.flat(kappa, i0, t + (q,), 0), c)
         return out
 
-    @_memo
+    @memo
     def omega_generator(self, r, t):
         """omega'_r(1 (x) x^{t_1} (x) .. (x) 1) as a term dict at level r.
 
@@ -649,7 +623,7 @@ class BarResolution:
         val = self._shift(rr, D)
         return {k: -v for k, v in val.items()} if r % 2 == 1 else val
 
-    @_memo
+    @memo
     def omega(self, r):
         """omega'_r: level r-1 -> level r homotopy, the bimodule extension of
         its generator values.
@@ -695,7 +669,7 @@ class InducedComparison:
             _add_at(acc, sp.flat(mid, 0), mv.items())
         return acc
 
-    @_memo
+    @memo
     def phi(self, r):
         return _quotient_map(self.cs.spaces[r], self.bar.spaces[r], lambda m_idx: self._phi_ambient(r, m_idx))
 
@@ -713,11 +687,11 @@ class InducedComparison:
             _add_at(out, 0, M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items())
         return out
 
-    @_memo
+    @memo
     def psi(self, r):
         return _quotient_map(self.bar.spaces[r], self.cs.spaces[r], lambda idx: self._psi_ambient(r, idx))
 
-    @_memo
+    @memo
     def _wrap(self, m_idx, j, q):
         """m (x)_{A^e} (e_j (x) .. (x) x^q) = x^q m e_j for m the basis vector
         m_idx, as M-terms."""
@@ -737,13 +711,13 @@ class InducedComparison:
         for gidx, c in self.barres.omega_generator(r + 1, t).items():
             ti, rest = divmod(gidx, self.mono.n * dim_a)
             q, j = divmod(rest, dim_a)
-            # the middle tuple of the resolution's block ti is that of the bar's block ti
+            # block ti of the resolution and of the bar complex: one tuple (``level_tuples``)
             base = ti * tgt_block
             for i, e in self._wrap(m_idx, j, q).items():
                 add_term(acc, base + i, c * e)
         return acc
 
-    @_memo
+    @memo
     def omega(self, r):
         """omega_{r+1}: bar level r -> bar level r+1 (key r)."""
         return _quotient_map(self.bar.spaces[r], self.bar.spaces[r + 1], lambda idx: self._omega_ambient(r, idx))

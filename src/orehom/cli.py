@@ -44,8 +44,8 @@ from .perturbation import (
 )
 from .small_complex import (
     HypothesisError,
+    decompose,
     hh_closed_form,
-    hh_dims_eigen,
     hh_rank_one,
 )
 from .spec_io import EXAMPLE_NAMES, build_example, parse_spec
@@ -133,6 +133,14 @@ def _element_string(mono, M, terms):
     return " + ".join(parts) if parts else "0"
 
 
+def _add_components(report, dims, comps):
+    """Report the dims of each eigencomponent, given as (eigenvalue, dims)
+    pairs, and compare their sum with ``dims``."""
+    report["modes"]["per_component"] = [{"eigenvalue": str(w), "dims": d} for w, d in comps]
+    total = [sum(col) for col in zip(*(d for _, d in comps))]
+    report["comparisons"].append({"against": "component sum", "agrees": total == dims})
+
+
 def cmd_hh(args):
     parsed = _load_spec(args.spec, args.max_degree)
     mono = parsed.mono
@@ -160,13 +168,8 @@ def cmd_hh(args):
         report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
     elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
-            totals, percomp = hh_dims_eigen(mono, md - 1, parsed.collapse)
-            report["modes"]["per_component"] = [
-                {"eigenvalue": str(w), "dims": d} for w, d in percomp
-            ]
-            report["comparisons"].append(
-                {"against": "component sum", "agrees": totals == dims}
-            )
+            _add_components(report, dims, [(w, homology_dims(comp, md - 1))
+                                           for w, _, comp in decompose(mono, md, parsed.collapse)])
         else:
             report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
     if args.closed_form and not md:
@@ -302,10 +305,9 @@ def cmd_hc(args):
             case = parsed.summary.get("rank_one_case")
             if case:
                 r1 = hc_rank_one(mono, case, md - 1, parsed.collapse)
-                report["modes"]["closed_form_rank_one"] = r1["proof_reading"]
+                report["modes"]["closed_form_rank_one"] = r1
                 report["comparisons"].append(
-                    {"against": f"rank-one closed form ({case})",
-                     "agrees": r1["proof_reading"][:md] == dims[:len(r1["proof_reading"])]}
+                    {"against": f"rank-one closed form ({case})", "agrees": r1[:md] == dims[:len(r1)]}
                 )
         else:
             report.setdefault("refusals", []).append("--closed-form needs verified collapse and diagonal alpha")
@@ -313,14 +315,8 @@ def cmd_hc(args):
         report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
     elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
-            out = []
-            total = None
-            for w, idxs, cmixed in build_mixed_components(mono, md, parsed.collapse):
-                cdims = homology_dims(bc_total(cmixed, md), md - 1)
-                out.append({"eigenvalue": str(w), "dims": cdims})
-                total = cdims if total is None else [a + b for a, b in zip(total, cdims)]
-            report["modes"]["per_component"] = out
-            report["comparisons"].append({"against": "component sum", "agrees": total == dims})
+            _add_components(report, dims, [(w, homology_dims(bc_total(cmixed, md), md - 1))
+                                           for w, _, cmixed in build_mixed_components(mono, md, parsed.collapse)])
         else:
             report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
     if args.oracle and md < 2:

@@ -4,8 +4,8 @@ A ChainComplex stores one SubquotientSpace per degree 0..max_degree and
 column-sparse boundary maps d_r: C_r -> C_{r-1} in quotient coordinates.
 ``d . d = 0`` is checked at construction.  Homology dimensions come from
 ranks alone, dim H_r = n_r - rank d_r - rank d_{r+1}, each rank taken once
-by ``sparse_rank`` on the boundary's columns.  Only ``homology`` with
-representatives runs a kernel: its cycles are lifted to sparse ambient
+by ``sparse_rank`` on the boundary's columns.  Only ``homology``, which
+gives representatives, runs a kernel: its cycles are lifted to sparse ambient
 term dicts by putting their quotient coordinates at the free columns of
 the space, so they are reproducible.
 
@@ -44,7 +44,7 @@ class ChainComplex:
         self.spaces = list(spaces)
         self.boundaries = dict(boundaries)
         self._zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
-        self._homology = {}  # ids of (space, d_r, d_{r+1}), top flag -> (dim, lifted cycles or None)
+        self._homology = {}  # ids of (space, d_r, d_{r+1}), top flag -> lifted cycles
         if check:
             for r in range(1, self.max_degree + 1):
                 self._check_degree(r)
@@ -90,7 +90,7 @@ class HomologyReport:
         return f"HomologyReport(degree {self.degree}, dim {self.dimension}{tag})"
 
 
-def homology(complex_, r, want_representatives=True):
+def homology(complex_, r):
     """Homology of the complex at degree r.
 
     For r = max_degree only the kernel is available (no incoming boundary);
@@ -103,7 +103,7 @@ def homology(complex_, r, want_representatives=True):
     d_in = None if kernel_only else complex_.boundaries[r + 1]
     key = (id(space), id(d_out), id(d_in), kernel_only)
     hit = complex_._homology.get(key)
-    if hit is None or (want_representatives and hit[1] is None):
+    if hit is None:
         field = complex_.field
         ker = [{j: field.one} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(field, d_out.cols)
         new = ker
@@ -113,9 +113,8 @@ def homology(complex_, r, want_representatives=True):
             new = [v for v in ker if seen.add(v)]
             if len(new) != len(ker) - bdim:
                 raise ComplexError(f"degree {r}: {len(new)} new classes, expected {len(ker)} - {bdim}")
-        hit = complex_._homology[key] = (len(new), [space.lift_vec(v) for v in new] if want_representatives else None)
-    reps = [dict(v) for v in hit[1]] if want_representatives else []
-    return HomologyReport(r, hit[0], reps, kernel_only=kernel_only)
+        hit = complex_._homology[key] = [space.lift_vec(v) for v in new]
+    return HomologyReport(r, len(hit), [dict(v) for v in hit], kernel_only=kernel_only)
 
 
 def homology_dims(complex_, up_to=None):

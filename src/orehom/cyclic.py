@@ -147,16 +147,13 @@ def connes_D_component(mono, r, cs_spaces, w, idxs):
     return out
 
 
-def connes_D(mono, r, cs_spaces, mode="generic", component=None):
+def connes_D(mono, r, cs_spaces, mode="generic"):
     if not 0 <= r < len(cs_spaces) - 1:
         raise HypothesisError(f"degree {r} out of range for a window of {len(cs_spaces)} spaces")
     if mode == "generic":
         return connes_D_generic(mono, r, cs_spaces)
     if mode == "collapsed":
         return connes_D_collapsed(mono, r, cs_spaces)
-    if mode == "component":
-        w, idxs = component
-        return connes_D_component(mono, r, cs_spaces, w, idxs)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -311,8 +308,8 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
 
     Returns a dict with per-degree totals under the proof reading
     (numerator condition lam*lam_n^(m+1)), the displayed reading (exponent
-    m), and a flag marking degrees where the two disagree.  Even degrees do
-    not depend on the reading.
+    m), and the degrees where the two disagree.  Even degrees do not depend
+    on the reading.
     """
     ensure_collapse(mono, max_degree, collapse_report)
     comps = eigen_split(mono.base, mono.alpha)
@@ -323,7 +320,6 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
     lam_n = mono.f_coefficient(n)
     proof = [0] * (max_degree + 1)
     displayed = [0] * (max_degree + 1)
-    percomp = []
     for w, idxs in comps:
         d = len(idxs)
         kkw = lambda j: component_commutator_span(mono, j, idxs)
@@ -349,7 +345,6 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
                 den = kkw((m + 1) * n)
                 dims_p.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den))
                 dims_d.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m), den, strict=False))
-        percomp.append((w, dims_p, dims_d))
         proof = [a + b for a, b in zip(proof, dims_p)]
         displayed = [
             None if (a is None or b is None) else a + b
@@ -359,7 +354,6 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
         "proof_reading": proof,
         "displayed_reading": displayed,
         "disagree_degrees": [r for r in range(max_degree + 1) if proof[r] != displayed[r]],
-        "per_component": percomp,
     }
 
 
@@ -383,9 +377,9 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
     """The group-character specializations of the cyclic closed forms.
 
     case: "xi=0" (also used after the chi^n != id rewrite) or
-    "xi!=0, chi^n=id".  Returns the same structure as hc_closed_form but
-    with components restricted to eigenvalues w with w^n = 1, plus the
-    full K/[K,K] term in even degrees.
+    "xi!=0, chi^n=id".  Returns the per-degree totals under the proof
+    reading of ``hc_closed_form``, with components restricted to
+    eigenvalues w with w^n = 1, plus the full K/[K,K] term in even degrees.
     """
     ensure_collapse(mono, max_degree, collapse_report)
     comps = eigen_split(mono.base, mono.alpha)
@@ -399,44 +393,30 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
     if case == "xi!=0, chi^n!=id":
         case = "xi=0"  # after the quotient rewrite f = x^n
     proof = [0] * (max_degree + 1)
-    displayed = [0] * (max_degree + 1)
     k_mod_comm = K.dim - sparse_rank(k_commutator_subspace(mono, 0))
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
         if not odd:
             if case == "xi=0":
-                proof[r] = displayed[r] = k_mod_comm
+                proof[r] = k_mod_comm
             else:
-                total = 0
                 for w, idxs in comps:
                     span = component_commutator_span(mono, 0, idxs)
                     if w != one:
                         kvec = _power_vec(mono, lam_n, m + 1) if w ** n == one else lam_n
                         span = span + component_mult_rows(mono, idxs, kvec)
-                    total += len(idxs) - sparse_rank(span)
-                proof[r] = displayed[r] = total
+                    proof[r] += len(idxs) - sparse_rank(span)
         else:
-            tp = td = 0
             for w, idxs in comps:
                 if w == one or w ** n != one:
                     continue
                 if case == "xi=0":
                     den = component_commutator_span(mono, (m + 1) * n, idxs)
-                    val = len(idxs) - sparse_rank(den)
-                    tp += val
-                    td += val
+                    proof[r] += len(idxs) - sparse_rank(den)
                 else:
                     den = component_commutator_span(mono, 0, idxs)
-                    tp += _odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den)
-                    dval = _odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m), den, strict=False)
-                    td = None if (td is None or dval is None) else td + dval
-            proof[r] = tp
-            displayed[r] = td
-    return {
-        "proof_reading": proof,
-        "displayed_reading": displayed,
-        "disagree_degrees": [r for r in range(max_degree + 1) if proof[r] != displayed[r]],
-    }
+                    proof[r] += _odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den)
+    return proof
 
 
 # -- S / i / B maps on cyclic homology ---------------------------------------------

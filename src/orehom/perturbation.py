@@ -89,17 +89,17 @@ class PerturbedRetract(DeformationRetract):
         self.Y1, self.incl1, self.proj1, self.h1 = self.Y, self.incl, self.proj, self.h
 
 
-def perturb(retract, delta, nilpotency_bound=None):
+def perturb(retract, delta):
     """Apply a degree -1 perturbation to a deformation retract.
 
     ``delta[r]``: X_r -> X_{r-1}.  The geometric series for
-    (id - delta h)^{-1} must terminate within ``nilpotency_bound`` steps on
-    each degree (default: the degree window).
+    (id - delta h)^{-1} must terminate on each degree within the degree
+    window plus 2 steps.
     """
     X, Y, incl, proj, h = retract.X, retract.Y, retract.incl, retract.proj, retract.h
     field = Y.field
     top = retract.max_degree
-    bound = nilpotency_bound or (top + 2)
+    bound = top + 2
     dX = {r: chain_sum(field, X.dim(r), [(1, [X.boundary(r)]), (1, [delta[r]])]) for r in range(1, top + 1)}
     for r in range(2, top + 1):
         if not relation_holds(X.dim(r), [(1, [dX[r - 1], dX[r]])]):

@@ -34,6 +34,7 @@ from .algebra import (
     commutator_quotient,
     eigen_split,
     k_commutator_subspace,
+    kept,
     regular_bimodule,
 )
 from .complexes import ChainComplex, homology_dims
@@ -182,12 +183,9 @@ def component_mult_rows(mono, idxs, kvec):
 def component_quotient(mono, j, idxs):
     """K^w/[K,K]^w_{alpha^j} on the basis indices ``idxs``, computed once per
     class of alpha^j (``mono.twist``) and kept on ``mono``."""
-    key = (mono.twist(j), tuple(idxs))
-    sq = mono._k_quotients.get(key)
-    if sq is None:
-        spans = component_commutator_span(mono, key[0], key[1])
-        sq = mono._k_quotients[key] = subquotient(mono.field, len(key[1]), spans)
-    return sq
+    i, idxs = mono.twist(j), tuple(idxs)
+    return kept(mono, (component_quotient, i, idxs),
+                lambda: subquotient(mono.field, len(idxs), component_commutator_span(mono, i, idxs)))
 
 
 def decompose(mono, max_degree=6, collapse_report=None):

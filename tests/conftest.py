@@ -4,6 +4,8 @@ Each workspace grows to the largest window a test asks for, so the suite
 builds each level of each complex once.
 """
 
+import inspect
+
 from orehom.fields import make_field
 from orehom.linalg import ColMap
 from orehom.spec_io import build_example, cyclic_group, encode_scalar, parse_spec
@@ -35,6 +37,15 @@ def right_mult_map(K, u):
 def is_zero(m):
     """Whether every column of the map m is zero."""
     return not any(m.cols)
+
+
+def kept_keys(owner, fn):
+    """The arguments under which ``fn`` keeps values on ``owner``: the
+    ``args`` of each value of a ``memo``, and the key after ``fn`` of each
+    value of a ``kept``.  A wrapped ``fn`` is unwrapped first."""
+    fn = inspect.unwrap(fn)
+    store = vars(owner).get("_kept", {})
+    return list(store.get(fn, ())) + [key[1:] for key in store if isinstance(key, tuple) and key[0] is fn]
 
 
 SHIPPED = ("trunc:3", "sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4")

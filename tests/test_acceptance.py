@@ -95,7 +95,7 @@ def test_criterion_4_closed_form_regression():
         r1 = hc_rank_one(ctx.mono, "xi=0", 5)
         expect_hc = [n if r % 2 == 0 else n - 1 for r in range(6)]
         ok = ok and hc_gen == expect_hc
-        ok = ok and r1["proof_reading"] == expect_hc
+        ok = ok and r1 == expect_hc
     ctx = get_context("rank1:c4")
     gen_hh = homology_dims(ctx.cs(7), 3)
     gen_hc = hc(ctx.mono, 5)[:4]

@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction as Fr
 
 import pytest
@@ -16,6 +17,8 @@ from orehom.algebra import (
     eigen_split,
     group_algebra,
     k_commutator_subspace,
+    kept,
+    memo,
     regular_bimodule,
     twisted_commutator_subspace,
     validate_monogenic,
@@ -444,6 +447,32 @@ def test_regular_bimodule_validates():
     mono = get_context("rank1:c4").mono
     M = regular_bimodule(mono)
     M._check()  # associativity, unitality, commuting actions, f-relations
+
+
+def test_regular_bimodule_is_kept_once_per_algebra():
+    parsed = parse_spec(build_example("taft:3"))
+    M = regular_bimodule(parsed.mono)
+    assert M is parsed.bimodule and M.is_regular
+    assert regular_bimodule(_dual_numbers().mono) is not M
+
+
+def test_memo_keeps_functions_of_one_name_apart():
+    # a value is kept under its function, not under the function's name
+    calls = []
+
+    def memoised(value):
+        @memo
+        def build(owner, arg):
+            calls.append((value, arg))
+            return value + arg
+        return build
+
+    first, second = memoised(10), memoised(20)
+    assert first.__name__ == second.__name__
+    owner = types.SimpleNamespace()
+    assert [first(owner, 1), second(owner, 1), first(owner, 1), second(owner, 2)] == [11, 21, 11, 22]
+    assert calls == [(10, 1), (20, 1), (20, 2)]
+    assert kept(owner, ("key",), lambda: 5) == kept(owner, ("key",), lambda: 6) == 5
 
 
 # -- the multiplication table and the sparse columns against the dense path ----

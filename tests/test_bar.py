@@ -6,7 +6,6 @@ from orehom.algebra import twisted_commutator_subspace
 from orehom.bar import (
     BarComplex,
     BarSpace,
-    MonomialTensor,
     middle_tuples,
 )
 from orehom.complexes import homology_dims
@@ -286,12 +285,6 @@ def test_division_quotient_of_power():
     assert mono.x_power_quotient(2) is mono.x_power_quotient(2)
 
 
-def test_monomial_tensor_degree():
-    t = MonomialTensor(None, (2, 1))
-    assert t.degree == 3
-    assert MonomialTensor(None, (0,)).degree == 0
-
-
 def test_element_degree_max_rule():
     ctx = get_context("trunc:3")
     bar = ctx.bar(2)
@@ -309,6 +302,16 @@ def test_middle_tuples_shapes():
     assert middle_tuples(2, 3) == [(1, 1, 1)]
     assert len(middle_tuples(3, 2)) == 4
     assert middle_tuples(4, 0) == [()]
+
+
+@pytest.mark.parametrize("name", ["taft:3", "dihedral:3"])
+def test_bar_complex_and_bar_resolution_read_one_tuple_table(name):
+    # block ti names the same tuple on both sides, which omega relies on
+    ctx = get_context(name)
+    bar, barres = ctx.bar(4), ctx.barres(4)
+    for r in range(5):
+        assert bar.space(r).tuples is barres.spaces[r].tuples == middle_tuples(ctx.mono.n, r)
+        assert bar.space(r).tuple_index is barres.spaces[r].tuple_index
 
 
 def test_generic_path_with_nondiagonal_alpha():

@@ -21,7 +21,7 @@ from orehom.perturbation import vanishing_check
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 from orehom.workspace import Workspace
 
-from conftest import right_mult_map
+from conftest import kept_keys, right_mult_map
 from test_algebra import RANK_ONE, _table_context
 
 TOP = 6
@@ -128,5 +128,5 @@ def test_merged_slots_keep_one_operator_per_power_and_target_class():
     bar = BarComplex(mono, M, 5)
     for r in range(1, 6):
         list(bar.b(r).cols)
-    kept = sorted((key, cls) for key, cls in bar._faces if key[0] == "kr")
+    kept = sorted((key, cls) for key, cls in kept_keys(bar, BarComplex._face) if key[0] == "kr")
     assert kept == [(("kr", s, s), cls) for s in (2, 3) for cls in range(4)]

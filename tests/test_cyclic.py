@@ -161,7 +161,7 @@ def test_hc_rank_one_specializations():
     ):
         ctx = get_context(name)
         r1 = hc_rank_one(ctx.mono, case, 6)
-        assert r1["proof_reading"] == hc(ctx.mono, 7)[:7]
+        assert r1 == hc(ctx.mono, 7)[:7]
 
 
 def test_hc_closed_form_refuses_without_collapse():
