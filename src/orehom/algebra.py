@@ -699,16 +699,11 @@ def k_commutator_subspace(mono, j):
     return list(kept(mono, (k_commutator_subspace, i), build))
 
 
-class CollapseReport:
-    """Outcome of the direct [K,K]_{alpha^j} = K test per residue class."""
-
-    def __init__(self, n, entries):
-        self.n = n
-        self.entries = entries  # j -> (is_full, dim of [K,K]_{alpha^j})
-        self.holds = all(full for full, _ in entries.values())
-
-    def __repr__(self):
-        return f"CollapseReport(holds={self.holds}, entries={self.entries})"
+def k_commutator_rank(mono, j):
+    """The rank of [K,K]_{alpha^j}, computed once per class of alpha^j and
+    kept on ``mono``: the collapse verdict of that class is this rank = dim K."""
+    i = mono.twist(j)
+    return kept(mono, (k_commutator_rank, i), lambda: sparse_rank(k_commutator_subspace(mono, i)))
 
 
 def check_collapse(mono, max_j):
@@ -716,17 +711,15 @@ def check_collapse(mono, max_j):
 
     This is the condition the collapsed small complex actually needs; it is
     weaker than the existence of a suitable central element and is computed
-    rather than assumed.  The rank of [K,K]_{alpha^j} is computed once per
-    class of alpha^j and kept on ``mono``.
-    """
+    rather than assumed.  Returns ``{j: (is_full, rank of [K,K]_{alpha^j})}``,
+    the ranks read off ``k_commutator_rank``."""
     entries = {}
     for j in range(1, max_j + 1):
         if j % mono.n == 0:
             continue
-        i = mono.twist(j)
-        r = kept(mono, (check_collapse, i), lambda: sparse_rank(k_commutator_subspace(mono, i)))
+        r = k_commutator_rank(mono, j)
         entries[j] = (r == mono.base.dim, r)
-    return CollapseReport(mono.n, entries)
+    return entries
 
 
 def verify_lambda_breve(mono, candidate):

@@ -101,6 +101,14 @@ def level_tuples(mono, r):
     return tuples, {t: i for i, t in enumerate(tuples)}
 
 
+def _per_sum(mono, r, value):
+    """``{s: value(i)}`` over the sums s of the tuples of level r, i the class
+    of alpha^s (``mono.twist``): one call of ``value`` per class present."""
+    classes = {s: mono.twist(s) for s in range(r, r * (mono.n - 1) + 1)}
+    values = {i: value(i) for i in dict.fromkeys(classes.values())}
+    return {s: values[i] for s, i in classes.items()}
+
+
 NEG_INF = float("-inf")
 
 
@@ -135,8 +143,9 @@ class BarSpace:
         self.block_proj = []    # per tuple: block column -> {block quotient index: entry}
         self.block_offset = []  # per tuple: its first quotient coordinate
         self.free = []          # per quotient coordinate: its ambient column
+        quotients = _per_sum(mono, r, lambda i: commutator_quotient(M, i))
         for ti, t in enumerate(self.tuples):
-            sq = commutator_quotient(M, sum(t))
+            sq = quotients[sum(t)]
             self.block_proj.append(sq.proj_cols)
             self.block_offset.append(len(self.free))
             self.free.extend(ti * M.dim + f for f in sq.free)
@@ -456,7 +465,8 @@ class BarResSpace(_TensorBlocks):
         self.tuples, self.tuple_index = level_tuples(mono, r)
         self.block = self.dimK * self.n * self.n
         self.dim = len(self.tuples) * self.block
-        self.overflow = [mono.x_overflow(sum(t)) for t in self.tuples]
+        overflow = _per_sum(mono, r, mono.x_overflow)
+        self.overflow = [overflow[sum(t)] for t in self.tuples]
 
     def offset(self, t, q):
         """Flat index of e_0 (x) x^t (x) x^q; add the left factor's coordinate."""

@@ -169,7 +169,7 @@ def cmd_hh(args):
     elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
             _add_components(report, dims, [(w, homology_dims(comp, md - 1))
-                                           for w, _, comp in decompose(mono, md, parsed.collapse)])
+                                           for w, _, comp in decompose(mono, md)])
         else:
             report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
     if args.closed_form and not md:
@@ -185,20 +185,20 @@ def cmd_hh(args):
                 )
                 added = True
             elif collapse_ok:
-                cf = hh_closed_form(mono, "collapsed", md - 1, parsed.collapse)
+                cf = hh_closed_form(mono, "collapsed", md - 1)
                 report["modes"]["closed_form_collapsed"] = cf
                 report["comparisons"].append(
                     {"against": "closed form (collapse)", "agrees": cf == dims}
                 )
                 if parsed.summary["diagonalizable"]:
-                    cf2 = hh_closed_form(mono, "eigen", md - 1, parsed.collapse)
+                    cf2 = hh_closed_form(mono, "eigen", md - 1)
                     report["modes"]["closed_form_eigen"] = cf2
                     report["comparisons"].append(
                         {"against": "closed form (eigencomponents)", "agrees": cf2 == dims}
                     )
                 case = parsed.summary.get("rank_one_case")
                 if case and parsed.summary["diagonalizable"]:
-                    cf3 = hh_rank_one(mono, case, md - 1, parsed.collapse)
+                    cf3 = hh_rank_one(mono, case, md - 1)
                     report["modes"]["closed_form_rank_one"] = cf3
                     report["comparisons"].append(
                         {"against": f"rank-one closed form ({case})", "agrees": cf3 == dims}
@@ -289,7 +289,7 @@ def cmd_hc(args):
         report.setdefault("refusals", []).append("--closed-form: the window 0..-1 has no degree")
     elif args.closed_form:
         if collapse_ok and parsed.summary["diagonalizable"]:
-            cf = hc_closed_form(mono, md - 1, parsed.collapse)
+            cf = hc_closed_form(mono, md - 1)
             report["modes"]["closed_form_proof_reading"] = cf["proof_reading"]
             report["modes"]["closed_form_displayed_reading"] = cf["displayed_reading"]
             report["exponent_note"] = (
@@ -304,7 +304,7 @@ def cmd_hc(args):
             )
             case = parsed.summary.get("rank_one_case")
             if case:
-                r1 = hc_rank_one(mono, case, md - 1, parsed.collapse)
+                r1 = hc_rank_one(mono, case, md - 1)
                 report["modes"]["closed_form_rank_one"] = r1
                 report["comparisons"].append(
                     {"against": f"rank-one closed form ({case})", "agrees": r1[:md] == dims[:len(r1)]}
@@ -316,7 +316,7 @@ def cmd_hc(args):
     elif args.decompose:
         if collapse_ok and parsed.summary["diagonalizable"]:
             _add_components(report, dims, [(w, homology_dims(bc_total(cmixed, md), md - 1))
-                                           for w, _, cmixed in build_mixed_components(mono, md, parsed.collapse)])
+                                           for w, _, cmixed in build_mixed_components(mono, md)])
         else:
             report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
     if args.oracle and md < 2:

@@ -157,22 +157,22 @@ def connes_D(mono, r, cs_spaces, mode="generic"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def build_mixed(mono, max_degree=6, mode="generic", collapse_report=None):
+def build_mixed(mono, max_degree=6, mode="generic"):
     """The mixed complex (C^S, d, D) with all identities verified."""
     if mode == "generic":
         cs = build_cs(mono, None, max_degree)
     elif mode == "collapsed":
-        cs = build_cs_collapsed(mono, max_degree, collapse_report)
+        cs = build_cs_collapsed(mono, max_degree)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     D = {r: connes_D(mono, r, cs.spaces, mode) for r in range(max_degree)}
     return MixedComplexData(mono.field, cs.spaces, cs.boundaries, D)
 
 
-def build_mixed_components(mono, max_degree=6, collapse_report=None):
+def build_mixed_components(mono, max_degree=6):
     """Eigencomponent mixed complexes [(w, idxs, MixedComplexData)]."""
     out = []
-    for w, idxs, comp in decompose(mono, max_degree, collapse_report):
+    for w, idxs, comp in decompose(mono, max_degree):
         D = {
             r: connes_D_component(mono, r, comp.spaces, w, idxs)
             for r in range(max_degree)
@@ -303,7 +303,7 @@ def _power_vec(mono, kvec, power):
     return out
 
 
-def hc_closed_form(mono, max_degree, collapse_report=None):
+def hc_closed_form(mono, max_degree):
     """Per-eigencomponent closed-form HC dimensions, both exponent readings.
 
     Returns a dict with per-degree totals under the proof reading
@@ -311,9 +311,8 @@ def hc_closed_form(mono, max_degree, collapse_report=None):
     m), and the degrees where the two disagree.  Even degrees do not depend
     on the reading.
     """
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
-    K = mono.base
     field = mono.field
     n = mono.n
     one = field.one
@@ -373,7 +372,7 @@ def _odd_numerator_dim(mono, idxs, cond_vec, denominator, strict=True):
     return qdim
 
 
-def hc_rank_one(mono, case, max_degree, collapse_report=None):
+def hc_rank_one(mono, case, max_degree):
     """The group-character specializations of the cyclic closed forms.
 
     case: "xi=0" (also used after the chi^n != id rewrite) or
@@ -381,7 +380,7 @@ def hc_rank_one(mono, case, max_degree, collapse_report=None):
     reading of ``hc_closed_form``, with components restricted to
     eigenvalues w with w^n = 1, plus the full K/[K,K] term in even degrees.
     """
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
     K = mono.base
     field = mono.field
@@ -452,7 +451,7 @@ def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, sca
     return spaces[r_to].project_terms(local)
 
 
-def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
+def sbi_check(mono, max_m=2, max_degree=None):
     """Verify the S / i / B boundary-map formulas on homology representatives.
 
     Per eigencomponent and per m <= max_m, each item is evaluated exactly
@@ -476,7 +475,7 @@ def sbi_check(mono, max_m=2, max_degree=None, collapse_report=None):
     n = mono.n
     top_needed = 2 * max_m + 4
     max_degree = max(top_needed, max_degree or 0)
-    comps = build_mixed_components(mono, max_degree, collapse_report)
+    comps = build_mixed_components(mono, max_degree)
     lam_n = mono.f_coefficient(n)
     entries = []
     for w, idxs, mixed in comps:

@@ -25,6 +25,7 @@ column blocks vanishing identically.
 
 from __future__ import annotations
 
+from .algebra import kept
 from .complexes import ChainComplex
 from .cyclic import BCTotal, MixedComplexData
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
@@ -76,7 +77,9 @@ class DeformationRetract:
         }
 
     def is_special(self, up_to=None):
-        return all(self.special(up_to).values())
+        """Whether ``special`` holds below up_to, kept per window for every reader."""
+        top = self.max_degree if up_to is None else up_to
+        return kept(self, (DeformationRetract.is_special, top), lambda: all(self.special(top).values()))
 
 
 class PerturbedRetract(DeformationRetract):

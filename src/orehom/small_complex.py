@@ -30,9 +30,9 @@ has infinite order.
 from __future__ import annotations
 
 from .algebra import (
-    check_collapse,
     commutator_quotient,
     eigen_split,
+    k_commutator_rank,
     k_commutator_subspace,
     kept,
     regular_bimodule,
@@ -118,27 +118,23 @@ def build_cs(mono, M=None, max_degree=6):
 
 
 def collapse_required_js(n, max_degree):
-    """Twists that must satisfy [K,K]_{alpha^j} = K for the collapsed form."""
-    needed = set()
-    for r in range(max_degree + 1):
-        base = cs_twist(n, r)
-        for i in range(n):
-            j = base + i
-            if j % n != 0:
-                needed.add(j)
-    return sorted(needed)
+    """Twists that must satisfy [K,K]_{alpha^j} = K for the collapsed form:
+    degree r reads cs_twist(n, r) + [0, n), so every j below
+    cs_twist(n, max_degree) + n that n does not divide."""
+    return [j for j in range(cs_twist(n, max_degree) + n) if j % n]
 
 
-def ensure_collapse(mono, max_degree, report=None):
-    needed = collapse_required_js(mono.n, max_degree)
-    report = report or check_collapse(mono, max(needed))
-    missing = [j for j in needed if j not in report.entries or not report.entries[j][0]]
+def ensure_collapse(mono, max_degree):
+    """Refuse unless [K,K]_{alpha^j} = K for every j the collapsed forms read
+    up to ``max_degree``, looking up the rank kept on ``mono`` once per class."""
+    needed = {j: mono.twist(j) for j in collapse_required_js(mono.n, max_degree)}
+    full = {i: k_commutator_rank(mono, i) == mono.base.dim for i in set(needed.values())}
+    missing = [j for j, i in needed.items() if not full[i]]
     if missing:
         raise HypothesisError(
             f"collapse not verified: [K,K]_(alpha^j) != K for j in {missing}; "
             "use the generic build_cs path"
         )
-    return report
 
 
 def k_quotient(mono, j):
@@ -146,13 +142,13 @@ def k_quotient(mono, j):
     return component_quotient(mono, j, range(mono.base.dim))
 
 
-def build_cs_collapsed(mono, max_degree=6, collapse_report=None):
+def build_cs_collapsed(mono, max_degree=6):
     """The K-sized collapsed complex; refuses when collapse is unverified.
 
     Odd-degree classes carry an implicit factor x^{n-1} (they sit inside
     A/[A,K] as [lam x^{n-1}]); even classes are [lam] with lam in K.
     """
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     spaces = [k_quotient(mono, (r + 1) // 2 * mono.n) for r in range(max_degree + 1)]
     def image(r, idx):
         lam = mono.base.basis_vector(idx)
@@ -188,13 +184,13 @@ def component_quotient(mono, j, idxs):
                 lambda: subquotient(mono.field, len(idxs), component_commutator_span(mono, i, idxs)))
 
 
-def decompose(mono, max_degree=6, collapse_report=None):
+def decompose(mono, max_degree=6):
     """Per-eigenvalue collapsed complexes [(eigenvalue, basis idxs, complex)].
 
     Boundaries are the scalar forms: odd (w - 1)[lam lam_n], even
     (sum_{l<n} w^l)[lam] x^{n-1}.
     """
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     K, field = mono.base, mono.field
     lam_n = mono.f_coefficient(mono.n)
     out = []
@@ -241,9 +237,9 @@ def _per_key(mono, max_degree, dim_at):
     return dims
 
 
-def hh_dims_collapsed(mono, max_degree, collapse_report=None):
+def hh_dims_collapsed(mono, max_degree):
     """Homology dimensions from the collapsed-complex closed form."""
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     K = mono.base
     field = mono.field
     n = mono.n
@@ -264,9 +260,9 @@ def hh_dims_collapsed(mono, max_degree, collapse_report=None):
     return _per_key(mono, max_degree, dim_at)
 
 
-def hh_dims_eigen(mono, max_degree, collapse_report=None):
+def hh_dims_eigen(mono, max_degree):
     """Per-eigenvalue closed form; returns (total dims, per-component dict)."""
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
     field = mono.field
     n = mono.n
@@ -331,16 +327,16 @@ def hh_dims_alpha_identity(mono, max_degree):
     return dims
 
 
-def hh_closed_form(mono, case, max_degree, collapse_report=None):
+def hh_closed_form(mono, case, max_degree):
     """Dispatch on the verified hypothesis case.
 
     case: "collapsed" (central-element collapse), "eigen" (collapse plus
     diagonal alpha), or "alpha_identity".
     """
     if case == "collapsed":
-        return hh_dims_collapsed(mono, max_degree, collapse_report)
+        return hh_dims_collapsed(mono, max_degree)
     if case == "eigen":
-        return hh_dims_eigen(mono, max_degree, collapse_report)[0]
+        return hh_dims_eigen(mono, max_degree)[0]
     if case == "alpha_identity":
         return hh_dims_alpha_identity(mono, max_degree)
     raise HypothesisError(f"unknown closed-form case {case!r}")
@@ -372,7 +368,7 @@ def periodicity_check(mono, v, max_m, M=None):
     return True
 
 
-def hh_rank_one(mono, case, max_degree, collapse_report=None):
+def hh_rank_one(mono, case, max_degree):
     """Group-character specializations of the homology closed forms.
 
     case: "xi=0", "xi!=0, chi^n=id", or "xi!=0, chi^n!=id" (the last uses
@@ -381,7 +377,7 @@ def hh_rank_one(mono, case, max_degree, collapse_report=None):
     the extension the two nonzero-xi displays use g1^n - 1 = -lam_n up to
     the xi unit, so lam_n itself is what enters the spans.
     """
-    ensure_collapse(mono, max_degree, collapse_report)
+    ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
     K = mono.base
     field = mono.field

@@ -251,16 +251,14 @@ def build_example(name):
 # -- parsing ------------------------------------------------------------------
 
 class ParsedSpec:
-    """Validated objects plus the hypothesis-check summary and the
-    ``CollapseReport`` it was read from, for the closed forms to reuse."""
+    """Validated objects plus the hypothesis-check summary."""
 
-    def __init__(self, name, mono, bimodule, lambda_breve, summary, collapse):
+    def __init__(self, name, mono, bimodule, lambda_breve, summary):
         self.name = name
         self.mono = mono
         self.bimodule = bimodule
         self.lambda_breve = lambda_breve
         self.summary = summary
-        self.collapse = collapse
 
 
 def _decode_base_algebra(field, obj):
@@ -465,9 +463,9 @@ def parse_spec(doc, max_degree=6):
     max_j = n * (max_degree // 2 + 2) + n
     collapse = check_collapse(mono, max_j)
     summary["collapse"] = {
-        "holds": collapse.holds,
+        "holds": all(full for full, _ in collapse.values()),
         "max_j": max_j,
-        "failing": sorted(j for j, (full, _) in collapse.entries.items() if not full),
+        "failing": sorted(j for j, (full, _) in collapse.items() if not full),
     }
     if lambda_breve is not None:
         ok, reason = verify_lambda_breve(mono, lambda_breve)
@@ -478,4 +476,4 @@ def parse_spec(doc, max_degree=6):
         summary["eigenvalues"] = [encode_scalar(field, w) for w, _ in comps]
     except AlgebraError:
         summary["diagonalizable"] = False
-    return ParsedSpec(name, mono, bimodule, lambda_breve, summary, collapse)
+    return ParsedSpec(name, mono, bimodule, lambda_breve, summary)

@@ -5,6 +5,7 @@ import pytest
 from orehom.algebra import twisted_commutator_subspace
 from orehom.bar import (
     BarComplex,
+    BarResSpace,
     BarSpace,
     middle_tuples,
 )
@@ -312,6 +313,35 @@ def test_bar_complex_and_bar_resolution_read_one_tuple_table(name):
     for r in range(5):
         assert bar.space(r).tuples is barres.spaces[r].tuples == middle_tuples(ctx.mono.n, r)
         assert bar.space(r).tuple_index is barres.spaces[r].tuple_index
+
+
+def test_a_level_looks_up_each_twist_class_once(monkeypatch):
+    # a block's quotient and overflow depend on the class of its tuple sum
+    # alone: building level r reads each once per class present at r
+    from orehom import algebra, bar
+
+    parsed = parse_spec(build_example("taft:3"))
+    mono, M = parsed.mono, parsed.bimodule
+    quotients, overflows = [], []
+    quotient, overflow = bar.commutator_quotient, algebra.MonogenicData.x_overflow
+
+    def counted_quotient(M, j):
+        quotients.append(M.mono.twist(j))
+        return quotient(M, j)
+
+    def counted_overflow(mono, s):
+        overflows.append(mono.twist(s))
+        return overflow(mono, s)
+
+    monkeypatch.setattr(bar, "commutator_quotient", counted_quotient)
+    monkeypatch.setattr(algebra.MonogenicData, "x_overflow", counted_overflow)
+    for r in range(7):
+        classes = sorted({mono.twist(sum(t)) for t in middle_tuples(mono.n, r)})
+        quotients.clear()
+        overflows.clear()
+        BarSpace(mono, M, r)
+        BarResSpace(mono, r)
+        assert sorted(quotients) == sorted(overflows) == classes
 
 
 def test_generic_path_with_nondiagonal_alpha():

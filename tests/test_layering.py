@@ -143,6 +143,20 @@ def test_every_kept_value_is_kept_by_memo_or_kept():
     assert set(written) == {"algebra.py: owner._kept", "complexes.py: complex_._homology"}
 
 
+def test_one_collapse_verdict_per_algebra():
+    # every closed form reads the collapse verdict kept on the algebra: no
+    # function takes a collapse report, and a parsed spec carries none
+    taking = [f"{path.name}:{node.lineno}: {node.name}" for path in SOURCES for node in ast.walk(_tree(path))
+              if isinstance(node, ast.FunctionDef)
+              and "collapse_report" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert taking == []
+    parsed_spec = next(node for node in ast.walk(_tree(ROOT / "src" / "orehom" / "spec_io.py"))
+                       if isinstance(node, ast.ClassDef) and node.name == "ParsedSpec")
+    fields = {a.attr for a in ast.walk(parsed_spec) if isinstance(a, ast.Attribute)}
+    fields |= {a.arg for a in ast.walk(parsed_spec) if isinstance(a, ast.arg)}
+    assert "collapse" not in fields
+
+
 def test_identities_are_relations_not_composed_maps():
     # every identity between maps is checked column by column by
     # ``relation_holds``: ColMap has no whole-map sum, and the identity

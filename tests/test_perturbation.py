@@ -32,6 +32,25 @@ def test_retract_identities_and_special(name):
     assert retract.is_special()
 
 
+def test_verify_checks_the_special_identities_of_each_retract_once(capsys, monkeypatch):
+    # the base retract's verdict is kept, so ``verify`` reads it for its own
+    # check and for the perturbed retract's; the perturbed one runs its own
+    from orehom import perturbation
+    from orehom.cli import main
+
+    calls = []
+    original = perturbation.DeformationRetract.special
+
+    def counted(self, up_to=None):
+        calls.append(type(self).__name__)
+        return original(self, up_to)
+
+    monkeypatch.setattr(perturbation.DeformationRetract, "special", counted)
+    assert main(["verify", "--spec", "taft:3", "--max-degree", "6"]) == 0
+    capsys.readouterr()
+    assert calls == ["DeformationRetract", "PerturbedRetract"]
+
+
 def test_zero_perturbation_changes_nothing():
     ctx, retract, delta, _ = _setup("sweedler")
     zero = {r: ColMap(ctx.mono.field, retract.X.dim(r - 1), retract.X.dim(r))

@@ -1,16 +1,21 @@
 import pytest
 
+from orehom.algebra import check_collapse
 from orehom.complexes import homology, homology_dims
+from orehom.cyclic import hc_closed_form, hc_rank_one
 from orehom.linalg import sparse_rank
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
     build_cs_collapsed,
+    collapse_required_js,
     decompose,
     hh_closed_form,
     hh_dims_eigen,
+    hh_rank_one,
     periodicity_check,
 )
+from orehom.spec_io import build_example, parse_spec
 
 from conftest import COLLAPSING, SHIPPED, get_context, is_zero
 
@@ -184,6 +189,51 @@ def test_closed_form_refusals():
         hh_closed_form(get_context("sweedler").mono, "alpha_identity", 4)
     with pytest.raises(HypothesisError):
         hh_closed_form(get_context("sweedler").mono, "nonsense", 4)
+
+
+def _closed_forms(parsed, window):
+    """Every closed form of a collapsing fixture at ``window``, and the
+    homology of the collapsed complexes it is read from."""
+    mono, summary = parsed.mono, parsed.summary
+    out = {
+        "collapsed": hh_closed_form(mono, "collapsed", window),
+        "eigen": hh_closed_form(mono, "eigen", window),
+        "hc": hc_closed_form(mono, window),
+        "collapsed complex": homology_dims(build_cs_collapsed(mono, window + 1), window),
+        "components": [homology_dims(c, window) for _, _, c in decompose(mono, window + 1)],
+    }
+    case = summary.get("rank_one_case")
+    if case:
+        out["hh rank one"] = hh_rank_one(mono, case, window)
+        out["hc rank one"] = hc_rank_one(mono, case, window)
+    return out
+
+
+@pytest.mark.parametrize("name", COLLAPSING)
+def test_closed_forms_read_the_verdict_of_the_algebra_whatever_window_it_was_parsed_at(name):
+    # the collapse check of a parse at degree 0 covers j <= 3n only; the
+    # closed forms at window 12 look up the classes it did not reach
+    narrow, wide = (parse_spec(build_example(name), max_degree=md) for md in (0, 12))
+    assert narrow.summary["collapse"]["max_j"] < max(collapse_required_js(narrow.mono.n, 12))
+    assert narrow.summary["collapse"]["holds"] and narrow.summary["diagonalizable"]
+    assert _closed_forms(narrow, 12) == _closed_forms(wide, 12)
+
+
+def test_closed_form_past_the_parsed_window_answers():
+    mono = parse_spec(build_example("taft:3"), max_degree=2).mono
+    assert hh_closed_form(mono, "collapsed", 12) == HH_TABLE["taft:3"][:1] + [2] * 12
+
+
+@pytest.mark.parametrize("window", [1, 4, 12])
+def test_collapse_refusal_names_exactly_the_failing_js_of_the_window(window):
+    mono = parse_spec(build_example("dihedral:3"), max_degree=0).mono
+    with pytest.raises(HypothesisError) as refusal:
+        hh_closed_form(mono, "collapsed", window)
+    needed = collapse_required_js(mono.n, window)
+    entries = check_collapse(mono, max(needed))
+    failing = [j for j in needed if entries[j][1] < mono.base.dim]
+    assert failing
+    assert f"[K,K]_(alpha^j) != K for j in {failing};" in str(refusal.value)
 
 
 def test_eigen_component_breakdown_taft3():
