@@ -25,8 +25,9 @@ to, in one ``_kept`` store: ``memo`` keeps the value of a method (or of a
 function whose first argument is the owner) per arguments, and ``kept``
 keeps a value under a key that is computed before the build, such as a twist
 class.  The reduced powers of x, the product table, the regular bimodule,
-[K,K]_{alpha^j} and the tuple table of each bar level are kept this way on
-the algebra, M/[M,K]_{alpha^j} on the bimodule, and the maps and face
+[K,K]_{alpha^j}, K/[K,K]_{alpha^j} and the tuple table of each bar level are
+kept this way on the algebra, M/[M,K]_{alpha^j} on the bimodule (for M = A
+assembled from the K/[K,K]_{alpha^(j+p)}), and the maps and face
 operators of the bar complexes on the complex; nothing writes another
 object's store but through these two functions.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from functools import wraps
 
-from .linalg import ColMap, add_term, add_terms, relation_holds, sparse_rank, sub_terms, subquotient
+from .linalg import ColMap, SubquotientSpace, add_term, add_terms, relation_holds, sparse_rank, sub_terms, subquotient
 
 
 class AlgebraError(ValueError):
@@ -668,10 +669,26 @@ def twisted_commutator_subspace(M, j):
 
 def commutator_quotient(M, j):
     """SubquotientSpace M/[M,K]_{alpha^j}, computed once per class of alpha^j
-    (``mono.twist``) and kept on M."""
-    i = M.mono.twist(j)
-    return kept(M, (commutator_quotient, i),
-                lambda: subquotient(M.mono.field, M.dim, twisted_commutator_subspace(M, i)))
+    (``mono.twist``) and kept on M.  A bimodule given by its own action maps
+    is eliminated whole; for M = A, (kappa x^p) alpha^j(lam) - lam (kappa x^p)
+    is (kappa alpha^(j+p)(lam) - lam kappa) x^p, so the span is block-diagonal
+    and, RREF being unique, the quotient is the sum over p < n of the kept
+    ``k_quotient`` of class j + p at x^p, each block's quotient coordinates
+    shifted past those of the blocks before it."""
+    mono = M.mono
+    i = mono.twist(j)
+
+    def build():
+        if M is not regular_bimodule(mono):
+            return subquotient(mono.field, M.dim, twisted_commutator_subspace(M, i))
+        free, proj_cols = [], []
+        for p in range(mono.n):
+            block, shift = k_quotient(mono, i + p), len(free)
+            free += [p * mono.base.dim + f for f in block.free]
+            proj_cols += [{shift + q: e for q, e in col.items()} for col in block.proj_cols]
+        return SubquotientSpace(mono.field, M.dim, free, proj_cols)
+
+    return kept(M, (commutator_quotient, i), build)
 
 
 def k_commutator_subspace(mono, j):
@@ -699,11 +716,12 @@ def k_commutator_subspace(mono, j):
     return list(kept(mono, (k_commutator_subspace, i), build))
 
 
-def k_commutator_rank(mono, j):
-    """The rank of [K,K]_{alpha^j}, computed once per class of alpha^j and
-    kept on ``mono``: the collapse verdict of that class is this rank = dim K."""
+def k_quotient(mono, j):
+    """SubquotientSpace K/[K,K]_{alpha^j}, computed once per class of alpha^j
+    and kept on ``mono``: the blocks of A/[A,K], the collapse verdict and the
+    collapsed complexes read it."""
     i = mono.twist(j)
-    return kept(mono, (k_commutator_rank, i), lambda: sparse_rank(k_commutator_subspace(mono, i)))
+    return kept(mono, (k_quotient, i), lambda: subquotient(mono.field, mono.base.dim, k_commutator_subspace(mono, i)))
 
 
 def check_collapse(mono, max_j):
@@ -712,12 +730,12 @@ def check_collapse(mono, max_j):
     This is the condition the collapsed small complex actually needs; it is
     weaker than the existence of a suitable central element and is computed
     rather than assumed.  Returns ``{j: (is_full, rank of [K,K]_{alpha^j})}``,
-    the ranks read off ``k_commutator_rank``."""
+    each rank dim K minus the dimension of the kept ``k_quotient``."""
     entries = {}
     for j in range(1, max_j + 1):
         if j % mono.n == 0:
             continue
-        r = k_commutator_rank(mono, j)
+        r = mono.base.dim - k_quotient(mono, j).quotient_dim
         entries[j] = (r == mono.base.dim, r)
     return entries
 

@@ -123,7 +123,8 @@ class BarSpace:
     divided only by its own twisted commutators [m, lam]_{alpha^s},
     s = sum(t) (the twist collected by pulling lam around the tail), so the
     quotient is computed once per class of alpha^s (``mono.twist``), on an
-    M-sized block, and shared with C^S through ``commutator_quotient``.  The
+    M-sized block, and shared with C^S through ``commutator_quotient`` (for
+    M = A itself a sum of the K/[K,K]_{alpha^(s+p)} kept on the algebra).  The
     spanning set is block-diagonal and RREF is unique, so the free columns,
     the projection and the order of quotient coordinates are those of one
     elimination over the whole ambient space: a quotient coordinate is the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import eigen_split
+from .algebra import eigen_split, k_quotient
 from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
 from .linalg import (ColMap, EchelonSet, add_terms, anticommutator_terms, quotient_dim, relation_holds, solve,
                      sparse_rank, sub_terms, subquotient)
@@ -35,7 +35,6 @@ from .small_complex import (
     component_mult_rows,
     decompose,
     ensure_collapse,
-    k_commutator_subspace,
 )
 
 
@@ -392,7 +391,7 @@ def hc_rank_one(mono, case, max_degree):
     if case == "xi!=0, chi^n!=id":
         case = "xi=0"  # after the quotient rewrite f = x^n
     proof = [0] * (max_degree + 1)
-    k_mod_comm = K.dim - sparse_rank(k_commutator_subspace(mono, 0))
+    k_mod_comm = k_quotient(mono, 0).quotient_dim
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
         if not odd:

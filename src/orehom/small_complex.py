@@ -32,8 +32,8 @@ from __future__ import annotations
 from .algebra import (
     commutator_quotient,
     eigen_split,
-    k_commutator_rank,
     k_commutator_subspace,
+    k_quotient,
     kept,
     regular_bimodule,
 )
@@ -126,20 +126,16 @@ def collapse_required_js(n, max_degree):
 
 def ensure_collapse(mono, max_degree):
     """Refuse unless [K,K]_{alpha^j} = K for every j the collapsed forms read
-    up to ``max_degree``, looking up the rank kept on ``mono`` once per class."""
+    up to ``max_degree``: K/[K,K]_{alpha^j}, kept on ``mono`` once per class
+    (``k_quotient``), is zero."""
     needed = {j: mono.twist(j) for j in collapse_required_js(mono.n, max_degree)}
-    full = {i: k_commutator_rank(mono, i) == mono.base.dim for i in set(needed.values())}
+    full = {i: k_quotient(mono, i).quotient_dim == 0 for i in set(needed.values())}
     missing = [j for j, i in needed.items() if not full[i]]
     if missing:
         raise HypothesisError(
             f"collapse not verified: [K,K]_(alpha^j) != K for j in {missing}; "
             "use the generic build_cs path"
         )
-
-
-def k_quotient(mono, j):
-    """SubquotientSpace K/[K,K]_{alpha^j}, once per class of alpha^j."""
-    return component_quotient(mono, j, range(mono.base.dim))
 
 
 def build_cs_collapsed(mono, max_degree=6):
@@ -178,8 +174,11 @@ def component_mult_rows(mono, idxs, kvec):
 
 def component_quotient(mono, j, idxs):
     """K^w/[K,K]^w_{alpha^j} on the basis indices ``idxs``, computed once per
-    class of alpha^j (``mono.twist``) and kept on ``mono``."""
+    class of alpha^j (``mono.twist``) and kept on ``mono``; on all of K it is
+    ``k_quotient``."""
     i, idxs = mono.twist(j), tuple(idxs)
+    if idxs == tuple(range(mono.base.dim)):
+        return k_quotient(mono, i)
     return kept(mono, (component_quotient, i, idxs),
                 lambda: subquotient(mono.field, len(idxs), component_commutator_span(mono, i, idxs)))
 
@@ -392,7 +391,7 @@ def hh_rank_one(mono, case, max_degree):
         m, odd = divmod(r, 2)
         if r == 0:
             if case == "xi=0":
-                return K.dim - sparse_rank(k_commutator_subspace(mono, 0))
+                return k_quotient(mono, 0).quotient_dim
             total = 0
             for w, idxs in comps:
                 span = component_commutator_span(mono, 0, idxs)

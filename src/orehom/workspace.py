@@ -7,7 +7,8 @@ and grown in place to the largest level asked for, with its maps kept; a
 bar-side map builds each column the first time it is read, so growing to
 a level builds its spaces and no map columns.  Every quotient
 M/[M,K]_{alpha^j} they read is the one ``commutator_quotient`` keeps on M,
-one per class of alpha^j.
+one per class of alpha^j; for M = A it is assembled from the
+K/[K,K]_{alpha^(j+p)}, p < n, that ``k_quotient`` keeps on the algebra.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ The collapsed boundaries are computed densely, with ``dense_reference``.
 """
 
 import dense_reference as dref
-from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace
+from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace, k_quotient
 from orehom.complexes import ChainComplex
 from orehom.linalg import ColMap, EchelonSet, quotient_dim, sparse_rank
 from orehom.small_complex import (
@@ -22,7 +22,6 @@ from orehom.small_complex import (
     component_quotient,
     cs_twist,
     ensure_collapse,
-    k_quotient,
 )
 
 

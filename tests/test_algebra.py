@@ -27,7 +27,7 @@ from orehom.algebra import (
 from orehom.bar import BarComplex
 from orehom.complexes import homology_dims
 from orehom.fields import make_field
-from orehom.linalg import ColMap, EchelonSet, sparse_rank, sub_terms
+from orehom.linalg import ColMap, EchelonSet, sparse_rank, sub_terms, subquotient
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
@@ -418,6 +418,26 @@ def test_column_commutators_match_one_hot_reference(name):
         assert mono.twist(j) == j % order
         assert twisted_commutator_subspace(M, j) == _one_hot_commutators(M, j)
         assert commutator_quotient(M, j) is commutator_quotient(M, j + order)
+
+
+_MORE_RANK_ONE = {"rank-one(12,1,2,6,1)": (12, 1, 2, 6, 1), "rank-one(8,2,1,4,1)": (8, 2, 1, 4, 1)}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("taft:5",) + tuple(_MORE_RANK_ONE))
+def test_quotients_of_a_built_from_k_match_the_direct_elimination(name):
+    # A/[A,K]_{alpha^j} built from the kept K/[K,K]_{alpha^(j+p)}, p < n, is
+    # the subquotient of one elimination over A, coordinate for coordinate
+    if name in _MORE_RANK_ONE:
+        mono = parse_spec(rank_one_doc(*_MORE_RANK_ONE[name])).mono
+    else:
+        mono, _ = _table_context(name)
+    M = regular_bimodule(mono)
+    js = range(12) if name == "dual-numbers" else range(2 * _alpha_order(mono) + 2)
+    for j in js:
+        built = commutator_quotient(M, j)
+        direct = subquotient(mono.field, M.dim, twisted_commutator_subspace(M, mono.twist(j)))
+        assert (built.free, built.proj_cols, built.quotient_dim) == (
+            direct.free, direct.proj_cols, direct.quotient_dim)
 
 
 def test_alpha_of_infinite_order_keeps_every_twist():

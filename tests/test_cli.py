@@ -104,10 +104,11 @@ def test_hh_basis_flag(capsys):
     assert len(rep["representatives"][0]) == 2
 
 
-def _sweedler_with_bimodule(tmp_path, copies):
-    """A spec file of sweedler whose M is the direct sum of ``copies`` copies of
-    A with its regular actions, written out as explicit matrices."""
-    mono = parse_spec(build_example("sweedler")).mono
+def _spec_with_regular_copies(tmp_path, copies, name="sweedler"):
+    """A spec file of the example ``name`` whose M is the direct sum of
+    ``copies`` copies of A with its regular actions, written out as explicit
+    matrices."""
+    mono = parse_spec(build_example(name)).mono
     field, dim = mono.field, mono.dim
     acts = _regular_action_rows(mono)
 
@@ -118,7 +119,7 @@ def _sweedler_with_bimodule(tmp_path, copies):
     def encoded(rows):
         return [encode_kvec(field, row) for row in block_diagonal(rows)]
 
-    doc = build_example("sweedler")
+    doc = build_example(name)
     doc["bimodule"] = {
         "type": "matrices",
         "dim": copies * dim,
@@ -127,7 +128,7 @@ def _sweedler_with_bimodule(tmp_path, copies):
         "right_k": [encoded(m) for m in acts["right_k"]],
         "right_x": encoded(acts["right_x"]),
     }
-    path = tmp_path / f"sweedler_{copies}.json"
+    path = tmp_path / f"{name.replace(':', '_')}_{copies}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -136,12 +137,12 @@ def test_hh_basis_labels_the_coordinates_of_m(capsys, tmp_path):
     _, regular = run_json(capsys, "hh", "--spec", "sweedler", "--max-degree", "3", "--basis")
     # A written out as explicit matrices is still the regular bimodule: its
     # representatives read as elements of A
-    code, same = run_json(capsys, "hh", "--spec", _sweedler_with_bimodule(tmp_path, 1),
+    code, same = run_json(capsys, "hh", "--spec", _spec_with_regular_copies(tmp_path, 1),
                           "--max-degree", "3", "--basis")
     assert code == 0
     assert same["representatives"] == regular["representatives"]
     # M = A + A has twice the coordinates of A, labelled m_0 .. m_7
-    code, double = run_json(capsys, "hh", "--spec", _sweedler_with_bimodule(tmp_path, 2),
+    code, double = run_json(capsys, "hh", "--spec", _spec_with_regular_copies(tmp_path, 2),
                             "--max-degree", "3", "--basis")
     assert code == 0
     assert double["modes"]["generic"] == [2 * h for h in regular["modes"]["generic"]]
@@ -447,23 +448,64 @@ def test_hh_dihedral4_audit_even_reflection_count(capsys):
     assert rep["audit"]["displayed_table"] == [5, 2, 2, 2]
 
 
-def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
+def _count_quotient_builds(monkeypatch):
+    """Record (owner, class) for every build of ``k_quotient`` and every call
+    of ``twisted_commutator_subspace``: {"k_quotient": [..], "twisted": [..]}."""
     from orehom import algebra, bar
 
-    seen = []
-    original = algebra.twisted_commutator_subspace
+    seen = {"k_quotient": [], "twisted": []}
+    original_kept, original_twisted = algebra.kept, algebra.twisted_commutator_subspace
 
-    def counted(M, j):
-        seen.append((id(M), j))
-        return original(M, j)
+    def counted_kept(owner, key, build):
+        if isinstance(key, tuple) and key[0] is algebra.k_quotient:
+            def counted_build():
+                seen["k_quotient"].append((id(owner), key[1]))
+                return build()
 
+            return original_kept(owner, key, counted_build)
+        return original_kept(owner, key, build)
+
+    def counted_twisted(M, j):
+        seen["twisted"].append((id(M), j))
+        return original_twisted(M, j)
+
+    monkeypatch.setattr(algebra, "kept", counted_kept)
     for module in (algebra, bar):
-        monkeypatch.setattr(module, "twisted_commutator_subspace", counted)
+        monkeypatch.setattr(module, "twisted_commutator_subspace", counted_twisted)
+    return seen
+
+
+def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
+    seen = _count_quotient_builds(monkeypatch)
     code, _ = run(capsys, "verify", "--spec", "taft:3", "--max-degree", "6")
     assert code == 0
     # C^S and the bar levels up to 8 of taft:3 use the twists 0..16, which
-    # fall into the 3 classes of alpha^j (alpha has order 3)
-    assert len(seen) == len(set(seen)) == 3
+    # fall into the 3 classes of alpha^j (alpha has order 3); M = A builds
+    # each A/[A,K]_{alpha^j} from the kept K/[K,K]_{alpha^(j+p)}
+    assert len(seen["k_quotient"]) == len(set(seen["k_quotient"])) == 3
+    assert seen["twisted"] == []
+
+
+def test_verify_eliminates_an_explicit_bimodule_once_per_class(capsys, monkeypatch, tmp_path):
+    spec = _spec_with_regular_copies(tmp_path, 1, "taft:3")
+    seen = _count_quotient_builds(monkeypatch)
+    code, _ = run(capsys, "verify", "--spec", spec, "--max-degree", "6")
+    assert code == 0
+    # M given by its own matrices is eliminated whole, once per class
+    assert len(seen["twisted"]) == len(set(seen["twisted"])) == 3
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft:3"])
+def test_explicit_copy_of_a_gives_the_dimensions_of_a(capsys, tmp_path, name):
+    # the quotients of M = A built from the K quotients and the quotients of
+    # the same M eliminated whole give one set of dimensions
+    spec = _spec_with_regular_copies(tmp_path, 1, name)
+    for command in (("hh", "--oracle"), ("hc", "--oracle")):
+        _, regular = run_json(capsys, *command, "--spec", name, "--max-degree", "4")
+        code, explicit = run_json(capsys, *command, "--spec", spec, "--max-degree", "4")
+        assert code == 0
+        assert explicit["modes"] == regular["modes"]
+        assert [c["agrees"] for c in explicit["comparisons"]] == [True] * len(explicit["comparisons"])
 
 
 def test_verify_divides_by_f_at_most_once_per_table_entry(capsys, monkeypatch):

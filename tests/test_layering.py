@@ -6,7 +6,8 @@ elimination reads sparse term dicts with no dense bridge, the dense
 K and of A is a sparse dict (the dense vector helpers and ``AElement`` are
 gone), every rank is a ``sparse_rank``, the structure of A is read off
 sparse products in K, every import is used, no module builds an argparse
-or optparse parser, ``ColMap`` has no whole-map sum and the identity checks
+or optparse parser, [K,K]_{alpha^j} is eliminated once per class (by
+``k_quotient``), ``ColMap`` has no whole-map sum and the identity checks
 of ``cli.py`` and ``perturbation.py`` compose no map, ``set_col`` edits only
 a ColMap built in the same function (a small-complex boundary is shared
 across degrees), every kept value is kept by ``memo`` or ``kept`` on its
@@ -282,6 +283,20 @@ def test_structure_of_a_costs_the_structure_constants():
                       if isinstance(call, ast.Call) and _called(call) in banned]
     assert seen == guarded
     assert calls == []
+
+
+def test_k_commutators_are_eliminated_once_per_class():
+    # K/[K,K]_{alpha^j} is defined once, as ``k_quotient`` on the algebra, and
+    # every rank of [K,K]_{alpha^j} reads its quotient dimension: no code
+    # eliminates the spanning set of [K,K]_{alpha^j} a second time
+    assert [found.split(":")[0] for found in _defined({"k_quotient"})] == ["algebra.py"]
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and _called(node) == "sparse_rank" and node.args
+                    and isinstance(node.args[0], ast.Call) and _called(node.args[0]) == "k_commutator_subspace"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_module_imports_argparse_or_optparse():
