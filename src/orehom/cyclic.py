@@ -6,9 +6,12 @@ the comparison maps (D = psi . B . phi); this module implements its closed
 formulas directly and the transfer is cross-checked in the tests and in the
 verification suite.  On the collapsed complex every even D vanishes and
 
-    D_{2m+1}([lam] x^{n-1}) = [(id - alpha)(sum_{u<=m} alpha^{nu}(lam))],
+    D_{2m+1}([lam] x^{n-1}) = [(id - alpha)(sum_{u<=m} alpha^{nu}(lam))].
 
-which per eigencomponent becomes the scalar (1 - w)(sum_{u<=m} w^{nu}).
+``connes_D_collapsed`` reads this K formula on a set of K-basis indices: on
+all of K, and on each eigencomponent, where it equals the scalar
+(1 - w)(sum_{u<=m} w^{nu}).  The cyclic closed forms read the component
+quotients of ``small_complex``.
 
 The total complex of the first-quadrant double complex built from (X, b, B)
 is taken with the plain-sum differential (no auxiliary signs): the mixed
@@ -22,8 +25,7 @@ from fractions import Fraction
 
 from .algebra import eigen_split, k_quotient
 from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
-from .linalg import (ColMap, EchelonSet, add_terms, anticommutator_terms, quotient_dim, relation_holds, solve,
-                     sparse_rank, sub_terms, subquotient)
+from .linalg import ColMap, EchelonSet, add_terms, anticommutator_terms, relation_holds, solve, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -31,10 +33,15 @@ from .small_complex import (
     HypothesisError,
     build_cs,
     build_cs_collapsed,
-    component_commutator_span,
-    component_mult_rows,
+    component_cokernel_dim,
+    component_colon_dim,
+    component_terms,
     decompose,
     ensure_collapse,
+    even_dim,
+    is_root,
+    power_vec,
+    rank_one_xi_zero,
 )
 
 
@@ -113,36 +120,20 @@ def connes_D_generic(mono, r, cs_spaces):
     return out
 
 
-def connes_D_collapsed(mono, r, cs_spaces):
-    """D on the collapsed complex: zero in even degrees, the alpha-norm
-    difference in odd degrees."""
+def connes_D_collapsed(mono, r, cs_spaces, idxs):
+    """D on the collapsed complex over the ascending K-basis indices ``idxs``
+    (all of K, or one eigencomponent): zero in even degrees, the alpha-norm
+    difference read in component coordinates in odd degrees.  On the
+    eigenvalue w that is the scalar (1 - w) sum_{u<=m} w^{nu}."""
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
     out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
     if not odd:
         return out
-    for qj, idx in enumerate(src.free):
-        w = mono.alpha_sum(mono.base.basis_vector(idx), range(0, (m + 1) * mono.n, mono.n))
-        out.set_col(qj, tgt.project_terms(dict(sorted(sub_terms(w, mono.alpha_image(1, w)).items()))))
-    return out
-
-
-def connes_D_component(mono, r, cs_spaces, w, idxs):
-    """Per-eigencomponent D: the scalar (1 - w) sum_{u<=m} w^{nu} in odd
-    degrees, zero in even degrees."""
-    field = mono.field
-    src = cs_spaces[r]
-    tgt = cs_spaces[r + 1]
-    out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
-    m, odd = divmod(r, 2)
-    if not odd:
-        return out
-    scalar = (field.one - w) * sum((w ** (mono.n * u) for u in range(m + 1)), field.zero)
-    if not scalar:
-        return out
-    for qj, idx in enumerate(src.free):
-        out.set_col(qj, tgt.project_terms({idx: scalar}))
+    for qj, ii in enumerate(src.free):
+        w = mono.alpha_sum(mono.base.basis_vector(idxs[ii]), range(0, (m + 1) * mono.n, mono.n))
+        out.set_col(qj, tgt.project_terms(component_terms(idxs, sub_terms(w, mono.alpha_image(1, w)))))
     return out
 
 
@@ -152,7 +143,7 @@ def connes_D(mono, r, cs_spaces, mode="generic"):
     if mode == "generic":
         return connes_D_generic(mono, r, cs_spaces)
     if mode == "collapsed":
-        return connes_D_collapsed(mono, r, cs_spaces)
+        return connes_D_collapsed(mono, r, cs_spaces, range(mono.base.dim))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -172,10 +163,7 @@ def build_mixed_components(mono, max_degree=6):
     """Eigencomponent mixed complexes [(w, idxs, MixedComplexData)]."""
     out = []
     for w, idxs, comp in decompose(mono, max_degree):
-        D = {
-            r: connes_D_component(mono, r, comp.spaces, w, idxs)
-            for r in range(max_degree)
-        }
+        D = {r: connes_D_collapsed(mono, r, comp.spaces, idxs) for r in range(max_degree)}
         out.append((w, idxs, MixedComplexData(mono.field, comp.spaces, comp.boundaries, D)))
     return out
 
@@ -295,13 +283,6 @@ def hc(mono, max_degree=6, mixed=None):
 
 # -- closed forms -----------------------------------------------------------------
 
-def _power_vec(mono, kvec, power):
-    out = mono.base.unit
-    for _ in range(power):
-        out = mono.base.product(out, kvec)
-    return out
-
-
 def hc_closed_form(mono, max_degree):
     """Per-eigencomponent closed-form HC dimensions, both exponent readings.
 
@@ -312,42 +293,21 @@ def hc_closed_form(mono, max_degree):
     """
     ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
-    field = mono.field
-    n = mono.n
-    one = field.one
-    lam_n = mono.f_coefficient(n)
+    lam_n = mono.f_coefficient(mono.n)
     proof = [0] * (max_degree + 1)
     displayed = [0] * (max_degree + 1)
     for w, idxs in comps:
-        d = len(idxs)
-        kkw = lambda j: component_commutator_span(mono, j, idxs)
-        is_one = w == one
-        w_n_is_one = w ** n == one
-        dims_p = []
-        dims_d = []
         for r in range(max_degree + 1):
             m, odd = divmod(r, 2)
             if not odd:
-                span = kkw(0)
-                if not is_one:
-                    kvec = _power_vec(mono, lam_n, m + 1) if w_n_is_one else lam_n
-                    span = span + component_mult_rows(mono, idxs, kvec)
-                val = d - sparse_rank(span)
-                dims_p.append(val)
-                dims_d.append(val)
+                p = d = even_dim(mono, w, idxs, m)
+            elif not is_root(mono, w):
+                p = d = 0
             else:
-                if is_one or not w_n_is_one:
-                    dims_p.append(0)
-                    dims_d.append(0)
-                    continue
-                den = kkw((m + 1) * n)
-                dims_p.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den))
-                dims_d.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m), den, strict=False))
-        proof = [a + b for a, b in zip(proof, dims_p)]
-        displayed = [
-            None if (a is None or b is None) else a + b
-            for a, b in zip(displayed, dims_d)
-        ]
+                p = _odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m + 1), (m + 1) * mono.n)
+                d = _odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m), (m + 1) * mono.n, strict=False)
+            proof[r] += p
+            displayed[r] = None if displayed[r] is None or d is None else displayed[r] + d
     return {
         "proof_reading": proof,
         "displayed_reading": displayed,
@@ -355,17 +315,14 @@ def hc_closed_form(mono, max_degree):
     }
 
 
-def _odd_numerator_dim(mono, idxs, cond_vec, denominator, strict=True):
-    """dim of {lam in K^w : lam*cond in [K,K]^w} / span(denominator).
+def _odd_numerator_dim(mono, idxs, cond_vec, j_den, strict=True):
+    """dim of {lam in K^w : lam*cond in [K,K]^w} / [K,K]^w_{alpha^j_den}.
 
     When the displayed quotient is not well formed (denominator outside the
     numerator) and strict is False, returns None so the caller can report
     the breakdown instead of failing.
     """
-    field = mono.field
-    comm = EchelonSet(field, component_commutator_span(mono, 0, idxs))
-    num = comm.preimage(component_mult_rows(mono, idxs, cond_vec))
-    qdim = quotient_dim(field, num, denominator)
+    qdim = component_colon_dim(mono, idxs, 0, cond_vec, j_den)
     if qdim is None and strict:
         raise HypothesisError("denominator not inside the numerator space")
     return qdim
@@ -381,39 +338,19 @@ def hc_rank_one(mono, case, max_degree):
     """
     ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
-    K = mono.base
-    field = mono.field
-    n = mono.n
-    one = field.one
-    lam_n = mono.f_coefficient(n)
-    if case not in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id"):
-        raise HypothesisError(f"unknown rank-one case {case!r}")
-    if case == "xi!=0, chi^n!=id":
-        case = "xi=0"  # after the quotient rewrite f = x^n
-    proof = [0] * (max_degree + 1)
+    xi_zero = rank_one_xi_zero(case)
+    lam_n = mono.f_coefficient(mono.n)
+    roots = [idxs for w, idxs in comps if is_root(mono, w)]
     k_mod_comm = k_quotient(mono, 0).quotient_dim
+    proof = []
     for r in range(max_degree + 1):
         m, odd = divmod(r, 2)
         if not odd:
-            if case == "xi=0":
-                proof[r] = k_mod_comm
-            else:
-                for w, idxs in comps:
-                    span = component_commutator_span(mono, 0, idxs)
-                    if w != one:
-                        kvec = _power_vec(mono, lam_n, m + 1) if w ** n == one else lam_n
-                        span = span + component_mult_rows(mono, idxs, kvec)
-                    proof[r] += len(idxs) - sparse_rank(span)
+            proof.append(k_mod_comm if xi_zero else sum(even_dim(mono, w, idxs, m) for w, idxs in comps))
+        elif xi_zero:
+            proof.append(sum(component_cokernel_dim(mono, idxs, (m + 1) * mono.n) for idxs in roots))
         else:
-            for w, idxs in comps:
-                if w == one or w ** n != one:
-                    continue
-                if case == "xi=0":
-                    den = component_commutator_span(mono, (m + 1) * n, idxs)
-                    proof[r] += len(idxs) - sparse_rank(den)
-                else:
-                    den = component_commutator_span(mono, 0, idxs)
-                    proof[r] += _odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den)
+            proof.append(sum(_odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m + 1), 0) for idxs in roots))
     return proof
 
 
@@ -444,7 +381,7 @@ def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, sca
         full = mono.base.product({idxs[ii]: c for ii, c in local.items()}, kvec)
         if not full.keys() <= set(idxs):
             raise HypothesisError("component multiplication left the eigencomponent")
-        local = {ii: full[i] for ii, i in enumerate(idxs) if i in full}
+        local = component_terms(idxs, full)
     if scalar is not None:
         local = {k: scalar * c for k, c in local.items()}
     return spaces[r_to].project_terms(local)
@@ -481,8 +418,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
         tot = BCTotal(mixed, max_degree)
         cx = mixed.chain_complex()
         label = f"w={w!r}"
-        is_one = w == field.one
-        root = (w ** n == field.one) and not is_one
+        root = is_root(mono, w)
         hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))
         if not root:
             for m in range(max_m + 1):
@@ -516,7 +452,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             nbd = len(aug_cols)
             aug_cols += [tot.inject(N, m, {t: field.one}) for t in range(mixed.dim(0))]
             inv_mfact = field.from_fraction(Fraction(1, factorial(m)))
-            lam_pow = _power_vec(mono, lam_n, m)
+            lam_pow = power_vec(mono, lam_n, m)
             for rep in hh_even.representatives:
                 qrep = mixed.spaces[2 * m].project_terms(rep)
                 sol = solve(field, aug_cols, tot.inject(N, 0, qrep))

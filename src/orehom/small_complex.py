@@ -14,10 +14,14 @@ K-sized subquotients with boundaries
     d_{2m+2}([lam])         = [sum_l alpha^l(lam)] x^{n-1},
 
 and if alpha is additionally diagonal on the K-basis it splits into
-eigencomponents with scalar boundaries.  The closed-form evaluators at the
-bottom compute the displayed homology quotients directly by echelonizing
-numerator and denominator spans; they are cross-checked against the
-homology of the built complexes in the tests.
+eigencomponents.  One builder, ``collapsed_complex``, takes a set of K-basis
+indices: all of K, or one eigencomponent.  A component's boundaries are the
+K formulas above read in component coordinates (``component_terms``), which
+equal the displayed scalars (w - 1) and sum_{l<n} w^l.  The closed-form
+evaluators at the bottom compute the displayed homology quotients directly
+by echelonizing numerator and denominator spans; the eigencomponent forms
+share the cokernel and colon quotients of a component, and they are
+cross-checked against the homology of the built complexes in the tests.
 
 The boundaries read r through its parity alone and each space is kept once
 per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
@@ -138,6 +142,21 @@ def ensure_collapse(mono, max_degree):
         )
 
 
+def collapsed_complex(mono, max_degree, idxs):
+    """The collapsed complex on the ascending K-basis indices ``idxs``: all of
+    K, or one eigencomponent of a diagonal alpha.  Its boundary columns are
+    the K formulas ``_alpha_minus_id_lamn`` and ``_norm_map`` read in
+    component coordinates (``component_terms``); on the eigenvalue w they are
+    the scalars w - 1 and sum_{l<n} w^l.  The caller verifies collapse.
+    """
+    spaces = [component_quotient(mono, (r + 1) // 2 * mono.n, idxs) for r in range(max_degree + 1)]
+    def image(r, ii):
+        lam = mono.base.basis_vector(idxs[ii])
+        return component_terms(idxs, _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam))
+
+    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, 1, image, {}))
+
+
 def build_cs_collapsed(mono, max_degree=6):
     """The K-sized collapsed complex; refuses when collapse is unverified.
 
@@ -145,31 +164,27 @@ def build_cs_collapsed(mono, max_degree=6):
     A/[A,K] as [lam x^{n-1}]); even classes are [lam] with lam in K.
     """
     ensure_collapse(mono, max_degree)
-    spaces = [k_quotient(mono, (r + 1) // 2 * mono.n) for r in range(max_degree + 1)]
-    def image(r, idx):
-        lam = mono.base.basis_vector(idx)
-        return _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam)
-
-    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, 1, image, {}))
+    return collapsed_complex(mono, max_degree, range(mono.base.dim))
 
 
 # -- eigencomponent decomposition ---------------------------------------------
 
+def component_terms(idxs, terms):
+    """The K-term dict ``terms`` in the coordinates of the ascending basis
+    indices ``idxs``; terms off ``idxs`` are dropped."""
+    return {ii: terms[i] for ii, i in enumerate(idxs) if i in terms}
+
+
 def component_commutator_span(mono, j, idxs):
     """Spanning term dicts of [K,K]^w_{alpha^j} in component coordinates."""
-    local = {i: ii for ii, i in enumerate(idxs)}
-    return [{local[i]: c for i, c in v.items()}
-            for v in k_commutator_subspace(mono, j) if v.keys() <= local.keys()]
+    inside = set(idxs)
+    return [component_terms(idxs, v) for v in k_commutator_subspace(mono, j) if v.keys() <= inside]
 
 
 def component_mult_rows(mono, idxs, kvec):
     """Term dicts of K^w * kvec in component coordinates."""
     K = mono.base
-    rows = []
-    for i in idxs:
-        full = K.product(K.basis_vector(i), kvec)
-        rows.append({ii: full[t] for ii, t in enumerate(idxs) if t in full})
-    return rows
+    return [component_terms(idxs, K.product(K.basis_vector(i), kvec)) for i in idxs]
 
 
 def component_quotient(mono, j, idxs):
@@ -186,23 +201,11 @@ def component_quotient(mono, j, idxs):
 def decompose(mono, max_degree=6):
     """Per-eigenvalue collapsed complexes [(eigenvalue, basis idxs, complex)].
 
-    Boundaries are the scalar forms: odd (w - 1)[lam lam_n], even
-    (sum_{l<n} w^l)[lam] x^{n-1}.
+    Each is ``collapsed_complex`` on its component, whose boundaries equal
+    the scalar forms: odd (w - 1)[lam lam_n], even (sum_{l<n} w^l)[lam] x^{n-1}.
     """
     ensure_collapse(mono, max_degree)
-    K, field = mono.base, mono.field
-    lam_n = mono.f_coefficient(mono.n)
-    out = []
-    for w, idxs in eigen_split(K, mono.alpha):
-        spaces = [component_quotient(mono, (r + 1) // 2 * mono.n, idxs) for r in range(max_degree + 1)]
-        nmult = sum((w ** l for l in range(mono.n)), field.zero)
-        def image(r, ii):
-            lam = K.basis_vector(idxs[ii])
-            img, scale = (K.product(lam, lam_n), w - field.one) if r % 2 else (lam, nmult)
-            return {jj: scale * img[i] for jj, i in enumerate(idxs) if i in img} if scale else {}
-
-        out.append((w, idxs, ChainComplex(field, spaces, _periodic_boundaries(field, spaces, 1, image, {}))))
-    return out
+    return [(w, idxs, collapsed_complex(mono, max_degree, idxs)) for w, idxs in eigen_split(mono.base, mono.alpha)]
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -259,38 +262,78 @@ def hh_dims_collapsed(mono, max_degree):
     return _per_key(mono, max_degree, dim_at)
 
 
+# The eigencomponent closed forms (``hh_dims_eigen``, ``hh_rank_one`` and
+# those of cyclic.py) read the quotients below on a component K^w, given by
+# its basis indices.
+
+def is_root(mono, w):
+    """Whether the eigenvalue w is an n-th root of unity other than 1: only
+    these components carry homology above degree 0."""
+    one = mono.field.one
+    return w != one and w ** mono.n == one
+
+
+def power_vec(mono, kvec, power):
+    """kvec^power in K."""
+    out = mono.base.unit
+    for _ in range(power):
+        out = mono.base.product(out, kvec)
+    return out
+
+
+def component_cokernel_dim(mono, idxs, j, kvec=None):
+    """dim K^w / ([K,K]^w_{alpha^j} + K^w kvec); without kvec, K^w/[K,K]^w_{alpha^j}."""
+    span = component_commutator_span(mono, j, idxs)
+    if kvec is not None:
+        span += component_mult_rows(mono, idxs, kvec)
+    return len(idxs) - sparse_rank(span)
+
+
+def component_colon_dim(mono, idxs, j, kvec, j_den):
+    """dim {lam in K^w : lam kvec in [K,K]^w_{alpha^j}} / [K,K]^w_{alpha^j_den},
+    or None when the quotient is not well formed (``quotient_dim``)."""
+    num = EchelonSet(mono.field, component_commutator_span(mono, j, idxs)).preimage(
+        component_mult_rows(mono, idxs, kvec))
+    return quotient_dim(mono.field, num, component_commutator_span(mono, j_den, idxs))
+
+
+def even_dim(mono, w, idxs, m):
+    """HC_{2m} of the component K^w, and HH_0 at m = 0: K^w/[K,K]^w for w = 1,
+    else K^w modulo [K,K]^w + K^w lam_n^(m+1) (w^n = 1) or + K^w lam_n."""
+    if w == mono.field.one:
+        return component_cokernel_dim(mono, idxs, 0)
+    lam_n = mono.f_coefficient(mono.n)
+    return component_cokernel_dim(mono, idxs, 0, power_vec(mono, lam_n, m + 1) if is_root(mono, w) else lam_n)
+
+
+def rank_one_xi_zero(case):
+    """Whether the rank-one case reads the xi=0 formulas, as "xi=0" does and
+    "xi!=0, chi^n!=id" does after the quotient rewrite f = x^n; refuses any
+    other name than these and "xi!=0, chi^n=id"."""
+    if case not in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id"):
+        raise HypothesisError(f"unknown rank-one case {case!r}")
+    return case != "xi!=0, chi^n=id"
+
+
 def hh_dims_eigen(mono, max_degree):
-    """Per-eigenvalue closed form; returns (total dims, per-component dict)."""
+    """Per-eigenvalue closed form, summed over the components."""
     ensure_collapse(mono, max_degree)
-    comps = eigen_split(mono.base, mono.alpha)
-    field = mono.field
     n = mono.n
-    one = field.one
     lam_n = mono.f_coefficient(n)
     totals = [0] * (max_degree + 1)
-    percomp = []
-    for w, idxs in comps:
-        d = len(idxs)
-        local_basis = [{i: one} for i in range(d)]
-        kkw = lambda j: component_commutator_span(mono, j, idxs)
-        lam_mult = component_mult_rows(mono, idxs, lam_n)
-        is_one = w == one
-        w_n_is_one = w ** n == one
+    for w, idxs in eigen_split(mono.base, mono.alpha):
         def dim_at(r):
             m, odd = divmod(r, 2)
             if r == 0:
-                return d - sparse_rank(kkw(0) if is_one else kkw(0) + lam_mult)
-            if is_one or not w_n_is_one:
+                return even_dim(mono, w, idxs, 0)
+            if not is_root(mono, w):
                 return 0
             if odd:
-                num = EchelonSet(field, kkw(m * n)).preimage(lam_mult)
-                return _well_formed(quotient_dim(field, num, kkw((m + 1) * n)))
-            return _well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult))
+                return _well_formed(component_colon_dim(mono, idxs, m * n, lam_n, (m + 1) * n))
+            return component_cokernel_dim(mono, idxs, m * n, lam_n)
 
-        dims = _per_key(mono, max_degree, dim_at)
-        percomp.append((w, dims))
-        totals = [a + b for a, b in zip(totals, dims)]
-    return totals, percomp
+        totals = [a + b for a, b in zip(totals, _per_key(mono, max_degree, dim_at))]
+    return totals
 
 
 def hh_dims_alpha_identity(mono, max_degree):
@@ -335,7 +378,7 @@ def hh_closed_form(mono, case, max_degree):
     if case == "collapsed":
         return hh_dims_collapsed(mono, max_degree)
     if case == "eigen":
-        return hh_dims_eigen(mono, max_degree)[0]
+        return hh_dims_eigen(mono, max_degree)
     if case == "alpha_identity":
         return hh_dims_alpha_identity(mono, max_degree)
     raise HypothesisError(f"unknown closed-form case {case!r}")
@@ -378,44 +421,18 @@ def hh_rank_one(mono, case, max_degree):
     """
     ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
-    K = mono.base
-    field = mono.field
-    n = mono.n
-    one = field.one
-    lam_n = mono.f_coefficient(n)
-    if case not in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id"):
-        raise HypothesisError(f"unknown rank-one case {case!r}")
-    if case == "xi!=0, chi^n!=id":
-        case = "xi=0"
+    xi_zero = rank_one_xi_zero(case)
+    lam_n = mono.f_coefficient(mono.n)
+    roots = [idxs for w, idxs in comps if is_root(mono, w)]
     def dim_at(r):
-        m, odd = divmod(r, 2)
         if r == 0:
-            if case == "xi=0":
+            if xi_zero:
                 return k_quotient(mono, 0).quotient_dim
-            total = 0
-            for w, idxs in comps:
-                span = component_commutator_span(mono, 0, idxs)
-                if w != one:
-                    span = span + component_mult_rows(mono, idxs, lam_n)
-                total += len(idxs) - sparse_rank(span)
-            return total
-        m_eff = m if odd else m - 1
-        total = 0
-        for w, idxs in comps:
-            if w == one or w ** n != one:
-                continue
-            d = len(idxs)
-            if case == "xi=0":
-                den = component_commutator_span(mono, (m_eff + 1) * n, idxs)
-                total += d - sparse_rank(den)
-            elif odd:
-                den = component_commutator_span(mono, 0, idxs)
-                num = EchelonSet(field, den).preimage(component_mult_rows(mono, idxs, lam_n))
-                total += _well_formed(quotient_dim(field, num, den))
-            else:
-                span = component_commutator_span(mono, 0, idxs)
-                span = span + component_mult_rows(mono, idxs, lam_n)
-                total += d - sparse_rank(span)
-        return total
+            return sum(even_dim(mono, w, idxs, 0) for w, idxs in comps)
+        if xi_zero:
+            return sum(component_cokernel_dim(mono, idxs, (r + 1) // 2 * mono.n) for idxs in roots)
+        if r % 2:
+            return sum(_well_formed(component_colon_dim(mono, idxs, 0, lam_n, 0)) for idxs in roots)
+        return sum(component_cokernel_dim(mono, idxs, 0, lam_n) for idxs in roots)
 
     return _per_key(mono, max_degree, dim_at)

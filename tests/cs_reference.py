@@ -1,10 +1,12 @@
-"""The small complex and the hh closed forms built degree by degree, kept
-apart from the package: the reference its period-shared builders are tested
-against.
+"""The small complex and the hh and hc closed forms built degree by degree,
+kept apart from the package: the reference its period-shared builders are
+tested against.
 
 Every degree gets its own boundary map and every closed form evaluates every
 degree, as ``orehom.small_complex`` did before it shared them per twist class.
-The collapsed boundaries are computed densely, with ``dense_reference``.
+The collapsed boundaries are computed densely, with ``dense_reference``; the
+eigencomponent boundaries and D are the scalar formulas (w - 1), sum_l w^l and
+(1 - w) sum_u w^{nu}, and the closed forms rebuild every span in their own loop.
 """
 
 import dense_reference as dref
@@ -125,7 +127,6 @@ def hh_dims_eigen(mono, max_degree):
     one = field.one
     lam_n = mono.f_coefficient(n)
     totals = [0] * (max_degree + 1)
-    percomp = []
     for w, idxs in eigen_split(mono.base, mono.alpha):
         d = len(idxs)
         local_basis = [{i: one} for i in range(d)]
@@ -144,9 +145,8 @@ def hh_dims_eigen(mono, max_degree):
                 dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
             else:
                 dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
-        percomp.append((w, dims))
         totals = [a + b for a, b in zip(totals, dims)]
-    return totals, percomp
+    return totals
 
 
 def hh_rank_one(mono, case, max_degree):
@@ -193,3 +193,122 @@ def hh_rank_one(mono, case, max_degree):
                 total += d - sparse_rank(span)
         dims.append(total)
     return dims
+
+
+def connes_D_component(mono, r, cs_spaces, w, idxs):
+    """Per-eigencomponent D: the scalar (1 - w) sum_{u<=m} w^{nu} in odd
+    degrees, zero in even degrees."""
+    field = mono.field
+    src = cs_spaces[r]
+    tgt = cs_spaces[r + 1]
+    out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
+    m, odd = divmod(r, 2)
+    if not odd:
+        return out
+    scalar = (field.one - w) * sum((w ** (mono.n * u) for u in range(m + 1)), field.zero)
+    if not scalar:
+        return out
+    for qj, idx in enumerate(src.free):
+        out.set_col(qj, tgt.project_terms({idx: scalar}))
+    return out
+
+
+def _power_vec(mono, kvec, power):
+    out = mono.base.unit
+    for _ in range(power):
+        out = mono.base.product(out, kvec)
+    return out
+
+
+def hc_closed_form(mono, max_degree):
+    ensure_collapse(mono, max_degree)
+    comps = eigen_split(mono.base, mono.alpha)
+    field = mono.field
+    n = mono.n
+    one = field.one
+    lam_n = mono.f_coefficient(n)
+    proof = [0] * (max_degree + 1)
+    displayed = [0] * (max_degree + 1)
+    for w, idxs in comps:
+        d = len(idxs)
+        kkw = lambda j: component_commutator_span(mono, j, idxs)
+        is_one = w == one
+        w_n_is_one = w ** n == one
+        dims_p = []
+        dims_d = []
+        for r in range(max_degree + 1):
+            m, odd = divmod(r, 2)
+            if not odd:
+                span = kkw(0)
+                if not is_one:
+                    kvec = _power_vec(mono, lam_n, m + 1) if w_n_is_one else lam_n
+                    span = span + component_mult_rows(mono, idxs, kvec)
+                val = d - sparse_rank(span)
+                dims_p.append(val)
+                dims_d.append(val)
+            else:
+                if is_one or not w_n_is_one:
+                    dims_p.append(0)
+                    dims_d.append(0)
+                    continue
+                den = kkw((m + 1) * n)
+                dims_p.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den))
+                dims_d.append(_odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m), den, strict=False))
+        proof = [a + b for a, b in zip(proof, dims_p)]
+        displayed = [
+            None if (a is None or b is None) else a + b
+            for a, b in zip(displayed, dims_d)
+        ]
+    return {
+        "proof_reading": proof,
+        "displayed_reading": displayed,
+        "disagree_degrees": [r for r in range(max_degree + 1) if proof[r] != displayed[r]],
+    }
+
+
+def _odd_numerator_dim(mono, idxs, cond_vec, denominator, strict=True):
+    field = mono.field
+    comm = EchelonSet(field, component_commutator_span(mono, 0, idxs))
+    num = comm.preimage(component_mult_rows(mono, idxs, cond_vec))
+    qdim = quotient_dim(field, num, denominator)
+    if qdim is None and strict:
+        raise HypothesisError("denominator not inside the numerator space")
+    return qdim
+
+
+def hc_rank_one(mono, case, max_degree):
+    ensure_collapse(mono, max_degree)
+    comps = eigen_split(mono.base, mono.alpha)
+    field = mono.field
+    n = mono.n
+    one = field.one
+    lam_n = mono.f_coefficient(n)
+    if case not in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id"):
+        raise HypothesisError(f"unknown rank-one case {case!r}")
+    if case == "xi!=0, chi^n!=id":
+        case = "xi=0"
+    proof = [0] * (max_degree + 1)
+    k_mod_comm = k_quotient(mono, 0).quotient_dim
+    for r in range(max_degree + 1):
+        m, odd = divmod(r, 2)
+        if not odd:
+            if case == "xi=0":
+                proof[r] = k_mod_comm
+            else:
+                for w, idxs in comps:
+                    span = component_commutator_span(mono, 0, idxs)
+                    if w != one:
+                        kvec = _power_vec(mono, lam_n, m + 1) if w ** n == one else lam_n
+                        span = span + component_mult_rows(mono, idxs, kvec)
+                    proof[r] += len(idxs) - sparse_rank(span)
+        else:
+            for w, idxs in comps:
+                if w == one or w ** n != one:
+                    continue
+                if case == "xi=0":
+                    den = component_commutator_span(mono, (m + 1) * n, idxs)
+                    proof[r] += len(idxs) - sparse_rank(den)
+                else:
+                    den = component_commutator_span(mono, 0, idxs)
+                    proof[r] += _odd_numerator_dim(mono, idxs, _power_vec(mono, lam_n, m + 1), den)
+    return proof

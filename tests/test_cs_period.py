@@ -4,7 +4,9 @@ reference of ``cs_reference.py``, to degree 12.
 C^S repeats with period 2v, v the order of alpha^n: its boundaries, their
 d.d checks, ranks and homology, and the hh closed forms are computed once
 per key and shared by every degree with that key.  Each shared result must
-equal the one the reference computes afresh at that degree.
+equal the one the reference computes afresh at that degree.  The hc closed
+forms and the D of every eigencomponent, read off the K formulas on the
+component, must equal the reference's per-component spans and scalar D.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import cs_reference as ref
 from orehom import complexes, small_complex
 from orehom.algebra import AlgebraError
+from orehom.cyclic import build_mixed_components, hc_closed_form, hc_rank_one
 from orehom.complexes import homology, homology_dims
 from orehom.small_complex import (
     HypothesisError,
@@ -86,6 +89,31 @@ def test_hh_closed_forms_match_the_reference(name):
     assert _outcome(hh_dims_eigen, mono, DEGREE) == _outcome(ref.hh_dims_eigen, mono, DEGREE)
     for case in RANK_ONE_CASES:
         assert _outcome(hh_rank_one, mono, case, DEGREE) == _outcome(ref.hh_rank_one, mono, case, DEGREE)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_hc_closed_forms_match_the_reference(name):
+    mono, _ = _table_context(name)
+    assert _outcome(hc_closed_form, mono, DEGREE) == _outcome(ref.hc_closed_form, mono, DEGREE)
+    for case in RANK_ONE_CASES:
+        assert _outcome(hc_rank_one, mono, case, DEGREE) == _outcome(ref.hc_rank_one, mono, case, DEGREE)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_component_D_is_the_scalar_formula(name):
+    # on every collapsing fixture with diagonal alpha, D of each component
+    # equals (1 - w) sum_{u<=m} w^{nu} column by column; the others are
+    # refused as the components of C^S are
+    mono, _ = _table_context(name)
+    outcome = _outcome(build_mixed_components, mono, DEGREE)
+    if outcome[0] != "ok":
+        assert outcome == _outcome(ref.decompose, mono, DEGREE)
+        return
+    for w, idxs, mixed in outcome[1]:
+        for r in range(DEGREE):
+            D, scalar = mixed.B[r], ref.connes_D_component(mono, r, mixed.spaces, w, idxs)
+            assert (D.nrows, D.ncols) == (scalar.nrows, scalar.ncols)
+            assert D.cols == scalar.cols, f"w={w!r}, D_{r}"
 
 
 @pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])

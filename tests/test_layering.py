@@ -11,8 +11,12 @@ or optparse parser, [K,K]_{alpha^j} is eliminated once per class (by
 of ``cli.py`` and ``perturbation.py`` compose no map, ``set_col`` edits only
 a ColMap built in the same function (a small-complex boundary is shared
 across degrees), every kept value is kept by ``memo`` or ``kept`` on its
-owner, and no code outside ``fields.py`` divides (``int / int`` is a float)
-or looks inside a ``CycScalar``."""
+owner, no code outside ``fields.py`` divides (``int / int`` is a float)
+or looks inside a ``CycScalar``, the collapsed complex and its D are built
+by one function over a set of K-basis indices for all of K and for each
+eigencomponent (``connes_D_component`` is gone, and every restriction to
+component coordinates is one ``component_terms``), and the rank-one case
+names are validated in one place."""
 
 import ast
 from fractions import Fraction
@@ -297,6 +301,51 @@ def test_k_commutators_are_eliminated_once_per_class():
                     and isinstance(node.args[0], ast.Call) and _called(node.args[0]) == "k_commutator_subspace"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _calls_in_functions(path):
+    """{name: names it calls} for each module-level function and method, a
+    nested function's calls counted in the function that holds it."""
+    body = _tree(path).body
+    funcs = [node for node in body if isinstance(node, ast.FunctionDef)]
+    funcs += [node for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef)]
+    return {func.name: {_called(call) for call in ast.walk(func) if isinstance(call, ast.Call)} for func in funcs}
+
+
+def test_collapsed_forms_have_one_builder_over_k_basis_indices():
+    # all of K and each eigencomponent build the collapsed complex and its D
+    # through one function over a set of K-basis indices, whose columns are
+    # the K formulas: no scalar per-component copy of the boundaries or of D
+    assert _defined({"connes_D_component"}) == []
+    small = _calls_in_functions(ROOT / "src" / "orehom" / "small_complex.py")
+    cyclic = _calls_in_functions(ROOT / "src" / "orehom" / "cyclic.py")
+    assert "collapsed_complex" in small["build_cs_collapsed"] & small["decompose"]
+    assert {f for f, called in small.items() if "_periodic_boundaries" in called} == {
+        "grow", "collapsed_complex", "periodicity_check"}
+    assert {f for f, called in small.items() if called & {"_norm_map", "_alpha_minus_id_lamn"}} == {
+        "collapsed_complex", "hh_dims_collapsed"}
+    assert "connes_D_collapsed" in cyclic["connes_D"] & cyclic["build_mixed_components"]
+    # every restriction to component coordinates is one component_terms
+    for module, funcs in (("small_complex", ("collapsed_complex", "component_commutator_span",
+                                             "component_mult_rows")),
+                          ("cyclic", ("connes_D_collapsed", "_component_scale_mult"))):
+        calls = small if module == "small_complex" else cyclic
+        assert all("component_terms" in calls[f] for f in funcs), module
+
+
+def test_rank_one_case_names_are_read_in_one_place():
+    # hh_rank_one and hc_rank_one read the case through one validating reader
+    readers = []
+    for name in ("small_complex.py", "cyclic.py"):
+        for node in ast.walk(_tree(ROOT / "src" / "orehom" / name)):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Constant) and c.value in ("xi=0", "xi!=0, chi^n=id", "xi!=0, chi^n!=id")
+                    for c in ast.walk(node)):
+                readers.append(f"{name}: {node.name}")
+    assert readers == ["small_complex.py: rank_one_xi_zero"]
+    for name, func in (("small_complex.py", "hh_rank_one"), ("cyclic.py", "hc_rank_one")):
+        assert "rank_one_xi_zero" in _calls_in_functions(ROOT / "src" / "orehom" / name)[func]
 
 
 def test_no_module_imports_argparse_or_optparse():
