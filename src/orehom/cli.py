@@ -27,8 +27,8 @@ from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
     MixedComplexData,
     bc_total,
+    build_mixed,
     build_mixed_components,
-    connes_D,
     hc,
     hc_closed_form,
     hc_rank_one,
@@ -260,13 +260,6 @@ def _dihedral_audit(mono, dims, cyclic=False):
     }
 
 
-def _mixed(ws, md):
-    """The mixed complex (C^S, d, D) on the workspace's C^S, degrees <= md."""
-    cs = ws.cs(md)
-    D = {r: connes_D(ws.mono, r, cs.spaces, "generic") for r in range(md)}
-    return MixedComplexData(ws.mono.field, cs.spaces[:md + 1], cs.boundaries, D)
-
-
 def cmd_hc(args):
     parsed = _load_spec(args.spec, args.max_degree)
     mono = parsed.mono
@@ -274,7 +267,7 @@ def cmd_hc(args):
     # cyclic homology is that of A: C^S and the oracle share one M = A
     M = parsed.bimodule if parsed.bimodule.is_regular else regular_bimodule(mono)
     ws = Workspace(mono, M)
-    dims = hc(mono, md, mixed=_mixed(ws, md))
+    dims = hc(ws, md)
     report = {
         "command": "hc",
         "fixture": parsed.name,
@@ -323,12 +316,7 @@ def cmd_hc(args):
         report.setdefault("refusals", []).append(f"--oracle: the oracle window 0..{md - 2} has no degree")
     elif args.oracle:
         bar = ws.bar(md)
-        barmixed = MixedComplexData(
-            mono.field,
-            [bar.space(r) for r in range(md)],
-            {r: bar.b(r) for r in range(1, md)},
-            {r: bar.connes_B(r) for r in range(md - 1)},
-        )
+        barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
         report["modes"]["oracle"] = oracle
         report["comparisons"].append(
@@ -397,7 +385,7 @@ def cmd_verify(args):
         van = vanishing_check(ws, j_max, r_max)
         window = ",".join(str(j) for j in range(1, j_max + 1))
         record("psi (Bw)^j B phi = 0", all(van.values()), f"j in {{{window}}}, r <= {r_max}")
-        D = _mixed(ws, md).B
+        D = build_mixed(ws, md).B
         if md >= 2:
             record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
         check("D = psi B phi", range(md - 1), f"degrees < {md - 1}",
@@ -580,9 +568,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # the window asked for does not fit: one line, no traceback
-        spec = getattr(args, "spec", None) or args.name
-        print(f"error: {args.cmd} {spec}: out of memory", file=sys.stderr)
-        return 1
+        pass
+    # printed after the handler is left, so that its traceback, and the
+    # workspace the frames hold, are freed first
+    spec = getattr(args, "spec", None) or args.name
+    print(f"error: {args.cmd} {spec}: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Cyclic homology: the degree-raising operator D on C^S, mixed complexes,
-the BC total complex, closed forms, and the S/i/B boundary maps.
+the BC total complex and the cyclic closed forms.
 
 D is transferred from the cyclic operator of the normalized complex through
 the comparison maps (D = psi . B . phi); this module implements its closed
@@ -8,10 +8,11 @@ verification suite.  On the collapsed complex every even D vanishes and
 
     D_{2m+1}([lam] x^{n-1}) = [(id - alpha)(sum_{u<=m} alpha^{nu}(lam))].
 
-``connes_D_collapsed`` reads this K formula on a set of K-basis indices: on
-all of K, and on each eigencomponent, where it equals the scalar
-(1 - w)(sum_{u<=m} w^{nu}).  The cyclic closed forms read the component
-quotients of ``small_complex``.
+``connes_D_collapsed`` reads this K formula on the K-basis indices of an
+eigencomponent, where it equals the scalar (1 - w)(sum_{u<=m} w^{nu}).  The
+cyclic closed forms read the component quotients of ``small_complex``.  The
+paper's statements on the S, i and B maps of HC are checked in the tests
+(``tests/paper_checks.py``).
 
 The total complex of the first-quadrant double complex built from (X, b, B)
 is taken with the plain-sum differential (no auxiliary signs): the mixed
@@ -21,18 +22,14 @@ asserted on every construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import eigen_split, k_quotient
-from .complexes import ChainComplex, ComplexError, composes_to_zero, homology, homology_dims
-from .linalg import ColMap, EchelonSet, add_terms, anticommutator_terms, relation_holds, solve, sub_terms, subquotient
+from .complexes import ChainComplex, ComplexError, homology_dims
+from .linalg import ColMap, add_terms, anticommutator_terms, relation_holds, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
 from .small_complex import (
     HypothesisError,
-    build_cs,
-    build_cs_collapsed,
     component_cokernel_dim,
     component_colon_dim,
     component_terms,
@@ -46,28 +43,25 @@ from .small_complex import (
 
 
 class MixedComplexData:
-    """Graded spaces with a degree -1 map b and a degree +1 map B.
+    """A chain complex (X, b) with a degree +1 map B.
 
-    The three identities bb = 0, BB = 0, bB + Bb = 0 are verified at
-    construction; a violation raises (it would mean a formula bug, not a
-    data problem).
+    b.b = 0 was checked where the complex was built; BB = 0 and
+    bB + Bb = 0 are verified at construction, and a violation raises (it
+    would mean a formula bug, not a data problem).
     """
 
-    def __init__(self, field, spaces, b, B, check=True):
-        self.field = field
-        self.spaces = list(spaces)
-        self.max_degree = len(self.spaces) - 1
-        self.b = dict(b)
+    def __init__(self, complex_, B, check=True):
+        self.complex_ = complex_
+        self.field = complex_.field
+        self.spaces = complex_.spaces
+        self.max_degree = complex_.max_degree
+        self.b = complex_.boundaries
         self.B = dict(B)
         if check:
             self._check()
 
     def _check(self):
         b, B = self.b, self.B
-        zero_pairs = set()  # b.b is tested once per distinct (b_r, b_{r+1}) pair
-        for r in range(1, self.max_degree):
-            if not composes_to_zero(zero_pairs, b[r], b[r + 1]):
-                raise ComplexError(f"b.b != 0 at degree {r + 1}")
         for r in range(0, self.max_degree - 1):
             if not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
                 raise ComplexError(f"B.B != 0 at degree {r}")
@@ -76,21 +70,23 @@ class MixedComplexData:
                 raise ComplexError(f"bB + Bb != 0 at degree {r}")
 
     def dim(self, r):
-        return self.spaces[r].quotient_dim
+        return self.complex_.dim(r)
 
     def chain_complex(self):
-        return ChainComplex(self.field, self.spaces, self.b, check=False)
+        return self.complex_
 
 
 # -- the Connes operator on C^S ------------------------------------------------
 
-def connes_D_generic(mono, r, cs_spaces):
+def connes_D(mono, r, cs_spaces):
     """D_r on the generic small complex for M = A.
 
     Overlined sums are division quotients by f, read off the cached
     quotients of the powers of x (the quotient is left K-linear); classes
     [lam x^j] are the ambient monomial basis of A.
     """
+    if not 0 <= r < len(cs_spaces) - 1:
+        raise HypothesisError(f"degree {r} out of range for a window of {len(cs_spaces)} spaces")
     K = mono.base
     n = mono.n
     src = cs_spaces[r]
@@ -137,26 +133,12 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
     return out
 
 
-def connes_D(mono, r, cs_spaces, mode="generic"):
-    if not 0 <= r < len(cs_spaces) - 1:
-        raise HypothesisError(f"degree {r} out of range for a window of {len(cs_spaces)} spaces")
-    if mode == "generic":
-        return connes_D_generic(mono, r, cs_spaces)
-    if mode == "collapsed":
-        return connes_D_collapsed(mono, r, cs_spaces, range(mono.base.dim))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def build_mixed(mono, max_degree=6, mode="generic"):
-    """The mixed complex (C^S, d, D) with all identities verified."""
-    if mode == "generic":
-        cs = build_cs(mono, None, max_degree)
-    elif mode == "collapsed":
-        cs = build_cs_collapsed(mono, max_degree)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    D = {r: connes_D(mono, r, cs.spaces, mode) for r in range(max_degree)}
-    return MixedComplexData(mono.field, cs.spaces, cs.boundaries, D)
+def build_mixed(ws, max_degree=6):
+    """The mixed complex (C^S, d, D) on the C^S of the workspace ``ws``
+    (M = A), degrees <= max_degree; d.d = 0 was checked as C^S was built."""
+    cs = ws.cs(max_degree)
+    D = {r: connes_D(ws.mono, r, cs.spaces) for r in range(max_degree)}
+    return MixedComplexData(ChainComplex(cs.field, cs.spaces[:max_degree + 1], cs.boundaries, check=False), D)
 
 
 def build_mixed_components(mono, max_degree=6):
@@ -164,7 +146,7 @@ def build_mixed_components(mono, max_degree=6):
     out = []
     for w, idxs, comp in decompose(mono, max_degree):
         D = {r: connes_D_collapsed(mono, r, comp.spaces, idxs) for r in range(max_degree)}
-        out.append((w, idxs, MixedComplexData(mono.field, comp.spaces, comp.boundaries, D)))
+        out.append((w, idxs, MixedComplexData(comp, D)))
     return out
 
 
@@ -181,8 +163,8 @@ class BCTotal:
     Tot_N = (+)_{p >= 0} X_{N-2p}; the differential sends the column-p
     entry y to b(y) in column p and B(y) into column p-1, a degree missing
     from ``mixed.B`` counting as B = 0.  The blocks (p, degree, offset,
-    dim) of each Tot_N are kept for the S/i/B boundary maps and the
-    blockwise maps of the transfer retract.
+    dim) of each Tot_N are kept for the blockwise maps of the transfer
+    retract.
     """
 
     def __init__(self, mixed, max_N):
@@ -228,23 +210,6 @@ class BCTotal:
     def dim(self, N):
         return self.complex.dim(N)
 
-    def _column(self, N, p):
-        """(offset, dim) of column p in Tot_N."""
-        for (pp, deg, off, d) in self.blocks[N]:
-            if pp == p:
-                return off, d
-        raise ValueError(f"no column {p} in total degree {N}")
-
-    def inject(self, N, p, vec):
-        """Sparse X_{N-2p} quotient vector -> sparse Tot_N vector."""
-        off, _ = self._column(N, p)
-        return {off + i: c for i, c in vec.items()}
-
-    def block(self, N, p, vec):
-        """Sparse Tot_N vector -> its sparse X_{N-2p} component."""
-        off, d = self._column(N, p)
-        return {i - off: c for i, c in vec.items() if off <= i < off + d}
-
     def blockwise(self, maps, other, max_N, degree_shift=0, column_shift=0):
         """Maps Tot_N -> other's Tot_{N+degree_shift}, N <= max_N, keyed by N.
 
@@ -274,11 +239,10 @@ def bc_total(mixed, max_N):
     return BCTotal(mixed, max_N).complex
 
 
-def hc(mono, max_degree=6, mixed=None):
-    """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A."""
-    mixed = mixed or build_mixed(mono, max_degree)
-    tot = bc_total(mixed, max_degree)
-    return homology_dims(tot, max_degree - 1)
+def hc(ws, max_degree=6):
+    """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A, from the C^S
+    of the workspace ``ws`` (M = A)."""
+    return homology_dims(bc_total(build_mixed(ws, max_degree), max_degree), max_degree - 1)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -352,199 +316,3 @@ def hc_rank_one(mono, case, max_degree):
         else:
             proof.append(sum(_odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m + 1), 0) for idxs in roots))
     return proof
-
-
-# -- S / i / B maps on cyclic homology ---------------------------------------------
-
-def _corner_kernel(tot, m):
-    """W_m: X_0 classes whose corner inclusion into Tot_{2m} is a boundary."""
-    field = tot.mixed.field
-    N = 2 * m
-    d0 = tot.mixed.dim(0)
-    if N + 1 > tot.max_N:
-        raise HypothesisError("total window too small for the corner kernel")
-    bd = EchelonSet(field, tot.complex.boundary(N + 1).cols)
-    return bd.preimage([tot.inject(N, m, {t: field.one}) for t in range(d0)])
-
-
-def _top_ambiguity(tot, m):
-    """T_m: column-0 components of boundaries into Tot_{2m+1}."""
-    N = 2 * m + 1
-    cols = tot.complex.boundary(N + 1).cols
-    return EchelonSet(tot.mixed.field, (tot.block(N, 0, v) for v in cols))
-
-
-def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, scalar=None):
-    """Lift a sparse quotient class, optionally K-multiply and scale, reproject."""
-    local = spaces[r_from].lift_vec(qvec)
-    if kvec is not None:
-        full = mono.base.product({idxs[ii]: c for ii, c in local.items()}, kvec)
-        if not full.keys() <= set(idxs):
-            raise HypothesisError("component multiplication left the eigencomponent")
-        local = component_terms(idxs, full)
-    if scalar is not None:
-        local = {k: scalar * c for k, c in local.items()}
-    return spaces[r_to].project_terms(local)
-
-
-def sbi_check(mono, max_m=2, max_degree=None):
-    """Verify the S / i / B boundary-map formulas on homology representatives.
-
-    Per eigencomponent and per m <= max_m, each item is evaluated exactly
-    and reported pass/fail:
-
-    1  (trivial or non-root components) S: HC_{2m+2} -> HC_{2m} is the
-       identity under the corner identification.
-    2a S on even degrees is the canonical surjection of corner quotients.
-    2b i: HH_{2m} -> HC_{2m} is [lam] -> (1/m!)[lam lam_n^m] in the corner
-       identification.
-    2c B: HC_{2m} -> HH_{2m+1} vanishes.
-    2d S: HC_{2m+3} -> HC_{2m+1} is [lam] -> (1/(m+1))[lam lam_n] on top
-       components.
-    2e i: HH_{2m+1} -> HC_{2m+1} is the canonical inclusion (the top-entry
-       identification is injective and commutes with i).
-    2f B: HC_{2m+1} -> HH_{2m+2} is multiplication by (m+1)(1-w).
-    """
-    from math import factorial
-
-    field = mono.field
-    n = mono.n
-    top_needed = 2 * max_m + 4
-    max_degree = max(top_needed, max_degree or 0)
-    comps = build_mixed_components(mono, max_degree)
-    lam_n = mono.f_coefficient(n)
-    entries = []
-    for w, idxs, mixed in comps:
-        tot = BCTotal(mixed, max_degree)
-        cx = mixed.chain_complex()
-        label = f"w={w!r}"
-        root = is_root(mono, w)
-        hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))
-        if not root:
-            for m in range(max_m + 1):
-                lo = EchelonSet(field, _corner_kernel(tot, m))
-                W_hi = _corner_kernel(tot, m + 1)
-                hi = EchelonSet(field, W_hi)
-                same = all(lo.contains(v) for v in W_hi) and lo.dim == hi.dim
-                hc_lo, hc_hi = hc_dims[2 * m], hc_dims[2 * m + 2]
-                onto = (mixed.dim(0) - lo.dim == hc_lo) and (mixed.dim(0) - hi.dim == hc_hi)
-                entries.append({
-                    "item": "1", "component": label, "m": m,
-                    "passed": same and onto,
-                    "note": "corner quotients coincide and S is their identity",
-                })
-            continue
-        for m in range(max_m + 1):
-            # -- a: canonical surjection on even degrees
-            lo = EchelonSet(field, _corner_kernel(tot, m))
-            contained = all(lo.contains(v) for v in _corner_kernel(tot, m + 1))
-            hc_lo = hc_dims[2 * m]
-            onto = mixed.dim(0) - lo.dim == hc_lo
-            entries.append({
-                "item": "a", "component": label, "m": m, "passed": contained and onto,
-                "note": "W_{m+1} inside W_m and the corner map is onto",
-            })
-            # -- b: i on even homology via the corner identification
-            hh_even = homology(cx, 2 * m)
-            ok_b = True
-            N = 2 * m
-            aug_cols = list(tot.complex.boundary(N + 1).cols) if N + 1 <= tot.max_N else []
-            nbd = len(aug_cols)
-            aug_cols += [tot.inject(N, m, {t: field.one}) for t in range(mixed.dim(0))]
-            inv_mfact = field.from_fraction(Fraction(1, factorial(m)))
-            lam_pow = power_vec(mono, lam_n, m)
-            for rep in hh_even.representatives:
-                qrep = mixed.spaces[2 * m].project_terms(rep)
-                sol = solve(field, aug_cols, tot.inject(N, 0, qrep))
-                if sol is None:
-                    ok_b = False
-                    continue
-                mu = {j - nbd: c for j, c in sol.items() if j >= nbd}
-                expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m, 0, qrep, kvec=lam_pow, scalar=inv_mfact
-                )
-                if not lo.contains(sub_terms(mu, expect)):
-                    ok_b = False
-            entries.append({
-                "item": "b", "component": label, "m": m, "passed": ok_b,
-                "note": "corner value of i equals (1/m!) lam lam_n^m",
-            })
-            # -- c: connecting map on even cyclic classes vanishes
-            ok_c = True
-            hc_even = homology(tot.complex, 2 * m)
-            bd = EchelonSet(field, cx.boundary(2 * m + 2).cols)
-            for rep in hc_even.representatives:
-                if not bd.contains(mixed.B[2 * m].apply(tot.block(2 * m, 0, rep))):
-                    ok_c = False
-            entries.append({
-                "item": "c", "component": label, "m": m, "passed": ok_c,
-                "note": "B vanishes on even cyclic classes",
-            })
-            # -- d: S on odd degrees
-            ok_d = True
-            T_lo = _top_ambiguity(tot, m)
-            hc_odd_hi = homology(tot.complex, 2 * m + 3)
-            inv_m1 = field.from_fraction(Fraction(1, m + 1))
-            for rep in hc_odd_hi.representatives:
-                z0 = tot.block(2 * m + 3, 0, rep)
-                z1 = tot.block(2 * m + 3, 1, rep)
-                expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m + 3, 2 * m + 1, z0, kvec=lam_n, scalar=inv_m1
-                )
-                if not T_lo.contains(sub_terms(z1, expect)):
-                    ok_d = False
-            entries.append({
-                "item": "d", "component": label, "m": m, "passed": ok_d,
-                "note": "top entry of S is (1/(m+1)) lam lam_n",
-            })
-            # -- e: the top-entry identification is injective, and under it the
-            # map i has exactly the rank of the canonical class map, so it is
-            # the canonical inclusion (its chain level literally includes the
-            # top entry).
-            ok_e = True
-            hc_odd = homology(tot.complex, 2 * m + 1)
-            taus = EchelonSet(field)
-            seen = 0
-            for rep in hc_odd.representatives:
-                z0 = tot.block(2 * m + 1, 0, rep)
-                if taus.add(T_lo.reduce(z0)):
-                    seen += 1
-            if seen != hc_odd.dimension:
-                ok_e = False
-            hh_odd = homology(cx, 2 * m + 1)
-            tot_bd = EchelonSet(field, tot.complex.boundary(2 * m + 2).cols)
-            rank_i = 0
-            rank_tau = 0
-            tau_classes = EchelonSet(field)
-            for rep in hh_odd.representatives:
-                qrep = mixed.spaces[2 * m + 1].project_terms(rep)
-                if tot_bd.add(tot.inject(2 * m + 1, 0, qrep)):
-                    rank_i += 1
-                if tau_classes.add(T_lo.reduce(qrep)):
-                    rank_tau += 1
-            if rank_i != rank_tau:
-                ok_e = False
-            entries.append({
-                "item": "e", "component": label, "m": m, "passed": ok_e,
-                "note": "top identification injective; i is the canonical inclusion",
-            })
-            # -- f: connecting map on odd cyclic classes
-            ok_f = True
-            scalar_f = (m + 1) * (field.one - w)
-            bd2 = EchelonSet(field, cx.boundary(2 * m + 3).cols)
-            for rep in hc_odd.representatives:
-                z0 = tot.block(2 * m + 1, 0, rep)
-                expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m + 1, 2 * m + 2, z0, scalar=scalar_f
-                )
-                if not bd2.contains(sub_terms(mixed.B[2 * m + 1].apply(z0), expect)):
-                    ok_f = False
-            entries.append({
-                "item": "f", "component": label, "m": m, "passed": ok_f,
-                "note": "B is multiplication by (m+1)(1-w)",
-            })
-    by_item = {}
-    for e in entries:
-        by_item.setdefault(e["item"], True)
-        by_item[e["item"]] = by_item[e["item"]] and e["passed"]
-    return {"entries": entries, "by_item": by_item}

@@ -7,9 +7,9 @@ sparse columns block by block, counts a block of one column or one row as
 rank 1 and inverts no pivot that scales nothing.  Every reduced echelon
 basis of a span comes from ``EchelonSet``, which keeps its rows as sparse
 dicts and grows one vector at a time: membership, preimages,
-``kernel_basis``, ``solve``, ``quotient_dim`` and ``subquotient`` all read
-it.  Everything is over a fixed exact field (Q or a cyclotomic field).
-Every linear map of the package (boundaries, comparison maps, alpha, the
+``kernel_basis``, ``quotient_dim`` and ``subquotient`` all read it.
+Everything is over a fixed exact field (Q or a cyclotomic field).  Every
+linear map of the package (boundaries, comparison maps, alpha, the
 bimodule actions) is a column-sparse ``ColMap``, which may build each column
 on first read from a column function, and a quotient space keeps its
 projection as sparse columns too.  Every identity between maps is a relation
@@ -191,15 +191,6 @@ def kernel_basis(field, columns):
             if f != p:
                 basis[f][p] = -e
     return list(basis.values())
-
-
-def solve(field, columns, b):
-    """One sparse x with sum_j x[j] * columns[j] = b, or None if there is none."""
-    n = len(columns)
-    row_at = _row_echelon(field, list(columns) + [b]).row_at
-    if n in row_at:
-        return None
-    return {p: row[n] for p, row in row_at.items() if n in row}
 
 
 def add_term(acc, key, coeff):

@@ -15,7 +15,8 @@ K-sized subquotients with boundaries
 
 and if alpha is additionally diagonal on the K-basis it splits into
 eigencomponents.  One builder, ``collapsed_complex``, takes a set of K-basis
-indices: all of K, or one eigencomponent.  A component's boundaries are the
+indices: all of K (the K-sized complex the tests build), or one
+eigencomponent (``decompose``).  A component's boundaries are the
 K formulas above read in component coordinates (``component_terms``), which
 equal the displayed scalars (w - 1) and sum_{l<n} w^l.  The closed-form
 evaluators at the bottom compute the displayed homology quotients directly
@@ -28,7 +29,8 @@ per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
 (parity, source, target): with v the order of alpha^n, C^S repeats with
 period 2v.  The hh closed forms evaluate once per key (r == 0, parity,
 classes of alpha^{mn} and alpha^{(m+1)n}).  Nothing is shared when alpha
-has infinite order.
+has infinite order.  That the homology repeats with that period is the
+paper's statement, checked in the tests (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .algebra import (
     kept,
     regular_bimodule,
 )
-from .complexes import ChainComplex, homology_dims
+from .complexes import ChainComplex
 from .linalg import ColMap, EchelonSet, add_term, quotient_dim, sparse_rank, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
@@ -155,16 +157,6 @@ def collapsed_complex(mono, max_degree, idxs):
         return component_terms(idxs, _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam))
 
     return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, 1, image, {}))
-
-
-def build_cs_collapsed(mono, max_degree=6):
-    """The K-sized collapsed complex; refuses when collapse is unverified.
-
-    Odd-degree classes carry an implicit factor x^{n-1} (they sit inside
-    A/[A,K] as [lam x^{n-1}]); even classes are [lam] with lam in K.
-    """
-    ensure_collapse(mono, max_degree)
-    return collapsed_complex(mono, max_degree, range(mono.base.dim))
 
 
 # -- eigencomponent decomposition ---------------------------------------------
@@ -382,32 +374,6 @@ def hh_closed_form(mono, case, max_degree):
     if case == "alpha_identity":
         return hh_dims_alpha_identity(mono, max_degree)
     raise HypothesisError(f"unknown closed-form case {case!r}")
-
-
-def periodicity_check(mono, v, max_m, M=None):
-    """C^S, and so its HH dims, repeat with period v in m once alpha^n has order v.
-
-    C^S shares d_r with d_{r + 2v} by construction, so each d_r is also built
-    afresh from ``_boundary_terms`` at degree r and compared with it.
-    """
-    if mono.alpha_columns(mono.n * v) is not None:
-        raise HypothesisError(f"alpha^(n*v) != id for v = {v}")
-    for j in range(1, v):
-        if mono.alpha_columns(mono.n * j) is None:
-            raise HypothesisError(f"alpha^n has order dividing {j} < {v}")
-    top = 2 * (max_m + v) + 2
-    cs = build_cs(mono, M, top + 1)
-    for r in range(1, top + 2):
-        fresh = _periodic_boundaries(cs.field, cs.spaces[r - 1:r + 1], 1, lambda _, idx: cs._image(r, idx), {})
-        if fresh[1] != cs.boundary(r):
-            return False
-    dims = homology_dims(cs, top)
-    for m in range(max_m + 1):
-        if dims[2 * m + 1] != dims[2 * (m + v) + 1]:
-            return False
-        if dims[2 * m + 2] != dims[2 * (m + v) + 2]:
-            return False
-    return True
 
 
 def hh_rank_one(mono, case, max_degree):

@@ -17,12 +17,12 @@ from orehom.cyclic import (
     hc,
     hc_closed_form,
     hc_rank_one,
-    sbi_check,
     transfer_D,
 )
-from orehom.small_complex import hh_closed_form, hh_rank_one, periodicity_check
+from orehom.small_complex import hh_closed_form, hh_rank_one
 
 from conftest import get_context
+from paper_checks import periodicity_check, sbi_check
 
 SHIPPED = ("trunc:3", "sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4")
 
@@ -66,14 +66,9 @@ def test_criterion_3_hc_oracle_equivalence():
     for name in SHIPPED:
         ctx = get_context(name)
         md = 6
-        dims = hc(ctx.mono, md)
+        dims = hc(ctx, md)
         bar = ctx.bar(md)
-        barmixed = MixedComplexData(
-            ctx.mono.field,
-            [bar.space(r) for r in range(md)],
-            {r: bar.b(r) for r in range(1, md)},
-            {r: bar.connes_B(r) for r in range(md - 1)},
-        )
+        barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
         all_ok = all_ok and dims[:md - 1] == oracle
     _report(3, all_ok, "BC-total homology matches the normalized-side total, degrees 0..4")
@@ -91,14 +86,14 @@ def test_criterion_4_closed_form_regression():
         gen = homology_dims(ctx.cs(7), 5)
         cf = hh_rank_one(ctx.mono, "xi=0", 5)
         ok = ok and gen == [n] + [n - 1] * 5 == cf
-        hc_gen = hc(ctx.mono, 7)[:6]
+        hc_gen = hc(ctx, 7)[:6]
         r1 = hc_rank_one(ctx.mono, "xi=0", 5)
         expect_hc = [n if r % 2 == 0 else n - 1 for r in range(6)]
         ok = ok and hc_gen == expect_hc
         ok = ok and r1 == expect_hc
     ctx = get_context("rank1:c4")
     gen_hh = homology_dims(ctx.cs(7), 3)
-    gen_hc = hc(ctx.mono, 5)[:4]
+    gen_hc = hc(ctx, 5)[:4]
     cf_hh = hh_closed_form(ctx.mono, "eigen", 3)
     cf_hc = hc_closed_form(ctx.mono, 3)
     ok = ok and gen_hh == [3, 1, 1, 1] == cf_hh
@@ -115,7 +110,7 @@ def test_criterion_5_connes_transfer():
         bar = ctx.bar(7)
         cmp_ = ctx.comparison(7)
         for r in range(6):
-            direct = connes_D(ctx.mono, r, cs.spaces, "generic")
+            direct = connes_D(ctx.mono, r, cs.spaces)
             if direct != transfer_D(cmp_, bar, r):
                 all_ok = False
     _report(5, all_ok, "closed-formula D equals psi.B.phi, degrees 0..5")
@@ -164,7 +159,7 @@ def test_criterion_8_periodicity():
         if not periodicity_check(ctx.mono, v, max_m):
             ok = False
         top = 2 * (max_m + v) + 2
-        hc_dims = hc(ctx.mono, top + 1)
+        hc_dims = hc(ctx, top + 1)
         for m in range(max_m + 1):
             if hc_dims[2 * m + 1] != hc_dims[2 * (m + v) + 1]:
                 ok = False

@@ -2,6 +2,9 @@ import copy
 import functools
 import importlib.util
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -683,6 +686,21 @@ def test_memory_error_is_one_error_line_and_exit_1(capsys, monkeypatch, cmd):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {cmd} taft:3: out of memory"]
+
+
+def test_memory_cap_ends_in_one_error_line():
+    # a real cap: taft:6 ``verify --max-degree 6`` peaks near 540 MB, and the
+    # child caps its own address space at 256 MB before it starts
+    cap = 256 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "orehom.cli", "verify", "--spec", "taft:6", "--max-degree", "6"],
+                         env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == ["error: verify taft:6: out of memory"]
 
 
 @pytest.mark.parametrize("md, left_out", [

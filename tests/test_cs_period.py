@@ -19,15 +19,14 @@ from orehom.complexes import homology, homology_dims
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
-    build_cs_collapsed,
     decompose,
     hh_dims_collapsed,
     hh_dims_eigen,
     hh_rank_one,
-    periodicity_check,
 )
 from orehom.spec_io import EXAMPLE_NAMES
 
+from paper_checks import build_cs_collapsed, periodicity_check
 from test_algebra import RANK_ONE, _table_context
 
 DEGREE = 12

@@ -1,6 +1,6 @@
 import pytest
 
-from orehom.complexes import homology_dims
+from orehom.complexes import ChainComplex, homology_dims
 from orehom.cyclic import (
     BCTotal,
     MixedComplexData,
@@ -11,12 +11,12 @@ from orehom.cyclic import (
     hc,
     hc_closed_form,
     hc_rank_one,
-    sbi_check,
     transfer_D,
 )
 from orehom.small_complex import HypothesisError
 
 from conftest import COLLAPSING, SHIPPED, get_context, is_zero
+from paper_checks import collapsed_mixed, sbi_check
 
 # Cyclic homology tables, frozen from the normalized-complex BC oracle.
 HC_TABLE = {
@@ -34,7 +34,7 @@ HC_TABLE = {
 def test_connes_D_collapsed_even_zero():
     for name in COLLAPSING:
         ctx = get_context(name)
-        mixed = build_mixed(ctx.mono, 6, mode="collapsed")
+        mixed = collapsed_mixed(ctx.mono, 6)
         for r in range(0, 6, 2):
             assert is_zero(mixed.B[r])
 
@@ -42,7 +42,7 @@ def test_connes_D_collapsed_even_zero():
 def test_connes_D_sweedler_odd():
     ctx = get_context("sweedler")
     mono = ctx.mono
-    mixed = build_mixed(mono, 4, mode="collapsed")
+    mixed = collapsed_mixed(mono, 4)
     D1 = mixed.B[1].cols
     # D_1([g] x) = [2g]; D_1([1] x) = [1 - alpha(1)] = 0
     assert D1[1] == {1: mono.field.from_fraction(2)}
@@ -55,7 +55,7 @@ def test_connes_D_truncated_generic():
     cs = ctx.cs(6)
     F = mono.field
     for m in (0, 1, 2):
-        D = connes_D(mono, 2 * m, cs.spaces, "generic").cols
+        D = connes_D(mono, 2 * m, cs.spaces).cols
         for j in range(3):
             # class [x^j]
             assert D[j] == ({j - 1: F.from_fraction(j + m * mono.n)} if j >= 1 else {})
@@ -63,7 +63,7 @@ def test_connes_D_truncated_generic():
 
 def test_mixed_identities_all_fixtures():
     for name in SHIPPED:
-        build_mixed(get_context(name).mono, 6)  # raises on violation
+        build_mixed(get_context(name), 6)  # raises on violation
 
 
 def test_transfer_matches_closed_formula():
@@ -73,13 +73,13 @@ def test_transfer_matches_closed_formula():
         bar = ctx.bar(6)
         cmp_ = ctx.comparison(6)
         for r in range(5):
-            direct = connes_D(ctx.mono, r, cs.spaces, "generic")
+            direct = connes_D(ctx.mono, r, cs.spaces)
             assert direct == transfer_D(cmp_, bar, r)
 
 
 def test_bc_total_shapes_and_square_zero():
     ctx = get_context("sweedler")
-    mixed = build_mixed(ctx.mono, 6, mode="collapsed")
+    mixed = collapsed_mixed(ctx.mono, 6)
     tot = BCTotal(mixed, 5)
     assert tot.dim(0) == mixed.dim(0)
     assert tot.dim(1) == mixed.dim(1)
@@ -91,28 +91,23 @@ def test_bc_total_shapes_and_square_zero():
 @pytest.mark.parametrize("name", sorted(HC_TABLE))
 def test_hc_tables(name):
     ctx = get_context(name)
-    assert hc(ctx.mono, 7)[:6] == HC_TABLE[name]
+    assert hc(ctx, 7)[:6] == HC_TABLE[name]
 
 
 def test_hc_zero_degree_equals_hh():
     for name in SHIPPED:
         ctx = get_context(name)
         hh0 = homology_dims(ctx.cs(2), 0)[0]
-        assert hc(ctx.mono, 3)[0] == hh0
+        assert hc(ctx, 3)[0] == hh0
 
 
 @pytest.mark.parametrize("name", ("sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4", "trunc:3"))
 def test_hc_oracle_equivalence(name):
     ctx = get_context(name)
     md = 6
-    dims = hc(ctx.mono, md)
+    dims = hc(ctx, md)
     bar = ctx.bar(md)
-    barmixed = MixedComplexData(
-        ctx.mono.field,
-        [bar.space(r) for r in range(md)],
-        {r: bar.b(r) for r in range(1, md)},
-        {r: bar.connes_B(r) for r in range(md - 1)},
-    )
+    barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
     oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
     assert dims[:md - 1] == oracle
 
@@ -125,14 +120,14 @@ def test_component_mixed_sums_to_total():
         for w, idxs, cm in comps:
             dims = homology_dims(bc_total(cm, 6), 5)
             total = dims if total is None else [a + b for a, b in zip(total, dims)]
-        assert total == hc(ctx.mono, 7)[:6]
+        assert total == hc(ctx, 7)[:6]
 
 
 def test_hc_closed_form_proof_reading_matches():
     for name in COLLAPSING:
         ctx = get_context(name)
         cf = hc_closed_form(ctx.mono, 6)
-        assert cf["proof_reading"] == hc(ctx.mono, 7)[:7]
+        assert cf["proof_reading"] == hc(ctx, 7)[:7]
 
 
 def test_hc_closed_form_exponent_divergence():
@@ -161,7 +156,7 @@ def test_hc_rank_one_specializations():
     ):
         ctx = get_context(name)
         r1 = hc_rank_one(ctx.mono, case, 6)
-        assert r1 == hc(ctx.mono, 7)[:7]
+        assert r1 == hc(ctx, 7)[:7]
 
 
 def test_hc_closed_form_refuses_without_collapse():
@@ -194,7 +189,7 @@ def test_connes_D_degree_out_of_range():
     ctx = get_context("sweedler")
     cs = ctx.cs(4)
     with pytest.raises(HypothesisError, match="out of range"):
-        connes_D(ctx.mono, cs.max_degree, cs.spaces, "generic")
+        connes_D(ctx.mono, cs.max_degree, cs.spaces)
 
 
 def test_mixed_identity_violation_raises_complex_error():
@@ -203,13 +198,13 @@ def test_mixed_identity_violation_raises_complex_error():
 
     ctx = get_context("sweedler")
     mono = ctx.mono
-    mixed = build_mixed(mono, 4, mode="collapsed")
+    mixed = collapsed_mixed(mono, 4)
     bad_B = dict(mixed.B)
     corrupted = ColMap(mono.field, mixed.dim(2), mixed.dim(1))
     corrupted.set_col(0, {0: mono.field.one})
     bad_B[1] = corrupted
     with pytest.raises(ComplexError):
-        MixedComplexData(mono.field, mixed.spaces, mixed.b, bad_B)
+        MixedComplexData(mixed.chain_complex(), bad_B)
 
 
 def test_mixed_identity_is_checked_in_degree_zero():
@@ -223,5 +218,5 @@ def test_mixed_identity_is_checked_in_degree_zero():
     one = ColMap.identity(Q, 1)
     spaces = [subquotient(Q, 1, []) for _ in range(2)]
     with pytest.raises(ComplexError, match="bB \\+ Bb != 0 at degree 0"):
-        MixedComplexData(Q, spaces, {1: one}, {0: one})
-    MixedComplexData(Q, spaces, {1: one}, {0: ColMap(Q, 1, 1)})
+        MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: one})
+    MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: ColMap(Q, 1, 1)})

@@ -13,10 +13,12 @@ a ColMap built in the same function (a small-complex boundary is shared
 across degrees), every kept value is kept by ``memo`` or ``kept`` on its
 owner, no code outside ``fields.py`` divides (``int / int`` is a float)
 or looks inside a ``CycScalar``, the collapsed complex and its D are built
-by one function over a set of K-basis indices for all of K and for each
-eigencomponent (``connes_D_component`` is gone, and every restriction to
-component coordinates is one ``component_terms``), and the rank-one case
-names are validated in one place."""
+by one function over a set of K-basis indices for all of K (in
+``tests/paper_checks.py``) and for each eigencomponent
+(``connes_D_component`` is gone, and every restriction to component
+coordinates is one ``component_terms``), the rank-one case names are
+validated in one place, and every definition under src/ is reached from the
+command line (what only the tests read lives in the tests)."""
 
 import ast
 from fractions import Fraction
@@ -25,6 +27,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orehom.cyclic import BCTotal
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import EchelonSet, sparse, sparse_rank
 
@@ -121,8 +124,14 @@ def test_elements_of_k_and_a_have_one_sparse_layout():
 
 def test_definitions_read_only_by_tests_live_in_the_tests():
     # right_mult_map, is_zero and encode_kvec are in tests/conftest.py,
-    # transferred_block in tests/test_perturbation.py
-    assert _defined({"right_mult_map", "is_zero", "transferred_block", "encode_kvec"}) == []
+    # transferred_block in tests/test_perturbation.py, and the paper's checks
+    # with what only they read in tests/paper_checks.py; the name closure of
+    # the reachability guard would miss one whose name a live definition has
+    assert _defined({"right_mult_map", "is_zero", "transferred_block", "encode_kvec", "sbi_check",
+                     "_corner_kernel", "_top_ambiguity", "_component_scale_mult", "solve", "periodicity_check",
+                     "build_cs_collapsed"}) == []
+    # ``block`` and ``inject`` also name locals under src/, so BCTotal is read
+    assert not hasattr(BCTotal, "inject") and not hasattr(BCTotal, "block")
 
 
 def test_every_kept_value_is_kept_by_memo_or_kept():
@@ -316,22 +325,84 @@ def _calls_in_functions(path):
 def test_collapsed_forms_have_one_builder_over_k_basis_indices():
     # all of K and each eigencomponent build the collapsed complex and its D
     # through one function over a set of K-basis indices, whose columns are
-    # the K formulas: no scalar per-component copy of the boundaries or of D
+    # the K formulas: no scalar per-component copy of the boundaries or of D.
+    # The K-sized complex and its D are built in tests/paper_checks.py
     assert _defined({"connes_D_component"}) == []
     small = _calls_in_functions(ROOT / "src" / "orehom" / "small_complex.py")
     cyclic = _calls_in_functions(ROOT / "src" / "orehom" / "cyclic.py")
-    assert "collapsed_complex" in small["build_cs_collapsed"] & small["decompose"]
-    assert {f for f, called in small.items() if "_periodic_boundaries" in called} == {
-        "grow", "collapsed_complex", "periodicity_check"}
+    checks = _calls_in_functions(ROOT / "tests" / "paper_checks.py")
+    assert "collapsed_complex" in checks["build_cs_collapsed"] & small["decompose"]
+    assert {f for f, called in small.items() if "_periodic_boundaries" in called} == {"grow", "collapsed_complex"}
+    assert "_periodic_boundaries" in checks["periodicity_check"]
     assert {f for f, called in small.items() if called & {"_norm_map", "_alpha_minus_id_lamn"}} == {
         "collapsed_complex", "hh_dims_collapsed"}
-    assert "connes_D_collapsed" in cyclic["connes_D"] & cyclic["build_mixed_components"]
+    assert "connes_D_collapsed" in checks["collapsed_mixed"] & cyclic["build_mixed_components"]
+    assert "connes_D_collapsed" not in cyclic["connes_D"]
     # every restriction to component coordinates is one component_terms
-    for module, funcs in (("small_complex", ("collapsed_complex", "component_commutator_span",
-                                             "component_mult_rows")),
-                          ("cyclic", ("connes_D_collapsed", "_component_scale_mult"))):
-        calls = small if module == "small_complex" else cyclic
-        assert all("component_terms" in calls[f] for f in funcs), module
+    for calls, funcs in ((small, ("collapsed_complex", "component_commutator_span", "component_mult_rows")),
+                         (cyclic, ("connes_D_collapsed",)), (checks, ("_component_scale_mult",))):
+        assert all("component_terms" in calls[f] for f in funcs), funcs
+
+
+# Definitions no command reaches, each kept for a reader outside src/.
+REACHED_ELSEWHERE = {
+    # perfbench/tracer.py TARGETS, which test_perfbench_tracer_finds_every_target
+    # needs defined; retiring these targets lets src/ drop them
+    "linalg.Matrix",
+    "linalg.Matrix.apply",
+    "linalg.rref",
+    "cyclic.transfer_D",
+    # the laziness tests of test_linalg.py, test_bar_faces.py and
+    # test_perturbation.py read how many columns a lazy map has built
+    "linalg._Columns.built",
+}
+
+
+def _unreached(seeds=()):
+    """``module.qualname`` of every top-level function, class and method of
+    src/ that no command reaches.  The closure starts from the module-level
+    statements (the ``_COMMANDS`` table with its handlers among them),
+    ``cli.main`` and ``seeds``; a definition is reached when its bare name is
+    read as a name or an attribute in reached code, a method only once its
+    class is reached, and a reached class reaches its dunder methods.
+    Matching bare names over-approximates what runs, so a live definition is
+    never reported."""
+    defs, roots = {}, []  # qualname -> (class qualname or None, nodes read once reached)
+    for path in SOURCES:
+        for node in _tree(path).body:
+            qual = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef):
+                defs[qual] = (None, [node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                rest = [item for item in node.body if item not in methods]
+                defs[qual] = (None, node.bases + node.keywords + node.decorator_list + rest)
+                defs.update((f"{qual}.{item.name}", (qual, [item])) for item in methods)
+            else:
+                roots.append(node)
+    reached, names = set(), set()
+
+    def reaches(qual, cls):
+        name = qual.rpartition(".")[2]
+        if cls is None:
+            return name in names
+        return cls in reached and (name in names or name.startswith("__"))
+
+    new, todo = ["cli.main", *seeds], roots
+    while new:
+        reached.update(new)
+        todo += [node for qual in new for node in defs[qual][1]]
+        names.update(n.id if isinstance(n, ast.Name) else n.attr for node in todo for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute)))
+        new, todo = [qual for qual, (cls, _) in defs.items() if qual not in reached and reaches(qual, cls)], []
+    return sorted(set(defs) - reached)
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    # src/ holds what a command runs; a definition that only the tests read
+    # lives in the tests (paper_checks.py, the *_reference.py modules)
+    assert set(REACHED_ELSEWHERE) <= set(_unreached())
+    assert _unreached(REACHED_ELSEWHERE) == []
 
 
 def test_rank_one_case_names_are_read_in_one_place():

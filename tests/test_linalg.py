@@ -15,12 +15,12 @@ from orehom.linalg import (
     kernel_basis,
     relation_holds,
     rref,
-    solve,
     sparse,
     sparse_rank,
     sub_terms,
     subquotient,
 )
+from paper_checks import solve
 
 Q = make_field("rationals")
 F4 = make_field("cyclotomic", 4)

@@ -14,6 +14,7 @@ from orehom.spec_io import build_example, parse_spec
 from orehom.workspace import Workspace
 
 from conftest import get_context, is_zero
+from paper_checks import block, column
 
 FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
@@ -75,9 +76,9 @@ def test_perturbed_identities(name):
 
 def transferred_block(pert, Yside, N, p_from, p_to):
     """The (column p_to <- column p_from) block of the transferred map."""
-    off, d = Yside._column(N, p_from)
-    cols = [Yside.block(N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
-    return ColMap(Yside.mixed.field, Yside._column(N - 1, p_to)[1], d, cols)
+    off, d = column(Yside, N, p_from)
+    cols = [block(Yside, N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
+    return ColMap(Yside.mixed.field, column(Yside, N - 1, p_to)[1], d, cols)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -89,7 +90,7 @@ def test_transferred_differential_is_d_plus_D(name):
         for (p, deg, off, d) in Yside.blocks[N]:
             if p >= 1:
                 blk = transferred_block(pert, Yside, N, p, p - 1)
-                assert blk == connes_D(ctx.mono, deg, cs.spaces, "generic")
+                assert blk == connes_D(ctx.mono, deg, cs.spaces)
             for pt in range(0, p - 1):
                 assert is_zero(transferred_block(pert, Yside, N, p, pt))
 
@@ -98,7 +99,7 @@ def test_transferred_differential_is_d_plus_D(name):
 def test_transferred_homology_equals_hc(name):
     ctx, retract, delta, _ = _setup(name)
     pert = perturb(retract, delta)
-    assert homology_dims(pert.Y1, 4) == hc(ctx.mono, 6)[:5]
+    assert homology_dims(pert.Y1, 4) == hc(ctx, 6)[:5]
 
 
 @pytest.mark.parametrize("name", ("sweedler", "trunc:3", "taft:3"))

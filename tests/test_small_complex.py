@@ -7,17 +7,16 @@ from orehom.linalg import sparse_rank
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
-    build_cs_collapsed,
     collapse_required_js,
     decompose,
     hh_closed_form,
     hh_dims_eigen,
     hh_rank_one,
-    periodicity_check,
 )
 from orehom.spec_io import build_example, parse_spec
 
 from conftest import COLLAPSING, SHIPPED, get_context, is_zero
+from paper_checks import build_cs_collapsed, periodicity_check
 
 # Homology dimension tables, frozen from the normalized-complex oracle
 # (cross-checked below and in test_acceptance).
