@@ -25,11 +25,12 @@ to, in one ``_kept`` store: ``memo`` keeps the value of a method (or of a
 function whose first argument is the owner) per arguments, and ``kept``
 keeps a value under a key that is computed before the build, such as a twist
 class.  The reduced powers of x, the product table, the regular bimodule,
-[K,K]_{alpha^j}, K/[K,K]_{alpha^j} and the tuple table of each bar level are
-kept this way on the algebra, M/[M,K]_{alpha^j} on the bimodule (for M = A
-assembled from the K/[K,K]_{alpha^(j+p)}), and the maps and face
-operators of the bar complexes on the complex; nothing writes another
-object's store but through these two functions.
+[K,K]_{alpha^j}, K/[K,K]_{alpha^j}, the component quotient dimensions of the
+closed forms and the tuple table of each bar level are kept this way on the
+algebra, M/[M,K]_{alpha^j} on the bimodule (for M = A assembled from the
+K/[K,K]_{alpha^(j+p)}), and the maps and face operators of the bar complexes
+on the complex; nothing writes another object's store but through these two
+functions.
 """
 
 from __future__ import annotations
@@ -251,9 +252,8 @@ def character_endomorphism(K, chi):
                 raise AlgebraError(
                     f"character is not multiplicative on pair ({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                 )
-    m = ColMap(K.field, K.dim, K.dim)
-    for i, v in enumerate(values):
-        m.set_col(i, {i: v})
+    # a multiplicative character that passes the unit check takes unit values
+    m = ColMap(K.field, K.dim, K.dim, [{i: v} for i, v in enumerate(values)])
     endo = AlgebraEndomorphism(K, m, check=False)
     endo._check_unit()
     return endo
@@ -619,35 +619,25 @@ def _act(acc, cols, terms, scale=None):
 
 @memo
 def regular_bimodule(mono):
-    """The default coefficients M = A with both regular actions, built column
-    by column from products in K and the normal form of x^n (no product
-    table): on kappa x^p, lam_t acts by (lam_t kappa) x^p on the left and by
-    kappa alpha^p(lam_t) x^p on the right, and x by alpha(kappa) x^(p+1) on
-    the left and by kappa x^(p+1) on the right.  Kept once per algebra."""
-    field = mono.field
-    dim = mono.dim
+    """The default coefficients M = A with both regular actions, from products
+    in K and the normal form of x^n (no product table), columns built on
+    first read: on kappa x^p, lam_t acts by (lam_t kappa) x^p on the left and
+    by kappa alpha^p(lam_t) x^p on the right, and x by alpha(kappa) x^(p+1)
+    on the left and by kappa x^(p+1) on the right.  Kept once per algebra."""
     d = mono.base.dim
-    one = field.one
+    one = mono.field.one
     product = mono.base.product
     normal = mono.k_times_x_power
-    left_k = [[] for _ in range(d)]
-    right_k = [[] for _ in range(d)]
-    left_x, right_x = [], []
-    for p in range(mono.n):
-        twisted = [mono.alpha_terms(p, t) for t in range(d)]
-        for kappa in range(d):
-            front = {kappa: one}
-            for t in range(d):
-                left_k[t].append(normal(product({t: one}, front), p))
-                right_k[t].append(normal(product(front, twisted[t]), p))
-            left_x.append(normal(mono.alpha_terms(1, kappa), p + 1))
-            right_x.append(normal(front, p + 1))
 
-    def action(columns):
-        return ColMap(field, dim, dim, columns)
+    def action(column):
+        """The map whose column at kappa x^p is ``column(p, kappa)``."""
+        return ColMap.lazy(mono.field, mono.dim, mono.dim, lambda c: column(*divmod(c, d)))
 
-    return BimoduleData(mono, dim, [action(c) for c in left_k], action(left_x),
-                        [action(c) for c in right_k], action(right_x), check=False)
+    left_k = [action(lambda p, kappa, t=t: normal(product({t: one}, {kappa: one}), p)) for t in range(d)]
+    right_k = [action(lambda p, kappa, t=t: normal(product({kappa: one}, mono.alpha_terms(p, t)), p)) for t in range(d)]
+    left_x = action(lambda p, kappa: normal(mono.alpha_terms(1, kappa), p + 1))
+    right_x = action(lambda p, kappa: normal({kappa: one}, p + 1))
+    return BimoduleData(mono, mono.dim, left_k, left_x, right_k, right_x, check=False)
 
 
 def twisted_commutator_subspace(M, j):

@@ -10,9 +10,9 @@ verification suite.  On the collapsed complex every even D vanishes and
 
 ``connes_D_collapsed`` reads this K formula on the K-basis indices of an
 eigencomponent, where it equals the scalar (1 - w)(sum_{u<=m} w^{nu}).  The
-cyclic closed forms read the component quotients of ``small_complex``.  The
-paper's statements on the S, i and B maps of HC are checked in the tests
-(``tests/paper_checks.py``).
+cyclic closed forms read the component quotients of ``small_complex``, kept
+per class.  The paper's statements on the S, i and B maps of HC are checked
+in the tests (``tests/paper_checks.py``).
 
 The total complex of the first-quadrant double complex built from (X, b, B)
 is taken with the plain-sum differential (no auxiliary signs): the mixed
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .algebra import eigen_split, k_quotient
 from .complexes import ChainComplex, ComplexError, homology_dims
-from .linalg import ColMap, add_terms, anticommutator_terms, relation_holds, sub_terms, subquotient
+from .linalg import ColMap, SubquotientSpace, add_terms, anticommutator_terms, relation_holds, sub_terms
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -91,9 +91,9 @@ def connes_D(mono, r, cs_spaces):
     n = mono.n
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
-    out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
-    for qj, idx in enumerate(src.free):
+    cols = []
+    for idx in src.free:
         total = {}
         j, kappa = divmod(idx, K.dim)
         lam = K.basis_vector(kappa)
@@ -105,15 +105,15 @@ def connes_D(mono, r, cs_spaces):
             if j >= 1:
                 s = mono.alpha_sum(lam, range(m * n, m * n + j))
                 total = {(j - 1) * K.dim + k: c for k, c in s.items()}
-            for u in range(m):
-                for i in range(1, n + 1):
-                    lam_ni = mono.f_coefficient(n - i)
-                    if not lam_ni or j + i - 1 < n:
-                        continue
-                    ssum = mono.alpha_sum(lam, range(n * u, n * u + i))
-                    add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
-        out.set_col(qj, tgt.project_terms(dict(sorted(total.items()))))
-    return out
+            for i in range(1, n + 1):
+                lam_ni = mono.f_coefficient(n - i)
+                if not m or not lam_ni or j + i - 1 < n:
+                    continue
+                # the (u, i) terms are K-linear in sum_{l<i} alpha^(nu + l)(lam): sum over u < m, one product
+                ssum = mono.alpha_sum(lam, [n * u + ell for u in range(m) for ell in range(i)])
+                add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
+        cols.append(tgt.project_terms(dict(sorted(total.items()))))
+    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def connes_D_collapsed(mono, r, cs_spaces, idxs):
@@ -123,14 +123,14 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
     eigenvalue w that is the scalar (1 - w) sum_{u<=m} w^{nu}."""
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
-    out = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
     if not odd:
-        return out
-    for qj, ii in enumerate(src.free):
+        return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+    cols = []
+    for ii in src.free:
         w = mono.alpha_sum(mono.base.basis_vector(idxs[ii]), range(0, (m + 1) * mono.n, mono.n))
-        out.set_col(qj, tgt.project_terms(component_terms(idxs, sub_terms(w, mono.alpha_image(1, w)))))
-    return out
+        cols.append(tgt.project_terms(component_terms(idxs, sub_terms(w, mono.alpha_image(1, w)))))
+    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def build_mixed(ws, max_degree=6):
@@ -160,11 +160,12 @@ def transfer_D(comparison, bar, r):
 class BCTotal:
     """Total complex of the quotient double complex of a mixed complex.
 
-    Tot_N = (+)_{p >= 0} X_{N-2p}; the differential sends the column-p
-    entry y to b(y) in column p and B(y) into column p-1, a degree missing
-    from ``mixed.B`` counting as B = 0.  The blocks (p, degree, offset,
-    dim) of each Tot_N are kept for the blockwise maps of the transfer
-    retract.
+    Tot_N = (+)_{p >= 0} X_{N-2p}, the whole space with no elimination; the
+    differential sends the column-p entry y to b(y) in column p and B(y)
+    into column p-1, a degree missing from ``mixed.B`` counting as B = 0,
+    and each boundary is built from its list of columns.  The blocks (p,
+    degree, offset, dim) of each Tot_N are kept for the blockwise maps of
+    the transfer retract.
     """
 
     def __init__(self, mixed, max_N):
@@ -176,7 +177,7 @@ class BCTotal:
         self.max_N = max_N
         field = mixed.field
         self.blocks = []
-        spaces = []
+        dims = []
         for N in range(max_N + 1):
             blocks = []
             off = 0
@@ -187,24 +188,27 @@ class BCTotal:
                 off += d
                 p += 1
             self.blocks.append(blocks)
-            spaces.append(subquotient(field, off, []))
+            dims.append(off)
+        # the projection of the whole space Tot_N is the first dim Tot_N columns of one identity
+        ident = [{i: field.one} for i in range(max(dims))]
+        spaces = [SubquotientSpace(field, dim, list(range(dim)), ident[:dim]) for dim in dims]
         boundaries = {}
         for N in range(1, max_N + 1):
-            src_blocks = self.blocks[N]
-            tgt_blocks = self.blocks[N - 1]
-            tgt_off = {p: off for (p, deg, off, d) in tgt_blocks}
-            total_src = spaces[N].quotient_dim
-            total_tgt = spaces[N - 1].quotient_dim
-            cm = ColMap(field, total_tgt, total_src)
-            for (p, deg, off, d) in src_blocks:
-                B = mixed.B.get(deg) if p >= 1 else None
+            tgt_off = {p: off for (p, deg, off, d) in self.blocks[N - 1]}
+            cols = []
+            for (p, deg, off, d) in self.blocks[N]:
+                if not p:
+                    # column 0 of Tot_N and Tot_{N-1} starts at row 0: b's columns, shared (never edited)
+                    cols += mixed.b[deg].cols
+                    continue
+                B = mixed.B.get(deg)
                 for jj in range(d):
                     # b lands in column p and B in column p - 1: their rows never meet
                     col = {tgt_off[p] + i: e for i, e in mixed.b[deg].cols[jj].items()} if deg >= 1 else {}
                     if B is not None:
                         col.update((tgt_off[p - 1] + i, e) for i, e in B.cols[jj].items())
-                    cm.set_col(off + jj, col)
-            boundaries[N] = cm
+                    cols.append(col)
+            boundaries[N] = ColMap(field, spaces[N - 1].quotient_dim, spaces[N].quotient_dim, cols)
         self.complex = ChainComplex(field, spaces, boundaries)
 
     def dim(self, N):
@@ -222,15 +226,15 @@ class BCTotal:
             if M < 0 or M >= len(other.blocks):
                 continue
             tgt_off = {p: off for (p, deg, off, d) in other.blocks[M]}
-            cm = ColMap(self.mixed.field, other.dim(M), self.dim(N))
+            cols = []
             for (p, deg, off, d) in self.blocks[N]:
                 mp = maps.get(deg)
                 if mp is None or p - column_shift not in tgt_off:
+                    cols += [{} for _ in range(d)]
                     continue
                 tgt = tgt_off[p - column_shift]
-                for jj in range(d):
-                    cm.set_col(off + jj, {tgt + i: e for i, e in mp.cols[jj].items()})
-            out[N] = cm
+                cols += [{tgt + i: e for i, e in mp.cols[jj].items()} for jj in range(d)]
+            out[N] = ColMap(self.mixed.field, other.dim(M), self.dim(N), cols)
         return out
 
 

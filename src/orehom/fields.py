@@ -21,12 +21,13 @@ handling: all of them support ``+ - * ** ==`` and truthiness ("nonzero"),
 which is all the linear algebra requires.  Division is the one exception,
 because ``int / int`` is a float: code outside this module takes ``1 / x``
 as ``reciprocal(x)``.  A ``CycScalar`` inverse is computed once per field
-and value.
+and value, and Phi_d once per order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, neg, sub
 
@@ -74,18 +75,24 @@ def _poly_divmod(p, q):
 
 
 def cyclotomic_polynomial(d):
-    """Coefficients (ascending) of Phi_d, by exact division of x^d - 1."""
+    """Coefficients (ascending) of Phi_d, by exact division of x^d - 1: a new
+    list of the coefficients computed once per order."""
     if d < 1:
         raise ValueError("d must be a positive integer")
+    return list(_phi_coefficients(d))
+
+
+@cache
+def _phi_coefficients(d):
     num = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
     den = [Fraction(1)]
     for e in range(1, d):
         if d % e == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(e))
+            den = _poly_mul(den, _phi_coefficients(e))
     quot, rem = _poly_divmod(num, den)
     if rem:
         raise ValueError(f"Phi_{d}: division of x^{d}-1 left a remainder")
-    return quot
+    return tuple(quot)
 
 
 def _euler_phi(d):

@@ -458,9 +458,11 @@ class ColMap:
     """Column-sparse linear map between based spaces.
 
     ``cols[j]`` maps the j-th domain basis vector to a dict
-    ``{row_index: scalar}`` holding no zero scalar.  A map made by ``lazy``
-    builds each column from its column function the first time it is read,
-    so ``apply`` builds only the columns in the support of its argument.
+    ``{row_index: scalar}`` holding no zero scalar.  An eager map is made
+    from its list of columns, given zero-free by its caller, and no map is
+    edited after it is built.  A map made by ``lazy`` builds each column
+    from its column function the first time it is read, dropping zeros, so
+    ``apply`` builds only the columns in the support of its argument.
     Identities between maps, ``==`` among them, are relations read column by
     column (``relation_holds``); ``compose`` builds a whole product, for the
     maps that are kept (the powers of alpha and of x, and the transferred
@@ -483,9 +485,6 @@ class ColMap:
     def lazy(cls, field, nrows, ncols, column):
         """The map whose column j is the term dict ``column(j)``, built on demand."""
         return cls(field, nrows, ncols, _Columns(ncols, column))
-
-    def set_col(self, j, vec_dict):
-        self.cols[j] = {i: e for i, e in vec_dict.items() if e}
 
     def apply(self, vec_dict):
         out = {}

@@ -21,8 +21,9 @@ K formulas above read in component coordinates (``component_terms``), which
 equal the displayed scalars (w - 1) and sum_{l<n} w^l.  The closed-form
 evaluators at the bottom compute the displayed homology quotients directly
 by echelonizing numerator and denominator spans; the eigencomponent forms
-share the cokernel and colon quotients of a component, and they are
-cross-checked against the homology of the built complexes in the tests.
+share the cokernel and colon quotients of a component, kept per class on
+the algebra, and they are cross-checked against the homology of the built
+complexes in the tests.
 
 The boundaries read r through its parity alone and each space is kept once
 per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
@@ -84,9 +85,8 @@ def _periodic_boundaries(field, spaces, lo, image, shared):
     for r in range(lo, len(spaces)):
         key = (r % 2, spaces[r], spaces[r - 1])
         if key not in shared:
-            d = shared[key] = ColMap(field, spaces[r - 1].quotient_dim, spaces[r].quotient_dim)
-            for qj, idx in enumerate(spaces[r].free):
-                d.set_col(qj, spaces[r - 1].project_terms(image(r, idx)))
+            shared[key] = ColMap(field, spaces[r - 1].quotient_dim, spaces[r].quotient_dim,
+                                 [spaces[r - 1].project_terms(image(r, idx)) for idx in spaces[r].free])
         out[r] = shared[key]
     return out
 
@@ -239,16 +239,19 @@ def hh_dims_collapsed(mono, max_degree):
     n = mono.n
     basis = [K.basis_vector(t) for t in range(K.dim)]
     kk = lambda j: k_commutator_subspace(mono, j)
+    # the images of the K-basis under both boundary formulas, read by every key
+    odd_images = [_alpha_minus_id_lamn(mono, v) for v in basis]
+    even_images = [_norm_map(mono, v) for v in basis]
     def dim_at(r):
         m, odd = divmod(r, 2)
         if r == 0:
-            return K.dim - sparse_rank(kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis])
+            return K.dim - sparse_rank(kk(0) + odd_images)
         if odd:
-            num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
-            den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
+            num = EchelonSet(field, kk(m * n)).preimage(odd_images)
+            den = kk((m + 1) * n) + even_images
         else:
-            num = EchelonSet(field, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
-            den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
+            num = EchelonSet(field, kk(m * n)).preimage(even_images)
+            den = kk(m * n) + odd_images
         return _well_formed(quotient_dim(field, num, den))
 
     return _per_key(mono, max_degree, dim_at)
@@ -273,20 +276,33 @@ def power_vec(mono, kvec, power):
     return out
 
 
+def _kvec_key(kvec):
+    return None if kvec is None else tuple(sorted(kvec.items()))
+
+
 def component_cokernel_dim(mono, idxs, j, kvec=None):
-    """dim K^w / ([K,K]^w_{alpha^j} + K^w kvec); without kvec, K^w/[K,K]^w_{alpha^j}."""
-    span = component_commutator_span(mono, j, idxs)
-    if kvec is not None:
-        span += component_mult_rows(mono, idxs, kvec)
-    return len(idxs) - sparse_rank(span)
+    """dim K^w / ([K,K]^w_{alpha^j} + K^w kvec); without kvec, K^w/[K,K]^w_{alpha^j}.
+    Kept on ``mono`` per class of alpha^j, component and kvec."""
+    def build():
+        span = component_commutator_span(mono, j, idxs)
+        if kvec is not None:
+            span += component_mult_rows(mono, idxs, kvec)
+        return len(idxs) - sparse_rank(span)
+
+    return kept(mono, (component_cokernel_dim, mono.twist(j), tuple(idxs), _kvec_key(kvec)), build)
 
 
 def component_colon_dim(mono, idxs, j, kvec, j_den):
     """dim {lam in K^w : lam kvec in [K,K]^w_{alpha^j}} / [K,K]^w_{alpha^j_den},
-    or None when the quotient is not well formed (``quotient_dim``)."""
-    num = EchelonSet(mono.field, component_commutator_span(mono, j, idxs)).preimage(
-        component_mult_rows(mono, idxs, kvec))
-    return quotient_dim(mono.field, num, component_commutator_span(mono, j_den, idxs))
+    or None when the quotient is not well formed (``quotient_dim``).  Kept on
+    ``mono`` per class of alpha^j, component, kvec and class of alpha^j_den."""
+    def build():
+        num = EchelonSet(mono.field, component_commutator_span(mono, j, idxs)).preimage(
+            component_mult_rows(mono, idxs, kvec))
+        return quotient_dim(mono.field, num, component_commutator_span(mono, j_den, idxs))
+
+    key = (component_colon_dim, mono.twist(j), tuple(idxs), _kvec_key(kvec), mono.twist(j_den))
+    return kept(mono, key, build)
 
 
 def even_dim(mono, w, idxs, m):

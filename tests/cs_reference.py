@@ -6,13 +6,16 @@ Every degree gets its own boundary map and every closed form evaluates every
 degree, as ``orehom.small_complex`` did before it shared them per twist class.
 The collapsed boundaries are computed densely, with ``dense_reference``; the
 eigencomponent boundaries and D are the scalar formulas (w - 1), sum_l w^l and
-(1 - w) sum_u w^{nu}, and the closed forms rebuild every span in their own loop.
+(1 - w) sum_u w^{nu}; the generic D forms one product per (u, i), as the
+package did before it summed the alpha powers over u; and the closed forms
+rebuild every span in their own loop, where the package keeps each component
+quotient per class.
 """
 
 import dense_reference as dref
 from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace, k_quotient
 from orehom.complexes import ChainComplex
-from orehom.linalg import ColMap, EchelonSet, quotient_dim, sparse_rank
+from orehom.linalg import ColMap, EchelonSet, add_terms, quotient_dim, sparse_rank, sub_terms
 from orehom.small_complex import (
     HypothesisError,
     _alpha_minus_id_lamn,
@@ -32,10 +35,8 @@ def build_cs(mono, M, max_degree):
     cx = ChainComplex(mono.field, [commutator_quotient(M, 0)], {})
     for r in range(1, max_degree + 1):
         src, tgt = commutator_quotient(M, cs_twist(mono.n, r)), cx.spaces[r - 1]
-        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free):
-            col_map.set_col(qj, tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})))
-        cx.append(src, col_map)
+        cols = [tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})) for idx in src.free]
+        cx.append(src, ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols))
     return cx
 
 
@@ -52,8 +53,8 @@ def build_cs_collapsed(mono, max_degree):
     boundaries = {}
     for r in range(1, max_degree + 1):
         src, tgt = spaces[r], spaces[r - 1]
-        col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-        for qj, idx in enumerate(src.free):
+        cols = []
+        for idx in src.free:
             lam = dref.dense(K.basis_vector(idx), K.dim, mono.field.zero)
             if r % 2 == 1:
                 diff = [a - b for a, b in zip(dref.alpha_power(mono, 1, lam), lam)]
@@ -62,8 +63,8 @@ def build_cs_collapsed(mono, max_degree):
                 img = [mono.field.zero] * K.dim
                 for ell in range(n):
                     img = [a + b for a, b in zip(img, dref.alpha_power(mono, ell, lam))]
-            col_map.set_col(qj, tgt.project_terms(dref.sparse(img)))
-        boundaries[r] = col_map
+            cols.append(tgt.project_terms(dref.sparse(img)))
+        boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
     return ChainComplex(mono.field, spaces, boundaries)
 
 
@@ -83,15 +84,15 @@ def decompose(mono, max_degree):
         boundaries = {}
         for r in range(1, max_degree + 1):
             src, tgt = spaces[r], spaces[r - 1]
-            col_map = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
-            for qj, ii in enumerate(src.free):
+            cols = []
+            for ii in src.free:
                 lam = dref.dense(K.basis_vector(idxs[ii]), K.dim, mono.field.zero)
                 if r % 2 == 1:
                     img_full = [(w - mono.field.one) * c for c in dref.k_product(K, lam, lam_n)]
                 else:
                     img_full = [nmult * c for c in lam]
-                col_map.set_col(qj, tgt.project_terms(dref.sparse([img_full[i] for i in idxs])))
-            boundaries[r] = col_map
+                cols.append(tgt.project_terms(dref.sparse([img_full[i] for i in idxs])))
+            boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
         out.append((w, idxs, ChainComplex(mono.field, spaces, boundaries)))
     return out
 
@@ -208,9 +209,40 @@ def connes_D_component(mono, r, cs_spaces, w, idxs):
     scalar = (field.one - w) * sum((w ** (mono.n * u) for u in range(m + 1)), field.zero)
     if not scalar:
         return out
-    for qj, idx in enumerate(src.free):
-        out.set_col(qj, tgt.project_terms({idx: scalar}))
-    return out
+    return ColMap(field, tgt.quotient_dim, src.quotient_dim, [tgt.project_terms({idx: scalar}) for idx in src.free])
+
+
+def connes_D(mono, r, cs_spaces):
+    """The generic D_r as the package built it before it summed the alpha
+    powers over u: one product in K and one quotient of a power of x per
+    (u, i), u < m."""
+    K = mono.base
+    n = mono.n
+    src = cs_spaces[r]
+    tgt = cs_spaces[r + 1]
+    m, odd = divmod(r, 2)
+    cols = []
+    for idx in src.free:
+        total = {}
+        j, kappa = divmod(idx, K.dim)
+        lam = K.basis_vector(kappa)
+        if odd:
+            if j == n - 1:
+                w = mono.alpha_sum(lam, range(0, (m + 1) * n, n))
+                total = sub_terms(w, mono.alpha_image(1, w))
+        else:
+            if j >= 1:
+                s = mono.alpha_sum(lam, range(m * n, m * n + j))
+                total = {(j - 1) * K.dim + k: c for k, c in s.items()}
+            for u in range(m):
+                for i in range(1, n + 1):
+                    lam_ni = mono.f_coefficient(n - i)
+                    if not lam_ni or j + i - 1 < n:
+                        continue
+                    ssum = mono.alpha_sum(lam, range(n * u, n * u + i))
+                    add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
+        cols.append(tgt.project_terms(dict(sorted(total.items()))))
+    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def _power_vec(mono, kvec, power):

@@ -259,6 +259,10 @@ def test_non_integer_example_parameter_rejected(capsys):
     ({"field": {"kind": "rationals"}}, "error: spec has neither 'base_algebra' nor 'rank_one'"),
     ({"field": {"kind": "rationals"}, "base_algebra": {}}, "error: spec.base_algebra has no 'type'"),
     ({"field": {"kind": "reals"}, "base_algebra": {}}, "error: spec.field: unknown field kind 'reals'"),
+    (dict(build_example("sweedler"), field={"kind": ["cyclotomic"]}),
+     "error: spec.field: unknown field kind ['cyclotomic']"),
+    (dict(build_example("sweedler"), field={"kind": "cyclotomic", "order": 0}),
+     "error: spec.field: cyclotomic order must be >= 1"),
     (dict(build_example("sweedler"), field={"kind": "cyclotomic", "order": "x"}),
      "error: spec.field.order must be an integer, got 'x'"),
     (dict(build_example("sweedler"), extension={"n": "two", "lambdas": []}),
@@ -279,7 +283,7 @@ def test_non_integer_example_parameter_rejected(capsys):
                        "table": [["a", "c", "b"], ["c", "b", "a"], ["b", "a", "c"]]}},
      "error: table has no two-sided identity element"),
 ], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
-        "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
+        "unhashable-field-kind", "order-zero", "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
         "short-lambda", "short-unit", "group-without-identity"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
@@ -487,6 +491,36 @@ def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
     # each A/[A,K]_{alpha^j} from the kept K/[K,K]_{alpha^(j+p)}
     assert len(seen["k_quotient"]) == len(set(seen["k_quotient"])) == 3
     assert seen["twisted"] == []
+
+
+@pytest.mark.parametrize("name", ["taft:3", "rank1nc:c2xc4"])
+def test_hc_closed_forms_eliminate_each_component_quotient_once(capsys, monkeypatch, name):
+    # the eigencomponent closed forms read the same cokernel and colon
+    # quotients at many degrees: each distinct key (class of alpha^j,
+    # component, kvec and class of alpha^j_den) is eliminated once
+    from orehom import small_complex
+
+    kept_fns = (small_complex.component_cokernel_dim, small_complex.component_colon_dim)
+    lookups, eliminations = [], []
+    original_kept = small_complex.kept
+
+    def counted_kept(owner, key, build):
+        if key[0] in kept_fns:
+            lookups.append((id(owner), key))
+        return original_kept(owner, key, build)
+
+    def counted(fn):
+        def wrapped(*args):
+            eliminations.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(small_complex, "kept", counted_kept)
+    for fn in (small_complex.sparse_rank, small_complex.quotient_dim):
+        monkeypatch.setattr(small_complex, fn.__name__, counted(fn))
+    code, _ = run(capsys, "hc", "--spec", name, "--max-degree", "12", "--closed-form", "--decompose")
+    assert code == 0
+    assert len(lookups) > len(set(lookups)) == len(eliminations) > 0
 
 
 def test_verify_eliminates_an_explicit_bimodule_once_per_class(capsys, monkeypatch, tmp_path):

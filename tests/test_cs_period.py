@@ -6,7 +6,10 @@ d.d checks, ranks and homology, and the hh closed forms are computed once
 per key and shared by every degree with that key.  Each shared result must
 equal the one the reference computes afresh at that degree.  The hc closed
 forms and the D of every eigencomponent, read off the K formulas on the
-component, must equal the reference's per-component spans and scalar D.
+component, must equal the reference's per-component spans and scalar D, and
+the generic D the reference's product per (u, i).  The component quotients
+the closed forms keep per class must equal those of an algebra with nothing
+kept.
 """
 
 import pytest
@@ -14,20 +17,23 @@ import pytest
 import cs_reference as ref
 from orehom import complexes, small_complex
 from orehom.algebra import AlgebraError
-from orehom.cyclic import build_mixed_components, hc_closed_form, hc_rank_one
+from orehom.cyclic import build_mixed_components, connes_D, hc_closed_form, hc_rank_one
 from orehom.complexes import homology, homology_dims
 from orehom.small_complex import (
     HypothesisError,
     build_cs,
+    component_cokernel_dim,
+    component_colon_dim,
     decompose,
     hh_dims_collapsed,
     hh_dims_eigen,
     hh_rank_one,
 )
-from orehom.spec_io import EXAMPLE_NAMES
+from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 
+from conftest import kept_keys, rank_one_doc
 from paper_checks import build_cs_collapsed, periodicity_check
-from test_algebra import RANK_ONE, _table_context
+from test_algebra import _DOCUMENTS, RANK_ONE, _table_context
 
 DEGREE = 12
 FIXTURES = EXAMPLE_NAMES + ("taft:4",) + tuple(RANK_ONE) + ("dual-numbers",)
@@ -113,6 +119,50 @@ def test_component_D_is_the_scalar_formula(name):
             D, scalar = mixed.B[r], ref.connes_D_component(mono, r, mixed.spaces, w, idxs)
             assert (D.nrows, D.ncols) == (scalar.nrows, scalar.ncols)
             assert D.cols == scalar.cols, f"w={w!r}, D_{r}"
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_generic_D_matches_the_reference(name):
+    # D sums the alpha powers over u before its one product per i; the
+    # reference forms a product per (u, i): the columns are the same
+    mono, _ = _table_context(name)
+    cs = build_cs(mono, None, DEGREE)
+    for r in range(DEGREE):
+        D, fresh = connes_D(mono, r, cs.spaces), ref.connes_D(mono, r, cs.spaces)
+        assert (D.nrows, D.ncols) == (fresh.nrows, fresh.ncols)
+        assert D.cols == fresh.cols, f"D_{r}"
+
+
+def _fresh_mono(name):
+    """The algebra of a ``FIXTURES`` entry parsed anew: nothing kept on it."""
+    if name in RANK_ONE:
+        return parse_spec(rank_one_doc(*RANK_ONE[name])).mono
+    if name in _DOCUMENTS:
+        return parse_spec(_DOCUMENTS[name](), max_degree=5).mono
+    return parse_spec(build_example(name)).mono
+
+
+def _closed_forms(mono):
+    return [_outcome(hh_dims_eigen, mono, DEGREE), _outcome(hc_closed_form, mono, DEGREE)] + [
+        _outcome(form, mono, case, DEGREE) for form in (hh_rank_one, hc_rank_one) for case in RANK_ONE_CASES]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kept_component_quotients_match_a_fresh_algebra(name):
+    # the eigencomponent closed forms keep each cokernel and colon dimension
+    # on the algebra, per class: their dims, and every kept value, equal what
+    # an algebra with nothing kept computes
+    mono = _table_context(name)[0]
+    dims = _closed_forms(mono)
+    assert _closed_forms(mono) == dims == _closed_forms(_fresh_mono(name))
+    cold = _fresh_mono(name)
+    store = vars(mono).get("_kept", {})
+    for fn in (component_cokernel_dim, component_colon_dim):
+        keys = kept_keys(mono, fn)
+        assert keys or dims[1][0] != "ok", fn.__name__
+        for j, idxs, kvec, *j_den in keys:
+            value = fn(cold, list(idxs), j, None if kvec is None else dict(kvec), *j_den)
+            assert value == store[(fn, j, idxs, kvec, *j_den)], (fn.__name__, j, idxs, j_den)
 
 
 @pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])

@@ -13,7 +13,9 @@ from orehom.cyclic import (
     hc_rank_one,
     transfer_D,
 )
+from orehom.perturbation import build_cyclic_retract
 from orehom.small_complex import HypothesisError
+from orehom.spec_io import EXAMPLE_NAMES
 
 from conftest import COLLAPSING, SHIPPED, get_context, is_zero
 from paper_checks import collapsed_mixed, sbi_check
@@ -201,7 +203,7 @@ def test_mixed_identity_violation_raises_complex_error():
     mixed = collapsed_mixed(mono, 4)
     bad_B = dict(mixed.B)
     corrupted = ColMap(mono.field, mixed.dim(2), mixed.dim(1))
-    corrupted.set_col(0, {0: mono.field.one})
+    corrupted.cols[0] = {0: mono.field.one}
     bad_B[1] = corrupted
     with pytest.raises(ComplexError):
         MixedComplexData(mixed.chain_complex(), bad_B)
@@ -220,3 +222,27 @@ def test_mixed_identity_is_checked_in_degree_zero():
     with pytest.raises(ComplexError, match="bB \\+ Bb != 0 at degree 0"):
         MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: one})
     MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: ColMap(Q, 1, 1)})
+
+
+def _zero_scalars(named_maps):
+    """``name column j`` for every column of the named maps that holds a zero scalar."""
+    return [f"{name}[{key}] column {j}" for name, maps in named_maps for key, m in maps.items()
+            for j, col in enumerate(m.cols) if not all(col.values())]
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_eager_maps_hold_no_zero_scalar(name):
+    # an eager map is built from its list of columns with no zero filter:
+    # every function that makes one must hand it zero-free columns
+    ws = get_context(name)
+    mixed = build_mixed(ws, 12)
+    named = [("d", mixed.b), ("D", mixed.B), ("Tot d", bc_total(mixed, 12).boundaries)]
+    try:
+        components = build_mixed_components(ws.mono, 12)
+    except HypothesisError:
+        components = []
+    for w, _, cmixed in components:
+        named += [(f"D(w={w})", cmixed.B), (f"Tot d(w={w})", bc_total(cmixed, 12).boundaries)]
+    retract, delta, _ = build_cyclic_retract(ws)
+    named += [("incl", retract.incl), ("proj", retract.proj), ("h", retract.h), ("delta", delta)]
+    assert _zero_scalars(named) == []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orehom import fields
 from orehom.fields import CycScalar, cyclotomic_polynomial, make_field, reciprocal
+from orehom.spec_io import build_example, parse_spec
 
 
 def poly_mul(p, q):
@@ -51,6 +53,17 @@ def test_phi_6_by_independent_division():
         quot.pop()
     assert cyclotomic_polynomial(6) == quot
     assert quot == [Fraction(1), Fraction(-1), Fraction(1)]
+
+
+def test_phi_d_is_computed_once_per_order_and_each_caller_gets_its_own_list():
+    fields._phi_coefficients.cache_clear()
+    parse_spec(build_example("taft:3"))  # encodes and decodes over Q(zeta_3)
+    assert fields._phi_coefficients.cache_info().misses == 2  # Phi_3, and Phi_1 inside it
+    mine = cyclotomic_polynomial(12)
+    mine[0] = Fraction(7)
+    mine.append(Fraction(5))
+    assert cyclotomic_polynomial(12) == [Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
+    assert make_field("cyclotomic", 12).modulus == (1, 0, -1, 0, 1)
 
 
 def test_make_field_degenerate_orders():

@@ -8,10 +8,11 @@ gone), every rank is a ``sparse_rank``, the structure of A is read off
 sparse products in K, every import is used, no module builds an argparse
 or optparse parser, [K,K]_{alpha^j} is eliminated once per class (by
 ``k_quotient``), ``ColMap`` has no whole-map sum and the identity checks
-of ``cli.py`` and ``perturbation.py`` compose no map, ``set_col`` edits only
-a ColMap built in the same function (a small-complex boundary is shared
-across degrees), every kept value is kept by ``memo`` or ``kept`` on its
-owner, no code outside ``fields.py`` divides (``int / int`` is a float)
+of ``cli.py`` and ``perturbation.py`` compose no map, no map is edited
+after it is built (``set_col`` is gone and nothing assigns to a map's
+``cols``: a small-complex boundary is shared across degrees, and a BC total
+shares the columns of b), every kept value is kept by ``memo`` or ``kept``
+on its owner, no code outside ``fields.py`` divides (``int / int`` is a float)
 or looks inside a ``CycScalar``, the collapsed complex and its D are built
 by one function over a set of K-basis indices for all of K (in
 ``tests/paper_checks.py``) and for each eigencomponent
@@ -213,8 +214,8 @@ def test_parallel_dense_mechanisms_are_gone():
 
 def test_bar_maps_are_built_column_by_column():
     # a bar-side map comes from ``ColMap.lazy`` (or ``generated_map``, which
-    # calls it); an empty ``ColMap(..)`` filled by ``set_col`` would build
-    # every column whether it is read or not
+    # calls it); an eager ``ColMap(..)`` would build every column whether it
+    # is read or not
     eager = [
         f"bar.py:{node.lineno}: {_called(node)}"
         for node in ast.walk(_tree(ROOT / "src" / "orehom" / "bar.py"))
@@ -248,37 +249,36 @@ def test_bprime_is_a_generated_map():
     assert isinstance(returned[0], ast.Call) and _called(returned[0]) == "generated_map"
 
 
-def _own_nodes(func):
-    """The nodes of a function's body, not descending into nested functions."""
-    todo = list(func.body)
-    while todo:
-        node = todo.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
-            todo.extend(ast.iter_child_nodes(node))
+def _reads_cols(node):
+    """Whether the expression is rooted at a ``<map>.cols`` attribute: the
+    column list of a map, or one of its columns, or an entry of one."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute) and node.attr == "cols":
+            return True
+        node = node.value
+    return False
 
 
-def test_set_col_edits_only_a_map_built_in_the_same_function():
+def test_no_map_is_edited_after_it_is_built():
     # a boundary of the small complex is one ColMap shared by every degree
-    # with the same key, so an edit in place would change other degrees too
-    found, edits = [], 0
+    # with the same key, and a BC total's boundary holds the column dicts of
+    # b, so an edit in place would change other maps too: an eager map is
+    # built from its list of columns, ``set_col`` is gone, and nothing
+    # assigns into, deletes from or mutates the columns of a map
+    mutators = {"append", "extend", "insert", "pop", "popitem", "clear", "update", "setdefault", "remove"}
+    found = []
     for path in SOURCES:
-        tree = _tree(path)
-        edits += sum(isinstance(node, ast.Call) and _called(node) == "set_col" for node in ast.walk(tree))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            built = {target.id for node in _own_nodes(func) if isinstance(node, ast.Assign)
-                     and isinstance(node.value, ast.Call) and _called(node.value) == "ColMap"
-                     for target in node.targets if isinstance(target, ast.Name)}
-            for node in _own_nodes(func):
-                if isinstance(node, ast.Call) and _called(node) == "set_col":
-                    owner = node.func.value
-                    ok = isinstance(owner, ast.Name) and owner.id in built
-                    found.append(None if ok else f"{path.name}:{node.lineno}: {ast.unparse(owner)}.set_col")
-    # every call sits in some function, and each one edits its own new map
-    assert len(found) == edits
-    assert [f for f in found if f] == []
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.FunctionDef) and node.name == "set_col":
+                found.append(f"{path.name}:{node.lineno}: def set_col")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                found += [f"{path.name}:{node.lineno}: {ast.unparse(t)}" for t in targets
+                          if isinstance(t, ast.Subscript) and _reads_cols(t)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                    node.func.attr == "set_col" or node.func.attr in mutators and _reads_cols(node.func.value)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert found == []
 
 
 def test_structure_of_a_costs_the_structure_constants():

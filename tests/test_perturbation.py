@@ -143,7 +143,7 @@ def test_invalid_perturbation_rejected():
     for r in range(1, retract.max_degree + 1):
         cm = ColMap(field, retract.X.dim(r - 1), retract.X.dim(r))
         if cm.nrows and cm.ncols:
-            cm.set_col(0, {0: field.one})
+            cm.cols[0] = {0: field.one}
         bad[r] = cm
     with pytest.raises(PerturbationError):
         perturb(retract, bad)
