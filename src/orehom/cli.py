@@ -48,7 +48,7 @@ from .small_complex import (
     hh_closed_form,
     hh_rank_one,
 )
-from .spec_io import EXAMPLE_NAMES, build_example, parse_spec
+from .spec_io import EXAMPLE_NAMES, build_example, dihedral_group, parse_spec
 from .workspace import Workspace
 
 
@@ -216,10 +216,20 @@ def cmd_hh(args):
         report["comparisons"].append(
             {"against": "normalized-complex oracle", "agrees": bar_dims == dims}
         )
-    if parsed.name.startswith("dihedral"):
+    if _is_dihedral_example(mono):
         report["audit"] = _dihedral_audit(mono, dims)
     print(_render(report, args.json))
     return 0
+
+
+def _is_dihedral_example(mono):
+    """Whether K and alpha are the group algebra and sign character of a
+    ``dihedral`` example, whatever the document's name: the audit reads them."""
+    K, one = mono.base, mono.field.one
+    labels, table = dihedral_group(max(K.dim // 2, 3))
+    return (K.group_table is not None and K.basis_labels == labels
+            and [[labels[t] for t in row] for row in K.group_table] == table
+            and list(mono.alpha.map.cols) == [{i: -one if lab[-1] == "h" else one} for i, lab in enumerate(labels)])
 
 
 def _dihedral_displayed_parts(mono):
@@ -230,10 +240,8 @@ def _dihedral_displayed_parts(mono):
     displayed span inside the group algebra.
     """
     K = mono.base
-    labels = K.basis_labels
-    rot_idx = [i for i, l in enumerate(labels) if not l.endswith("h")]
-    u = len(rot_idx)
-    g = K.basis_vector(labels.index("g"))
+    u = K.dim // 2
+    g = K.basis_vector(1)  # labels[1] of ``dihedral_group(u)`` is g
     # powers of g in rotation coordinates
     pow_vecs = [K.unit]
     for _ in range(1, u):
@@ -323,7 +331,7 @@ def cmd_hc(args):
             {"against": "normalized-complex oracle (degrees 0..{})".format(md - 2),
              "agrees": oracle == dims[:md - 1]}
         )
-    if parsed.name.startswith("dihedral"):
+    if _is_dihedral_example(mono):
         report["audit"] = _dihedral_audit(mono, dims, cyclic=True)
     print(_render(report, args.json))
     return 0

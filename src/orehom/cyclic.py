@@ -30,6 +30,7 @@ from .linalg import ColMap, SubquotientSpace, add_terms, anticommutator_terms, r
 from .linalg import kernel_basis  # noqa: F401
 from .small_complex import (
     HypothesisError,
+    _well_formed,
     component_cokernel_dim,
     component_colon_dim,
     component_terms,
@@ -46,27 +47,29 @@ class MixedComplexData:
     """A chain complex (X, b) with a degree +1 map B.
 
     b.b = 0 was checked where the complex was built; BB = 0 and
-    bB + Bb = 0 are verified at construction, and a violation raises (it
-    would mean a formula bug, not a data problem).
+    bB + Bb = 0 are verified at construction, a degree missing from B
+    reading as B = 0, and a violation raises (it would mean a formula bug,
+    not a data problem).
     """
 
-    def __init__(self, complex_, B, check=True):
+    def __init__(self, complex_, B):
         self.complex_ = complex_
         self.field = complex_.field
         self.spaces = complex_.spaces
         self.max_degree = complex_.max_degree
         self.b = complex_.boundaries
         self.B = dict(B)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         b, B = self.b, self.B
         for r in range(0, self.max_degree - 1):
-            if not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
+            if r in B and r + 1 in B and not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
                 raise ComplexError(f"B.B != 0 at degree {r}")
         for r in range(self.max_degree):
-            if not relation_holds(B[r].ncols, anticommutator_terms(b.__getitem__, B.__getitem__, r)):
+            terms = [(c, chain) for c, chain in anticommutator_terms(b.get, B.get, r)
+                     if all(m is not None for m in chain)]
+            if terms and not relation_holds(self.dim(r), terms):
                 raise ComplexError(f"bB + Bb != 0 at degree {r}")
 
     def dim(self, r):
@@ -255,9 +258,10 @@ def hc_closed_form(mono, max_degree):
     """Per-eigencomponent closed-form HC dimensions, both exponent readings.
 
     Returns a dict with per-degree totals under the proof reading
-    (numerator condition lam*lam_n^(m+1)), the displayed reading (exponent
-    m), and the degrees where the two disagree.  Even degrees do not depend
-    on the reading.
+    (numerator condition lam*lam_n^(m+1), refused when the colon quotient is
+    not well formed), the displayed reading (exponent m, None when it is
+    not), and the degrees where the two disagree.  Even degrees do not
+    depend on the reading.
     """
     ensure_collapse(mono, max_degree)
     comps = eigen_split(mono.base, mono.alpha)
@@ -272,8 +276,8 @@ def hc_closed_form(mono, max_degree):
             elif not is_root(mono, w):
                 p = d = 0
             else:
-                p = _odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m + 1), (m + 1) * mono.n)
-                d = _odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m), (m + 1) * mono.n, strict=False)
+                p = _well_formed(component_colon_dim(mono, idxs, 0, power_vec(mono, lam_n, m + 1), (m + 1) * mono.n))
+                d = component_colon_dim(mono, idxs, 0, power_vec(mono, lam_n, m), (m + 1) * mono.n)
             proof[r] += p
             displayed[r] = None if displayed[r] is None or d is None else displayed[r] + d
     return {
@@ -281,19 +285,6 @@ def hc_closed_form(mono, max_degree):
         "displayed_reading": displayed,
         "disagree_degrees": [r for r in range(max_degree + 1) if proof[r] != displayed[r]],
     }
-
-
-def _odd_numerator_dim(mono, idxs, cond_vec, j_den, strict=True):
-    """dim of {lam in K^w : lam*cond in [K,K]^w} / [K,K]^w_{alpha^j_den}.
-
-    When the displayed quotient is not well formed (denominator outside the
-    numerator) and strict is False, returns None so the caller can report
-    the breakdown instead of failing.
-    """
-    qdim = component_colon_dim(mono, idxs, 0, cond_vec, j_den)
-    if qdim is None and strict:
-        raise HypothesisError("denominator not inside the numerator space")
-    return qdim
 
 
 def hc_rank_one(mono, case, max_degree):
@@ -318,5 +309,6 @@ def hc_rank_one(mono, case, max_degree):
         elif xi_zero:
             proof.append(sum(component_cokernel_dim(mono, idxs, (m + 1) * mono.n) for idxs in roots))
         else:
-            proof.append(sum(_odd_numerator_dim(mono, idxs, power_vec(mono, lam_n, m + 1), 0) for idxs in roots))
+            proof.append(sum(_well_formed(component_colon_dim(mono, idxs, 0, power_vec(mono, lam_n, m + 1), 0))
+                             for idxs in roots))
     return proof

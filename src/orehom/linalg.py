@@ -6,8 +6,9 @@ every homology dimension, comes from ``sparse_rank``, which eliminates on
 sparse columns block by block, counts a block of one column or one row as
 rank 1 and inverts no pivot that scales nothing.  Every reduced echelon
 basis of a span comes from ``EchelonSet``, which keeps its rows as sparse
-dicts and grows one vector at a time: membership, preimages,
-``kernel_basis``, ``quotient_dim`` and ``subquotient`` all read it.
+dicts and grows one vector at a time, for ``kernel_basis`` and
+``subquotient``; every other quotient dimension is a ``colon_dim`` of a kept
+``SubquotientSpace``, read off the projections into it.
 Everything is over a fixed exact field (Q or a cyclotomic field).  Every
 linear map of the package (boundaries, comparison maps, alpha, the
 bimodule actions) is a column-sparse ``ColMap``, which may build each column
@@ -267,29 +268,9 @@ class EchelonSet:
         self.row_at[p] = v
         return True
 
-    def contains(self, vec):
-        """Membership of ``vec`` in the span."""
-        return not self.reduce(vec)
-
-    def preimage(self, images):
-        """Basis of {v : sum_t v[t] * images[t] lies in the span}, as sparse vectors."""
-        return kernel_basis(self.field, [self.reduce(v) for v in images])
-
     @property
     def dim(self):
         return len(self.row_at)
-
-
-def quotient_dim(field, numerator, denominator):
-    """dim span(numerator) / span(denominator), both lists of sparse vectors.
-
-    Returns None when the denominator is not inside the numerator span, so
-    that each caller can word its own refusal.
-    """
-    num = EchelonSet(field, numerator)
-    if not all(num.contains(v) for v in denominator):
-        return None
-    return num.dim - sparse_rank(denominator)
 
 
 class SubquotientSpace:
@@ -328,6 +309,20 @@ class SubquotientSpace:
             for qi, e in cols[c].items():
                 add_term(out, qi, e * v)
         return out
+
+    def colon_dim(self, images, denominator=None):
+        """dim k^ambient_dim / (span + span(images)), ``images`` sparse ambient
+        vectors; with a denominator (sparse vectors over the indices of
+        ``images``), dim {lam : sum_t lam[t] images[t] in the span}, the kernel
+        of the projected images, over span(denominator), or None when the
+        denominator is not inside that kernel."""
+        cols = [self.project_terms(v) for v in images]
+        if denominator is None:
+            return self.quotient_dim - sparse_rank(cols)
+        on_classes = ColMap(self.field, self.quotient_dim, len(cols), cols)
+        if any(on_classes.apply(lam) for lam in denominator):
+            return None
+        return len(cols) - sparse_rank(cols) - sparse_rank(denominator)
 
     def __repr__(self):
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"

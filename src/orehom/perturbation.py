@@ -156,8 +156,7 @@ def verify_perturbed(pert, up_to=None):
 
 def _total(field, spaces, boundaries, max_N):
     """Tot BC(X, d, 0): the BC total complex with no cyclic operator."""
-    return BCTotal(MixedComplexData(ChainComplex(field, spaces[:max_N + 1], boundaries, check=False), {},
-                                    check=False), max_N)
+    return BCTotal(MixedComplexData(ChainComplex(field, spaces[:max_N + 1], boundaries, check=False), {}), max_N)
 
 
 def build_cyclic_retract(ws, max_N=5):

@@ -19,11 +19,11 @@ indices: all of K (the K-sized complex the tests build), or one
 eigencomponent (``decompose``).  A component's boundaries are the
 K formulas above read in component coordinates (``component_terms``), which
 equal the displayed scalars (w - 1) and sum_{l<n} w^l.  The closed-form
-evaluators at the bottom compute the displayed homology quotients directly
-by echelonizing numerator and denominator spans; the eigencomponent forms
-share the cokernel and colon quotients of a component, kept per class on
-the algebra, and they are cross-checked against the homology of the built
-complexes in the tests.
+evaluators at the bottom read each displayed homology quotient, a cokernel
+or a colon quotient, off a kept quotient space (``k_quotient``,
+``component_quotient``, A/[A, A]) by ``colon_dim``; the eigencomponent
+values are kept per class on the algebra, and every closed form is
+cross-checked against the homology of the built complexes in the tests.
 
 The boundaries read r through its parity alone and each space is kept once
 per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
@@ -45,7 +45,7 @@ from .algebra import (
     regular_bimodule,
 )
 from .complexes import ChainComplex
-from .linalg import ColMap, EchelonSet, add_term, quotient_dim, sparse_rank, sub_terms, subquotient
+from .linalg import ColMap, add_term, sub_terms, subquotient
 # bound by name for perfbench/tracer.py, which wraps kernel_basis in every
 # module namespace that holds it (its tests read this binding)
 from .linalg import kernel_basis  # noqa: F401
@@ -203,7 +203,7 @@ def decompose(mono, max_degree=6):
 # -- closed forms ----------------------------------------------------------------
 
 def _well_formed(qdim):
-    """A ``quotient_dim`` result, refused when the quotient is not well formed."""
+    """A ``colon_dim`` result, refused when the quotient is not well formed."""
     if qdim is None:
         raise HypothesisError("denominator span is not contained in the numerator span")
     return qdim
@@ -232,27 +232,21 @@ def _per_key(mono, max_degree, dim_at):
 
 
 def hh_dims_collapsed(mono, max_degree):
-    """Homology dimensions from the collapsed-complex closed form."""
+    """Homology dimensions from the collapsed-complex closed form, read off
+    the kept quotients K/[K,K]_{alpha^j}."""
     ensure_collapse(mono, max_degree)
-    K = mono.base
-    field = mono.field
-    n = mono.n
-    basis = [K.basis_vector(t) for t in range(K.dim)]
+    K, n = mono.base, mono.n
     kk = lambda j: k_commutator_subspace(mono, j)
     # the images of the K-basis under both boundary formulas, read by every key
-    odd_images = [_alpha_minus_id_lamn(mono, v) for v in basis]
-    even_images = [_norm_map(mono, v) for v in basis]
+    odd_images = [_alpha_minus_id_lamn(mono, K.basis_vector(t)) for t in range(K.dim)]
+    even_images = [_norm_map(mono, K.basis_vector(t)) for t in range(K.dim)]
     def dim_at(r):
         m, odd = divmod(r, 2)
         if r == 0:
-            return K.dim - sparse_rank(kk(0) + odd_images)
+            return k_quotient(mono, 0).colon_dim(odd_images)
         if odd:
-            num = EchelonSet(field, kk(m * n)).preimage(odd_images)
-            den = kk((m + 1) * n) + even_images
-        else:
-            num = EchelonSet(field, kk(m * n)).preimage(even_images)
-            den = kk(m * n) + odd_images
-        return _well_formed(quotient_dim(field, num, den))
+            return _well_formed(k_quotient(mono, m * n).colon_dim(odd_images, kk((m + 1) * n) + even_images))
+        return _well_formed(k_quotient(mono, m * n).colon_dim(even_images, kk(m * n) + odd_images))
 
     return _per_key(mono, max_degree, dim_at)
 
@@ -276,33 +270,24 @@ def power_vec(mono, kvec, power):
     return out
 
 
-def _kvec_key(kvec):
-    return None if kvec is None else tuple(sorted(kvec.items()))
-
-
 def component_cokernel_dim(mono, idxs, j, kvec=None):
-    """dim K^w / ([K,K]^w_{alpha^j} + K^w kvec); without kvec, K^w/[K,K]^w_{alpha^j}.
-    Kept on ``mono`` per class of alpha^j, component and kvec."""
-    def build():
-        span = component_commutator_span(mono, j, idxs)
-        if kvec is not None:
-            span += component_mult_rows(mono, idxs, kvec)
-        return len(idxs) - sparse_rank(span)
-
-    return kept(mono, (component_cokernel_dim, mono.twist(j), tuple(idxs), _kvec_key(kvec)), build)
+    """dim K^w / ([K,K]^w_{alpha^j} + K^w kvec), read off the kept
+    ``component_quotient``; without kvec, its dimension.  Kept on ``mono``
+    per class of alpha^j, component and kvec."""
+    quotient = component_quotient(mono, j, idxs)
+    if kvec is None:
+        return quotient.quotient_dim
+    return kept(mono, (component_cokernel_dim, mono.twist(j), tuple(idxs), tuple(sorted(kvec.items()))),
+                lambda: quotient.colon_dim(component_mult_rows(mono, idxs, kvec)))
 
 
 def component_colon_dim(mono, idxs, j, kvec, j_den):
-    """dim {lam in K^w : lam kvec in [K,K]^w_{alpha^j}} / [K,K]^w_{alpha^j_den},
-    or None when the quotient is not well formed (``quotient_dim``).  Kept on
-    ``mono`` per class of alpha^j, component, kvec and class of alpha^j_den."""
-    def build():
-        num = EchelonSet(mono.field, component_commutator_span(mono, j, idxs)).preimage(
-            component_mult_rows(mono, idxs, kvec))
-        return quotient_dim(mono.field, num, component_commutator_span(mono, j_den, idxs))
-
-    key = (component_colon_dim, mono.twist(j), tuple(idxs), _kvec_key(kvec), mono.twist(j_den))
-    return kept(mono, key, build)
+    """dim {lam in K^w : lam kvec in [K,K]^w_{alpha^j}} / [K,K]^w_{alpha^j_den}
+    off the kept ``component_quotient``, or None when not well formed.  Kept
+    on ``mono`` per class of alpha^j, component, kvec and class of alpha^j_den."""
+    key = (component_colon_dim, mono.twist(j), tuple(idxs), tuple(sorted(kvec.items())), mono.twist(j_den))
+    return kept(mono, key, lambda: component_quotient(mono, j, idxs).colon_dim(
+        component_mult_rows(mono, idxs, kvec), component_commutator_span(mono, j_den, idxs)))
 
 
 def even_dim(mono, w, idxs, m):
@@ -345,7 +330,7 @@ def hh_dims_eigen(mono, max_degree):
 
 
 def hh_dims_alpha_identity(mono, max_degree):
-    """Closed form for alpha = id, phrased inside A itself."""
+    """Closed form for alpha = id, read off one quotient of A by [A, A]."""
     K = mono.base
     field = mono.field
     if mono.alpha_columns(1) is not None:
@@ -358,23 +343,19 @@ def hh_dims_alpha_identity(mono, max_degree):
     for i in range(n):
         for k, c in mono.f_coefficient(i).items():
             add_term(fprime, (n - i - 1) * K.dim + k, (n - i) * c)
-    commutators = []
-    for u in range(dimA):
-        a = {u: field.one}
-        for v in range(dimA):
-            w = sub_terms(M.a_terms("left", a, {v: field.one}), M.a_terms("right", a, {v: field.one}))
-            if w:
-                commutators.append(w)
+    commutators = [sub_terms(M.a_terms("left", {u: field.one}, {v: field.one}),
+                             M.a_terms("right", {u: field.one}, {v: field.one}))
+                   for u in range(dimA) for v in range(dimA)]
     fprime_mult = [M.a_terms("left", fprime, {v: field.one}) for v in range(dimA)]
-    comm = EchelonSet(field, commutators)
-    dims = [dimA - comm.dim]
-    colon = comm.preimage(fprime_mult)
-    for r in range(1, max_degree + 1):
-        if r % 2 == 1:
-            dims.append(dimA - sparse_rank(commutators + fprime_mult))
-        else:
-            dims.append(_well_formed(quotient_dim(field, colon, commutators)))
-    return dims
+    comm = subquotient(field, dimA, commutators)
+    def dim_at(r):
+        if r == 0:
+            return comm.quotient_dim
+        if r % 2:
+            return comm.colon_dim(fprime_mult)
+        return _well_formed(comm.colon_dim(fprime_mult, commutators))
+
+    return _per_key(mono, max_degree, dim_at)
 
 
 def hh_closed_form(mono, case, max_degree):

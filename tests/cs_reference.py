@@ -8,14 +8,15 @@ The collapsed boundaries are computed densely, with ``dense_reference``; the
 eigencomponent boundaries and D are the scalar formulas (w - 1), sum_l w^l and
 (1 - w) sum_u w^{nu}; the generic D forms one product per (u, i), as the
 package did before it summed the alpha powers over u; and the closed forms
-rebuild every span in their own loop, where the package keeps each component
-quotient per class.
+rebuild every span in their own loop and eliminate it with the ``EchelonSet``
+preimage and quotient helpers of ``paper_checks``, where the package keeps
+each component quotient per class and projects into it.
 """
 
 import dense_reference as dref
 from orehom.algebra import commutator_quotient, eigen_split, k_commutator_subspace, k_quotient
 from orehom.complexes import ChainComplex
-from orehom.linalg import ColMap, EchelonSet, add_terms, quotient_dim, sparse_rank, sub_terms
+from orehom.linalg import ColMap, EchelonSet, add_terms, sparse_rank, sub_terms
 from orehom.small_complex import (
     HypothesisError,
     _alpha_minus_id_lamn,
@@ -28,6 +29,8 @@ from orehom.small_complex import (
     cs_twist,
     ensure_collapse,
 )
+
+from paper_checks import preimage, quotient_dim
 
 
 def build_cs(mono, M, max_degree):
@@ -111,11 +114,11 @@ def hh_dims_collapsed(mono, max_degree):
             den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
             dims.append(K.dim - sparse_rank(den))
         elif odd:
-            num = EchelonSet(field, kk(m * n)).preimage([_alpha_minus_id_lamn(mono, v) for v in basis])
+            num = preimage(EchelonSet(field, kk(m * n)), [_alpha_minus_id_lamn(mono, v) for v in basis])
             den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
             dims.append(_well_formed(quotient_dim(field, num, den)))
         else:
-            num = EchelonSet(field, kk(m * n)).preimage([_norm_map(mono, v) for v in basis])
+            num = preimage(EchelonSet(field, kk(m * n)), [_norm_map(mono, v) for v in basis])
             den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
             dims.append(_well_formed(quotient_dim(field, num, den)))
     return dims
@@ -142,7 +145,7 @@ def hh_dims_eigen(mono, max_degree):
             elif w == one or w ** n != one:
                 dims.append(0)
             elif odd:
-                num = EchelonSet(field, kkw(m * n)).preimage(lam_mult)
+                num = preimage(EchelonSet(field, kkw(m * n)), lam_mult)
                 dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
             else:
                 dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
@@ -187,7 +190,7 @@ def hh_rank_one(mono, case, max_degree):
                 total += d - sparse_rank(component_commutator_span(mono, (m_eff + 1) * n, idxs))
             elif odd:
                 den = component_commutator_span(mono, 0, idxs)
-                num = EchelonSet(field, den).preimage(component_mult_rows(mono, idxs, lam_n))
+                num = preimage(EchelonSet(field, den), component_mult_rows(mono, idxs, lam_n))
                 total += _well_formed(quotient_dim(field, num, den))
             else:
                 span = component_commutator_span(mono, 0, idxs) + component_mult_rows(mono, idxs, lam_n)
@@ -301,7 +304,7 @@ def hc_closed_form(mono, max_degree):
 def _odd_numerator_dim(mono, idxs, cond_vec, denominator, strict=True):
     field = mono.field
     comm = EchelonSet(field, component_commutator_span(mono, 0, idxs))
-    num = comm.preimage(component_mult_rows(mono, idxs, cond_vec))
+    num = preimage(comm, component_mult_rows(mono, idxs, cond_vec))
     qdim = quotient_dim(field, num, denominator)
     if qdim is None and strict:
         raise HypothesisError("denominator not inside the numerator space")

@@ -455,6 +455,26 @@ def test_hh_dihedral4_audit_even_reflection_count(capsys):
     assert rep["audit"]["displayed_table"] == [5, 2, 2, 2]
 
 
+@pytest.mark.parametrize("command", ["hh", "hc"])
+@pytest.mark.parametrize("example, audited", [
+    ("trunc:4", False), ("taft:3", False), ("sweedler", False), ("rank1nc:c2xc4", False), ("dihedral:3", True),
+])
+def test_audit_is_chosen_by_the_structure_not_the_name(capsys, tmp_path, command, example, audited):
+    # the audit reads the dihedral group and its sign character: another
+    # algebra under a dihedral-looking name gets none, and a renamed dihedral
+    # example gets the audit of the example
+    doc = build_example(example)
+    doc["name"] = "reflections" if audited else "dihedral:lookalike"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, command, "--spec", str(path), "--max-degree", "3")
+    assert code == 0
+    if audited:
+        assert rep["audit"] == run_json(capsys, command, "--spec", example, "--max-degree", "3")[1]["audit"]
+    else:
+        assert "audit" not in rep
+
+
 def _count_quotient_builds(monkeypatch):
     """Record (owner, class) for every build of ``k_quotient`` and every call
     of ``twisted_commutator_subspace``: {"k_quotient": [..], "twisted": [..]}."""
@@ -497,27 +517,27 @@ def test_verify_computes_each_twist_quotient_once(capsys, monkeypatch):
 def test_hc_closed_forms_eliminate_each_component_quotient_once(capsys, monkeypatch, name):
     # the eigencomponent closed forms read the same cokernel and colon
     # quotients at many degrees: each distinct key (class of alpha^j,
-    # component, kvec and class of alpha^j_den) is eliminated once
+    # component, kvec and class of alpha^j_den) is read off its kept
+    # component quotient by one ``colon_dim``
     from orehom import small_complex
+    from orehom.linalg import SubquotientSpace
 
     kept_fns = (small_complex.component_cokernel_dim, small_complex.component_colon_dim)
     lookups, eliminations = [], []
     original_kept = small_complex.kept
+    original_colon_dim = SubquotientSpace.colon_dim
 
     def counted_kept(owner, key, build):
         if key[0] in kept_fns:
             lookups.append((id(owner), key))
         return original_kept(owner, key, build)
 
-    def counted(fn):
-        def wrapped(*args):
-            eliminations.append(fn.__name__)
-            return fn(*args)
-        return wrapped
+    def counted_colon_dim(space, *args):
+        eliminations.append(id(space))
+        return original_colon_dim(space, *args)
 
     monkeypatch.setattr(small_complex, "kept", counted_kept)
-    for fn in (small_complex.sparse_rank, small_complex.quotient_dim):
-        monkeypatch.setattr(small_complex, fn.__name__, counted(fn))
+    monkeypatch.setattr(SubquotientSpace, "colon_dim", counted_colon_dim)
     code, _ = run(capsys, "hc", "--spec", name, "--max-degree", "12", "--closed-form", "--decompose")
     assert code == 0
     assert len(lookups) > len(set(lookups)) == len(eliminations) > 0

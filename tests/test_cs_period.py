@@ -165,6 +165,39 @@ def test_kept_component_quotients_match_a_fresh_algebra(name):
             assert value == store[(fn, j, idxs, kvec, *j_den)], (fn.__name__, j, idxs, j_den)
 
 
+@pytest.mark.parametrize("name", ["taft:3", "sweedler", "rank1nc:c2xc4"])
+def test_hh_collapsed_eliminates_each_k_commutator_span_once(monkeypatch, name):
+    # hh_dims_collapsed reads K/[K,K]_{alpha^j} off the kept k_quotient: on a
+    # fresh algebra, an elimination (EchelonSet, so every subquotient too) of
+    # the spanning list of [K,K]_{alpha^j} happens at most once per class
+    from orehom import algebra, linalg
+
+    class Span(list):
+        """The spanning list of [K,K]_{alpha^j}, tagged with its class."""
+
+    real = algebra.k_commutator_subspace
+
+    def tagged(mono, j):
+        span = Span(real(mono, j))
+        span.twist = mono.twist(j)
+        return span
+
+    built = []
+    real_init = linalg.EchelonSet.__init__
+
+    def counted_init(self, field, vectors=()):
+        if isinstance(vectors, Span):
+            built.append(vectors.twist)
+        real_init(self, field, vectors)
+
+    for module in (algebra, small_complex):
+        monkeypatch.setattr(module, "k_commutator_subspace", tagged)
+    monkeypatch.setattr(linalg.EchelonSet, "__init__", counted_init)
+    mono = _fresh_mono(name)
+    hh_dims_collapsed(mono, 11)
+    assert built and len(built) == len(set(built)), built
+
+
 @pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])
 def test_boundaries_repeat_with_period_2v(name, v):
     mono, M = _table_context(name)

@@ -18,8 +18,10 @@ by one function over a set of K-basis indices for all of K (in
 ``tests/paper_checks.py``) and for each eigencomponent
 (``connes_D_component`` is gone, and every restriction to component
 coordinates is one ``component_terms``), the rank-one case names are
-validated in one place, and every definition under src/ is reached from the
-command line (what only the tests read lives in the tests)."""
+validated in one place, every closed form reaches elimination through a
+kept quotient space (``colon_dim``), and every definition under src/ is
+reached from the command line (what only the tests read lives in the
+tests)."""
 
 import ast
 from fractions import Fraction
@@ -126,11 +128,12 @@ def test_elements_of_k_and_a_have_one_sparse_layout():
 def test_definitions_read_only_by_tests_live_in_the_tests():
     # right_mult_map, is_zero and encode_kvec are in tests/conftest.py,
     # transferred_block in tests/test_perturbation.py, and the paper's checks
-    # with what only they read in tests/paper_checks.py; the name closure of
+    # with what only they read in tests/paper_checks.py (the EchelonSet
+    # contains, preimage and quotient_dim among it); the name closure of
     # the reachability guard would miss one whose name a live definition has
     assert _defined({"right_mult_map", "is_zero", "transferred_block", "encode_kvec", "sbi_check",
                      "_corner_kernel", "_top_ambiguity", "_component_scale_mult", "solve", "periodicity_check",
-                     "build_cs_collapsed"}) == []
+                     "build_cs_collapsed", "contains", "preimage", "quotient_dim"}) == []
     # ``block`` and ``inject`` also name locals under src/, so BCTotal is read
     assert not hasattr(BCTotal, "inject") and not hasattr(BCTotal, "block")
 
@@ -442,6 +445,24 @@ def test_no_rank_is_read_off_an_echelon_set():
         and isinstance(node.value, ast.Call) and "EchelonSet" in _names(node.value.func)
     ]
     assert reads == []
+
+
+def test_closed_forms_reach_elimination_through_a_kept_quotient():
+    # every closed form is a cokernel or colon quotient read off a kept
+    # SubquotientSpace by ``colon_dim``: small_complex.py and cyclic.py name
+    # no elimination routine, but for the ``# noqa: F401`` binding of
+    # kernel_basis that perfbench/tracer.py reads
+    banned = {"EchelonSet", "sparse_rank", "quotient_dim", "kernel_basis"}
+    found = []
+    for name in ("small_complex.py", "cyclic.py"):
+        path = ROOT / "src" / "orehom" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(_tree(path)):
+            named = node.id if isinstance(node, ast.Name) else (
+                node.asname or node.name if isinstance(node, ast.alias) else None)
+            if named in banned and "# noqa: F401" not in lines[node.lineno - 1]:
+                found.append(f"{name}:{node.lineno}: {named}")
+    assert found == []
 
 
 def test_echelon_set_takes_no_width():

@@ -20,7 +20,7 @@ from orehom.linalg import (
     sub_terms,
     subquotient,
 )
-from paper_checks import solve
+from paper_checks import contains, preimage, solve
 
 Q = make_field("rationals")
 F4 = make_field("cyclotomic", 4)
@@ -103,7 +103,7 @@ def assert_subquotient_invariants(field, sq, spans):
         assert sq.project_terms(v) == {}
     for c in range(sq.ambient_dim):
         lifted = sq.lift_vec(sq.project_terms({c: field.one}))
-        assert span.contains(sub_terms({c: field.one}, lifted))
+        assert contains(span, sub_terms({c: field.one}, lifted))
 
 
 def test_subquotient_invariants():
@@ -165,8 +165,8 @@ def test_echelon_set_membership():
     assert ech.add({2: Fr(5)})
     assert not ech.add({})
     assert ech.dim == 2
-    assert ech.contains({0: Fr(3), 1: Fr(3), 2: Fr(1)})
-    assert not ech.contains({1: Fr(1)})
+    assert contains(ech, {0: Fr(3), 1: Fr(3), 2: Fr(1)})
+    assert not contains(ech, {1: Fr(1)})
     assert ech.row_at == {0: {0: Fr(1), 1: Fr(1)}, 2: {2: Fr(1)}}
 
 
@@ -243,7 +243,7 @@ def test_sparse_elimination_matches_the_dense_reference(field, data):
     images = draw_vectors(field, data.draw(st.integers(min_value=0, max_value=3)), ncols, data)
     reduced = [ref.reduce(red, pivots, v) for v in images]
     expected = ref.kernel(field, ref.transpose(reduced, ncols), len(images))
-    got = ech.preimage(map(sparse, images))
+    got = preimage(ech, [sparse(v) for v in images])
     assert [ref.dense(v, len(images), zero) for v in got] == expected
     # solve against the columns, for a reachable and a random right-hand side
     coeffs = draw_vectors(field, 1, ncols, data)[0]
@@ -290,31 +290,52 @@ def test_echelon_set_bulk_build_and_contains(field, dim, nvec, data):
     probes = draw_vectors(field, 2, dim, data)
     probes.append(combine(field, probes[0], dense_vecs, dim))
     for v in map(sparse, probes):
-        assert bulk.contains(v) == (solve(field, vecs, v) is not None)
+        assert contains(bulk, v) == (solve(field, vecs, v) is not None)
 
 
 @fields
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(min_value=1, max_value=4),
-    nimg=st.integers(min_value=1, max_value=4),
+    nimg=st.integers(min_value=0, max_value=4),
     nspan=st.integers(min_value=0, max_value=3),
     data=st.data(),
 )
 def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
+    """``colon_dim`` of k^dim / span(span_vecs) against the dense reference:
+    with no denominator, dim k^dim / (span + images); with one, the
+    dimension of the pullback {lam : sum_t lam[t] images[t] in span} (the
+    kernel of [images | span] cut to the image coordinates) over the span of
+    the denominator, drawn inside the pullback and sometimes with one random
+    vector, and None when the denominator leaves the pullback."""
     images = draw_vectors(field, nimg, dim, data)
     span_vecs = draw_vectors(field, nspan, dim, data)
-    span = EchelonSet(field, map(sparse, span_vecs))
-    pre = span.preimage([sparse(v) for v in images])
-    # reference: kernel of [images | span], cut to the image coordinates
+    rank = lambda rows, ncols: len(ref.rref(field, rows, ncols)[1])
+    sq = subquotient(field, dim, [sparse(v) for v in span_vecs])
+    assert sq.colon_dim([sparse(v) for v in images]) == dim - rank(span_vecs + images, dim)
     kernel = ref.kernel(field, ref.transpose(images + span_vecs, dim), nimg + nspan)
-    expected = [sparse(v[:nimg]) for v in kernel]
-    pre_span = EchelonSet(field, pre)
-    assert pre_span.dim == len(pre)
-    assert pre_span.dim == EchelonSet(field, expected).dim
-    assert all(pre_span.contains(v) for v in expected)
-    for v in pre:
-        assert span.contains(sparse(combine(field, ref.dense(v, nimg, field.zero), images, dim)))
+    pullback = [v[:nimg] for v in kernel]
+    coeffs = draw_vectors(field, data.draw(st.integers(min_value=0, max_value=2)), len(pullback), data)
+    den = [combine(field, c, pullback, nimg) for c in coeffs]
+    den += draw_vectors(field, data.draw(st.integers(min_value=0, max_value=1)), nimg, data)
+    inside = rank(pullback + den, nimg) == rank(pullback, nimg)
+    expected = rank(pullback, nimg) - rank(den, nimg) if inside else None
+    assert sq.colon_dim([sparse(v) for v in images], [sparse(v) for v in den]) == expected
+
+
+def test_colon_dim_examples():
+    # k^3 modulo e_0, the images e_0 + e_1 and e_2 - e_1
+    sq = subquotient(Q, 3, [{0: Fr(1)}])
+    images = [{0: Fr(1), 1: Fr(1)}, {1: Fr(-1), 2: Fr(1)}]
+    assert sq.colon_dim(images) == 0
+    assert sq.colon_dim([{0: Fr(2)}]) == 2
+    # the colon space of e_0 + e_1, e_0, 2 e_0 is {lam : lam[0] = 0}
+    images = [{0: Fr(1), 1: Fr(1)}, {0: Fr(1)}, {0: Fr(2)}]
+    assert sq.colon_dim(images, []) == 2
+    assert sq.colon_dim(images, [{1: Fr(3)}]) == 1
+    assert sq.colon_dim(images, [{1: Fr(2), 2: Fr(-1)}, {1: Fr(1)}]) == 0
+    assert sq.colon_dim(images, [{0: Fr(1)}]) is None
+    assert sq.colon_dim(images, [{1: Fr(1)}, {0: Fr(1), 2: Fr(1)}]) is None
 
 
 @fields
