@@ -85,7 +85,7 @@ class BaseAlgebra:
     constructions (characters, quotient rewrites) need it.
     """
 
-    def __init__(self, field, basis_labels, structure_constants, unit, group_table=None, check=True):
+    def __init__(self, field, basis_labels, structure_constants, unit, group_table=None):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
@@ -97,9 +97,8 @@ class BaseAlgebra:
         ]
         self.unit = unit
         self.group_table = group_table
-        if check:
-            self._check_unital()
-            self._check_associative()
+        self._check_unital()
+        self._check_associative()
 
     def _check_unital(self):
         for i in range(self.dim):

@@ -2,16 +2,16 @@
 
 Three levels of complexes live here.
 
-* ``ResolutionComplex``: the small bimodule resolution with spaces
-  A (x) A twisted by powers of alpha, boundaries x(x)1 - 1(x)x and the
-  derivative-like expansion of f.
+* ``ResolutionComplex``: the spaces of the small bimodule resolution,
+  A (x) A twisted by powers of alpha.
 * ``BarResolution``: the normalized relative bar resolution
   A (x) Abar^r (x) A with b', the comparison maps phi'/psi' into and out of
   the twisted resolution, and the recursive homotopy omega'.
 * ``BarComplex``: the normalized chain complex M (x) Abar^r (x) with the
-  Hochschild boundary b, the cyclic operator B (for M = A), and the maps
-  phi/psi/omega induced on coefficients.  Its homology is the brute-force
-  oracle every small-complex computation is checked against.
+  Hochschild boundary b and the cyclic operator B (for M = A); with
+  ``InducedComparison``, the maps phi/psi/omega induced on coefficients.
+  Its homology is the brute-force oracle every small-complex computation
+  is checked against.
 
 Tensors are kept in the normal form inherited from the left K-basis
 {1, x, .., x^(n-1)}: coefficients are pushed to the leftmost factor through
@@ -20,22 +20,26 @@ the twist x^i * lam = alpha^i(lam) x^i, and K-valued entries of a middle
 scalars.  Every map is a ``ColMap.lazy`` over one column function, kept per
 level: a column is built the first time something reads it, so applying a
 map to a vector builds only the columns in its support, and a whole-map
-reader builds every column through the same function.  The bimodule maps
-of the resolutions, d', b', phi', psi' and omega', come from
-``_TensorBlocks.generated_map``, one generator value per middle block.
+reader builds every column through the same function.  Two builders make
+them: ``_TensorBlocks.generated_map`` the bimodule maps b', phi', psi' and
+omega', one generator value per middle block, and ``BarComplex._face_map``
+the maps on coefficients b, B, phi, psi and omega, kept faces per block.
 
 A merged middle slot x^(t_i + t_(i+1)) = sum_tp c_tp x^tp leaves c_tp on the
 front coefficient, in b' as in b.  It needs no twist on the way past the
 slots before it: c_tp is a polynomial in the lam_i, and alpha fixes the
 lam_i (``validate_monogenic``), so alpha^pre(c_tp) = c_tp.
 
-Each face of b and B is a fixed operator on M followed by the projection
-onto the quotient of its target block, and both depend on small keys, not
-on the tuple: the operator (x^p on the right or left, a merged middle slot,
-alpha^s on the front coefficient) and the twist class of the target block.
+Each face is a fixed operator on M followed by the projection onto the
+quotient of its target block, and both depend on small keys, not on the
+tuple: the operator and the twist class of the target block.  The faces of
+b and B act by x^p on the right or left, by a merged middle slot, or by
+alpha^s on the front coefficient.  phi, psi and omega are M (x)_{A^e} - of
+phi', psi' and omega': each term c e_j (x) x^t (x) x^q of a generator value
+is a wrap face, m -> c x^q m e_j into the block of t (for psi, into C^S).
 ``BarComplex`` keeps every such projected operator once per key, and each
-source block's list of faces (target offset, operator, sign) once per
-block, so a column is a signed sum of kept columns.
+source block's list of faces (target offset, operator, coefficient) once
+per map and block, so a column is a sum of kept columns times scalars.
 
 Every kept value is kept the way ``algebra`` keeps its own: a map per level
 through ``memo``, a face operator per (key, twist class) through ``kept``,
@@ -60,31 +64,6 @@ def _add_at(acc, base, items, negative=False):
     """acc += items shifted by ``base`` (negated if asked), dropping zeros."""
     for i, c in items:
         add_term(acc, base + i, -c if negative else c)
-
-
-def _quotient_map(src, tgt, ambient):
-    """The lazy map of quotient spaces whose column qj projects
-    ``ambient(src.free[qj])``, the image of that ambient basis vector."""
-    return ColMap.lazy(tgt.field, tgt.quotient_dim, src.quotient_dim,
-                       lambda qj: tgt.project_terms(ambient(src.free[qj])))
-
-
-def _phi_terms(mono, r):
-    """The terms of the comparison map phi_r on a generator, as triples
-    (lam, e, mid): lam x^e in the front slot and the exponents ``mid`` of
-    the middle slots, from the expansion of f in every second slot."""
-    n = mono.n
-    m, odd = divmod(r, 2)
-    # an i of 1 gives an empty l-range 1 <= l < i
-    for ivec in iproduct(range(2, n + 1), repeat=m):
-        lam = mono.base.unit
-        for i in ivec:
-            lam = mono.base.product(lam, mono.f_coefficient(n - i))
-        if not lam:
-            continue
-        for ell in iproduct(*[range(1, i) for i in ivec]):
-            mid = sum(((1, l) for l in reversed(ell)), ()) + (1,) * odd
-            yield lam, sum(ivec) - sum(ell) - m, mid
 
 
 def middle_tuples(n, r):
@@ -159,13 +138,6 @@ class BarSpace:
 
     lift_vec = SubquotientSpace.lift_vec
 
-    def flat(self, t, m_idx):
-        return self.tuple_index[t] * self.block + m_idx
-
-    def unflat(self, idx):
-        ti, m_idx = divmod(idx, self.block)
-        return self.tuples[ti], m_idx
-
     def offset(self, t):
         """The first quotient coordinate of the block of tuple t."""
         return self.block_offset[self.tuple_index[t]]
@@ -179,21 +151,6 @@ class BarSpace:
             for qi, e in self.block_proj[ti][m_idx].items():
                 add_term(out, off + qi, e * c)
         return out
-
-    def element_degree(self, terms):
-        """Max degree over the monomial tensors of an ambient term dict.
-
-        Needs M = A (the front exponent is read off the coefficient block).
-        """
-        deg = NEG_INF
-        dimK = self.mono.base.dim
-        for idx, c in terms.items():
-            if not c:
-                continue
-            t, m_idx = self.unflat(idx)
-            i0 = m_idx // dimK
-            deg = max(deg, i0 + sum(t))
-        return deg
 
 
 class BarComplex:
@@ -233,39 +190,42 @@ class BarComplex:
 
     def _face(self, key, tsum, act, size=None):
         """The face operator ``act`` (basis index -> ambient terms of one
-        block) projected into a target block whose tuple sums to ``tsum``:
-        a list over k < size (default dim M) of P(act(k)) in block-local
-        quotient coordinates.  Kept per (key, class of alpha^tsum)."""
+        block) projected into a target block twisted by alpha^tsum (a bar
+        block whose tuple sums to tsum, or C^S of twist tsum): a list over
+        k < size (default dim M) of P(act(k)) as (block-local quotient
+        coordinate, entry) pairs.  Kept per (key, class of alpha^tsum)."""
         cls = self.mono.twist(tsum)
 
         def build():
             sq = commutator_quotient(self.M, cls)
-            return [sq.project_terms(act(k)) for k in range(size or self.M.dim)]
+            return [tuple(sq.project_terms(act(k)).items()) for k in range(size or self.M.dim)]
 
         return kept(self, (BarComplex._face, key, cls), build)
 
-    def _face_map(self, r, rt, faces_of, split):
-        """The lazy map from level r to level rt whose column at ambient
-        (tuple t, m) is the signed sum of the projected faces of its block:
-        ``split(m)`` is (block key, local index k), ``faces_of(t, key)`` lists
-        (target block offset, projected operator, negated), built on the
-        first read from that block, and each face adds its operator at k."""
-        src = self.spaces[r]
-        block_faces = {}
+    def _face_map(self, src, nrows, faces_of, split):
+        """The lazy map from ``src``, a level or C^S (one block), into
+        ``nrows`` quotient coordinates whose column at ambient (block ti, m)
+        sums the projected faces of its block: ``split(m)`` is (block key,
+        local index k), ``faces_of(ti, key)`` lists (target block offset,
+        projected operator, coefficient), built on the first read from that
+        block, and each face adds its operator at k times its coefficient.
+        Most faces of b and B have at most one entry at k, so one product
+        per entry costs fewer steps than a test of the coefficient per face."""
+        block, block_faces = self.M.dim, {}
 
         def column(qj):
-            ti, m = divmod(src.free[qj], src.block)
+            ti, m = divmod(src.free[qj], block)
             key, k = split(m)
             faces = block_faces.get((ti, key))
             if faces is None:
-                faces = block_faces[ti, key] = faces_of(src.tuples[ti], key)
+                faces = block_faces[ti, key] = faces_of(ti, key)
             acc = {}
-            for off, op, neg in faces:
-                for i, c in op[k].items():
-                    add_term(acc, off + i, -c if neg else c)
+            for off, op, c in faces:
+                for i, e in op[k]:
+                    add_term(acc, off + i, c * e)
             return acc
 
-        return ColMap.lazy(self.mono.field, self.dim(rt), src.quotient_dim, column)
+        return ColMap.lazy(self.mono.field, nrows, src.quotient_dim, column)
 
     def _b_faces(self, r, t):
         """The faces of b_r on m (x) x^{t_1} (x) ..., in the order 0..r."""
@@ -273,22 +233,23 @@ class BarComplex:
         one = mono.field.one
         # face 0: multiply m by x^{i_1} on the right
         faces = [(tgt.offset(t[1:]), self._face(("xr", t[0]), total - t[0],
-                                                 lambda m: M.x_terms("right", t[0], {m: one})), False)]
+                                                 lambda m: M.x_terms("right", t[0], {m: one})), 1)]
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(r - 1):
             s = t[j] + t[j + 1]
             for tpow, kv in self._merged_slot(s):
                 op = self._face(("kr", s, tpow), total - s + tpow, lambda m: M.k_terms("right", kv, {m: one}))
-                faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, j % 2 == 0))
+                faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, (-1) ** (j + 1)))
         # face r: wrap x^{i_r} around to the left of m
-        faces.append((tgt.offset(t[:-1]), self._face(("xl", t[-1]), total - t[-1],
-                                                      lambda m: M.x_terms("left", t[-1], {m: one})), r % 2 == 1))
+        op = self._face(("xl", t[-1]), total - t[-1], lambda m: M.x_terms("left", t[-1], {m: one}))
+        faces.append((tgt.offset(t[:-1]), op, (-1) ** r))
         return faces
 
     @memo
     def b(self, r):
         """Boundary b_r in quotient coordinates."""
-        return self._face_map(r, r - 1, lambda t, _: self._b_faces(r, t), lambda m: (None, m))
+        src = self.spaces[r]
+        return self._face_map(src, self.dim(r - 1), lambda ti, _: self._b_faces(r, src.tuples[ti]), lambda m: (None, m))
 
     def chain_complex(self, max_r=None):
         max_r = self.max_r if max_r is None else max_r
@@ -310,14 +271,15 @@ class BarComplex:
             tail, head = (t[i - 1:], t[:i - 1]) if i else ((), t)
             s = sum(tail)
             op = self._face(("a", mono.twist(s)), sum(t) + i0, lambda k: mono.alpha_terms(s, k), mono.base.dim)
-            faces.append((tgt.offset(tail + (i0,) + head), op, i * r % 2 == 1))
+            faces.append((tgt.offset(tail + (i0,) + head), op, (-1) ** (i * r)))
         return faces
 
     @memo
     def connes_B(self, r):
         if not self.M.is_regular:
             raise ValueError("the cyclic operator needs coefficients M = A")
-        return self._face_map(r, r + 1, lambda t, i0: self._B_faces(r, t, i0),
+        src = self.spaces[r]
+        return self._face_map(src, self.dim(r + 1), lambda ti, i0: self._B_faces(r, src.tuples[ti], i0),
                               lambda m: divmod(m, self.mono.base.dim))
 
 
@@ -395,31 +357,18 @@ class ResolutionSpace(_TensorBlocks):
         self.mono = mono
         self.r = r
         self.twist = cs_twist(mono.n, r)
-        self.dimK = mono.base.dim
-        self.n = mono.n
-        self.dim = self.dimK * self.n * self.n
+        self.dim = mono.dim * mono.n
         self.overflow = [mono.x_overflow(self.twist)]
-
-    def flat(self, kappa, p, q):
-        return (q * self.n + p) * self.dimK + kappa
-
-    def unflat(self, idx):
-        rest, kappa = divmod(idx, self.dimK)
-        q, p = divmod(rest, self.n)
-        return kappa, p, q
 
 
 class ResolutionComplex:
-    """The twisted two-periodic resolution with its boundaries d'."""
+    """The spaces of the twisted two-periodic resolution, one per level;
+    phi' and psi' compare them with the bar resolution."""
 
     def __init__(self, mono, max_r):
         self.mono = mono
         self.spaces = []
         self.grow(max_r)
-
-    @property
-    def max_r(self):
-        return len(self.spaces) - 1
 
     def grow(self, max_r):
         while len(self.spaces) <= max_r:
@@ -427,28 +376,6 @@ class ResolutionComplex:
 
     def dim(self, r):
         return self.spaces[r].dim
-
-    def d_generator(self, r):
-        """Image of 1 (x) 1 under d'_r, as terms in the target space."""
-        mono = self.mono
-        tgt = self.spaces[r - 1]
-        gen = {}
-        if r % 2 == 1:
-            # x (x) 1 - 1 (x) x
-            for kappa, c in mono.base.unit.items():
-                add_term(gen, tgt.flat(kappa, 1, 0), c)
-                add_term(gen, tgt.flat(kappa, 0, 1), -c)
-        else:
-            # sum_i lam_{n-i} sum_l x^l (x) x^{i-l-1}
-            for i in range(1, mono.n + 1):
-                for ell in range(i):
-                    for kappa, c in mono.f_coefficient(mono.n - i).items():
-                        add_term(gen, tgt.flat(kappa, ell, i - ell - 1), c)
-        return gen
-
-    @memo
-    def d(self, r):
-        return self.spaces[r].generated_map(lambda b: self.d_generator(r), self.spaces[r - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +433,6 @@ class BarResolution:
         self.resolution = ResolutionComplex(mono, max_r)
         self.grow(max_r)
 
-    @property
-    def max_r(self):
-        return len(self.spaces) - 1
-
     def grow(self, max_r):
         self.resolution.grow(max_r)
         while len(self.spaces) <= max_r:
@@ -551,19 +474,28 @@ class BarResolution:
 
     # -- comparison maps ----------------------------------------------------------
 
-    def _phi_generator(self, r):
-        """phi'_r(1 (x) 1) as a term dict at level r."""
-        mono = self.mono
-        sp = self.spaces[r]
+    def phi_generator(self, r):
+        """phi'_r(1 (x) 1) as a term dict at level r: terms lam x^e (x) [mid]
+        from the expansion of f in every second middle slot."""
+        mono, sp = self.mono, self.spaces[r]
+        m, odd = divmod(r, 2)
         acc = {}
-        for lam, e, mid in _phi_terms(mono, r):
-            _add_at(acc, sp.offset(mid, 0), mono.k_times_x_power(lam, e).items())
+        # an i of 1 gives an empty l-range 1 <= l < i
+        for ivec in iproduct(range(2, mono.n + 1), repeat=m):
+            lam = mono.base.unit
+            for i in ivec:
+                lam = mono.base.product(lam, mono.f_coefficient(mono.n - i))
+            if not lam:
+                continue
+            for ell in iproduct(*[range(1, i) for i in ivec]):
+                mid = sum(((1, l) for l in reversed(ell)), ()) + (1,) * odd
+                _add_at(acc, sp.offset(mid, 0), mono.k_times_x_power(lam, sum(ivec) - sum(ell) - m).items())
         return acc
 
     @memo
     def phi(self, r):
         """phi'_r: twisted resolution -> bar resolution."""
-        return self.resolution.spaces[r].generated_map(lambda b: self._phi_generator(r), self.spaces[r])
+        return self.resolution.spaces[r].generated_map(lambda b: self.phi_generator(r), self.spaces[r])
 
     @memo
     def _quotient_product(self, sums):
@@ -573,15 +505,12 @@ class BarResolution:
             return mono.x_power(0)
         return mono.multiply(self._quotient_product(sums[:-1]), mono.flat(mono.x_power_quotient(sums[-1])))
 
-    def psi_product(self, t):
-        """The product of the quotients of x^(t_1 + t_2), x^(t_3 + t_4), .. by f:
-        the coefficient psi' and psi give the middle tuple t."""
-        return self._quotient_product(tuple(t[i] + t[i + 1] for i in range(0, len(t) - 1, 2)))
-
-    def _psi_tuple(self, r, t):
-        """psi'_r(1 (x) x^{i_1} (x) .. (x) 1) as terms in the resolution space."""
+    def psi_tuple(self, r, t):
+        """psi'_r(1 (x) x^{i_1} (x) .. (x) 1) as terms in the resolution space,
+        from the product of the quotients of x^(t_1 + t_2), x^(t_3 + t_4), ..
+        by f."""
         mono = self.mono
-        prod = self.psi_product(t)
+        prod = self._quotient_product(tuple(t[i] + t[i + 1] for i in range(0, len(t) - 1, 2)))
         if r % 2 == 0:
             return dict(prod)
         acc = {}
@@ -595,7 +524,7 @@ class BarResolution:
     def psi(self, r):
         """psi'_r: bar resolution -> twisted resolution."""
         bsp = self.spaces[r]
-        return bsp.generated_map(lambda b: self._psi_tuple(r, bsp.tuples[b]), self.resolution.spaces[r])
+        return bsp.generated_map(lambda b: self.psi_tuple(r, bsp.tuples[b]), self.resolution.spaces[r])
 
     # -- homotopy -------------------------------------------------------------------
 
@@ -653,82 +582,62 @@ class BarResolution:
 # ---------------------------------------------------------------------------
 
 class InducedComparison:
-    """phi/psi/omega between C^S(A,M) and the normalized chain complex.
+    """phi/psi/omega between C^S(A,M) and the normalized chain complex:
+    M (x)_{A^e} - of phi', psi' and omega' of the ``BarResolution``
+    ``barres``, each a ``BarComplex._face_map`` of wrap faces.
 
-    Reads the ``BarComplex`` ``bar``, the small complex ``cs`` and the
-    ``BarResolution`` ``barres`` in place; ``Workspace.comparison`` grows
-    all three.  All maps are returned in quotient coordinates, and kept
-    maps stay valid as the inputs grow.
+    phi_r [m] is m (lam x^e) (x) [mid] over the terms of phi'_r(1 (x) 1),
+    where the paper writes lam m x^e.  Both have one class: alpha fixes
+    every lam_i (``validate_monogenic``), so lam x^e = x^e lam and
+    lam (m x^e) - (m x^e) alpha^s(lam) is a twisted commutator of every block.
+
+    Reads the ``BarComplex`` ``bar`` and the small complex ``cs`` in place
+    too; ``Workspace.comparison`` grows all three.  All maps are returned in
+    quotient coordinates, and kept maps stay valid as the inputs grow.
     """
 
-    def __init__(self, mono, M, bar, cs, barres):
-        self.mono = mono
-        self.M = M
+    def __init__(self, bar, cs, barres):
         self.bar = bar
         self.cs = cs
         self.barres = barres
 
-    def _phi_ambient(self, r, m_idx):
-        """phi_r of the pure class [m]; ambient bar terms."""
-        mono = self.mono
-        M = self.M
-        sp = self.bar.spaces[r]
-        m_terms = {m_idx: mono.field.one}
-        acc = {}
-        for lam, e, mid in _phi_terms(mono, r):
-            mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power(e), m_terms))
-            _add_at(acc, sp.flat(mid, 0), mv.items())
-        return acc
+    def _induced(self, src, tgt, generator, twist=None):
+        """The map of quotients src -> tgt whose faces on source block ti are
+        the terms of ``generator(ti)``, the resolution map's value on that
+        block's generator: c e_j (x) [middle of block b] (x) x^q acts on m as
+        c x^q m e_j in block b of ``tgt`` (one tuple on both sides,
+        ``level_tuples``) or, given the ``twist`` of a C^S target, in its one
+        block.  The operator, projected, is kept on ``bar`` per (j, q, class
+        of the target twist)."""
+        bar, M, mono = self.bar, self.bar.M, self.bar.mono
+        one, dim_a = mono.field.one, mono.dim
+
+        def faces(ti, _):
+            out = []
+            for idx, c in generator(ti).items():
+                b, rest = divmod(idx, mono.n * dim_a)
+                q, j = divmod(rest, dim_a)
+                i0, kappa = divmod(j, mono.base.dim)
+                off, tw = (0, twist) if twist is not None else (tgt.block_offset[b], sum(tgt.tuples[b]))
+                op = bar._face(("w", j, q), tw, lambda m: M.x_terms(
+                    "left", q, M.x_terms("right", i0, M.k_terms("right", {kappa: one}, {m: one}))))
+                out.append((off, op, c))
+            return out
+
+        return bar._face_map(src, tgt.quotient_dim, faces, lambda m: (None, m))
 
     @memo
     def phi(self, r):
-        return _quotient_map(self.cs.spaces[r], self.bar.spaces[r], lambda m_idx: self._phi_ambient(r, m_idx))
-
-    def _psi_ambient(self, r, idx):
-        """psi_r of the pure tensor [m (x) x^{t_1} ..] at ambient index
-        ``idx`` as M-terms."""
-        M = self.M
-        t, m_idx = self.bar.spaces[r].unflat(idx)
-        base = M.a_terms("right", self.barres.psi_product(t), {m_idx: self.mono.field.one})
-        if r % 2 == 0:
-            return base
-        out = {}
-        i_last = t[-1]
-        for ell in range(i_last):
-            _add_at(out, 0, M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items())
-        return out
+        return self._induced(self.cs.spaces[r], self.bar.spaces[r], lambda ti: self.barres.phi_generator(r))
 
     @memo
     def psi(self, r):
-        return _quotient_map(self.bar.spaces[r], self.cs.spaces[r], lambda idx: self._psi_ambient(r, idx))
-
-    @memo
-    def _wrap(self, m_idx, j, q):
-        """m (x)_{A^e} (e_j (x) .. (x) x^q) = x^q m e_j for m the basis vector
-        m_idx, as M-terms."""
-        M = self.M
-        i0, kappa = divmod(j, self.mono.base.dim)
-        m = M.k_terms("right", self.mono.base.basis_vector(kappa), {m_idx: self.mono.field.one})
-        return M.x_terms("left", q, M.x_terms("right", i0, m))
-
-    def _omega_ambient(self, r, idx):
-        """omega_{r+1} of the pure tensor at ambient index ``idx`` via the
-        resolution homotopy and the wrap-around m (x)_{A^e} -: terms at bar
-        level r+1, from the generator value omega'_{r+1}(1 (x) x^t (x) 1)."""
-        dim_a = self.mono.dim
-        tgt_block = self.M.dim
-        t, m_idx = self.bar.spaces[r].unflat(idx)
-        acc = {}
-        for gidx, c in self.barres.omega_generator(r + 1, t).items():
-            ti, rest = divmod(gidx, self.mono.n * dim_a)
-            q, j = divmod(rest, dim_a)
-            # block ti of the resolution and of the bar complex: one tuple (``level_tuples``)
-            base = ti * tgt_block
-            for i, e in self._wrap(m_idx, j, q).items():
-                add_term(acc, base + i, c * e)
-        return acc
+        src = self.bar.spaces[r]
+        return self._induced(src, self.cs.spaces[r], lambda ti: self.barres.psi_tuple(r, src.tuples[ti]),
+                             cs_twist(self.bar.mono.n, r))
 
     @memo
     def omega(self, r):
         """omega_{r+1}: bar level r -> bar level r+1 (key r)."""
-        return _quotient_map(self.bar.spaces[r], self.bar.spaces[r + 1], lambda idx: self._omega_ambient(r, idx))
+        src = self.bar.spaces[r]
+        return self._induced(src, self.bar.spaces[r + 1], lambda ti: self.barres.omega_generator(r + 1, src.tuples[ti]))

@@ -223,12 +223,14 @@ def cmd_hh(args):
 
 
 def _is_dihedral_example(mono):
-    """Whether K and alpha are the group algebra and sign character of a
-    ``dihedral`` example, whatever the document's name: the audit reads them."""
+    """Whether A is a ``dihedral`` example, whatever the document's name: K
+    and alpha are the group algebra and sign character the audit reads, and
+    f = x^2, the polynomial of its displayed table."""
     K, one = mono.base, mono.field.one
+    if mono.n != 2 or any(mono.lambdas) or K.group_table is None:
+        return False
     labels, table = dihedral_group(max(K.dim // 2, 3))
-    return (K.group_table is not None and K.basis_labels == labels
-            and [[labels[t] for t in row] for row in K.group_table] == table
+    return (K.basis_labels == labels and [[labels[t] for t in row] for row in K.group_table] == table
             and list(mono.alpha.map.cols) == [{i: -one if lab[-1] == "h" else one} for i, lab in enumerate(labels)])
 
 

@@ -69,9 +69,6 @@ class ChainComplex:
     def dim(self, r):
         return self.spaces[r].quotient_dim
 
-    def dims(self):
-        return [self.dim(r) for r in range(self.max_degree + 1)]
-
     def boundary(self, r):
         return self.boundaries[r]
 

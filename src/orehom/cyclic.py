@@ -75,9 +75,6 @@ class MixedComplexData:
     def dim(self, r):
         return self.complex_.dim(r)
 
-    def chain_complex(self):
-        return self.complex_
-
 
 # -- the Connes operator on C^S ------------------------------------------------
 

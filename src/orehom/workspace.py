@@ -45,5 +45,5 @@ class Workspace:
         """phi/psi/omega, with C^S, the bar complex and the resolution grown to max_r."""
         cs, bar, barres = self.cs(max_r), self.bar(max_r), self.barres(max_r)
         if self._cmp is None:
-            self._cmp = InducedComparison(self.mono, self.M, bar, cs, barres)
+            self._cmp = InducedComparison(bar, cs, barres)
         return self._cmp

@@ -1,7 +1,11 @@
-"""The boundary b and the cyclic operator B of the normalized complex, and
-b' of the bar resolution, built one basis tensor at a time, kept apart from
-the package: the slow references its projected face operators and its
-generator values are tested against.
+"""The boundary b and the cyclic operator B of the normalized complex, b'
+of the bar resolution and the maps phi, psi and omega induced on
+coefficients, built one basis tensor at a time, kept apart from the
+package: the slow references its projected face operators and its
+generator values are tested against.  With them, what only the tests read
+of the bar side: the flat indices of the bar complex and of the twisted
+resolution, the degree of a bar-complex element, and the boundaries d' of
+the twisted resolution.
 
 A column of b or B applies every face to the one basis tensor as ambient
 terms of the target level, through the bimodule actions of M, and then
@@ -12,12 +16,76 @@ x^q, and pulls each merged coefficient to the front through alpha^pre, as
 ``orehom.bar.BarResolution`` did before it extended b' from its values on
 the free generators.  The reduced powers of x and the powers of alpha come
 from the dense long division and matrix powers of ``dense_reference``.
+
+A column of phi, psi or omega applies the formula of the map to the one
+basis vector m of M, as ambient terms, and projects them, as
+``orehom.bar.InducedComparison`` did before it read every induced map off
+kept wrap faces.  phi_r [m] is sum lam m x^e (x) [mid] over the terms of
+phi'_r(1 (x) 1).  psi_r of m (x) [t] is m P(t) for r even and
+sum_l x^(t_r - l - 1) m P(t) x^l for r odd, P(t) the product of the
+quotients of x^(t_1 + t_2), x^(t_3 + t_4), .. by f.  omega_(r+1) wraps each
+term c e_j (x) [t] (x) x^q of omega'_(r+1)(1 (x) [t] (x) 1) around m as
+c x^q m e_j.
 """
 
 from functools import lru_cache
+from itertools import product as iproduct
 
 import dense_reference as dref
 from orehom.linalg import ColMap, add_term
+
+
+def bar_flat(sp, t, m_idx):
+    """The ambient index of m_idx in the block of tuple t of a ``BarSpace``."""
+    return sp.tuple_index[t] * sp.block + m_idx
+
+
+def bar_unflat(sp, idx):
+    """(tuple, M index) of an ambient index of a ``BarSpace``."""
+    ti, m_idx = divmod(idx, sp.block)
+    return sp.tuples[ti], m_idx
+
+
+def bar_element_degree(sp, terms):
+    """Max degree over the monomial tensors of an ambient term dict of a
+    ``BarSpace`` with M = A (the front exponent is read off the coefficient
+    block)."""
+    deg = float("-inf")
+    for idx, c in terms.items():
+        if c:
+            t, m_idx = bar_unflat(sp, idx)
+            deg = max(deg, m_idx // sp.mono.base.dim + sum(t))
+    return deg
+
+
+def res_flat(sp, kappa, p, q):
+    """The flat index of mu_kappa x^p (x) x^q in a ``ResolutionSpace``."""
+    return (q * sp.mono.n + p) * sp.mono.base.dim + kappa
+
+
+def d_generator(res, r):
+    """Image of 1 (x) 1 under d'_r of the twisted resolution ``res``, as
+    terms in the target space."""
+    mono = res.mono
+    tgt = res.spaces[r - 1]
+    gen = {}
+    if r % 2 == 1:
+        # x (x) 1 - 1 (x) x
+        for kappa, c in mono.base.unit.items():
+            add_term(gen, res_flat(tgt, kappa, 1, 0), c)
+            add_term(gen, res_flat(tgt, kappa, 0, 1), -c)
+    else:
+        # sum_i lam_{n-i} sum_l x^l (x) x^{i-l-1}
+        for i in range(1, mono.n + 1):
+            for ell in range(i):
+                for kappa, c in mono.f_coefficient(mono.n - i).items():
+                    add_term(gen, res_flat(tgt, kappa, ell, i - ell - 1), c)
+    return gen
+
+
+def d(res, r):
+    """d'_r: level r -> level r-1, the bimodule extension of its generator value."""
+    return res.spaces[r].generated_map(lambda b: d_generator(res, r), res.spaces[r - 1])
 
 
 def _add_at(acc, base, items, negative=False):
@@ -49,18 +117,18 @@ def b_ambient_column(bar, r, idx):
     as ambient terms at r-1."""
     M = bar.M
     tgt = bar.spaces[r - 1]
-    t, m_idx = bar.spaces[r].unflat(idx)
+    t, m_idx = bar_unflat(bar.spaces[r], idx)
     m = {m_idx: bar.mono.field.one}
     acc = {}
     # face 0: multiply m by x^{i_1} on the right
-    _add_at(acc, tgt.flat(t[1:], 0), M.x_terms("right", t[0], m).items())
+    _add_at(acc, bar_flat(tgt, t[1:], 0), M.x_terms("right", t[0], m).items())
     # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
     for j in range(0, r - 1):
         for tpow, kv in _merged_slot(bar.mono, t[j] + t[j + 1], sum(t[:j])):
-            _add_at(acc, tgt.flat(t[:j] + (tpow,) + t[j + 2:], 0),
+            _add_at(acc, bar_flat(tgt, t[:j] + (tpow,) + t[j + 2:], 0),
                     M.k_terms("right", kv, m).items(), (j + 1) % 2 == 1)
     # face r: wrap x^{i_r} around to the left of m
-    _add_at(acc, tgt.flat(t[:-1], 0), M.x_terms("left", t[-1], m).items(), r % 2 == 1)
+    _add_at(acc, bar_flat(tgt, t[:-1], 0), M.x_terms("left", t[-1], m).items(), r % 2 == 1)
     return acc
 
 
@@ -68,7 +136,7 @@ def B_ambient_column(bar, r, idx):
     """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
     mono = bar.mono
     tgt = bar.spaces[r + 1]
-    t, m_idx = bar.spaces[r].unflat(idx)
+    t, m_idx = bar_unflat(bar.spaces[r], idx)
     i0, kappa = divmod(m_idx, mono.base.dim)
     acc = {}
     if i0 == 0:
@@ -82,7 +150,7 @@ def B_ambient_column(bar, r, idx):
             newt = tail + (i0,) + t[:i - 1]
             cols = mono.alpha_columns(sum(tail))
         pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
-        _add_at(acc, tgt.flat(newt, 0), pushed.items(), (i * r) % 2 == 1)
+        _add_at(acc, bar_flat(tgt, newt, 0), pushed.items(), (i * r) % 2 == 1)
     return acc
 
 
@@ -152,3 +220,97 @@ def bprime(barres, r):
     kept = {}
     return ColMap.lazy(barres.mono.field, barres.spaces[r - 1].dim, barres.spaces[r].dim,
                        lambda idx: bprime_column(barres, kept, r, idx))
+
+
+def _phi_terms(mono, r):
+    """The terms of the comparison map phi_r on a generator, as triples
+    (lam, e, mid): lam x^e in the front slot and the exponents ``mid`` of
+    the middle slots, from the expansion of f in every second slot."""
+    n = mono.n
+    m, odd = divmod(r, 2)
+    # an i of 1 gives an empty l-range 1 <= l < i
+    for ivec in iproduct(range(2, n + 1), repeat=m):
+        lam = mono.base.unit
+        for i in ivec:
+            lam = mono.base.product(lam, mono.f_coefficient(n - i))
+        if not lam:
+            continue
+        for ell in iproduct(*[range(1, i) for i in ivec]):
+            mid = sum(((1, l) for l in reversed(ell)), ()) + (1,) * odd
+            yield lam, sum(ivec) - sum(ell) - m, mid
+
+
+def _psi_product(mono, t):
+    """P(t), the product, left to right, of the quotients of x^(t_1 + t_2),
+    x^(t_3 + t_4), .. by f, by dense long division and products in A."""
+    zero = [mono.field.zero] * mono.base.dim
+    prod = [dref.f_coefficient(mono, 0)] + [list(zero) for _ in range(mono.n - 1)]
+    for i in range(0, len(t) - 1, 2):
+        quot = dref.twisted_division(mono, dref.x_power(mono, t[i] + t[i + 1]))[0]
+        prod = dref.a_product(mono, prod, quot + [list(zero) for _ in range(mono.n - len(quot))])
+    return dref.a_terms(prod)
+
+
+def phi_ambient_column(cmp_, r, m_idx):
+    """phi_r of the pure class [m]; ambient bar terms."""
+    bar = cmp_.bar
+    mono, M = bar.mono, bar.M
+    m_terms = {m_idx: mono.field.one}
+    acc = {}
+    for lam, e, mid in _phi_terms(mono, r):
+        mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power(e), m_terms))
+        _add_at(acc, bar_flat(bar.spaces[r], mid, 0), mv.items())
+    return acc
+
+
+def psi_ambient_column(cmp_, r, idx):
+    """psi_r of the pure tensor [m (x) x^{t_1} ..] at ambient index ``idx``
+    as M-terms."""
+    M = cmp_.bar.M
+    t, m_idx = bar_unflat(cmp_.bar.spaces[r], idx)
+    base = M.a_terms("right", _psi_product(cmp_.bar.mono, t), {m_idx: cmp_.bar.mono.field.one})
+    if r % 2 == 0:
+        return base
+    out = {}
+    i_last = t[-1]
+    for ell in range(i_last):
+        _add_at(out, 0, M.x_terms("left", i_last - ell - 1, M.x_terms("right", ell, base)).items())
+    return out
+
+
+def _wrap(mono, M, m_idx, j, q):
+    """m (x)_{A^e} (e_j (x) .. (x) x^q) = x^q m e_j for m the basis vector
+    m_idx, as M-terms."""
+    i0, kappa = divmod(j, mono.base.dim)
+    m = M.k_terms("right", mono.base.basis_vector(kappa), {m_idx: mono.field.one})
+    return M.x_terms("left", q, M.x_terms("right", i0, m))
+
+
+def omega_ambient_column(cmp_, r, idx):
+    """omega_{r+1} of the pure tensor at ambient index ``idx`` via the
+    resolution homotopy and the wrap-around m (x)_{A^e} -: terms at bar
+    level r+1, from the generator value omega'_{r+1}(1 (x) x^t (x) 1)."""
+    mono, M = cmp_.bar.mono, cmp_.bar.M
+    t, m_idx = bar_unflat(cmp_.bar.spaces[r], idx)
+    acc = {}
+    for gidx, c in cmp_.barres.omega_generator(r + 1, t).items():
+        ti, rest = divmod(gidx, mono.n * mono.dim)
+        q, j = divmod(rest, mono.dim)
+        # block ti of the resolution and of the bar complex: one tuple
+        _add_at(acc, ti * M.dim, ((i, c * e) for i, e in _wrap(mono, M, m_idx, j, q).items()))
+    return acc
+
+
+def phi(cmp_, r):
+    """phi_r: C^S_r -> bar level r, each column projected from its ambient terms."""
+    return _projected(cmp_.cs.spaces[r], cmp_.bar.spaces[r], lambda m_idx: phi_ambient_column(cmp_, r, m_idx))
+
+
+def psi(cmp_, r):
+    """psi_r: bar level r -> C^S_r, each column projected from its ambient terms."""
+    return _projected(cmp_.bar.spaces[r], cmp_.cs.spaces[r], lambda idx: psi_ambient_column(cmp_, r, idx))
+
+
+def omega(cmp_, r):
+    """omega_{r+1}: bar level r -> level r+1, each column projected from its ambient terms."""
+    return _projected(cmp_.bar.spaces[r], cmp_.bar.spaces[r + 1], lambda idx: omega_ambient_column(cmp_, r, idx))

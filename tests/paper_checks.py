@@ -189,7 +189,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
     entries = []
     for w, idxs, mixed in comps:
         tot = BCTotal(mixed, max_degree)
-        cx = mixed.chain_complex()
+        cx = mixed.complex_
         label = f"w={w!r}"
         root = is_root(mono, w)
         hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))

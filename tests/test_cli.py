@@ -475,6 +475,21 @@ def test_audit_is_chosen_by_the_structure_not_the_name(capsys, tmp_path, command
         assert "audit" not in rep
 
 
+@pytest.mark.parametrize("extension", [
+    {"n": 3, "lambdas": [["0"] * 6] * 3},  # f = x^3
+    {"n": 2, "lambdas": [["0"] * 6, ["1"] + ["0"] * 5]},  # f = x^2 + e
+])
+def test_dihedral_group_with_another_polynomial_gets_no_audit(capsys, tmp_path, extension):
+    # the displayed table is that of f = x^2: K and alpha of dihedral:3 with
+    # another f keep their name and get no audit
+    doc = dict(build_example("dihedral:3"), extension=extension)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "hh", "--spec", str(path), "--max-degree", "4", "--oracle")
+    assert code == 0
+    assert "audit" not in rep and [c["agrees"] for c in rep["comparisons"]] == [True]
+
+
 def _count_quotient_builds(monkeypatch):
     """Record (owner, class) for every build of ``k_quotient`` and every call
     of ``twisted_commutator_subspace``: {"k_quotient": [..], "twisted": [..]}."""

@@ -206,7 +206,7 @@ def test_mixed_identity_violation_raises_complex_error():
     corrupted.cols[0] = {0: mono.field.one}
     bad_B[1] = corrupted
     with pytest.raises(ComplexError):
-        MixedComplexData(mixed.chain_complex(), bad_B)
+        MixedComplexData(mixed.complex_, bad_B)
 
 
 def test_mixed_identity_is_checked_in_degree_zero():

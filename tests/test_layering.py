@@ -30,7 +30,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orehom.cyclic import BCTotal
+from orehom.bar import BarResolution, BarSpace, ResolutionComplex, ResolutionSpace
+from orehom.complexes import ChainComplex
+from orehom.cyclic import BCTotal, MixedComplexData
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import EchelonSet, sparse, sparse_rank
 
@@ -133,9 +135,16 @@ def test_definitions_read_only_by_tests_live_in_the_tests():
     # the reachability guard would miss one whose name a live definition has
     assert _defined({"right_mult_map", "is_zero", "transferred_block", "encode_kvec", "sbi_check",
                      "_corner_kernel", "_top_ambiguity", "_component_scale_mult", "solve", "periodicity_check",
-                     "build_cs_collapsed", "contains", "preimage", "quotient_dim"}) == []
-    # ``block`` and ``inject`` also name locals under src/, so BCTotal is read
-    assert not hasattr(BCTotal, "inject") and not hasattr(BCTotal, "block")
+                     "build_cs_collapsed", "contains", "preimage", "quotient_dim", "_quotient_map",
+                     "_phi_ambient", "_psi_ambient", "_omega_ambient", "_wrap"}) == []
+    # a method named like a live definition (``block`` and ``inject`` name
+    # locals under src/) is read on its class; the bar side's flat indices,
+    # degrees and d' are in tests/bar_reference.py
+    on_class = {BCTotal: ("inject", "block"), ResolutionComplex: ("d", "d_generator", "max_r"),
+                ResolutionSpace: ("flat", "unflat"), BarResolution: ("max_r",),
+                BarSpace: ("element_degree", "flat", "unflat"), ChainComplex: ("dims",),
+                MixedComplexData: ("chain_complex",)}
+    assert [f"{cls.__name__}.{name}" for cls, names in on_class.items() for name in names if hasattr(cls, name)] == []
 
 
 def test_every_kept_value_is_kept_by_memo_or_kept():
