@@ -25,11 +25,6 @@ them: ``_TensorBlocks.generated_map`` the bimodule maps b', phi', psi' and
 omega', one generator value per middle block, and ``BarComplex._face_map``
 the maps on coefficients b, B, phi, psi and omega, kept faces per block.
 
-A merged middle slot x^(t_i + t_(i+1)) = sum_tp c_tp x^tp leaves c_tp on the
-front coefficient, in b' as in b.  It needs no twist on the way past the
-slots before it: c_tp is a polynomial in the lam_i, and alpha fixes the
-lam_i (``validate_monogenic``), so alpha^pre(c_tp) = c_tp.
-
 Each face is a fixed operator on M followed by the projection onto the
 quotient of its target block, and both depend on small keys, not on the
 tuple: the operator and the twist class of the target block.  The faces of
@@ -41,10 +36,12 @@ is a wrap face, m -> c x^q m e_j into the block of t (for psi, into C^S).
 source block's list of faces (target offset, operator, coefficient) once
 per map and block, so a column is a sum of kept columns times scalars.
 
-Every kept value is kept the way ``algebra`` keeps its own: a map per level
-through ``memo``, a face operator per (key, twist class) through ``kept``,
-and the tuples of a level, with the index of each, once per algebra and
-level, so that the bar complex and the bar resolution read one table.
+Every kept value is kept the way ``algebra`` keeps its own: through ``memo``
+a map per level, each generator value of b', phi', psi' and omega' (read by
+a resolution map and by the map it induces on coefficients) and, once per
+algebra, each ``merged_slot`` (read by b' and b); through ``kept`` a face
+operator per (key, twist class); and the tuples of a level, with the index
+of each, once per algebra, so that both complexes read one table.
 """
 
 from __future__ import annotations
@@ -86,6 +83,15 @@ def _per_sum(mono, r, value):
     classes = {s: mono.twist(s) for s in range(r, r * (mono.n - 1) + 1)}
     values = {i: value(i) for i in dict.fromkeys(classes.values())}
     return {s: values[i] for s, i in classes.items()}
+
+
+@memo
+def merged_slot(mono, s):
+    """A merged middle slot x^s = sum_tp c_tp x^tp of A as its parts (tp, c_tp)
+    with tp >= 1.  The part with tp = 0 is K-valued and vanishes in Abar;
+    c_tp goes to the front coefficient untwisted past the slots before it:
+    it is a polynomial in the lam_i, which alpha fixes (``validate_monogenic``)."""
+    return [(tp, c) for tp, c in mono.x_power_reduced(s) if tp]
 
 
 NEG_INF = float("-inf")
@@ -180,14 +186,6 @@ class BarComplex:
     def dim(self, r):
         return self.spaces[r].quotient_dim
 
-    @memo
-    def _merged_slot(self, s):
-        """The nonzero terms c_tpow x^tpow (tpow >= 1) of x^s in A as pairs
-        (tpow, c_tpow), kept once per s.  c_tpow is pulled onto the
-        coefficient untwisted: it is a polynomial in the lam_i, which alpha
-        fixes."""
-        return [(tpow, c) for tpow, c in self.mono.x_power_reduced(s) if tpow]
-
     def _face(self, key, tsum, act, size=None):
         """The face operator ``act`` (basis index -> ambient terms of one
         block) projected into a target block twisted by alpha^tsum (a bar
@@ -237,7 +235,7 @@ class BarComplex:
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(r - 1):
             s = t[j] + t[j + 1]
-            for tpow, kv in self._merged_slot(s):
+            for tpow, kv in merged_slot(mono, s):
                 op = self._face(("kr", s, tpow), total - s + tpow, lambda m: M.k_terms("right", kv, {m: one}))
                 faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, (-1) ** (j + 1)))
         # face r: wrap x^{i_r} around to the left of m
@@ -328,23 +326,19 @@ class _TensorBlocks:
     def generated_map(self, generator, target):
         """The bimodule map from this space to ``target`` whose value on the
         generator 1 (x) [middle of block b] (x) 1 is the term dict
-        ``generator(b)``, read once per block.
+        ``generator(b)``, which the owner of ``generator`` keeps (``memo``).
 
         The column of e_j (x) [middle] (x) x^q is e_j . gen . x^q; for q > 0
         it is the column one index of dim A back, times x.
         """
         dim_a = self.mono.dim
         block = self.mono.n * dim_a
-        gens = {}
 
         def column(idx):
             b, rest = divmod(idx, block)
             if rest >= dim_a:
                 return target.right_mul_x(out.cols[idx - dim_a])
-            gen = gens.get(b)
-            if gen is None:
-                gen = gens[b] = generator(b)
-            return target.left_mul_monomial(rest, gen)
+            return target.left_mul_monomial(rest, generator(b))
 
         out = ColMap.lazy(self.mono.field, target.dim, self.dim, column)
         return out
@@ -443,26 +437,21 @@ class BarResolution:
 
     # -- b' --------------------------------------------------------------------
 
+    @memo
     def _bprime_generator(self, r, t):
         """b'_r(1 (x) x^{t_1} (x) .. (x) x^{t_r} (x) 1) as a term dict at level r-1.
 
         Face 0 puts x^{t_1} in the front and the last face puts x^{t_r} in
-        the right factor (t_r < n, so nothing overflows).  The middle face i
-        merges x^{t_i + t_{i+1}} = sum_tp c_tp x^tp in A: the part with tp = 0
-        is K-valued and vanishes in Abar, and each other c_tp moves to the
-        front untwisted, since it is a polynomial in the lam_i, which alpha
-        fixes.
+        the right factor (t_r < n, so nothing overflows); the middle face i
+        reads the merged slot x^{t_i + t_{i+1}} (``merged_slot``).
         """
         mono, tgt = self.mono, self.spaces[r - 1]
-        d = mono.base.dim
         unit = mono.base.unit
         gen = {}
-        _add_at(gen, tgt.offset(t[1:], 0) + t[0] * d, unit.items())
+        _add_at(gen, tgt.offset(t[1:], 0) + t[0] * mono.base.dim, unit.items())
         for i in range(r - 1):
-            for coord, c in mono.x_power(t[i] + t[i + 1]).items():
-                tp, k = divmod(coord, d)
-                if tp:
-                    add_term(gen, tgt.offset(t[:i] + (tp,) + t[i + 2:], 0) + k, -c if i % 2 == 0 else c)
+            for tp, c in merged_slot(mono, t[i] + t[i + 1]):
+                _add_at(gen, tgt.offset(t[:i] + (tp,) + t[i + 2:], 0), c.items(), i % 2 == 0)
         _add_at(gen, tgt.offset(t[:-1], t[-1]), unit.items(), r % 2 == 1)
         return gen
 
@@ -474,6 +463,7 @@ class BarResolution:
 
     # -- comparison maps ----------------------------------------------------------
 
+    @memo
     def phi_generator(self, r):
         """phi'_r(1 (x) 1) as a term dict at level r: terms lam x^e (x) [mid]
         from the expansion of f in every second middle slot."""
@@ -505,6 +495,7 @@ class BarResolution:
             return mono.x_power(0)
         return mono.multiply(self._quotient_product(sums[:-1]), mono.flat(mono.x_power_quotient(sums[-1])))
 
+    @memo
     def psi_tuple(self, r, t):
         """psi'_r(1 (x) x^{i_1} (x) .. (x) 1) as terms in the resolution space,
         from the product of the quotients of x^(t_1 + t_2), x^(t_3 + t_4), ..

@@ -6,6 +6,11 @@ long options, parsed by ``getopt.gnu_getopt``: ``--name value`` and
 the positionals; ``-h``/``--help`` prints help built from the table and
 exits 0.  No parser is built at import.
 
+``hh`` and ``hc`` share one report path: ``_report`` makes the head,
+``_asked`` gates each flag on its degree window, ``_compare`` is the one
+writer of ``comparisons`` and ``_refuse`` of ``refusals``, and ``_finish``
+adds a dihedral example's audit and prints.
+
 Exit codes: 0 success, 1 bad spec (validation failure, a negative
 ``--max-degree``) or out of memory, 2 usage error (a ``usage:`` line and an
 ``orehom: error: ...`` line naming the argument on stderr) or
@@ -133,93 +138,78 @@ def _element_string(mono, M, terms):
     return " + ".join(parts) if parts else "0"
 
 
-def _add_components(report, dims, comps):
-    """Report the dims of each eigencomponent, given as (eigenvalue, dims)
-    pairs, and compare their sum with ``dims``."""
-    report["modes"]["per_component"] = [{"eigenvalue": str(w), "dims": d} for w, d in comps]
-    total = [sum(col) for col in zip(*(d for _, d in comps))]
-    report["comparisons"].append({"against": "component sum", "agrees": total == dims})
+def _report(command, parsed, md, dims):
+    """The head of an ``hh`` or ``hc`` report: the C^S dimensions of degrees
+    0..md-1 as its ``generic`` mode, with no comparison yet."""
+    return {"command": command, "fixture": parsed.name, "max_degree": md, "degrees": list(range(md)),
+            "hypotheses": parsed.summary, "modes": {"generic": dims}, "comparisons": []}
 
 
-def cmd_hh(args):
-    parsed = _load_spec(args.spec, args.max_degree)
-    mono = parsed.mono
-    md = args.max_degree
-    ws = Workspace(mono, parsed.bimodule)
-    cs = ws.cs(md)
-    dims = homology_dims(cs, md - 1)
-    report = {
-        "command": "hh",
-        "fixture": parsed.name,
-        "max_degree": md,
-        "degrees": list(range(md)),
-        "hypotheses": parsed.summary,
-        "modes": {"generic": dims},
-        "comparisons": [],
-    }
-    if args.basis:
-        reps = []
-        for r in range(md):
-            h = homology(cs, r)
-            reps.append([_element_string(mono, parsed.bimodule, v) for v in h.representatives])
-        report["representatives"] = reps
-    collapse_ok = parsed.summary["collapse"]["holds"]
-    if args.decompose and not md:
-        report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
-    elif args.decompose:
-        if collapse_ok and parsed.summary["diagonalizable"]:
-            _add_components(report, dims, [(w, homology_dims(comp, md - 1))
-                                           for w, _, comp in decompose(mono, md)])
-        else:
-            report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
-    if args.closed_form and not md:
-        report.setdefault("refusals", []).append("--closed-form: the window 0..-1 has no degree")
-    elif args.closed_form:
-        added = False
-        try:
-            if mono.alpha_columns(1) is None:
-                cf = hh_closed_form(mono, "alpha_identity", md - 1)
-                report["modes"]["closed_form_alpha_identity"] = cf
-                report["comparisons"].append(
-                    {"against": "closed form (alpha = id)", "agrees": cf == dims}
-                )
-                added = True
-            elif collapse_ok:
-                cf = hh_closed_form(mono, "collapsed", md - 1)
-                report["modes"]["closed_form_collapsed"] = cf
-                report["comparisons"].append(
-                    {"against": "closed form (collapse)", "agrees": cf == dims}
-                )
-                if parsed.summary["diagonalizable"]:
-                    cf2 = hh_closed_form(mono, "eigen", md - 1)
-                    report["modes"]["closed_form_eigen"] = cf2
-                    report["comparisons"].append(
-                        {"against": "closed form (eigencomponents)", "agrees": cf2 == dims}
-                    )
-                case = parsed.summary.get("rank_one_case")
-                if case and parsed.summary["diagonalizable"]:
-                    cf3 = hh_rank_one(mono, case, md - 1)
-                    report["modes"]["closed_form_rank_one"] = cf3
-                    report["comparisons"].append(
-                        {"against": f"rank-one closed form ({case})", "agrees": cf3 == dims}
-                    )
-                added = True
-        except HypothesisError as exc:
-            report.setdefault("refusals", []).append(str(exc))
-        if not added:
-            report.setdefault("refusals", []).append("--closed-form: no closed form has its hypothesis verified")
-    if args.oracle and not md:
-        report.setdefault("refusals", []).append("--oracle: the oracle window 0..-1 has no degree")
-    elif args.oracle:
-        bar_dims = homology_dims(ws.bar(md).chain_complex(), md - 1)
-        report["modes"]["oracle"] = bar_dims
-        report["comparisons"].append(
-            {"against": "normalized-complex oracle", "agrees": bar_dims == dims}
-        )
-    if _is_dihedral_example(mono):
-        report["audit"] = _dihedral_audit(mono, dims)
-    print(_render(report, args.json))
-    return 0
+def _refuse(report, reason):
+    """Record why a flag asked for gave no comparison."""
+    report.setdefault("refusals", []).append(reason)
+
+
+def _compare(report, mode, against, value, agrees):
+    """Show ``value`` as the mode ``mode`` and record whether ``against``
+    agrees with the C^S dimensions."""
+    report["modes"][mode] = value
+    report["comparisons"].append({"against": against, "agrees": agrees})
+
+
+def _asked(report, asked, flag, top, window="the window"):
+    """Whether ``flag`` runs: it was ``asked`` and its window of degrees
+    0..top has a degree.  An empty window is refused, not compared."""
+    if asked and top < 0:
+        _refuse(report, f"{flag}: {window} 0..{top} has no degree")
+    return asked and top >= 0
+
+
+def _diagonal_collapse(report, parsed, flag):
+    """Whether collapse is verified and alpha is diagonal, the hypothesis of
+    the eigencomponent forms that ``flag`` reads; ``flag`` is refused if not."""
+    holds = parsed.summary["collapse"]["holds"] and parsed.summary["diagonalizable"]
+    if not holds:
+        _refuse(report, f"{flag} needs verified collapse and diagonal alpha")
+    return holds
+
+
+def _add_components(report, parsed, dims, components):
+    """Report the dims of each eigencomponent, ``components()`` as
+    (eigenvalue, dims) pairs, and compare their sum with ``dims``."""
+    if _diagonal_collapse(report, parsed, "--decompose"):
+        comps = components()
+        total = [sum(col) for col in zip(*(d for _, d in comps))]
+        _compare(report, "per_component", "component sum",
+                 [{"eigenvalue": str(w), "dims": d} for w, d in comps], total == dims)
+
+
+def _hh_closed_forms(report, parsed, dims, top):
+    """Compare ``dims`` with each closed form whose hypothesis is verified:
+    alpha = id, or collapse, then with alpha diagonal the eigencomponent
+    form and the rank-one form of its case.  A ``HypothesisError`` is
+    refused with its text, and then, as when no form applies,
+    ``--closed-form`` is refused; the forms compared before it stay."""
+    mono, summary = parsed.mono, parsed.summary
+    try:
+        if mono.alpha_columns(1) is None:
+            cf = hh_closed_form(mono, "alpha_identity", top)
+            _compare(report, "closed_form_alpha_identity", "closed form (alpha = id)", cf, cf == dims)
+            return
+        if summary["collapse"]["holds"]:
+            cf = hh_closed_form(mono, "collapsed", top)
+            _compare(report, "closed_form_collapsed", "closed form (collapse)", cf, cf == dims)
+            if summary["diagonalizable"]:
+                cf = hh_closed_form(mono, "eigen", top)
+                _compare(report, "closed_form_eigen", "closed form (eigencomponents)", cf, cf == dims)
+                case = summary.get("rank_one_case")
+                if case:
+                    cf = hh_rank_one(mono, case, top)
+                    _compare(report, "closed_form_rank_one", f"rank-one closed form ({case})", cf, cf == dims)
+            return
+    except HypothesisError as exc:
+        _refuse(report, str(exc))
+    _refuse(report, "--closed-form: no closed form has its hypothesis verified")
 
 
 def _is_dihedral_example(mono):
@@ -254,20 +244,47 @@ def _dihedral_displayed_parts(mono):
     return rot_dim, refl_dim
 
 
-def _dihedral_audit(mono, dims, cyclic=False):
-    """Computed dims against the displayed reflection-group tables."""
-    rot, refl = _dihedral_displayed_parts(mono)
-    if cyclic:
-        table = [(rot + refl) if r % 2 == 0 else refl for r in range(len(dims))]
-    else:
-        table = [rot + refl] + [refl] * (len(dims) - 1)
-    return {
-        "collapse_holds": False,
-        "displayed_table": table,
-        "computed": dims,
-        "agrees": dims == table,
-        "note": "acceptance is oracle equivalence, not agreement with the displayed table",
-    }
+def _finish(report, mono, dims, as_json, cyclic=False):
+    """Print the report.  A dihedral example's report ends in an audit of
+    ``dims`` against the displayed reflection-group table of HH, or of HC if
+    ``cyclic``."""
+    if _is_dihedral_example(mono):
+        rot, refl = _dihedral_displayed_parts(mono)
+        if cyclic:
+            table = [(rot + refl) if r % 2 == 0 else refl for r in range(len(dims))]
+        else:
+            table = [rot + refl] + [refl] * (len(dims) - 1)
+        report["audit"] = {
+            "collapse_holds": False,
+            "displayed_table": table,
+            "computed": dims,
+            "agrees": dims == table,
+            "note": "acceptance is oracle equivalence, not agreement with the displayed table",
+        }
+    print(_render(report, as_json))
+    return 0
+
+
+def cmd_hh(args):
+    parsed = _load_spec(args.spec, args.max_degree)
+    mono = parsed.mono
+    md = args.max_degree
+    ws = Workspace(mono, parsed.bimodule)
+    cs = ws.cs(md)
+    dims = homology_dims(cs, md - 1)
+    report = _report("hh", parsed, md, dims)
+    if args.basis:
+        report["representatives"] = [[_element_string(mono, parsed.bimodule, v)
+                                      for v in homology(cs, r).representatives] for r in range(md)]
+    if _asked(report, args.decompose, "--decompose", md - 1):
+        _add_components(report, parsed, dims, lambda: [(w, homology_dims(comp, md - 1))
+                                                       for w, _, comp in decompose(mono, md)])
+    if _asked(report, args.closed_form, "--closed-form", md - 1):
+        _hh_closed_forms(report, parsed, dims, md - 1)
+    if _asked(report, args.oracle, "--oracle", md - 1, "the oracle window"):
+        bar_dims = homology_dims(ws.bar(md).chain_complex(), md - 1)
+        _compare(report, "oracle", "normalized-complex oracle", bar_dims, bar_dims == dims)
+    return _finish(report, mono, dims, args.json)
 
 
 def cmd_hc(args):
@@ -278,65 +295,32 @@ def cmd_hc(args):
     M = parsed.bimodule if parsed.bimodule.is_regular else regular_bimodule(mono)
     ws = Workspace(mono, M)
     dims = hc(ws, md)
-    report = {
-        "command": "hc",
-        "fixture": parsed.name,
-        "max_degree": md,
-        "degrees": list(range(md)),
-        "hypotheses": parsed.summary,
-        "modes": {"generic": dims},
-        "comparisons": [],
-    }
-    collapse_ok = parsed.summary["collapse"]["holds"]
-    if args.closed_form and not md:
-        report.setdefault("refusals", []).append("--closed-form: the window 0..-1 has no degree")
-    elif args.closed_form:
-        if collapse_ok and parsed.summary["diagonalizable"]:
-            cf = hc_closed_form(mono, md - 1)
-            report["modes"]["closed_form_proof_reading"] = cf["proof_reading"]
-            report["modes"]["closed_form_displayed_reading"] = cf["displayed_reading"]
-            report["exponent_note"] = (
-                "odd-degree numerator uses lam*lam_n^(m+1) (the cycle condition); "
-                f"the displayed exponent m diverges at degrees {cf['disagree_degrees']}"
-                if cf["disagree_degrees"]
-                else "both exponent readings agree on this fixture"
-            )
-            report["comparisons"].append(
-                {"against": "closed form (cycle-condition reading)",
-                 "agrees": cf["proof_reading"][:md] == dims[:len(cf["proof_reading"])]}
-            )
-            case = parsed.summary.get("rank_one_case")
-            if case:
-                r1 = hc_rank_one(mono, case, md - 1)
-                report["modes"]["closed_form_rank_one"] = r1
-                report["comparisons"].append(
-                    {"against": f"rank-one closed form ({case})", "agrees": r1[:md] == dims[:len(r1)]}
-                )
-        else:
-            report.setdefault("refusals", []).append("--closed-form needs verified collapse and diagonal alpha")
-    if args.decompose and not md:
-        report.setdefault("refusals", []).append("--decompose: the window 0..-1 has no degree")
-    elif args.decompose:
-        if collapse_ok and parsed.summary["diagonalizable"]:
-            _add_components(report, dims, [(w, homology_dims(bc_total(cmixed, md), md - 1))
-                                           for w, _, cmixed in build_mixed_components(mono, md)])
-        else:
-            report.setdefault("refusals", []).append("--decompose needs verified collapse and diagonal alpha")
-    if args.oracle and md < 2:
-        report.setdefault("refusals", []).append(f"--oracle: the oracle window 0..{md - 2} has no degree")
-    elif args.oracle:
+    report = _report("hc", parsed, md, dims)
+    if (_asked(report, args.closed_form, "--closed-form", md - 1)
+            and _diagonal_collapse(report, parsed, "--closed-form")):
+        cf = hc_closed_form(mono, md - 1)
+        _compare(report, "closed_form_proof_reading", "closed form (cycle-condition reading)",
+                 cf["proof_reading"], cf["proof_reading"] == dims)
+        report["modes"]["closed_form_displayed_reading"] = cf["displayed_reading"]
+        report["exponent_note"] = (
+            "odd-degree numerator uses lam*lam_n^(m+1) (the cycle condition); "
+            f"the displayed exponent m diverges at degrees {cf['disagree_degrees']}"
+            if cf["disagree_degrees"]
+            else "both exponent readings agree on this fixture"
+        )
+        case = parsed.summary.get("rank_one_case")
+        if case:
+            r1 = hc_rank_one(mono, case, md - 1)
+            _compare(report, "closed_form_rank_one", f"rank-one closed form ({case})", r1, r1 == dims)
+    if _asked(report, args.decompose, "--decompose", md - 1):
+        _add_components(report, parsed, dims, lambda: [(w, homology_dims(bc_total(cmixed, md), md - 1))
+                                                       for w, _, cmixed in build_mixed_components(mono, md)])
+    if _asked(report, args.oracle, "--oracle", md - 2, "the oracle window"):
         bar = ws.bar(md)
         barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
-        report["modes"]["oracle"] = oracle
-        report["comparisons"].append(
-            {"against": "normalized-complex oracle (degrees 0..{})".format(md - 2),
-             "agrees": oracle == dims[:md - 1]}
-        )
-    if _is_dihedral_example(mono):
-        report["audit"] = _dihedral_audit(mono, dims, cyclic=True)
-    print(_render(report, args.json))
-    return 0
+        _compare(report, "oracle", f"normalized-complex oracle (degrees 0..{md - 2})", oracle, oracle == dims[:md - 1])
+    return _finish(report, mono, dims, args.json, cyclic=True)
 
 
 def cmd_verify(args):

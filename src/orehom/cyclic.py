@@ -133,7 +133,7 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
     return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 
-def build_mixed(ws, max_degree=6):
+def build_mixed(ws, max_degree):
     """The mixed complex (C^S, d, D) on the C^S of the workspace ``ws``
     (M = A), degrees <= max_degree; d.d = 0 was checked as C^S was built."""
     cs = ws.cs(max_degree)
@@ -141,7 +141,7 @@ def build_mixed(ws, max_degree=6):
     return MixedComplexData(ChainComplex(cs.field, cs.spaces[:max_degree + 1], cs.boundaries, check=False), D)
 
 
-def build_mixed_components(mono, max_degree=6):
+def build_mixed_components(mono, max_degree):
     """Eigencomponent mixed complexes [(w, idxs, MixedComplexData)]."""
     out = []
     for w, idxs, comp in decompose(mono, max_degree):
@@ -243,7 +243,7 @@ def bc_total(mixed, max_N):
     return BCTotal(mixed, max_N).complex
 
 
-def hc(ws, max_degree=6):
+def hc(ws, max_degree):
     """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A, from the C^S
     of the workspace ``ws`` (M = A)."""
     return homology_dims(bc_total(build_mixed(ws, max_degree), max_degree), max_degree - 1)

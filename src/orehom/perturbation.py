@@ -181,7 +181,7 @@ def build_cyclic_retract(ws, max_N=5):
     return retract, delta, (Yside, Xside)
 
 
-def vanishing_check(ws, j_max=2, r_max=3):
+def vanishing_check(ws, j_max, r_max):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
     Evaluated through the normalized complex of the workspace ``ws``: each

@@ -190,7 +190,7 @@ def component_quotient(mono, j, idxs):
                 lambda: subquotient(mono.field, len(idxs), component_commutator_span(mono, i, idxs)))
 
 
-def decompose(mono, max_degree=6):
+def decompose(mono, max_degree):
     """Per-eigenvalue collapsed complexes [(eigenvalue, basis idxs, complex)].
 
     Each is ``collapsed_complex`` on its component, whose boundaries equal

@@ -97,8 +97,8 @@ def _decode_map(field, obj, dim, path):
 
 # -- group table builders -----------------------------------------------------
 
-def cyclic_group(m, gen="g"):
-    labels = ["e"] + [gen if j == 1 else f"{gen}{j}" for j in range(1, m)]
+def cyclic_group(m):
+    labels = ["e"] + ["g" if j == 1 else f"g{j}" for j in range(1, m)]
     table = [[labels[(i + j) % m] for j in range(m)] for i in range(m)]
     return labels, table
 

@@ -1,4 +1,7 @@
+import collections
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -6,10 +9,12 @@ import bar_reference as ref
 from orehom.algebra import BimoduleData, regular_bimodule, twisted_commutator_subspace
 from orehom.bar import (
     BarComplex,
+    BarResolution,
     BarResSpace,
     BarSpace,
     middle_tuples,
 )
+from orehom.cli import main
 from orehom.complexes import homology_dims
 from orehom.linalg import ColMap, relation_holds, subquotient
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
@@ -452,3 +457,26 @@ def test_columns_read_in_any_order_agree(name):
     forward = _bar_side_maps(Workspace(parsed.mono, parsed.bimodule), 6)
     for label, r, m in forward:
         assert [m.cols[j] for j in range(m.ncols)] == got[label, r], (label, r)
+
+
+def test_generator_values_are_built_once_per_argument(capsys):
+    # phi', psi' and the induced phi, psi read one kept generator value:
+    # on taft:3 a second build each gave 105 psi_tuple builds for 70
+    # arguments and 13 phi_generator builds for 7
+    codes = {inspect.unwrap(getattr(BarResolution, name)).__code__: name
+             for name in ("phi_generator", "psi_tuple", "_bprime_generator")}
+    builds = collections.Counter()
+
+    def count(frame, event, _):
+        if event == "call" and frame.f_code in codes:
+            builds[codes[frame.f_code], frame.f_locals["r"], frame.f_locals.get("t")] += 1
+
+    sys.setprofile(count)
+    try:
+        code = main(["verify", "--spec", "taft:3", "--max-degree", "6"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert {name for name, _, _ in builds} == set(codes.values())
+    assert {key: n for key, n in builds.items() if n > 1} == {}

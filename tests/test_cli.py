@@ -836,3 +836,101 @@ def test_verify_fails_on_a_corrupted_perturbed_inclusion(capsys, monkeypatch):
     checks = _checks(rep)
     assert checks["perturbed retract identities"] is False
     assert checks["transfer retract identities"] is True
+
+
+def _reports(monkeypatch):
+    """The report dicts that ``main`` renders, in insertion order."""
+    seen = []
+    monkeypatch.setattr(cli, "_render", lambda report, as_json: seen.append(report) or "")
+    return seen
+
+
+def _every_flag(cmd, spec, md):
+    flags = ["--closed-form", "--decompose", "--oracle"] + (["--basis"] if cmd == "hh" else [])
+    return [cmd, "--spec", spec, "--max-degree", str(md), *flags]
+
+
+def _shape(report):
+    """The keys after ``comparisons``, the modes and the comparisons' subjects, in order."""
+    keys = list(report)
+    return (keys[keys.index("comparisons") + 1:], list(report["modes"]),
+            [c["against"] for c in report["comparisons"]], report.get("refusals", []))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "trunc:3", "rank1:c4"])
+@pytest.mark.parametrize("cmd, refusals", [
+    ("hh", ["--decompose: the window 0..-1 has no degree", "--closed-form: the window 0..-1 has no degree",
+            "--oracle: the oracle window 0..-1 has no degree"]),
+    ("hc", ["--closed-form: the window 0..-1 has no degree", "--decompose: the window 0..-1 has no degree",
+            "--oracle: the oracle window 0..-2 has no degree"]),
+])
+def test_every_flag_over_the_empty_window_is_refused_in_order(capsys, monkeypatch, spec, cmd, refusals):
+    reports = _reports(monkeypatch)
+    assert main(_every_flag(cmd, spec, 0)) == 0
+    audit = ["audit"] if spec == "dihedral:3" else []
+    sections = (["representatives"] if cmd == "hh" else []) + ["refusals"] + audit
+    assert _shape(reports[0]) == (sections, ["generic"], [], refusals)
+
+
+NO_FORM = "--closed-form: no closed form has its hypothesis verified"
+RANK_ONE = "rank-one closed form (xi!=0, chi^n=id)"
+
+
+@pytest.mark.parametrize("spec, cmd, md, shape", [
+    ("dihedral:3", "hh", 1, (["representatives", "refusals", "audit"], ["generic", "oracle"],
+                             ["normalized-complex oracle"],
+                             ["--decompose needs verified collapse and diagonal alpha", NO_FORM])),
+    ("trunc:3", "hh", 1, (["representatives", "refusals"], ["generic", "closed_form_alpha_identity", "oracle"],
+                          ["closed form (alpha = id)", "normalized-complex oracle"],
+                          ["--decompose needs verified collapse and diagonal alpha"])),
+    ("rank1:c4", "hh", 1, (["representatives"], ["generic", "per_component", "closed_form_collapsed",
+                                                 "closed_form_eigen", "closed_form_rank_one", "oracle"],
+                           ["component sum", "closed form (collapse)", "closed form (eigencomponents)", RANK_ONE,
+                            "normalized-complex oracle"], [])),
+    ("dihedral:3", "hc", 1, (["refusals", "audit"], ["generic"], [],
+                             ["--closed-form needs verified collapse and diagonal alpha",
+                              "--decompose needs verified collapse and diagonal alpha",
+                              "--oracle: the oracle window 0..-1 has no degree"])),
+    ("trunc:3", "hc", 2, (["refusals"], ["generic", "oracle"], ["normalized-complex oracle (degrees 0..0)"],
+                          ["--closed-form needs verified collapse and diagonal alpha",
+                           "--decompose needs verified collapse and diagonal alpha"])),
+    ("rank1:c4", "hc", 1, (["exponent_note", "refusals"],
+                           ["generic", "closed_form_proof_reading", "closed_form_displayed_reading",
+                            "closed_form_rank_one", "per_component"],
+                           ["closed form (cycle-condition reading)", RANK_ONE, "component sum"],
+                           ["--oracle: the oracle window 0..-1 has no degree"])),
+    ("rank1:c4", "hc", 2, (["exponent_note"],
+                           ["generic", "closed_form_proof_reading", "closed_form_displayed_reading",
+                            "closed_form_rank_one", "per_component", "oracle"],
+                           ["closed form (cycle-condition reading)", RANK_ONE, "component sum",
+                            "normalized-complex oracle (degrees 0..0)"], [])),
+])
+def test_every_flag_gives_its_comparisons_and_refusals_in_order(capsys, monkeypatch, spec, cmd, md, shape):
+    # text mode prints keys in insertion order, so the order is pinned too
+    reports = _reports(monkeypatch)
+    assert main(_every_flag(cmd, spec, md)) == 0
+    assert _shape(reports[0]) == shape
+    assert all(c["agrees"] for c in reports[0]["comparisons"])
+
+
+@pytest.mark.parametrize("spec, failing, kept", [
+    ("trunc:3", "alpha_identity", []),
+    ("rank1:c4", "collapsed", []),
+    ("rank1:c4", "eigen", ["closed_form_collapsed"]),
+])
+def test_a_closed_form_hypothesis_error_is_refused_twice(capsys, monkeypatch, spec, failing, kept):
+    # the error's text, then the flag; the forms compared before it stay
+    real = cli.hh_closed_form
+
+    def closed_form(mono, kind, top):
+        if kind == failing:
+            raise cli.HypothesisError(f"{kind}: hypothesis fails")
+        return real(mono, kind, top)
+
+    monkeypatch.setattr(cli, "hh_closed_form", closed_form)
+    reports = _reports(monkeypatch)
+    assert main(["hh", "--spec", spec, "--max-degree", "3", "--closed-form"]) == 0
+    report = reports[0]
+    assert report["refusals"] == [f"{failing}: hypothesis fails", NO_FORM]
+    assert list(report["modes"]) == ["generic", *kept]
+    assert len(report["comparisons"]) == len(kept)

@@ -19,9 +19,10 @@ by one function over a set of K-basis indices for all of K (in
 (``connes_D_component`` is gone, and every restriction to component
 coordinates is one ``component_terms``), the rank-one case names are
 validated in one place, every closed form reaches elimination through a
-kept quotient space (``colon_dim``), and every definition under src/ is
+kept quotient space (``colon_dim``), every definition under src/ is
 reached from the command line (what only the tests read lives in the
-tests)."""
+tests), and the refusals and comparisons of an ``hh``/``hc`` report each
+have one writer in ``cli.py``."""
 
 import ast
 from fractions import Fraction
@@ -546,3 +547,22 @@ def test_rational_elimination_stays_exact(rows, x):
     assert ech.row_at == ref.row_at
     cols = [sparse(col) for col in zip(*rows)]
     assert sparse_rank(cols) == ech.dim == ref.dim
+
+
+def test_each_report_entry_of_the_cli_has_one_writer():
+    # a refusal is written by ``_refuse`` and a comparison by ``_compare``:
+    # the report head names ``comparisons`` once, to start the list empty
+    cli_tree = _tree(ROOT / "src" / "orehom" / "cli.py")
+    naming, appending = {}, set()
+    for func in cli_tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Constant) and node.value in ("refusals", "comparisons"):
+                naming.setdefault(node.value, set()).add(func.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and any(isinstance(n, ast.Constant) and n.value == "comparisons"
+                            for n in ast.walk(node.func.value))):
+                appending.add(func.name)
+    assert naming == {"refusals": {"_refuse"}, "comparisons": {"_report", "_compare"}}
+    assert appending == {"_compare"}
