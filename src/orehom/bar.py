@@ -1,17 +1,21 @@
 """The canonical complexes for A = K[x,a]/(f): oracle and identity laboratory.
 
-Three levels of complexes live here.
+Two complexes live here.
 
-* ``ResolutionComplex``: the spaces of the small bimodule resolution,
-  A (x) A twisted by powers of alpha.
 * ``BarResolution``: the normalized relative bar resolution
   A (x) Abar^r (x) A with b', the comparison maps phi'/psi' into and out of
-  the twisted resolution, and the recursive homotopy omega'.
+  the spaces of the small bimodule resolution (A (x) A twisted by powers of
+  alpha), and the recursive homotopy omega'.
 * ``BarComplex``: the normalized chain complex M (x) Abar^r (x) with the
   Hochschild boundary b and the cyclic operator B (for M = A); with
   ``InducedComparison``, the maps phi/psi/omega induced on coefficients.
   Its homology is the brute-force oracle every small-complex computation
   is checked against.
+
+Each level is a ``memo`` method of its owner (``BarComplex.space``,
+``BarResolution.space`` and ``res_space``): a level is built the first time
+a map or a reader asks for it, so no window is passed in and no level is
+built that nothing reads.
 
 Tensors are kept in the normal form inherited from the left K-basis
 {1, x, .., x^(n-1)}: coefficients are pushed to the leftmost factor through
@@ -37,11 +41,12 @@ source block's list of faces (target offset, operator, coefficient) once
 per map and block, so a column is a sum of kept columns times scalars.
 
 Every kept value is kept the way ``algebra`` keeps its own: through ``memo``
-a map per level, each generator value of b', phi', psi' and omega' (read by
-a resolution map and by the map it induces on coefficients) and, once per
-algebra, each ``merged_slot`` (read by b' and b); through ``kept`` a face
-operator per (key, twist class); and the tuples of a level, with the index
-of each, once per algebra, so that both complexes read one table.
+a space and a map per level, each generator value of b', phi', psi' and
+omega' (read by a resolution map and by the map it induces on coefficients)
+and, once per algebra, each ``merged_slot`` (read by b' and b); through
+``kept`` a face operator per (key, twist class); and the tuples of a level,
+with the index of each, once per algebra, so that both complexes read one
+table.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .algebra import commutator_quotient, kept, memo
 from .algebra import twisted_commutator_subspace  # noqa: F401
 from .complexes import ChainComplex
 from .linalg import ColMap, SubquotientSpace, add_term, sub_terms
-from .small_complex import cs_twist
+from .small_complex import cs_space, cs_twist
 
 
 def _add_at(acc, base, items, negative=False):
@@ -122,7 +127,6 @@ class BarSpace:
         self.mono = mono
         self.field = mono.field
         self.M = M
-        self.r = r
         self.tuples, self.tuple_index = level_tuples(mono, r)
         self.block = M.dim
         self.ambient_dim = len(self.tuples) * M.dim
@@ -160,31 +164,19 @@ class BarSpace:
 
 
 class BarComplex:
-    """The normalized relative chain complex of A with coefficients in M.
+    """The normalized relative chain complex of A with coefficients in M,
+    each level built on its first read."""
 
-    ``grow`` extends it level by level in place; b_r and B_r read only
-    levels up to r + 1, so kept maps stay valid.
-    """
-
-    def __init__(self, mono, M, max_r):
+    def __init__(self, mono, M):
         self.mono = mono
         self.M = M
-        self.spaces = []
-        self.grow(max_r)
 
-    @property
-    def max_r(self):
-        return len(self.spaces) - 1
-
-    def grow(self, max_r):
-        while len(self.spaces) <= max_r:
-            self.spaces.append(BarSpace(self.mono, self.M, len(self.spaces)))
-
+    @memo
     def space(self, r):
-        return self.spaces[r]
+        return BarSpace(self.mono, self.M, r)
 
     def dim(self, r):
-        return self.spaces[r].quotient_dim
+        return self.space(r).quotient_dim
 
     def _face(self, key, tsum, act, size=None):
         """The face operator ``act`` (basis index -> ambient terms of one
@@ -227,7 +219,7 @@ class BarComplex:
 
     def _b_faces(self, r, t):
         """The faces of b_r on m (x) x^{t_1} (x) ..., in the order 0..r."""
-        M, mono, tgt, total = self.M, self.mono, self.spaces[r - 1], sum(t)
+        M, mono, tgt, total = self.M, self.mono, self.space(r - 1), sum(t)
         one = mono.field.one
         # face 0: multiply m by x^{i_1} on the right
         faces = [(tgt.offset(t[1:]), self._face(("xr", t[0]), total - t[0],
@@ -246,11 +238,10 @@ class BarComplex:
     @memo
     def b(self, r):
         """Boundary b_r in quotient coordinates."""
-        src = self.spaces[r]
+        src = self.space(r)
         return self._face_map(src, self.dim(r - 1), lambda ti, _: self._b_faces(r, src.tuples[ti]), lambda m: (None, m))
 
-    def chain_complex(self, max_r=None):
-        max_r = self.max_r if max_r is None else max_r
+    def chain_complex(self, max_r):
         return ChainComplex(
             self.mono.field,
             [self.space(r) for r in range(max_r + 1)],
@@ -263,7 +254,7 @@ class BarComplex:
         cyclic position and kappa is pulled through the tail it crosses."""
         if not i0:
             return []
-        mono, tgt = self.mono, self.spaces[r + 1]
+        mono, tgt = self.mono, self.space(r + 1)
         faces = []
         for i in range(r + 1):
             tail, head = (t[i - 1:], t[:i - 1]) if i else ((), t)
@@ -276,7 +267,7 @@ class BarComplex:
     def connes_B(self, r):
         if not self.M.is_regular:
             raise ValueError("the cyclic operator needs coefficients M = A")
-        src = self.spaces[r]
+        src = self.space(r)
         return self._face_map(src, self.dim(r + 1), lambda ti, i0: self._B_faces(r, src.tuples[ti], i0),
                               lambda m: divmod(m, self.mono.base.dim))
 
@@ -349,27 +340,9 @@ class ResolutionSpace(_TensorBlocks):
 
     def __init__(self, mono, r):
         self.mono = mono
-        self.r = r
         self.twist = cs_twist(mono.n, r)
         self.dim = mono.dim * mono.n
         self.overflow = [mono.x_overflow(self.twist)]
-
-
-class ResolutionComplex:
-    """The spaces of the twisted two-periodic resolution, one per level;
-    phi' and psi' compare them with the bar resolution."""
-
-    def __init__(self, mono, max_r):
-        self.mono = mono
-        self.spaces = []
-        self.grow(max_r)
-
-    def grow(self, max_r):
-        while len(self.spaces) <= max_r:
-            self.spaces.append(ResolutionSpace(self.mono, len(self.spaces)))
-
-    def dim(self, r):
-        return self.spaces[r].dim
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +354,6 @@ class BarResSpace(_TensorBlocks):
 
     def __init__(self, mono, r):
         self.mono = mono
-        self.r = r
         self.n = mono.n
         self.dimK = mono.base.dim
         self.tuples, self.tuple_index = level_tuples(mono, r)
@@ -414,26 +386,24 @@ class BarResSpace(_TensorBlocks):
 
 
 class BarResolution:
-    """Normalized bar resolution with b', comparison maps and the homotopy.
+    """Normalized bar resolution with b', comparison maps and the homotopy;
+    ``space(r)`` is its level r and ``res_space(r)`` the level r of the
+    twisted two-periodic resolution that phi' and psi' compare it with, each
+    built on its first read."""
 
-    ``grow`` extends it, with its twisted resolution, level by level in
-    place; b'_r, phi'_r, psi'_r and omega'_r read only levels up to r, so
-    kept maps stay valid.
-    """
-
-    def __init__(self, mono, max_r):
+    def __init__(self, mono):
         self.mono = mono
-        self.spaces = []
-        self.resolution = ResolutionComplex(mono, max_r)
-        self.grow(max_r)
 
-    def grow(self, max_r):
-        self.resolution.grow(max_r)
-        while len(self.spaces) <= max_r:
-            self.spaces.append(BarResSpace(self.mono, len(self.spaces)))
+    @memo
+    def space(self, r):
+        return BarResSpace(self.mono, r)
+
+    @memo
+    def res_space(self, r):
+        return ResolutionSpace(self.mono, r)
 
     def dim(self, r):
-        return self.spaces[r].dim
+        return self.space(r).dim
 
     # -- b' --------------------------------------------------------------------
 
@@ -445,7 +415,7 @@ class BarResolution:
         the right factor (t_r < n, so nothing overflows); the middle face i
         reads the merged slot x^{t_i + t_{i+1}} (``merged_slot``).
         """
-        mono, tgt = self.mono, self.spaces[r - 1]
+        mono, tgt = self.mono, self.space(r - 1)
         unit = mono.base.unit
         gen = {}
         _add_at(gen, tgt.offset(t[1:], 0) + t[0] * mono.base.dim, unit.items())
@@ -458,8 +428,8 @@ class BarResolution:
     @memo
     def bprime(self, r):
         """b'_r: level r -> level r-1, the bimodule extension of its generator values."""
-        src = self.spaces[r]
-        return src.generated_map(lambda b: self._bprime_generator(r, src.tuples[b]), self.spaces[r - 1])
+        src = self.space(r)
+        return src.generated_map(lambda b: self._bprime_generator(r, src.tuples[b]), self.space(r - 1))
 
     # -- comparison maps ----------------------------------------------------------
 
@@ -467,7 +437,7 @@ class BarResolution:
     def phi_generator(self, r):
         """phi'_r(1 (x) 1) as a term dict at level r: terms lam x^e (x) [mid]
         from the expansion of f in every second middle slot."""
-        mono, sp = self.mono, self.spaces[r]
+        mono, sp = self.mono, self.space(r)
         m, odd = divmod(r, 2)
         acc = {}
         # an i of 1 gives an empty l-range 1 <= l < i
@@ -485,7 +455,7 @@ class BarResolution:
     @memo
     def phi(self, r):
         """phi'_r: twisted resolution -> bar resolution."""
-        return self.resolution.spaces[r].generated_map(lambda b: self.phi_generator(r), self.spaces[r])
+        return self.res_space(r).generated_map(lambda b: self.phi_generator(r), self.space(r))
 
     @memo
     def _quotient_product(self, sums):
@@ -514,15 +484,14 @@ class BarResolution:
     @memo
     def psi(self, r):
         """psi'_r: bar resolution -> twisted resolution."""
-        bsp = self.spaces[r]
-        return bsp.generated_map(lambda b: self.psi_tuple(r, bsp.tuples[b]), self.resolution.spaces[r])
+        bsp = self.space(r)
+        return bsp.generated_map(lambda b: self.psi_tuple(r, bsp.tuples[b]), self.res_space(r))
 
     # -- homotopy -------------------------------------------------------------------
 
     def _shift(self, r, terms):
         """(..) (x) 1: move the right A-factor into an Abar slot, append 1."""
-        tgt = self.spaces[r + 1]
-        src = self.spaces[r]
+        tgt, src = self.space(r + 1), self.space(r)
         out = {}
         for idx, c in terms.items():
             kappa, i0, t, q = src.unflat(idx)
@@ -545,7 +514,7 @@ class BarResolution:
         if r == 1:
             return {}
         rr = r - 1
-        src = self.spaces[rr]
+        src = self.space(rr)
         gen = {}
         for kappa, c in self.mono.base.unit.items():
             add_term(gen, src.flat(kappa, 0, t, 0), c)
@@ -564,8 +533,8 @@ class BarResolution:
         what makes the coefficient-level transfer via m (x)_{A^e} -
         legitimate.
         """
-        src = self.spaces[r - 1]
-        return src.generated_map(lambda b: self.omega_generator(r, src.tuples[b]), self.spaces[r])
+        src = self.space(r - 1)
+        return src.generated_map(lambda b: self.omega_generator(r, src.tuples[b]), self.space(r))
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +551,13 @@ class InducedComparison:
     every lam_i (``validate_monogenic``), so lam x^e = x^e lam and
     lam (m x^e) - (m x^e) alpha^s(lam) is a twisted commutator of every block.
 
-    Reads the ``BarComplex`` ``bar`` and the small complex ``cs`` in place
-    too; ``Workspace.comparison`` grows all three.  All maps are returned in
-    quotient coordinates, and kept maps stay valid as the inputs grow.
+    The levels of ``bar`` are its own and a level of C^S is its
+    ``cs_space``, so no complex is grown for them.  All maps are returned
+    in quotient coordinates.
     """
 
-    def __init__(self, bar, cs, barres):
+    def __init__(self, bar, barres):
         self.bar = bar
-        self.cs = cs
         self.barres = barres
 
     def _induced(self, src, tgt, generator, twist=None):
@@ -619,16 +587,16 @@ class InducedComparison:
 
     @memo
     def phi(self, r):
-        return self._induced(self.cs.spaces[r], self.bar.spaces[r], lambda ti: self.barres.phi_generator(r))
+        return self._induced(cs_space(self.bar.M, r), self.bar.space(r), lambda ti: self.barres.phi_generator(r))
 
     @memo
     def psi(self, r):
-        src = self.bar.spaces[r]
-        return self._induced(src, self.cs.spaces[r], lambda ti: self.barres.psi_tuple(r, src.tuples[ti]),
+        src = self.bar.space(r)
+        return self._induced(src, cs_space(self.bar.M, r), lambda ti: self.barres.psi_tuple(r, src.tuples[ti]),
                              cs_twist(self.bar.mono.n, r))
 
     @memo
     def omega(self, r):
         """omega_{r+1}: bar level r -> bar level r+1 (key r)."""
-        src = self.bar.spaces[r]
-        return self._induced(src, self.bar.spaces[r + 1], lambda ti: self.barres.omega_generator(r + 1, src.tuples[ti]))
+        src = self.bar.space(r)
+        return self._induced(src, self.bar.space(r + 1), lambda ti: self.barres.omega_generator(r + 1, src.tuples[ti]))

@@ -282,7 +282,7 @@ def cmd_hh(args):
     if _asked(report, args.closed_form, "--closed-form", md - 1):
         _hh_closed_forms(report, parsed, dims, md - 1)
     if _asked(report, args.oracle, "--oracle", md - 1, "the oracle window"):
-        bar_dims = homology_dims(ws.bar(md).chain_complex(), md - 1)
+        bar_dims = homology_dims(ws.bar().chain_complex(md), md - 1)
         _compare(report, "oracle", "normalized-complex oracle", bar_dims, bar_dims == dims)
     return _finish(report, mono, dims, args.json)
 
@@ -316,7 +316,7 @@ def cmd_hc(args):
         _add_components(report, parsed, dims, lambda: [(w, homology_dims(bc_total(cmixed, md), md - 1))
                                                        for w, _, cmixed in build_mixed_components(mono, md)])
     if _asked(report, args.oracle, "--oracle", md - 2, "the oracle window"):
-        bar = ws.bar(md)
+        bar = ws.bar()
         barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
         _compare(report, "oracle", f"normalized-complex oracle (degrees 0..{md - 2})", oracle, oracle == dims[:md - 1])
@@ -339,8 +339,8 @@ def cmd_verify(args):
 
     ws = Workspace(mono, M)
     cs = ws.cs(md)
-    bar = ws.bar(md)
-    bar.chain_complex()
+    bar = ws.bar()
+    bar.chain_complex(md)
     # d.d, b.b and the mixed identities are tested in degrees 2..md as each
     # complex is built: a failure raises ComplexError
     if md >= 2:
@@ -352,10 +352,10 @@ def cmd_verify(args):
               lambda r: relation_holds(bar.dim(r), [(1, [B(r + 1), B(r)])]))
         check("bB + Bb = 0", range(md - 1), f"degrees <= {md - 1}",
               lambda r: relation_holds(bar.dim(r), anticommutator_terms(b, B, r)))
-    barres = ws.barres(md)
+    barres = ws.barres()
     check("psi'phi' = id", range(md + 1), f"degrees <= {md}",
-          lambda r: relation_holds(barres.resolution.dim(r), [(1, [barres.psi(r), barres.phi(r)]), (-1, [])]))
-    cmp_ = ws.comparison(md)
+          lambda r: relation_holds(barres.res_space(r).dim, [(1, [barres.psi(r), barres.phi(r)]), (-1, [])]))
+    cmp_ = ws.comparison()
     check("psi phi = id", range(md), f"degrees < {md}",
           lambda r: relation_holds(cs.dim(r), [(1, [cmp_.psi(r), cmp_.phi(r)]), (-1, [])]))
     om = barres.omega  # omega'(r + 1) leaves level r
@@ -369,7 +369,7 @@ def cmd_verify(args):
         one = mono.field.one
 
         def degree_bounded(r):
-            omega, sp, spt = om(r + 1), barres.spaces[r], barres.spaces[r + 1]
+            omega, sp, spt = om(r + 1), barres.space(r), barres.space(r + 1)
             return all(spt.element_degree(omega.cols[idx]) <= sp.element_degree({idx: one})
                        for idx in range(sp.dim))
 

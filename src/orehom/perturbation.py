@@ -13,7 +13,8 @@ with (d + delta)^2 = 0 and delta*h locally nilpotent, the transferred data
     D  = sum_j (delta h)^j delta,
 
 kept as sums of chains, is again a deformation retract onto (X, d + delta),
-special if the input was; ``verify_perturbed`` runs the retract checks on it.
+special if the input was; ``verify_perturbed`` runs the retract checks on it
+in the degrees below the input's top, where every perturbed map is defined.
 
 The use this package makes of it: X is the total complex of the double
 complex of (bar, b, 0), Y the one of (C^S, d, 0), i/p/h the blockwise
@@ -25,7 +26,7 @@ column blocks vanishing identically.
 
 from __future__ import annotations
 
-from .algebra import kept
+from .algebra import memo
 from .complexes import ChainComplex
 from .cyclic import BCTotal, MixedComplexData
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
@@ -52,9 +53,9 @@ class DeformationRetract:
         self.h = h
         self.max_degree = min(Y.max_degree, X.max_degree)
 
-    def verify(self, up_to=None):
-        """Retract identities in degrees <= up_to; returns a report dict."""
-        top = self.max_degree if up_to is None else up_to
+    def verify(self):
+        """Retract identities in degrees <= max_degree; returns a report dict."""
+        top = self.max_degree
         X, Y, i, p, h = self.X, self.Y, self.incl, self.proj, self.h
         dX, dY = X.boundary, Y.boundary
         return {
@@ -66,9 +67,9 @@ class DeformationRetract:
             "homotopy": all(relation_holds(X.dim(r), homotopy_terms(dX, h.get, i.get, p.get, r)) for r in range(top)),
         }
 
-    def special(self, up_to=None):
-        """The side conditions h h = p h = h i = 0 below up_to; a report dict."""
-        top = (self.max_degree if up_to is None else up_to) - 1
+    def special(self):
+        """The side conditions h h = p h = h i = 0 below max_degree; a report dict."""
+        top = self.max_degree - 1
         X, Y, h = self.X, self.Y, self.h
         return {
             "h h = 0": all(relation_holds(X.dim(r), [(1, [h[r + 1], h[r]])]) for r in range(top)),
@@ -76,20 +77,22 @@ class DeformationRetract:
             "h i = 0": all(relation_holds(Y.dim(r), [(1, [h[r], self.incl[r]])]) for r in range(top + 1)),
         }
 
-    def is_special(self, up_to=None):
-        """Whether ``special`` holds below up_to, kept per window for every reader."""
-        top = self.max_degree if up_to is None else up_to
-        return kept(self, (DeformationRetract.is_special, top), lambda: all(self.special(top).values()))
+    @memo
+    def is_special(self):
+        """Whether ``special`` holds, kept for every reader."""
+        return all(self.special().values())
 
 
 class PerturbedRetract(DeformationRetract):
     """(Y, d_Y + pDi) <- (X, d + delta) with i1, p1 and h1; ``base`` is the
-    retract it was transferred from and ``transferred`` the pDi part alone."""
+    retract it was transferred from and ``transferred`` the pDi part alone.
+    p1 and h1 read Delta one degree up, so every map is defined below the
+    top degree of ``base``, which is ``max_degree`` here."""
 
-    def __init__(self, base, delta, transferred, *retract):
+    def __init__(self, base, transferred, *retract):
         super().__init__(*retract)
-        self.base, self.delta, self.transferred = base, delta, transferred
-        self.Y1, self.incl1, self.proj1, self.h1 = self.Y, self.incl, self.proj, self.h
+        self.base, self.transferred = base, transferred
+        self.max_degree = base.max_degree - 1
 
 
 def perturb(retract, delta):
@@ -133,7 +136,7 @@ def perturb(retract, delta):
     for r in range(2, top + 1):
         if not relation_holds(Y.dim(r), [(1, [d1[r - 1], d1[r]])]):
             raise PerturbationError(f"perturbed differential does not square to zero at {r}")
-    return PerturbedRetract(retract, delta, transferred, ChainComplex(field, Y.spaces, d1, check=False),
+    return PerturbedRetract(retract, transferred, ChainComplex(field, Y.spaces, d1, check=False),
                             ChainComplex(field, X.spaces, dX, check=False), incl1, proj1, h1)
 
 
@@ -142,13 +145,12 @@ _PERTURBED_NAMES = {"pi=id": "p1 i1 = id", "i chain": "i1 chain", "p chain": "p1
                     "h h = 0": "h1 h1 = 0", "p h = 0": "p1 h1 = 0", "h i = 0": "h1 i1 = 0"}
 
 
-def verify_perturbed(pert, up_to=None):
-    """The homotopy-equivalence (and special) identities for the output, in
-    the degrees where every map they read is defined: below ``up_to``."""
-    top = (pert.base.max_degree if up_to is None else up_to) - 1
-    report = pert.verify(up_to=top)
-    if pert.base.is_special(up_to=top + 1):
-        report.update(pert.special(up_to=top))
+def verify_perturbed(pert):
+    """The homotopy-equivalence (and, if the input was special, special)
+    identities for the output, in the degrees where its maps are defined."""
+    report = pert.verify()
+    if pert.base.is_special():
+        report.update(pert.special())
     return {_PERTURBED_NAMES[key]: ok for key, ok in report.items()}
 
 
@@ -162,14 +164,14 @@ def _total(field, spaces, boundaries, max_N):
 def build_cyclic_retract(ws, max_N=5):
     """The (Tot BC(C^S) <- Tot BC(bar)) special retract plus the cyclic delta.
 
-    Takes the complexes and comparison maps of the workspace ``ws`` (grown
-    to ``max_N``) and returns (retract, delta, (Yside, Xside)) ready for
+    Takes the complexes and comparison maps of the workspace ``ws`` (C^S
+    grown to ``max_N``) and returns (retract, delta, (Yside, Xside)) ready for
     ``perturb``, the sides being ``BCTotal``s; needs M = A for the cyclic
     operator.
     """
     field = ws.mono.field
-    cs, bar, comparison = ws.cs(max_N), ws.bar(max_N), ws.comparison(max_N)
-    Xside = _total(field, bar.spaces, {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
+    cs, bar, comparison = ws.cs(max_N), ws.bar(), ws.comparison()
+    Xside = _total(field, [bar.space(r) for r in range(max_N + 1)], {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
     Yside = _total(field, cs.spaces, cs.boundaries, max_N)
     incl = Yside.blockwise({r: comparison.phi(r) for r in range(max_N + 1)}, Xside, max_N)
     proj = Xside.blockwise({r: comparison.psi(r) for r in range(max_N + 1)}, Yside, max_N)
@@ -188,12 +190,9 @@ def vanishing_check(ws, j_max, r_max):
     column of phi is pushed through B, then omega and B j times, and psi
     tests it, so only the columns of the higher maps that the images of the
     phi columns reach are built, and no composed map is kept.  The report
-    maps (j, r) to a boolean.  Needs bar and C^S data up to level
-    r_max + 2 j_max + 1, to which the workspace grows (its kept maps stay
-    valid).
+    maps (j, r) to a boolean.
     """
-    top = r_max + 2 * j_max + 1
-    bar, comparison = ws.bar(top), ws.comparison(top)
+    bar, comparison = ws.bar(), ws.comparison()
     report = {}
     for r in range(0, r_max + 1):
         phi, B = comparison.phi(r), bar.connes_B(r)

@@ -60,6 +60,12 @@ def cs_twist(n, r):
     return m * n + (1 if odd else 0)
 
 
+def cs_space(M, r):
+    """C^S_r(A, M): the quotient M/[M,K]_{alpha^j}, j = cs_twist(n, r), that
+    ``commutator_quotient`` keeps on M; C^S and the comparison maps read it."""
+    return commutator_quotient(M, cs_twist(M.mono.n, r))
+
+
 def _boundary_terms(mono, M, r, terms):
     """The boundary formula applied to an M-term dict at degree r."""
     if r % 2 == 1:
@@ -101,7 +107,7 @@ class SmallComplex(ChainComplex):
     """
 
     def __init__(self, mono, M, max_degree):
-        super().__init__(mono.field, [commutator_quotient(M, 0)], {})
+        super().__init__(mono.field, [cs_space(M, 0)], {})
         self.mono = mono
         self.M = M
         self._shared = {}
@@ -112,8 +118,7 @@ class SmallComplex(ChainComplex):
 
     def grow(self, max_degree):
         lo = self.max_degree + 1
-        spaces = self.spaces + [commutator_quotient(self.M, cs_twist(self.mono.n, r))
-                                for r in range(lo, max_degree + 1)]
+        spaces = self.spaces + [cs_space(self.M, r) for r in range(lo, max_degree + 1)]
         for r, d in _periodic_boundaries(self.field, spaces, lo, self._image, self._shared).items():
             self.append(spaces[r], d)
 

@@ -2,10 +2,11 @@
 
 A ``Workspace`` holds, for A = K[x, alpha]/(f) and one bimodule M, the
 small complex C^S, the normalized complex, the bar resolution and the
-comparison maps between the two complexes.  Each is built on first use
-and grown in place to the largest level asked for, with its maps kept; a
-bar-side map builds each column the first time it is read, so growing to
-a level builds its spaces and no map columns.  Every quotient
+comparison maps between the two complexes, each built on first use and
+kept (``memo``).  C^S is the one complex grown in place, to the largest
+degree asked for; the bar side takes no window: each of its levels is
+built the first time a map or a reader asks for it, and a bar-side map
+builds each column the first time it is read.  Every quotient
 M/[M,K]_{alpha^j} they read is the one ``commutator_quotient`` keeps on M,
 one per class of alpha^j; for M = A it is assembled from the
 K/[K,K]_{alpha^(j+p)}, p < n, that ``k_quotient`` keeps on the algebra.
@@ -13,6 +14,7 @@ K/[K,K]_{alpha^(j+p)}, p < n, that ``k_quotient`` keeps on the algebra.
 
 from __future__ import annotations
 
+from .algebra import memo
 from .bar import BarComplex, BarResolution, InducedComparison
 from .small_complex import build_cs
 
@@ -21,7 +23,7 @@ class Workspace:
     def __init__(self, mono, M):
         self.mono = mono
         self.M = M
-        self._cs = self._bar = self._barres = self._cmp = None
+        self._cs = None
 
     def cs(self, max_degree):
         if self._cs is None:
@@ -29,21 +31,15 @@ class Workspace:
         self._cs.grow(max_degree)
         return self._cs
 
-    def bar(self, max_r):
-        if self._bar is None:
-            self._bar = BarComplex(self.mono, self.M, max_r)
-        self._bar.grow(max_r)
-        return self._bar
+    @memo
+    def bar(self):
+        return BarComplex(self.mono, self.M)
 
-    def barres(self, max_r):
-        if self._barres is None:
-            self._barres = BarResolution(self.mono, max_r)
-        self._barres.grow(max_r)
-        return self._barres
+    @memo
+    def barres(self):
+        return BarResolution(self.mono)
 
-    def comparison(self, max_r):
-        """phi/psi/omega, with C^S, the bar complex and the resolution grown to max_r."""
-        cs, bar, barres = self.cs(max_r), self.bar(max_r), self.barres(max_r)
-        if self._cmp is None:
-            self._cmp = InducedComparison(bar, cs, barres)
-        return self._cmp
+    @memo
+    def comparison(self):
+        """phi/psi/omega between C^S and the bar complex."""
+        return InducedComparison(self.bar(), self.barres())

@@ -33,6 +33,7 @@ from itertools import product as iproduct
 
 import dense_reference as dref
 from orehom.linalg import ColMap, add_term
+from orehom.small_complex import cs_space
 
 
 def bar_flat(sp, t, m_idx):
@@ -63,11 +64,11 @@ def res_flat(sp, kappa, p, q):
     return (q * sp.mono.n + p) * sp.mono.base.dim + kappa
 
 
-def d_generator(res, r):
-    """Image of 1 (x) 1 under d'_r of the twisted resolution ``res``, as
-    terms in the target space."""
-    mono = res.mono
-    tgt = res.spaces[r - 1]
+def d_generator(barres, r):
+    """Image of 1 (x) 1 under d'_r of the twisted resolution of the
+    ``BarResolution`` ``barres``, as terms in the target space."""
+    mono = barres.mono
+    tgt = barres.res_space(r - 1)
     gen = {}
     if r % 2 == 1:
         # x (x) 1 - 1 (x) x
@@ -83,9 +84,10 @@ def d_generator(res, r):
     return gen
 
 
-def d(res, r):
-    """d'_r: level r -> level r-1, the bimodule extension of its generator value."""
-    return res.spaces[r].generated_map(lambda b: d_generator(res, r), res.spaces[r - 1])
+def d(barres, r):
+    """d'_r: level r -> level r-1 of the twisted resolution, the bimodule
+    extension of its generator value."""
+    return barres.res_space(r).generated_map(lambda b: d_generator(barres, r), barres.res_space(r - 1))
 
 
 def _add_at(acc, base, items, negative=False):
@@ -116,8 +118,8 @@ def b_ambient_column(bar, r, idx):
     """b of the pure tensor m (x) x^{t_1} (x) ... at ambient index ``idx``
     as ambient terms at r-1."""
     M = bar.M
-    tgt = bar.spaces[r - 1]
-    t, m_idx = bar_unflat(bar.spaces[r], idx)
+    tgt = bar.space(r - 1)
+    t, m_idx = bar_unflat(bar.space(r), idx)
     m = {m_idx: bar.mono.field.one}
     acc = {}
     # face 0: multiply m by x^{i_1} on the right
@@ -135,8 +137,8 @@ def b_ambient_column(bar, r, idx):
 def B_ambient_column(bar, r, idx):
     """Cyclic operator on a pure tensor; front K-parts die, x-parts cycle."""
     mono = bar.mono
-    tgt = bar.spaces[r + 1]
-    t, m_idx = bar_unflat(bar.spaces[r], idx)
+    tgt = bar.space(r + 1)
+    t, m_idx = bar_unflat(bar.space(r), idx)
     i0, kappa = divmod(m_idx, mono.base.dim)
     acc = {}
     if i0 == 0:
@@ -161,12 +163,12 @@ def _projected(src, tgt, ambient):
 
 def b(bar, r):
     """b_r in quotient coordinates, each column projected from its ambient terms."""
-    return _projected(bar.spaces[r], bar.spaces[r - 1], lambda idx: b_ambient_column(bar, r, idx))
+    return _projected(bar.space(r), bar.space(r - 1), lambda idx: b_ambient_column(bar, r, idx))
 
 
 def connes_B(bar, r):
     """B_r in quotient coordinates, each column projected from its ambient terms."""
-    return _projected(bar.spaces[r], bar.spaces[r + 1], lambda idx: B_ambient_column(bar, r, idx))
+    return _projected(bar.space(r), bar.space(r + 1), lambda idx: B_ambient_column(bar, r, idx))
 
 
 def _face_terms(barres, kept, j, s, pre):
@@ -195,8 +197,8 @@ def _face_terms(barres, kept, j, s, pre):
 def bprime_column(barres, kept, r, idx):
     """b' of e_j (x) x^{t_1} (x) .. (x) x^{t_r} (x) x^q at flat index ``idx``
     as terms at level r-1."""
-    src = barres.spaces[r]
-    tgt = barres.spaces[r - 1]
+    src = barres.space(r)
+    tgt = barres.space(r - 1)
     ti, rest = divmod(idx, src.block)
     q, j = divmod(rest, barres.mono.dim)
     t = src.tuples[ti]
@@ -218,7 +220,7 @@ def bprime_column(barres, kept, r, idx):
 def bprime(barres, r):
     """b'_r with every column built face by face from its basis tensor."""
     kept = {}
-    return ColMap.lazy(barres.mono.field, barres.spaces[r - 1].dim, barres.spaces[r].dim,
+    return ColMap.lazy(barres.mono.field, barres.space(r - 1).dim, barres.space(r).dim,
                        lambda idx: bprime_column(barres, kept, r, idx))
 
 
@@ -259,7 +261,7 @@ def phi_ambient_column(cmp_, r, m_idx):
     acc = {}
     for lam, e, mid in _phi_terms(mono, r):
         mv = M.k_terms("left", lam, M.a_terms("right", mono.x_power(e), m_terms))
-        _add_at(acc, bar_flat(bar.spaces[r], mid, 0), mv.items())
+        _add_at(acc, bar_flat(bar.space(r), mid, 0), mv.items())
     return acc
 
 
@@ -267,7 +269,7 @@ def psi_ambient_column(cmp_, r, idx):
     """psi_r of the pure tensor [m (x) x^{t_1} ..] at ambient index ``idx``
     as M-terms."""
     M = cmp_.bar.M
-    t, m_idx = bar_unflat(cmp_.bar.spaces[r], idx)
+    t, m_idx = bar_unflat(cmp_.bar.space(r), idx)
     base = M.a_terms("right", _psi_product(cmp_.bar.mono, t), {m_idx: cmp_.bar.mono.field.one})
     if r % 2 == 0:
         return base
@@ -291,7 +293,7 @@ def omega_ambient_column(cmp_, r, idx):
     resolution homotopy and the wrap-around m (x)_{A^e} -: terms at bar
     level r+1, from the generator value omega'_{r+1}(1 (x) x^t (x) 1)."""
     mono, M = cmp_.bar.mono, cmp_.bar.M
-    t, m_idx = bar_unflat(cmp_.bar.spaces[r], idx)
+    t, m_idx = bar_unflat(cmp_.bar.space(r), idx)
     acc = {}
     for gidx, c in cmp_.barres.omega_generator(r + 1, t).items():
         ti, rest = divmod(gidx, mono.n * mono.dim)
@@ -303,14 +305,14 @@ def omega_ambient_column(cmp_, r, idx):
 
 def phi(cmp_, r):
     """phi_r: C^S_r -> bar level r, each column projected from its ambient terms."""
-    return _projected(cmp_.cs.spaces[r], cmp_.bar.spaces[r], lambda m_idx: phi_ambient_column(cmp_, r, m_idx))
+    return _projected(cs_space(cmp_.bar.M, r), cmp_.bar.space(r), lambda m_idx: phi_ambient_column(cmp_, r, m_idx))
 
 
 def psi(cmp_, r):
     """psi_r: bar level r -> C^S_r, each column projected from its ambient terms."""
-    return _projected(cmp_.bar.spaces[r], cmp_.cs.spaces[r], lambda idx: psi_ambient_column(cmp_, r, idx))
+    return _projected(cmp_.bar.space(r), cs_space(cmp_.bar.M, r), lambda idx: psi_ambient_column(cmp_, r, idx))
 
 
 def omega(cmp_, r):
     """omega_{r+1}: bar level r -> level r+1, each column projected from its ambient terms."""
-    return _projected(cmp_.bar.spaces[r], cmp_.bar.spaces[r + 1], lambda idx: omega_ambient_column(cmp_, r, idx))
+    return _projected(cmp_.bar.space(r), cmp_.bar.space(r + 1), lambda idx: omega_ambient_column(cmp_, r, idx))

@@ -1,7 +1,8 @@
 """One ``Workspace`` per shipped fixture, shared by the whole session.
 
-Each workspace grows to the largest window a test asks for, so the suite
-builds each level of each complex once.
+Each workspace grows its C^S to the largest window a test asks for and
+builds each bar-side level on its first read, so the suite builds each
+level of each complex once.
 """
 
 import inspect

@@ -449,7 +449,7 @@ def test_alpha_of_infinite_order_keeps_every_twist():
         assert twisted_commutator_subspace(M, j) == _one_hot_commutators(M, j)
     assert len({id(commutator_quotient(M, j)) for j in range(6)}) == 6
     cs_dims = homology_dims(build_cs(mono, M, 6), 5)
-    assert cs_dims == homology_dims(BarComplex(mono, M, 6).chain_complex(), 5)
+    assert cs_dims == homology_dims(BarComplex(mono, M).chain_complex(6), 5)
 
 
 def test_lambda_n_compatibility():

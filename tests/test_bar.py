@@ -20,27 +20,25 @@ from orehom.linalg import ColMap, relation_holds, subquotient
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 from orehom.workspace import Workspace
 
-from conftest import SHIPPED, get_context, is_zero, right_mult_map
+from conftest import SHIPPED, get_context, is_zero, kept_keys, right_mult_map
 
 FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
 
 def test_resolution_d1_generator():
     ctx = get_context("sweedler")
-    br = ctx.barres(2)
-    res = br.resolution
-    gen = ref.d_generator(res, 1)
-    sp = res.spaces[0]
+    br = ctx.barres()
+    gen = ref.d_generator(br, 1)
+    sp = br.res_space(0)
     # x (x) 1 - 1 (x) x on the basis (kappa, p, q) with kappa = e
     assert gen == {ref.res_flat(sp, 0, 1, 0): ctx.mono.field.one, ref.res_flat(sp, 0, 0, 1): -ctx.mono.field.one}
 
 
 def test_resolution_d2_truncated():
     ctx = get_context("trunc:3")
-    br = ctx.barres(2)
-    res = br.resolution
-    gen = ref.d_generator(res, 2)
-    sp = res.spaces[1]
+    br = ctx.barres()
+    gen = ref.d_generator(br, 2)
+    sp = br.res_space(1)
     one = ctx.mono.field.one
     assert gen == {
         ref.res_flat(sp, 0, 0, 2): one,
@@ -51,14 +49,14 @@ def test_resolution_d2_truncated():
 
 def test_resolution_squares_to_zero():
     for name in FIXTURES:
-        res = get_context(name).barres(5).resolution
+        br = get_context(name).barres()
         for r in range(2, 6):
-            assert is_zero(ref.d(res, r - 1).compose(ref.d(res, r)))
+            assert is_zero(ref.d(br, r - 1).compose(ref.d(br, r)))
 
 
 def test_bar_resolution_squares_to_zero():
     for name in FIXTURES:
-        br = get_context(name).barres(5)
+        br = get_context(name).barres()
         for r in range(2, 6):
             assert is_zero(br.bprime(r - 1).compose(br.bprime(r)))
 
@@ -66,48 +64,47 @@ def test_bar_resolution_squares_to_zero():
 def test_psi_phi_prime_identity():
     for name in FIXTURES:
         ctx = get_context(name)
-        br = ctx.barres(5)
+        br = ctx.barres()
         for r in range(6):
-            ident = ColMap.identity(ctx.mono.field, br.resolution.dim(r))
+            ident = ColMap.identity(ctx.mono.field, br.res_space(r).dim)
             assert br.psi(r).compose(br.phi(r)) == ident
 
 
 def test_phi_prime_degree_one_generator():
     ctx = get_context("sweedler")
-    br = ctx.barres(2)
+    br = ctx.barres()
     gen = br.phi_generator(1)
-    sp = br.spaces[1]
+    sp = br.space(1)
     assert gen == {sp.flat(0, 0, (1,), 0): ctx.mono.field.one}
 
 
 def test_psi_prime_sweedler_pair():
     # psi'_2(1 (x) x (x) x (x) 1) = quotient of x^2, i.e. 1 (x) 1
     ctx = get_context("sweedler")
-    br = ctx.barres(3)
+    br = ctx.barres()
     terms = br.psi_tuple(2, (1, 1))
-    rsp = br.resolution.spaces[2]
+    rsp = br.res_space(2)
     assert terms == {ref.res_flat(rsp, 0, 0, 0): ctx.mono.field.one}
 
 
 def test_comparison_chain_maps():
     for name in FIXTURES:
         ctx = get_context(name)
-        br = ctx.barres(5)
-        res = br.resolution
+        br = ctx.barres()
         for r in range(1, 6):
-            assert br.bprime(r).compose(br.phi(r)) == br.phi(r - 1).compose(ref.d(res, r))
-            assert ref.d(res, r).compose(br.psi(r)) == br.psi(r - 1).compose(br.bprime(r))
+            assert br.bprime(r).compose(br.phi(r)) == br.phi(r - 1).compose(ref.d(br, r))
+            assert ref.d(br, r).compose(br.psi(r)) == br.psi(r - 1).compose(br.bprime(r))
 
 
 def test_omega_prime_base_case_zero():
-    br = get_context("sweedler").barres(3)
+    br = get_context("sweedler").barres()
     assert is_zero(br.omega(1))
 
 
 def test_omega_prime_homotopy_identity():
     for name in FIXTURES:
         ctx = get_context(name)
-        br = ctx.barres(5)
+        br = ctx.barres()
         for r in range(1, 5):
             # b'w' + w'b' = phi'psi' - id
             assert relation_holds(br.dim(r), [
@@ -118,10 +115,10 @@ def test_omega_prime_homotopy_identity():
 def test_omega_prime_degree_bound_exhaustive():
     for name in FIXTURES:
         ctx = get_context(name)
-        br = ctx.barres(5)
+        br = ctx.barres()
         for r in range(1, 4):
             om = br.omega(r + 1)
-            sp, spt = br.spaces[r], br.spaces[r + 1]
+            sp, spt = br.space(r), br.space(r + 1)
             for idx in range(sp.dim):
                 din = sp.element_degree({idx: ctx.mono.field.one})
                 assert spt.element_degree(om.cols[idx]) <= din
@@ -131,9 +128,9 @@ def test_omega_prime_degree_bound_random_level4():
     rng = random.Random(23)
     for name in ("sweedler", "taft:3"):
         ctx = get_context(name)
-        br = ctx.barres(5)
+        br = ctx.barres()
         om = br.omega(5)
-        sp, spt = br.spaces[4], br.spaces[5]
+        sp, spt = br.space(4), br.space(5)
         idxs = [rng.randrange(sp.dim) for _ in range(min(200, sp.dim))]
         for idx in idxs:
             din = sp.element_degree({idx: ctx.mono.field.one})
@@ -142,16 +139,16 @@ def test_omega_prime_degree_bound_random_level4():
 
 def test_bar_space_dimensions():
     ctx = get_context("trunc:3")
-    bar = ctx.bar(3)
+    bar = ctx.bar()
     # r = 1: tuples (1), (2); each block is all of A (commutative base)
     assert bar.dim(1) == 6
     sw = get_context("sweedler")
-    assert sw.bar(3).dim(0) == 2
+    assert sw.bar().dim(0) == 2
 
 
 def test_bar_boundary_squares_to_zero():
     for name in FIXTURES:
-        bar = get_context(name).bar(5)
+        bar = get_context(name).bar()
         for r in range(2, 6):
             assert is_zero(bar.b(r - 1).compose(bar.b(r)))
 
@@ -170,9 +167,9 @@ def _global_subquotient(sp):
 def test_bar_space_matches_global_subquotient(name):
     ctx = get_context(name)
     field = ctx.mono.field
-    bar = ctx.bar(4)
+    bar = ctx.bar()
     for r in range(5):
-        sp = bar.spaces[r]
+        sp = bar.space(r)
         whole = _global_subquotient(sp)
         assert sp.quotient_dim == whole.quotient_dim
         assert sp.free == whole.free
@@ -183,7 +180,7 @@ def test_bar_space_matches_global_subquotient(name):
 
 
 def _workspace_maps(ws, top):
-    cs, bar, cmp_ = ws.cs(top), ws.bar(top), ws.comparison(top)
+    cs, bar, cmp_ = ws.cs(top), ws.bar(), ws.comparison()
     return (
         [(sp.quotient_dim, sp.free, sp.proj_cols) for sp in cs.spaces]
         + [cs.boundary(r) for r in range(1, top + 1)]
@@ -206,7 +203,7 @@ def test_grown_bar_side_equals_fresh_build(name):
     # build every column of the level-4 maps before growing
     [list(m.cols) for m in _workspace_maps(ws, 4) if isinstance(m, ColMap)]
     grown = _workspace_maps(ws, 7)
-    assert ws.bar(7).max_r == 7 and ws.cs(7).max_degree == 7
+    assert ws.cs(7).max_degree == 7
     assert grown == _workspace_maps(fresh(), 7)
 
 
@@ -225,15 +222,15 @@ def test_trunc4_level8_bar_space():
 def test_bar_oracle_matches_small_complex(name):
     ctx = get_context(name)
     cs_dims = homology_dims(ctx.cs(7), 5)
-    bar_dims = homology_dims(ctx.bar(7).chain_complex(7), 5)
+    bar_dims = homology_dims(ctx.bar().chain_complex(7), 5)
     assert cs_dims == bar_dims
 
 
 def test_connes_B_on_degree_zero():
     ctx = get_context("trunc:3")
-    bar = ctx.bar(2)
+    bar = ctx.bar()
     B0 = bar.connes_B(0)
-    sp0, sp1 = bar.spaces[0], bar.spaces[1]
+    sp0, sp1 = bar.space(0), bar.space(1)
     one = ctx.mono.field.one
     # B[x^j] = [1 (x) x^j]; B[1] = 0
     col_x = B0.cols[ref.bar_flat(sp0, (), ctx.mono.index(1, 0))]
@@ -244,7 +241,7 @@ def test_connes_B_on_degree_zero():
 def test_connes_B_identities():
     for name in FIXTURES:
         ctx = get_context(name)
-        bar = ctx.bar(5)
+        bar = ctx.bar()
         for r in range(0, 4):
             assert relation_holds(bar.dim(r), [(1, [bar.connes_B(r + 1), bar.connes_B(r)])])
         for r in range(1, 4):
@@ -255,7 +252,7 @@ def test_connes_B_identities():
 def test_induced_psi_phi_identity():
     for name in FIXTURES:
         ctx = get_context(name)
-        cmp_ = ctx.comparison(5)
+        cmp_ = ctx.comparison()
         cs = ctx.cs(5)
         for r in range(5):
             ident = ColMap.identity(ctx.mono.field, cs.dim(r))
@@ -264,8 +261,8 @@ def test_induced_psi_phi_identity():
 
 def test_induced_phi_psi_examples_degree_one():
     ctx = get_context("sweedler")
-    cmp_ = ctx.comparison(3)
-    bar = ctx.bar(3)
+    cmp_ = ctx.comparison()
+    bar = ctx.bar()
     cs = ctx.cs(3)
     # phi_1 [m] = [m (x) x], psi_1 [m (x) x] = [m]; the composite is the identity
     assert cmp_.psi(1).compose(cmp_.phi(1)) == ColMap.identity(ctx.mono.field, cs.dim(1))
@@ -275,8 +272,8 @@ def test_induced_phi_psi_examples_degree_one():
 def test_induced_homotopy_identity():
     for name in FIXTURES:
         ctx = get_context(name)
-        cmp_ = ctx.comparison(5)
-        bar = ctx.bar(5)
+        cmp_ = ctx.comparison()
+        bar = ctx.bar()
         for r in range(0, 4):
             # b w + w b = phi psi - id, with w_{-1} = 0
             terms = [(1, [bar.b(r + 1), cmp_.omega(r)]), (-1, [cmp_.phi(r), cmp_.psi(r)]), (1, [])]
@@ -309,7 +306,7 @@ def test_induced_maps_match_the_reference(name, doubled):
     else:
         parsed = parse_spec(build_example(name))
         mono, M = parsed.mono, parsed.bimodule
-    cmp_ = Workspace(mono, M).comparison(5)
+    cmp_ = Workspace(mono, M).comparison()
     maps = [(label, r, getattr(cmp_, label)(r), getattr(ref, label)(cmp_, r))
             for label, top in (("phi", 5), ("psi", 5), ("omega", 4)) for r in range(top + 1)]
     for label, r, got, expected in maps:
@@ -326,8 +323,8 @@ def test_division_quotient_of_power():
 
 def test_element_degree_max_rule():
     ctx = get_context("trunc:3")
-    bar = ctx.bar(2)
-    sp = bar.spaces[1]
+    bar = ctx.bar()
+    sp = bar.space(1)
     one = ctx.mono.field.one
     terms = {
         ref.bar_flat(sp, (1,), ctx.mono.index(1, 0)): one,  # x (x) x, degree 2
@@ -347,10 +344,10 @@ def test_middle_tuples_shapes():
 def test_bar_complex_and_bar_resolution_read_one_tuple_table(name):
     # block ti names the same tuple on both sides, which omega relies on
     ctx = get_context(name)
-    bar, barres = ctx.bar(4), ctx.barres(4)
+    bar, barres = ctx.bar(), ctx.barres()
     for r in range(5):
-        assert bar.space(r).tuples is barres.spaces[r].tuples == middle_tuples(ctx.mono.n, r)
-        assert bar.space(r).tuple_index is barres.spaces[r].tuple_index
+        assert bar.space(r).tuples is barres.space(r).tuples == middle_tuples(ctx.mono.n, r)
+        assert bar.space(r).tuple_index is barres.space(r).tuple_index
 
 
 def test_a_level_looks_up_each_twist_class_once(monkeypatch):
@@ -408,7 +405,7 @@ def test_generic_path_with_nondiagonal_alpha():
         eigen_split(K, alpha)
     M = regular_bimodule(mono)
     cs_dims = homology_dims(build_cs(mono, M, 5), 3)
-    bar_dims = homology_dims(BarComplex(mono, M, 5).chain_complex(), 3)
+    bar_dims = homology_dims(BarComplex(mono, M).chain_complex(5), 3)
     assert cs_dims == bar_dims
 
 
@@ -427,20 +424,20 @@ def test_nonregular_bimodule_coefficients():
     zero_x = ColMap(field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, left_k, zero_x, right_k, zero_x)
     cs_dims = homology_dims(build_cs(mono, M, 5), 3)
-    bar_dims = homology_dims(BarComplex(mono, M, 5).chain_complex(), 3)
+    bar_dims = homology_dims(BarComplex(mono, M).chain_complex(5), 3)
     assert cs_dims == bar_dims
     assert cs_dims[0] == 2
 
 
 def _bar_side_maps(ws, top):
     """Every bar-side map of a workspace up to level ``top``, ascending."""
-    bar, barres, cmp_ = ws.bar(top), ws.barres(top), ws.comparison(top)
+    bar, barres, cmp_ = ws.bar(), ws.barres(), ws.comparison()
     maps = []
     for r in range(top + 1):
         maps += [("phi'", r, barres.phi(r)), ("psi'", r, barres.psi(r)), ("phi", r, cmp_.phi(r)),
                  ("psi", r, cmp_.psi(r))]
         if r >= 1:
-            maps += [("b", r, bar.b(r)), ("d'", r, ref.d(barres.resolution, r)), ("b'", r, barres.bprime(r)),
+            maps += [("b", r, bar.b(r)), ("d'", r, ref.d(barres, r)), ("b'", r, barres.bprime(r)),
                      ("omega'", r, barres.omega(r))]
         if r < top:
             maps += [("B", r, bar.connes_B(r)), ("omega", r, cmp_.omega(r))]
@@ -480,3 +477,37 @@ def test_generator_values_are_built_once_per_argument(capsys):
     assert code == 0
     assert {name for name, _, _ in builds} == set(codes.values())
     assert {key: n for key, n in builds.items() if n > 1} == {}
+
+
+def test_hc_oracle_builds_only_the_levels_it_reads(capsys, monkeypatch):
+    # the oracle of hc at degree 5 reads b and B up to level 4, so the bar
+    # complex builds levels 0..4 and no other
+    from orehom import cli
+
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "Workspace", Recorded)
+    assert main(["hc", "--spec", "taft:3", "--oracle", "--max-degree", "5"]) == 0
+    capsys.readouterr()
+    (ws,) = made
+    assert sorted(kept_keys(ws.bar(), BarComplex.space)) == [(r,) for r in range(5)]
+
+
+def test_comparison_reads_no_small_complex(monkeypatch):
+    # phi and psi read their C^S levels as the quotients kept on M, so the
+    # comparison neither builds nor grows the small complex
+    parsed = parse_spec(build_example("taft:3"))
+    ws = Workspace(parsed.mono, parsed.bimodule)
+
+    def refuse(max_degree):
+        raise AssertionError(f"the comparison asked for C^S to degree {max_degree}")
+
+    monkeypatch.setattr(ws, "cs", refuse)
+    cmp_ = ws.comparison()
+    for label in ("psi", "phi"):
+        assert list(getattr(cmp_, label)(4).cols) == list(getattr(ref, label)(cmp_, 4).cols), label

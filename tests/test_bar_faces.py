@@ -43,7 +43,7 @@ def _reference(bar, name, r):
 
 
 def _check_against_reference(mono, M, regular=True):
-    forward, backward = BarComplex(mono, M, TOP + 1), BarComplex(mono, M, TOP + 1)
+    forward, backward = BarComplex(mono, M), BarComplex(mono, M)
     for name, r, m in _maps(forward, regular):
         expected = _reference(forward, name, r)
         assert (m.nrows, m.ncols) == (expected.nrows, expected.ncols), (name, r)
@@ -70,7 +70,7 @@ def test_b_matches_the_reference_on_nonregular_coefficients():
                      [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)], zero_x)
     _check_against_reference(mono, M, regular=False)
     with pytest.raises(ValueError):
-        BarComplex(mono, M, 2).connes_B(1)
+        BarComplex(mono, M).connes_B(1)
 
 
 def test_face_lists_are_built_once_per_block_read(monkeypatch):
@@ -87,7 +87,7 @@ def test_face_lists_are_built_once_per_block_read(monkeypatch):
     parsed = parse_spec(build_example("taft:4"))
     ws = Workspace(parsed.mono, parsed.bimodule)
     assert all(vanishing_check(ws, 2, 3).values())
-    B7 = ws.bar(8).connes_B(7)
+    B7 = ws.bar().connes_B(7)
     assert B7.cols.built < B7.ncols / 10, B7
     assert len(listed) == len(set(listed))
     assert 0 < len([key for key in listed if key[0] == 7]) <= B7.cols.built
@@ -96,7 +96,7 @@ def test_face_lists_are_built_once_per_block_read(monkeypatch):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_bprime_matches_the_reference(name):
     mono, _ = _table_context(name)
-    forward, backward = BarResolution(mono, TOP), BarResolution(mono, TOP)
+    forward, backward = BarResolution(mono), BarResolution(mono)
     expected = {r: ref.bprime(forward, r) for r in range(1, TOP + 1)}
     for r in range(1, TOP + 1):
         m = forward.bprime(r)
@@ -125,7 +125,7 @@ def test_merged_slots_keep_one_operator_per_power_and_target_class():
     # on taft:4 the merged slots x^2 and x^3 each meet the four twist classes
     # of a target block, with no further class of alpha^pre: 8 operators
     mono, M = _table_context("taft:4")
-    bar = BarComplex(mono, M, 5)
+    bar = BarComplex(mono, M)
     for r in range(1, 6):
         list(bar.b(r).cols)
     kept = sorted((key, cls) for key, cls in kept_keys(bar, BarComplex._face) if key[0] == "kr")

@@ -827,7 +827,7 @@ def test_verify_fails_on_a_corrupted_perturbed_inclusion(capsys, monkeypatch):
 
     def perturb(retract, delta):
         pert = original(retract, delta)
-        pert.incl1[1] = _corrupt_last_column(pert.incl1[1], pert.incl1[1].cols[0])
+        pert.incl[1] = _corrupt_last_column(pert.incl[1], pert.incl[1].cols[0])
         return pert
 
     monkeypatch.setattr(cli, "perturb", perturb)

@@ -13,7 +13,7 @@ Q = make_field("rationals")
 
 
 def _bar_complexes(name, md):
-    bar = get_context(name).bar(md)
+    bar = get_context(name).bar()
     mixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
     return bar.chain_complex(md), bc_total(mixed, md - 1)
 

@@ -72,8 +72,8 @@ def test_transfer_matches_closed_formula():
     for name in ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3"):
         ctx = get_context(name)
         cs = ctx.cs(6)
-        bar = ctx.bar(6)
-        cmp_ = ctx.comparison(6)
+        bar = ctx.bar()
+        cmp_ = ctx.comparison()
         for r in range(5):
             direct = connes_D(ctx.mono, r, cs.spaces)
             assert direct == transfer_D(cmp_, bar, r)
@@ -108,7 +108,7 @@ def test_hc_oracle_equivalence(name):
     ctx = get_context(name)
     md = 6
     dims = hc(ctx, md)
-    bar = ctx.bar(md)
+    bar = ctx.bar()
     barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
     oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
     assert dims[:md - 1] == oracle

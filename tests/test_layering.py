@@ -21,8 +21,9 @@ coordinates is one ``component_terms``), the rank-one case names are
 validated in one place, every closed form reaches elimination through a
 kept quotient space (``colon_dim``), every definition under src/ is
 reached from the command line (what only the tests read lives in the
-tests), and the refusals and comparisons of an ``hh``/``hc`` report each
-have one writer in ``cli.py``."""
+tests), the refusals and comparisons of an ``hh``/``hc`` report each
+have one writer in ``cli.py``, and each level of the bar side is built on
+its first read, with no window to grow to."""
 
 import ast
 from fractions import Fraction
@@ -31,11 +32,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orehom.bar import BarResolution, BarSpace, ResolutionComplex, ResolutionSpace
+from orehom import bar
+from orehom.bar import BarResolution, BarSpace, ResolutionSpace
 from orehom.complexes import ChainComplex
 from orehom.cyclic import BCTotal, MixedComplexData
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import EchelonSet, sparse, sparse_rank
+
+from conftest import get_context
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orehom").glob("*.py"))
@@ -141,8 +145,8 @@ def test_definitions_read_only_by_tests_live_in_the_tests():
     # a method named like a live definition (``block`` and ``inject`` name
     # locals under src/) is read on its class; the bar side's flat indices,
     # degrees and d' are in tests/bar_reference.py
-    on_class = {BCTotal: ("inject", "block"), ResolutionComplex: ("d", "d_generator", "max_r"),
-                ResolutionSpace: ("flat", "unflat"), BarResolution: ("max_r",),
+    on_class = {BCTotal: ("inject", "block"), BarResolution: ("d", "d_generator"),
+                ResolutionSpace: ("flat", "unflat"),
                 BarSpace: ("element_degree", "flat", "unflat"), ChainComplex: ("dims",),
                 MixedComplexData: ("chain_complex",)}
     assert [f"{cls.__name__}.{name}" for cls, names in on_class.items() for name in names if hasattr(cls, name)] == []
@@ -156,7 +160,7 @@ def test_every_kept_value_is_kept_by_memo_or_kept():
     assert sorted(found.split(": ")[1] for found in _defined({"memo", "kept"})) == ["kept", "memo"]
     assert all(found.startswith("algebra.py:") for found in _defined({"memo", "kept"}))
     gone = {"_divisions", "_mul_table", "_x_overflow", "_x_pows", "_regular", "_quotients", "_k_commutators",
-            "_k_commutator_ranks", "_k_quotients", "_merged", "_faces"}
+            "_k_commutator_ranks", "_k_quotients", "_merged", "_faces", "_bar", "_barres", "_cmp"}
     used = [f"{path.name}:{node.lineno}: .{node.attr}" for path in SOURCES for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute) and node.attr in gone]
     assert used == []
@@ -169,6 +173,18 @@ def test_every_kept_value_is_kept_by_memo_or_kept():
                             if isinstance(a, ast.Attribute) and a.attr.startswith("_")
                             and not (isinstance(a.value, ast.Name) and a.value.id == "self")]
     assert set(written) == {"algebra.py: owner._kept", "complexes.py: complex_._homology"}
+
+
+def test_bar_side_levels_are_built_on_first_read():
+    # a level of the bar complex, of the bar resolution and of the twisted
+    # resolution is a ``memo`` method of its owner: no list of levels, no
+    # window to grow to, and no separate complex of resolution spaces
+    ws = get_context("sweedler")
+    for owner in (ws.bar(), ws.barres()):
+        owner.space(2)
+        assert [name for name in ("grow", "max_r", "spaces") if hasattr(owner, name)] == []
+    assert not hasattr(bar, "ResolutionComplex")
+    assert _defined({"ResolutionComplex"}) == []
 
 
 def test_one_collapse_verdict_per_algebra():

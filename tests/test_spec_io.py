@@ -168,7 +168,7 @@ def test_structure_constants_document():
     # fill K, so the collapse holds
     assert parsed.summary["collapse"]["holds"] is True
     dims = homology_dims(build_cs(parsed.mono, parsed.bimodule, 5), 3)
-    bar_dims = homology_dims(BarComplex(parsed.mono, parsed.bimodule, 5).chain_complex(), 3)
+    bar_dims = homology_dims(BarComplex(parsed.mono, parsed.bimodule).chain_complex(5), 3)
     assert dims == bar_dims
 
 
