@@ -46,7 +46,9 @@ omega' (read by a resolution map and by the map it induces on coefficients)
 and, once per algebra, each ``merged_slot`` (read by b' and b); through
 ``kept`` a face operator per (key, twist class); and the tuples of a level,
 with the index of each, once per algebra, so that both complexes read one
-table.
+table.  The complexes are kept the same way, on what they belong to:
+``bar_complex`` and ``comparison`` on the bimodule M, ``bar_resolution``
+on the algebra.
 """
 
 from __future__ import annotations
@@ -552,8 +554,8 @@ class InducedComparison:
     lam (m x^e) - (m x^e) alpha^s(lam) is a twisted commutator of every block.
 
     The levels of ``bar`` are its own and a level of C^S is its
-    ``cs_space``, so no complex is grown for them.  All maps are returned
-    in quotient coordinates.
+    ``cs_space``, so no small complex is built for them.  All maps are
+    returned in quotient coordinates.
     """
 
     def __init__(self, bar, barres):
@@ -600,3 +602,21 @@ class InducedComparison:
         """omega_{r+1}: bar level r -> bar level r+1 (key r)."""
         src = self.bar.space(r)
         return self._induced(src, self.bar.space(r + 1), lambda ti: self.barres.omega_generator(r + 1, src.tuples[ti]))
+
+
+@memo
+def bar_complex(M):
+    """The normalized complex with coefficients in M, kept on M."""
+    return BarComplex(M.mono, M)
+
+
+@memo
+def bar_resolution(mono):
+    """The bar resolution of A, kept on the algebra."""
+    return BarResolution(mono)
+
+
+@memo
+def comparison(M):
+    """phi/psi/omega between C^S(A, M) and ``bar_complex(M)``, kept on M."""
+    return InducedComparison(bar_complex(M), bar_resolution(M.mono))

@@ -28,6 +28,7 @@ import sys
 import types
 
 from .algebra import AlgebraError, regular_bimodule
+from .bar import bar_complex, bar_resolution, comparison
 from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
     MixedComplexData,
@@ -49,12 +50,12 @@ from .perturbation import (
 )
 from .small_complex import (
     HypothesisError,
+    build_cs,
     decompose,
     hh_closed_form,
     hh_rank_one,
 )
 from .spec_io import EXAMPLE_NAMES, build_example, dihedral_group, parse_spec
-from .workspace import Workspace
 
 
 def _read_spec(path):
@@ -165,6 +166,15 @@ def _asked(report, asked, flag, top, window="the window"):
     return asked and top >= 0
 
 
+def _regular(report, parsed, flag):
+    """Whether M is A with its regular actions, the hypothesis of the hh
+    closed forms and eigencomponents that ``flag`` reads, which are those
+    of A; ``flag`` is refused if not."""
+    if not parsed.bimodule.is_regular:
+        _refuse(report, f"{flag} needs the hypothesis M is the regular bimodule")
+    return parsed.bimodule.is_regular
+
+
 def _diagonal_collapse(report, parsed, flag):
     """Whether collapse is verified and alpha is diagonal, the hypothesis of
     the eigencomponent forms that ``flag`` reads; ``flag`` is refused if not."""
@@ -269,20 +279,19 @@ def cmd_hh(args):
     parsed = _load_spec(args.spec, args.max_degree)
     mono = parsed.mono
     md = args.max_degree
-    ws = Workspace(mono, parsed.bimodule)
-    cs = ws.cs(md)
+    cs = build_cs(parsed.bimodule, md)
     dims = homology_dims(cs, md - 1)
     report = _report("hh", parsed, md, dims)
     if args.basis:
         report["representatives"] = [[_element_string(mono, parsed.bimodule, v)
                                       for v in homology(cs, r).representatives] for r in range(md)]
-    if _asked(report, args.decompose, "--decompose", md - 1):
+    if _asked(report, args.decompose, "--decompose", md - 1) and _regular(report, parsed, "--decompose"):
         _add_components(report, parsed, dims, lambda: [(w, homology_dims(comp, md - 1))
                                                        for w, _, comp in decompose(mono, md)])
-    if _asked(report, args.closed_form, "--closed-form", md - 1):
+    if _asked(report, args.closed_form, "--closed-form", md - 1) and _regular(report, parsed, "--closed-form"):
         _hh_closed_forms(report, parsed, dims, md - 1)
     if _asked(report, args.oracle, "--oracle", md - 1, "the oracle window"):
-        bar_dims = homology_dims(ws.bar().chain_complex(md), md - 1)
+        bar_dims = homology_dims(bar_complex(parsed.bimodule).chain_complex(md), md - 1)
         _compare(report, "oracle", "normalized-complex oracle", bar_dims, bar_dims == dims)
     return _finish(report, mono, dims, args.json)
 
@@ -293,9 +302,10 @@ def cmd_hc(args):
     md = args.max_degree
     # cyclic homology is that of A: C^S and the oracle share one M = A
     M = parsed.bimodule if parsed.bimodule.is_regular else regular_bimodule(mono)
-    ws = Workspace(mono, M)
-    dims = hc(ws, md)
+    dims = hc(M, md)
     report = _report("hc", parsed, md, dims)
+    if M is not parsed.bimodule:
+        report["bimodule_note"] = "M is not the regular bimodule: HC is computed for A, with M = A"
     if (_asked(report, args.closed_form, "--closed-form", md - 1)
             and _diagonal_collapse(report, parsed, "--closed-form")):
         cf = hc_closed_form(mono, md - 1)
@@ -316,7 +326,7 @@ def cmd_hc(args):
         _add_components(report, parsed, dims, lambda: [(w, homology_dims(bc_total(cmixed, md), md - 1))
                                                        for w, _, cmixed in build_mixed_components(mono, md)])
     if _asked(report, args.oracle, "--oracle", md - 2, "the oracle window"):
-        bar = ws.bar()
+        bar = bar_complex(M)
         barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
         _compare(report, "oracle", f"normalized-complex oracle (degrees 0..{md - 2})", oracle, oracle == dims[:md - 1])
@@ -337,9 +347,8 @@ def cmd_verify(args):
         if degrees:  # a check with no degree to test is left out
             record(name, all(holds(r) for r in degrees), window)
 
-    ws = Workspace(mono, M)
-    cs = ws.cs(md)
-    bar = ws.bar()
+    cs = build_cs(M, md)
+    bar = bar_complex(M)
     bar.chain_complex(md)
     # d.d, b.b and the mixed identities are tested in degrees 2..md as each
     # complex is built: a failure raises ComplexError
@@ -352,10 +361,10 @@ def cmd_verify(args):
               lambda r: relation_holds(bar.dim(r), [(1, [B(r + 1), B(r)])]))
         check("bB + Bb = 0", range(md - 1), f"degrees <= {md - 1}",
               lambda r: relation_holds(bar.dim(r), anticommutator_terms(b, B, r)))
-    barres = ws.barres()
+    barres = bar_resolution(mono)
     check("psi'phi' = id", range(md + 1), f"degrees <= {md}",
           lambda r: relation_holds(barres.res_space(r).dim, [(1, [barres.psi(r), barres.phi(r)]), (-1, [])]))
-    cmp_ = ws.comparison()
+    cmp_ = comparison(M)
     check("psi phi = id", range(md), f"degrees < {md}",
           lambda r: relation_holds(cs.dim(r), [(1, [cmp_.psi(r), cmp_.phi(r)]), (-1, [])]))
     om = barres.omega  # omega'(r + 1) leaves level r
@@ -376,16 +385,16 @@ def cmd_verify(args):
         deg_top = min(4, md - 1)
         check("deg(w'(a)) <= deg(a)", range(1, deg_top + 1), f"levels <= {deg_top}, exhaustive", degree_bounded)
         j_max, r_max = 2, 3
-        van = vanishing_check(ws, j_max, r_max)
+        van = vanishing_check(M, j_max, r_max)
         window = ",".join(str(j) for j in range(1, j_max + 1))
         record("psi (Bw)^j B phi = 0", all(van.values()), f"j in {{{window}}}, r <= {r_max}")
-        D = build_mixed(ws, md).B
+        D = build_mixed(cs, M).B
         if md >= 2:
             record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
         check("D = psi B phi", range(md - 1), f"degrees < {md - 1}",
               lambda r: relation_holds(cs.dim(r), [(1, [D[r]]), (-1, [cmp_.psi(r + 1), B(r), cmp_.phi(r)])]))
         maxN = min(md, 5)
-        retract, delta, _ = build_cyclic_retract(ws, maxN)
+        retract, delta, _ = build_cyclic_retract(cs, M, maxN)
         rrep = retract.verify()
         record("transfer retract identities", all(rrep.values()), f"total degrees <= {maxN}")
         if maxN:
@@ -564,7 +573,7 @@ def main(argv=None):
     except MemoryError:  # the window asked for does not fit: one line, no traceback
         pass
     # printed after the handler is left, so that its traceback, and the
-    # workspace the frames hold, are freed first
+    # complexes its frames hold, are freed first
     spec = getattr(args, "spec", None) or args.name
     print(f"error: {args.cmd} {spec}: out of memory", file=sys.stderr)
     return 1

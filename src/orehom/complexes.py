@@ -11,9 +11,10 @@ the space, so they are reproducible.
 
 One map object may sit at several degrees (C^S shares d_r with d_{r + 2v}),
 so the d.d check tests each distinct (d_{r-1}, d_r) pair once, column by
-column,
-``homology_dims`` ranks each distinct d_r once, and ``homology`` eliminates
-once per distinct (space, d_r, d_{r+1}, top-degree flag) of the complex.
+column, ``homology_dims`` ranks each distinct d_r once, and ``homology``
+eliminates once per distinct (space, d_r, d_{r+1}, top-degree flag) of the
+complex.  A complex is built whole at one window and never grows; a
+larger window is another complex that holds the same map objects.
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ def composes_to_zero(seen, a, b):
 
 
 class ChainComplex:
-    """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}.
-
-    ``append`` adds the next degree in place and checks it as construction does.
-    """
+    """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}."""
 
     def __init__(self, field, spaces, boundaries, check=True):
         self.field = field
@@ -47,24 +45,15 @@ class ChainComplex:
         self._homology = {}  # ids of (space, d_r, d_{r+1}), top flag -> lifted cycles
         if check:
             for r in range(1, self.max_degree + 1):
-                self._check_degree(r)
+                d = self.boundaries[r]
+                if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
+                    raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
+                if r >= 2 and not composes_to_zero(self._zero_pairs, self.boundaries[r - 1], d):
+                    raise ComplexError(f"d_{r - 1} . d_{r} != 0")
 
     @property
     def max_degree(self):
         return len(self.spaces) - 1
-
-    def _check_degree(self, r):
-        d = self.boundaries[r]
-        if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
-            raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
-        if r >= 2 and not composes_to_zero(self._zero_pairs, self.boundaries[r - 1], d):
-            raise ComplexError(f"d_{r - 1} . d_{r} != 0")
-
-    def append(self, space, boundary):
-        """Add degree max_degree + 1 with its boundary into the current top."""
-        self.spaces.append(space)
-        self.boundaries[self.max_degree] = boundary
-        self._check_degree(self.max_degree)
 
     def dim(self, r):
         return self.spaces[r].quotient_dim

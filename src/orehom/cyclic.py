@@ -31,6 +31,7 @@ from .linalg import kernel_basis  # noqa: F401
 from .small_complex import (
     HypothesisError,
     _well_formed,
+    build_cs,
     component_cokernel_dim,
     component_colon_dim,
     component_terms,
@@ -133,12 +134,10 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
     return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 
-def build_mixed(ws, max_degree):
-    """The mixed complex (C^S, d, D) on the C^S of the workspace ``ws``
-    (M = A), degrees <= max_degree; d.d = 0 was checked as C^S was built."""
-    cs = ws.cs(max_degree)
-    D = {r: connes_D(ws.mono, r, cs.spaces) for r in range(max_degree)}
-    return MixedComplexData(ChainComplex(cs.field, cs.spaces[:max_degree + 1], cs.boundaries, check=False), D)
+def build_mixed(cs, M):
+    """The mixed complex (C^S, d, D) on the C^S ``cs`` of M = A, in its
+    window; d.d = 0 was checked as C^S was built."""
+    return MixedComplexData(cs, {r: connes_D(M.mono, r, cs.spaces) for r in range(cs.max_degree)})
 
 
 def build_mixed_components(mono, max_degree):
@@ -243,10 +242,9 @@ def bc_total(mixed, max_N):
     return BCTotal(mixed, max_N).complex
 
 
-def hc(ws, max_degree):
-    """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A, from the C^S
-    of the workspace ``ws`` (M = A)."""
-    return homology_dims(bc_total(build_mixed(ws, max_degree), max_degree), max_degree - 1)
+def hc(M, max_degree):
+    """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A, from the C^S of M = A."""
+    return homology_dims(bc_total(build_mixed(build_cs(M, max_degree), M), max_degree), max_degree - 1)
 
 
 # -- closed forms -----------------------------------------------------------------

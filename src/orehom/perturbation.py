@@ -19,6 +19,8 @@ in the degrees below the input's top, where every perturbed map is defined.
 The use this package makes of it: X is the total complex of the double
 complex of (bar, b, 0), Y the one of (C^S, d, 0), i/p/h the blockwise
 comparison maps, and delta the cyclic operator acting between columns.
+C^S is the caller's own, cut to the retract's window; the bar complex and
+the comparison maps are those kept on M.
 The transferred differential on Y then reproduces d + D with D the
 degree-raising operator of the mixed complex, the off-by-more-than-one
 column blocks vanishing identically.
@@ -27,6 +29,7 @@ column blocks vanishing identically.
 from __future__ import annotations
 
 from .algebra import memo
+from .bar import bar_complex, comparison
 from .complexes import ChainComplex
 from .cyclic import BCTotal, MixedComplexData
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
@@ -161,21 +164,20 @@ def _total(field, spaces, boundaries, max_N):
     return BCTotal(MixedComplexData(ChainComplex(field, spaces[:max_N + 1], boundaries, check=False), {}), max_N)
 
 
-def build_cyclic_retract(ws, max_N=5):
+def build_cyclic_retract(cs, M, max_N):
     """The (Tot BC(C^S) <- Tot BC(bar)) special retract plus the cyclic delta.
 
-    Takes the complexes and comparison maps of the workspace ``ws`` (C^S
-    grown to ``max_N``) and returns (retract, delta, (Yside, Xside)) ready for
-    ``perturb``, the sides being ``BCTotal``s; needs M = A for the cyclic
-    operator.
+    Takes the small complex ``cs`` of M = A, of degree at least ``max_N``,
+    and the normalized complex and comparison maps kept on M, and returns
+    (retract, delta, (Yside, Xside)) ready for ``perturb``, the sides being
+    ``BCTotal``s; needs M = A for the cyclic operator.
     """
-    field = ws.mono.field
-    cs, bar, comparison = ws.cs(max_N), ws.bar(), ws.comparison()
-    Xside = _total(field, [bar.space(r) for r in range(max_N + 1)], {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
-    Yside = _total(field, cs.spaces, cs.boundaries, max_N)
-    incl = Yside.blockwise({r: comparison.phi(r) for r in range(max_N + 1)}, Xside, max_N)
-    proj = Xside.blockwise({r: comparison.psi(r) for r in range(max_N + 1)}, Yside, max_N)
-    h = Xside.blockwise({r: comparison.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
+    bar, cmp_ = bar_complex(M), comparison(M)
+    Xside = _total(cs.field, [bar.space(r) for r in range(max_N + 1)], {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
+    Yside = _total(cs.field, cs.spaces, cs.boundaries, max_N)
+    incl = Yside.blockwise({r: cmp_.phi(r) for r in range(max_N + 1)}, Xside, max_N)
+    proj = Xside.blockwise({r: cmp_.psi(r) for r in range(max_N + 1)}, Yside, max_N)
+    h = Xside.blockwise({r: cmp_.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
     # delta = B between columns: column p entry X_deg -> column p-1 entry X_{deg+1}
     B = {r: bar.connes_B(r) for r in range(max_N)}
     delta = Xside.blockwise(B, Xside, max_N, degree_shift=-1, column_shift=1)
@@ -183,21 +185,21 @@ def build_cyclic_retract(ws, max_N=5):
     return retract, delta, (Yside, Xside)
 
 
-def vanishing_check(ws, j_max, r_max):
+def vanishing_check(M, j_max, r_max):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
-    Evaluated through the normalized complex of the workspace ``ws``: each
+    Evaluated through the normalized complex kept on M (= A): each
     column of phi is pushed through B, then omega and B j times, and psi
     tests it, so only the columns of the higher maps that the images of the
     phi columns reach are built, and no composed map is kept.  The report
     maps (j, r) to a boolean.
     """
-    bar, comparison = ws.bar(), ws.comparison()
+    bar, cmp_ = bar_complex(M), comparison(M)
     report = {}
     for r in range(0, r_max + 1):
-        phi, B = comparison.phi(r), bar.connes_B(r)
+        phi, B = cmp_.phi(r), bar.connes_B(r)
         # (omega, B, psi) of step j, starting from level r + 2j - 1
-        steps = [(comparison.omega(lev), bar.connes_B(lev + 1), comparison.psi(lev + 2))
+        steps = [(cmp_.omega(lev), bar.connes_B(lev + 1), cmp_.psi(lev + 2))
                  for lev in range(r + 1, r + 2 * j_max, 2)]
         ok = [True] * j_max
         for c in range(phi.ncols):

@@ -28,9 +28,10 @@ cross-checked against the homology of the built complexes in the tests.
 The boundaries read r through its parity alone and each space is kept once
 per class of alpha^j, so ``_periodic_boundaries`` builds one ColMap per key
 (parity, source, target): with v the order of alpha^n, C^S repeats with
-period 2v.  The hh closed forms evaluate once per key (r == 0, parity,
-classes of alpha^{mn} and alpha^{(m+1)n}).  Nothing is shared when alpha
-has infinite order.  That the homology repeats with that period is the
+period 2v, and every window of C^S on one M (``build_cs``) reads the maps
+kept on M.  The hh closed forms evaluate once per key (r == 0,
+parity, classes of alpha^{mn} and alpha^{(m+1)n}).  Nothing is shared when
+alpha has infinite order.  That the homology repeats with that period is the
 paper's statement, checked in the tests (``tests/paper_checks.py``).
 """
 
@@ -81,14 +82,14 @@ def _boundary_terms(mono, M, r, terms):
     return out
 
 
-def _periodic_boundaries(field, spaces, lo, image, shared):
-    """{r: d_r} for lo <= r < len(spaces), one ColMap per key (parity of r,
+def _periodic_boundaries(field, spaces, image, shared):
+    """{r: d_r} for 1 <= r < len(spaces), one ColMap per key (parity of r,
     source space, target space), kept in ``shared``.  Column qj of d_r is
     ``image(r, idx)`` at the qj-th free index of the source, read at the
     first degree of each key: it must read r through its parity alone.
     """
     out = {}
-    for r in range(lo, len(spaces)):
+    for r in range(1, len(spaces)):
         key = (r % 2, spaces[r], spaces[r - 1])
         if key not in shared:
             shared[key] = ColMap(field, spaces[r - 1].quotient_dim, spaces[r].quotient_dim,
@@ -97,35 +98,15 @@ def _periodic_boundaries(field, spaces, lo, image, shared):
     return out
 
 
-class SmallComplex(ChainComplex):
-    """The generic small complex C^S(A, M); ``grow`` appends degrees in place.
-
-    Its spaces are the quotients ``commutator_quotient`` keeps on M, one per
-    class of alpha^j, and its boundaries are shared per key (parity, source,
-    target) by ``_periodic_boundaries``: d_r is d_{r + 2v}, v the order of
-    alpha^n, and no two degrees share a map when alpha has infinite order.
-    """
-
-    def __init__(self, mono, M, max_degree):
-        super().__init__(mono.field, [cs_space(M, 0)], {})
-        self.mono = mono
-        self.M = M
-        self._shared = {}
-        self.grow(max_degree)
-
-    def _image(self, r, idx):
-        return _boundary_terms(self.mono, self.M, r, {idx: self.mono.field.one})
-
-    def grow(self, max_degree):
-        lo = self.max_degree + 1
-        spaces = self.spaces + [cs_space(self.M, r) for r in range(lo, max_degree + 1)]
-        for r, d in _periodic_boundaries(self.field, spaces, lo, self._image, self._shared).items():
-            self.append(spaces[r], d)
-
-
-def build_cs(mono, M=None, max_degree=6):
-    """The generic small complex; d.d = 0 asserted on every degree."""
-    return SmallComplex(mono, M or regular_bimodule(mono), max_degree)
+def build_cs(M, max_degree):
+    """The generic small complex C^S(A, M) in degrees 0..max_degree, d.d = 0
+    asserted on every degree.  Its spaces are the quotients kept on M
+    (``cs_space``), and its boundaries the ColMaps that ``_periodic_boundaries``
+    keeps on M once per key, so every window of one M reads the same maps."""
+    mono, spaces = M.mono, [cs_space(M, r) for r in range(max_degree + 1)]
+    image = lambda r, idx: _boundary_terms(mono, M, r, {idx: mono.field.one})
+    return ChainComplex(mono.field, spaces,
+                        _periodic_boundaries(mono.field, spaces, image, kept(M, (build_cs, "boundaries"), dict)))
 
 
 def collapse_required_js(n, max_degree):
@@ -161,7 +142,7 @@ def collapsed_complex(mono, max_degree, idxs):
         lam = mono.base.basis_vector(idxs[ii])
         return component_terms(idxs, _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam))
 
-    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, 1, image, {}))
+    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, image, {}))
 
 
 # -- eigencomponent decomposition ---------------------------------------------

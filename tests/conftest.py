@@ -1,8 +1,11 @@
-"""One ``Workspace`` per shipped fixture, shared by the whole session.
+"""One parsed spec per shipped fixture, shared by the whole session.
 
-Each workspace grows its C^S to the largest window a test asks for and
-builds each bar-side level on its first read, so the suite builds each
-level of each complex once.
+Tests reach the complexes of a fixture through the functions the command
+line calls, which keep them on the bimodule M or on the algebra:
+``build_cs`` reads the spaces and boundaries of C^S kept on M (the
+boundaries once per key), and ``bar_complex``, ``bar_resolution`` and
+``comparison`` keep the bar side, each level built on its first read.  So the tests of one fixture
+share every map they read.
 """
 
 import inspect
@@ -10,17 +13,16 @@ import inspect
 from orehom.fields import make_field
 from orehom.linalg import ColMap
 from orehom.spec_io import build_example, cyclic_group, encode_scalar, parse_spec
-from orehom.workspace import Workspace
 
-_WORKSPACES = {}
+_PARSED = {}
 
 
-def get_context(name):
-    ws = _WORKSPACES.get(name)
-    if ws is None:
-        parsed = parse_spec(build_example(name))
-        ws = _WORKSPACES[name] = Workspace(parsed.mono, parsed.bimodule)
-    return ws
+def get_spec(name):
+    """The parsed spec of the example ``name``, parsed once per session."""
+    parsed = _PARSED.get(name)
+    if parsed is None:
+        parsed = _PARSED[name] = parse_spec(build_example(name))
+    return parsed
 
 
 def encode_kvec(field, vec):

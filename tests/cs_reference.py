@@ -35,12 +35,13 @@ from paper_checks import preimage, quotient_dim
 
 def build_cs(mono, M, max_degree):
     """The generic C^S(A, M), one fresh boundary per degree."""
-    cx = ChainComplex(mono.field, [commutator_quotient(M, 0)], {})
+    spaces = [commutator_quotient(M, cs_twist(mono.n, r)) for r in range(max_degree + 1)]
+    boundaries = {}
     for r in range(1, max_degree + 1):
-        src, tgt = commutator_quotient(M, cs_twist(mono.n, r)), cx.spaces[r - 1]
+        src, tgt = spaces[r], spaces[r - 1]
         cols = [tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})) for idx in src.free]
-        cx.append(src, ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols))
-    return cx
+        boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
+    return ChainComplex(mono.field, spaces, boundaries)
 
 
 def build_cs_collapsed(mono, max_degree):

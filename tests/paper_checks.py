@@ -16,8 +16,10 @@ forms of ``cs_reference``: an elimination path independent of the
 from fractions import Fraction
 from math import factorial
 
+from orehom.algebra import regular_bimodule
 from orehom.complexes import homology, homology_dims
 from orehom.cyclic import BCTotal, MixedComplexData, build_mixed_components, connes_D_collapsed
+from orehom import small_complex
 from orehom.linalg import EchelonSet, _row_echelon, kernel_basis, sparse_rank, sub_terms
 from orehom.small_complex import (
     HypothesisError,
@@ -115,9 +117,11 @@ def periodicity_check(mono, v, max_m, M=None):
         if mono.alpha_columns(mono.n * j) is None:
             raise HypothesisError(f"alpha^n has order dividing {j} < {v}")
     top = 2 * (max_m + v) + 2
-    cs = build_cs(mono, M, top + 1)
+    M = M or regular_bimodule(mono)
+    cs = build_cs(M, top + 1)
     for r in range(1, top + 2):
-        fresh = _periodic_boundaries(cs.field, cs.spaces[r - 1:r + 1], 1, lambda _, idx: cs._image(r, idx), {})
+        fresh = _periodic_boundaries(cs.field, cs.spaces[r - 1:r + 1],
+                                     lambda _, idx: small_complex._boundary_terms(mono, M, r, {idx: mono.field.one}), {})
         if fresh[1] != cs.boundary(r):
             return False
     dims = homology_dims(cs, top)

@@ -8,6 +8,7 @@ to see the per-criterion lines.
 import json
 import time
 
+from orehom.bar import bar_complex, comparison
 from orehom.cli import main as cli_main
 from orehom.complexes import homology_dims
 from orehom.cyclic import (
@@ -19,9 +20,9 @@ from orehom.cyclic import (
     hc_rank_one,
     transfer_D,
 )
-from orehom.small_complex import hh_closed_form, hh_rank_one
+from orehom.small_complex import build_cs, hh_closed_form, hh_rank_one
 
-from conftest import get_context
+from conftest import get_spec
 from paper_checks import periodicity_check, sbi_check
 
 SHIPPED = ("trunc:3", "sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4")
@@ -54,9 +55,9 @@ def test_criterion_1_identity_suite(capsys):
 def test_criterion_2_hh_oracle_equivalence():
     all_ok = True
     for name in SHIPPED:
-        ctx = get_context(name)
-        cs_dims = homology_dims(ctx.cs(7), 5)
-        bar_dims = homology_dims(ctx.bar().chain_complex(7), 5)
+        ctx = get_spec(name)
+        cs_dims = homology_dims(build_cs(ctx.bimodule, 7), 5)
+        bar_dims = homology_dims(bar_complex(ctx.bimodule).chain_complex(7), 5)
         all_ok = all_ok and cs_dims == bar_dims
     _report(2, all_ok, "small-complex homology = normalized-complex homology, degrees 0..5")
 
@@ -64,10 +65,10 @@ def test_criterion_2_hh_oracle_equivalence():
 def test_criterion_3_hc_oracle_equivalence():
     all_ok = True
     for name in SHIPPED:
-        ctx = get_context(name)
+        ctx = get_spec(name)
         md = 6
-        dims = hc(ctx, md)
-        bar = ctx.bar()
+        dims = hc(ctx.bimodule, md)
+        bar = bar_complex(ctx.bimodule)
         barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
         oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
         all_ok = all_ok and dims[:md - 1] == oracle
@@ -77,23 +78,23 @@ def test_criterion_3_hc_oracle_equivalence():
 def test_criterion_4_closed_form_regression():
     ok = True
     for n in (2, 3, 4):
-        ctx = get_context(f"trunc:{n}")
-        gen = homology_dims(ctx.cs(7), 5)
+        ctx = get_spec(f"trunc:{n}")
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 5)
         cf = hh_closed_form(ctx.mono, "alpha_identity", 5)
         ok = ok and gen == [n] + [n - 1] * 5 == cf
     for n in (2, 3):
-        ctx = get_context(f"taft:{n}")
-        gen = homology_dims(ctx.cs(7), 5)
+        ctx = get_spec(f"taft:{n}")
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 5)
         cf = hh_rank_one(ctx.mono, "xi=0", 5)
         ok = ok and gen == [n] + [n - 1] * 5 == cf
-        hc_gen = hc(ctx, 7)[:6]
+        hc_gen = hc(ctx.bimodule, 7)[:6]
         r1 = hc_rank_one(ctx.mono, "xi=0", 5)
         expect_hc = [n if r % 2 == 0 else n - 1 for r in range(6)]
         ok = ok and hc_gen == expect_hc
         ok = ok and r1 == expect_hc
-    ctx = get_context("rank1:c4")
-    gen_hh = homology_dims(ctx.cs(7), 3)
-    gen_hc = hc(ctx, 5)[:4]
+    ctx = get_spec("rank1:c4")
+    gen_hh = homology_dims(build_cs(ctx.bimodule, 7), 3)
+    gen_hc = hc(ctx.bimodule, 5)[:4]
     cf_hh = hh_closed_form(ctx.mono, "eigen", 3)
     cf_hc = hc_closed_form(ctx.mono, 3)
     ok = ok and gen_hh == [3, 1, 1, 1] == cf_hh
@@ -105,10 +106,10 @@ def test_criterion_4_closed_form_regression():
 def test_criterion_5_connes_transfer():
     all_ok = True
     for name in SHIPPED:
-        ctx = get_context(name)
-        cs = ctx.cs(7)
-        bar = ctx.bar()
-        cmp_ = ctx.comparison()
+        ctx = get_spec(name)
+        cs = build_cs(ctx.bimodule, 7)
+        bar = bar_complex(ctx.bimodule)
+        cmp_ = comparison(ctx.bimodule)
         for r in range(6):
             direct = connes_D(ctx.mono, r, cs.spaces)
             if direct != transfer_D(cmp_, bar, r):
@@ -121,7 +122,7 @@ def test_criterion_6_sbi_formulas():
     ok = True
     details = []
     for name in ("taft:2", "taft:3"):
-        rep = sbi_check(get_context(name).mono, max_m=2)
+        rep = sbi_check(get_spec(name).mono, max_m=2)
         for item in must_pass:
             if item in rep["by_item"] and not rep["by_item"][item]:
                 ok = False
@@ -155,11 +156,11 @@ def test_criterion_8_periodicity():
         ("trunc:3", 1), ("sweedler", 1), ("taft:3", 1), ("rank1:c4", 1),
         ("dihedral:3", 1), ("dihedral:4", 1), ("rank1nc:c2xc4", 2),
     ):
-        ctx = get_context(name)
+        ctx = get_spec(name)
         if not periodicity_check(ctx.mono, v, max_m):
             ok = False
         top = 2 * (max_m + v) + 2
-        hc_dims = hc(ctx, top + 1)
+        hc_dims = hc(ctx.bimodule, top + 1)
         for m in range(max_m + 1):
             if hc_dims[2 * m + 1] != hc_dims[2 * (m + v) + 1]:
                 ok = False

@@ -31,7 +31,7 @@ from orehom.linalg import ColMap, EchelonSet, sparse_rank, sub_terms, subquotien
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
-from conftest import get_context, rank_one_doc, right_mult_map
+from conftest import get_spec, rank_one_doc, right_mult_map
 from paper_checks import contains
 
 Q = make_field("rationals")
@@ -90,8 +90,8 @@ def _table_context(name):
                 rank_one_doc(*RANK_ONE[name]))
             _PARSED[name] = (parsed.mono, parsed.bimodule)
         return _PARSED[name]
-    ctx = get_context(name)
-    return ctx.mono, ctx.M
+    ctx = get_spec(name)
+    return ctx.mono, ctx.bimodule
 
 
 TABLE_FIXTURES = EXAMPLE_NAMES + ("taft:4", "dual-numbers", "c2-cubic")
@@ -178,7 +178,7 @@ def test_zero_character_does_not_fix_the_unit():
 
 
 def sweedler_mono():
-    return get_context("sweedler").mono
+    return get_spec("sweedler").mono
 
 
 def test_validate_monogenic_sweedler():
@@ -196,7 +196,7 @@ def test_validate_monogenic_rejects_unfixed_coefficient():
 
 
 def test_validate_monogenic_rank1_fixture():
-    mono = get_context("rank1:c4").mono
+    mono = get_spec("rank1:c4").mono
     # f = x^2 - (g^2 - 1): lam_2 = 1 - g^2
     assert mono.f_coefficient(2) == {0: 1, 2: -1}
 
@@ -209,7 +209,7 @@ def test_validate_monogenic_needs_degree_two():
 
 
 def test_divide_by_f_truncated():
-    mono = get_context("trunc:3").mono  # f = x^3 over Q
+    mono = get_spec("trunc:3").mono  # f = x^3 over Q
     one = mono.base.unit
     assert divide_by_f(mono, 2) == ([], [(2, one)])
     assert divide_by_f(mono, 3) == ([(0, one)], [])
@@ -217,7 +217,7 @@ def test_divide_by_f_truncated():
 
 
 def test_divide_by_f_twisted_rank1():
-    mono = get_context("rank1:c4").mono
+    mono = get_spec("rank1:c4").mono
     # x^3 = x f + (g^2 - 1) x
     assert divide_by_f(mono, 3) == ([(1, mono.base.unit)], [(1, {0: Q.from_fraction(-1), 2: Q.one})])
 
@@ -273,16 +273,16 @@ def test_k_times_x_power_matches_long_division(name):
 
 
 def test_a_multiply_examples():
-    sw = get_context("sweedler").mono
+    sw = get_spec("sweedler").mono
     g = sw.base.basis_vector(1)  # at x^0, its flat coordinates are its K-coordinates
     x = sw.k_times_x_power(sw.base.unit, 1)
     gx = sw.multiply(g, x)
     assert sw.multiply(gx, gx) == {}
-    tr = get_context("trunc:3").mono
+    tr = get_spec("trunc:3").mono
     x1 = tr.k_times_x_power(tr.base.unit, 1)
     x2 = tr.k_times_x_power(tr.base.unit, 2)
     assert tr.multiply(x1, x2) == {}
-    r1 = get_context("rank1:c4").mono
+    r1 = get_spec("rank1:c4").mono
     xx = r1.k_times_x_power(r1.base.unit, 1)
     assert r1.multiply(xx, xx) == {0: Q.from_fraction(-1), 2: Q.one}
 
@@ -301,13 +301,13 @@ def test_a_multiply_associative_unital_exhaustive():
 
 
 def test_twisted_commutators_rational_trivial():
-    mono = get_context("trunc:3").mono
+    mono = get_spec("trunc:3").mono
     for j in (0, 1, 2):
         assert k_commutator_subspace(mono, j) == []
 
 
 def test_twisted_commutators_sweedler():
-    sw = get_context("sweedler").mono
+    sw = get_spec("sweedler").mono
     spans = k_commutator_subspace(sw, 1)
     assert sparse_rank(spans) == 2  # all of K
     assert k_commutator_subspace(sw, 2) == []
@@ -318,9 +318,9 @@ def _holds(entries):
 
 
 def test_check_collapse_examples():
-    assert _holds(check_collapse(get_context("sweedler").mono, 6))
-    assert not _holds(check_collapse(get_context("trunc:3").mono, 6))
-    rep = check_collapse(get_context("dihedral:3").mono, 6)
+    assert _holds(check_collapse(get_spec("sweedler").mono, 6))
+    assert not _holds(check_collapse(get_spec("trunc:3").mono, 6))
+    rep = check_collapse(get_spec("dihedral:3").mono, 6)
     assert not _holds(rep)
     # the rotation part only reaches symmetric sums, so [K,K]_alpha has
     # codimension 1 in K
@@ -328,12 +328,12 @@ def test_check_collapse_examples():
 
 
 def test_verify_lambda_breve():
-    sw = get_context("sweedler").mono
+    sw = get_spec("sweedler").mono
     ok, _ = verify_lambda_breve(sw, sw.base.basis_vector(1))
     assert ok
     bad, reason = verify_lambda_breve(sw, sw.base.unit)
     assert not bad and "invertible" in reason
-    t3 = get_context("taft:3").mono
+    t3 = get_spec("taft:3").mono
     ok, _ = verify_lambda_breve(t3, t3.base.basis_vector(1))
     assert ok
 
@@ -347,11 +347,11 @@ def test_lambda_breve_implies_collapse():
 
 
 def test_eigen_split():
-    sw = get_context("sweedler")
+    sw = get_spec("sweedler")
     comps = eigen_split(sw.mono.base, sw.mono.alpha)
     assert comps[0][0] == Q.one and comps[0][1] == [0]
     assert comps[1][0] == Q.from_fraction(-1) and comps[1][1] == [1]
-    tr = get_context("trunc:3")
+    tr = get_spec("trunc:3")
     comps = eigen_split(tr.mono.base, tr.mono.alpha)
     assert len(comps) == 1 and comps[0][1] == [0]
 
@@ -375,7 +375,7 @@ def _alpha_order(mono):
 
 def test_commutator_alpha_period_compatibility():
     for name in ("sweedler", "taft:3", "rank1nc:c2xc4"):
-        mono = get_context(name).mono
+        mono = get_spec(name).mono
         v = _alpha_order(mono)
         M = regular_bimodule(mono)
         for j in (0, 1, 2):
@@ -413,7 +413,7 @@ def _one_hot_commutators(M, j):
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_column_commutators_match_one_hot_reference(name):
-    mono, M = get_context(name).mono, get_context(name).M
+    mono, M = get_spec(name).mono, get_spec(name).bimodule
     order = _alpha_order(mono)
     for j in range(2 * order + 1):
         assert mono.twist(j) == j % order
@@ -448,14 +448,14 @@ def test_alpha_of_infinite_order_keeps_every_twist():
     for j in range(6):
         assert twisted_commutator_subspace(M, j) == _one_hot_commutators(M, j)
     assert len({id(commutator_quotient(M, j)) for j in range(6)}) == 6
-    cs_dims = homology_dims(build_cs(mono, M, 6), 5)
+    cs_dims = homology_dims(build_cs(M, 6), 5)
     assert cs_dims == homology_dims(BarComplex(mono, M).chain_complex(6), 5)
 
 
 def test_lambda_n_compatibility():
     # lam*lam_n - alpha^n(lam)*lam_n lies in [K,K]_{alpha^{mn}} for m <= 3
     for name in ("sweedler", "taft:3", "rank1:c4", "rank1nc:c2xc4", "dihedral:3"):
-        mono = get_context(name).mono
+        mono = get_spec(name).mono
         K = mono.base
         lam_n = mono.f_coefficient(mono.n)
         for m in range(4):
@@ -469,7 +469,7 @@ def test_lambda_n_compatibility():
 
 
 def test_regular_bimodule_validates():
-    mono = get_context("rank1:c4").mono
+    mono = get_spec("rank1:c4").mono
     M = regular_bimodule(mono)
     M._check()  # associativity, unitality, commuting actions, f-relations
 

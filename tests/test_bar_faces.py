@@ -15,11 +15,10 @@ import pytest
 
 import bar_reference as ref
 from orehom.algebra import BimoduleData
-from orehom.bar import BarComplex, BarResolution
+from orehom.bar import BarComplex, BarResolution, bar_complex
 from orehom.linalg import ColMap
 from orehom.perturbation import vanishing_check
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
-from orehom.workspace import Workspace
 
 from conftest import kept_keys, right_mult_map
 from test_algebra import RANK_ONE, _table_context
@@ -84,10 +83,9 @@ def test_face_lists_are_built_once_per_block_read(monkeypatch):
         return original(self, r, t, i0)
 
     monkeypatch.setattr(BarComplex, "_B_faces", counted)
-    parsed = parse_spec(build_example("taft:4"))
-    ws = Workspace(parsed.mono, parsed.bimodule)
-    assert all(vanishing_check(ws, 2, 3).values())
-    B7 = ws.bar().connes_B(7)
+    M = parse_spec(build_example("taft:4")).bimodule
+    assert all(vanishing_check(M, 2, 3).values())
+    B7 = bar_complex(M).connes_B(7)
     assert B7.cols.built < B7.ncols / 10, B7
     assert len(listed) == len(set(listed))
     assert 0 < len([key for key in listed if key[0] == 7]) <= B7.cols.built

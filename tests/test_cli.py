@@ -658,11 +658,9 @@ def test_parse_spec_of_a_large_rank_one_document_builds_no_table(monkeypatch):
     assert builds == [] and not kept_keys(mono, type(mono).mul_table)
 
 
-@pytest.mark.parametrize("copies", [1, 2], ids=["M=K", "M=K+K"])
-def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
-    # cyclic homology is that of A: with coefficients M = K or K + K (x acting
-    # as 0; K + K has the dimension of A) in the spec, C^S and the oracle
-    # still both read M = A
+def _sweedler_with_k_coefficients(tmp_path, copies):
+    """A spec file of sweedler whose M is K, or K + K (which has the dimension
+    of A), with x acting as 0."""
     doc = build_example("sweedler")
     K = parse_spec(doc).mono.base
     F = K.field
@@ -687,11 +685,34 @@ def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
     }
     p = tmp_path / "coefficients.json"
     p.write_text(json.dumps(doc))
-    code, rep = run_json(capsys, "hc", "--spec", str(p), "--max-degree", "5", "--oracle")
+    return str(p)
+
+
+@pytest.mark.parametrize("copies", [1, 2], ids=["M=K", "M=K+K"])
+def test_hc_oracle_reads_the_regular_bimodule(capsys, tmp_path, copies):
+    # cyclic homology is that of A: with coefficients M = K or K + K (x acting
+    # as 0; K + K has the dimension of A) in the spec, C^S and the oracle
+    # still both read M = A, and the report says so
+    code, rep = run_json(capsys, "hc", "--spec", _sweedler_with_k_coefficients(tmp_path, copies),
+                         "--max-degree", "5", "--oracle")
     assert code == 0
     assert [c["agrees"] for c in rep["comparisons"]] == [True]
+    assert rep["bimodule_note"] == "M is not the regular bimodule: HC is computed for A, with M = A"
     _, regular = run_json(capsys, "hc", "--spec", "sweedler", "--max-degree", "5", "--oracle")
     assert rep["modes"] == regular["modes"]
+    assert "bimodule_note" not in regular
+
+
+def test_hh_closed_forms_and_components_refuse_a_non_regular_bimodule(capsys, tmp_path):
+    # the closed forms and eigencomponents of hh are those of M = A: on M = K
+    # they are refused, and the oracle still agrees with C^S
+    code, rep = run_json(capsys, "hh", "--spec", _sweedler_with_k_coefficients(tmp_path, 1), "--max-degree", "5",
+                         "--closed-form", "--decompose", "--oracle")
+    assert code == 0
+    assert rep["refusals"] == ["--decompose needs the hypothesis M is the regular bimodule",
+                               "--closed-form needs the hypothesis M is the regular bimodule"]
+    assert rep["modes"] == {"generic": [2, 0, 2, 0, 2], "oracle": [2, 0, 2, 0, 2]}
+    assert rep["comparisons"] == [{"against": "normalized-complex oracle", "agrees": True}]
 
 
 def test_perfbench_tracer_finds_every_target():
@@ -706,6 +727,25 @@ def test_perfbench_tracer_finds_every_target():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_every_benchmark_command_prints_its_recorded_report(capsys, monkeypatch):
+    # each command of perfbench/run.py's workloads exits 0 and prints, byte
+    # for byte, the report whose sha256 perfbench/expected_reports.json records
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its neighbours
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_module)
+    expected = json.loads((bench / "expected_reports.json").read_text(encoding="utf-8"))
+    commands = {run_module.command_key(argv): argv for argvs in run_module.WORKLOADS.values() for argv in argvs}
+    assert len(commands) == 49
+    differing = []
+    for key, argv in commands.items():
+        code = main(argv + ["--json"])
+        if code != 0 or run_module.report_digest(capsys.readouterr().out) != expected[key]:
+            differing.append(key)
+    assert differing == []
 
 
 @pytest.mark.parametrize("argv, refusal", [
@@ -746,10 +786,11 @@ def test_comparisons_over_an_empty_window_are_refused(capsys, spec, argv, agains
 
 @pytest.mark.parametrize("cmd", ["hh", "hc", "verify"])
 def test_memory_error_is_one_error_line_and_exit_1(capsys, monkeypatch, cmd):
+    # the first complex each command builds runs out of memory
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "Workspace", exhausted)
+    monkeypatch.setattr(cli, "hc" if cmd == "hc" else "build_cs", exhausted)
     code = main([cmd, "--spec", "taft:3", "--max-degree", "4"])
     captured = capsys.readouterr()
     assert code == 1

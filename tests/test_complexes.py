@@ -2,18 +2,20 @@
 
 import pytest
 
+from orehom.bar import bar_complex
 from orehom.complexes import ChainComplex, ComplexError, homology, homology_dims
 from orehom.cyclic import MixedComplexData, bc_total
 from orehom.fields import make_field
 from orehom.linalg import ColMap, subquotient
+from orehom.small_complex import build_cs
 
-from conftest import get_context
+from conftest import get_spec
 
 Q = make_field("rationals")
 
 
 def _bar_complexes(name, md):
-    bar = get_context(name).bar()
+    bar = bar_complex(get_spec(name).bimodule)
     mixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
     return bar.chain_complex(md), bc_total(mixed, md - 1)
 
@@ -39,6 +41,7 @@ def test_inconsistent_boundaries_name_the_degree():
 
 
 def test_homology_dims_degree_out_of_range():
-    cs = get_context("sweedler").cs(3)
+    spec = get_spec("sweedler")
+    cs = build_cs(spec.bimodule, 3)
     with pytest.raises(ComplexError, match="out of range"):
         homology_dims(cs, cs.max_degree + 1)

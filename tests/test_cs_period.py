@@ -16,7 +16,7 @@ import pytest
 
 import cs_reference as ref
 from orehom import complexes, small_complex
-from orehom.algebra import AlgebraError
+from orehom.algebra import AlgebraError, regular_bimodule
 from orehom.cyclic import build_mixed_components, connes_D, hc_closed_form, hc_rank_one
 from orehom.complexes import homology, homology_dims
 from orehom.small_complex import (
@@ -59,7 +59,7 @@ def _same_complex(shared, fresh):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_generic_complex_matches_the_reference(name):
     mono, M = _table_context(name)
-    cs, fresh = build_cs(mono, M, DEGREE), ref.build_cs(mono, M, DEGREE)
+    cs, fresh = build_cs(M, DEGREE), ref.build_cs(mono, M, DEGREE)
     _same_complex(cs, fresh)
     assert homology_dims(cs, DEGREE - 1) == homology_dims(fresh, DEGREE - 1)
     assert homology_dims(cs, DEGREE) == homology_dims(fresh, DEGREE)
@@ -126,7 +126,7 @@ def test_generic_D_matches_the_reference(name):
     # D sums the alpha powers over u before its one product per i; the
     # reference forms a product per (u, i): the columns are the same
     mono, _ = _table_context(name)
-    cs = build_cs(mono, None, DEGREE)
+    cs = build_cs(regular_bimodule(mono), DEGREE)
     for r in range(DEGREE):
         D, fresh = connes_D(mono, r, cs.spaces), ref.connes_D(mono, r, cs.spaces)
         assert (D.nrows, D.ncols) == (fresh.nrows, fresh.ncols)
@@ -201,7 +201,7 @@ def test_hh_collapsed_eliminates_each_k_commutator_span_once(monkeypatch, name):
 @pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])
 def test_boundaries_repeat_with_period_2v(name, v):
     mono, M = _table_context(name)
-    for cx in (build_cs(mono, M, DEGREE), build_cs_collapsed(mono, DEGREE)):
+    for cx in (build_cs(M, DEGREE), build_cs_collapsed(mono, DEGREE)):
         for r in range(1, DEGREE + 1 - 2 * v):
             assert cx.boundary(r) is cx.boundary(r + 2 * v)
         assert len({id(cx.boundary(r)) for r in range(1, DEGREE + 1)}) == 2 * v
@@ -211,7 +211,7 @@ def test_boundaries_repeat_with_period_2v(name, v):
 
 def test_alpha_of_infinite_order_shares_no_map():
     mono, M = _table_context("dual-numbers")
-    cs = build_cs(mono, M, DEGREE)
+    cs = build_cs(M, DEGREE)
     assert len({id(cs.boundary(r)) for r in range(1, DEGREE + 1)}) == DEGREE
     assert len(cs._zero_pairs) == DEGREE - 1
 
@@ -219,7 +219,7 @@ def test_alpha_of_infinite_order_shares_no_map():
 def test_work_is_done_once_per_distinct_object(monkeypatch):
     # taft:3 has v = 1: d_1 and d_2 are the only two maps of C^S
     mono, M = _table_context("taft:3")
-    cs = build_cs(mono, M, DEGREE)
+    cs = build_cs(M, DEGREE)
     assert len(cs._zero_pairs) == 2
     counts = {"kernel_basis": 0, "sparse_rank": 0}
 
@@ -248,8 +248,11 @@ def test_work_is_done_once_per_distinct_object(monkeypatch):
 
 
 def test_periodicity_check_builds_every_degree_afresh(monkeypatch):
-    mono, M = _table_context("taft:3")
-    assert periodicity_check(mono, 1, 2, M)
+    # each call on a bimodule of its own: the boundaries of C^S are kept on
+    # M, so a second call on the first one's M would read the maps built
+    # with the real formula
+    parsed = parse_spec(build_example("taft:3"))
+    assert periodicity_check(parsed.mono, 1, 2, parsed.bimodule)
     real = small_complex._boundary_terms
 
     def reads_m(mono, M, r, terms):
@@ -259,4 +262,5 @@ def test_periodicity_check_builds_every_degree_afresh(monkeypatch):
         return {k: c * scale for k, c in real(mono, M, r, terms).items()}
 
     monkeypatch.setattr(small_complex, "_boundary_terms", reads_m)
-    assert not periodicity_check(mono, 1, 2, M)
+    parsed = parse_spec(build_example("taft:3"))
+    assert not periodicity_check(parsed.mono, 1, 2, parsed.bimodule)

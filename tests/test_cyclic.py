@@ -1,5 +1,6 @@
 import pytest
 
+from orehom.bar import bar_complex, comparison
 from orehom.complexes import ChainComplex, homology_dims
 from orehom.cyclic import (
     BCTotal,
@@ -14,10 +15,10 @@ from orehom.cyclic import (
     transfer_D,
 )
 from orehom.perturbation import build_cyclic_retract
-from orehom.small_complex import HypothesisError
+from orehom.small_complex import HypothesisError, build_cs
 from orehom.spec_io import EXAMPLE_NAMES
 
-from conftest import COLLAPSING, SHIPPED, get_context, is_zero
+from conftest import COLLAPSING, SHIPPED, get_spec, is_zero
 from paper_checks import collapsed_mixed, sbi_check
 
 # Cyclic homology tables, frozen from the normalized-complex BC oracle.
@@ -35,14 +36,14 @@ HC_TABLE = {
 
 def test_connes_D_collapsed_even_zero():
     for name in COLLAPSING:
-        ctx = get_context(name)
+        ctx = get_spec(name)
         mixed = collapsed_mixed(ctx.mono, 6)
         for r in range(0, 6, 2):
             assert is_zero(mixed.B[r])
 
 
 def test_connes_D_sweedler_odd():
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     mono = ctx.mono
     mixed = collapsed_mixed(mono, 4)
     D1 = mixed.B[1].cols
@@ -52,9 +53,9 @@ def test_connes_D_sweedler_odd():
 
 
 def test_connes_D_truncated_generic():
-    ctx = get_context("trunc:3")
+    ctx = get_spec("trunc:3")
     mono = ctx.mono
-    cs = ctx.cs(6)
+    cs = build_cs(ctx.bimodule, 6)
     F = mono.field
     for m in (0, 1, 2):
         D = connes_D(mono, 2 * m, cs.spaces).cols
@@ -65,22 +66,23 @@ def test_connes_D_truncated_generic():
 
 def test_mixed_identities_all_fixtures():
     for name in SHIPPED:
-        build_mixed(get_context(name), 6)  # raises on violation
+        M = get_spec(name).bimodule
+        build_mixed(build_cs(M, 6), M)  # raises on violation
 
 
 def test_transfer_matches_closed_formula():
     for name in ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3"):
-        ctx = get_context(name)
-        cs = ctx.cs(6)
-        bar = ctx.bar()
-        cmp_ = ctx.comparison()
+        ctx = get_spec(name)
+        cs = build_cs(ctx.bimodule, 6)
+        bar = bar_complex(ctx.bimodule)
+        cmp_ = comparison(ctx.bimodule)
         for r in range(5):
             direct = connes_D(ctx.mono, r, cs.spaces)
             assert direct == transfer_D(cmp_, bar, r)
 
 
 def test_bc_total_shapes_and_square_zero():
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     mixed = collapsed_mixed(ctx.mono, 6)
     tot = BCTotal(mixed, 5)
     assert tot.dim(0) == mixed.dim(0)
@@ -92,23 +94,23 @@ def test_bc_total_shapes_and_square_zero():
 
 @pytest.mark.parametrize("name", sorted(HC_TABLE))
 def test_hc_tables(name):
-    ctx = get_context(name)
-    assert hc(ctx, 7)[:6] == HC_TABLE[name]
+    ctx = get_spec(name)
+    assert hc(ctx.bimodule, 7)[:6] == HC_TABLE[name]
 
 
 def test_hc_zero_degree_equals_hh():
     for name in SHIPPED:
-        ctx = get_context(name)
-        hh0 = homology_dims(ctx.cs(2), 0)[0]
-        assert hc(ctx, 3)[0] == hh0
+        ctx = get_spec(name)
+        hh0 = homology_dims(build_cs(ctx.bimodule, 2), 0)[0]
+        assert hc(ctx.bimodule, 3)[0] == hh0
 
 
 @pytest.mark.parametrize("name", ("sweedler", "taft:3", "rank1:c4", "dihedral:3", "dihedral:4", "trunc:3"))
 def test_hc_oracle_equivalence(name):
-    ctx = get_context(name)
+    ctx = get_spec(name)
     md = 6
-    dims = hc(ctx, md)
-    bar = ctx.bar()
+    dims = hc(ctx.bimodule, md)
+    bar = bar_complex(ctx.bimodule)
     barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
     oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
     assert dims[:md - 1] == oracle
@@ -116,36 +118,36 @@ def test_hc_oracle_equivalence(name):
 
 def test_component_mixed_sums_to_total():
     for name in COLLAPSING:
-        ctx = get_context(name)
+        ctx = get_spec(name)
         comps = build_mixed_components(ctx.mono, 6)
         total = None
         for w, idxs, cm in comps:
             dims = homology_dims(bc_total(cm, 6), 5)
             total = dims if total is None else [a + b for a, b in zip(total, dims)]
-        assert total == hc(ctx, 7)[:6]
+        assert total == hc(ctx.bimodule, 7)[:6]
 
 
 def test_hc_closed_form_proof_reading_matches():
     for name in COLLAPSING:
-        ctx = get_context(name)
+        ctx = get_spec(name)
         cf = hc_closed_form(ctx.mono, 6)
-        assert cf["proof_reading"] == hc(ctx, 7)[:7]
+        assert cf["proof_reading"] == hc(ctx.bimodule, 7)[:7]
 
 
 def test_hc_closed_form_exponent_divergence():
     # with lam_n = 0 the displayed odd numerator gives 0 at degree 1 while
     # the cycle condition gives the component dimension
-    cf = hc_closed_form(get_context("sweedler").mono, 4)
+    cf = hc_closed_form(get_spec("sweedler").mono, 4)
     assert cf["disagree_degrees"] == [1]
     assert cf["displayed_reading"][1] == 0
     assert cf["proof_reading"][1] == 1
-    cf4 = hc_closed_form(get_context("rank1:c4").mono, 4)
+    cf4 = hc_closed_form(get_spec("rank1:c4").mono, 4)
     assert cf4["disagree_degrees"] == [1]
 
 
 def test_hc_closed_form_power_stabilization():
     # (g^2 - 1)^(m+1) spans the same line for every m, so even degrees stay 3
-    cf = hc_closed_form(get_context("rank1:c4").mono, 6)
+    cf = hc_closed_form(get_spec("rank1:c4").mono, 6)
     assert cf["proof_reading"][0::2] == [3, 3, 3, 3]
 
 
@@ -156,19 +158,19 @@ def test_hc_rank_one_specializations():
         ("rank1:c4", "xi!=0, chi^n=id"),
         ("rank1nc:c2xc4", "xi!=0, chi^n!=id"),
     ):
-        ctx = get_context(name)
+        ctx = get_spec(name)
         r1 = hc_rank_one(ctx.mono, case, 6)
-        assert r1 == hc(ctx, 7)[:7]
+        assert r1 == hc(ctx.bimodule, 7)[:7]
 
 
 def test_hc_closed_form_refuses_without_collapse():
     with pytest.raises(HypothesisError):
-        hc_closed_form(get_context("dihedral:3").mono, 4)
+        hc_closed_form(get_spec("dihedral:3").mono, 4)
 
 
 def test_sbi_items_all_pass():
     for name in ("taft:2", "taft:3"):
-        rep = sbi_check(get_context(name).mono, max_m=2)
+        rep = sbi_check(get_spec(name).mono, max_m=2)
         assert rep["by_item"]["a"] and rep["by_item"]["b"] and rep["by_item"]["c"]
         assert rep["by_item"]["e"]
         assert rep["by_item"]["d"] and rep["by_item"]["f"]
@@ -176,20 +178,20 @@ def test_sbi_items_all_pass():
 
 
 def test_sbi_on_nontrivial_lambda_n():
-    rep = sbi_check(get_context("rank1:c4").mono, max_m=2)
+    rep = sbi_check(get_spec("rank1:c4").mono, max_m=2)
     assert all(rep["by_item"].values())
 
 
 def test_sbi_handles_nonroot_components():
-    rep = sbi_check(get_context("rank1nc:c2xc4").mono, max_m=1)
+    rep = sbi_check(get_spec("rank1nc:c2xc4").mono, max_m=1)
     items = {e["item"] for e in rep["entries"]}
     assert "1" in items  # the w = +i / -i components use the surjection item
     assert all(rep["by_item"].values())
 
 
 def test_connes_D_degree_out_of_range():
-    ctx = get_context("sweedler")
-    cs = ctx.cs(4)
+    ctx = get_spec("sweedler")
+    cs = build_cs(ctx.bimodule, 4)
     with pytest.raises(HypothesisError, match="out of range"):
         connes_D(ctx.mono, cs.max_degree, cs.spaces)
 
@@ -198,7 +200,7 @@ def test_mixed_identity_violation_raises_complex_error():
     from orehom.complexes import ComplexError
     from orehom.linalg import ColMap
 
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     mono = ctx.mono
     mixed = collapsed_mixed(mono, 4)
     bad_B = dict(mixed.B)
@@ -234,15 +236,16 @@ def _zero_scalars(named_maps):
 def test_eager_maps_hold_no_zero_scalar(name):
     # an eager map is built from its list of columns with no zero filter:
     # every function that makes one must hand it zero-free columns
-    ws = get_context(name)
-    mixed = build_mixed(ws, 12)
+    parsed = get_spec(name)
+    mono, M = parsed.mono, parsed.bimodule
+    mixed = build_mixed(build_cs(M, 12), M)
     named = [("d", mixed.b), ("D", mixed.B), ("Tot d", bc_total(mixed, 12).boundaries)]
     try:
-        components = build_mixed_components(ws.mono, 12)
+        components = build_mixed_components(mono, 12)
     except HypothesisError:
         components = []
     for w, _, cmixed in components:
         named += [(f"D(w={w})", cmixed.B), (f"Tot d(w={w})", bc_total(cmixed, 12).boundaries)]
-    retract, delta, _ = build_cyclic_retract(ws)
+    retract, delta, _ = build_cyclic_retract(build_cs(M, 5), M, 5)
     named += [("incl", retract.incl), ("proj", retract.proj), ("h", retract.h), ("delta", delta)]
     assert _zero_scalars(named) == []

@@ -22,8 +22,10 @@ validated in one place, every closed form reaches elimination through a
 kept quotient space (``colon_dim``), every definition under src/ is
 reached from the command line (what only the tests read lives in the
 tests), the refusals and comparisons of an ``hh``/``hc`` report each
-have one writer in ``cli.py``, and each level of the bar side is built on
-its first read, with no window to grow to."""
+have one writer in ``cli.py``, each level of the bar side is built on
+its first read, with no window to grow to, and every complex is kept on
+the bimodule or algebra it belongs to (no ``Workspace``, no C^S that grows
+in place)."""
 
 import ast
 from fractions import Fraction
@@ -33,13 +35,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orehom import bar
-from orehom.bar import BarResolution, BarSpace, ResolutionSpace
+from orehom.bar import BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
 from orehom.complexes import ChainComplex
 from orehom.cyclic import BCTotal, MixedComplexData
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import EchelonSet, sparse, sparse_rank
+from orehom.small_complex import build_cs
+from orehom.spec_io import build_example, parse_spec
 
-from conftest import get_context
+from conftest import get_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orehom").glob("*.py"))
@@ -160,7 +164,8 @@ def test_every_kept_value_is_kept_by_memo_or_kept():
     assert sorted(found.split(": ")[1] for found in _defined({"memo", "kept"})) == ["kept", "memo"]
     assert all(found.startswith("algebra.py:") for found in _defined({"memo", "kept"}))
     gone = {"_divisions", "_mul_table", "_x_overflow", "_x_pows", "_regular", "_quotients", "_k_commutators",
-            "_k_commutator_ranks", "_k_quotients", "_merged", "_faces", "_bar", "_barres", "_cmp"}
+            "_k_commutator_ranks", "_k_quotients", "_merged", "_faces", "_bar", "_barres", "_cmp", "_cs",
+            "_shared"}
     used = [f"{path.name}:{node.lineno}: .{node.attr}" for path in SOURCES for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute) and node.attr in gone]
     assert used == []
@@ -179,12 +184,28 @@ def test_bar_side_levels_are_built_on_first_read():
     # a level of the bar complex, of the bar resolution and of the twisted
     # resolution is a ``memo`` method of its owner: no list of levels, no
     # window to grow to, and no separate complex of resolution spaces
-    ws = get_context("sweedler")
-    for owner in (ws.bar(), ws.barres()):
+    parsed = get_spec("sweedler")
+    for owner in (bar_complex(parsed.bimodule), bar_resolution(parsed.mono)):
         owner.space(2)
         assert [name for name in ("grow", "max_r", "spaces") if hasattr(owner, name)] == []
     assert not hasattr(bar, "ResolutionComplex")
     assert _defined({"ResolutionComplex"}) == []
+
+
+def test_every_complex_is_kept_on_its_bimodule_or_algebra():
+    # C^S's spaces and boundaries and the bar side are kept on M and on the
+    # algebra through ``memo`` and ``kept``: no second owner (``Workspace``), no small complex that
+    # grows in place, and no degree appended to a built complex
+    assert not (ROOT / "src" / "orehom" / "workspace.py").exists()
+    assert {"Workspace", "SmallComplex", "workspace"} & {n for path in SOURCES for n in _names(_tree(path))} == set()
+    assert _defined({"grow", "append"}) == [] and not hasattr(ChainComplex, "append")
+    parsed = parse_spec(build_example("taft:3"))
+    small, large = build_cs(parsed.bimodule, 3), build_cs(parsed.bimodule, 6)
+    # every window reads the spaces and the one boundary per key kept on M
+    assert all(small.spaces[r] is large.spaces[r] for r in range(4))
+    assert all(small.boundary(r) is large.boundary(r) for r in range(1, 4))
+    assert bar_complex(parsed.bimodule) is bar_complex(parsed.bimodule)
+    assert bar_resolution(parsed.mono) is comparison(parsed.bimodule).barres
 
 
 def test_one_collapse_verdict_per_algebra():
@@ -361,7 +382,7 @@ def test_collapsed_forms_have_one_builder_over_k_basis_indices():
     cyclic = _calls_in_functions(ROOT / "src" / "orehom" / "cyclic.py")
     checks = _calls_in_functions(ROOT / "tests" / "paper_checks.py")
     assert "collapsed_complex" in checks["build_cs_collapsed"] & small["decompose"]
-    assert {f for f, called in small.items() if "_periodic_boundaries" in called} == {"grow", "collapsed_complex"}
+    assert {f for f, called in small.items() if "_periodic_boundaries" in called} == {"build_cs", "collapsed_complex"}
     assert "_periodic_boundaries" in checks["periodicity_check"]
     assert {f for f, called in small.items() if called & {"_norm_map", "_alpha_minus_id_lamn"}} == {
         "collapsed_complex", "hh_dims_collapsed"}

@@ -1,5 +1,6 @@
 import pytest
 
+from orehom.bar import bar_complex, comparison
 from orehom.complexes import homology_dims
 from orehom.cyclic import connes_D, hc
 from orehom.linalg import ColMap
@@ -11,18 +12,18 @@ from orehom.perturbation import (
     verify_perturbed,
 )
 from orehom.spec_io import build_example, parse_spec
-from orehom.workspace import Workspace
+from orehom.small_complex import build_cs
 
 from bar_reference import bar_element_degree
-from conftest import get_context, is_zero
+from conftest import get_spec, is_zero
 from paper_checks import block, column
 
 FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
 
 def _setup(name, max_N=5):
-    ctx = get_context(name)
-    retract, delta, sides = build_cyclic_retract(ctx, max_N)
+    ctx = get_spec(name)
+    retract, delta, sides = build_cyclic_retract(build_cs(ctx.bimodule, max_N), ctx.bimodule, max_N)
     return ctx, retract, delta, sides
 
 
@@ -86,7 +87,7 @@ def transferred_block(pert, Yside, N, p_from, p_to):
 def test_transferred_differential_is_d_plus_D(name):
     ctx, retract, delta, (Yside, Xside) = _setup(name)
     pert = perturb(retract, delta)
-    cs = ctx.cs(5)
+    cs = build_cs(ctx.bimodule, 5)
     for N in range(1, 6):
         for (p, deg, off, d) in Yside.blocks[N]:
             if p >= 1:
@@ -100,25 +101,25 @@ def test_transferred_differential_is_d_plus_D(name):
 def test_transferred_homology_equals_hc(name):
     ctx, retract, delta, _ = _setup(name)
     pert = perturb(retract, delta)
-    assert homology_dims(pert.Y, 4) == hc(ctx, 6)[:5]
+    assert homology_dims(pert.Y, 4) == hc(ctx.bimodule, 6)[:5]
 
 
 @pytest.mark.parametrize("name", ("sweedler", "trunc:3", "taft:3"))
 def test_vanishing_check(name):
-    ctx = get_context(name)
-    rep = vanishing_check(ctx, 2, 3)
+    ctx = get_spec(name)
+    rep = vanishing_check(ctx.bimodule, 2, 3)
     assert all(rep.values())
     assert set(rep) == {(j, r) for j in (1, 2) for r in range(4)}
 
 
 def test_vanishing_degree_accounting():
     # deg((B w)^j B phi(v)) stays below (m+1) n on monomial classes
-    ctx = get_context("taft:3")
+    ctx = get_spec("taft:3")
     mono = ctx.mono
     top = 3 + 2 * 2 + 1
-    bar = ctx.bar()
-    cmp_ = ctx.comparison()
-    cs = ctx.cs(top)
+    bar = bar_complex(ctx.bimodule)
+    cmp_ = comparison(ctx.bimodule)
+    cs = build_cs(ctx.bimodule, top)
     n = mono.n
     for r in (0, 2):
         m = r // 2
@@ -152,10 +153,9 @@ def test_invalid_perturbation_rejected():
 
 @pytest.mark.parametrize("name", ["taft:3", "taft:4"])
 def test_vanishing_check_builds_only_the_columns_it_reads(name):
-    parsed = parse_spec(build_example(name))
-    ws = Workspace(parsed.mono, parsed.bimodule)
-    assert all(vanishing_check(ws, 2, 3).values())
-    bar, cmp_ = ws.bar(), ws.comparison()
+    M = parse_spec(build_example(name)).bimodule
+    assert all(vanishing_check(M, 2, 3).values())
+    bar, cmp_ = bar_complex(M), comparison(M)
     # the maps into levels 7 and 8 and psi at level 8
     for m in (cmp_.omega(6), bar.connes_B(7), cmp_.psi(8)):
         assert m.cols.built < m.ncols / 10, m

@@ -15,7 +15,7 @@ from orehom.small_complex import (
 )
 from orehom.spec_io import build_example, parse_spec
 
-from conftest import COLLAPSING, SHIPPED, get_context, is_zero
+from conftest import COLLAPSING, SHIPPED, get_spec, is_zero
 from paper_checks import build_cs_collapsed, periodicity_check
 
 # Homology dimension tables, frozen from the normalized-complex oracle
@@ -35,8 +35,8 @@ HH_TABLE = {
 
 
 def test_trunc_spaces_and_boundaries():
-    ctx = get_context("trunc:3")
-    cs = ctx.cs(6)
+    ctx = get_spec("trunc:3")
+    cs = build_cs(ctx.bimodule, 6)
     assert [cs.dim(r) for r in range(7)] == [3] * 7
     for r in range(1, 7):
         m = cs.boundary(r)
@@ -47,28 +47,30 @@ def test_trunc_spaces_and_boundaries():
 
 
 def test_sweedler_space_dims():
-    cs = get_context("sweedler").cs(6)
+    spec = get_spec("sweedler")
+    cs = build_cs(spec.bimodule, 6)
     assert [cs.dim(r) for r in range(7)] == [2] * 7
 
 
 def test_dd_zero_every_fixture():
     for name in SHIPPED:
-        cs = get_context(name).cs(6)
+        spec = get_spec(name)
+        cs = build_cs(spec.bimodule, 6)
         for r in range(1, 6):
             assert is_zero(cs.boundary(r).compose(cs.boundary(r + 1)))
 
 
 @pytest.mark.parametrize("name", sorted(HH_TABLE))
 def test_hh_dimension_tables(name):
-    ctx = get_context(name)
-    cs = ctx.cs(7)
+    ctx = get_spec(name)
+    cs = build_cs(ctx.bimodule, 7)
     assert homology_dims(cs, 5) == HH_TABLE[name]
 
 
 @pytest.mark.parametrize("name", ("trunc:3", "sweedler", "rank1:c4"))
 def test_homology_representatives_are_cycles(name):
-    ctx = get_context(name)
-    cs = ctx.cs(5)
+    ctx = get_spec(name)
+    cs = build_cs(ctx.bimodule, 5)
     for r in range(5):
         rep = homology(cs, r)
         assert rep.dimension == len(rep.representatives)
@@ -80,16 +82,16 @@ def test_homology_representatives_are_cycles(name):
 
 
 def test_top_degree_flagged_kernel_only():
-    ctx = get_context("sweedler")
-    cs = build_cs(ctx.mono, ctx.M, 4)
+    ctx = get_spec("sweedler")
+    cs = build_cs(ctx.bimodule, 4)
     rep = homology(cs, 4)
     assert rep.kernel_only
 
 
 def test_collapsed_matches_generic():
     for name in COLLAPSING:
-        ctx = get_context(name)
-        gen = homology_dims(ctx.cs(7), 6)
+        ctx = get_spec(name)
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 6)
         col = homology_dims(build_cs_collapsed(ctx.mono, 7), 6)
         assert col == gen
 
@@ -97,11 +99,11 @@ def test_collapsed_matches_generic():
 def test_collapsed_refuses_without_hypothesis():
     for name in ("trunc:3", "dihedral:3", "dihedral:4"):
         with pytest.raises(HypothesisError, match="generic"):
-            build_cs_collapsed(get_context(name).mono, 6)
+            build_cs_collapsed(get_spec(name).mono, 6)
 
 
 def test_collapsed_boundaries_sweedler():
-    mono = get_context("sweedler").mono
+    mono = get_spec("sweedler").mono
     col = build_cs_collapsed(mono, 4)
     # d_odd = 0 because lam_2 = 0
     assert is_zero(col.boundary(1)) and is_zero(col.boundary(3))
@@ -112,7 +114,7 @@ def test_collapsed_boundaries_sweedler():
 
 
 def test_collapsed_boundaries_taft3():
-    mono = get_context("taft:3").mono
+    mono = get_spec("taft:3").mono
     F = mono.field
     col = build_cs_collapsed(mono, 4)
     d2 = col.boundary(2).cols
@@ -121,7 +123,7 @@ def test_collapsed_boundaries_taft3():
 
 
 def test_collapsed_boundary_rank1_odd():
-    mono = get_context("rank1:c4").mono
+    mono = get_spec("rank1:c4").mono
     F = mono.field
     col = build_cs_collapsed(mono, 4)
     # d_1([g] x) = [2 g^3 - 2 g]
@@ -133,18 +135,18 @@ def test_collapsed_boundary_rank1_odd():
 
 def test_decompose_sums_to_collapsed():
     for name in COLLAPSING:
-        ctx = get_context(name)
+        ctx = get_spec(name)
         comps = decompose(ctx.mono, 6)
         col = build_cs_collapsed(ctx.mono, 6)
         for r in range(7):
             assert sum(c.dim(r) for _, _, c in comps) == col.dim(r)
-        gen = homology_dims(ctx.cs(7), 5)
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 5)
         sums = [sum(homology_dims(c, 5)[r] for _, _, c in comps) for r in range(6)]
         assert sums == gen
 
 
 def test_decompose_sweedler_components():
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     comps = decompose(ctx.mono, 6)
     by_val = {str(w): c for w, _, c in comps}
     minus = by_val["-1"]
@@ -155,7 +157,7 @@ def test_decompose_sweedler_components():
 
 def test_nonroot_components_vanish_positively():
     # eigenvalues with w^n != 1 contribute nothing above degree 0
-    ctx = get_context("rank1nc:c2xc4")
+    ctx = get_spec("rank1nc:c2xc4")
     comps = decompose(ctx.mono, 6)
     F = ctx.mono.field
     z = F.root()
@@ -167,27 +169,27 @@ def test_nonroot_components_vanish_positively():
 
 def test_closed_forms_match_generic():
     for name in COLLAPSING:
-        ctx = get_context(name)
-        gen = homology_dims(ctx.cs(7), 6)
+        ctx = get_spec(name)
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 6)
         assert hh_closed_form(ctx.mono, "collapsed", 6) == gen
         assert hh_closed_form(ctx.mono, "eigen", 6) == gen
 
 
 def test_closed_form_alpha_identity():
     for name, n in (("trunc:2", 2), ("trunc:3", 3), ("trunc:4", 4)):
-        ctx = get_context(name)
+        ctx = get_spec(name)
         cf = hh_closed_form(ctx.mono, "alpha_identity", 6)
         assert cf == [n] + [n - 1] * 6
-        assert cf == homology_dims(ctx.cs(7), 6)
+        assert cf == homology_dims(build_cs(ctx.bimodule, 7), 6)
 
 
 def test_closed_form_refusals():
     with pytest.raises(HypothesisError):
-        hh_closed_form(get_context("dihedral:3").mono, "collapsed", 4)
+        hh_closed_form(get_spec("dihedral:3").mono, "collapsed", 4)
     with pytest.raises(HypothesisError):
-        hh_closed_form(get_context("sweedler").mono, "alpha_identity", 4)
+        hh_closed_form(get_spec("sweedler").mono, "alpha_identity", 4)
     with pytest.raises(HypothesisError):
-        hh_closed_form(get_context("sweedler").mono, "nonsense", 4)
+        hh_closed_form(get_spec("sweedler").mono, "nonsense", 4)
 
 
 def _closed_forms(parsed, window):
@@ -238,7 +240,7 @@ def test_collapse_refusal_names_exactly_the_failing_js_of_the_window(window):
 def test_eigen_component_breakdown_taft3():
     # the per-component dims are those ``hh --decompose`` reports: the
     # homology of the complexes of ``decompose``
-    mono = get_context("taft:3").mono
+    mono = get_spec("taft:3").mono
     assert hh_dims_eigen(mono, 5) == [3, 2, 2, 2, 2, 2]
     percomp = [(w, homology_dims(c, 5)) for w, _, c in decompose(mono, 6)]
     for w, dims in percomp:
@@ -248,17 +250,17 @@ def test_eigen_component_breakdown_taft3():
 
 
 def test_periodicity():
-    assert periodicity_check(get_context("sweedler").mono, 1, 2)
-    assert periodicity_check(get_context("taft:3").mono, 1, 2)
-    assert periodicity_check(get_context("trunc:3").mono, 1, 2)
-    assert periodicity_check(get_context("rank1nc:c2xc4").mono, 2, 2)
+    assert periodicity_check(get_spec("sweedler").mono, 1, 2)
+    assert periodicity_check(get_spec("taft:3").mono, 1, 2)
+    assert periodicity_check(get_spec("trunc:3").mono, 1, 2)
+    assert periodicity_check(get_spec("rank1nc:c2xc4").mono, 2, 2)
 
 
 def test_periodicity_rejects_wrong_order():
     with pytest.raises(HypothesisError):
-        periodicity_check(get_context("rank1nc:c2xc4").mono, 1, 2)
+        periodicity_check(get_spec("rank1nc:c2xc4").mono, 1, 2)
     with pytest.raises(HypothesisError):
-        periodicity_check(get_context("sweedler").mono, 2, 1)
+        periodicity_check(get_spec("sweedler").mono, 2, 1)
 
 
 def test_hh_rank_one_specializations():
@@ -270,6 +272,6 @@ def test_hh_rank_one_specializations():
         ("rank1:c4", "xi!=0, chi^n=id"),
         ("rank1nc:c2xc4", "xi!=0, chi^n!=id"),
     ):
-        ctx = get_context(name)
-        gen = homology_dims(ctx.cs(7), 6)
+        ctx = get_spec(name)
+        gen = homology_dims(build_cs(ctx.bimodule, 7), 6)
         assert hh_rank_one(ctx.mono, case, 6) == gen

@@ -9,7 +9,7 @@ from orehom.linalg import ColMap
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
-from conftest import encode_kvec, get_context
+from conftest import encode_kvec, get_spec
 
 
 def _matrix_json(field, m):
@@ -18,7 +18,7 @@ def _matrix_json(field, m):
 
 
 def test_explicit_bimodule_matrices_round_trip():
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     mono = ctx.mono
     M = regular_bimodule(mono)
     doc = build_example("sweedler")
@@ -33,12 +33,12 @@ def test_explicit_bimodule_matrices_round_trip():
     }
     json.dumps(doc)
     parsed = parse_spec(doc)
-    dims = homology_dims(build_cs(parsed.mono, parsed.bimodule, 6), 4)
-    assert dims == homology_dims(ctx.cs(6), 4)
+    dims = homology_dims(build_cs(parsed.bimodule, 6), 4)
+    assert dims == homology_dims(build_cs(ctx.bimodule, 6), 4)
 
 
 def test_bimodule_validation_rejects_broken_action():
-    ctx = get_context("sweedler")
+    ctx = get_spec("sweedler")
     mono = ctx.mono
     M = regular_bimodule(mono)
     # doubling the action of g breaks L(g)L(g) = L(g^2) = id
@@ -129,7 +129,7 @@ BROKEN_AXIOMS = [
 def test_bimodule_and_endomorphism_checks_name_the_broken_axiom(breaker, message):
     # one axiom broken at a time on the regular bimodule of sweedler, given
     # as an explicit matrices document
-    mono = get_context("sweedler").mono
+    mono = get_spec("sweedler").mono
     field = mono.field
     acts = _regular_action_rows(mono)
     doc = build_example("sweedler")
@@ -167,13 +167,14 @@ def test_structure_constants_document():
     # [p, p]_alpha = p*alpha(p) - p*p = pq - p = -p: the twisted commutators
     # fill K, so the collapse holds
     assert parsed.summary["collapse"]["holds"] is True
-    dims = homology_dims(build_cs(parsed.mono, parsed.bimodule, 5), 3)
+    dims = homology_dims(build_cs(parsed.bimodule, 5), 3)
     bar_dims = homology_dims(BarComplex(parsed.mono, parsed.bimodule).chain_complex(5), 3)
     assert dims == bar_dims
 
 
 def test_homology_degree_out_of_range():
-    cs = get_context("sweedler").cs(3)
+    spec = get_spec("sweedler")
+    cs = build_cs(spec.bimodule, 3)
     with pytest.raises(ComplexError, match="out of range"):
         homology(cs, cs.max_degree + 1)
     with pytest.raises(ComplexError):
