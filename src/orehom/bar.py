@@ -243,6 +243,7 @@ class BarComplex:
         src = self.space(r)
         return self._face_map(src, self.dim(r - 1), lambda ti, _: self._b_faces(r, src.tuples[ti]), lambda m: (None, m))
 
+    @memo
     def chain_complex(self, max_r):
         return ChainComplex(
             self.mono.field,

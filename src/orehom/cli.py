@@ -283,8 +283,8 @@ def cmd_hh(args):
     dims = homology_dims(cs, md - 1)
     report = _report("hh", parsed, md, dims)
     if args.basis:
-        report["representatives"] = [[_element_string(mono, parsed.bimodule, v)
-                                      for v in homology(cs, r).representatives] for r in range(md)]
+        report["representatives"] = [[_element_string(mono, parsed.bimodule, v) for v in reps]
+                                     for reps in homology(cs, md - 1)]
     if _asked(report, args.decompose, "--decompose", md - 1) and _regular(report, parsed, "--decompose"):
         _add_components(report, parsed, dims, lambda: [(w, homology_dims(comp, md - 1))
                                                        for w, _, comp in decompose(mono, md)])
@@ -373,7 +373,7 @@ def cmd_verify(args):
               barres.bprime, lambda s: om(s + 1), barres.phi, barres.psi, r)))
     check("bw + wb = phi psi - id", range(md - 1), f"degrees < {md - 1}",
           lambda r: relation_holds(bar.dim(r), homotopy_terms(b, cmp_.omega, cmp_.phi, cmp_.psi, r)))
-    # degree bound: exhaustive on basis tensors to level 3, spot checks at 4
+    # degree bound: every basis tensor of each level up to min(4, md - 1)
     if M.is_regular:
         one = mono.field.one
 

@@ -1,20 +1,22 @@
 """Chain complexes with subquotient spaces and exact homology.
 
-A ChainComplex stores one SubquotientSpace per degree 0..max_degree and
-column-sparse boundary maps d_r: C_r -> C_{r-1} in quotient coordinates.
-``d . d = 0`` is checked at construction.  Homology dimensions come from
-ranks alone, dim H_r = n_r - rank d_r - rank d_{r+1}, each rank taken once
-by ``sparse_rank`` on the boundary's columns.  Only ``homology``, which
-gives representatives, runs a kernel: its cycles are lifted to sparse ambient
-term dicts by putting their quotient coordinates at the free columns of
-the space, so they are reproducible.
+A ChainComplex is its spaces and boundaries: one SubquotientSpace per
+degree 0..max_degree and column-sparse boundary maps d_r: C_r -> C_{r-1}
+in quotient coordinates.  ``d . d = 0`` is checked at construction.
+Homology dimensions come from ranks alone, dim H_r = n_r - rank d_r -
+rank d_{r+1}, each rank taken once by ``sparse_rank`` on the boundary's
+columns.  Only ``homology``, which gives representatives, runs a kernel:
+its cycles are lifted to sparse ambient term dicts by putting their
+quotient coordinates at the free columns of the space, so they are
+reproducible.
 
 One map object may sit at several degrees (C^S shares d_r with d_{r + 2v}),
 so the d.d check tests each distinct (d_{r-1}, d_r) pair once, column by
-column, ``homology_dims`` ranks each distinct d_r once, and ``homology``
-eliminates once per distinct (space, d_r, d_{r+1}, top-degree flag) of the
-complex.  A complex is built whole at one window and never grows; a
-larger window is another complex that holds the same map objects.
+column, ``homology_dims`` ranks each distinct d_r once per call, and
+``homology`` eliminates each distinct (space, d_r, d_{r+1}) once per call.
+Nothing is kept on a complex: a complex is built whole at one window and
+never grows; a larger window is another complex that holds the same map
+objects.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ class ComplexError(ValueError):
     pass
 
 
-def composes_to_zero(seen, a, b):
-    """a . b == 0, tested once per distinct (a, b) object pair kept in ``seen``."""
-    key = (id(a), id(b))
-    if key not in seen and relation_holds(b.ncols, [(1, [a, b])]):
-        seen.add(key)
-    return key in seen
-
-
 class ChainComplex:
     """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}."""
 
@@ -41,15 +35,18 @@ class ChainComplex:
         self.field = field
         self.spaces = list(spaces)
         self.boundaries = dict(boundaries)
-        self._zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
-        self._homology = {}  # ids of (space, d_r, d_{r+1}), top flag -> lifted cycles
-        if check:
-            for r in range(1, self.max_degree + 1):
-                d = self.boundaries[r]
-                if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
-                    raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
-                if r >= 2 and not composes_to_zero(self._zero_pairs, self.boundaries[r - 1], d):
+        if not check:
+            return
+        zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
+        for r in range(1, self.max_degree + 1):
+            d = self.boundaries[r]
+            if d.ncols != self.dim(r) or d.nrows != self.dim(r - 1):
+                raise ComplexError(f"boundary {r} has shape {d.nrows}x{d.ncols}")
+            pair = (id(self.boundaries.get(r - 1)), id(d))
+            if r >= 2 and pair not in zero_pairs:
+                if not relation_holds(d.ncols, [(1, [self.boundaries[r - 1], d])]):
                     raise ComplexError(f"d_{r - 1} . d_{r} != 0")
+                zero_pairs.add(pair)
 
     @property
     def max_degree(self):
@@ -62,45 +59,36 @@ class ChainComplex:
         return self.boundaries[r]
 
 
-class HomologyReport:
-    """Homology in one degree: dimension plus cycles as sparse ambient term dicts."""
+def homology(complex_, up_to):
+    """Cycle representatives in degrees 0..up_to: one list per degree of
+    sparse ambient term dicts whose classes are a basis of H_r.
 
-    def __init__(self, degree, dimension, representatives, kernel_only=False):
-        self.degree = degree
-        self.dimension = dimension
-        self.representatives = representatives
-        self.kernel_only = kernel_only
-
-    def __repr__(self):
-        tag = ", kernel only" if self.kernel_only else ""
-        return f"HomologyReport(degree {self.degree}, dim {self.dimension}{tag})"
-
-
-def homology(complex_, r):
-    """Homology of the complex at degree r.
-
-    For r = max_degree only the kernel is available (no incoming boundary);
-    the report is flagged ``kernel_only`` rather than silently truncated.
+    At the top degree there is no incoming boundary, so the list spans the
+    kernel, the dimension ``homology_dims`` gives there.  ``up_to = -1``
+    gives no degree.
     """
-    if r < 0 or r > complex_.max_degree:
-        raise ComplexError(f"degree {r} out of range 0..{complex_.max_degree}")
-    kernel_only = r == complex_.max_degree
-    space, d_out = complex_.spaces[r], complex_.boundaries[r] if r else None
-    d_in = None if kernel_only else complex_.boundaries[r + 1]
-    key = (id(space), id(d_out), id(d_in), kernel_only)
-    hit = complex_._homology.get(key)
-    if hit is None:
-        field = complex_.field
-        ker = [{j: field.one} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(field, d_out.cols)
-        new = ker
-        if d_in is not None:
-            seen = EchelonSet(field, d_in.cols)
-            bdim = seen.dim
-            new = [v for v in ker if seen.add(v)]
-            if len(new) != len(ker) - bdim:
-                raise ComplexError(f"degree {r}: {len(new)} new classes, expected {len(ker)} - {bdim}")
-        hit = complex_._homology[key] = [space.lift_vec(v) for v in new]
-    return HomologyReport(r, len(hit), [dict(v) for v in hit], kernel_only=kernel_only)
+    top, field = complex_.max_degree, complex_.field
+    if up_to > top:
+        raise ComplexError(f"degree {up_to} out of range 0..{top}")
+    lifted = {}  # one elimination per distinct (space, d_r, d_{r+1})
+    out = []
+    for r in range(up_to + 1):
+        space = complex_.spaces[r]
+        d_out = complex_.boundaries[r] if r else None
+        d_in = complex_.boundaries[r + 1] if r < top else None
+        key = (id(space), id(d_out), id(d_in))
+        if key not in lifted:
+            ker = [{j: field.one} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(field, d_out.cols)
+            new = ker
+            if d_in is not None:
+                seen = EchelonSet(field, d_in.cols)
+                bdim = seen.dim
+                new = [v for v in ker if seen.add(v)]
+                if len(new) != len(ker) - bdim:
+                    raise ComplexError(f"degree {r}: {len(new)} new classes, expected {len(ker)} - {bdim}")
+            lifted[key] = [space.lift_vec(v) for v in new]
+        out.append([dict(v) for v in lifted[key]])
+    return out
 
 
 def homology_dims(complex_, up_to=None):
@@ -108,7 +96,7 @@ def homology_dims(complex_, up_to=None):
 
     dim H_r = n_r - rank d_r - rank d_{r+1}, with d_0 = 0 and, at the top
     degree, no incoming boundary (the kernel dimension, as ``homology``
-    reports it).  A negative value means the boundaries do not compose to
+    spans it).  A negative value means the boundaries do not compose to
     zero and raises ``ComplexError`` naming the degree.
     """
     top = complex_.max_degree

@@ -19,8 +19,9 @@ in the degrees below the input's top, where every perturbed map is defined.
 The use this package makes of it: X is the total complex of the double
 complex of (bar, b, 0), Y the one of (C^S, d, 0), i/p/h the blockwise
 comparison maps, and delta the cyclic operator acting between columns.
-C^S is the caller's own, cut to the retract's window; the bar complex and
-the comparison maps are those kept on M.
+C^S is the caller's own, and the bar complex of the same degree and the
+comparison maps are those kept on M: ``verify`` totals the complexes it
+has already built.
 The transferred differential on Y then reproduces d + D with D the
 degree-raising operator of the mixed complex, the off-by-more-than-one
 column blocks vanishing identically.
@@ -159,22 +160,18 @@ def verify_perturbed(pert):
 
 # -- the cyclic transfer retract ---------------------------------------------------
 
-def _total(field, spaces, boundaries, max_N):
-    """Tot BC(X, d, 0): the BC total complex with no cyclic operator."""
-    return BCTotal(MixedComplexData(ChainComplex(field, spaces[:max_N + 1], boundaries, check=False), {}), max_N)
-
-
 def build_cyclic_retract(cs, M, max_N):
     """The (Tot BC(C^S) <- Tot BC(bar)) special retract plus the cyclic delta.
 
     Takes the small complex ``cs`` of M = A, of degree at least ``max_N``,
-    and the normalized complex and comparison maps kept on M, and returns
-    (retract, delta, (Yside, Xside)) ready for ``perturb``, the sides being
-    ``BCTotal``s; needs M = A for the cyclic operator.
+    and the normalized complex of the same degree and the comparison maps
+    kept on M, and returns (retract, delta, (Yside, Xside)) ready for
+    ``perturb``, the sides being the ``BCTotal``s of the two complexes with
+    no cyclic operator; needs M = A for the cyclic operator.
     """
     bar, cmp_ = bar_complex(M), comparison(M)
-    Xside = _total(cs.field, [bar.space(r) for r in range(max_N + 1)], {r: bar.b(r) for r in range(1, max_N + 1)}, max_N)
-    Yside = _total(cs.field, cs.spaces, cs.boundaries, max_N)
+    Xside = BCTotal(MixedComplexData(bar.chain_complex(cs.max_degree), {}), max_N)
+    Yside = BCTotal(MixedComplexData(cs, {}), max_N)
     incl = Yside.blockwise({r: cmp_.phi(r) for r in range(max_N + 1)}, Xside, max_N)
     proj = Xside.blockwise({r: cmp_.psi(r) for r in range(max_N + 1)}, Yside, max_N)
     h = Xside.blockwise({r: cmp_.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
@@ -188,25 +185,17 @@ def build_cyclic_retract(cs, M, max_N):
 def vanishing_check(M, j_max, r_max):
     """psi (B omega)^j B phi = 0 for 1 <= j <= j_max, r <= r_max.
 
-    Evaluated through the normalized complex kept on M (= A): each
-    column of phi is pushed through B, then omega and B j times, and psi
-    tests it, so only the columns of the higher maps that the images of the
-    phi columns reach are built, and no composed map is kept.  The report
-    maps (j, r) to a boolean.
+    Each (j, r) is one relation on the normalized complex kept on M (= A),
+    its chain read right to left from phi_r, so only the columns of the
+    higher maps that the images of the phi columns reach are built, and no
+    composed map is kept.  The report maps (j, r) to a boolean.
     """
     bar, cmp_ = bar_complex(M), comparison(M)
     report = {}
-    for r in range(0, r_max + 1):
-        phi, B = cmp_.phi(r), bar.connes_B(r)
-        # (omega, B, psi) of step j, starting from level r + 2j - 1
-        steps = [(cmp_.omega(lev), bar.connes_B(lev + 1), cmp_.psi(lev + 2))
-                 for lev in range(r + 1, r + 2 * j_max, 2)]
-        ok = [True] * j_max
-        for c in range(phi.ncols):
-            vec = B.apply(phi.cols[c])
-            for j, (omega, B_next, psi) in enumerate(steps):
-                vec = B_next.apply(omega.apply(vec))
-                if psi.apply(vec):
-                    ok[j] = False
-        report.update(((j + 1, r), holds) for j, holds in enumerate(ok))
+    for r in range(r_max + 1):
+        chain = [bar.connes_B(r), cmp_.phi(r)]
+        for j in range(1, j_max + 1):
+            lev = r + 2 * j - 1
+            chain = [bar.connes_B(lev + 1), cmp_.omega(lev)] + chain
+            report[j, r] = relation_holds(chain[-1].ncols, [(1, [cmp_.psi(lev + 2)] + chain)])
     return report

@@ -1,4 +1,9 @@
-"""One parsed spec per shipped fixture, shared by the whole session.
+"""One parsed spec per test document, shared by the whole session.
+
+A test document is a shipped example, taft:N, or one of the documents
+below: the dual numbers (alpha of infinite order), the C_2 cubic and the
+``RANK_ONE`` documents.  ``get_spec`` parses each once, and ``parse_fresh``
+parses it anew, with nothing kept on it.
 
 Tests reach the complexes of a fixture through the functions the command
 line calls, which keep them on the bimodule M or on the algebra:
@@ -16,13 +21,62 @@ from orehom.spec_io import build_example, cyclic_group, encode_scalar, parse_spe
 
 _PARSED = {}
 
+# xi = 0, and xi != 0 with chi^n != id (rewritten over G/<g1^n> with f = x^n)
+RANK_ONE = {"rank-one(6,1,2,3,0)": (6, 1, 2, 3, 0), "rank-one(8,1,2,4,1)": (8, 1, 2, 4, 1)}
+
+
+def _dual_numbers_doc():
+    """K = Q[e]/(e^2) with alpha(e) = 2e: no power of alpha is the identity."""
+    return {
+        "name": "dual-numbers",
+        "field": {"kind": "rationals"},
+        "base_algebra": {
+            "type": "structure_constants",
+            "labels": ["1", "e"],
+            "constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+            "unit": ["1", "0"],
+        },
+        "endomorphism": {"type": "matrix", "matrix": [["1", "0"], ["0", "2"]]},
+        "extension": {"n": 2, "lambdas": [["0", "0"], ["0", "0"]]},
+    }
+
+
+def _c2_cubic_doc():
+    """K = Q[C_2] with alpha(g) = -g, n = 3 and f = x^3 + x: x^3 = -x and
+    x^4 = -x^2 in A, so a merged middle slot x^s with s >= n has a coefficient
+    c_tp at tp >= 1 that comes from reducing x^s, and c_tp is not 1."""
+    return {
+        "name": "c2-cubic",
+        "field": {"kind": "rationals"},
+        "base_algebra": {"type": "group", "labels": ["e", "g"], "table": [["e", "g"], ["g", "e"]]},
+        "endomorphism": {"type": "character", "values": {"e": "1", "g": "-1"}},
+        "extension": {"n": 3, "lambdas": [["0", "0"], ["1", "0"], ["0", "0"]]},
+    }
+
+
+# the structure-constant documents, parsed with max_degree=5
+DOCUMENTS = {"dual-numbers": _dual_numbers_doc, "c2-cubic": _c2_cubic_doc}
+
+
+def parse_fresh(name):
+    """The test document ``name`` parsed anew."""
+    if name in DOCUMENTS:
+        return parse_spec(DOCUMENTS[name](), max_degree=5)
+    return parse_spec(rank_one_doc(*RANK_ONE[name]) if name in RANK_ONE else build_example(name))
+
 
 def get_spec(name):
-    """The parsed spec of the example ``name``, parsed once per session."""
+    """The parsed spec of the test document ``name``, parsed once per session."""
     parsed = _PARSED.get(name)
     if parsed is None:
-        parsed = _PARSED[name] = parse_spec(build_example(name))
+        parsed = _PARSED[name] = parse_fresh(name)
     return parsed
+
+
+def mono_and_m(name):
+    """(mono, M) of the test document ``name``, read off ``get_spec``."""
+    parsed = get_spec(name)
+    return parsed.mono, parsed.bimodule
 
 
 def encode_kvec(field, vec):

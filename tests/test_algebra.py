@@ -31,68 +31,12 @@ from orehom.linalg import ColMap, EchelonSet, sparse_rank, sub_terms, subquotien
 from orehom.small_complex import build_cs
 from orehom.spec_io import EXAMPLE_NAMES, build_example, cyclic_group, dihedral_group, parse_spec
 
-from conftest import get_spec, rank_one_doc, right_mult_map
+from conftest import RANK_ONE, get_spec, mono_and_m, parse_fresh, rank_one_doc, right_mult_map
 from paper_checks import contains
 
 Q = make_field("rationals")
 
-# -- fixtures beyond the shipped examples ----------------------------------------
-
-_PARSED = {}
-
-# xi = 0, and xi != 0 with chi^n != id (rewritten over G/<g1^n> with f = x^n)
-RANK_ONE = {"rank-one(6,1,2,3,0)": (6, 1, 2, 3, 0), "rank-one(8,1,2,4,1)": (8, 1, 2, 4, 1)}
-
-
-def _dual_numbers_doc():
-    """K = Q[e]/(e^2) with alpha(e) = 2e: no power of alpha is the identity."""
-    return {
-        "name": "dual-numbers",
-        "field": {"kind": "rationals"},
-        "base_algebra": {
-            "type": "structure_constants",
-            "labels": ["1", "e"],
-            "constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
-            "unit": ["1", "0"],
-        },
-        "endomorphism": {"type": "matrix", "matrix": [["1", "0"], ["0", "2"]]},
-        "extension": {"n": 2, "lambdas": [["0", "0"], ["0", "0"]]},
-    }
-
-
-def _c2_cubic_doc():
-    """K = Q[C_2] with alpha(g) = -g, n = 3 and f = x^3 + x: x^3 = -x and
-    x^4 = -x^2 in A, so a merged middle slot x^s with s >= n has a coefficient
-    c_tp at tp >= 1 that comes from reducing x^s, and c_tp is not 1."""
-    return {
-        "name": "c2-cubic",
-        "field": {"kind": "rationals"},
-        "base_algebra": {"type": "group", "labels": ["e", "g"], "table": [["e", "g"], ["g", "e"]]},
-        "endomorphism": {"type": "character", "values": {"e": "1", "g": "-1"}},
-        "extension": {"n": 3, "lambdas": [["0", "0"], ["1", "0"], ["0", "0"]]},
-    }
-
-
-_DOCUMENTS = {"dual-numbers": _dual_numbers_doc, "c2-cubic": _c2_cubic_doc}
-
-
-def _dual_numbers():
-    return parse_spec(_dual_numbers_doc(), max_degree=5)
-
-
-def _table_context(name):
-    """(mono, M) of a shipped fixture, of taft:4 (Q(zeta_4), n = 4), of a
-    ``RANK_ONE`` document, of the dual numbers with alpha of infinite order
-    or of the C_2 cubic with f = x^3 + x."""
-    if name in _DOCUMENTS or name in RANK_ONE:
-        if name not in _PARSED:
-            parsed = parse_spec(_DOCUMENTS[name](), max_degree=5) if name in _DOCUMENTS else parse_spec(
-                rank_one_doc(*RANK_ONE[name]))
-            _PARSED[name] = (parsed.mono, parsed.bimodule)
-        return _PARSED[name]
-    ctx = get_spec(name)
-    return ctx.mono, ctx.bimodule
-
+# -- the test documents (tests/conftest.py) ------------------------------------
 
 TABLE_FIXTURES = EXAMPLE_NAMES + ("taft:4", "dual-numbers", "c2-cubic")
 ALL_FIXTURES = TABLE_FIXTURES + tuple(RANK_ONE)
@@ -126,7 +70,7 @@ def _mixed_vectors(mono):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_mul_vec_matches_dense_structure_constants(name):
     # K.product against the triple loop over the structure constants
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     K, zero = mono.base, mono.field.zero
     vecs = [ref.dense(K.basis_vector(i), K.dim, zero) for i in range(K.dim)] + _mixed_vectors(mono)
     for u in vecs:
@@ -234,7 +178,7 @@ def test_divide_reconstruction_random():
     # quotient * f + remainder is x^e in B, for e drawn at random
     rng = random.Random(5)
     for name in ("sweedler", "taft:3", "rank1:c4", "c2-cubic"):
-        mono, _ = _table_context(name)
+        mono, _ = mono_and_m(name)
         K, n, zero = mono.base, mono.n, mono.field.zero
         for _ in range(10):
             e = rng.randint(0, 3 * n)
@@ -249,7 +193,7 @@ def test_divide_reconstruction_random():
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_reduced_powers_and_quotients_of_x_match_long_division(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     for e in range(3 * mono.n):
         quot, rem = ref.twisted_division(mono, ref.x_power(mono, e))
         assert mono.x_power_reduced(e) == ref.parts(rem), e
@@ -262,7 +206,7 @@ def test_reduced_powers_and_quotients_of_x_match_long_division(name):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_k_times_x_power_matches_long_division(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     K, zero = mono.base, mono.field.zero
     vecs = [ref.dense(K.basis_vector(i), K.dim, zero) for i in range(K.dim)] + _mixed_vectors(mono)
     for e in range(2 * mono.n + 1):
@@ -289,7 +233,7 @@ def test_a_multiply_examples():
 
 def test_a_multiply_associative_unital_exhaustive():
     for name in ("sweedler", "rank1:c4", "trunc:3", "c2-cubic"):
-        mono, _ = _table_context(name)
+        mono, _ = mono_and_m(name)
         basis = [{i: mono.field.one} for i in range(mono.dim)]
         one = mono.k_times_x_power(mono.base.unit, 0)
         for a in basis:
@@ -431,7 +375,7 @@ def test_quotients_of_a_built_from_k_match_the_direct_elimination(name):
     if name in _MORE_RANK_ONE:
         mono = parse_spec(rank_one_doc(*_MORE_RANK_ONE[name])).mono
     else:
-        mono, _ = _table_context(name)
+        mono, _ = mono_and_m(name)
     M = regular_bimodule(mono)
     js = range(12) if name == "dual-numbers" else range(2 * _alpha_order(mono) + 2)
     for j in js:
@@ -442,7 +386,7 @@ def test_quotients_of_a_built_from_k_match_the_direct_elimination(name):
 
 
 def test_alpha_of_infinite_order_keeps_every_twist():
-    parsed = _dual_numbers()
+    parsed = parse_fresh("dual-numbers")
     mono, M = parsed.mono, parsed.bimodule
     assert [mono.twist(j) for j in range(12)] == list(range(12))
     for j in range(6):
@@ -478,7 +422,7 @@ def test_regular_bimodule_is_kept_once_per_algebra():
     parsed = parse_spec(build_example("taft:3"))
     M = regular_bimodule(parsed.mono)
     assert M is parsed.bimodule and M.is_regular
-    assert regular_bimodule(_dual_numbers().mono) is not M
+    assert regular_bimodule(parse_fresh("dual-numbers").mono) is not M
 
 
 def test_memo_keeps_functions_of_one_name_apart():
@@ -506,7 +450,7 @@ def test_memo_keeps_functions_of_one_name_apart():
 def test_multiplication_maps_are_the_dense_products(name):
     # each column is read off the sparse products and must equal the dense
     # product item for item, in the same (ascending) order
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     K, F = mono.base, mono.field
     spread = [F.from_fraction(Fr(j + 1, 2)) for j in range(K.dim)]
     us = [ref.dense(K.basis_vector(i), K.dim, F.zero) for i in range(K.dim)] + [
@@ -537,7 +481,7 @@ def _draw_element(data, mono):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_table_product_matches_twisted_division(data):
-    mono, _ = _table_context(data.draw(st.sampled_from(TABLE_FIXTURES)))
+    mono, _ = mono_and_m(data.draw(st.sampled_from(TABLE_FIXTURES)))
     a, b = _draw_element(data, mono), _draw_element(data, mono)
     assert list(mono.multiply(a, b).items()) == list(_division_product(mono, a, b).items())
 
@@ -547,7 +491,7 @@ def test_table_product_matches_twisted_division(data):
 def test_table_k_right_and_x_actions_match_twisted_division(data):
     # a w for w in K, x a and a x, read off the table, against the twisted
     # products written out coefficient by coefficient
-    mono, _ = _table_context(data.draw(st.sampled_from(TABLE_FIXTURES)))
+    mono, _ = mono_and_m(data.draw(st.sampled_from(TABLE_FIXTURES)))
     K, zero = mono.base, mono.field.zero
     a = _draw_element(data, mono)
     coeffs = ref.a_dense(mono, a)
@@ -562,7 +506,7 @@ def test_table_k_right_and_x_actions_match_twisted_division(data):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_table_matches_twisted_division_on_basis_pairs(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     one = mono.field.one
     table = mono.mul_table()
     for i in range(mono.dim):
@@ -572,7 +516,7 @@ def test_table_matches_twisted_division_on_basis_pairs(name):
 
 @pytest.mark.parametrize("name", TABLE_FIXTURES)
 def test_sparse_alpha_columns_match_dense_powers(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     K, F = mono.base, mono.field
     spread = [F.from_fraction(Fr(j + 1, 2)) for j in range(K.dim)]
     ident = ColMap.identity(mono.field, K.dim)
@@ -591,7 +535,7 @@ def test_sparse_alpha_columns_match_dense_powers(name):
 @pytest.mark.parametrize("name", TABLE_FIXTURES)
 def test_sparse_action_columns_match_dense_matrices(name):
     # M = A: each action is a product in A, computed by twisted division
-    mono, M = _table_context(name)
+    mono, M = mono_and_m(name)
     K = mono.base
     field = mono.field
     rng = random.Random(7)
@@ -614,7 +558,7 @@ def test_sparse_action_columns_match_dense_matrices(name):
 
 @pytest.mark.parametrize("name", TABLE_FIXTURES + tuple(RANK_ONE))
 def test_regular_bimodule_matches_division_products(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     M = regular_bimodule(mono)
     one = mono.field.one
     x = mono.k_times_x_power(mono.base.unit, 1)
@@ -632,7 +576,7 @@ def test_regular_bimodule_matches_division_products(name):
 def test_regular_actions_equal_the_table_actions_item_for_item(name):
     # the item order of each column fixes the elimination order, on which
     # the report digests depend, so it is compared too: ascending rows
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     M = regular_bimodule(mono)
     table = mono.mul_table()
     assert all(list(entry) == sorted(entry) for row in table for entry in row)

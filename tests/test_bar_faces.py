@@ -20,8 +20,7 @@ from orehom.linalg import ColMap
 from orehom.perturbation import vanishing_check
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 
-from conftest import kept_keys, right_mult_map
-from test_algebra import RANK_ONE, _table_context
+from conftest import RANK_ONE, kept_keys, mono_and_m, right_mult_map
 
 TOP = 6
 # the dual numbers have alpha of infinite order: every twist is its own class;
@@ -56,13 +55,13 @@ def _check_against_reference(mono, M, regular=True):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_b_and_B_match_the_reference(name):
-    mono, M = _table_context(name)
+    mono, M = mono_and_m(name)
     _check_against_reference(mono, M)
 
 
 def test_b_matches_the_reference_on_nonregular_coefficients():
     # M = K with x acting by zero, as in test_bar.py
-    mono, _ = _table_context("sweedler")
+    mono, _ = mono_and_m("sweedler")
     K = mono.base
     zero_x = ColMap(mono.field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x,
@@ -93,7 +92,7 @@ def test_face_lists_are_built_once_per_block_read(monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_bprime_matches_the_reference(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     forward, backward = BarResolution(mono), BarResolution(mono)
     expected = {r: ref.bprime(forward, r) for r in range(1, TOP + 1)}
     for r in range(1, TOP + 1):
@@ -112,7 +111,7 @@ def test_alpha_fixes_the_coefficients_of_reduced_powers_of_x(name):
     # b and b' move each coefficient c_tp of a merged slot x^s (s <= 2n - 2)
     # to the front untwisted; p < 16 meets every class of alpha^p of the
     # fixtures whose alpha has finite order (at most 8)
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     for p in range(16):
         for s in range(2 * mono.n - 1):
             for tp, c in mono.x_power_reduced(s):
@@ -122,7 +121,7 @@ def test_alpha_fixes_the_coefficients_of_reduced_powers_of_x(name):
 def test_merged_slots_keep_one_operator_per_power_and_target_class():
     # on taft:4 the merged slots x^2 and x^3 each meet the four twist classes
     # of a target block, with no further class of alpha^pre: 8 operators
-    mono, M = _table_context("taft:4")
+    mono, M = mono_and_m("taft:4")
     bar = BarComplex(mono, M)
     for r in range(1, 6):
         list(bar.b(r).cols)

@@ -31,9 +31,8 @@ from orehom.small_complex import (
 )
 from orehom.spec_io import EXAMPLE_NAMES, build_example, parse_spec
 
-from conftest import kept_keys, rank_one_doc
+from conftest import RANK_ONE, kept_keys, mono_and_m, parse_fresh
 from paper_checks import build_cs_collapsed, periodicity_check
-from test_algebra import _DOCUMENTS, RANK_ONE, _table_context
 
 DEGREE = 12
 FIXTURES = EXAMPLE_NAMES + ("taft:4",) + tuple(RANK_ONE) + ("dual-numbers",)
@@ -58,21 +57,19 @@ def _same_complex(shared, fresh):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_generic_complex_matches_the_reference(name):
-    mono, M = _table_context(name)
+    mono, M = mono_and_m(name)
     cs, fresh = build_cs(M, DEGREE), ref.build_cs(mono, M, DEGREE)
     _same_complex(cs, fresh)
     assert homology_dims(cs, DEGREE - 1) == homology_dims(fresh, DEGREE - 1)
     assert homology_dims(cs, DEGREE) == homology_dims(fresh, DEGREE)
-    for r in range(DEGREE + 1):
-        h, g = homology(cs, r), homology(fresh, r)
-        assert (h.degree, h.dimension, h.kernel_only) == (g.degree, g.dimension, g.kernel_only)
-        assert (h.degree, h.kernel_only) == (r, r == DEGREE)
-        assert h.representatives == g.representatives
+    h, g = homology(cs, DEGREE), homology(fresh, DEGREE)
+    assert [len(reps) for reps in h] == homology_dims(cs, DEGREE)
+    assert h == g
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_collapsed_and_component_complexes_match_the_reference(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     for build, build_ref in ((build_cs_collapsed, ref.build_cs_collapsed), (decompose, ref.decompose)):
         shared, fresh = _outcome(build, mono, DEGREE), _outcome(build_ref, mono, DEGREE)
         if shared[0] != "ok":
@@ -89,7 +86,7 @@ def test_collapsed_and_component_complexes_match_the_reference(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_hh_closed_forms_match_the_reference(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     assert _outcome(hh_dims_collapsed, mono, DEGREE) == _outcome(ref.hh_dims_collapsed, mono, DEGREE)
     assert _outcome(hh_dims_eigen, mono, DEGREE) == _outcome(ref.hh_dims_eigen, mono, DEGREE)
     for case in RANK_ONE_CASES:
@@ -98,7 +95,7 @@ def test_hh_closed_forms_match_the_reference(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_hc_closed_forms_match_the_reference(name):
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     assert _outcome(hc_closed_form, mono, DEGREE) == _outcome(ref.hc_closed_form, mono, DEGREE)
     for case in RANK_ONE_CASES:
         assert _outcome(hc_rank_one, mono, case, DEGREE) == _outcome(ref.hc_rank_one, mono, case, DEGREE)
@@ -109,7 +106,7 @@ def test_component_D_is_the_scalar_formula(name):
     # on every collapsing fixture with diagonal alpha, D of each component
     # equals (1 - w) sum_{u<=m} w^{nu} column by column; the others are
     # refused as the components of C^S are
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     outcome = _outcome(build_mixed_components, mono, DEGREE)
     if outcome[0] != "ok":
         assert outcome == _outcome(ref.decompose, mono, DEGREE)
@@ -125,21 +122,12 @@ def test_component_D_is_the_scalar_formula(name):
 def test_generic_D_matches_the_reference(name):
     # D sums the alpha powers over u before its one product per i; the
     # reference forms a product per (u, i): the columns are the same
-    mono, _ = _table_context(name)
+    mono, _ = mono_and_m(name)
     cs = build_cs(regular_bimodule(mono), DEGREE)
     for r in range(DEGREE):
         D, fresh = connes_D(mono, r, cs.spaces), ref.connes_D(mono, r, cs.spaces)
         assert (D.nrows, D.ncols) == (fresh.nrows, fresh.ncols)
         assert D.cols == fresh.cols, f"D_{r}"
-
-
-def _fresh_mono(name):
-    """The algebra of a ``FIXTURES`` entry parsed anew: nothing kept on it."""
-    if name in RANK_ONE:
-        return parse_spec(rank_one_doc(*RANK_ONE[name])).mono
-    if name in _DOCUMENTS:
-        return parse_spec(_DOCUMENTS[name](), max_degree=5).mono
-    return parse_spec(build_example(name)).mono
 
 
 def _closed_forms(mono):
@@ -152,10 +140,10 @@ def test_kept_component_quotients_match_a_fresh_algebra(name):
     # the eigencomponent closed forms keep each cokernel and colon dimension
     # on the algebra, per class: their dims, and every kept value, equal what
     # an algebra with nothing kept computes
-    mono = _table_context(name)[0]
+    mono = mono_and_m(name)[0]
     dims = _closed_forms(mono)
-    assert _closed_forms(mono) == dims == _closed_forms(_fresh_mono(name))
-    cold = _fresh_mono(name)
+    assert _closed_forms(mono) == dims == _closed_forms(parse_fresh(name).mono)
+    cold = parse_fresh(name).mono
     store = vars(mono).get("_kept", {})
     for fn in (component_cokernel_dim, component_colon_dim):
         keys = kept_keys(mono, fn)
@@ -193,14 +181,14 @@ def test_hh_collapsed_eliminates_each_k_commutator_span_once(monkeypatch, name):
     for module in (algebra, small_complex):
         monkeypatch.setattr(module, "k_commutator_subspace", tagged)
     monkeypatch.setattr(linalg.EchelonSet, "__init__", counted_init)
-    mono = _fresh_mono(name)
+    mono = parse_fresh(name).mono
     hh_dims_collapsed(mono, 11)
     assert built and len(built) == len(set(built)), built
 
 
 @pytest.mark.parametrize("name, v", [("taft:3", 1), ("rank1nc:c2xc4", 2)])
 def test_boundaries_repeat_with_period_2v(name, v):
-    mono, M = _table_context(name)
+    mono, M = mono_and_m(name)
     for cx in (build_cs(M, DEGREE), build_cs_collapsed(mono, DEGREE)):
         for r in range(1, DEGREE + 1 - 2 * v):
             assert cx.boundary(r) is cx.boundary(r + 2 * v)
@@ -209,18 +197,27 @@ def test_boundaries_repeat_with_period_2v(name, v):
         assert comp.boundary(1) is comp.boundary(1 + 2 * v)
 
 
-def test_alpha_of_infinite_order_shares_no_map():
-    mono, M = _table_context("dual-numbers")
+def _dd_checks(monkeypatch, M):
+    """C^S of M to DEGREE, and the number of d.d relations its construction tests."""
+    calls = []
+    real = complexes.relation_holds
+    monkeypatch.setattr(complexes, "relation_holds", lambda *args: calls.append(args) or real(*args))
     cs = build_cs(M, DEGREE)
+    return cs, len(calls)
+
+
+def test_alpha_of_infinite_order_shares_no_map(monkeypatch):
+    mono, M = mono_and_m("dual-numbers")
+    cs, dd_checks = _dd_checks(monkeypatch, M)
     assert len({id(cs.boundary(r)) for r in range(1, DEGREE + 1)}) == DEGREE
-    assert len(cs._zero_pairs) == DEGREE - 1
+    assert dd_checks == DEGREE - 1
 
 
 def test_work_is_done_once_per_distinct_object(monkeypatch):
     # taft:3 has v = 1: d_1 and d_2 are the only two maps of C^S
-    mono, M = _table_context("taft:3")
-    cs = build_cs(M, DEGREE)
-    assert len(cs._zero_pairs) == 2
+    mono, M = mono_and_m("taft:3")
+    cs, dd_checks = _dd_checks(monkeypatch, M)
+    assert dd_checks == 2
     counts = {"kernel_basis": 0, "sparse_rank": 0}
 
     def counting(name):
@@ -235,16 +232,19 @@ def test_work_is_done_once_per_distinct_object(monkeypatch):
         monkeypatch.setattr(complexes, name, counting(name))
     dims = homology_dims(cs, DEGREE - 1)
     assert counts["sparse_rank"] == 2
-    reports = [homology(cs, r) for r in range(DEGREE + 1)]
-    # one kernel per distinct (space, d_r, d_{r+1}, top flag) with a d_r:
+    reps = homology(cs, DEGREE)
+    # one kernel per call and distinct (space, d_r, d_{r+1}) with a d_r:
     # odd r, even r below the top, and the top degree
     assert counts["kernel_basis"] == 3
-    assert [h.dimension for h in reports[:DEGREE]] == dims
-    assert [h.degree for h in reports] == list(range(DEGREE + 1))
-    assert reports[3].representatives == reports[5].representatives
-    assert reports[3].representatives is not reports[5].representatives
-    reports[3].representatives.clear()
-    assert homology(cs, 3).representatives == reports[5].representatives != []
+    assert [len(h) for h in reps[:DEGREE]] == dims
+    assert len(reps) == DEGREE + 1
+    # periodic degrees read one elimination, each its own list of its own dicts
+    assert reps[3] == reps[5] != []
+    assert reps[3] is not reps[5] and all(u is not v for u, v in zip(reps[3], reps[5]))
+    reps[3][0].clear()
+    reps[3].clear()
+    assert homology(cs, 5)[3] == reps[5]
+    assert counts["kernel_basis"] == 5
 
 
 def test_periodicity_check_builds_every_degree_afresh(monkeypatch):

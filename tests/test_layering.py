@@ -25,17 +25,21 @@ tests), the refusals and comparisons of an ``hh``/``hc`` report each
 have one writer in ``cli.py``, each level of the bar side is built on
 its first read, with no window to grow to, and every complex is kept on
 the bimodule or algebra it belongs to (no ``Workspace``, no C^S that grows
-in place)."""
+in place), a chain complex keeps nothing but its spaces and maps (no
+``HomologyReport``, no homology memo), ``verify`` totals the bar complex it
+built, and no invariant under src/ is a bare ``assert``."""
 
 import ast
+import contextlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orehom import bar
-from orehom.bar import BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
+from orehom import bar, cli
+from orehom.bar import BarComplex, BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
 from orehom.complexes import ChainComplex
 from orehom.cyclic import BCTotal, MixedComplexData
 from orehom.fields import make_field, reciprocal
@@ -43,7 +47,7 @@ from orehom.linalg import EchelonSet, sparse, sparse_rank
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
-from conftest import get_spec
+from conftest import get_spec, kept_keys
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orehom").glob("*.py"))
@@ -159,8 +163,7 @@ def test_definitions_read_only_by_tests_live_in_the_tests():
 def test_every_kept_value_is_kept_by_memo_or_kept():
     # one way to keep a computed value: ``memo`` and ``kept`` are defined
     # once, the hand-written caches they replaced are gone, and no private
-    # attribute of another object is written, but the store of ``kept`` and
-    # the homology memo that ``complexes.homology`` keeps on its complex
+    # attribute of another object is written, but the store of ``kept``
     assert sorted(found.split(": ")[1] for found in _defined({"memo", "kept"})) == ["kept", "memo"]
     assert all(found.startswith("algebra.py:") for found in _defined({"memo", "kept"}))
     gone = {"_divisions", "_mul_table", "_x_overflow", "_x_pows", "_regular", "_quotients", "_k_commutators",
@@ -177,7 +180,29 @@ def test_every_kept_value_is_kept_by_memo_or_kept():
                 written += [f"{path.name}: {ast.unparse(a)}" for t in targets for a in ast.walk(t)
                             if isinstance(a, ast.Attribute) and a.attr.startswith("_")
                             and not (isinstance(a.value, ast.Name) and a.value.id == "self")]
-    assert set(written) == {"algebra.py: owner._kept", "complexes.py: complex_._homology"}
+    assert set(written) == {"algebra.py: owner._kept"}
+
+
+def test_a_chain_complex_is_its_spaces_and_maps(monkeypatch):
+    # homology is read once per call, with nothing kept on the complex, and
+    # the transfer retract totals the bar complex ``verify`` built: one bar
+    # chain complex per command, and no private copy of a complex
+    assert _defined({"HomologyReport", "_total", "composes_to_zero"}) == []
+    assert not hasattr(ChainComplex, "_homology")
+    bars = []
+    real = cli.bar_complex
+    monkeypatch.setattr(cli, "bar_complex", lambda M: bars.append(real(M)) or bars[-1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--spec", "sweedler", "--max-degree", "6"]) == 0
+    assert len({id(b) for b in bars}) == 1
+    assert kept_keys(bars[0], BarComplex.chain_complex) == [(6,)]
+
+
+def test_no_invariant_is_a_bare_assert():
+    # invariants raise explicit errors, which still fire under ``python -O``
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_bar_side_levels_are_built_on_first_read():
