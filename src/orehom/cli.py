@@ -31,12 +31,12 @@ from .algebra import AlgebraError, regular_bimodule
 from .bar import bar_complex, bar_resolution, comparison
 from .complexes import ComplexError, homology, homology_dims
 from .cyclic import (
-    MixedComplexData,
-    bc_total,
     build_mixed,
     build_mixed_components,
+    check_mixed,
     hc,
     hc_closed_form,
+    hc_dims,
     hc_rank_one,
 )
 from .linalg import anticommutator_terms, relation_holds, sparse_rank, sub_terms
@@ -323,12 +323,12 @@ def cmd_hc(args):
             r1 = hc_rank_one(mono, case, md - 1)
             _compare(report, "closed_form_rank_one", f"rank-one closed form ({case})", r1, r1 == dims)
     if _asked(report, args.decompose, "--decompose", md - 1):
-        _add_components(report, parsed, dims, lambda: [(w, homology_dims(bc_total(cmixed, md), md - 1))
-                                                       for w, _, cmixed in build_mixed_components(mono, md)])
+        _add_components(report, parsed, dims, lambda: [(w, hc_dims(comp, D, md))
+                                                       for w, _, comp, D in build_mixed_components(mono, md)])
     if _asked(report, args.oracle, "--oracle", md - 2, "the oracle window"):
         bar = bar_complex(M)
-        barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
-        oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
+        cx = bar.chain_complex(md - 1)
+        oracle = hc_dims(cx, check_mixed(cx, {r: bar.connes_B(r) for r in range(md - 1)}), md - 1)
         _compare(report, "oracle", f"normalized-complex oracle (degrees 0..{md - 2})", oracle, oracle == dims[:md - 1])
     return _finish(report, mono, dims, args.json, cyclic=True)
 
@@ -388,13 +388,13 @@ def cmd_verify(args):
         van = vanishing_check(M, j_max, r_max)
         window = ",".join(str(j) for j in range(1, j_max + 1))
         record("psi (Bw)^j B phi = 0", all(van.values()), f"j in {{{window}}}, r <= {r_max}")
-        D = build_mixed(cs, M).B
+        D = build_mixed(cs, M)
         if md >= 2:
             record("DD = 0 and dD + Dd = 0 on C^S", True, f"degrees <= {md}")
         check("D = psi B phi", range(md - 1), f"degrees < {md - 1}",
               lambda r: relation_holds(cs.dim(r), [(1, [D[r]]), (-1, [cmp_.psi(r + 1), B(r), cmp_.phi(r)])]))
         maxN = min(md, 5)
-        retract, delta, _ = build_cyclic_retract(cs, M, maxN)
+        retract, delta = build_cyclic_retract(cs, M, maxN)
         rrep = retract.verify()
         record("transfer retract identities", all(rrep.values()), f"total degrees <= {maxN}")
         if maxN:

@@ -14,10 +14,13 @@ cyclic closed forms read the component quotients of ``small_complex``, kept
 per class.  The paper's statements on the S, i and B maps of HC are checked
 in the tests (``tests/paper_checks.py``).
 
-The total complex of the first-quadrant double complex built from (X, b, B)
-is taken with the plain-sum differential (no auxiliary signs): the mixed
-identities bb = BB = bB + Bb = 0 make it square to zero, and that is
-asserted on every construction.
+A mixed complex is a chain complex (X, b) and a dict B of degree +1 maps:
+``check_mixed`` checks BB = bB + Bb = 0 where B is made, and ``bc_total``
+returns the total complex of the first-quadrant double complex built from
+(X, b, B) as a ChainComplex, with the plain-sum differential (no auxiliary
+signs): the mixed identities make it square to zero, and its d.d = 0 is
+checked as it is built.  ``hc_dims`` reads HC off that total, for C^S, for
+each eigencomponent and for the normalized complex alike.
 """
 
 from __future__ import annotations
@@ -44,37 +47,23 @@ from .small_complex import (
 )
 
 
-class MixedComplexData:
-    """A chain complex (X, b) with a degree +1 map B.
-
-    b.b = 0 was checked where the complex was built; BB = 0 and
-    bB + Bb = 0 are verified at construction, a degree missing from B
-    reading as B = 0, and a violation raises (it would mean a formula bug,
-    not a data problem).
+def check_mixed(complex_, B):
+    """The mixed identities of (X, b, B) for the chain complex ``complex_``
+    and B a dict of degree +1 maps: B.B = 0 and bB + Bb = 0, a degree
+    missing from B reading as B = 0.  b.b = 0 was checked where the complex
+    was built; a violation raises ``ComplexError`` (it would mean a formula
+    bug, not a data problem).  Returns B.
     """
-
-    def __init__(self, complex_, B):
-        self.complex_ = complex_
-        self.field = complex_.field
-        self.spaces = complex_.spaces
-        self.max_degree = complex_.max_degree
-        self.b = complex_.boundaries
-        self.B = dict(B)
-        self._check()
-
-    def _check(self):
-        b, B = self.b, self.B
-        for r in range(0, self.max_degree - 1):
-            if r in B and r + 1 in B and not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
-                raise ComplexError(f"B.B != 0 at degree {r}")
-        for r in range(self.max_degree):
-            terms = [(c, chain) for c, chain in anticommutator_terms(b.get, B.get, r)
-                     if all(m is not None for m in chain)]
-            if terms and not relation_holds(self.dim(r), terms):
-                raise ComplexError(f"bB + Bb != 0 at degree {r}")
-
-    def dim(self, r):
-        return self.complex_.dim(r)
+    b = complex_.boundaries
+    for r in range(complex_.max_degree - 1):
+        if r in B and r + 1 in B and not relation_holds(B[r].ncols, [(1, [B[r + 1], B[r]])]):
+            raise ComplexError(f"B.B != 0 at degree {r}")
+    for r in range(complex_.max_degree):
+        terms = [(c, chain) for c, chain in anticommutator_terms(b.get, B.get, r)
+                 if all(m is not None for m in chain)]
+        if terms and not relation_holds(complex_.dim(r), terms):
+            raise ComplexError(f"bB + Bb != 0 at degree {r}")
+    return B
 
 
 # -- the Connes operator on C^S ------------------------------------------------
@@ -135,17 +124,17 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
 
 
 def build_mixed(cs, M):
-    """The mixed complex (C^S, d, D) on the C^S ``cs`` of M = A, in its
-    window; d.d = 0 was checked as C^S was built."""
-    return MixedComplexData(cs, {r: connes_D(M.mono, r, cs.spaces) for r in range(cs.max_degree)})
+    """The checked D = {r: D_r} of the mixed complex (C^S, d, D) on the C^S
+    ``cs`` of M = A, in its window; d.d = 0 was checked as C^S was built."""
+    return check_mixed(cs, {r: connes_D(M.mono, r, cs.spaces) for r in range(cs.max_degree)})
 
 
 def build_mixed_components(mono, max_degree):
-    """Eigencomponent mixed complexes [(w, idxs, MixedComplexData)]."""
+    """Eigencomponent mixed complexes [(w, idxs, complex, D)], each D checked."""
     out = []
     for w, idxs, comp in decompose(mono, max_degree):
         D = {r: connes_D_collapsed(mono, r, comp.spaces, idxs) for r in range(max_degree)}
-        out.append((w, idxs, MixedComplexData(comp, D)))
+        out.append((w, idxs, comp, check_mixed(comp, D)))
     return out
 
 
@@ -156,95 +145,53 @@ def transfer_D(comparison, bar, r):
 
 # -- BC total complex ------------------------------------------------------------
 
-class BCTotal:
-    """Total complex of the quotient double complex of a mixed complex.
+def bc_total(complex_, B, max_N):
+    """Total complex of the quotient double complex of the mixed complex
+    (X, b, B), X = ``complex_``, in total degrees 0..max_N.
 
-    Tot_N = (+)_{p >= 0} X_{N-2p}, the whole space with no elimination; the
-    differential sends the column-p entry y to b(y) in column p and B(y)
-    into column p-1, a degree missing from ``mixed.B`` counting as B = 0,
-    and each boundary is built from its list of columns.  The blocks (p,
-    degree, offset, dim) of each Tot_N are kept for the blockwise maps of
-    the transfer retract.
+    Tot_N = (+)_{p >= 0} X_{N-2p}, column 0 first, the whole space with no
+    elimination; the differential sends the column-p entry y to b(y) in
+    column p and B(y) into column p-1, a degree missing from B counting as
+    B = 0, and each boundary is built from its list of columns.
     """
-
-    def __init__(self, mixed, max_N):
-        if max_N > mixed.max_degree:
-            raise HypothesisError(
-                f"total degree {max_N} exceeds the mixed complex window {mixed.max_degree}"
-            )
-        self.mixed = mixed
-        self.max_N = max_N
-        field = mixed.field
-        self.blocks = []
-        dims = []
-        for N in range(max_N + 1):
-            blocks = []
-            off = 0
-            p = 0
-            while N - 2 * p >= 0:
-                d = mixed.dim(N - 2 * p)
-                blocks.append((p, N - 2 * p, off, d))
-                off += d
-                p += 1
-            self.blocks.append(blocks)
-            dims.append(off)
-        # the projection of the whole space Tot_N is the first dim Tot_N columns of one identity
-        ident = [{i: field.one} for i in range(max(dims))]
-        spaces = [SubquotientSpace(field, dim, list(range(dim)), ident[:dim]) for dim in dims]
-        boundaries = {}
-        for N in range(1, max_N + 1):
-            tgt_off = {p: off for (p, deg, off, d) in self.blocks[N - 1]}
-            cols = []
-            for (p, deg, off, d) in self.blocks[N]:
-                if not p:
-                    # column 0 of Tot_N and Tot_{N-1} starts at row 0: b's columns, shared (never edited)
-                    cols += mixed.b[deg].cols
-                    continue
-                B = mixed.B.get(deg)
-                for jj in range(d):
-                    # b lands in column p and B in column p - 1: their rows never meet
-                    col = {tgt_off[p] + i: e for i, e in mixed.b[deg].cols[jj].items()} if deg >= 1 else {}
-                    if B is not None:
-                        col.update((tgt_off[p - 1] + i, e) for i, e in B.cols[jj].items())
-                    cols.append(col)
-            boundaries[N] = ColMap(field, spaces[N - 1].quotient_dim, spaces[N].quotient_dim, cols)
-        self.complex = ChainComplex(field, spaces, boundaries)
-
-    def dim(self, N):
-        return self.complex.dim(N)
-
-    def blockwise(self, maps, other, max_N, degree_shift=0, column_shift=0):
-        """Maps Tot_N -> other's Tot_{N+degree_shift}, N <= max_N, keyed by N.
-
-        The column-p entry y in X_deg goes to ``maps[deg](y)`` in column
-        p - column_shift; a degree missing from ``maps`` maps to zero.
-        """
-        out = {}
-        for N in range(max_N + 1):
-            M = N + degree_shift
-            if M < 0 or M >= len(other.blocks):
-                continue
-            tgt_off = {p: off for (p, deg, off, d) in other.blocks[M]}
-            cols = []
-            for (p, deg, off, d) in self.blocks[N]:
-                mp = maps.get(deg)
-                if mp is None or p - column_shift not in tgt_off:
-                    cols += [{} for _ in range(d)]
-                    continue
-                tgt = tgt_off[p - column_shift]
-                cols += [{tgt + i: e for i, e in mp.cols[jj].items()} for jj in range(d)]
-            out[N] = ColMap(self.mixed.field, other.dim(M), self.dim(N), cols)
-        return out
+    if max_N > complex_.max_degree:
+        raise HypothesisError(f"total degree {max_N} exceeds the mixed complex window {complex_.max_degree}")
+    field, b, dim = complex_.field, complex_.boundaries, complex_.dim
+    dims = []  # dim Tot_N = dim X_N + dim Tot_{N-2}
+    for N in range(max_N + 1):
+        dims.append(dim(N) + (dims[N - 2] if N >= 2 else 0))
+    # the projection of the whole space Tot_N is the first dim Tot_N columns of one identity
+    ident = [{i: field.one} for i in range(max(dims))]
+    spaces = [SubquotientSpace(field, d, list(range(d)), ident[:d]) for d in dims]
+    boundaries = {}
+    for N in range(1, max_N + 1):
+        # column 0 of Tot_N and Tot_{N-1} starts at row 0: b's columns, shared (never edited)
+        cols = list(b[N].cols)
+        lo = 0  # offset of column p - 1 of Tot_{N-1}
+        for p in range(1, N // 2 + 1):
+            deg, hi = N - 2 * p, lo + dim(N + 1 - 2 * p)  # hi: offset of column p of Tot_{N-1}
+            Bm = B.get(deg)
+            for jj in range(dim(deg)):
+                # b lands in column p and B in column p - 1: their rows never meet
+                col = {hi + i: e for i, e in b[deg].cols[jj].items()} if deg >= 1 else {}
+                if Bm is not None:
+                    col.update((lo + i, e) for i, e in Bm.cols[jj].items())
+                cols.append(col)
+            lo = hi
+        boundaries[N] = ColMap(field, dims[N - 1], dims[N], cols)
+    return ChainComplex(field, spaces, boundaries)
 
 
-def bc_total(mixed, max_N):
-    """ChainComplex of the BC total (drops the block bookkeeping)."""
-    return BCTotal(mixed, max_N).complex
+def hc_dims(complex_, B, max_N):
+    """HC_0..HC_{max_N - 1} of the mixed complex (complex_, b, B), read off
+    its BC total in total degrees 0..max_N."""
+    return homology_dims(bc_total(complex_, B, max_N), max_N - 1)
 
 
 def hc(M, max_degree):
     """Cyclic homology dimensions HC_0..HC_{max_degree-1} of A, from the C^S of M = A."""
-    return homology_dims(bc_total(build_mixed(build_cs(M, max_degree), M), max_degree), max_degree - 1)
+    cs = build_cs(M, max_degree)
+    return hc_dims(cs, build_mixed(cs, M), max_degree)
 
 
 # -- closed forms -----------------------------------------------------------------

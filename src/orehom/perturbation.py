@@ -16,9 +16,10 @@ kept as sums of chains, is again a deformation retract onto (X, d + delta),
 special if the input was; ``verify_perturbed`` runs the retract checks on it
 in the degrees below the input's top, where every perturbed map is defined.
 
-The use this package makes of it: X is the total complex of the double
-complex of (bar, b, 0), Y the one of (C^S, d, 0), i/p/h the blockwise
-comparison maps, and delta the cyclic operator acting between columns.
+The use this package makes of it: X is the BC total of (bar, b, 0), Y the
+one of (C^S, d, 0), i/p/h the comparison maps placed block by block on the
+columns (p, degree, offset, dim) of ``tot_blocks``, and delta the cyclic
+operator acting between columns.
 C^S is the caller's own, and the bar complex of the same degree and the
 comparison maps are those kept on M: ``verify`` totals the complexes it
 has already built.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from .algebra import memo
 from .bar import bar_complex, comparison
 from .complexes import ChainComplex
-from .cyclic import BCTotal, MixedComplexData
+from .cyclic import bc_total
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
 
 
@@ -160,26 +161,57 @@ def verify_perturbed(pert):
 
 # -- the cyclic transfer retract ---------------------------------------------------
 
+def tot_blocks(complex_, N):
+    """The blocks (p, degree, offset, dim) of Tot_N = (+)_{p >= 0} X_{N-2p}
+    of the BC total of the complex X = ``complex_``, column 0 first."""
+    blocks, off = [], 0
+    for p in range(N // 2 + 1):
+        d = complex_.dim(N - 2 * p)
+        blocks.append((p, N - 2 * p, off, d))
+        off += d
+    return blocks
+
+
+def blockwise(maps, X, Y, max_N, degree_shift=0, column_shift=0):
+    """Maps Tot_N of X -> Tot_{N+degree_shift} of Y, N <= max_N, keyed by N.
+
+    The column-p entry y in X_deg goes to ``maps[deg](y)`` in column
+    p - column_shift; a degree missing from ``maps`` maps to zero.
+    """
+    out = {}
+    for N in range(max(0, -degree_shift), max_N + 1):
+        tgt = tot_blocks(Y, N + degree_shift)
+        tgt_off = {p: off for (p, deg, off, d) in tgt}
+        cols = []
+        for (p, deg, off, d) in tot_blocks(X, N):
+            mp = maps.get(deg)
+            if mp is None or p - column_shift not in tgt_off:
+                cols += [{} for _ in range(d)]
+                continue
+            shift = tgt_off[p - column_shift]
+            cols += [{shift + i: e for i, e in mp.cols[jj].items()} for jj in range(d)]
+        out[N] = ColMap(X.field, sum(d for (p, deg, off, d) in tgt), len(cols), cols)
+    return out
+
+
 def build_cyclic_retract(cs, M, max_N):
     """The (Tot BC(C^S) <- Tot BC(bar)) special retract plus the cyclic delta.
 
     Takes the small complex ``cs`` of M = A, of degree at least ``max_N``,
     and the normalized complex of the same degree and the comparison maps
-    kept on M, and returns (retract, delta, (Yside, Xside)) ready for
-    ``perturb``, the sides being the ``BCTotal``s of the two complexes with
-    no cyclic operator; needs M = A for the cyclic operator.
+    kept on M, and returns (retract, delta) ready for ``perturb``, the two
+    sides being the BC totals of the two complexes with no cyclic operator;
+    needs M = A for the cyclic operator.
     """
     bar, cmp_ = bar_complex(M), comparison(M)
-    Xside = BCTotal(MixedComplexData(bar.chain_complex(cs.max_degree), {}), max_N)
-    Yside = BCTotal(MixedComplexData(cs, {}), max_N)
-    incl = Yside.blockwise({r: cmp_.phi(r) for r in range(max_N + 1)}, Xside, max_N)
-    proj = Xside.blockwise({r: cmp_.psi(r) for r in range(max_N + 1)}, Yside, max_N)
-    h = Xside.blockwise({r: cmp_.omega(r) for r in range(max_N)}, Xside, max_N - 1, degree_shift=1)
+    X = bar.chain_complex(cs.max_degree)
+    Xtot, Ytot = bc_total(X, {}, max_N), bc_total(cs, {}, max_N)
+    incl = blockwise({r: cmp_.phi(r) for r in range(max_N + 1)}, cs, X, max_N)
+    proj = blockwise({r: cmp_.psi(r) for r in range(max_N + 1)}, X, cs, max_N)
+    h = blockwise({r: cmp_.omega(r) for r in range(max_N)}, X, X, max_N - 1, degree_shift=1)
     # delta = B between columns: column p entry X_deg -> column p-1 entry X_{deg+1}
-    B = {r: bar.connes_B(r) for r in range(max_N)}
-    delta = Xside.blockwise(B, Xside, max_N, degree_shift=-1, column_shift=1)
-    retract = DeformationRetract(Yside.complex, Xside.complex, incl, proj, h)
-    return retract, delta, (Yside, Xside)
+    delta = blockwise({r: bar.connes_B(r) for r in range(max_N)}, X, X, max_N, degree_shift=-1, column_shift=1)
+    return DeformationRetract(Ytot, Xtot, incl, proj, h), delta
 
 
 def vanishing_check(M, j_max, r_max):

@@ -6,8 +6,9 @@ of the BC total complex, and ``periodicity_check`` the period of C^S.  The
 K-sized collapsed complex (``build_cs_collapsed``) and its mixed complex
 (``collapsed_mixed``) are built by the package's one builder over all of K;
 the commands build it per eigencomponent only.  ``solve`` and the column
-maps of a ``BCTotal`` (``column``, ``inject``, ``block``) are read by these
-checks alone.  ``contains``, ``preimage`` and ``quotient_dim`` eliminate
+maps of a BC total (``column``, ``inject``, ``block``, which read the
+``tot_blocks`` table of the complex it totals) are read by these checks
+alone.  ``contains``, ``preimage`` and ``quotient_dim`` eliminate
 spans with ``EchelonSet`` directly, for these checks and for the closed
 forms of ``cs_reference``: an elimination path independent of the
 ``colon_dim`` the package reads its closed forms with.
@@ -18,9 +19,10 @@ from math import factorial
 
 from orehom.algebra import regular_bimodule
 from orehom.complexes import homology, homology_dims
-from orehom.cyclic import BCTotal, MixedComplexData, build_mixed_components, connes_D_collapsed
+from orehom.cyclic import bc_total, build_mixed_components, check_mixed, connes_D_collapsed
 from orehom import small_complex
 from orehom.linalg import EchelonSet, _row_echelon, kernel_basis, sparse_rank, sub_terms
+from orehom.perturbation import tot_blocks
 from orehom.small_complex import (
     HypothesisError,
     _periodic_boundaries,
@@ -64,23 +66,23 @@ def quotient_dim(field, numerator, denominator):
 
 # -- the columns of a BC total complex ----------------------------------------
 
-def column(tot, N, p):
-    """(offset, dim) of column p in Tot_N of the ``BCTotal`` tot."""
-    for (pp, deg, off, d) in tot.blocks[N]:
+def column(cx, N, p):
+    """(offset, dim) of column p in Tot_N of the BC total of the complex cx."""
+    for (pp, deg, off, d) in tot_blocks(cx, N):
         if pp == p:
             return off, d
     raise ValueError(f"no column {p} in total degree {N}")
 
 
-def inject(tot, N, p, vec):
-    """Sparse X_{N-2p} quotient vector -> sparse Tot_N vector."""
-    off, _ = column(tot, N, p)
+def inject(cx, N, p, vec):
+    """Sparse X_{N-2p} quotient vector -> sparse Tot_N vector (X = cx)."""
+    off, _ = column(cx, N, p)
     return {off + i: c for i, c in vec.items()}
 
 
-def block(tot, N, p, vec):
-    """Sparse Tot_N vector -> its sparse X_{N-2p} component."""
-    off, d = column(tot, N, p)
+def block(cx, N, p, vec):
+    """Sparse Tot_N vector -> its sparse X_{N-2p} component (X = cx)."""
+    off, d = column(cx, N, p)
     return {i - off: c for i, c in vec.items() if off <= i < off + d}
 
 
@@ -97,10 +99,11 @@ def build_cs_collapsed(mono, max_degree=6):
 
 
 def collapsed_mixed(mono, max_degree=6):
-    """The mixed complex (C^S, d, D) on the K-sized collapsed complex."""
+    """The mixed complex (C^S, d, D) on the K-sized collapsed complex, as
+    (C^S, D) with D checked."""
     cs = build_cs_collapsed(mono, max_degree)
     idxs = range(mono.base.dim)
-    return MixedComplexData(cs, {r: connes_D_collapsed(mono, r, cs.spaces, idxs) for r in range(max_degree)})
+    return cs, check_mixed(cs, {r: connes_D_collapsed(mono, r, cs.spaces, idxs) for r in range(max_degree)})
 
 
 # -- the period of C^S ----------------------------------------------------------
@@ -135,22 +138,21 @@ def periodicity_check(mono, v, max_m, M=None):
 
 # -- S / i / B maps on cyclic homology ---------------------------------------------
 
-def _corner_kernel(tot, m):
-    """W_m: X_0 classes whose corner inclusion into Tot_{2m} is a boundary."""
-    field = tot.mixed.field
+def _corner_kernel(cx, tot, m):
+    """W_m: X_0 classes whose corner inclusion into Tot_{2m} is a boundary,
+    tot being the BC total of X = cx."""
+    field = cx.field
     N = 2 * m
-    d0 = tot.mixed.dim(0)
-    if N + 1 > tot.max_N:
+    if N + 1 > tot.max_degree:
         raise HypothesisError("total window too small for the corner kernel")
-    bd = EchelonSet(field, tot.complex.boundary(N + 1).cols)
-    return preimage(bd, [inject(tot, N, m, {t: field.one}) for t in range(d0)])
+    bd = EchelonSet(field, tot.boundary(N + 1).cols)
+    return preimage(bd, [inject(cx, N, m, {t: field.one}) for t in range(cx.dim(0))])
 
 
-def _top_ambiguity(tot, m):
+def _top_ambiguity(cx, tot, m):
     """T_m: column-0 components of boundaries into Tot_{2m+1}."""
     N = 2 * m + 1
-    cols = tot.complex.boundary(N + 1).cols
-    return EchelonSet(tot.mixed.field, (block(tot, N, 0, v) for v in cols))
+    return EchelonSet(cx.field, (block(cx, N, 0, v) for v in tot.boundary(N + 1).cols))
 
 
 def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, scalar=None):
@@ -191,20 +193,19 @@ def sbi_check(mono, max_m=2, max_degree=None):
     comps = build_mixed_components(mono, max_degree)
     lam_n = mono.f_coefficient(n)
     entries = []
-    for w, idxs, mixed in comps:
-        tot = BCTotal(mixed, max_degree)
-        cx = mixed.complex_
+    for w, idxs, cx, D in comps:
+        tot = bc_total(cx, D, max_degree)
         label = f"w={w!r}"
         root = is_root(mono, w)
-        hc_dims = homology_dims(tot.complex, 2 * max_m + (0 if root else 2))
+        hc_dims = homology_dims(tot, 2 * max_m + (0 if root else 2))
         if not root:
             for m in range(max_m + 1):
-                lo = EchelonSet(field, _corner_kernel(tot, m))
-                W_hi = _corner_kernel(tot, m + 1)
+                lo = EchelonSet(field, _corner_kernel(cx, tot, m))
+                W_hi = _corner_kernel(cx, tot, m + 1)
                 hi = EchelonSet(field, W_hi)
                 same = all(contains(lo, v) for v in W_hi) and lo.dim == hi.dim
                 hc_lo, hc_hi = hc_dims[2 * m], hc_dims[2 * m + 2]
-                onto = (mixed.dim(0) - lo.dim == hc_lo) and (mixed.dim(0) - hi.dim == hc_hi)
+                onto = (cx.dim(0) - lo.dim == hc_lo) and (cx.dim(0) - hi.dim == hc_hi)
                 entries.append({
                     "item": "1", "component": label, "m": m,
                     "passed": same and onto,
@@ -212,13 +213,13 @@ def sbi_check(mono, max_m=2, max_degree=None):
                 })
             continue
         # representatives of HH and HC in every degree the items read
-        hh, hc = homology(cx, 2 * max_m + 1), homology(tot.complex, 2 * max_m + 3)
+        hh, hc = homology(cx, 2 * max_m + 1), homology(tot, 2 * max_m + 3)
         for m in range(max_m + 1):
             # -- a: canonical surjection on even degrees
-            lo = EchelonSet(field, _corner_kernel(tot, m))
-            contained = all(contains(lo, v) for v in _corner_kernel(tot, m + 1))
+            lo = EchelonSet(field, _corner_kernel(cx, tot, m))
+            contained = all(contains(lo, v) for v in _corner_kernel(cx, tot, m + 1))
             hc_lo = hc_dims[2 * m]
-            onto = mixed.dim(0) - lo.dim == hc_lo
+            onto = cx.dim(0) - lo.dim == hc_lo
             entries.append({
                 "item": "a", "component": label, "m": m, "passed": contained and onto,
                 "note": "W_{m+1} inside W_m and the corner map is onto",
@@ -226,20 +227,20 @@ def sbi_check(mono, max_m=2, max_degree=None):
             # -- b: i on even homology via the corner identification
             ok_b = True
             N = 2 * m
-            aug_cols = list(tot.complex.boundary(N + 1).cols) if N + 1 <= tot.max_N else []
+            aug_cols = list(tot.boundary(N + 1).cols) if N + 1 <= tot.max_degree else []
             nbd = len(aug_cols)
-            aug_cols += [inject(tot, N, m, {t: field.one}) for t in range(mixed.dim(0))]
+            aug_cols += [inject(cx, N, m, {t: field.one}) for t in range(cx.dim(0))]
             inv_mfact = field.from_fraction(Fraction(1, factorial(m)))
             lam_pow = power_vec(mono, lam_n, m)
             for rep in hh[2 * m]:
-                qrep = mixed.spaces[2 * m].project_terms(rep)
-                sol = solve(field, aug_cols, inject(tot, N, 0, qrep))
+                qrep = cx.spaces[2 * m].project_terms(rep)
+                sol = solve(field, aug_cols, inject(cx, N, 0, qrep))
                 if sol is None:
                     ok_b = False
                     continue
                 mu = {j - nbd: c for j, c in sol.items() if j >= nbd}
                 expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m, 0, qrep, kvec=lam_pow, scalar=inv_mfact
+                    mono, idxs, cx.spaces, 2 * m, 0, qrep, kvec=lam_pow, scalar=inv_mfact
                 )
                 if not contains(lo, sub_terms(mu, expect)):
                     ok_b = False
@@ -251,7 +252,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             ok_c = True
             bd = EchelonSet(field, cx.boundary(2 * m + 2).cols)
             for rep in hc[2 * m]:
-                if not contains(bd, mixed.B[2 * m].apply(block(tot, 2 * m, 0, rep))):
+                if not contains(bd, D[2 * m].apply(block(cx, 2 * m, 0, rep))):
                     ok_c = False
             entries.append({
                 "item": "c", "component": label, "m": m, "passed": ok_c,
@@ -259,13 +260,13 @@ def sbi_check(mono, max_m=2, max_degree=None):
             })
             # -- d: S on odd degrees
             ok_d = True
-            T_lo = _top_ambiguity(tot, m)
+            T_lo = _top_ambiguity(cx, tot, m)
             inv_m1 = field.from_fraction(Fraction(1, m + 1))
             for rep in hc[2 * m + 3]:
-                z0 = block(tot, 2 * m + 3, 0, rep)
-                z1 = block(tot, 2 * m + 3, 1, rep)
+                z0 = block(cx, 2 * m + 3, 0, rep)
+                z1 = block(cx, 2 * m + 3, 1, rep)
                 expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m + 3, 2 * m + 1, z0, kvec=lam_n, scalar=inv_m1
+                    mono, idxs, cx.spaces, 2 * m + 3, 2 * m + 1, z0, kvec=lam_n, scalar=inv_m1
                 )
                 if not contains(T_lo, sub_terms(z1, expect)):
                     ok_d = False
@@ -281,18 +282,18 @@ def sbi_check(mono, max_m=2, max_degree=None):
             taus = EchelonSet(field)
             seen = 0
             for rep in hc[2 * m + 1]:
-                z0 = block(tot, 2 * m + 1, 0, rep)
+                z0 = block(cx, 2 * m + 1, 0, rep)
                 if taus.add(T_lo.reduce(z0)):
                     seen += 1
             if seen != len(hc[2 * m + 1]):
                 ok_e = False
-            tot_bd = EchelonSet(field, tot.complex.boundary(2 * m + 2).cols)
+            tot_bd = EchelonSet(field, tot.boundary(2 * m + 2).cols)
             rank_i = 0
             rank_tau = 0
             tau_classes = EchelonSet(field)
             for rep in hh[2 * m + 1]:
-                qrep = mixed.spaces[2 * m + 1].project_terms(rep)
-                if tot_bd.add(inject(tot, 2 * m + 1, 0, qrep)):
+                qrep = cx.spaces[2 * m + 1].project_terms(rep)
+                if tot_bd.add(inject(cx, 2 * m + 1, 0, qrep)):
                     rank_i += 1
                 if tau_classes.add(T_lo.reduce(qrep)):
                     rank_tau += 1
@@ -307,11 +308,11 @@ def sbi_check(mono, max_m=2, max_degree=None):
             scalar_f = (m + 1) * (field.one - w)
             bd2 = EchelonSet(field, cx.boundary(2 * m + 3).cols)
             for rep in hc[2 * m + 1]:
-                z0 = block(tot, 2 * m + 1, 0, rep)
+                z0 = block(cx, 2 * m + 1, 0, rep)
                 expect = _component_scale_mult(
-                    mono, idxs, mixed.spaces, 2 * m + 1, 2 * m + 2, z0, scalar=scalar_f
+                    mono, idxs, cx.spaces, 2 * m + 1, 2 * m + 2, z0, scalar=scalar_f
                 )
-                if not contains(bd2, sub_terms(mixed.B[2 * m + 1].apply(z0), expect)):
+                if not contains(bd2, sub_terms(D[2 * m + 1].apply(z0), expect)):
                     ok_f = False
             entries.append({
                 "item": "f", "component": label, "m": m, "passed": ok_f,

@@ -4,7 +4,7 @@ import pytest
 
 from orehom.bar import bar_complex
 from orehom.complexes import ChainComplex, ComplexError, homology, homology_dims
-from orehom.cyclic import MixedComplexData, bc_total
+from orehom.cyclic import bc_total, check_mixed
 from orehom.fields import make_field
 from orehom.linalg import ColMap, subquotient
 from orehom.small_complex import build_cs
@@ -16,8 +16,8 @@ Q = make_field("rationals")
 
 def _bar_complexes(name, md):
     bar = bar_complex(get_spec(name).bimodule)
-    mixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
-    return bar.chain_complex(md), bc_total(mixed, md - 1)
+    cx = bar.chain_complex(md - 1)
+    return bar.chain_complex(md), bc_total(cx, check_mixed(cx, {r: bar.connes_B(r) for r in range(md - 1)}), md - 1)
 
 
 @pytest.mark.parametrize("name", ("sweedler", "taft:3", "rank1:c4", "dihedral:3"))

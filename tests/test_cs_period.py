@@ -111,9 +111,9 @@ def test_component_D_is_the_scalar_formula(name):
     if outcome[0] != "ok":
         assert outcome == _outcome(ref.decompose, mono, DEGREE)
         return
-    for w, idxs, mixed in outcome[1]:
+    for w, idxs, comp, Dw in outcome[1]:
         for r in range(DEGREE):
-            D, scalar = mixed.B[r], ref.connes_D_component(mono, r, mixed.spaces, w, idxs)
+            D, scalar = Dw[r], ref.connes_D_component(mono, r, comp.spaces, w, idxs)
             assert (D.nrows, D.ncols) == (scalar.nrows, scalar.ncols)
             assert D.cols == scalar.cols, f"w={w!r}, D_{r}"
 

@@ -3,18 +3,18 @@ import pytest
 from orehom.bar import bar_complex, comparison
 from orehom.complexes import ChainComplex, homology_dims
 from orehom.cyclic import (
-    BCTotal,
-    MixedComplexData,
     bc_total,
     build_mixed,
     build_mixed_components,
+    check_mixed,
     connes_D,
     hc,
     hc_closed_form,
+    hc_dims,
     hc_rank_one,
     transfer_D,
 )
-from orehom.perturbation import build_cyclic_retract
+from orehom.perturbation import build_cyclic_retract, tot_blocks
 from orehom.small_complex import HypothesisError, build_cs
 from orehom.spec_io import EXAMPLE_NAMES
 
@@ -37,16 +37,16 @@ HC_TABLE = {
 def test_connes_D_collapsed_even_zero():
     for name in COLLAPSING:
         ctx = get_spec(name)
-        mixed = collapsed_mixed(ctx.mono, 6)
+        _, D = collapsed_mixed(ctx.mono, 6)
         for r in range(0, 6, 2):
-            assert is_zero(mixed.B[r])
+            assert is_zero(D[r])
 
 
 def test_connes_D_sweedler_odd():
     ctx = get_spec("sweedler")
     mono = ctx.mono
-    mixed = collapsed_mixed(mono, 4)
-    D1 = mixed.B[1].cols
+    _, D = collapsed_mixed(mono, 4)
+    D1 = D[1].cols
     # D_1([g] x) = [2g]; D_1([1] x) = [1 - alpha(1)] = 0
     assert D1[1] == {1: mono.field.from_fraction(2)}
     assert D1[0] == {}
@@ -83,13 +83,20 @@ def test_transfer_matches_closed_formula():
 
 def test_bc_total_shapes_and_square_zero():
     ctx = get_spec("sweedler")
-    mixed = collapsed_mixed(ctx.mono, 6)
-    tot = BCTotal(mixed, 5)
-    assert tot.dim(0) == mixed.dim(0)
-    assert tot.dim(1) == mixed.dim(1)
-    assert tot.dim(2) == mixed.dim(2) + mixed.dim(0)
+    cs, D = collapsed_mixed(ctx.mono, 6)
+    tot = bc_total(cs, D, 5)
+    assert tot.dim(0) == cs.dim(0)
+    assert tot.dim(1) == cs.dim(1)
+    assert tot.dim(2) == cs.dim(2) + cs.dim(0)
+    # Tot_N is the columns p = 0.. of X_{N-2p}, laid end to end
+    for N in range(6):
+        blocks = tot_blocks(cs, N)
+        assert [(p, deg, d) for p, deg, off, d in blocks] == [(p, N - 2 * p, cs.dim(N - 2 * p))
+                                                               for p in range(N // 2 + 1)]
+        assert [off for _, _, off, _ in blocks] == [sum(d for *_, d in blocks[:i]) for i in range(len(blocks))]
+        assert sum(d for *_, d in blocks) == tot.dim(N)
     for N in range(2, 6):
-        assert is_zero(tot.complex.boundary(N - 1).compose(tot.complex.boundary(N)))
+        assert is_zero(tot.boundary(N - 1).compose(tot.boundary(N)))
 
 
 @pytest.mark.parametrize("name", sorted(HC_TABLE))
@@ -111,8 +118,8 @@ def test_hc_oracle_equivalence(name):
     md = 6
     dims = hc(ctx.bimodule, md)
     bar = bar_complex(ctx.bimodule)
-    barmixed = MixedComplexData(bar.chain_complex(md - 1), {r: bar.connes_B(r) for r in range(md - 1)})
-    oracle = homology_dims(bc_total(barmixed, md - 1), md - 2)
+    cx = bar.chain_complex(md - 1)
+    oracle = hc_dims(cx, check_mixed(cx, {r: bar.connes_B(r) for r in range(md - 1)}), md - 1)
     assert dims[:md - 1] == oracle
 
 
@@ -121,8 +128,8 @@ def test_component_mixed_sums_to_total():
         ctx = get_spec(name)
         comps = build_mixed_components(ctx.mono, 6)
         total = None
-        for w, idxs, cm in comps:
-            dims = homology_dims(bc_total(cm, 6), 5)
+        for w, idxs, comp, D in comps:
+            dims = hc_dims(comp, D, 6)
             total = dims if total is None else [a + b for a, b in zip(total, dims)]
         assert total == hc(ctx.bimodule, 7)[:6]
 
@@ -202,13 +209,26 @@ def test_mixed_identity_violation_raises_complex_error():
 
     ctx = get_spec("sweedler")
     mono = ctx.mono
-    mixed = collapsed_mixed(mono, 4)
-    bad_B = dict(mixed.B)
-    corrupted = ColMap(mono.field, mixed.dim(2), mixed.dim(1))
+    cs, D = collapsed_mixed(mono, 4)
+    bad_B = dict(D)
+    corrupted = ColMap(mono.field, cs.dim(2), cs.dim(1))
     corrupted.cols[0] = {0: mono.field.one}
     bad_B[1] = corrupted
-    with pytest.raises(ComplexError):
-        MixedComplexData(mixed.complex_, bad_B)
+    with pytest.raises(ComplexError, match="bB \\+ Bb != 0 at degree 1"):
+        check_mixed(cs, bad_B)
+
+
+def test_mixed_identity_names_the_degree_where_BB_fails():
+    # D_1([g] x) = [2g], so a D_2 with D_2([g]) = [g] x makes D_2 D_1 != 0 at degree 1
+    from orehom.complexes import ComplexError
+    from orehom.linalg import ColMap
+
+    mono = get_spec("sweedler").mono
+    cs, D = collapsed_mixed(mono, 4)
+    bad_B = dict(D)
+    bad_B[2] = ColMap(mono.field, cs.dim(3), cs.dim(2), [{}, {1: mono.field.one}])
+    with pytest.raises(ComplexError, match="B.B != 0 at degree 1"):
+        check_mixed(cs, bad_B)
 
 
 def test_mixed_identity_is_checked_in_degree_zero():
@@ -222,8 +242,8 @@ def test_mixed_identity_is_checked_in_degree_zero():
     one = ColMap.identity(Q, 1)
     spaces = [subquotient(Q, 1, []) for _ in range(2)]
     with pytest.raises(ComplexError, match="bB \\+ Bb != 0 at degree 0"):
-        MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: one})
-    MixedComplexData(ChainComplex(Q, spaces, {1: one}), {0: ColMap(Q, 1, 1)})
+        check_mixed(ChainComplex(Q, spaces, {1: one}), {0: one})
+    check_mixed(ChainComplex(Q, spaces, {1: one}), {0: ColMap(Q, 1, 1)})
 
 
 def _zero_scalars(named_maps):
@@ -238,14 +258,15 @@ def test_eager_maps_hold_no_zero_scalar(name):
     # every function that makes one must hand it zero-free columns
     parsed = get_spec(name)
     mono, M = parsed.mono, parsed.bimodule
-    mixed = build_mixed(build_cs(M, 12), M)
-    named = [("d", mixed.b), ("D", mixed.B), ("Tot d", bc_total(mixed, 12).boundaries)]
+    cs = build_cs(M, 12)
+    D = build_mixed(cs, M)
+    named = [("d", cs.boundaries), ("D", D), ("Tot d", bc_total(cs, D, 12).boundaries)]
     try:
         components = build_mixed_components(mono, 12)
     except HypothesisError:
         components = []
-    for w, _, cmixed in components:
-        named += [(f"D(w={w})", cmixed.B), (f"Tot d(w={w})", bc_total(cmixed, 12).boundaries)]
-    retract, delta, _ = build_cyclic_retract(build_cs(M, 5), M, 5)
+    for w, _, comp, Dw in components:
+        named += [(f"D(w={w})", Dw), (f"Tot d(w={w})", bc_total(comp, Dw, 12).boundaries)]
+    retract, delta = build_cyclic_retract(build_cs(M, 5), M, 5)
     named += [("incl", retract.incl), ("proj", retract.proj), ("h", retract.h), ("delta", delta)]
     assert _zero_scalars(named) == []

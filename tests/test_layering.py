@@ -27,7 +27,9 @@ its first read, with no window to grow to, and every complex is kept on
 the bimodule or algebra it belongs to (no ``Workspace``, no C^S that grows
 in place), a chain complex keeps nothing but its spaces and maps (no
 ``HomologyReport``, no homology memo), ``verify`` totals the bar complex it
-built, and no invariant under src/ is a bare ``assert``."""
+built, a mixed complex is a chain complex and a dict of B maps whose BC total
+is a ``ChainComplex`` (no ``MixedComplexData``, no ``BCTotal``), and no
+invariant under src/ is a bare ``assert``."""
 
 import ast
 import contextlib
@@ -41,9 +43,10 @@ from hypothesis import strategies as st
 from orehom import bar, cli
 from orehom.bar import BarComplex, BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
 from orehom.complexes import ChainComplex
-from orehom.cyclic import BCTotal, MixedComplexData
+from orehom.cyclic import bc_total, build_mixed
 from orehom.fields import make_field, reciprocal
-from orehom.linalg import EchelonSet, sparse, sparse_rank
+from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
+from orehom.perturbation import tot_blocks
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
@@ -150,13 +153,10 @@ def test_definitions_read_only_by_tests_live_in_the_tests():
                      "_corner_kernel", "_top_ambiguity", "_component_scale_mult", "solve", "periodicity_check",
                      "build_cs_collapsed", "contains", "preimage", "quotient_dim", "_quotient_map",
                      "_phi_ambient", "_psi_ambient", "_omega_ambient", "_wrap"}) == []
-    # a method named like a live definition (``block`` and ``inject`` name
-    # locals under src/) is read on its class; the bar side's flat indices,
-    # degrees and d' are in tests/bar_reference.py
-    on_class = {BCTotal: ("inject", "block"), BarResolution: ("d", "d_generator"),
-                ResolutionSpace: ("flat", "unflat"),
-                BarSpace: ("element_degree", "flat", "unflat"), ChainComplex: ("dims",),
-                MixedComplexData: ("chain_complex",)}
+    # a method named like a live definition is read on its class; the bar
+    # side's flat indices, degrees and d' are in tests/bar_reference.py
+    on_class = {BarResolution: ("d", "d_generator"), ResolutionSpace: ("flat", "unflat"),
+                BarSpace: ("element_degree", "flat", "unflat"), ChainComplex: ("dims",)}
     assert [f"{cls.__name__}.{name}" for cls, names in on_class.items() for name in names if hasattr(cls, name)] == []
 
 
@@ -196,6 +196,21 @@ def test_a_chain_complex_is_its_spaces_and_maps(monkeypatch):
         assert cli.main(["verify", "--spec", "sweedler", "--max-degree", "6"]) == 0
     assert len({id(b) for b in bars}) == 1
     assert kept_keys(bars[0], BarComplex.chain_complex) == [(6,)]
+
+
+def test_a_mixed_complex_is_a_chain_complex_and_its_B():
+    # no class wraps a mixed complex or its BC total: B is a dict of maps
+    # checked where it is made, the total is a ChainComplex, and the block
+    # table of a total is read off the complex it totals
+    assert [path.name for path in SOURCES for name in ("MixedComplexData", "BCTotal")
+            if name in path.read_text(encoding="utf-8")] == []
+    M = get_spec("sweedler").bimodule
+    cs = build_cs(M, 4)
+    D = build_mixed(cs, M)
+    assert type(D) is dict and sorted(D) == [0, 1, 2, 3] and all(isinstance(m, ColMap) for m in D.values())
+    tot = bc_total(cs, D, 4)
+    assert type(tot) is ChainComplex
+    assert [sum(d for *_, d in tot_blocks(cs, N)) for N in range(5)] == [tot.dim(N) for N in range(5)]
 
 
 def test_no_invariant_is_a_bare_assert():

@@ -8,6 +8,7 @@ from orehom.perturbation import (
     PerturbationError,
     build_cyclic_retract,
     perturb,
+    tot_blocks,
     vanishing_check,
     verify_perturbed,
 )
@@ -23,13 +24,13 @@ FIXTURES = ("sweedler", "taft:3", "trunc:3", "rank1:c4", "dihedral:3")
 
 def _setup(name, max_N=5):
     ctx = get_spec(name)
-    retract, delta, sides = build_cyclic_retract(build_cs(ctx.bimodule, max_N), ctx.bimodule, max_N)
-    return ctx, retract, delta, sides
+    retract, delta = build_cyclic_retract(build_cs(ctx.bimodule, max_N), ctx.bimodule, max_N)
+    return ctx, retract, delta
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_retract_identities_and_special(name):
-    ctx, retract, delta, _ = _setup(name)
+    ctx, retract, delta = _setup(name)
     rep = retract.verify()
     assert all(rep.values()), rep
     assert retract.is_special()
@@ -55,7 +56,7 @@ def test_verify_checks_the_special_identities_of_each_retract_once(capsys, monke
 
 
 def test_zero_perturbation_changes_nothing():
-    ctx, retract, delta, _ = _setup("sweedler")
+    ctx, retract, delta = _setup("sweedler")
     zero = {r: ColMap(ctx.mono.field, retract.X.dim(r - 1), retract.X.dim(r))
             for r in range(1, retract.max_degree + 1)}
     pert = perturb(retract, zero)
@@ -69,37 +70,38 @@ def test_zero_perturbation_changes_nothing():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_perturbed_identities(name):
-    ctx, retract, delta, _ = _setup(name)
+    ctx, retract, delta = _setup(name)
     pert = perturb(retract, delta)
     rep = verify_perturbed(pert)
     assert all(rep.values()), rep
     assert "h1 h1 = 0" in rep  # the special conclusions were checked
 
 
-def transferred_block(pert, Yside, N, p_from, p_to):
-    """The (column p_to <- column p_from) block of the transferred map."""
-    off, d = column(Yside, N, p_from)
-    cols = [block(Yside, N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
-    return ColMap(Yside.mixed.field, column(Yside, N - 1, p_to)[1], d, cols)
+def transferred_block(pert, cs, N, p_from, p_to):
+    """The (column p_to <- column p_from) block of the transferred map on
+    the BC total of the small complex cs."""
+    off, d = column(cs, N, p_from)
+    cols = [block(cs, N - 1, p_to, pert.transferred[N].cols[off + jj]) for jj in range(d)]
+    return ColMap(cs.field, column(cs, N - 1, p_to)[1], d, cols)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_transferred_differential_is_d_plus_D(name):
-    ctx, retract, delta, (Yside, Xside) = _setup(name)
+    ctx, retract, delta = _setup(name)
     pert = perturb(retract, delta)
     cs = build_cs(ctx.bimodule, 5)
     for N in range(1, 6):
-        for (p, deg, off, d) in Yside.blocks[N]:
+        for (p, deg, off, d) in tot_blocks(cs, N):
             if p >= 1:
-                blk = transferred_block(pert, Yside, N, p, p - 1)
+                blk = transferred_block(pert, cs, N, p, p - 1)
                 assert blk == connes_D(ctx.mono, deg, cs.spaces)
             for pt in range(0, p - 1):
-                assert is_zero(transferred_block(pert, Yside, N, p, pt))
+                assert is_zero(transferred_block(pert, cs, N, p, pt))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_transferred_homology_equals_hc(name):
-    ctx, retract, delta, _ = _setup(name)
+    ctx, retract, delta = _setup(name)
     pert = perturb(retract, delta)
     assert homology_dims(pert.Y, 4) == hc(ctx.bimodule, 6)[:5]
 
@@ -138,7 +140,7 @@ def test_vanishing_degree_accounting():
 
 
 def test_invalid_perturbation_rejected():
-    ctx, retract, delta, _ = _setup("sweedler")
+    ctx, retract, delta = _setup("sweedler")
     field = ctx.mono.field
     # an arbitrary degree -1 map violates (d + delta)^2 = 0
     bad = {}
