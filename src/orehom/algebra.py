@@ -15,10 +15,14 @@ bimodule and the twisted commutators [K,K]_{alpha^j} cost the structure
 constants, and the dim(A) x dim(A) product table is built only when the bar
 resolution reads it.
 
-Everything here is validated eagerly: group tables are checked for
+Input is checked where it is built from outside data: group tables for
 associativity, characters pairwise for multiplicativity (which proves the
-twist an endomorphism), extension data for the coefficient conditions, so
-downstream homology code can assume the axioms.
+twist an endomorphism), extension data for the coefficient conditions, and,
+when the spec decoder reads them, an endomorphism given as a matrix
+(``check_endomorphism``) and explicit bimodule actions
+(``BimoduleData.check``), so downstream homology code can assume the
+axioms.  The twist alpha is its ``ColMap`` on the basis of K; the regular
+bimodule is built from the validated algebra and is not checked again.
 
 Every value computed once and read again is kept on the object it belongs
 to, in one ``_kept`` store: ``memo`` keeps the value of a method (or of a
@@ -192,43 +196,28 @@ def group_algebra(labels, multiplication_table, field):
     return BaseAlgebra(field, labels, sc, {group_identity(table): field.one}, group_table=table)
 
 
-class AlgebraEndomorphism:
-    """Unital k-algebra endomorphism of K, given by its ColMap on the basis."""
+def _check_unit(K, alpha):
+    if alpha.apply(K.unit) != K.unit:
+        raise AlgebraError("endomorphism does not fix the unit")
 
-    def __init__(self, base, map_, check=True):
-        self.base = base
-        self.map = map_
-        if check:
-            self._check()
 
-    def _check(self):
-        self._check_unit()
-        K = self.base
-        # alpha(e_i e_j) = alpha(e_i) alpha(e_j)
-        for i in range(K.dim):
-            for j in range(K.dim):
-                if self.map.apply(K.product(K.basis_vector(i), K.basis_vector(j))) != K.product(
-                        self.map.cols[i], self.map.cols[j]):
-                    raise AlgebraError(
-                        "endomorphism is not multiplicative on "
-                        f"({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
-                    )
-
-    def _check_unit(self):
-        unit = self.base.unit
-        if self.map.apply(unit) != unit:
-            raise AlgebraError("endomorphism does not fix the unit")
-
-    def diagonal(self):
-        """The diagonal entries of the map."""
-        return [col.get(i, self.base.field.zero) for i, col in enumerate(self.map.cols)]
-
-    def is_diagonal(self):
-        return all(set(col) <= {j} for j, col in enumerate(self.map.cols))
+def check_endomorphism(K, alpha):
+    """Raise AlgebraError unless the ColMap ``alpha`` is a unital algebra
+    endomorphism of K: it fixes the unit and alpha(e_i e_j) = alpha(e_i) alpha(e_j)."""
+    _check_unit(K, alpha)
+    for i in range(K.dim):
+        for j in range(K.dim):
+            if alpha.apply(K.product(K.basis_vector(i), K.basis_vector(j))) != K.product(
+                    alpha.cols[i], alpha.cols[j]):
+                raise AlgebraError(
+                    "endomorphism is not multiplicative on "
+                    f"({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
+                )
 
 
 def character_endomorphism(K, chi):
-    """Endomorphism g -> chi(g) g of a group algebra from character values.
+    """The ColMap of the endomorphism g -> chi(g) g of a group algebra from
+    character values.
 
     ``chi`` maps each basis label (or index) to a scalar; multiplicativity
     chi(gh) = chi(g)chi(h) is verified against the group table, which proves
@@ -252,10 +241,9 @@ def character_endomorphism(K, chi):
                     f"character is not multiplicative on pair ({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                 )
     # a multiplicative character that passes the unit check takes unit values
-    m = ColMap(K.field, K.dim, K.dim, [{i: v} for i, v in enumerate(values)])
-    endo = AlgebraEndomorphism(K, m, check=False)
-    endo._check_unit()
-    return endo
+    alpha = ColMap(K.field, K.dim, K.dim, [{i: v} for i, v in enumerate(values)])
+    _check_unit(K, alpha)
+    return alpha
 
 
 class MonogenicData:
@@ -288,7 +276,7 @@ class MonogenicData:
         p is reduced modulo it."""
         pows = self._alpha_pows
         while self._alpha_order is None and len(pows) <= p:
-            m = self.alpha.map.compose(pows[-1])
+            m = self.alpha.compose(pows[-1])
             if m == pows[0]:
                 self._alpha_order = len(pows)
             else:
@@ -499,15 +487,13 @@ class BimoduleData:
     as maps: m.(ab) = R(b) R(a) m.
     """
 
-    def __init__(self, mono, dim, left_k, left_x, right_k, right_x, check=True):
+    def __init__(self, mono, dim, left_k, left_x, right_k, right_x):
         self.mono = mono
         self.dim = dim
         self.left_k = left_k
         self.left_x = left_x
         self.right_k = right_k
         self.right_x = right_x
-        if check:
-            self._check()
 
     @property
     @memo
@@ -518,7 +504,8 @@ class BimoduleData:
         return self is R or self.dim == R.dim and (self.left_k, self.left_x, self.right_k, self.right_x) == (
             R.left_k, R.left_x, R.right_k, R.right_x)
 
-    def _check(self):
+    def check(self):
+        """Raise AlgebraError naming the first bimodule axiom the actions break."""
         mono, K, n = self.mono, self.mono.base, self.mono.n
         lk, lx, rk, rx = self.left_k, self.left_x, self.right_k, self.right_x
 
@@ -636,7 +623,7 @@ def regular_bimodule(mono):
     right_k = [action(lambda p, kappa, t=t: normal(product({kappa: one}, mono.alpha_terms(p, t)), p)) for t in range(d)]
     left_x = action(lambda p, kappa: normal(mono.alpha_terms(1, kappa), p + 1))
     right_x = action(lambda p, kappa: normal({kappa: one}, p + 1))
-    return BimoduleData(mono, mono.dim, left_k, left_x, right_k, right_x, check=False)
+    return BimoduleData(mono, mono.dim, left_k, left_x, right_k, right_x)
 
 
 def twisted_commutator_subspace(M, j):
@@ -811,9 +798,9 @@ def eigen_split(K, alpha):
     The component of eigenvalue 1 is listed first.  Non-diagonal alpha is
     rejected; callers fall back to the generic (undecomposed) path.
     """
-    if not alpha.is_diagonal():
+    if not all(set(col) <= {j} for j, col in enumerate(alpha.cols)):
         raise AlgebraError("decomposition unavailable, generic path required")
-    values = alpha.diagonal()
+    values = [col.get(j, K.field.zero) for j, col in enumerate(alpha.cols)]
     comps = []
     for i, w in enumerate(values):
         for val, idxs in comps:

@@ -231,7 +231,7 @@ def _is_dihedral_example(mono):
         return False
     labels, table = dihedral_group(max(K.dim // 2, 3))
     return (K.basis_labels == labels and [[labels[t] for t in row] for row in K.group_table] == table
-            and list(mono.alpha.map.cols) == [{i: -one if lab[-1] == "h" else one} for i, lab in enumerate(labels)])
+            and list(mono.alpha.cols) == [{i: -one if lab[-1] == "h" else one} for i, lab in enumerate(labels)])
 
 
 def _dihedral_displayed_parts(mono):

@@ -2,7 +2,8 @@
 
 A ChainComplex is its spaces and boundaries: one SubquotientSpace per
 degree 0..max_degree and column-sparse boundary maps d_r: C_r -> C_{r-1}
-in quotient coordinates.  ``d . d = 0`` is checked at construction.
+in quotient coordinates.  Every complex checks the shape of each boundary
+and ``d . d = 0`` as it is built; there is no unchecked complex.
 Homology dimensions come from ranks alone, dim H_r = n_r - rank d_r -
 rank d_{r+1}, each rank taken once by ``sparse_rank`` on the boundary's
 columns.  Only ``homology``, which gives representatives, runs a kernel:
@@ -31,12 +32,10 @@ class ComplexError(ValueError):
 class ChainComplex:
     """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}."""
 
-    def __init__(self, field, spaces, boundaries, check=True):
+    def __init__(self, field, spaces, boundaries):
         self.field = field
         self.spaces = list(spaces)
         self.boundaries = dict(boundaries)
-        if not check:
-            return
         zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
         for r in range(1, self.max_degree + 1):
             d = self.boundaries[r]

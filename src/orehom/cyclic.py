@@ -19,8 +19,10 @@ A mixed complex is a chain complex (X, b) and a dict B of degree +1 maps:
 returns the total complex of the first-quadrant double complex built from
 (X, b, B) as a ChainComplex, with the plain-sum differential (no auxiliary
 signs): the mixed identities make it square to zero, and its d.d = 0 is
-checked as it is built.  ``hc_dims`` reads HC off that total, for C^S, for
-each eigencomponent and for the normalized complex alike.
+checked as it is built.  Its column layout is ``tot_blocks``, which the
+transfer retract of ``perturbation.py`` reads too.  ``hc_dims`` reads HC
+off that total, for C^S, for each eigencomponent and for the normalized
+complex alike.
 """
 
 from __future__ import annotations
@@ -145,39 +147,49 @@ def transfer_D(comparison, bar, r):
 
 # -- BC total complex ------------------------------------------------------------
 
+def tot_blocks(complex_, N):
+    """The blocks (p, degree, offset, dim) of Tot_N = (+)_{p >= 0} X_{N-2p}
+    of the BC total of the complex X = ``complex_``, column 0 first: the one
+    column layout that ``bc_total`` and the transfer retract read."""
+    blocks, off = [], 0
+    for p in range(N // 2 + 1):
+        d = complex_.dim(N - 2 * p)
+        blocks.append((p, N - 2 * p, off, d))
+        off += d
+    return blocks
+
+
 def bc_total(complex_, B, max_N):
     """Total complex of the quotient double complex of the mixed complex
     (X, b, B), X = ``complex_``, in total degrees 0..max_N.
 
-    Tot_N = (+)_{p >= 0} X_{N-2p}, column 0 first, the whole space with no
-    elimination; the differential sends the column-p entry y to b(y) in
-    column p and B(y) into column p-1, a degree missing from B counting as
-    B = 0, and each boundary is built from its list of columns.
+    Tot_N = (+)_{p >= 0} X_{N-2p} laid out by ``tot_blocks``, the whole space
+    with no elimination; the differential sends the column-p entry y to b(y)
+    in column p and B(y) into column p-1, a degree missing from B counting
+    as B = 0, and each boundary is built from its list of columns.
     """
     if max_N > complex_.max_degree:
         raise HypothesisError(f"total degree {max_N} exceeds the mixed complex window {complex_.max_degree}")
-    field, b, dim = complex_.field, complex_.boundaries, complex_.dim
-    dims = []  # dim Tot_N = dim X_N + dim Tot_{N-2}
-    for N in range(max_N + 1):
-        dims.append(dim(N) + (dims[N - 2] if N >= 2 else 0))
+    field, b = complex_.field, complex_.boundaries
+    blocks = [tot_blocks(complex_, N) for N in range(max_N + 1)]
+    dims = [off + d for (_, _, off, d) in [blks[-1] for blks in blocks]]  # the last block ends Tot_N
     # the projection of the whole space Tot_N is the first dim Tot_N columns of one identity
     ident = [{i: field.one} for i in range(max(dims))]
     spaces = [SubquotientSpace(field, d, list(range(d)), ident[:d]) for d in dims]
     boundaries = {}
     for N in range(1, max_N + 1):
+        tgt = blocks[N - 1]
         # column 0 of Tot_N and Tot_{N-1} starts at row 0: b's columns, shared (never edited)
         cols = list(b[N].cols)
-        lo = 0  # offset of column p - 1 of Tot_{N-1}
-        for p in range(1, N // 2 + 1):
-            deg, hi = N - 2 * p, lo + dim(N + 1 - 2 * p)  # hi: offset of column p of Tot_{N-1}
+        for (p, deg, _, d) in blocks[N][1:]:
             Bm = B.get(deg)
-            for jj in range(dim(deg)):
+            lo, hi = tgt[p - 1][2], tgt[p][2] if deg >= 1 else None  # offsets of columns p - 1 and p of Tot_{N-1}
+            for jj in range(d):
                 # b lands in column p and B in column p - 1: their rows never meet
                 col = {hi + i: e for i, e in b[deg].cols[jj].items()} if deg >= 1 else {}
                 if Bm is not None:
                     col.update((lo + i, e) for i, e in Bm.cols[jj].items())
                 cols.append(col)
-            lo = hi
         boundaries[N] = ColMap(field, dims[N - 1], dims[N], cols)
     return ChainComplex(field, spaces, boundaries)
 

@@ -15,11 +15,15 @@ with (d + delta)^2 = 0 and delta*h locally nilpotent, the transferred data
 kept as sums of chains, is again a deformation retract onto (X, d + delta),
 special if the input was; ``verify_perturbed`` runs the retract checks on it
 in the degrees below the input's top, where every perturbed map is defined.
+``perturb`` builds (X, d + delta) as a ``ChainComplex`` before the series
+and (Y, d1) after it, so each checks its square as it is built: a delta
+with (d + delta)^2 != 0 raises ``ComplexError`` naming the degree, and a
+``PerturbationError`` means a series that does not terminate.
 
 The use this package makes of it: X is the BC total of (bar, b, 0), Y the
 one of (C^S, d, 0), i/p/h the comparison maps placed block by block on the
-columns (p, degree, offset, dim) of ``tot_blocks``, and delta the cyclic
-operator acting between columns.
+columns (p, degree, offset, dim) of ``cyclic.tot_blocks``, the layout
+``bc_total`` reads too, and delta the cyclic operator acting between columns.
 C^S is the caller's own, and the bar complex of the same degree and the
 comparison maps are those kept on M: ``verify`` totals the complexes it
 has already built.
@@ -33,7 +37,7 @@ from __future__ import annotations
 from .algebra import memo
 from .bar import bar_complex, comparison
 from .complexes import ChainComplex
-from .cyclic import bc_total
+from .cyclic import bc_total, tot_blocks
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
 
 
@@ -112,9 +116,7 @@ def perturb(retract, delta):
     top = retract.max_degree
     bound = top + 2
     dX = {r: chain_sum(field, X.dim(r), [(1, [X.boundary(r)]), (1, [delta[r]])]) for r in range(1, top + 1)}
-    for r in range(2, top + 1):
-        if not relation_holds(X.dim(r), [(1, [dX[r - 1], dX[r]])]):
-            raise PerturbationError(f"(d + delta)^2 != 0 at degree {r}")
+    X1 = ChainComplex(field, X.spaces, dX)  # checks (d + delta)^2 = 0 before the series
     # Delta_r = sum_j (delta h)^j delta, one geometric series per column: a
     # column is nonzero after k steps exactly when the whole term is
     Delta = {}
@@ -138,11 +140,7 @@ def perturb(retract, delta):
     incl1[0] = incl[0]
     proj1 = {r: chain_sum(field, X.dim(r), [(1, [proj[r]]), (1, [proj[r], Delta[r + 1], h[r]])]) for r in range(top)}
     h1 = {r: chain_sum(field, X.dim(r), [(1, [h[r]]), (1, [h[r], Delta[r + 1], h[r]])]) for r in range(top)}
-    for r in range(2, top + 1):
-        if not relation_holds(Y.dim(r), [(1, [d1[r - 1], d1[r]])]):
-            raise PerturbationError(f"perturbed differential does not square to zero at {r}")
-    return PerturbedRetract(retract, transferred, ChainComplex(field, Y.spaces, d1, check=False),
-                            ChainComplex(field, X.spaces, dX, check=False), incl1, proj1, h1)
+    return PerturbedRetract(retract, transferred, ChainComplex(field, Y.spaces, d1), X1, incl1, proj1, h1)
 
 
 # the retract checks under the names of the perturbed maps
@@ -160,17 +158,6 @@ def verify_perturbed(pert):
 
 
 # -- the cyclic transfer retract ---------------------------------------------------
-
-def tot_blocks(complex_, N):
-    """The blocks (p, degree, offset, dim) of Tot_N = (+)_{p >= 0} X_{N-2p}
-    of the BC total of the complex X = ``complex_``, column 0 first."""
-    blocks, off = [], 0
-    for p in range(N // 2 + 1):
-        d = complex_.dim(N - 2 * p)
-        blocks.append((p, N - 2 * p, off, d))
-        off += d
-    return blocks
-
 
 def blockwise(maps, X, Y, max_N, degree_shift=0, column_shift=0):
     """Maps Tot_N of X -> Tot_{N+degree_shift} of Y, N <= max_N, keyed by N.

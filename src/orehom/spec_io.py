@@ -41,11 +41,11 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
-    AlgebraEndomorphism,
     BaseAlgebra,
     BimoduleData,
     character_endomorphism,
     check_collapse,
+    check_endomorphism,
     eigen_split,
     group_algebra,
     quotient_group_table,
@@ -292,7 +292,9 @@ def _decode_endomorphism(field, K, obj):
     if kind == "character":
         return character_endomorphism(K, _decode_character(field, obj, "values", path))
     if kind == "matrix":
-        return AlgebraEndomorphism(K, _decode_map(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix"))
+        alpha = _decode_map(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix")
+        _checked(f"{path}.matrix", check_endomorphism, K, alpha)
+        return alpha
     raise AlgebraError(f"unknown endomorphism type {kind!r}")
 
 
@@ -313,12 +315,22 @@ def _decode_bimodule(mono, obj):
                 raise AlgebraError(f"{path}.{key} needs {mono.base.dim} matrices, one per K-basis element")
             return [_decode_map(field, m, dim, f"{path}.{key}[{t}]") for t, m in enumerate(ms)]
 
-        return BimoduleData(
+        M = BimoduleData(
             mono, dim,
             matrices("left_k"), _decode_map(field, _key(obj, "left_x", path), dim, f"{path}.left_x"),
             matrices("right_k"), _decode_map(field, _key(obj, "right_x", path), dim, f"{path}.right_x"),
         )
+        _checked(path, M.check)
+        return M
     raise AlgebraError(f"unknown bimodule type {kind!r}")
+
+
+def _checked(path, validate, *args):
+    """Run ``validate(*args)``; the AlgebraError it raises names the spec path."""
+    try:
+        validate(*args)
+    except AlgebraError as exc:
+        raise AlgebraError(f"{path}: {exc}") from None
 
 
 def _rank_one_case(field, values_by_index, n, xi):
@@ -402,7 +414,7 @@ def parse_spec(doc, max_degree=6):
             if gt[g1_idx][j] != gt[j][g1_idx]:
                 raise AlgebraError(f"g1 = {g1!r} is not central (witness {labels[j]!r})")
         alpha = character_endomorphism(K, chi)
-        values = alpha.diagonal()
+        values = [alpha.cols[i][i] for i in range(K.dim)]
         w = values[g1_idx]
         for j in range(1, n):
             if w ** j == field.one:

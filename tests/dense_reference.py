@@ -111,7 +111,7 @@ def k_product(K, u, v):
 
 def alpha_power(mono, p, vec):
     """alpha^p of a dense K-vector by p applications of the matrix of alpha."""
-    cols = mono.alpha.map.cols
+    cols = mono.alpha.cols
     for _ in range(p):
         out = [mono.field.zero] * mono.base.dim
         for j, c in enumerate(vec):

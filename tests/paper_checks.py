@@ -19,10 +19,9 @@ from math import factorial
 
 from orehom.algebra import regular_bimodule
 from orehom.complexes import homology, homology_dims
-from orehom.cyclic import bc_total, build_mixed_components, check_mixed, connes_D_collapsed
+from orehom.cyclic import bc_total, build_mixed_components, check_mixed, connes_D_collapsed, tot_blocks
 from orehom import small_complex
 from orehom.linalg import EchelonSet, _row_echelon, kernel_basis, sparse_rank, sub_terms
-from orehom.perturbation import tot_blocks
 from orehom.small_complex import (
     HypothesisError,
     _periodic_boundaries,

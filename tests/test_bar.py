@@ -294,8 +294,10 @@ def _doubled_regular(name):
         cols = list(m.cols)
         return ColMap(mono.field, 2 * dim, 2 * dim, cols + [{i + dim: c for i, c in col.items()} for col in cols])
 
-    return mono, BimoduleData(mono, 2 * dim, [doubled(m) for m in R.left_k], doubled(R.left_x),
-                              [doubled(m) for m in R.right_k], doubled(R.right_x))
+    M = BimoduleData(mono, 2 * dim, [doubled(m) for m in R.left_k], doubled(R.left_x),
+                     [doubled(m) for m in R.right_k], doubled(R.right_x))
+    M.check()
+    return mono, M
 
 
 @pytest.mark.parametrize("name, doubled", [(name, False) for name in SHIPPED + ("rank1nc:c2xc4",)] + [("taft:3", True)])
@@ -386,8 +388,8 @@ def test_generic_path_with_nondiagonal_alpha():
     # permutation matrix: the eigencomponent machinery refuses, but the
     # generic complex and the oracle still agree
     from orehom.algebra import (
-        AlgebraEndomorphism,
         AlgebraError,
+        check_endomorphism,
         eigen_split,
         group_algebra,
         regular_bimodule,
@@ -401,7 +403,8 @@ def test_generic_path_with_nondiagonal_alpha():
     labels, table = cyclic_group(3)
     K = group_algebra(labels, table, F)
     # e -> e, g -> g^2, g^2 -> g^4 = g
-    alpha = AlgebraEndomorphism(K, ColMap(F, 3, 3, [{0: F.one}, {2: F.one}, {1: F.one}]))
+    alpha = ColMap(F, 3, 3, [{0: F.one}, {2: F.one}, {1: F.one}])
+    check_endomorphism(K, alpha)
     mono = validate_monogenic(K, alpha, 2, [{}, {}])
     with pytest.raises(AlgebraError):
         eigen_split(K, alpha)
@@ -425,6 +428,7 @@ def test_nonregular_bimodule_coefficients():
     right_k = [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)]
     zero_x = ColMap(field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, left_k, zero_x, right_k, zero_x)
+    M.check()
     cs_dims = homology_dims(build_cs(M, 5), 3)
     bar_dims = homology_dims(BarComplex(mono, M).chain_complex(5), 3)
     assert cs_dims == bar_dims

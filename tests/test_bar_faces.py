@@ -66,6 +66,7 @@ def test_b_matches_the_reference_on_nonregular_coefficients():
     zero_x = ColMap(mono.field, K.dim, K.dim)
     M = BimoduleData(mono, K.dim, [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x,
                      [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)], zero_x)
+    M.check()
     _check_against_reference(mono, M, regular=False)
     with pytest.raises(ValueError):
         BarComplex(mono, M).connes_B(1)

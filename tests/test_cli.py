@@ -19,7 +19,7 @@ from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_s
 from orehom.fields import make_field
 
 from conftest import encode_kvec, kept_keys, rank_one_doc, right_mult_map
-from test_spec_io import _regular_action_rows
+from test_spec_io import _break_left_k, _regular_action_rows, matrices_document
 
 
 def run(capsys, *argv):
@@ -292,6 +292,18 @@ def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [message]
+
+
+def test_a_broken_bimodule_axiom_is_one_error_line_naming_its_path(capsys, tmp_path):
+    # explicit actions that break an axiom end the command with exit 1 and
+    # one line naming the spec path, as any other malformed input
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(matrices_document(_break_left_k)))
+    code = main(["hh", "--spec", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: spec.bimodule: left K-action is not multiplicative"]
 
 
 @pytest.mark.parametrize("kind, reason", [
@@ -877,6 +889,29 @@ def test_verify_fails_on_a_corrupted_perturbed_inclusion(capsys, monkeypatch):
     checks = _checks(rep)
     assert checks["perturbed retract identities"] is False
     assert checks["transfer retract identities"] is True
+
+
+def test_verify_stops_on_a_perturbation_that_breaks_the_square(capsys, monkeypatch):
+    # a delta with (d + delta)^2 != 0 is refused as the perturbed complex is
+    # built: one identity-failure line naming the degree, and exit 2
+    original = cli.build_cyclic_retract
+
+    def build_cyclic_retract(cs, M, max_N):
+        retract, delta = original(cs, M, max_N)
+        bad = {}
+        for r, m in delta.items():
+            cols = [{} for _ in range(m.ncols)]
+            if m.nrows and m.ncols:
+                cols[0] = {0: m.field.one}
+            bad[r] = ColMap(m.field, m.nrows, m.ncols, cols)
+        return retract, bad
+
+    monkeypatch.setattr(cli, "build_cyclic_retract", build_cyclic_retract)
+    code = main(["verify", "--spec", "sweedler", "--max-degree", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["identity failure: d_1 . d_2 != 0"]
 
 
 def _reports(monkeypatch):

@@ -12,9 +12,10 @@ from orehom.cyclic import (
     hc_closed_form,
     hc_dims,
     hc_rank_one,
+    tot_blocks,
     transfer_D,
 )
-from orehom.perturbation import build_cyclic_retract, tot_blocks
+from orehom.perturbation import build_cyclic_retract
 from orehom.small_complex import HypothesisError, build_cs
 from orehom.spec_io import EXAMPLE_NAMES
 

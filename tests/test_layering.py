@@ -28,8 +28,11 @@ the bimodule or algebra it belongs to (no ``Workspace``, no C^S that grows
 in place), a chain complex keeps nothing but its spaces and maps (no
 ``HomologyReport``, no homology memo), ``verify`` totals the bar complex it
 built, a mixed complex is a chain complex and a dict of B maps whose BC total
-is a ``ChainComplex`` (no ``MixedComplexData``, no ``BCTotal``), and no
-invariant under src/ is a bare ``assert``."""
+is a ``ChainComplex`` (no ``MixedComplexData``, no ``BCTotal``), no
+invariant under src/ is a bare ``assert``, and no axiom check is an option
+(no ``check`` parameter, no ``AlgebraEndomorphism`` wrapper: every complex
+checks d.d = 0, and endomorphism and bimodule input is checked where the
+spec decoder reads it)."""
 
 import ast
 import contextlib
@@ -41,16 +44,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orehom import bar, cli
+from orehom.algebra import BimoduleData
 from orehom.bar import BarComplex, BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
 from orehom.complexes import ChainComplex
-from orehom.cyclic import bc_total, build_mixed
+from orehom.cyclic import bc_total, build_mixed, tot_blocks
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
-from orehom.perturbation import tot_blocks
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
 from conftest import get_spec, kept_keys
+from test_spec_io import matrices_document
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orehom").glob("*.py"))
@@ -211,6 +215,29 @@ def test_a_mixed_complex_is_a_chain_complex_and_its_B():
     tot = bc_total(cs, D, 4)
     assert type(tot) is ChainComplex
     assert [sum(d for *_, d in tot_blocks(cs, N)) for N in range(5)] == [tot.dim(N) for N in range(5)]
+
+
+def test_no_check_flags(monkeypatch):
+    # an axiom check is not an option: a complex always checks d.d = 0, and
+    # an endomorphism or bimodule is checked where the spec decoder reads it
+    # from outside input, never for the regular bimodule the algebra builds
+    taking = [f"{path.name}:{node.lineno}: {node.name}" for path in SOURCES for node in ast.walk(_tree(path))
+              if isinstance(node, ast.FunctionDef)
+              and "check" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}]
+    assert taking == []
+    assert _defined({"AlgebraEndomorphism"}) == []
+    wrapped = [f"{path.name}:{node.lineno}" for path in SOURCES + TESTS for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "map"
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "alpha"]
+    assert wrapped == []
+    calls = []
+    real = BimoduleData.check
+    monkeypatch.setattr(BimoduleData, "check", lambda M: calls.append(M) or real(M))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["hh", "--spec", "taft:3", "--max-degree", "6"]) == 0
+    assert calls == []
+    parsed = parse_spec(matrices_document(lambda acts, doc, field: None))
+    assert calls == [parsed.bimodule]
 
 
 def test_no_invariant_is_a_bare_assert():
@@ -377,7 +404,7 @@ def test_structure_of_a_costs_the_structure_constants():
     # and no re-check of a character through multiplication maps, whose
     # pairwise test chi(gh) = chi(g)chi(h) already proves it multiplicative
     guarded = {"regular_bimodule", "character_endomorphism", "k_commutator_subspace"}
-    banned = {"mul_table", "multiply", "x_overflow", "left_mult_map", "_check"}
+    banned = {"mul_table", "multiply", "x_overflow", "left_mult_map", "check", "check_endomorphism"}
     seen, calls = set(), []
     for node in ast.walk(_tree(ROOT / "src" / "orehom" / "algebra.py")):
         if isinstance(node, ast.FunctionDef) and node.name in guarded:

@@ -1,14 +1,12 @@
 import pytest
 
 from orehom.bar import bar_complex, comparison
-from orehom.complexes import homology_dims
-from orehom.cyclic import connes_D, hc
+from orehom.complexes import ComplexError, homology_dims
+from orehom.cyclic import connes_D, hc, tot_blocks
 from orehom.linalg import ColMap
 from orehom.perturbation import (
-    PerturbationError,
     build_cyclic_retract,
     perturb,
-    tot_blocks,
     vanishing_check,
     verify_perturbed,
 )
@@ -149,7 +147,7 @@ def test_invalid_perturbation_rejected():
         if cm.nrows and cm.ncols:
             cm.cols[0] = {0: field.one}
         bad[r] = cm
-    with pytest.raises(PerturbationError):
+    with pytest.raises(ComplexError, match=r"d_1 \. d_2 != 0"):
         perturb(retract, bad)
 
 

@@ -45,8 +45,8 @@ def test_bimodule_validation_rejects_broken_action():
     two, g = mono.field.from_fraction(2), M.left_k[1]
     doubled = ColMap(mono.field, g.nrows, g.ncols, [{i: two * e for i, e in col.items()} for col in g.cols])
     bad_left_k = [M.left_k[0], doubled]
-    with pytest.raises(AlgebraError):
-        BimoduleData(mono, M.dim, bad_left_k, M.left_x, M.right_k, M.right_x)
+    with pytest.raises(AlgebraError, match="left K-action is not multiplicative"):
+        BimoduleData(mono, M.dim, bad_left_k, M.left_x, M.right_k, M.right_x).check()
 
 
 def _regular_action_rows(mono):
@@ -113,22 +113,21 @@ def _break_endomorphism_unit(acts, doc, field):
 
 
 BROKEN_AXIOMS = [
-    (_break_unit, "bimodule actions are not unital"),
-    (_break_left_k, "left K-action is not multiplicative"),
-    (_break_right_k, "right K-action is not anti-multiplicative"),
-    (_break_commuting, "left and right actions do not commute"),
-    (_break_left_ore, "left action violates x*lam = alpha(lam)*x"),
-    (_break_right_ore, "right action violates x*lam = alpha(lam)*x"),
-    (_break_f, "actions do not annihilate the defining polynomial f"),
-    (_break_endomorphism_unit, "endomorphism does not fix the unit"),
+    (_break_unit, "spec.bimodule: bimodule actions are not unital"),
+    (_break_left_k, "spec.bimodule: left K-action is not multiplicative"),
+    (_break_right_k, "spec.bimodule: right K-action is not anti-multiplicative"),
+    (_break_commuting, "spec.bimodule: left and right actions do not commute"),
+    (_break_left_ore, "spec.bimodule: left action violates x*lam = alpha(lam)*x"),
+    (_break_right_ore, "spec.bimodule: right action violates x*lam = alpha(lam)*x"),
+    (_break_f, "spec.bimodule: actions do not annihilate the defining polynomial f"),
+    (_break_endomorphism_unit, "spec.endomorphism.matrix: endomorphism does not fix the unit"),
 ]
 
 
-@pytest.mark.parametrize("breaker, message", BROKEN_AXIOMS,
-                         ids=[breaker.__name__[len("_break_"):] for breaker, _ in BROKEN_AXIOMS])
-def test_bimodule_and_endomorphism_checks_name_the_broken_axiom(breaker, message):
-    # one axiom broken at a time on the regular bimodule of sweedler, given
-    # as an explicit matrices document
+def matrices_document(breaker):
+    """The sweedler document with its regular bimodule written out as
+    explicit matrices, after ``breaker(acts, doc, field)`` edited the action
+    rows or the document (breaking one axiom, say)."""
     mono = get_spec("sweedler").mono
     field = mono.field
     acts = _regular_action_rows(mono)
@@ -142,8 +141,15 @@ def test_bimodule_and_endomorphism_checks_name_the_broken_axiom(breaker, message
         "right_k": [[encode_kvec(field, r) for r in m] for m in acts["right_k"]],
         "right_x": [encode_kvec(field, r) for r in acts["right_x"]],
     }
+    return doc
+
+
+@pytest.mark.parametrize("breaker, message", BROKEN_AXIOMS,
+                         ids=[breaker.__name__[len("_break_"):] for breaker, _ in BROKEN_AXIOMS])
+def test_bimodule_and_endomorphism_checks_name_the_broken_axiom(breaker, message):
+    # one axiom broken at a time; the error names the spec path it was read from
     with pytest.raises(AlgebraError) as exc:
-        parse_spec(doc)
+        parse_spec(matrices_document(breaker))
     assert str(exc.value) == message
 
 
