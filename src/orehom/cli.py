@@ -395,14 +395,12 @@ def cmd_verify(args):
               lambda r: relation_holds(cs.dim(r), [(1, [D[r]]), (-1, [cmp_.psi(r + 1), B(r), cmp_.phi(r)])]))
         maxN = min(md, 5)
         retract, delta = build_cyclic_retract(cs, M, maxN)
-        rrep = retract.verify()
-        record("transfer retract identities", all(rrep.values()), f"total degrees <= {maxN}")
+        record("transfer retract identities", retract.holds(), f"total degrees <= {maxN}")
         if maxN:
             special = retract.is_special()
             record("transfer retract is special", special, f"total degrees <= {maxN}")
-            pert = perturb(retract, delta)
-            prep = verify_perturbed(pert)
-            record("perturbed retract identities", all(prep.values()), f"total degrees <= {maxN}")
+            record("perturbed retract identities", verify_perturbed(perturb(retract, delta), special),
+                   f"total degrees <= {maxN}")
     report = {
         "command": "verify",
         "fixture": parsed.name,

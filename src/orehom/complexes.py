@@ -90,8 +90,8 @@ def homology(complex_, up_to):
     return out
 
 
-def homology_dims(complex_, up_to=None):
-    """Dimensions in degrees 0..up_to (default max_degree - 1).
+def homology_dims(complex_, up_to):
+    """Dimensions in degrees 0..up_to.
 
     dim H_r = n_r - rank d_r - rank d_{r+1}, with d_0 = 0 and, at the top
     degree, no incoming boundary (the kernel dimension, as ``homology``
@@ -99,8 +99,6 @@ def homology_dims(complex_, up_to=None):
     zero and raises ``ComplexError`` naming the degree.
     """
     top = complex_.max_degree
-    if up_to is None:
-        up_to = top - 1
     if up_to > top:
         raise ComplexError(f"degree {up_to} out of range 0..{top}")
     rank_of = {}  # one sparse_rank per distinct boundary object

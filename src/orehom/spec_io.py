@@ -265,7 +265,7 @@ def _decode_base_algebra(field, obj):
     path = "spec.base_algebra"
     kind = _key(obj, "type", path)
     if kind == "group":
-        return group_algebra(_labels(obj, path), _table(obj, path), field)
+        return _checked(path, group_algebra, _labels(obj, path), _table(obj, path), field)
     if kind == "structure_constants":
         labels = _labels(obj, path)
         constants = _key(obj, "constants", path, list)
@@ -277,7 +277,7 @@ def _decode_base_algebra(field, obj):
             for i in range(dim)
         ]
         unit = decode_kvec(field, _key(obj, "unit", path), dim, f"{path}.unit")
-        return BaseAlgebra(field, labels, sc, unit)
+        return _checked(path, BaseAlgebra, field, labels, sc, unit)
     raise AlgebraError(f"unknown base_algebra type {kind!r}")
 
 
@@ -290,7 +290,7 @@ def _decode_endomorphism(field, K, obj):
     path = "spec.endomorphism"
     kind = _key(obj, "type", path)
     if kind == "character":
-        return character_endomorphism(K, _decode_character(field, obj, "values", path))
+        return _checked(f"{path}.values", character_endomorphism, K, _decode_character(field, obj, "values", path))
     if kind == "matrix":
         alpha = _decode_map(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix")
         _checked(f"{path}.matrix", check_endomorphism, K, alpha)
@@ -326,9 +326,9 @@ def _decode_bimodule(mono, obj):
 
 
 def _checked(path, validate, *args):
-    """Run ``validate(*args)``; the AlgebraError it raises names the spec path."""
+    """The value of ``validate(*args)``; the AlgebraError it raises names the spec path."""
     try:
-        validate(*args)
+        return validate(*args)
     except AlgebraError as exc:
         raise AlgebraError(f"{path}: {exc}") from None
 
@@ -401,26 +401,26 @@ def parse_spec(doc, max_degree=6):
     if "rank_one" in doc:
         r1, path = doc["rank_one"], "spec.rank_one"
         labels, table = _labels(r1, path), _table(r1, path)
-        K = group_algebra(labels, table, field)
+        K = _checked(path, group_algebra, labels, table, field)
         chi = _decode_character(field, r1, "character", path)
         n = _int_key(r1, "n", path)
         xi = decode_scalar(field, _key(r1, "xi", path), f"{path}.xi")
         g1 = _key(r1, "g1", path)
         if g1 not in K.basis_labels:
-            raise AlgebraError(f"g1 label {g1!r} not in the group")
+            raise AlgebraError(f"{path}.g1: g1 label {g1!r} not in the group")
         g1_idx = K.basis_labels.index(g1)
         gt = K.group_table
         for j in range(K.dim):
             if gt[g1_idx][j] != gt[j][g1_idx]:
-                raise AlgebraError(f"g1 = {g1!r} is not central (witness {labels[j]!r})")
-        alpha = character_endomorphism(K, chi)
+                raise AlgebraError(f"{path}.g1: g1 = {g1!r} is not central (witness {labels[j]!r})")
+        alpha = _checked(f"{path}.character", character_endomorphism, K, chi)
         values = [alpha.cols[i][i] for i in range(K.dim)]
         w = values[g1_idx]
         for j in range(1, n):
             if w ** j == field.one:
-                raise AlgebraError(f"chi(g1) is not a primitive {n}-th root of 1")
+                raise AlgebraError(f"{path}.g1: chi(g1) is not a primitive {n}-th root of 1")
         if w ** n != field.one:
-            raise AlgebraError(f"chi(g1) is not an {n}-th root of 1")
+            raise AlgebraError(f"{path}.g1: chi(g1) is not an {n}-th root of 1")
         case = _rank_one_case(field, values, n, xi)
         summary["rank_one_case"] = case
         if case == "xi!=0, chi^n!=id":
@@ -457,11 +457,12 @@ def parse_spec(doc, max_degree=6):
     else:
         K = _decode_base_algebra(field, doc["base_algebra"])
         alpha = _decode_endomorphism(field, K, _key(doc, "endomorphism", "spec"))
+        path = "spec.extension"
         ext = _key(doc, "extension", "spec")
-        n = _int_key(ext, "n", "spec.extension")
+        n = _int_key(ext, "n", path)
         lambdas = [
-            decode_kvec(field, v, K.dim, f"spec.extension.lambdas[{i}]")
-            for i, v in enumerate(_key(ext, "lambdas", "spec.extension", list))
+            decode_kvec(field, v, K.dim, f"{path}.lambdas[{i}]")
+            for i, v in enumerate(_key(ext, "lambdas", path, list))
         ]
         lambda_breve = (
             decode_kvec(field, doc["lambda_breve"], K.dim, "spec.lambda_breve")
@@ -469,7 +470,7 @@ def parse_spec(doc, max_degree=6):
         )
         bim_obj = doc.get("bimodule")
 
-    mono = validate_monogenic(K, alpha, n, lambdas)
+    mono = _checked(path, validate_monogenic, K, alpha, n, lambdas)
     bimodule = _decode_bimodule(mono, bim_obj)
 
     max_j = n * (max_degree // 2 + 2) + n

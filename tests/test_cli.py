@@ -281,10 +281,14 @@ def test_non_integer_example_parameter_rejected(capsys):
     ({"field": {"kind": "rationals"},
       "base_algebra": {"type": "group", "labels": ["a", "b", "c"],
                        "table": [["a", "c", "b"], ["c", "b", "a"], ["b", "a", "c"]]}},
-     "error: table has no two-sided identity element"),
+     "error: spec.base_algebra: table has no two-sided identity element"),
+    (dict(build_example("sweedler"), extension={"n": 1, "lambdas": [["0", "0"]]}),
+     "error: spec.extension: extension degree must satisfy n >= 2, got 1"),
+    (dict(build_example("sweedler"), endomorphism={"type": "character", "values": {"e": "1", "g": "2"}}),
+     "error: spec.endomorphism.values: character is not multiplicative on pair ('g', 'g')"),
 ], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
         "unhashable-field-kind", "order-zero", "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
-        "short-lambda", "short-unit", "group-without-identity"])
+        "short-lambda", "short-unit", "group-without-identity", "degree-one", "non-multiplicative-character"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -32,7 +32,10 @@ is a ``ChainComplex`` (no ``MixedComplexData``, no ``BCTotal``), no
 invariant under src/ is a bare ``assert``, and no axiom check is an option
 (no ``check`` parameter, no ``AlgebraEndomorphism`` wrapper: every complex
 checks d.d = 0, and endomorphism and bimodule input is checked where the
-spec decoder reads it)."""
+spec decoder reads it), and a deformation retract is its complexes, maps
+and window, one type for the transfer retract and its perturbation, whose
+identities are two booleans kept nowhere (no ``PerturbedRetract``, no
+renamed report dicts)."""
 
 import ast
 import contextlib
@@ -50,6 +53,7 @@ from orehom.complexes import ChainComplex
 from orehom.cyclic import bc_total, build_mixed, tot_blocks
 from orehom.fields import make_field, reciprocal
 from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
+from orehom.perturbation import DeformationRetract, build_cyclic_retract, perturb
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
@@ -215,6 +219,19 @@ def test_a_mixed_complex_is_a_chain_complex_and_its_B():
     tot = bc_total(cs, D, 4)
     assert type(tot) is ChainComplex
     assert [sum(d for *_, d in tot_blocks(cs, N)) for N in range(5)] == [tot.dim(N) for N in range(5)]
+
+
+def test_a_retract_is_its_complexes_and_maps():
+    # the transfer retract and its perturbation are one type, built with
+    # the window its builder gives; its identities are two booleans read
+    # on each call, with no report dict to rename and no verdict kept
+    assert [path.name for path in SOURCES for name in ("PerturbedRetract", "_PERTURBED_NAMES")
+            if name in path.read_text(encoding="utf-8")] == []
+    assert [name for name in ("verify", "special") if hasattr(DeformationRetract, name)] == []
+    M = get_spec("sweedler").bimodule
+    retract, delta = build_cyclic_retract(build_cs(M, 3), M, 3)
+    assert retract.is_special() is True and "_kept" not in vars(retract)
+    assert type(perturb(retract, delta)) is DeformationRetract
 
 
 def test_no_check_flags(monkeypatch):
