@@ -453,14 +453,19 @@ def divide_by_f(mono, e):
     return [(t, c) for t, c in quot if c], rem
 
 
+def check_extension_degree(n):
+    """Raise AlgebraError unless the degree n of f is at least 2."""
+    if n < 2:
+        raise AlgebraError(f"extension degree must satisfy n >= 2, got {n}")
+
+
 def validate_monogenic(K, alpha, n, lambdas):
     """Check the coefficient conditions and return MonogenicData.
 
     Raises AlgebraError listing every violated condition with a witness
     basis element.
     """
-    if n < 2:
-        raise AlgebraError(f"extension degree must satisfy n >= 2, got {n}")
+    check_extension_degree(n)
     if len(lambdas) != n:
         raise AlgebraError(f"expected {n} coefficient vectors lam_1..lam_{n}, got {len(lambdas)}")
     violations = []

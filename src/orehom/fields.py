@@ -273,7 +273,8 @@ class CycScalar:
     CycScalar never equals a rational.  ``coeffs`` is the same scalar as a
     read-only tuple of Fractions.  A result that may be rational or not in
     lowest terms is built by ``_scalar``; negation, adding an int and
-    ``root`` keep the form and build one directly.  ``_lift`` builds a
+    ``root`` keep the form and build one directly, and a factor of 1 or -1
+    gives the scalar itself or its negation.  ``_lift`` builds a
     rational one that lives only inside an operation.
     """
 
@@ -299,9 +300,15 @@ class CycScalar:
         return None
 
     def _scaled(self, c, d):
-        """self * c / d for ints c and d > 0."""
+        """self * c / d for ints c and d > 0; a unit factor +-1 builds no
+        numerator, since a scalar is never edited."""
         if not c:
             return 0
+        if d == 1:
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
         return _scalar(self.field, tuple([c * a for a in self.num]), self.den * d)
 
     def __add__(self, other):

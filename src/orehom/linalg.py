@@ -12,12 +12,12 @@ dicts and grows one vector at a time, for ``kernel_basis`` and
 Everything is over a fixed exact field (Q or a cyclotomic field).  Every
 linear map of the package (boundaries, comparison maps, alpha, the
 bimodule actions) is a column-sparse ``ColMap``, which may build each column
-on first read from a column function, and a quotient space keeps its
-projection as sparse columns too.  Every identity between maps is a relation
-tested one basis vector at a time by ``relation_holds``, which keeps no
-composed map; ``chain_sum`` keeps such a sum of chains as a lazy map.  The
-dense ``Matrix`` and ``rref`` are a thin wrapper over ``EchelonSet`` that
-the package does not call.
+on first read from a column function and keep the dict it returns, and a
+quotient space keeps its projection as sparse columns too.  Every identity
+between maps is a relation tested one basis vector at a time by
+``relation_holds``, which keeps no composed map; ``chain_sum`` keeps such a
+sum of chains as a lazy map.  The dense ``Matrix`` and ``rref`` are a thin
+wrapper over ``EchelonSet`` that the package does not call.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class EchelonSet:
     def reduce(self, vec):
         """``vec`` minus the rows at its pivot entries: empty exactly when
         ``vec`` lies in the span.  The input is not modified."""
-        out = {j: c for j, c in vec.items() if c}
+        out = dict(vec)
         row_at = self.row_at
         # a row is zero at every other pivot, so these entries stay put
         for p in [p for p in out if p in row_at]:
@@ -346,8 +346,8 @@ def subquotient(field, ambient_dim, spanning_vectors):
 
 class _Columns:
     """The columns of a ``ColMap`` made from a column function: column j is
-    ``column(j)`` without its zero scalars, built the first time it is read
-    and kept in a dict of the built columns.  Indexing, iteration and ``len``
+    the dict ``column(j)`` returns, built the first time it is read and kept
+    as it is in a dict of the built columns.  Indexing, iteration and ``len``
     read like a list of ``ncols`` columns."""
 
     __slots__ = ("ncols", "_built", "_column")
@@ -362,7 +362,7 @@ class _Columns:
         if col is None:
             if not 0 <= j < self.ncols:
                 raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
-            col = self._built[j] = {i: e for i, e in self._column(j).items() if e}
+            col = self._built[j] = self._column(j)
         return col
 
     def __len__(self):
@@ -453,11 +453,11 @@ class ColMap:
     """Column-sparse linear map between based spaces.
 
     ``cols[j]`` maps the j-th domain basis vector to a dict
-    ``{row_index: scalar}`` holding no zero scalar.  An eager map is made
-    from its list of columns, given zero-free by its caller, and no map is
-    edited after it is built.  A map made by ``lazy`` builds each column
-    from its column function the first time it is read, dropping zeros, so
-    ``apply`` builds only the columns in the support of its argument.
+    ``{row_index: scalar}`` holding no zero scalar, and no column is edited
+    after it is built.  An eager map is made from its list of columns, given
+    zero-free by its caller.  A map made by ``lazy`` keeps each column as its
+    column function returns it, the first time it is read, so ``apply``
+    builds only the columns in the support of its argument.
     Identities between maps, ``==`` among them, are relations read column by
     column (``relation_holds``); ``compose`` builds a whole product, for the
     maps that are kept (the powers of alpha and of x, and the transferred
@@ -478,7 +478,9 @@ class ColMap:
 
     @classmethod
     def lazy(cls, field, nrows, ncols, column):
-        """The map whose column j is the term dict ``column(j)``, built on demand."""
+        """The map whose column j is the term dict ``column(j)``, built on
+        demand and kept as it is: ``column`` returns a new dict holding no
+        zero scalar, which nothing edits afterwards."""
         return cls(field, nrows, ncols, _Columns(ncols, column))
 
     def apply(self, vec_dict):

@@ -46,6 +46,7 @@ from .algebra import (
     character_endomorphism,
     check_collapse,
     check_endomorphism,
+    check_extension_degree,
     eigen_split,
     group_algebra,
     quotient_group_table,
@@ -404,6 +405,7 @@ def parse_spec(doc, max_degree=6):
         K = _checked(path, group_algebra, labels, table, field)
         chi = _decode_character(field, r1, "character", path)
         n = _int_key(r1, "n", path)
+        _checked(path, check_extension_degree, n)
         xi = decode_scalar(field, _key(r1, "xi", path), f"{path}.xi")
         g1 = _key(r1, "g1", path)
         if g1 not in K.basis_labels:

@@ -26,6 +26,10 @@ sum_l x^(t_r - l - 1) m P(t) x^l for r odd, P(t) the product of the
 quotients of x^(t_1 + t_2), x^(t_3 + t_4), .. by f.  omega_(r+1) wraps each
 term c e_j (x) [t] (x) x^q of omega'_(r+1)(1 (x) [t] (x) 1) around m as
 c x^q m e_j.
+
+Every column function returns a new dict holding no zero scalar, as
+``ColMap.lazy`` asks: ``project_terms`` and ``add_term`` drop the zeros
+they make.
 """
 
 from functools import lru_cache

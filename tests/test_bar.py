@@ -462,6 +462,48 @@ def test_columns_read_in_any_order_agree(name):
         assert [m.cols[j] for j in range(m.ncols)] == got[label, r], (label, r)
 
 
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_every_built_lazy_column_is_the_zero_free_dict_its_builder_returned(capsys, monkeypatch, name):
+    # a lazy map keeps the dict its column function returns, unfiltered and
+    # uncopied: after verify, each built column of the maps kept on M and on
+    # the algebra is that very dict and holds no zero scalar
+    from orehom import cli
+
+    lazy, load_spec, returned, parsed = ColMap.lazy.__func__, cli._load_spec, {}, []
+
+    def recording(cls, field, nrows, ncols, column):
+        built = {}
+
+        def recorded(j):
+            built[j] = column(j)
+            return built[j]
+
+        m = lazy(cls, field, nrows, ncols, recorded)
+        returned[id(m)] = built
+        return m
+
+    monkeypatch.setattr(ColMap, "lazy", classmethod(recording))
+    monkeypatch.setattr(cli, "_load_spec", lambda *args: parsed.append(load_spec(*args)) or parsed[-1])
+    assert main(["verify", "--spec", name, "--max-degree", "6"]) == 0
+    capsys.readouterr()
+    (spec,) = parsed
+    R = regular_bimodule(spec.mono)
+    families = {"regular actions": R.left_k + R.right_k + [R.left_x, R.right_x]}
+    for owner, labels in ((bar_complex(spec.bimodule), ("b", "connes_B")),
+                          (comparison(spec.bimodule), ("phi", "psi", "omega")),
+                          (bar_resolution(spec.mono), ("bprime", "phi", "psi", "omega"))):
+        for label in labels:
+            read = getattr(owner, label)
+            families[type(owner).__name__, label] = [read(*args) for args in kept_keys(owner, read)]
+    for family, maps in families.items():
+        assert maps, family
+        for m in maps:
+            built = returned[id(m)]
+            assert m.cols.built == len(built), family
+            for j, col in built.items():
+                assert m.cols[j] is col and all(col.values()), (family, j)
+
+
 def test_generator_values_are_built_once_per_argument(capsys):
     # phi', psi' and the induced phi, psi read one kept generator value:
     # on taft:3 a second build each gave 105 psi_tuple builds for 70

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orehom import bar, cli
-from orehom.linalg import ColMap
+from orehom.linalg import ColMap, add_terms
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
@@ -286,9 +286,13 @@ def test_non_integer_example_parameter_rejected(capsys):
      "error: spec.extension: extension degree must satisfy n >= 2, got 1"),
     (dict(build_example("sweedler"), endomorphism={"type": "character", "values": {"e": "1", "g": "2"}}),
      "error: spec.endomorphism.values: character is not multiplicative on pair ('g', 'g')"),
+    # a rank-one degree below 2 is refused for the degree, before g1 is read
+    *[(dict(build_example("rank1:c4"), rank_one=dict(build_example("rank1:c4")["rank_one"], n=n)),
+       f"error: spec.rank_one: extension degree must satisfy n >= 2, got {n}") for n in (1, 0, -1)],
 ], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
         "unhashable-field-kind", "order-zero", "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
-        "short-lambda", "short-unit", "group-without-identity", "degree-one", "non-multiplicative-character"])
+        "short-lambda", "short-unit", "group-without-identity", "degree-one", "non-multiplicative-character",
+        "rank-one-degree-one", "rank-one-degree-zero", "rank-one-degree-minus-one"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -386,15 +390,6 @@ def test_mutated_spec_exits_without_traceback(capsys, tmp_path, doc):
     err = capsys.readouterr().err
     assert code in (0, 1)
     assert code == 0 or err.startswith("error: ")
-
-
-def test_nonmultiplicative_character_rejected(capsys, tmp_path):
-    doc = build_example("sweedler")
-    doc["endomorphism"]["values"]["g"] = "2"
-    p = tmp_path / "bad2.json"
-    p.write_text(json.dumps(doc))
-    code = main(["hh", "--spec", str(p)])
-    assert code == 1
 
 
 def test_reports_deterministic(capsys):
@@ -847,10 +842,7 @@ def _corrupt_last_column(m, extra):
     """The map m with the term dict ``extra`` added to its last column."""
     def column(j):
         col = dict(m.cols[j])
-        if j == m.ncols - 1:
-            for i, e in extra.items():
-                col[i] = col.get(i, 0) + e
-        return col
+        return add_terms(col, extra) if j == m.ncols - 1 else col
     return ColMap.lazy(m.field, m.nrows, m.ncols, column)
 
 

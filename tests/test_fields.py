@@ -296,6 +296,19 @@ def test_difference_with_itself_is_the_int_zero(d, data):
     assert type(x + (-x)) is int and x + (-x) == 0
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_a_unit_factor_returns_the_scalar_or_its_negation(d):
+    F = make_field("cyclotomic", d)
+    for z in (F.root(), F.scalar(["1/2", "-2/3"])):
+        assert z * 1 is z and 1 * z is z
+        assert z * -1 == -1 * z == -z
+        assert F.coefficients(z * -1) == [-c for c in F.coefficients(z)]
+        assert_canonical(z * -1)
+        assert_canonical(-1 * z)
+        assert z * 0 == 0 and type(z * 0) is int
+        assert 0 * z == 0 and type(0 * z) is int
+
+
 def test_dict_lookups_across_representations():
     F = make_field("cyclotomic", 4)
     z = F.root()

@@ -481,11 +481,12 @@ def test_relation_checker_stops_at_the_first_nonzero_column():
 
 
 def test_a_lazy_map_keeps_only_the_columns_it_built():
-    read = []
+    read, returned = [], []
 
     def column(j):
         read.append(j)
-        return {0: Fr(j), 1: Fr(0)}
+        returned.append({0: Fr(j + 1), 1: Fr(1)})
+        return returned[-1]
 
     tracemalloc.start()
     try:
@@ -495,10 +496,11 @@ def test_a_lazy_map_keeps_only_the_columns_it_built():
         tracemalloc.stop()
     assert allocated < 10 ** 4  # no storage per column
     assert (len(m.cols), m.cols.built, read) == (10 ** 7, 0, [])
-    assert m.cols[123456] == {0: Fr(123456)}
-    assert m.cols[123456] == {0: Fr(123456)}
+    assert m.cols[123456] == {0: Fr(123457), 1: Fr(1)}
+    # the column is kept as its function returned it, and read again as it is
+    assert m.cols[123456] is returned[0]
     assert (m.cols.built, read) == (1, [123456])
-    assert m.apply({5: Fr(2), 123456: Fr(1)}) == {0: Fr(10 + 123456)}
+    assert m.apply({5: Fr(2), 123456: Fr(1)}) == {0: Fr(12 + 123457), 1: Fr(3)}
     assert (m.cols.built, read) == (2, [123456, 5])
     for j in (-1, 10 ** 7):
         with pytest.raises(IndexError):
