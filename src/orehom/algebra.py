@@ -6,8 +6,7 @@ coefficients must satisfy alpha(lam_i) = lam_i and lam_i*lam =
 alpha^i(lam)*lam_i.  Elements of A are kept in the normal form
 sum_j c_j x^j with c_j in K and j < n (the powers of x are a left K-basis).
 
-Every element of K and of A is a sparse ``{index: scalar}`` dict holding no
-zero scalar, in ascending index order, as ``linalg`` keeps its vectors: an
+Every element of K and of A is a sparse vector as ``linalg`` states it: an
 element of K is keyed by the basis of K, and an element of A by the flat
 coordinate p*dim K + kappa of the monomial kappa x^p.  The structure of A is
 read off sparse products in K and the reduced powers of x: the regular
@@ -96,7 +95,7 @@ class BaseAlgebra:
         self.structure_constants = structure_constants
         # (t, s) with s = None for s = 1, the only constant of a group algebra
         self._product_terms = [
-            [[(t, None if c == 1 else c) for t, c in sorted(vec.items())] for vec in row]
+            [[(t, None if c == 1 else c) for t, c in vec.items()] for vec in row]
             for row in structure_constants
         ]
         self.unit = unit
@@ -136,7 +135,7 @@ class BaseAlgebra:
 
     def product(self, u, v):
         """u * v for K-elements given as ``{index: scalar}`` dicts, read off the
-        sparse structure constants; a dict in ascending index order."""
+        sparse structure constants."""
         terms = self._product_terms
         out = {}
         for i, a in u.items():
@@ -145,7 +144,7 @@ class BaseAlgebra:
                 c = a * b
                 for t, s in row[j]:
                     add_term(out, t, c if s is None else c * s)
-        return out if len(out) < 2 else dict(sorted(out.items()))
+        return out
 
     def left_mult_map(self, u):
         """Left multiplication by the K-element u as a ColMap; column j is the
@@ -307,14 +306,14 @@ class MonogenicData:
     def alpha_image(self, p, w):
         """alpha^p of the K-element w."""
         cols = self.alpha_columns(p)
-        return dict(w) if cols is None else dict(sorted(_act({}, cols, w).items()))
+        return dict(w) if cols is None else _act({}, cols, w)
 
     def alpha_sum(self, w, powers):
         """sum of alpha^p(w) over p in ``powers``, as a K-element."""
         out = {}
         for p in powers:
             add_terms(out, self.alpha_image(p, w))
-        return dict(sorted(out.items()))
+        return out
 
     def f_coefficient(self, i):
         """lam_i as a K-element (lam_0 = 1); the caller must not modify it."""
@@ -341,7 +340,7 @@ class MonogenicData:
 
     def flat(self, parts):
         """The element sum_t c_t x^t (t < n) of A, given by its nonzero parts
-        [(t, c_t)], as a ``{coordinate: scalar}`` dict in ascending order."""
+        [(t, c_t)], as a ``{coordinate: scalar}`` dict."""
         d = self.base.dim
         return {t * d + k: v for t, c in parts for k, v in c.items()}
 
@@ -351,21 +350,21 @@ class MonogenicData:
 
     def k_times(self, w, parts):
         """The normal form of w * sum_t c_t x^t (t < n) for w in K and the parts
-        [(t, c_t)], as a ``{coordinate: scalar}`` dict in ascending order:
+        [(t, c_t)], as a ``{coordinate: scalar}`` dict:
         left multiplication by K does not move the powers of x."""
         product = self.base.product
         return self.flat((t, product(w, c)) for t, c in parts)
 
     def k_times_x_power(self, w, e):
         """The normal form of w x^e, for w in K given as a ``{index: scalar}``
-        dict, as a ``{coordinate: scalar}`` dict in ascending order.
+        dict, as a ``{coordinate: scalar}`` dict.
 
         Left multiplication by K commutes with the reduction modulo f, so with
         x^e = sum_t c_t x^t in A this is sum_t (w c_t) x^t.
         """
         if e < self.n:
             base = e * self.base.dim
-            return {base + k: w[k] for k in sorted(w)}
+            return {base + k: c for k, c in w.items()}
         return self.k_times(w, self.x_power_reduced(e))
 
     @memo
@@ -388,8 +387,7 @@ class MonogenicData:
         return table
 
     def multiply(self, u, v):
-        """The product of two elements of A, read off the table, in ascending
-        coordinate order."""
+        """The product of two elements of A, read off the table."""
         table = self.mul_table()
         out = {}
         for i, c in u.items():
@@ -398,7 +396,7 @@ class MonogenicData:
                 ce = c * e
                 for k, f in row[j].items():
                     add_term(out, k, ce * f)
-        return dict(sorted(out.items()))
+        return out
 
     def x_overflow(self, s):
         """Right multiplication of the right factor x^(n-1) by x in A_{alpha^s} (x) A.
@@ -449,7 +447,7 @@ def divide_by_f(mono, e):
         quot.insert(0, (0, top))
         for i, lam in enumerate(mono.lambdas, start=1):
             sub_terms(shifted.setdefault(n - i, {}), mono.base.product(top, lam))
-    rem = [(t, dict(sorted(shifted[t].items()))) for t in sorted(shifted) if shifted[t]]
+    rem = [(t, shifted[t]) for t in sorted(shifted) if shifted[t]]
     return [(t, c) for t, c in quot if c], rem
 
 
@@ -587,7 +585,7 @@ class BimoduleData:
             j, kappa = divmod(coord, self.mono.base.dim)
             parts.setdefault(j, {})[kappa] = c
         out = {}
-        for j, kv in sorted(parts.items()):
+        for j, kv in parts.items():
             if side == "left":
                 part = self.k_terms(side, kv, self.x_terms(side, j, terms))
             else:
@@ -688,10 +686,10 @@ def k_commutator_subspace(mono, j):
         for s in range(K.dim):
             es = {s: one}
             for t in range(K.dim):
-                # e_s alpha^i(e_t) - e_t e_s, in ascending index order
+                # e_s alpha^i(e_t) - e_t e_s
                 v = sub_terms(K.product(es, twisted[t]), K.product({t: one}, es))
                 if v:
-                    spans.append(dict(sorted(v.items())))
+                    spans.append(v)
         return spans
 
     return list(kept(mono, (k_commutator_subspace, i), build))

@@ -379,13 +379,7 @@ class BarResSpace(_TensorBlocks):
         return kappa, i0, self.tuples[ti], q
 
     def element_degree(self, terms):
-        deg = NEG_INF
-        for idx, c in terms.items():
-            if not c:
-                continue
-            kappa, i0, t, q = self.unflat(idx)
-            deg = max(deg, i0 + sum(t) + q)
-        return deg
+        return max((i0 + sum(t) + q for _, i0, t, q in map(self.unflat, terms)), default=NEG_INF)
 
 
 class BarResolution:

@@ -41,7 +41,6 @@ from .cyclic import (
 )
 from .linalg import anticommutator_terms, relation_holds, sparse_rank, sub_terms
 from .perturbation import (
-    PerturbationError,
     build_cyclic_retract,
     homotopy_terms,
     perturb,
@@ -561,7 +560,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ComplexError, PerturbationError) as exc:
+    except ComplexError as exc:
         # a complex axiom or transfer identity failed while building
         print(f"identity failure: {exc}", file=sys.stderr)
         return 2

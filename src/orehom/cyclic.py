@@ -104,7 +104,7 @@ def connes_D(mono, r, cs_spaces):
                 # the (u, i) terms are K-linear in sum_{l<i} alpha^(nu + l)(lam): sum over u < m, one product
                 ssum = mono.alpha_sum(lam, [n * u + ell for u in range(m) for ell in range(i)])
                 add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
-        cols.append(tgt.project_terms(dict(sorted(total.items()))))
+        cols.append(tgt.project_terms(total))
     return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
 
 

@@ -17,11 +17,11 @@ character twists are elements of these fields.
 
 For d = 1, 2 the residue ring collapses to Q itself and scalars are plain
 rationals.  Generic code never needs to know which representation it is
-handling: all of them support ``+ - * ** ==`` and truthiness ("nonzero"),
-which is all the linear algebra requires.  Division is the one exception,
-because ``int / int`` is a float: code outside this module takes ``1 / x``
-as ``reciprocal(x)``.  A ``CycScalar`` inverse is computed once per field
-and value, and Phi_d once per order.
+handling: all of them support ``+ - * ==``, ``**`` to a nonnegative power
+and truthiness ("nonzero"), which is all the linear algebra requires.  There
+is no division operator, because ``int / int`` is a float: ``1 / x`` is
+``reciprocal(x)`` in every field.  A ``CycScalar`` inverse is computed once
+per field and value, and Phi_d once per order.
 """
 
 from __future__ import annotations
@@ -391,22 +391,9 @@ class CycScalar:
         scale = self.den / r1[0]
         return field._cyclotomic([a * scale for a in s1])
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * reciprocal(other)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return other * self.inverse()
-        return NotImplemented
-
     def __pow__(self, exponent):
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError("a negative power is a power of reciprocal(x)")
         result = self.field.one
         base = self
         e = exponent

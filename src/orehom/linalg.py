@@ -1,11 +1,13 @@
 """Exact elimination, subquotient spaces, and sparse linear maps.
 
-Every vector elimination reads is a sparse ``{index: scalar}`` dict holding
-no zero scalar, and elimination has one job per routine.  Every rank, and so
-every homology dimension, comes from ``sparse_rank``, which eliminates on
-sparse columns block by block, counts a block of one column or one row as
-rank 1 and inverts no pivot that scales nothing.  Every reduced echelon
-basis of a span comes from ``EchelonSet``, which keeps its rows as sparse
+A vector, a column of a map, or an element of K or A is a sparse
+``{index: scalar}`` dict that holds no zero scalar.  Its key order carries
+nothing: no rank, reduced echelon basis, projection or report depends on it.
+Elimination has one job per routine.  Every rank, and so every homology
+dimension, comes from ``sparse_rank``, which eliminates on sparse columns
+block by block, counts a block of one column or one row as rank 1 and
+inverts no pivot that scales nothing.  Every reduced echelon basis of a span
+comes from ``EchelonSet``, which keeps its rows as sparse
 dicts and grows one vector at a time, for ``kernel_basis`` and
 ``subquotient``; every other quotient dimension is a ``colon_dim`` of a kept
 ``SubquotientSpace``, read off the projections into it.
@@ -340,7 +342,7 @@ def subquotient(field, ambient_dim, spanning_vectors):
     for qi, f in enumerate(free):
         proj_cols[f] = {qi: field.one}
     for p, row in row_at.items():
-        proj_cols[p] = {qindex[f]: -e for f, e in sorted(row.items()) if f != p}
+        proj_cols[p] = {qindex[f]: -e for f, e in row.items() if f != p}
     return SubquotientSpace(field, ambient_dim, free, proj_cols)
 
 
@@ -486,8 +488,6 @@ class ColMap:
     def apply(self, vec_dict):
         out = {}
         for j, c in vec_dict.items():
-            if not c:
-                continue
             for i, e in self.cols[j].items():
                 acc = out.get(i)
                 acc = e * c if acc is None else acc + e * c

@@ -21,8 +21,8 @@ its window one below the input's because p1 and h1 read D one degree up,
 and ``verify_perturbed`` runs the same two checks on it.
 ``perturb`` builds (X, d + delta) as a ``ChainComplex`` before the series
 and (Y, d1) after it, so each checks its square as it is built: a delta
-with (d + delta)^2 != 0 raises ``ComplexError`` naming the degree, and a
-``PerturbationError`` means a series that does not terminate.
+with (d + delta)^2 != 0 raises ``ComplexError`` naming the degree, and so
+does a series that does not terminate.
 
 The use this package makes of it: X is the BC total of (bar, b, 0), Y the
 one of (C^S, d, 0), i/p/h the comparison maps placed block by block on the
@@ -39,13 +39,9 @@ column blocks vanishing identically.
 from __future__ import annotations
 
 from .bar import bar_complex, comparison
-from .complexes import ChainComplex
+from .complexes import ChainComplex, ComplexError
 from .cyclic import bc_total, tot_blocks
 from .linalg import ColMap, add_terms, anticommutator_terms, chain_sum, relation_holds
-
-
-class PerturbationError(ValueError):
-    pass
 
 
 def homotopy_terms(d, h, i, p, r):
@@ -108,7 +104,7 @@ def perturb(retract, delta):
             while term:
                 steps += 1
                 if steps > bound:
-                    raise PerturbationError(f"delta*h not nilpotent within {bound} steps at degree {r}")
+                    raise ComplexError(f"delta*h not nilpotent within {bound} steps at degree {r}")
                 term = delta[r].apply(h[r - 1].apply(term))
                 add_terms(acc, term)
             cols.append(acc)

@@ -450,7 +450,7 @@ def parse_spec(doc, max_degree=6):
             g1n_vec = K.basis_vector(g1_idx)
             for _ in range(n - 1):
                 g1n_vec = K.product(g1n_vec, K.basis_vector(g1_idx))
-            lam_n = {k: xi * c for k, c in sorted(sub_terms(dict(K.unit), g1n_vec).items())} if xi else {}
+            lam_n = {k: xi * c for k, c in sub_terms(dict(K.unit), g1n_vec).items()} if xi else {}
             lambdas = [{} for _ in range(n - 1)] + [lam_n]
         lambda_breve = K.basis_vector(K.basis_labels.index(g1)) if g1 in K.basis_labels else None
         bim_obj = doc.get("bimodule")

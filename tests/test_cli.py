@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orehom import bar, cli
-from orehom.linalg import ColMap, add_terms
+from orehom.algebra import BaseAlgebra, MonogenicData
+from orehom.linalg import ColMap, EchelonSet, SubquotientSpace, add_terms
 from orehom.cli import main
 from orehom.spec_io import EXAMPLE_NAMES, build_example, decode_scalar, encode_scalar, parse_spec
 from orehom.fields import make_field
@@ -757,6 +758,31 @@ def test_every_benchmark_command_prints_its_recorded_report(capsys, monkeypatch)
         if code != 0 or run_module.report_digest(capsys.readouterr().out) != expected[key]:
             differing.append(key)
     assert differing == []
+
+
+def _reversed_result(build):
+    return lambda *args: dict(reversed(build(*args).items()))
+
+
+@pytest.mark.parametrize("spec", ["taft:3", "rank1nc:c2xc4", "dihedral:3", "rank1:c4"])
+def test_reports_do_not_depend_on_the_key_order_of_elements(capsys, monkeypatch, spec):
+    # an element of K or A, a projection, an image and a lazy column carry
+    # nothing in their key order: built in reverse order, and read by the
+    # echelon basis in reverse order, every report is the same
+    commands = [["hh", "--spec", spec, "--max-degree", "5", "--basis", "--oracle", "--closed-form", "--decompose"],
+                ["hc", "--spec", spec, "--max-degree", "5", "--oracle", "--closed-form", "--decompose"],
+                ["verify", "--spec", spec, "--max-degree", "5"]]
+    plain = [run(capsys, *argv) for argv in commands]
+    for owner, name in ((BaseAlgebra, "product"), (MonogenicData, "multiply"), (MonogenicData, "alpha_image"),
+                        (SubquotientSpace, "project_terms"), (ColMap, "apply")):
+        monkeypatch.setattr(owner, name, _reversed_result(getattr(owner, name)))
+    add = EchelonSet.add
+    monkeypatch.setattr(EchelonSet, "add", lambda self, vec: add(self, dict(reversed(vec.items()))))
+    lazy = ColMap.lazy.__func__
+    monkeypatch.setattr(ColMap, "lazy", classmethod(
+        lambda cls, field, nrows, ncols, column: lazy(cls, field, nrows, ncols, _reversed_result(column))))
+    assert [run(capsys, *argv) for argv in commands] == plain
+    assert [code for code, _ in plain] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("argv, refusal", [

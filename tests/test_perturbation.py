@@ -1,10 +1,12 @@
 import pytest
 
 from orehom.bar import bar_complex, comparison
-from orehom.complexes import ComplexError, homology_dims
+from orehom.complexes import ChainComplex, ComplexError, homology_dims
 from orehom.cyclic import connes_D, hc, tot_blocks
-from orehom.linalg import ColMap
+from orehom.fields import make_field
+from orehom.linalg import ColMap, subquotient
 from orehom.perturbation import (
+    DeformationRetract,
     build_cyclic_retract,
     perturb,
     vanishing_check,
@@ -149,6 +151,19 @@ def test_invalid_perturbation_rejected():
         bad[r] = cm
     with pytest.raises(ComplexError, match=r"d_1 \. d_2 != 0"):
         perturb(retract, bad)
+
+
+def test_a_perturbation_series_that_does_not_terminate_is_an_identity_failure():
+    # k in degrees 0..2 with d = 0, i = p = id, h_0 = id and h_1 = 0; delta_1 = id
+    # and delta_2 = 0 keep (d + delta)^2 = 0, but delta_1 h_0 = id is not nilpotent
+    Q = make_field("rationals")
+    spaces = [subquotient(Q, 1, []) for _ in range(3)]
+    zero, one = ColMap(Q, 1, 1), ColMap.identity(Q, 1)
+    cx = ChainComplex(Q, spaces, {1: zero, 2: zero})
+    ident = {r: one for r in range(3)}
+    retract = DeformationRetract(cx, cx, ident, ident, {0: one, 1: zero}, 2)
+    with pytest.raises(ComplexError, match="delta\\*h not nilpotent within 4 steps at degree 1"):
+        perturb(retract, {1: one, 2: zero})
 
 
 @pytest.mark.parametrize("name", ["taft:3", "taft:4"])
