@@ -149,14 +149,13 @@ class BaseAlgebra:
     def left_mult_map(self, u):
         """Left multiplication by the K-element u as a ColMap; column j is the
         sparse product u e_j."""
-        one = self.field.one
-        return ColMap(self.field, self.dim, self.dim, [self.product(u, {j: one}) for j in range(self.dim)])
+        return ColMap(self.dim, self.dim, [self.product(u, {j: 1}) for j in range(self.dim)])
 
     def is_invertible(self, u):
         return sparse_rank(self.left_mult_map(u).cols) == self.dim
 
     def basis_vector(self, i):
-        return {i: self.field.one}
+        return {i: 1}
 
     def __repr__(self):
         return f"BaseAlgebra(dim {self.dim} over {self.field})"
@@ -191,8 +190,8 @@ def group_algebra(labels, multiplication_table, field):
     for j in range(dim):
         if len({table[i][j] for i in range(dim)}) != dim:
             raise AlgebraError(f"column of {labels[j]!r} repeats an element")
-    sc = [[{t: field.one} for t in row] for row in table]
-    return BaseAlgebra(field, labels, sc, {group_identity(table): field.one}, group_table=table)
+    sc = [[{t: 1} for t in row] for row in table]
+    return BaseAlgebra(field, labels, sc, {group_identity(table): 1}, group_table=table)
 
 
 def _check_unit(K, alpha):
@@ -240,7 +239,7 @@ def character_endomorphism(K, chi):
                     f"character is not multiplicative on pair ({K.basis_labels[i]!r}, {K.basis_labels[j]!r})"
                 )
     # a multiplicative character that passes the unit check takes unit values
-    alpha = ColMap(K.field, K.dim, K.dim, [{i: v} for i, v in enumerate(values)])
+    alpha = ColMap(K.dim, K.dim, [{i: v} for i, v in enumerate(values)])
     _check_unit(K, alpha)
     return alpha
 
@@ -263,7 +262,7 @@ class MonogenicData:
         self.n = n
         self.lambdas = [dict(v) for v in lambdas]
         self.dim = base.dim * n
-        self._alpha_pows = [ColMap.identity(base.field, base.dim)]
+        self._alpha_pows = [ColMap.identity(base.dim)]
         self._alpha_order = None
 
     @property
@@ -301,7 +300,7 @@ class MonogenicData:
     def alpha_terms(self, p, mu):
         """alpha^p of the basis element mu of K as a ``{index: scalar}`` dict."""
         cols = self.alpha_columns(p)
-        return {mu: self.field.one} if cols is None else cols[mu]
+        return {mu: 1} if cols is None else cols[mu]
 
     def alpha_image(self, p, w):
         """alpha^p of the K-element w."""
@@ -376,13 +375,12 @@ class MonogenicData:
         in K times a reduced power of x.
         """
         d = self.base.dim
-        one = self.field.one
         product = self.base.product
         table = []
         for p in range(self.n):
             twisted = [self.alpha_terms(p, mu) for mu in range(d)]
             for kappa in range(d):
-                heads = [product({kappa: one}, a) for a in twisted]
+                heads = [product({kappa: 1}, a) for a in twisted]
                 table.append([self.k_times_x_power(w, p + q) for q in range(self.n) for w in heads])
         return table
 
@@ -415,7 +413,7 @@ class MonogenicData:
                 terms = {}
                 for t, c in pulled:
                     # c sits at x^0, so its coordinates in A are its K-coordinates
-                    for k, v in self.multiply({j: self.field.one}, c).items():
+                    for k, v in self.multiply({j: 1}, c).items():
                         terms[t * self.dim + k] = v
                 out.append(terms)
             return out
@@ -562,7 +560,7 @@ class BimoduleData:
     def _x_powers(self, side):
         """L(x)^p or R(x)^p for p < n as ColMaps, built once."""
         x = self.left_x if side == "left" else self.right_x
-        pows = [ColMap.identity(self.mono.field, self.dim)]
+        pows = [ColMap.identity(self.dim)]
         for _ in range(1, self.mono.n):
             pows.append(x.compose(pows[-1]))
         return pows
@@ -614,18 +612,17 @@ def regular_bimodule(mono):
     by kappa alpha^p(lam_t) x^p on the right, and x by alpha(kappa) x^(p+1)
     on the left and by kappa x^(p+1) on the right.  Kept once per algebra."""
     d = mono.base.dim
-    one = mono.field.one
     product = mono.base.product
     normal = mono.k_times_x_power
 
     def action(column):
         """The map whose column at kappa x^p is ``column(p, kappa)``."""
-        return ColMap.lazy(mono.field, mono.dim, mono.dim, lambda c: column(*divmod(c, d)))
+        return ColMap.lazy(mono.dim, mono.dim, lambda c: column(*divmod(c, d)))
 
-    left_k = [action(lambda p, kappa, t=t: normal(product({t: one}, {kappa: one}), p)) for t in range(d)]
-    right_k = [action(lambda p, kappa, t=t: normal(product({kappa: one}, mono.alpha_terms(p, t)), p)) for t in range(d)]
+    left_k = [action(lambda p, kappa, t=t: normal(product({t: 1}, {kappa: 1}), p)) for t in range(d)]
+    right_k = [action(lambda p, kappa, t=t: normal(product({kappa: 1}, mono.alpha_terms(p, t)), p)) for t in range(d)]
     left_x = action(lambda p, kappa: normal(mono.alpha_terms(1, kappa), p + 1))
-    right_x = action(lambda p, kappa: normal({kappa: one}, p + 1))
+    right_x = action(lambda p, kappa: normal({kappa: 1}, p + 1))
     return BimoduleData(mono, mono.dim, left_k, left_x, right_k, right_x)
 
 
@@ -635,12 +632,11 @@ def twisted_commutator_subspace(M, j):
     R(alpha^j(lam_t)) - L(lam_t)."""
     mono = M.mono
     K = mono.base
-    field = mono.field
     twisted = [mono.alpha_terms(j, t) for t in range(K.dim)]
     spans = []
     for s in range(M.dim):
         for t in range(K.dim):
-            v = sub_terms(M.k_terms("right", twisted[t], {s: field.one}), M.left_k[t].cols[s])
+            v = sub_terms(M.k_terms("right", twisted[t], {s: 1}), M.left_k[t].cols[s])
             if v:
                 spans.append(v)
     return spans
@@ -659,13 +655,13 @@ def commutator_quotient(M, j):
 
     def build():
         if M is not regular_bimodule(mono):
-            return subquotient(mono.field, M.dim, twisted_commutator_subspace(M, i))
+            return subquotient(M.dim, twisted_commutator_subspace(M, i))
         free, proj_cols = [], []
         for p in range(mono.n):
             block, shift = k_quotient(mono, i + p), len(free)
             free += [p * mono.base.dim + f for f in block.free]
             proj_cols += [{shift + q: e for q, e in col.items()} for col in block.proj_cols]
-        return SubquotientSpace(mono.field, M.dim, free, proj_cols)
+        return SubquotientSpace(M.dim, free, proj_cols)
 
     return kept(M, (commutator_quotient, i), build)
 
@@ -673,26 +669,25 @@ def commutator_quotient(M, j):
 def k_commutator_subspace(mono, j):
     """Spanning term dicts of [K,K]_{alpha^j} inside K itself.
 
-    Computed once per class of alpha^j and kept on ``mono``; the caller gets
-    its own list, which it may extend.
+    Computed once per class of alpha^j and kept on ``mono``; the caller
+    must not modify the list.
     """
     i = mono.twist(j)
 
     def build():
         K = mono.base
-        one = mono.field.one
         twisted = [mono.alpha_terms(i, t) for t in range(K.dim)]
         spans = []
         for s in range(K.dim):
-            es = {s: one}
+            es = {s: 1}
             for t in range(K.dim):
                 # e_s alpha^i(e_t) - e_t e_s
-                v = sub_terms(K.product(es, twisted[t]), K.product({t: one}, es))
+                v = sub_terms(K.product(es, twisted[t]), K.product({t: 1}, es))
                 if v:
                     spans.append(v)
         return spans
 
-    return list(kept(mono, (k_commutator_subspace, i), build))
+    return kept(mono, (k_commutator_subspace, i), build)
 
 
 def k_quotient(mono, j):
@@ -700,7 +695,7 @@ def k_quotient(mono, j):
     and kept on ``mono``: the blocks of A/[A,K], the collapse verdict and the
     collapsed complexes read it."""
     i = mono.twist(j)
-    return kept(mono, (k_quotient, i), lambda: subquotient(mono.field, mono.base.dim, k_commutator_subspace(mono, i)))
+    return kept(mono, (k_quotient, i), lambda: subquotient(mono.base.dim, k_commutator_subspace(mono, i)))
 
 
 def check_collapse(mono, max_j):
@@ -803,7 +798,7 @@ def eigen_split(K, alpha):
     """
     if not all(set(col) <= {j} for j, col in enumerate(alpha.cols)):
         raise AlgebraError("decomposition unavailable, generic path required")
-    values = [col.get(j, K.field.zero) for j, col in enumerate(alpha.cols)]
+    values = [col.get(j, 0) for j, col in enumerate(alpha.cols)]
     comps = []
     for i, w in enumerate(values):
         for val, idxs in comps:
@@ -812,6 +807,5 @@ def eigen_split(K, alpha):
                 break
         else:
             comps.append((w, [i]))
-    one = K.field.one
-    comps.sort(key=lambda c: (c[0] != one, min(c[1])))
+    comps.sort(key=lambda c: (c[0] != 1, min(c[1])))
     return comps

@@ -127,7 +127,6 @@ class BarSpace:
 
     def __init__(self, mono, M, r):
         self.mono = mono
-        self.field = mono.field
         self.M = M
         self.tuples, self.tuple_index = level_tuples(mono, r)
         self.block = M.dim
@@ -217,23 +216,22 @@ class BarComplex:
                     add_term(acc, off + i, c * e)
             return acc
 
-        return ColMap.lazy(self.mono.field, nrows, src.quotient_dim, column)
+        return ColMap.lazy(nrows, src.quotient_dim, column)
 
     def _b_faces(self, r, t):
         """The faces of b_r on m (x) x^{t_1} (x) ..., in the order 0..r."""
         M, mono, tgt, total = self.M, self.mono, self.space(r - 1), sum(t)
-        one = mono.field.one
         # face 0: multiply m by x^{i_1} on the right
         faces = [(tgt.offset(t[1:]), self._face(("xr", t[0]), total - t[0],
-                                                 lambda m: M.x_terms("right", t[0], {m: one})), 1)]
+                                                 lambda m: M.x_terms("right", t[0], {m: 1})), 1)]
         # faces 1..r-1: merge adjacent Abar slots, coefficients land on m
         for j in range(r - 1):
             s = t[j] + t[j + 1]
             for tpow, kv in merged_slot(mono, s):
-                op = self._face(("kr", s, tpow), total - s + tpow, lambda m: M.k_terms("right", kv, {m: one}))
+                op = self._face(("kr", s, tpow), total - s + tpow, lambda m: M.k_terms("right", kv, {m: 1}))
                 faces.append((tgt.offset(t[:j] + (tpow,) + t[j + 2:]), op, (-1) ** (j + 1)))
         # face r: wrap x^{i_r} around to the left of m
-        op = self._face(("xl", t[-1]), total - t[-1], lambda m: M.x_terms("left", t[-1], {m: one}))
+        op = self._face(("xl", t[-1]), total - t[-1], lambda m: M.x_terms("left", t[-1], {m: 1}))
         faces.append((tgt.offset(t[:-1]), op, (-1) ** r))
         return faces
 
@@ -246,7 +244,6 @@ class BarComplex:
     @memo
     def chain_complex(self, max_r):
         return ChainComplex(
-            self.mono.field,
             [self.space(r) for r in range(max_r + 1)],
             {r: self.b(r) for r in range(1, max_r + 1)},
         )
@@ -334,7 +331,7 @@ class _TensorBlocks:
                 return target.right_mul_x(out.cols[idx - dim_a])
             return target.left_mul_monomial(rest, generator(b))
 
-        out = ColMap.lazy(self.mono.field, target.dim, self.dim, column)
+        out = ColMap.lazy(target.dim, self.dim, column)
         return out
 
 
@@ -566,7 +563,7 @@ class InducedComparison:
         block.  The operator, projected, is kept on ``bar`` per (j, q, class
         of the target twist)."""
         bar, M, mono = self.bar, self.bar.M, self.bar.mono
-        one, dim_a = mono.field.one, mono.dim
+        dim_a = mono.dim
 
         def faces(ti, _):
             out = []
@@ -576,7 +573,7 @@ class InducedComparison:
                 i0, kappa = divmod(j, mono.base.dim)
                 off, tw = (0, twist) if twist is not None else (tgt.block_offset[b], sum(tgt.tuples[b]))
                 op = bar._face(("w", j, q), tw, lambda m: M.x_terms(
-                    "left", q, M.x_terms("right", i0, M.k_terms("right", {kappa: one}, {m: one}))))
+                    "left", q, M.x_terms("right", i0, M.k_terms("right", {kappa: 1}, {m: 1}))))
                 out.append((off, op, c))
             return out
 

@@ -110,7 +110,7 @@ def _render(report, as_json):
 
     body = {k: v for k, v in report.items() if k not in ("command", "fixture")}
     walk(body)
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)
 
 
 def _is_flat_list(v):
@@ -225,12 +225,12 @@ def _is_dihedral_example(mono):
     """Whether A is a ``dihedral`` example, whatever the document's name: K
     and alpha are the group algebra and sign character the audit reads, and
     f = x^2, the polynomial of its displayed table."""
-    K, one = mono.base, mono.field.one
+    K = mono.base
     if mono.n != 2 or any(mono.lambdas) or K.group_table is None:
         return False
     labels, table = dihedral_group(max(K.dim // 2, 3))
     return (K.basis_labels == labels and [[labels[t] for t in row] for row in K.group_table] == table
-            and list(mono.alpha.cols) == [{i: -one if lab[-1] == "h" else one} for i, lab in enumerate(labels)])
+            and list(mono.alpha.cols) == [{i: -1 if lab[-1] == "h" else 1} for i, lab in enumerate(labels)])
 
 
 def _dihedral_displayed_parts(mono):
@@ -374,11 +374,9 @@ def cmd_verify(args):
           lambda r: relation_holds(bar.dim(r), homotopy_terms(b, cmp_.omega, cmp_.phi, cmp_.psi, r)))
     # degree bound: every basis tensor of each level up to min(4, md - 1)
     if M.is_regular:
-        one = mono.field.one
-
         def degree_bounded(r):
             omega, sp, spt = om(r + 1), barres.space(r), barres.space(r + 1)
-            return all(spt.element_degree(omega.cols[idx]) <= sp.element_degree({idx: one})
+            return all(spt.element_degree(omega.cols[idx]) <= sp.element_degree({idx: 1})
                        for idx in range(sp.dim))
 
         deg_top = min(4, md - 1)

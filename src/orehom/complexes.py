@@ -2,8 +2,10 @@
 
 A ChainComplex is its spaces and boundaries: one SubquotientSpace per
 degree 0..max_degree and column-sparse boundary maps d_r: C_r -> C_{r-1}
-in quotient coordinates.  Every complex checks the shape of each boundary
-and ``d . d = 0`` as it is built; there is no unchecked complex.
+in quotient coordinates.  It keeps no field: its checks, ranks and
+kernels need only the scalars' arithmetic.  Every complex checks the shape
+of each boundary and ``d . d = 0`` as it is built; there is no unchecked
+complex.
 Homology dimensions come from ranks alone, dim H_r = n_r - rank d_r -
 rank d_{r+1}, each rank taken once by ``sparse_rank`` on the boundary's
 columns.  Only ``homology``, which gives representatives, runs a kernel:
@@ -32,8 +34,7 @@ class ComplexError(ValueError):
 class ChainComplex:
     """Nonnegatively graded complex; boundaries[r]: C_r -> C_{r-1}."""
 
-    def __init__(self, field, spaces, boundaries):
-        self.field = field
+    def __init__(self, spaces, boundaries):
         self.spaces = list(spaces)
         self.boundaries = dict(boundaries)
         zero_pairs = set()  # ids of (d_{r-1}, d_r) pairs checked to compose to zero
@@ -66,7 +67,7 @@ def homology(complex_, up_to):
     kernel, the dimension ``homology_dims`` gives there.  ``up_to = -1``
     gives no degree.
     """
-    top, field = complex_.max_degree, complex_.field
+    top = complex_.max_degree
     if up_to > top:
         raise ComplexError(f"degree {up_to} out of range 0..{top}")
     lifted = {}  # one elimination per distinct (space, d_r, d_{r+1})
@@ -77,10 +78,10 @@ def homology(complex_, up_to):
         d_in = complex_.boundaries[r + 1] if r < top else None
         key = (id(space), id(d_out), id(d_in))
         if key not in lifted:
-            ker = [{j: field.one} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(field, d_out.cols)
+            ker = [{j: 1} for j in range(space.quotient_dim)] if d_out is None else kernel_basis(d_out.cols)
             new = ker
             if d_in is not None:
-                seen = EchelonSet(field, d_in.cols)
+                seen = EchelonSet(d_in.cols)
                 bdim = seen.dim
                 new = [v for v in ker if seen.add(v)]
                 if len(new) != len(ker) - bdim:

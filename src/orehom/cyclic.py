@@ -105,7 +105,7 @@ def connes_D(mono, r, cs_spaces):
                 ssum = mono.alpha_sum(lam, [n * u + ell for u in range(m) for ell in range(i)])
                 add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
         cols.append(tgt.project_terms(total))
-    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
+    return ColMap(tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def connes_D_collapsed(mono, r, cs_spaces, idxs):
@@ -117,12 +117,12 @@ def connes_D_collapsed(mono, r, cs_spaces, idxs):
     tgt = cs_spaces[r + 1]
     m, odd = divmod(r, 2)
     if not odd:
-        return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim)
+        return ColMap(tgt.quotient_dim, src.quotient_dim)
     cols = []
     for ii in src.free:
         w = mono.alpha_sum(mono.base.basis_vector(idxs[ii]), range(0, (m + 1) * mono.n, mono.n))
         cols.append(tgt.project_terms(component_terms(idxs, sub_terms(w, mono.alpha_image(1, w)))))
-    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
+    return ColMap(tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def build_mixed(cs, M):
@@ -170,12 +170,12 @@ def bc_total(complex_, B, max_N):
     """
     if max_N > complex_.max_degree:
         raise HypothesisError(f"total degree {max_N} exceeds the mixed complex window {complex_.max_degree}")
-    field, b = complex_.field, complex_.boundaries
+    b = complex_.boundaries
     blocks = [tot_blocks(complex_, N) for N in range(max_N + 1)]
     dims = [off + d for (_, _, off, d) in [blks[-1] for blks in blocks]]  # the last block ends Tot_N
     # the projection of the whole space Tot_N is the first dim Tot_N columns of one identity
-    ident = [{i: field.one} for i in range(max(dims))]
-    spaces = [SubquotientSpace(field, d, list(range(d)), ident[:d]) for d in dims]
+    ident = [{i: 1} for i in range(max(dims))]
+    spaces = [SubquotientSpace(d, list(range(d)), ident[:d]) for d in dims]
     boundaries = {}
     for N in range(1, max_N + 1):
         tgt = blocks[N - 1]
@@ -190,8 +190,8 @@ def bc_total(complex_, B, max_N):
                 if Bm is not None:
                     col.update((lo + i, e) for i, e in Bm.cols[jj].items())
                 cols.append(col)
-        boundaries[N] = ColMap(field, dims[N - 1], dims[N], cols)
-    return ChainComplex(field, spaces, boundaries)
+        boundaries[N] = ColMap(dims[N - 1], dims[N], cols)
+    return ChainComplex(spaces, boundaries)
 
 
 def hc_dims(complex_, B, max_N):

@@ -11,7 +11,8 @@ comes from ``EchelonSet``, which keeps its rows as sparse
 dicts and grows one vector at a time, for ``kernel_basis`` and
 ``subquotient``; every other quotient dimension is a ``colon_dim`` of a kept
 ``SubquotientSpace``, read off the projections into it.
-Everything is over a fixed exact field (Q or a cyclotomic field).  Every
+Elimination needs only the scalars' arithmetic, ``0`` and ``1`` (every
+field's zero and one are those ints), so no routine takes a field.  Every
 linear map of the package (boundaries, comparison maps, alpha, the
 bimodule actions) is a column-sparse ``ColMap``, which may build each column
 on first read from a column function and keep the dict it returns, and a
@@ -30,16 +31,15 @@ from .fields import is_unit, reciprocal
 
 
 class Matrix:
-    """Dense matrix over an exact field, entries in row-major order: the input
+    """Dense matrix of exact scalars, entries in row-major order: the input
     of ``rref``.  The package has no caller; the benchmark's tracer
     (``perfbench/tracer.py``) names ``rref`` and ``Matrix.apply``."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, field, rows, cols, entries):
+    def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("inconsistent matrix shape")
-        self.field = field
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -48,10 +48,9 @@ class Matrix:
         """Matrix times a dense vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        z = self.field.zero
         out = []
         for row in self.entries:
-            acc = z
+            acc = 0
             for a, v in zip(row, vec):
                 if a and v:
                     acc = acc + a * v
@@ -59,7 +58,7 @@ class Matrix:
         return out
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.field})"
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 def rref(m):
@@ -68,12 +67,11 @@ def rref(m):
     The nonzero rows are those of ``EchelonSet`` of the rows of ``m``, in
     pivot order, and zero rows pad the result to the shape of ``m``.
     """
-    ech = EchelonSet(m.field, map(sparse, m.entries))
-    z = m.field.zero
+    ech = EchelonSet(map(sparse, m.entries))
     pivots = sorted(ech.row_at)
-    rows = [[ech.row_at[p].get(j, z) for j in range(m.cols)] for p in pivots]
-    rows += [[z] * m.cols for _ in range(m.rows - len(pivots))]
-    return Matrix(m.field, m.rows, m.cols, rows), pivots
+    rows = [[ech.row_at[p].get(j, 0) for j in range(m.cols)] for p in pivots]
+    rows += [[0] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(m.rows, m.cols, rows), pivots
 
 
 def sparse_rank(columns):
@@ -174,21 +172,21 @@ def _subtract(acc, c, vec):
                 del acc[j]
 
 
-def _row_echelon(field, columns):
+def _row_echelon(columns):
     """``EchelonSet`` of the rows of the matrix with these sparse columns."""
     rows = {}
     for j, col in enumerate(columns):
         for i, e in col.items():
             rows.setdefault(i, {})[j] = e
-    return EchelonSet(field, (rows[i] for i in sorted(rows)))
+    return EchelonSet(rows[i] for i in sorted(rows))
 
 
-def kernel_basis(field, columns):
+def kernel_basis(columns):
     """Basis of the null space of the matrix with these sparse ``{row: scalar}``
     columns: one sparse vector per free column, in ascending order, with a 1
     there and minus the echelon entries at the pivots."""
-    row_at = _row_echelon(field, columns).row_at
-    basis = {f: {f: field.one} for f in range(len(columns)) if f not in row_at}
+    row_at = _row_echelon(columns).row_at
+    basis = {f: {f: 1} for f in range(len(columns)) if f not in row_at}
     for p, row in row_at.items():
         for f, e in row.items():
             if f != p:
@@ -234,11 +232,11 @@ class EchelonSet:
     ``row_at[p]`` is the sparse row whose leftmost nonzero is a 1 at column
     p, and no other row is nonzero at p: the rows of the reduced row echelon
     form of the span, which is unique.  Rows stay in the order they entered
-    the span.
+    the span.  It keeps no field: reducing needs only the scalars'
+    arithmetic and ``reciprocal``.
     """
 
-    def __init__(self, field, vectors=()):
-        self.field = field
+    def __init__(self, vectors=()):
         self.row_at = {}
         for v in vectors:
             self.add(v)
@@ -284,13 +282,13 @@ class SubquotientSpace:
     sparse ``{quotient coordinate: scalar}`` dict: ``{i: 1}`` for c = free[i],
     minus the free entries of the echelon row for a pivot column c.  Lifting
     puts quotient coordinates back at the free columns, so projecting a lift
-    is the identity and homology representatives are reproducible.
+    is the identity and homology representatives are reproducible.  The
+    space keeps no field.
     """
 
-    __slots__ = ("field", "ambient_dim", "quotient_dim", "free", "proj_cols")
+    __slots__ = ("ambient_dim", "quotient_dim", "free", "proj_cols")
 
-    def __init__(self, field, ambient_dim, free, proj_cols):
-        self.field = field
+    def __init__(self, ambient_dim, free, proj_cols):
         self.ambient_dim = ambient_dim
         self.quotient_dim = len(free)
         self.free = free
@@ -321,7 +319,7 @@ class SubquotientSpace:
         cols = [self.project_terms(v) for v in images]
         if denominator is None:
             return self.quotient_dim - sparse_rank(cols)
-        on_classes = ColMap(self.field, self.quotient_dim, len(cols), cols)
+        on_classes = ColMap(self.quotient_dim, len(cols), cols)
         if any(on_classes.apply(lam) for lam in denominator):
             return None
         return len(cols) - sparse_rank(cols) - sparse_rank(denominator)
@@ -330,20 +328,20 @@ class SubquotientSpace:
         return f"Subquotient(dim {self.quotient_dim} = {self.ambient_dim} - rank {self.ambient_dim - self.quotient_dim})"
 
 
-def subquotient(field, ambient_dim, spanning_vectors):
+def subquotient(ambient_dim, spanning_vectors):
     """Subquotient of k^ambient_dim by the span of the given sparse vectors."""
     for v in spanning_vectors:
         if v and (min(v) < 0 or max(v) >= ambient_dim):
             raise ValueError(f"spanning vector has a coordinate outside 0..{ambient_dim - 1}")
-    row_at = EchelonSet(field, spanning_vectors).row_at
+    row_at = EchelonSet(spanning_vectors).row_at
     free = [c for c in range(ambient_dim) if c not in row_at]
     qindex = {f: qi for qi, f in enumerate(free)}
     proj_cols = [None] * ambient_dim
     for qi, f in enumerate(free):
-        proj_cols[f] = {qi: field.one}
+        proj_cols[f] = {qi: 1}
     for p, row in row_at.items():
         proj_cols[p] = {qindex[f]: -e for f, e in row.items() if f != p}
-    return SubquotientSpace(field, ambient_dim, free, proj_cols)
+    return SubquotientSpace(ambient_dim, free, proj_cols)
 
 
 class _Columns:
@@ -445,10 +443,10 @@ def anticommutator_terms(d, h, r):
     return terms + [(1, [h(r - 1), d(r)])] if r else terms
 
 
-def chain_sum(field, ncols, terms):
+def chain_sum(ncols, terms):
     """The sum of chains of ``relation_holds`` kept as a lazy ``ColMap``."""
     nrows, column = _relation(ncols, terms)
-    return ColMap.lazy(field, nrows, ncols, column)
+    return ColMap.lazy(nrows, ncols, column)
 
 
 class ColMap:
@@ -463,27 +461,27 @@ class ColMap:
     Identities between maps, ``==`` among them, are relations read column by
     column (``relation_holds``); ``compose`` builds a whole product, for the
     maps that are kept (the powers of alpha and of x, and the transferred
-    D).  Elimination reads the columns as they are.
+    D).  Elimination reads the columns as they are.  A map keeps no field:
+    ``identity`` writes the int ``1``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, field, nrows, ncols, cols=None):
-        self.field = field
+    def __init__(self, nrows, ncols, cols=None):
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols if cols is not None else [dict() for _ in range(ncols)]
 
     @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, [{i: field.one} for i in range(n)])
+    def identity(cls, n):
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
-    def lazy(cls, field, nrows, ncols, column):
+    def lazy(cls, nrows, ncols, column):
         """The map whose column j is the term dict ``column(j)``, built on
         demand and kept as it is: ``column`` returns a new dict holding no
         zero scalar, which nothing edits afterwards."""
-        return cls(field, nrows, ncols, _Columns(ncols, column))
+        return cls(nrows, ncols, _Columns(ncols, column))
 
     def apply(self, vec_dict):
         out = {}
@@ -501,7 +499,7 @@ class ColMap:
         """self o other (apply ``other`` first), kept as a whole map."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        return ColMap(self.field, self.nrows, other.ncols, [self.apply(col) for col in other.cols])
+        return ColMap(self.nrows, other.ncols, [self.apply(col) for col in other.cols])
 
     def __eq__(self, other):
         """Same shape, and the relation self - other = 0 holds."""

@@ -87,11 +87,10 @@ def perturb(retract, delta):
     window plus 2 steps.
     """
     X, Y, incl, proj, h = retract.X, retract.Y, retract.incl, retract.proj, retract.h
-    field = Y.field
     top = retract.max_degree
     bound = top + 2
-    dX = {r: chain_sum(field, X.dim(r), [(1, [X.boundary(r)]), (1, [delta[r]])]) for r in range(1, top + 1)}
-    X1 = ChainComplex(field, X.spaces, dX)  # checks (d + delta)^2 = 0 before the series
+    dX = {r: chain_sum(X.dim(r), [(1, [X.boundary(r)]), (1, [delta[r]])]) for r in range(1, top + 1)}
+    X1 = ChainComplex(X.spaces, dX)  # checks (d + delta)^2 = 0 before the series
     # Delta_r = sum_j (delta h)^j delta, one geometric series per column: a
     # column is nonzero after k steps exactly when the whole term is
     Delta = {}
@@ -108,14 +107,14 @@ def perturb(retract, delta):
                 term = delta[r].apply(h[r - 1].apply(term))
                 add_terms(acc, term)
             cols.append(acc)
-        Delta[r] = ColMap(field, X.dim(r - 1), X.dim(r), cols)
-    d1 = {r: chain_sum(field, Y.dim(r), [(1, [Y.boundary(r)]), (1, [proj[r - 1], Delta[r], incl[r]])]) for r in Delta}
-    incl1 = {r: chain_sum(field, Y.dim(r), [(1, [incl[r]]), (1, [h[r - 1], Delta[r], incl[r]])]) for r in Delta}
+        Delta[r] = ColMap(X.dim(r - 1), X.dim(r), cols)
+    d1 = {r: chain_sum(Y.dim(r), [(1, [Y.boundary(r)]), (1, [proj[r - 1], Delta[r], incl[r]])]) for r in Delta}
+    incl1 = {r: chain_sum(Y.dim(r), [(1, [incl[r]]), (1, [h[r - 1], Delta[r], incl[r]])]) for r in Delta}
     incl1[0] = incl[0]
-    proj1 = {r: chain_sum(field, X.dim(r), [(1, [proj[r]]), (1, [proj[r], Delta[r + 1], h[r]])]) for r in range(top)}
-    h1 = {r: chain_sum(field, X.dim(r), [(1, [h[r]]), (1, [h[r], Delta[r + 1], h[r]])]) for r in range(top)}
+    proj1 = {r: chain_sum(X.dim(r), [(1, [proj[r]]), (1, [proj[r], Delta[r + 1], h[r]])]) for r in range(top)}
+    h1 = {r: chain_sum(X.dim(r), [(1, [h[r]]), (1, [h[r], Delta[r + 1], h[r]])]) for r in range(top)}
     # p1 and h1 read Delta one degree up, so the window drops by one
-    return DeformationRetract(ChainComplex(field, Y.spaces, d1), X1, incl1, proj1, h1, top - 1)
+    return DeformationRetract(ChainComplex(Y.spaces, d1), X1, incl1, proj1, h1, top - 1)
 
 
 def verify_perturbed(pert, special):
@@ -145,7 +144,7 @@ def blockwise(maps, X, Y, max_N, degree_shift=0, column_shift=0):
                 continue
             shift = tgt_off[p - column_shift]
             cols += [{shift + i: e for i, e in mp.cols[jj].items()} for jj in range(d)]
-        out[N] = ColMap(X.field, sum(d for (p, deg, off, d) in tgt), len(cols), cols)
+        out[N] = ColMap(sum(d for (p, deg, off, d) in tgt), len(cols), cols)
     return out
 
 

@@ -82,7 +82,7 @@ def _boundary_terms(mono, M, r, terms):
     return out
 
 
-def _periodic_boundaries(field, spaces, image, shared):
+def _periodic_boundaries(spaces, image, shared):
     """{r: d_r} for 1 <= r < len(spaces), one ColMap per key (parity of r,
     source space, target space), kept in ``shared``.  Column qj of d_r is
     ``image(r, idx)`` at the qj-th free index of the source, read at the
@@ -92,7 +92,7 @@ def _periodic_boundaries(field, spaces, image, shared):
     for r in range(1, len(spaces)):
         key = (r % 2, spaces[r], spaces[r - 1])
         if key not in shared:
-            shared[key] = ColMap(field, spaces[r - 1].quotient_dim, spaces[r].quotient_dim,
+            shared[key] = ColMap(spaces[r - 1].quotient_dim, spaces[r].quotient_dim,
                                  [spaces[r - 1].project_terms(image(r, idx)) for idx in spaces[r].free])
         out[r] = shared[key]
     return out
@@ -104,9 +104,8 @@ def build_cs(M, max_degree):
     (``cs_space``), and its boundaries the ColMaps that ``_periodic_boundaries``
     keeps on M once per key, so every window of one M reads the same maps."""
     mono, spaces = M.mono, [cs_space(M, r) for r in range(max_degree + 1)]
-    image = lambda r, idx: _boundary_terms(mono, M, r, {idx: mono.field.one})
-    return ChainComplex(mono.field, spaces,
-                        _periodic_boundaries(mono.field, spaces, image, kept(M, (build_cs, "boundaries"), dict)))
+    image = lambda r, idx: _boundary_terms(mono, M, r, {idx: 1})
+    return ChainComplex(spaces, _periodic_boundaries(spaces, image, kept(M, (build_cs, "boundaries"), dict)))
 
 
 def collapse_required_js(n, max_degree):
@@ -142,7 +141,7 @@ def collapsed_complex(mono, max_degree, idxs):
         lam = mono.base.basis_vector(idxs[ii])
         return component_terms(idxs, _alpha_minus_id_lamn(mono, lam) if r % 2 else _norm_map(mono, lam))
 
-    return ChainComplex(mono.field, spaces, _periodic_boundaries(mono.field, spaces, image, {}))
+    return ChainComplex(spaces, _periodic_boundaries(spaces, image, {}))
 
 
 # -- eigencomponent decomposition ---------------------------------------------
@@ -173,7 +172,7 @@ def component_quotient(mono, j, idxs):
     if idxs == tuple(range(mono.base.dim)):
         return k_quotient(mono, i)
     return kept(mono, (component_quotient, i, idxs),
-                lambda: subquotient(mono.field, len(idxs), component_commutator_span(mono, i, idxs)))
+                lambda: subquotient(len(idxs), component_commutator_span(mono, i, idxs)))
 
 
 def decompose(mono, max_degree):
@@ -244,8 +243,7 @@ def hh_dims_collapsed(mono, max_degree):
 def is_root(mono, w):
     """Whether the eigenvalue w is an n-th root of unity other than 1: only
     these components carry homology above degree 0."""
-    one = mono.field.one
-    return w != one and w ** mono.n == one
+    return w != 1 and w ** mono.n == 1
 
 
 def power_vec(mono, kvec, power):
@@ -279,7 +277,7 @@ def component_colon_dim(mono, idxs, j, kvec, j_den):
 def even_dim(mono, w, idxs, m):
     """HC_{2m} of the component K^w, and HH_0 at m = 0: K^w/[K,K]^w for w = 1,
     else K^w modulo [K,K]^w + K^w lam_n^(m+1) (w^n = 1) or + K^w lam_n."""
-    if w == mono.field.one:
+    if w == 1:
         return component_cokernel_dim(mono, idxs, 0)
     lam_n = mono.f_coefficient(mono.n)
     return component_cokernel_dim(mono, idxs, 0, power_vec(mono, lam_n, m + 1) if is_root(mono, w) else lam_n)
@@ -318,7 +316,6 @@ def hh_dims_eigen(mono, max_degree):
 def hh_dims_alpha_identity(mono, max_degree):
     """Closed form for alpha = id, read off one quotient of A by [A, A]."""
     K = mono.base
-    field = mono.field
     if mono.alpha_columns(1) is not None:
         raise HypothesisError("closed form requires alpha = id")
     n = mono.n
@@ -329,11 +326,10 @@ def hh_dims_alpha_identity(mono, max_degree):
     for i in range(n):
         for k, c in mono.f_coefficient(i).items():
             add_term(fprime, (n - i - 1) * K.dim + k, (n - i) * c)
-    commutators = [sub_terms(M.a_terms("left", {u: field.one}, {v: field.one}),
-                             M.a_terms("right", {u: field.one}, {v: field.one}))
+    commutators = [sub_terms(M.a_terms("left", {u: 1}, {v: 1}), M.a_terms("right", {u: 1}, {v: 1}))
                    for u in range(dimA) for v in range(dimA)]
-    fprime_mult = [M.a_terms("left", fprime, {v: field.one}) for v in range(dimA)]
-    comm = subquotient(field, dimA, commutators)
+    fprime_mult = [M.a_terms("left", fprime, {v: 1}) for v in range(dimA)]
+    comm = subquotient(dimA, commutators)
     def dim_at(r):
         if r == 0:
             return comm.quotient_dim

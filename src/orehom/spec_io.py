@@ -93,7 +93,7 @@ def _decode_map(field, obj, dim, path):
     if not isinstance(obj, list) or len(obj) != dim:
         raise AlgebraError(f"{path} must be a list of {dim} rows")
     rows = [decode_kvec(field, r, dim, f"{path}[{i}]") for i, r in enumerate(obj)]
-    return ColMap(field, dim, dim, [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(dim)])
+    return ColMap(dim, dim, [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(dim)])
 
 
 # -- group table builders -----------------------------------------------------
@@ -186,8 +186,8 @@ def build_example(name):
         F = make_field("cyclotomic", n)
         z = F.root()
         values = {lab: encode_scalar(F, z ** j) for j, lab in enumerate(labels)}
-        zero = encode_scalar(F, F.zero)
-        one = encode_scalar(F, F.one)
+        zero = encode_scalar(F, 0)
+        one = encode_scalar(F, 1)
         return {
             "name": name,
             "field": {"kind": "cyclotomic", "order": n},
@@ -222,7 +222,7 @@ def build_example(name):
         for lab in labels:
             j = 0 if "a" not in lab else (1 if lab in ("a", "ab") else int(lab[1]))
             l = 1 if lab.endswith("b") else 0
-            chi[lab] = encode_scalar(F, (z ** j) * ((-F.one) ** l))
+            chi[lab] = encode_scalar(F, (z ** j) * (-1) ** l)
         return {
             "name": name,
             "field": {"kind": "cyclotomic", "order": 4},
@@ -279,7 +279,7 @@ def _decode_base_algebra(field, obj):
         ]
         unit = decode_kvec(field, _key(obj, "unit", path), dim, f"{path}.unit")
         return _checked(path, BaseAlgebra, field, labels, sc, unit)
-    raise AlgebraError(f"unknown base_algebra type {kind!r}")
+    raise AlgebraError(f"{path}.type must be 'group' or 'structure_constants', got {kind!r}")
 
 
 def _decode_character(field, obj, key, path):
@@ -296,7 +296,7 @@ def _decode_endomorphism(field, K, obj):
         alpha = _decode_map(field, _key(obj, "matrix", path), K.dim, f"{path}.matrix")
         _checked(f"{path}.matrix", check_endomorphism, K, alpha)
         return alpha
-    raise AlgebraError(f"unknown endomorphism type {kind!r}")
+    raise AlgebraError(f"{path}.type must be 'character' or 'matrix', got {kind!r}")
 
 
 def _decode_bimodule(mono, obj):
@@ -323,7 +323,7 @@ def _decode_bimodule(mono, obj):
         )
         _checked(path, M.check)
         return M
-    raise AlgebraError(f"unknown bimodule type {kind!r}")
+    raise AlgebraError(f"{path}.type must be 'regular' or 'matrices', got {kind!r}")
 
 
 def _checked(path, validate, *args):
@@ -334,8 +334,8 @@ def _checked(path, validate, *args):
         raise AlgebraError(f"{path}: {exc}") from None
 
 
-def _rank_one_case(field, values_by_index, n, xi):
-    chi_n_id = all(v ** n == field.one for v in values_by_index)
+def _rank_one_case(values_by_index, n, xi):
+    chi_n_id = all(v ** n == 1 for v in values_by_index)
     if not xi:
         return "xi=0"
     return "xi!=0, chi^n=id" if chi_n_id else "xi!=0, chi^n!=id"
@@ -419,11 +419,11 @@ def parse_spec(doc, max_degree=6):
         values = [alpha.cols[i][i] for i in range(K.dim)]
         w = values[g1_idx]
         for j in range(1, n):
-            if w ** j == field.one:
+            if w ** j == 1:
                 raise AlgebraError(f"{path}.g1: chi(g1) is not a primitive {n}-th root of 1")
-        if w ** n != field.one:
+        if w ** n != 1:
             raise AlgebraError(f"{path}.g1: chi(g1) is not an {n}-th root of 1")
-        case = _rank_one_case(field, values, n, xi)
+        case = _rank_one_case(values, n, xi)
         summary["rank_one_case"] = case
         if case == "xi!=0, chi^n!=id":
             # replace G by G/<g1^n> and f by x^n; the ideal (x^n - xi(g1^n-1))

@@ -161,7 +161,7 @@ def B_ambient_column(bar, r, idx):
 
 
 def _projected(src, tgt, ambient):
-    return ColMap.lazy(tgt.field, tgt.quotient_dim, src.quotient_dim,
+    return ColMap.lazy(tgt.quotient_dim, src.quotient_dim,
                        lambda qj: tgt.project_terms(ambient(src.free[qj])))
 
 
@@ -224,7 +224,7 @@ def bprime_column(barres, kept, r, idx):
 def bprime(barres, r):
     """b'_r with every column built face by face from its basis tensor."""
     kept = {}
-    return ColMap.lazy(barres.mono.field, barres.space(r - 1).dim, barres.space(r).dim,
+    return ColMap.lazy(barres.space(r - 1).dim, barres.space(r).dim,
                        lambda idx: bprime_column(barres, kept, r, idx))
 
 

@@ -40,8 +40,8 @@ def build_cs(mono, M, max_degree):
     for r in range(1, max_degree + 1):
         src, tgt = spaces[r], spaces[r - 1]
         cols = [tgt.project_terms(_boundary_terms(mono, M, r, {idx: mono.field.one})) for idx in src.free]
-        boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
-    return ChainComplex(mono.field, spaces, boundaries)
+        boundaries[r] = ColMap(tgt.quotient_dim, src.quotient_dim, cols)
+    return ChainComplex(spaces, boundaries)
 
 
 def build_cs_collapsed(mono, max_degree):
@@ -68,8 +68,8 @@ def build_cs_collapsed(mono, max_degree):
                 for ell in range(n):
                     img = [a + b for a, b in zip(img, dref.alpha_power(mono, ell, lam))]
             cols.append(tgt.project_terms(dref.sparse(img)))
-        boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
-    return ChainComplex(mono.field, spaces, boundaries)
+        boundaries[r] = ColMap(tgt.quotient_dim, src.quotient_dim, cols)
+    return ChainComplex(spaces, boundaries)
 
 
 def decompose(mono, max_degree):
@@ -96,15 +96,14 @@ def decompose(mono, max_degree):
                 else:
                     img_full = [nmult * c for c in lam]
                 cols.append(tgt.project_terms(dref.sparse([img_full[i] for i in idxs])))
-            boundaries[r] = ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
-        out.append((w, idxs, ChainComplex(mono.field, spaces, boundaries)))
+            boundaries[r] = ColMap(tgt.quotient_dim, src.quotient_dim, cols)
+        out.append((w, idxs, ChainComplex(spaces, boundaries)))
     return out
 
 
 def hh_dims_collapsed(mono, max_degree):
     ensure_collapse(mono, max_degree)
     K = mono.base
-    field = mono.field
     n = mono.n
     basis = [K.basis_vector(t) for t in range(K.dim)]
     kk = lambda j: k_commutator_subspace(mono, j)
@@ -115,13 +114,13 @@ def hh_dims_collapsed(mono, max_degree):
             den = kk(0) + [_alpha_minus_id_lamn(mono, v) for v in basis]
             dims.append(K.dim - sparse_rank(den))
         elif odd:
-            num = preimage(EchelonSet(field, kk(m * n)), [_alpha_minus_id_lamn(mono, v) for v in basis])
+            num = preimage(EchelonSet(kk(m * n)), [_alpha_minus_id_lamn(mono, v) for v in basis])
             den = kk((m + 1) * n) + [_norm_map(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, num, den)))
+            dims.append(_well_formed(quotient_dim(num, den)))
         else:
-            num = preimage(EchelonSet(field, kk(m * n)), [_norm_map(mono, v) for v in basis])
+            num = preimage(EchelonSet(kk(m * n)), [_norm_map(mono, v) for v in basis])
             den = kk(m * n) + [_alpha_minus_id_lamn(mono, v) for v in basis]
-            dims.append(_well_formed(quotient_dim(field, num, den)))
+            dims.append(_well_formed(quotient_dim(num, den)))
     return dims
 
 
@@ -146,10 +145,10 @@ def hh_dims_eigen(mono, max_degree):
             elif w == one or w ** n != one:
                 dims.append(0)
             elif odd:
-                num = preimage(EchelonSet(field, kkw(m * n)), lam_mult)
-                dims.append(_well_formed(quotient_dim(field, num, kkw((m + 1) * n))))
+                num = preimage(EchelonSet(kkw(m * n)), lam_mult)
+                dims.append(_well_formed(quotient_dim(num, kkw((m + 1) * n))))
             else:
-                dims.append(_well_formed(quotient_dim(field, local_basis, kkw(m * n) + lam_mult)))
+                dims.append(_well_formed(quotient_dim(local_basis, kkw(m * n) + lam_mult)))
         totals = [a + b for a, b in zip(totals, dims)]
     return totals
 
@@ -191,8 +190,8 @@ def hh_rank_one(mono, case, max_degree):
                 total += d - sparse_rank(component_commutator_span(mono, (m_eff + 1) * n, idxs))
             elif odd:
                 den = component_commutator_span(mono, 0, idxs)
-                num = preimage(EchelonSet(field, den), component_mult_rows(mono, idxs, lam_n))
-                total += _well_formed(quotient_dim(field, num, den))
+                num = preimage(EchelonSet(den), component_mult_rows(mono, idxs, lam_n))
+                total += _well_formed(quotient_dim(num, den))
             else:
                 span = component_commutator_span(mono, 0, idxs) + component_mult_rows(mono, idxs, lam_n)
                 total += d - sparse_rank(span)
@@ -206,14 +205,14 @@ def connes_D_component(mono, r, cs_spaces, w, idxs):
     field = mono.field
     src = cs_spaces[r]
     tgt = cs_spaces[r + 1]
-    out = ColMap(field, tgt.quotient_dim, src.quotient_dim)
+    out = ColMap(tgt.quotient_dim, src.quotient_dim)
     m, odd = divmod(r, 2)
     if not odd:
         return out
     scalar = (field.one - w) * sum((w ** (mono.n * u) for u in range(m + 1)), field.zero)
     if not scalar:
         return out
-    return ColMap(field, tgt.quotient_dim, src.quotient_dim, [tgt.project_terms({idx: scalar}) for idx in src.free])
+    return ColMap(tgt.quotient_dim, src.quotient_dim, [tgt.project_terms({idx: scalar}) for idx in src.free])
 
 
 def connes_D(mono, r, cs_spaces):
@@ -246,7 +245,7 @@ def connes_D(mono, r, cs_spaces):
                     ssum = mono.alpha_sum(lam, range(n * u, n * u + i))
                     add_terms(total, mono.k_times(K.product(lam_ni, ssum), mono.x_power_quotient(j + i - 1)))
         cols.append(tgt.project_terms(dict(sorted(total.items()))))
-    return ColMap(mono.field, tgt.quotient_dim, src.quotient_dim, cols)
+    return ColMap(tgt.quotient_dim, src.quotient_dim, cols)
 
 
 def _power_vec(mono, kvec, power):
@@ -303,10 +302,9 @@ def hc_closed_form(mono, max_degree):
 
 
 def _odd_numerator_dim(mono, idxs, cond_vec, denominator, strict=True):
-    field = mono.field
-    comm = EchelonSet(field, component_commutator_span(mono, 0, idxs))
+    comm = EchelonSet(component_commutator_span(mono, 0, idxs))
     num = preimage(comm, component_mult_rows(mono, idxs, cond_vec))
-    qdim = quotient_dim(field, num, denominator)
+    qdim = quotient_dim(num, denominator)
     if qdim is None and strict:
         raise HypothesisError("denominator not inside the numerator space")
     return qdim

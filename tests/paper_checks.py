@@ -34,10 +34,10 @@ from orehom.small_complex import (
 )
 
 
-def solve(field, columns, b):
+def solve(columns, b):
     """One sparse x with sum_j x[j] * columns[j] = b, or None if there is none."""
     n = len(columns)
-    row_at = _row_echelon(field, list(columns) + [b]).row_at
+    row_at = _row_echelon(list(columns) + [b]).row_at
     if n in row_at:
         return None
     return {p: row[n] for p, row in row_at.items() if n in row}
@@ -51,13 +51,13 @@ def contains(span, vec):
 def preimage(span, images):
     """Basis of {v : sum_t v[t] * images[t] lies in the span of the
     ``EchelonSet`` span}, as sparse vectors."""
-    return kernel_basis(span.field, [span.reduce(v) for v in images])
+    return kernel_basis([span.reduce(v) for v in images])
 
 
-def quotient_dim(field, numerator, denominator):
+def quotient_dim(numerator, denominator):
     """dim span(numerator) / span(denominator), both lists of sparse vectors,
     or None when the denominator is not inside the numerator span."""
-    num = EchelonSet(field, numerator)
+    num = EchelonSet(numerator)
     if not all(contains(num, v) for v in denominator):
         return None
     return num.dim - sparse_rank(denominator)
@@ -122,7 +122,7 @@ def periodicity_check(mono, v, max_m, M=None):
     M = M or regular_bimodule(mono)
     cs = build_cs(M, top + 1)
     for r in range(1, top + 2):
-        fresh = _periodic_boundaries(cs.field, cs.spaces[r - 1:r + 1],
+        fresh = _periodic_boundaries(cs.spaces[r - 1:r + 1],
                                      lambda _, idx: small_complex._boundary_terms(mono, M, r, {idx: mono.field.one}), {})
         if fresh[1] != cs.boundary(r):
             return False
@@ -140,18 +140,17 @@ def periodicity_check(mono, v, max_m, M=None):
 def _corner_kernel(cx, tot, m):
     """W_m: X_0 classes whose corner inclusion into Tot_{2m} is a boundary,
     tot being the BC total of X = cx."""
-    field = cx.field
     N = 2 * m
     if N + 1 > tot.max_degree:
         raise HypothesisError("total window too small for the corner kernel")
-    bd = EchelonSet(field, tot.boundary(N + 1).cols)
-    return preimage(bd, [inject(cx, N, m, {t: field.one}) for t in range(cx.dim(0))])
+    bd = EchelonSet(tot.boundary(N + 1).cols)
+    return preimage(bd, [inject(cx, N, m, {t: 1}) for t in range(cx.dim(0))])
 
 
 def _top_ambiguity(cx, tot, m):
     """T_m: column-0 components of boundaries into Tot_{2m+1}."""
     N = 2 * m + 1
-    return EchelonSet(cx.field, (block(cx, N, 0, v) for v in tot.boundary(N + 1).cols))
+    return EchelonSet(block(cx, N, 0, v) for v in tot.boundary(N + 1).cols)
 
 
 def _component_scale_mult(mono, idxs, spaces, r_from, r_to, qvec, kvec=None, scalar=None):
@@ -199,9 +198,9 @@ def sbi_check(mono, max_m=2, max_degree=None):
         hc_dims = homology_dims(tot, 2 * max_m + (0 if root else 2))
         if not root:
             for m in range(max_m + 1):
-                lo = EchelonSet(field, _corner_kernel(cx, tot, m))
+                lo = EchelonSet(_corner_kernel(cx, tot, m))
                 W_hi = _corner_kernel(cx, tot, m + 1)
-                hi = EchelonSet(field, W_hi)
+                hi = EchelonSet(W_hi)
                 same = all(contains(lo, v) for v in W_hi) and lo.dim == hi.dim
                 hc_lo, hc_hi = hc_dims[2 * m], hc_dims[2 * m + 2]
                 onto = (cx.dim(0) - lo.dim == hc_lo) and (cx.dim(0) - hi.dim == hc_hi)
@@ -215,7 +214,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
         hh, hc = homology(cx, 2 * max_m + 1), homology(tot, 2 * max_m + 3)
         for m in range(max_m + 1):
             # -- a: canonical surjection on even degrees
-            lo = EchelonSet(field, _corner_kernel(cx, tot, m))
+            lo = EchelonSet(_corner_kernel(cx, tot, m))
             contained = all(contains(lo, v) for v in _corner_kernel(cx, tot, m + 1))
             hc_lo = hc_dims[2 * m]
             onto = cx.dim(0) - lo.dim == hc_lo
@@ -233,7 +232,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             lam_pow = power_vec(mono, lam_n, m)
             for rep in hh[2 * m]:
                 qrep = cx.spaces[2 * m].project_terms(rep)
-                sol = solve(field, aug_cols, inject(cx, N, 0, qrep))
+                sol = solve(aug_cols, inject(cx, N, 0, qrep))
                 if sol is None:
                     ok_b = False
                     continue
@@ -249,7 +248,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             })
             # -- c: connecting map on even cyclic classes vanishes
             ok_c = True
-            bd = EchelonSet(field, cx.boundary(2 * m + 2).cols)
+            bd = EchelonSet(cx.boundary(2 * m + 2).cols)
             for rep in hc[2 * m]:
                 if not contains(bd, D[2 * m].apply(block(cx, 2 * m, 0, rep))):
                     ok_c = False
@@ -278,7 +277,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             # the canonical inclusion (its chain level literally includes the
             # top entry).
             ok_e = True
-            taus = EchelonSet(field)
+            taus = EchelonSet()
             seen = 0
             for rep in hc[2 * m + 1]:
                 z0 = block(cx, 2 * m + 1, 0, rep)
@@ -286,10 +285,10 @@ def sbi_check(mono, max_m=2, max_degree=None):
                     seen += 1
             if seen != len(hc[2 * m + 1]):
                 ok_e = False
-            tot_bd = EchelonSet(field, tot.boundary(2 * m + 2).cols)
+            tot_bd = EchelonSet(tot.boundary(2 * m + 2).cols)
             rank_i = 0
             rank_tau = 0
-            tau_classes = EchelonSet(field)
+            tau_classes = EchelonSet()
             for rep in hh[2 * m + 1]:
                 qrep = cx.spaces[2 * m + 1].project_terms(rep)
                 if tot_bd.add(inject(cx, 2 * m + 1, 0, qrep)):
@@ -305,7 +304,7 @@ def sbi_check(mono, max_m=2, max_degree=None):
             # -- f: connecting map on odd cyclic classes
             ok_f = True
             scalar_f = (m + 1) * (field.one - w)
-            bd2 = EchelonSet(field, cx.boundary(2 * m + 3).cols)
+            bd2 = EchelonSet(cx.boundary(2 * m + 3).cols)
             for rep in hc[2 * m + 1]:
                 z0 = block(cx, 2 * m + 1, 0, rep)
                 expect = _component_scale_mult(

@@ -69,7 +69,7 @@ def test_psi_phi_prime_identity():
         ctx = get_spec(name)
         br = bar_resolution(ctx.mono)
         for r in range(6):
-            ident = ColMap.identity(ctx.mono.field, br.res_space(r).dim)
+            ident = ColMap.identity(br.res_space(r).dim)
             assert br.psi(r).compose(br.phi(r)) == ident
 
 
@@ -158,12 +158,11 @@ def test_bar_boundary_squares_to_zero():
 
 def _global_subquotient(sp):
     """One elimination over the whole ambient space of ``sp``, block spans embedded."""
-    field = sp.mono.field
     spans = []
     for ti, t in enumerate(sp.tuples):
         for v in twisted_commutator_subspace(sp.M, sum(t)):
             spans.append({ti * sp.block + i: c for i, c in v.items()})
-    return subquotient(field, sp.ambient_dim, spans)
+    return subquotient(sp.ambient_dim, spans)
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
@@ -257,7 +256,7 @@ def test_induced_psi_phi_identity():
         cmp_ = comparison(ctx.bimodule)
         cs = build_cs(ctx.bimodule, 5)
         for r in range(5):
-            ident = ColMap.identity(ctx.mono.field, cs.dim(r))
+            ident = ColMap.identity(cs.dim(r))
             assert cmp_.psi(r).compose(cmp_.phi(r)) == ident
 
 
@@ -267,8 +266,8 @@ def test_induced_phi_psi_examples_degree_one():
     bar = bar_complex(ctx.bimodule)
     cs = build_cs(ctx.bimodule, 3)
     # phi_1 [m] = [m (x) x], psi_1 [m (x) x] = [m]; the composite is the identity
-    assert cmp_.psi(1).compose(cmp_.phi(1)) == ColMap.identity(ctx.mono.field, cs.dim(1))
-    assert cmp_.psi(0).compose(cmp_.phi(0)) == ColMap.identity(ctx.mono.field, cs.dim(0))
+    assert cmp_.psi(1).compose(cmp_.phi(1)) == ColMap.identity(cs.dim(1))
+    assert cmp_.psi(0).compose(cmp_.phi(0)) == ColMap.identity(cs.dim(0))
 
 
 def test_induced_homotopy_identity():
@@ -292,7 +291,7 @@ def _doubled_regular(name):
 
     def doubled(m):
         cols = list(m.cols)
-        return ColMap(mono.field, 2 * dim, 2 * dim, cols + [{i + dim: c for i, c in col.items()} for col in cols])
+        return ColMap(2 * dim, 2 * dim, cols + [{i + dim: c for i, c in col.items()} for col in cols])
 
     M = BimoduleData(mono, 2 * dim, [doubled(m) for m in R.left_k], doubled(R.left_x),
                      [doubled(m) for m in R.right_k], doubled(R.right_x))
@@ -403,7 +402,7 @@ def test_generic_path_with_nondiagonal_alpha():
     labels, table = cyclic_group(3)
     K = group_algebra(labels, table, F)
     # e -> e, g -> g^2, g^2 -> g^4 = g
-    alpha = ColMap(F, 3, 3, [{0: F.one}, {2: F.one}, {1: F.one}])
+    alpha = ColMap(3, 3, [{0: F.one}, {2: F.one}, {1: F.one}])
     check_endomorphism(K, alpha)
     mono = validate_monogenic(K, alpha, 2, [{}, {}])
     with pytest.raises(AlgebraError):
@@ -423,10 +422,9 @@ def test_nonregular_bimodule_coefficients():
     ctx = get_spec("sweedler")
     mono = ctx.mono
     K = mono.base
-    field = mono.field
     left_k = [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)]
     right_k = [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)]
-    zero_x = ColMap(field, K.dim, K.dim)
+    zero_x = ColMap(K.dim, K.dim)
     M = BimoduleData(mono, K.dim, left_k, zero_x, right_k, zero_x)
     M.check()
     cs_dims = homology_dims(build_cs(M, 5), 3)
@@ -471,14 +469,14 @@ def test_every_built_lazy_column_is_the_zero_free_dict_its_builder_returned(caps
 
     lazy, load_spec, returned, parsed = ColMap.lazy.__func__, cli._load_spec, {}, []
 
-    def recording(cls, field, nrows, ncols, column):
+    def recording(cls, nrows, ncols, column):
         built = {}
 
         def recorded(j):
             built[j] = column(j)
             return built[j]
 
-        m = lazy(cls, field, nrows, ncols, recorded)
+        m = lazy(cls, nrows, ncols, recorded)
         returned[id(m)] = built
         return m
 

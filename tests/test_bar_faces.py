@@ -63,7 +63,7 @@ def test_b_matches_the_reference_on_nonregular_coefficients():
     # M = K with x acting by zero, as in test_bar.py
     mono, _ = mono_and_m("sweedler")
     K = mono.base
-    zero_x = ColMap(mono.field, K.dim, K.dim)
+    zero_x = ColMap(K.dim, K.dim)
     M = BimoduleData(mono, K.dim, [K.left_mult_map(K.basis_vector(t)) for t in range(K.dim)], zero_x,
                      [right_mult_map(K, K.basis_vector(t)) for t in range(K.dim)], zero_x)
     M.check()

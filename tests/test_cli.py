@@ -290,10 +290,17 @@ def test_non_integer_example_parameter_rejected(capsys):
     # a rank-one degree below 2 is refused for the degree, before g1 is read
     *[(dict(build_example("rank1:c4"), rank_one=dict(build_example("rank1:c4")["rank_one"], n=n)),
        f"error: spec.rank_one: extension degree must satisfy n >= 2, got {n}") for n in (1, 0, -1)],
+    (dict(build_example("sweedler"), base_algebra={"type": "lie"}),
+     "error: spec.base_algebra.type must be 'group' or 'structure_constants', got 'lie'"),
+    (dict(build_example("sweedler"), endomorphism={"type": "frobenius"}),
+     "error: spec.endomorphism.type must be 'character' or 'matrix', got 'frobenius'"),
+    (dict(build_example("sweedler"), bimodule={"type": "dual"}),
+     "error: spec.bimodule.type must be 'regular' or 'matrices', got 'dual'"),
 ], ids=["list", "no-field", "no-algebra", "no-algebra-type", "unknown-field-kind",
         "unhashable-field-kind", "order-zero", "non-integer-order", "non-integer-n", "bimodule-without-dim", "non-scalar-lambda",
         "short-lambda", "short-unit", "group-without-identity", "degree-one", "non-multiplicative-character",
-        "rank-one-degree-one", "rank-one-degree-zero", "rank-one-degree-minus-one"])
+        "rank-one-degree-one", "rank-one-degree-zero", "rank-one-degree-minus-one",
+        "unknown-base-algebra-type", "unknown-endomorphism-type", "unknown-bimodule-type"])
 def test_malformed_spec_document_rejected(capsys, tmp_path, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -780,7 +787,7 @@ def test_reports_do_not_depend_on_the_key_order_of_elements(capsys, monkeypatch,
     monkeypatch.setattr(EchelonSet, "add", lambda self, vec: add(self, dict(reversed(vec.items()))))
     lazy = ColMap.lazy.__func__
     monkeypatch.setattr(ColMap, "lazy", classmethod(
-        lambda cls, field, nrows, ncols, column: lazy(cls, field, nrows, ncols, _reversed_result(column))))
+        lambda cls, nrows, ncols, column: lazy(cls, nrows, ncols, _reversed_result(column))))
     assert [run(capsys, *argv) for argv in commands] == plain
     assert [code for code, _ in plain] == [0, 0, 0]
 
@@ -869,7 +876,7 @@ def _corrupt_last_column(m, extra):
     def column(j):
         col = dict(m.cols[j])
         return add_terms(col, extra) if j == m.ncols - 1 else col
-    return ColMap.lazy(m.field, m.nrows, m.ncols, column)
+    return ColMap.lazy(m.nrows, m.ncols, column)
 
 
 def _checks(rep):
@@ -924,8 +931,8 @@ def test_verify_stops_on_a_perturbation_that_breaks_the_square(capsys, monkeypat
         for r, m in delta.items():
             cols = [{} for _ in range(m.ncols)]
             if m.nrows and m.ncols:
-                cols[0] = {0: m.field.one}
-            bad[r] = ColMap(m.field, m.nrows, m.ncols, cols)
+                cols[0] = {0: 1}
+            bad[r] = ColMap(m.nrows, m.ncols, cols)
         return retract, bad
 
     monkeypatch.setattr(cli, "build_cyclic_retract", build_cyclic_retract)

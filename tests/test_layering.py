@@ -35,7 +35,11 @@ checks d.d = 0, and endomorphism and bimodule input is checked where the
 spec decoder reads it), and a deformation retract is its complexes, maps
 and window, one type for the transfer retract and its perturbation, whose
 identities are two booleans kept nowhere (no ``PerturbedRetract``, no
-renamed report dicts)."""
+renamed report dicts), and linear algebra takes no field: no routine of
+the elimination, complex, small-complex, cyclic, perturbation, bar or
+command-line modules has a ``field`` parameter or attribute, and no module
+but ``fields.py`` reads a field's ``one`` or ``zero`` (they are the ints 1
+and 0)."""
 
 import ast
 import contextlib
@@ -51,7 +55,7 @@ from orehom.algebra import BimoduleData
 from orehom.bar import BarComplex, BarResolution, BarSpace, ResolutionSpace, bar_complex, bar_resolution, comparison
 from orehom.complexes import ChainComplex
 from orehom.cyclic import bc_total, build_mixed, tot_blocks
-from orehom.fields import make_field, reciprocal
+from orehom.fields import reciprocal
 from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
 from orehom.perturbation import DeformationRetract, build_cyclic_retract, perturb
 from orehom.small_complex import build_cs
@@ -647,6 +651,23 @@ def test_only_fields_sees_inside_a_cyclotomic_scalar():
     assert found == []
 
 
+def test_linear_algebra_takes_no_field():
+    # every field's zero and one are the ints 0 and 1: the field stays on
+    # the algebra, which decodes and coerces scalars, and on each CycScalar
+    found = []
+    for path in SOURCES:
+        linear = path.name in ("linalg.py", "complexes.py", "small_complex.py", "cyclic.py",
+                               "perturbation.py", "bar.py", "cli.py")
+        for node in ast.walk(_tree(path)):
+            if linear and isinstance(node, ast.arg) and node.arg == "field":
+                found.append(f"{path.name}:{node.lineno}: parameter field")
+            elif linear and isinstance(node, ast.Attribute) and node.attr == "field":
+                found.append(f"{path.name}:{node.lineno}: .field")
+            elif path.name != "fields.py" and isinstance(node, ast.Attribute) and node.attr in ("one", "zero"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
+
+
 def _exact(values):
     return all(type(v) in (int, Fraction) for v in values)
 
@@ -657,13 +678,12 @@ def _exact(values):
 def test_rational_elimination_stays_exact(rows, x):
     """Over Q, elimination on int entries gives ints and Fractions, never a
     float, and the same numbers as Fraction arithmetic."""
-    Q = make_field("rationals")
     if x:
         inv = reciprocal(x)
         assert type(inv) in (int, Fraction) and inv == 1 / Fraction(x)
         assert (type(inv) is int) == (inv.denominator == 1)
-    ech = EchelonSet(Q, map(sparse, rows))
-    ref = EchelonSet(Q, [sparse(Fraction(c) for c in row) for row in rows])
+    ech = EchelonSet(map(sparse, rows))
+    ref = EchelonSet([sparse(Fraction(c) for c in row) for row in rows])
     assert all(_exact(row.values()) for row in ech.row_at.values())
     assert ech.row_at == ref.row_at
     cols = [sparse(col) for col in zip(*rows)]

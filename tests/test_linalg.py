@@ -27,7 +27,7 @@ F4 = make_field("cyclotomic", 4)
 
 
 def identity(field, n):
-    return Matrix(field, n, n, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
+    return Matrix(n, n, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
 
 def columns_of(rows, ncols):
@@ -36,7 +36,7 @@ def columns_of(rows, ncols):
 
 
 def test_rref_rank_one():
-    m = Matrix(Q, 2, 2, [[Fr(1), Fr(2)], [Fr(2), Fr(4)]])
+    m = Matrix(2, 2, [[Fr(1), Fr(2)], [Fr(2), Fr(4)]])
     red, pivots = rref(m)
     assert pivots == [0]
     assert red.entries[1] == [Q.zero, Q.zero]
@@ -50,29 +50,29 @@ def test_rref_identity_fixed():
 
 def test_rref_cyclotomic_dependent_rows():
     z = F4.root()
-    m = Matrix(F4, 2, 2, [[z, F4.one], [F4.one, -z]])
+    m = Matrix(2, 2, [[z, F4.one], [F4.one, -z]])
     assert len(rref(m)[1]) == 1 == sparse_rank(columns_of(m.entries, 2))
 
 
 def test_kernel_of_zero_and_identity():
-    assert kernel_basis(Q, [{}, {}, {}]) == [{0: Q.one}, {1: Q.one}, {2: Q.one}]
-    assert kernel_basis(Q, ColMap.identity(Q, 4).cols) == []
+    assert kernel_basis([{}, {}, {}]) == [{0: Q.one}, {1: Q.one}, {2: Q.one}]
+    assert kernel_basis(ColMap.identity(4).cols) == []
 
 
 def test_kernel_single_relation():
-    m = ColMap(Q, 1, 3, [{0: Fr(1)}, {0: Fr(1)}, {}])
-    kb = kernel_basis(Q, m.cols)
+    m = ColMap(1, 3, [{0: Fr(1)}, {0: Fr(1)}, {}])
+    kb = kernel_basis(m.cols)
     assert len(kb) == 2
     for v in kb:
         assert m.apply(v) == {}
 
 
 def test_subquotient_examples():
-    sq = subquotient(Q, 3, [{0: Fr(1), 1: Fr(1)}])
+    sq = subquotient(3, [{0: Fr(1), 1: Fr(1)}])
     assert sq.quotient_dim == 2
-    full = subquotient(Q, 2, [{0: Fr(1)}, {1: Fr(1)}])
+    full = subquotient(2, [{0: Fr(1)}, {1: Fr(1)}])
     assert full.quotient_dim == 0
-    triv = subquotient(Q, 4, [])
+    triv = subquotient(4, [])
     assert triv.quotient_dim == 4
     assert triv.proj_cols == [{i: Q.one} for i in range(4)]
     assert triv.lift_vec({0: Fr(1), 2: Fr(3)}) == {0: Fr(1), 2: Fr(3)}
@@ -80,12 +80,12 @@ def test_subquotient_examples():
 
 def test_out_of_range_coordinates_are_refused():
     with pytest.raises(ValueError, match=r"outside 0\.\.2"):
-        subquotient(Q, 3, [{0: Fr(1)}, {3: Fr(1)}])
+        subquotient(3, [{0: Fr(1)}, {3: Fr(1)}])
     with pytest.raises(ValueError, match=r"outside 0\.\.2"):
-        subquotient(Q, 3, [{-1: Fr(1)}])
+        subquotient(3, [{-1: Fr(1)}])
     with pytest.raises(ValueError, match="spanning vector"):
-        subquotient(Q, 0, [{0: Fr(1)}])
-    sq = subquotient(Q, 3, [{0: Fr(1), 1: Fr(1)}])
+        subquotient(0, [{0: Fr(1)}])
+    sq = subquotient(3, [{0: Fr(1), 1: Fr(1)}])
     with pytest.raises(ValueError, match="quotient coordinate"):
         sq.lift_vec({2: Fr(1)})
     with pytest.raises(ValueError, match="quotient coordinate"):
@@ -95,7 +95,7 @@ def test_out_of_range_coordinates_are_refused():
 def assert_subquotient_invariants(field, sq, spans):
     """project . lift = id, the spanning vectors project to zero, and
     e_c - lift(project(e_c)) lies in their span for every ambient c."""
-    span = EchelonSet(field, spans)
+    span = EchelonSet(spans)
     assert sq.quotient_dim == sq.ambient_dim - span.dim
     for i in range(sq.quotient_dim):
         assert sq.project_terms(sq.lift_vec({i: field.one})) == {i: field.one}
@@ -108,14 +108,14 @@ def assert_subquotient_invariants(field, sq, spans):
 
 def test_subquotient_invariants():
     spans = [{0: Fr(1), 1: Fr(1)}]
-    assert_subquotient_invariants(Q, subquotient(Q, 3, spans), spans)
+    assert_subquotient_invariants(Q, subquotient(3, spans), spans)
 
 
 def test_solve_and_inconsistent():
     cols = [{0: Fr(1), 1: Fr(3)}, {0: Fr(2), 1: Fr(4)}]
-    x = solve(Q, cols, {0: Fr(5), 1: Fr(6)})
-    assert ColMap(Q, 2, 2, cols).apply(x) == {0: Fr(5), 1: Fr(6)}
-    assert solve(Q, [{0: Fr(1), 1: Fr(1)}], {0: Fr(1), 1: Fr(2)}) is None
+    x = solve(cols, {0: Fr(5), 1: Fr(6)})
+    assert ColMap(2, 2, cols).apply(x) == {0: Fr(5), 1: Fr(6)}
+    assert solve([{0: Fr(1), 1: Fr(1)}], {0: Fr(1), 1: Fr(2)}) is None
 
 
 entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -132,7 +132,7 @@ def test_rank_nullity_rationals(rows, cols, data):
         [data.draw(entry) for _ in range(cols)] for _ in range(rows)
     ]
     columns = columns_of(entries, cols)
-    assert sparse_rank(columns) + len(kernel_basis(Q, columns)) == cols
+    assert sparse_rank(columns) + len(kernel_basis(columns)) == cols
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,20 +146,20 @@ def test_rank_nullity_cyclotomic(rows, cols, data):
     entries = [
         [F4.scalar(list(data.draw(pair))) for _ in range(cols)] for _ in range(rows)
     ]
-    m = ColMap(F4, rows, cols, columns_of(entries, cols))
-    assert sparse_rank(m.cols) + len(kernel_basis(F4, m.cols)) == cols
-    for v in kernel_basis(F4, m.cols):
+    m = ColMap(rows, cols, columns_of(entries, cols))
+    assert sparse_rank(m.cols) + len(kernel_basis(m.cols)) == cols
+    for v in kernel_basis(m.cols):
         assert m.apply(v) == {}
 
 
 def test_colmap_roundtrip_and_compose():
-    cm = ColMap(Q, 2, 2, [{0: Fr(1)}, {0: Fr(2), 1: Fr(1)}])
-    assert cm.compose(ColMap.identity(Q, 2)) == cm
+    cm = ColMap(2, 2, [{0: Fr(1)}, {0: Fr(2), 1: Fr(1)}])
+    assert cm.compose(ColMap.identity(2)) == cm
     assert cm.compose(cm).cols == [{0: Fr(1)}, {0: Fr(4), 1: Fr(1)}]
 
 
 def test_echelon_set_membership():
-    ech = EchelonSet(Q)
+    ech = EchelonSet()
     assert ech.add({0: Fr(1), 1: Fr(1)})
     assert not ech.add({0: Fr(2), 1: Fr(2)})
     assert ech.add({2: Fr(5)})
@@ -198,7 +198,7 @@ def draw_matrix(field, data):
     pool = draw_vectors(field, data.draw(st.integers(min_value=0, max_value=4)), ncols, data)
     pool.append([field.zero] * ncols)
     picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=6))
-    return Matrix(field, len(picks), ncols, [list(pool[i]) for i in picks])
+    return Matrix(len(picks), ncols, [list(pool[i]) for i in picks])
 
 
 @fields
@@ -234,11 +234,11 @@ def test_sparse_elimination_matches_the_dense_reference(field, data):
     m = draw_matrix(field, data)
     rows, ncols, zero = m.entries, m.cols, field.zero
     red, pivots = ref.rref(field, rows, ncols)
-    ech = EchelonSet(field, map(sparse, rows))
+    ech = EchelonSet(map(sparse, rows))
     assert sorted(ech.row_at) == pivots
     assert [ref.dense(ech.row_at[p], ncols, zero) for p in pivots] == red
     columns = columns_of(rows, ncols)
-    assert [ref.dense(v, ncols, zero) for v in kernel_basis(field, columns)] == ref.kernel(field, rows, ncols)
+    assert [ref.dense(v, ncols, zero) for v in kernel_basis(columns)] == ref.kernel(field, rows, ncols)
     # preimage under the span of the rows
     images = draw_vectors(field, data.draw(st.integers(min_value=0, max_value=3)), ncols, data)
     reduced = [ref.reduce(red, pivots, v) for v in images]
@@ -249,11 +249,11 @@ def test_sparse_elimination_matches_the_dense_reference(field, data):
     coeffs = draw_vectors(field, 1, ncols, data)[0]
     reachable = [sum((c * row[j] for j, c in enumerate(coeffs)), zero) for row in rows]
     for b in (reachable, draw_vectors(field, 1, len(rows), data)[0]):
-        x = solve(field, columns, sparse(b))
+        x = solve(columns, sparse(b))
         expected = ref.solve(field, [[row[j] for row in rows] for j in range(ncols)], b)
         assert (x if x is None else ref.dense(x, ncols, zero)) == expected
     # the quotient of k^ncols by the row span
-    sq = subquotient(field, ncols, [sparse(row) for row in rows])
+    sq = subquotient(ncols, [sparse(row) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     assert sq.free == free
     for row, p in zip(red, pivots):
@@ -269,7 +269,7 @@ def test_sparse_elimination_matches_the_dense_reference(field, data):
 )
 def test_subquotient_projection_section_random(field, ambient, nspan, data):
     spans = [sparse(v) for v in draw_vectors(field, nspan, ambient, data)]
-    assert_subquotient_invariants(field, subquotient(field, ambient, spans), spans)
+    assert_subquotient_invariants(field, subquotient(ambient, spans), spans)
 
 
 @fields
@@ -282,15 +282,15 @@ def test_subquotient_projection_section_random(field, ambient, nspan, data):
 def test_echelon_set_bulk_build_and_contains(field, dim, nvec, data):
     dense_vecs = draw_vectors(field, nvec, dim, data)
     vecs = [sparse(v) for v in dense_vecs]
-    one_by_one = EchelonSet(field)
+    one_by_one = EchelonSet()
     for v in vecs:
         one_by_one.add(v)
-    bulk = EchelonSet(field, vecs)
+    bulk = EchelonSet(vecs)
     assert list(bulk.row_at.items()) == list(one_by_one.row_at.items())
     probes = draw_vectors(field, 2, dim, data)
     probes.append(combine(field, probes[0], dense_vecs, dim))
     for v in map(sparse, probes):
-        assert contains(bulk, v) == (solve(field, vecs, v) is not None)
+        assert contains(bulk, v) == (solve(vecs, v) is not None)
 
 
 @fields
@@ -311,7 +311,7 @@ def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
     images = draw_vectors(field, nimg, dim, data)
     span_vecs = draw_vectors(field, nspan, dim, data)
     rank = lambda rows, ncols: len(ref.rref(field, rows, ncols)[1])
-    sq = subquotient(field, dim, [sparse(v) for v in span_vecs])
+    sq = subquotient(dim, [sparse(v) for v in span_vecs])
     assert sq.colon_dim([sparse(v) for v in images]) == dim - rank(span_vecs + images, dim)
     kernel = ref.kernel(field, ref.transpose(images + span_vecs, dim), nimg + nspan)
     pullback = [v[:nimg] for v in kernel]
@@ -325,7 +325,7 @@ def test_preimage_is_the_pullback_of_the_span(field, dim, nimg, nspan, data):
 
 def test_colon_dim_examples():
     # k^3 modulo e_0, the images e_0 + e_1 and e_2 - e_1
-    sq = subquotient(Q, 3, [{0: Fr(1)}])
+    sq = subquotient(3, [{0: Fr(1)}])
     images = [{0: Fr(1), 1: Fr(1)}, {1: Fr(-1), 2: Fr(1)}]
     assert sq.colon_dim(images) == 0
     assert sq.colon_dim([{0: Fr(2)}]) == 2
@@ -438,20 +438,20 @@ def test_relation_checker_matches_the_dense_sum_of_products(field, data):
         product = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
         for k in range(length):
             rows = draw_vectors(field, dims[k + 1], dims[k], data)
-            chain.insert(0, ColMap(field, dims[k + 1], dims[k], columns_of(rows, dims[k])))
+            chain.insert(0, ColMap(dims[k + 1], dims[k], columns_of(rows, dims[k])))
             product = ref.mat_mul(rows, product, n)
         c = data.draw(st.sampled_from([1, -1, Fr(1, 2)]))
         terms.append((c, chain))
         total = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(total, product)]
     assert relation_holds(n, terms) == (not any(any(row) for row in total))
-    summed = chain_sum(field, n, terms)
+    summed = chain_sum(n, terms)
     assert (summed.nrows, summed.ncols) == (m, n)
     assert [ref.dense(col, m, field.zero) for col in summed.cols] == ref.transpose(total, n)
-    assert relation_holds(n, terms + [(-1, [ColMap(field, m, n, columns_of(total, n))])])
+    assert relation_holds(n, terms + [(-1, [ColMap(m, n, columns_of(total, n))])])
 
 
 def test_relation_checker_refuses_maps_that_do_not_compose():
-    a, b = ColMap(Q, 2, 3), ColMap(Q, 3, 2)
+    a, b = ColMap(2, 3), ColMap(3, 2)
     assert relation_holds(2, [(1, [a, b])]) and relation_holds(3, [(1, [b, a]), (-1, [b, a])])
     for ncols, terms in [
         (3, [(1, [a, a])]),  # a's rows are not a's domain
@@ -462,9 +462,9 @@ def test_relation_checker_refuses_maps_that_do_not_compose():
         with pytest.raises(ValueError, match="shape mismatch"):
             relation_holds(ncols, terms)
         with pytest.raises(ValueError, match="shape mismatch"):
-            chain_sum(Q, ncols, terms)
+            chain_sum(ncols, terms)
     # == compares shapes before reading columns
-    assert ColMap(Q, 2, 3) != ColMap(Q, 2, 2)
+    assert ColMap(2, 3) != ColMap(2, 2)
 
 
 def test_relation_checker_stops_at_the_first_nonzero_column():
@@ -474,7 +474,7 @@ def test_relation_checker_stops_at_the_first_nonzero_column():
         read.append(j)
         return {0: Fr(1)} if j in (2, 4) else {}
 
-    m = ColMap.lazy(Q, 1, 6, column)
+    m = ColMap.lazy(1, 6, column)
     assert not relation_holds(6, [(1, [m])])
     assert read == [0, 1, 2]
     assert relation_holds(6, [(1, [m]), (-1, [m])])
@@ -490,7 +490,7 @@ def test_a_lazy_map_keeps_only_the_columns_it_built():
 
     tracemalloc.start()
     try:
-        m = ColMap.lazy(Q, 2, 10 ** 7, column)
+        m = ColMap.lazy(2, 10 ** 7, column)
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,12 @@
-"""The test configuration of ``pyproject.toml`` reports every test."""
+"""The test configuration reports every test: ``pyproject.toml`` lets a
+failing example reach the report, and ``conftest.py`` makes every run draw
+the same examples."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -30,3 +34,10 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_hypothesis_draws_the_same_examples_every_run():
+    # the profile conftest.py loads derives each test's examples from the
+    # test itself and reads no saved database: two runs test the same inputs
+    assert settings.default.derandomize
+    assert settings.default.database is None

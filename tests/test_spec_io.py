@@ -43,7 +43,7 @@ def test_bimodule_validation_rejects_broken_action():
     M = regular_bimodule(mono)
     # doubling the action of g breaks L(g)L(g) = L(g^2) = id
     two, g = mono.field.from_fraction(2), M.left_k[1]
-    doubled = ColMap(mono.field, g.nrows, g.ncols, [{i: two * e for i, e in col.items()} for col in g.cols])
+    doubled = ColMap(g.nrows, g.ncols, [{i: two * e for i, e in col.items()} for col in g.cols])
     bad_left_k = [M.left_k[0], doubled]
     with pytest.raises(AlgebraError, match="left K-action is not multiplicative"):
         BimoduleData(mono, M.dim, bad_left_k, M.left_x, M.right_k, M.right_x).check()
