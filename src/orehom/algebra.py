@@ -217,20 +217,17 @@ def character_endomorphism(K, chi):
     """The ColMap of the endomorphism g -> chi(g) g of a group algebra from
     character values.
 
-    ``chi`` maps each basis label (or index) to a scalar; multiplicativity
+    ``chi`` maps each basis label to a scalar; multiplicativity
     chi(gh) = chi(g)chi(h) is verified against the group table, which proves
     the map multiplicative on the basis, so only the unit is left to check.
     """
     if K.group_table is None:
         raise AlgebraError("character twists need a group algebra")
     values = []
-    for i, lab in enumerate(K.basis_labels):
-        if lab in chi:
-            values.append(K.field.coerce(chi[lab]))
-        elif i in chi:
-            values.append(K.field.coerce(chi[i]))
-        else:
+    for lab in K.basis_labels:
+        if lab not in chi:
             raise AlgebraError(f"character value missing for {lab!r}")
+        values.append(K.field.coerce(chi[lab]))
     for i in range(K.dim):
         for j in range(K.dim):
             t = K.group_table[i][j]
@@ -291,21 +288,17 @@ class MonogenicData:
                 return j
         return j % self._alpha_order
 
-    def alpha_columns(self, p):
-        """alpha^p as sparse columns ``{row: scalar}``, kept once per class of
-        alpha^p; None when alpha^p is the identity (its class is that of alpha^0)."""
-        i = self.twist(p)
-        return None if i == 0 else self.alpha_pow(i).cols
-
     def alpha_terms(self, p, mu):
-        """alpha^p of the basis element mu of K as a ``{index: scalar}`` dict."""
-        cols = self.alpha_columns(p)
-        return {mu: 1} if cols is None else cols[mu]
+        """alpha^p of the basis element mu of K as a ``{index: scalar}`` dict:
+        column mu of the kept ``alpha_pow(p)``, which the caller must not
+        modify."""
+        return self.alpha_pow(p).cols[mu]
 
     def alpha_image(self, p, w):
-        """alpha^p of the K-element w."""
-        cols = self.alpha_columns(p)
-        return dict(w) if cols is None else _act({}, cols, w)
+        """alpha^p of the K-element w, a new dict: a copy of w when alpha^p is
+        the identity, else ``alpha_pow(p).apply(w)``."""
+        i = self.twist(p)
+        return dict(w) if i == 0 else self.alpha_pow(i).apply(w)
 
     def alpha_sum(self, w, powers):
         """sum of alpha^p(w) over p in ``powers``, as a K-element."""
@@ -553,7 +546,8 @@ class BimoduleData:
         gens = self.left_k if side == "left" else self.right_k
         out = {}
         for t, c in w.items():
-            _act(out, gens[t].cols, terms, c)
+            for i, e in gens[t].apply(terms).items():
+                add_term(out, i, c * e)
         return out
 
     @memo
@@ -570,9 +564,9 @@ class BimoduleData:
         pows = self._x_powers(side)
         top = len(pows) - 1
         while p > top:
-            terms = _act({}, pows[top].cols, terms)
+            terms = pows[top].apply(terms)
             p -= top
-        return _act({}, pows[p].cols, terms) if p else dict(terms)
+        return pows[p].apply(terms) if p else dict(terms)
 
     def a_terms(self, side, a, terms):
         """The ``side`` action of a = sum_j c_j x^j in A, given by its flat
@@ -591,17 +585,6 @@ class BimoduleData:
             for i, c in part.items():
                 add_term(out, i, c)
         return out
-
-
-def _act(acc, cols, terms, scale=None):
-    """Add the image of ``terms`` under the map with sparse columns ``cols``
-    (times ``scale``) into ``acc``; returns ``acc``."""
-    for j, c in terms.items():
-        if scale is not None:
-            c = scale * c
-        for i, e in cols[j].items():
-            add_term(acc, i, e * c)
-    return acc
 
 
 @memo
@@ -660,7 +643,7 @@ def commutator_quotient(M, j):
         for p in range(mono.n):
             block, shift = k_quotient(mono, i + p), len(free)
             free += [p * mono.base.dim + f for f in block.free]
-            proj_cols += [{shift + q: e for q, e in col.items()} for col in block.proj_cols]
+            proj_cols += [{shift + q: e for q, e in col.items()} for col in block.proj.cols]
         return SubquotientSpace(M.dim, free, proj_cols)
 
     return kept(M, (commutator_quotient, i), build)

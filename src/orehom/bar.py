@@ -137,7 +137,7 @@ class BarSpace:
         quotients = _per_sum(mono, r, lambda i: commutator_quotient(M, i))
         for ti, t in enumerate(self.tuples):
             sq = quotients[sum(t)]
-            self.block_proj.append(sq.proj_cols)
+            self.block_proj.append(sq.proj.cols)
             self.block_offset.append(len(self.free))
             self.free.extend(ti * M.dim + f for f in sq.free)
         self.quotient_dim = len(self.free)

@@ -201,7 +201,7 @@ def _hh_closed_forms(report, parsed, dims, top):
     ``--closed-form`` is refused; the forms compared before it stay."""
     mono, summary = parsed.mono, parsed.summary
     try:
-        if mono.alpha_columns(1) is None:
+        if mono.twist(1) == 0:
             cf = hh_closed_form(mono, "alpha_identity", top)
             _compare(report, "closed_form_alpha_identity", "closed form (alpha = id)", cf, cf == dims)
             return

@@ -14,12 +14,12 @@ dicts and grows one vector at a time, for ``kernel_basis`` and
 Elimination needs only the scalars' arithmetic, ``0`` and ``1`` (every
 field's zero and one are those ints), so no routine takes a field.  Every
 linear map of the package (boundaries, comparison maps, alpha, the
-bimodule actions) is a column-sparse ``ColMap``, which may build each column
-on first read from a column function and keep the dict it returns, and a
-quotient space keeps its projection as sparse columns too.  Every identity
-between maps is a relation tested one basis vector at a time by
-``relation_holds``, which keeps no composed map; ``chain_sum`` keeps such a
-sum of chains as a lazy map.  The dense ``Matrix`` and ``rref`` are a thin
+bimodule actions, the projection onto a quotient space) is a column-sparse
+``ColMap``, which may build each column on first read from a column function
+and keep the dict it returns, and every map is applied by ``ColMap.apply``.
+Every identity between maps is a relation tested one basis vector at a time
+by ``relation_holds``, which keeps no composed map; ``chain_sum`` keeps such
+a sum of chains as a lazy map.  The dense ``Matrix`` and ``rref`` are a thin
 wrapper over ``EchelonSet`` that the package does not call.
 """
 
@@ -278,21 +278,22 @@ class SubquotientSpace:
 
     Quotient coordinate i is the class of ambient coordinate ``free[i]``;
     ``free`` lists, ascending, the columns that are not pivots of the reduced
-    echelon basis of the span.  ``proj_cols[c]`` is the class of e_c as a
-    sparse ``{quotient coordinate: scalar}`` dict: ``{i: 1}`` for c = free[i],
+    echelon basis of the span.  The projection ``proj`` is a ``ColMap`` made
+    from the given columns: ``proj.cols[c]`` is the class of e_c as a sparse
+    ``{quotient coordinate: scalar}`` dict, ``{i: 1}`` for c = free[i] and
     minus the free entries of the echelon row for a pivot column c.  Lifting
     puts quotient coordinates back at the free columns, so projecting a lift
     is the identity and homology representatives are reproducible.  The
     space keeps no field.
     """
 
-    __slots__ = ("ambient_dim", "quotient_dim", "free", "proj_cols")
+    __slots__ = ("ambient_dim", "quotient_dim", "free", "proj")
 
     def __init__(self, ambient_dim, free, proj_cols):
         self.ambient_dim = ambient_dim
         self.quotient_dim = len(free)
         self.free = free
-        self.proj_cols = proj_cols
+        self.proj = ColMap(len(free), ambient_dim, proj_cols)
 
     def lift_vec(self, qvec):
         """Sparse quotient vector -> sparse ambient vector on the free columns."""
@@ -303,12 +304,7 @@ class SubquotientSpace:
 
     def project_terms(self, terms):
         """Ambient ``{coordinate: scalar}`` dict -> quotient-coordinate dict."""
-        cols = self.proj_cols
-        out = {}
-        for c, v in terms.items():
-            for qi, e in cols[c].items():
-                add_term(out, qi, e * v)
-        return out
+        return self.proj.apply(terms)
 
     def colon_dim(self, images, denominator=None):
         """dim k^ambient_dim / (span + span(images)), ``images`` sparse ambient

@@ -316,7 +316,7 @@ def hh_dims_eigen(mono, max_degree):
 def hh_dims_alpha_identity(mono, max_degree):
     """Closed form for alpha = id, read off one quotient of A by [A, A]."""
     K = mono.base
-    if mono.alpha_columns(1) is not None:
+    if mono.twist(1) != 0:
         raise HypothesisError("closed form requires alpha = id")
     n = mono.n
     M = regular_bimodule(mono)

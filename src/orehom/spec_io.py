@@ -445,6 +445,7 @@ def parse_spec(doc, max_degree=6):
                     raise AlgebraError("character does not descend to the quotient group")
             alpha = character_endomorphism(K, qchi)
             lambdas = [{} for _ in range(n)]
+            lambda_breve = K.basis_vector(coset_of[g1_idx])
         else:
             # f = x^n - xi*(g1^n - 1)
             g1n_vec = K.basis_vector(g1_idx)
@@ -452,7 +453,7 @@ def parse_spec(doc, max_degree=6):
                 g1n_vec = K.product(g1n_vec, K.basis_vector(g1_idx))
             lam_n = {k: xi * c for k, c in sub_terms(dict(K.unit), g1n_vec).items()} if xi else {}
             lambdas = [{} for _ in range(n - 1)] + [lam_n]
-        lambda_breve = K.basis_vector(K.basis_labels.index(g1)) if g1 in K.basis_labels else None
+            lambda_breve = K.basis_vector(g1_idx)
         bim_obj = doc.get("bimodule")
     elif "base_algebra" not in doc:
         raise AlgebraError("spec has neither 'base_algebra' nor 'rank_one'")

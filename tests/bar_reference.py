@@ -154,7 +154,7 @@ def B_ambient_column(bar, r, idx):
         else:
             tail = t[i - 1:]
             newt = tail + (i0,) + t[:i - 1]
-            cols = mono.alpha_columns(sum(tail))
+            cols = None if mono.twist(sum(tail)) == 0 else mono.alpha_pow(sum(tail)).cols
         pushed = {kappa: mono.field.one} if cols is None else cols[kappa]
         _add_at(acc, bar_flat(tgt, newt, 0), pushed.items(), (i * r) % 2 == 1)
     return acc

@@ -176,7 +176,7 @@ def test_bar_space_matches_global_subquotient(name):
         assert sp.quotient_dim == whole.quotient_dim
         assert sp.free == whole.free
         for i in range(sp.ambient_dim):
-            assert sp.project_terms({i: field.one}) == whole.proj_cols[i]
+            assert sp.project_terms({i: field.one}) == whole.proj.cols[i]
         qvec = {qi: field.one for qi in range(sp.quotient_dim) if qi % 3}
         assert sp.lift_vec(qvec) == whole.lift_vec(qvec)
 
@@ -187,7 +187,7 @@ def _kept_maps(parsed, top):
     M = parsed.bimodule
     cs, bar, cmp_ = build_cs(M, top), bar_complex(M), comparison(M)
     return (
-        [(sp.quotient_dim, sp.free, sp.proj_cols) for sp in cs.spaces]
+        [(sp.quotient_dim, sp.free, sp.proj.cols) for sp in cs.spaces]
         + [cs.boundary(r) for r in range(1, top + 1)]
         + [bar.b(r) for r in range(1, top + 1)]
         + [bar.connes_B(r) for r in range(top)]

@@ -39,7 +39,9 @@ renamed report dicts), and linear algebra takes no field: no routine of
 the elimination, complex, small-complex, cyclic, perturbation, bar or
 command-line modules has a ``field`` parameter or attribute, and no module
 but ``fields.py`` reads a field's ``one`` or ``zero`` (they are the ints 1
-and 0)."""
+and 0), and every linear map is applied one way: a quotient space's
+projection is a ``ColMap`` read by ``ColMap.apply``, with no second apply
+loop (``_act``) and no raw-column accessor of alpha (``alpha_columns``)."""
 
 import ast
 import contextlib
@@ -56,7 +58,7 @@ from orehom.bar import BarComplex, BarResolution, BarSpace, ResolutionSpace, bar
 from orehom.complexes import ChainComplex
 from orehom.cyclic import bc_total, build_mixed, tot_blocks
 from orehom.fields import reciprocal
-from orehom.linalg import ColMap, EchelonSet, sparse, sparse_rank
+from orehom.linalg import ColMap, EchelonSet, SubquotientSpace, sparse, sparse_rank, subquotient
 from orehom.perturbation import DeformationRetract, build_cyclic_retract, perturb
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
@@ -666,6 +668,16 @@ def test_linear_algebra_takes_no_field():
             elif path.name != "fields.py" and isinstance(node, ast.Attribute) and node.attr in ("one", "zero"):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def test_every_linear_map_is_applied_by_colmap_apply():
+    assert _defined({"_act", "alpha_columns"}) == []
+    assert "proj_cols" not in SubquotientSpace.__slots__
+    sq = subquotient(3, [{0: 1}])
+    assert isinstance(sq.proj, ColMap)
+    assert (sq.proj.nrows, sq.proj.ncols) == (2, 3)
+    for terms in ({0: 1}, {1: 2, 2: -1}, {0: 3, 2: 5}):
+        assert sq.project_terms(terms) == sq.proj.apply(terms)
 
 
 def _exact(values):

@@ -74,7 +74,7 @@ def test_subquotient_examples():
     assert full.quotient_dim == 0
     triv = subquotient(4, [])
     assert triv.quotient_dim == 4
-    assert triv.proj_cols == [{i: Q.one} for i in range(4)]
+    assert triv.proj.cols == [{i: Q.one} for i in range(4)]
     assert triv.lift_vec({0: Fr(1), 2: Fr(3)}) == {0: Fr(1), 2: Fr(3)}
 
 
@@ -257,7 +257,7 @@ def test_sparse_elimination_matches_the_dense_reference(field, data):
     free = [c for c in range(ncols) if c not in pivots]
     assert sq.free == free
     for row, p in zip(red, pivots):
-        assert sq.proj_cols[p] == {qi: -row[f] for qi, f in enumerate(free) if row[f]}
+        assert sq.proj.cols[p] == {qi: -row[f] for qi, f in enumerate(free) if row[f]}
 
 
 @settings(max_examples=60, deadline=None)

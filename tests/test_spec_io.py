@@ -9,7 +9,7 @@ from orehom.linalg import ColMap
 from orehom.small_complex import build_cs
 from orehom.spec_io import build_example, parse_spec
 
-from conftest import encode_kvec, get_spec
+from conftest import encode_kvec, get_spec, rank_one_doc
 
 
 def _matrix_json(field, m):
@@ -192,3 +192,14 @@ def test_parse_rejects_wrong_vector_length():
     doc["extension"]["lambdas"] = [["0"], ["0"]]
     with pytest.raises(AlgebraError, match="length"):
         parse_spec(doc)
+
+
+@pytest.mark.parametrize("p", [3, 9])
+def test_rank_one_rewrite_keeps_the_lambda_breve_check(p):
+    # g1 = g^p lies in the coset {g3, g9} of <g6> in C_12, which the rewrite
+    # labels g3: the central-element check must not depend on that label
+    parsed = parse_spec(rank_one_doc(12, 2, p, 2, 1))
+    assert parsed.summary["rank_one_case"] == "xi!=0, chi^n!=id"
+    assert parsed.summary["rewrite"]["quotient_labels"][3] == "g3"
+    assert parsed.summary["lambda_breve"] == {"accepted": True, "reason": "ok"}
+    assert parsed.lambda_breve == {3: 1}
